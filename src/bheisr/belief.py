@@ -109,31 +109,13 @@ class BeliefNetwork:
         return self
 
 
-def build_from_history(corpus, user_id: str) -> BeliefNetwork:
-    """Belief network from the user's interested interactions.
+def build_all(corpus) -> dict:
+    """Belief network per corpus user from their interested interactions.
 
-    The accepted history is seeded with those items (in timestamp order), so
+    Each accepted history is seeded with those items (in timestamp order), so
     recommenders can score and exclude them from the first feed on. Users with
     no interested interactions get an empty (zero-mass) network.
     """
-    subcat_to_cat = {}
-    for cat, subs in corpus.taxonomy.items():
-        for sub in subs:
-            subcat_to_cat[sub] = cat
-    network = BeliefNetwork(user_id=user_id, categories=corpus.categories(),
-                            subcat_to_cat=subcat_to_cat)
-    history = [x for x in corpus.interactions
-               if x.user_id == user_id and corpus.interested(x)]
-    history.sort(key=lambda x: x.timestamp)
-    for inter in history:
-        item = corpus.items[inter.item_id]
-        network.remember_accept(item.id)
-        network.add_click_mass(item.subcategory, item.category, 1.0)
-    network.recompute()
-    return network
-
-
-def build_all(corpus) -> dict:
     histories: dict = {u: [] for u in corpus.users}
     for inter in corpus.interactions:
         if corpus.interested(inter):

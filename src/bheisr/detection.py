@@ -46,22 +46,6 @@ def diversity_coverage(feed, taxonomy) -> float:
     return len(seen) / len(taxonomy)
 
 
-def diversity_coverage_formula(subcat_frequencies: dict) -> float:
-    """Literal frequency form (1/N) * sum(1 - f_i / F).
-
-    Degenerate by construction: equals (N-1)/N whenever every provided
-    frequency is positive. Kept for audit; diversity_coverage is the
-    operative metric.
-    """
-    if not subcat_frequencies:
-        raise ValueError("no frequencies")
-    total = float(sum(subcat_frequencies.values()))
-    if total <= 0.0:
-        raise ValueError("at least one frequency must be nonzero")
-    n = len(subcat_frequencies)
-    return sum(1.0 - f / total for f in subcat_frequencies.values()) / n
-
-
 def diversity_duplicate(feed) -> float:
     """Share of ordered item pairs that fall in the same subcategory."""
     items = _items_of(feed)

@@ -218,18 +218,6 @@ class GraphUpdateBuffer:
     def categories(self):
         return self.graph.categories
 
-    @property
-    def vectors(self):
-        return self.graph.vectors
-
-    @property
-    def vocab(self):
-        return self.graph.vocab
-
-    @property
-    def item_vectors(self):
-        return self.graph.item_vectors
-
     def flush(self) -> int:
         count = len(self.pending)
         for item in self.pending:

@@ -21,10 +21,6 @@ QUEUE_DRAIN = "drain"      # reschedule only once the queue empties
 QUEUE_REPLACE = "replace"  # literal: any terminal reject replaces the queue
 
 
-class QueueEmpty(Exception):
-    """The session has no pending prompt; a reschedule is needed."""
-
-
 def binary_split(prompt: PromptPath):
     """Split a prompt in half; None marks a terminal (length-2) prompt.
 
@@ -155,25 +151,6 @@ class GeneratedItem(Item):
     prompt_key: str = ""
 
 
-def generate_item(prompt: PromptPath, exemplars: dict, seed: int = 0,
-                  generator=None) -> GeneratedItem:
-    """Materialize a prompt as an item with uniform category weights."""
-    if generator is None:
-        generator = TemplateGenerator(exemplars)
-    title, abstract = generator.generate(prompt.nodes, seed)
-    weight = 1.0 / len(prompt.nodes)
-    return GeneratedItem(
-        id=f"gi:{seed}:{prompt.key}",
-        category=prompt.nodes[0],
-        subcategory=f"{prompt.nodes[0]}/generated",
-        title=title,
-        abstract=abstract,
-        category_weights={c: weight for c in prompt.nodes},
-        origin=ORIGIN_GENERATED,
-        prompt_key=prompt.key,
-    )
-
-
 # ---------------------------------------------------------------------------
 # sessions
 # ---------------------------------------------------------------------------
@@ -221,15 +198,6 @@ def _generate_for(session: NudgeSession, prompt: PromptPath,
         origin=ORIGIN_GENERATED,
         prompt_key=prompt.key,
     )
-
-
-def run_step(session: NudgeSession, graph, network, generator) -> tuple:
-    """Generate an item for the head prompt. Raises QueueEmpty when drained."""
-    if not session.active or not session.queue:
-        raise QueueEmpty(f"session for {session.user_id!r} has no pending prompt")
-    prompt = session.queue[0]
-    item = _generate_for(session, prompt, generator)
-    return item, prompt
 
 
 def pending_prompts(session: NudgeSession, count: int) -> list:

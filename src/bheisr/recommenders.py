@@ -7,7 +7,7 @@ k - n_gen baseline items; accepted items never reappear.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -45,42 +45,29 @@ class CandidateIndex:
                    norms=norms, categories=[corpus.items[i].category for i in ids],
                    vectors=vectors)
 
-    def vector_of(self, item_id: str, extra: dict = None):
-        if item_id in self.vectors:
-            return self.vectors[item_id]
-        if extra is not None and item_id in extra:
-            return extra[item_id]
-        return None
 
-
-def _profile_vector(network, index: CandidateIndex, extra_vectors: dict = None):
+def _profile_vector(network, vectors: dict):
     """Mean feature vector over the user's accepted items (occurrences)."""
-    acc: dict = {}
-    n = 0
-    for item_id in network.accepted:
-        vec = index.vector_of(item_id, extra_vectors)
-        if vec is None:
-            continue
-        n += 1
-        for tid, w in vec.entries.items():
-            acc[tid] = acc.get(tid, 0.0) + w
+    n = len(network.accepted)
     if n == 0:
         return None
+    acc: dict = {}
+    for item_id in network.accepted:
+        for tid, w in vectors[item_id].entries.items():
+            acc[tid] = acc.get(tid, 0.0) + w
     return FeatureVector.from_entries({tid: w / n for tid, w in acc.items()})
 
 
-def cb_score(item, network, index: CandidateIndex, extra_vectors: dict = None) -> float:
+def cb_score(item, network, vectors: dict) -> float:
     """Cosine between the item and the mean of the user's accepted items.
 
-    Cold users (empty history) score 0 for every item.
+    `vectors` maps item id to FeatureVector for the item and for every item
+    the user accepted. Cold users (empty history) score 0 for every item.
     """
-    profile = _profile_vector(network, index, extra_vectors)
+    profile = _profile_vector(network, vectors)
     if profile is None:
         return 0.0
-    vec = index.vector_of(item.id, extra_vectors)
-    if vec is None:
-        raise ValueError(f"no feature vector for item {item.id!r}")
-    return correlation(vec, profile)
+    return correlation(vectors[item.id], profile)
 
 
 def acceptance_share(item, network) -> float:
@@ -93,10 +80,6 @@ def acceptance_share(item, network) -> float:
         if w > 0.0:
             share += w * network.belief_degree(cat) / total
     return share
-
-
-def _category_count_vector(network) -> dict:
-    return network.mass_by_category()
 
 
 def _dict_cosine(a: dict, b: dict) -> float:
@@ -115,23 +98,14 @@ def uc_score(item, user_id: str, networks: dict) -> float:
     share = acceptance_share(item, me)
     if share == 0.0:
         return 0.0
-    my_hist = _category_count_vector(me)
+    my_hist = me.mass_by_category()
     total = 0.0
     for other_id, other in networks.items():
         if other_id == user_id:
             continue
         if item.id in other.accepted_ids:
-            total += _dict_cosine(my_hist, _category_count_vector(other))
+            total += _dict_cosine(my_hist, other.mass_by_category())
     return total * share
-
-
-def rd_candidates(corpus, user_id: str, k: int, seed: int, exclude: set = None) -> list:
-    """Seeded uniform sample of k item ids the user has not accepted."""
-    exclude = exclude or set()
-    eligible = [i for i in corpus.items if i not in exclude]
-    rng = substream(seed, "rd", user_id)
-    order = rng.permutation(len(eligible))
-    return [eligible[i] for i in order[:k]]
 
 
 @dataclass
@@ -155,16 +129,15 @@ def n_generated(w: float, k: int) -> int:
 class FeedContext:
     """Everything assemble_feed needs to score candidates for one user.
 
-    The optional acceleration arrays (enable_acceleration) replace the
-    per-item reference loops with matrix ops; they are kept in sync by
-    calling note_accept for every accepted item and refresh_mass once per
-    step barrier. Without them scoring falls back to the reference ops.
+    enable_acceleration builds the matrix scoring state from the networks
+    and the graph's item vectors; note_accept keeps it in sync for every
+    accepted item and refresh_mass re-snapshots the history masses once per
+    step barrier.
     """
     corpus: object
     index: CandidateIndex
     networks: dict
-    graph: object = None
-    accept_index: dict = field(default_factory=dict)   # item id -> set of users
+    graph: object
     generator: object = None
     user_ids: list = None
     user_pos: dict = None
@@ -187,20 +160,10 @@ class FeedContext:
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
         self.profile_sums = np.zeros((n_users, index.matrix.shape[1]))
         self.profile_counts = np.zeros(n_users, dtype=np.intp)
-        extra = self.graph.item_vectors if self.graph is not None else None
         for u in self.user_ids:
             row = self.user_pos[u]
-            network = self.networks[u]
-            for item_id in network.accepted:
-                pos = index.pos.get(item_id)
-                if pos is not None:
-                    self.accept_matrix[row, pos] = 1.0
-                vec = index.vector_of(item_id, extra)
-                if vec is None:
-                    continue
-                for tid, w in vec.entries.items():
-                    self.profile_sums[row, tid] += w
-                self.profile_counts[row] += 1
+            for item_id in self.networks[u].accepted:
+                self._fold_accept(row, item_id)
         self.refresh_mass()
 
     def refresh_mass(self) -> None:
@@ -212,95 +175,55 @@ class FeedContext:
         self.mass_matrix = np.array(rows)
 
     def note_accept(self, user_id: str, item) -> None:
-        """Fold one accepted item into the shared scoring state."""
-        self.accept_index.setdefault(item.id, set()).add(user_id)
-        row = self.user_pos[user_id]
-        pos = self.index.pos.get(item.id)
+        """Fold one accepted item into the shared scoring state.
+
+        The item's vector must already be in the graph, so pending graph
+        updates are flushed first.
+        """
+        self._fold_accept(self.user_pos[user_id], item.id)
+
+    def _fold_accept(self, row: int, item_id: str) -> None:
+        pos = self.index.pos.get(item_id)
         if pos is not None:
             self.accept_matrix[row, pos] = 1.0
-        extra = self.graph.item_vectors if self.graph is not None else None
-        vec = self.index.vector_of(item.id, extra)
-        if vec is None:
-            vec = featurize(item, self.index_vocab())
-        for tid, w in vec.entries.items():
+        for tid, w in self.graph.item_vectors[item_id].entries.items():
             self.profile_sums[row, tid] += w
         self.profile_counts[row] += 1
 
-    def index_vocab(self):
-        if self.graph is not None:
-            return self.graph.vocab
-        raise ValueError("no vocabulary available to featurize a new item")
-
-
-def build_accept_index(networks: dict) -> dict:
-    accept_index: dict = {}
-    for user_id, network in networks.items():
-        for item_id in set(network.accepted):
-            accept_index.setdefault(item_id, set()).add(user_id)
-    return accept_index
-
 
 def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
-    """Vectorized candidate scores matching the per-item reference ops."""
+    """Candidate scores from the matrix state, equal per item to cb_score or
+    uc_score."""
     index = ctx.index
-    network = ctx.networks[user_id]
     n = len(index.ids)
-    accel = ctx.accept_matrix is not None
     if kind == "rd":
         return np.zeros(n)
+    row = ctx.user_pos[user_id]
     if kind == "cb":
-        if accel:
-            row = ctx.user_pos[user_id]
-            count = ctx.profile_counts[row]
-            if count == 0:
-                return np.zeros(n)
-            dense = ctx.profile_sums[row] / count
-            pnorm = float(np.linalg.norm(dense))
-        else:
-            extra = ctx.graph.item_vectors if ctx.graph is not None else None
-            profile = _profile_vector(network, index, extra)
-            if profile is None:
-                return np.zeros(n)
-            dense = np.zeros(index.matrix.shape[1])
-            for tid, w in profile.entries.items():
-                dense[tid] = w
-            pnorm = profile.norm
+        count = ctx.profile_counts[row]
+        if count == 0:
+            return np.zeros(n)
+        dense = ctx.profile_sums[row] / count
         dots = index.matrix @ dense
-        denom = index.norms * pnorm
+        denom = index.norms * float(np.linalg.norm(dense))
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = np.where(denom > 0.0, dots / denom, 0.0)
         return np.clip(scores, -1.0, 1.0)
     if kind == "uc":
+        network = ctx.networks[user_id]
         total_belief = sum(network.belief.values())
         if total_belief <= 0.0:
             return np.zeros(n)
-        if accel:
-            row = ctx.user_pos[user_id]
-            mine = ctx.mass_matrix[row]
-            dots = ctx.mass_matrix @ mine
-            norms = np.linalg.norm(ctx.mass_matrix, axis=1)
-            denom = norms * float(np.linalg.norm(mine))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sims = np.where(denom > 0.0, dots / denom, 0.0)
-            sims[row] = 0.0
-            neighbor_mass = sims @ ctx.accept_matrix
-            belief_arr = np.array([network.belief[c] for c in ctx.cats])
-            belief_share = belief_arr[ctx.cat_index] / total_belief
-            return neighbor_mass * belief_share
-        my_hist = _category_count_vector(network)
-        sims = {}
-        for other_id, other in ctx.networks.items():
-            if other_id != user_id:
-                sims[other_id] = _dict_cosine(my_hist, _category_count_vector(other))
-        neighbor_mass = np.zeros(n)
-        for item_id, accepters in ctx.accept_index.items():
-            pos = index.pos.get(item_id)
-            if pos is None:
-                continue
-            neighbor_mass[pos] = sum(sims[u] for u in sorted(accepters)
-                                     if u != user_id)
-        belief_share = np.array(
-            [network.belief[c] / total_belief for c in index.categories])
+        mine = ctx.mass_matrix[row]
+        dots = ctx.mass_matrix @ mine
+        norms = np.linalg.norm(ctx.mass_matrix, axis=1)
+        denom = norms * float(np.linalg.norm(mine))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = np.where(denom > 0.0, dots / denom, 0.0)
+        sims[row] = 0.0
+        neighbor_mass = sims @ ctx.accept_matrix
+        belief_arr = np.array([network.belief[c] for c in ctx.cats])
+        belief_share = belief_arr[ctx.cat_index] / total_belief
         return neighbor_mass * belief_share
     raise ValueError(f"unknown baseline {kind!r}")
 

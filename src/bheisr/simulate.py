@@ -13,10 +13,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import belief as belief_mod
-from . import detection, nudge, recommenders
+from . import detection, nudge
 from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, load_behaviors, \
     load_corpus, load_ratings, synth_corpus
 from .features import CategoryGraph, GraphUpdateBuffer, build_vocabulary
@@ -61,14 +59,9 @@ class SimConfig:
     trace_paths: bool = False
 
 
-def acceptance_probability(item, network) -> float:
-    """Probability the user accepts the item: its belief share in [0, 1]."""
-    return acceptance_share(item, network)
-
-
 def decide(item, network, rng) -> tuple:
     """One Bernoulli decision; always consumes exactly one uniform draw."""
-    ap = acceptance_probability(item, network)
+    ap = acceptance_share(item, network)
     draw = float(rng.random())
     return draw < ap, ap, draw
 
@@ -211,7 +204,6 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     exemplars = _collect_exemplars(corpus)
     generator = _build_generator(config, exemplars)
     ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
-                      accept_index=recommenders.build_accept_index(networks),
                       generator=generator)
     ctx.enable_acceleration()
 
@@ -278,14 +270,18 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
 
     Only `config.users` (default: everyone) are fed; the rest of the
     population still backs classification. Updates to shared state (category
-    graph, acceptance index, history masses) are applied between steps in
-    user order, so results do not depend on execution order within a step.
+    graph, then the scoring state) are applied between steps in user order,
+    so results do not depend on execution order within a step.
     """
     state = prepare(config, corpus, assets)
     sim_users = tuple(config.users) if config.users else state.corpus.users
+    seen = set()
     for user in sim_users:
         if user not in state.networks:
             raise ValueError(f"unknown user {user!r}")
+        if user in seen:
+            raise ValueError(f"duplicate user {user!r}")
+        seen.add(user)
 
     record = RunRecord(model=config.model, seed=config.seed, w=state.w_eff,
                        k=config.k, users=sim_users)

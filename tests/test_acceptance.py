@@ -18,10 +18,11 @@ from bheisr.detection import Exposure, classify_users, ks_normality
 from bheisr.nudge import (
     NudgeSession,
     TemplateGenerator,
+    _generate_for,
     apply_feedback,
     binary_split,
     initial_queue,
-    run_step,
+    pending_prompts,
 )
 from bheisr.pathfinder import (
     PromptPath,
@@ -361,7 +362,7 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
     steps = 0
     status = ""
     while steps < 15:
-        item, _ = run_step(session, null_graph, belief_net, generator)
+        item = _generate_for(session, pending_prompts(session, 1)[0], generator)
         steps += 1
         status = apply_feedback(session, item, False, null_graph, belief_net)
         if status.endswith(("rescheduled", "terminal")):

@@ -9,7 +9,6 @@ from bheisr.belief import (
     BeliefNetwork,
     belief_snapshot,
     build_all,
-    build_from_history,
     entropy_bits,
 )
 from bheisr.corpus import (
@@ -17,8 +16,6 @@ from bheisr.corpus import (
     Corpus,
     Interaction,
     Item,
-    SynthSpec,
-    synth_corpus,
 )
 
 
@@ -64,7 +61,7 @@ def tiny_corpus():
 
 class TestGlobalNormalization:
     def test_hand_computed_beliefs(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         # probs over all touched subcats: a/s1=0.5, a/s2=0.25, b/s1=0.25
         assert network.click_probs == pytest.approx(
             {"a/s1": 0.5, "a/s2": 0.25, "b/s1": 0.25})
@@ -74,12 +71,12 @@ class TestGlobalNormalization:
             -0.25 * math.log2(0.25))
 
     def test_category_beliefs_sum_to_total_entropy(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         total = entropy_bits(list(network.click_probs.values()))
         assert sum(network.belief.values()) == pytest.approx(total, abs=1e-12)
 
     def test_scaling_all_counts_leaves_beliefs_unchanged(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         before = dict(network.belief)
         network.click_counts = {s: 7 * c for s, c in network.click_counts.items()}
         network.recompute()
@@ -88,18 +85,18 @@ class TestGlobalNormalization:
     def test_untouched_category_has_zero_belief(self):
         corpus = tiny_corpus()
         corpus.interactions = corpus.interactions[:3]   # only category a
-        network = build_from_history(corpus, "u")
+        network = build_all(corpus)["u"]
         assert network.belief_degree("b") == 0.0
         assert network.positive_category_count() == 1
 
     def test_empty_history_gives_zero_everywhere(self):
-        network = build_from_history(tiny_corpus(), "v")
+        network = build_all(tiny_corpus())["v"]
         assert network.total_mass() == 0.0
         assert network.belief == {"a": 0.0, "b": 0.0}
         assert network.click_probs == {}
 
     def test_unknown_category_query_raises(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         with pytest.raises(ValueError):
             network.belief_degree("zzz")
 
@@ -108,24 +105,13 @@ class TestHistorySeeding:
     def test_accepted_follows_timestamp_order(self):
         corpus = tiny_corpus()
         corpus.interactions = list(reversed(corpus.interactions))
-        network = build_from_history(corpus, "u")
+        network = build_all(corpus)["u"]
         assert network.accepted == ["i1", "i2", "i1", "i3"]
         assert network.accepted_ids == {"i1", "i2", "i3"}
 
     def test_uninterested_rows_excluded(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         assert network.click_counts["b/s1"] == 1.0
-
-    def test_build_all_matches_per_user_build(self):
-        corpus = synth_corpus(SynthSpec(n_users=5, n_categories=4,
-                                        subcats_per_category=2, n_items=40,
-                                        bias_profile=2, seed=1))
-        networks = build_all(corpus)
-        for user in corpus.users:
-            solo = build_from_history(corpus, user)
-            assert networks[user].click_counts == solo.click_counts
-            assert networks[user].belief == solo.belief
-            assert networks[user].accepted == solo.accepted
 
 
 def generated_item(id, weights):
@@ -138,26 +124,26 @@ def generated_item(id, weights):
 class TestFeedback:
     def test_accept_dataset_item_adds_unit_mass(self):
         corpus = tiny_corpus()
-        network = build_from_history(corpus, "u")
+        network = build_all(corpus)["u"]
         network.update_on_feedback(corpus.items["i2"], accepted=True)
         assert network.click_counts["a/s2"] == 2.0
         assert network.accepted[-1] == "i2"
 
     def test_accept_generated_item_routes_to_synthetic_subcat(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         network.update_on_feedback(generated_item("g1", {"a": 0.5, "b": 0.5}), True)
         assert network.click_counts["a/generated"] == 0.5
         assert network.click_counts["b/generated"] == 0.5
         assert network.subcat_to_cat["b/generated"] == "b"
 
     def test_generated_mass_shifts_belief_toward_spanned_category(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         before = network.belief_degree("b")
         network.update_on_feedback(generated_item("g1", {"b": 1.0}), True)
         assert network.belief_degree("b") > before
 
     def test_reject_logs_prompt_and_leaves_mass_alone(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
 
         class Prompt:
             key = "a->b"
@@ -170,12 +156,12 @@ class TestFeedback:
         assert "g1" not in network.accepted_ids
 
     def test_unknown_category_weight_rejected(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         with pytest.raises(ValueError, match="unknown category"):
             network.update_on_feedback(generated_item("g1", {"zzz": 1.0}), True)
 
     def test_subcategory_cannot_rebind_category(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         with pytest.raises(ValueError, match="already bound"):
             network.add_click_mass("a/s1", "b", 1.0)
 
@@ -184,7 +170,7 @@ class TestIncrementalConsistency:
     def test_feedback_stream_matches_scratch_recompute(self):
         rng = np.random.default_rng(3)
         corpus = tiny_corpus()
-        network = build_from_history(corpus, "u")
+        network = build_all(corpus)["u"]
         for n in range(60):
             if rng.random() < 0.5:
                 item = corpus.items[["i1", "i2", "i3"][rng.integers(3)]]
@@ -203,7 +189,7 @@ class TestIncrementalConsistency:
 
 class TestSnapshot:
     def test_snapshot_shape(self):
-        network = build_from_history(tiny_corpus(), "u")
+        network = build_all(tiny_corpus())["u"]
         snap = belief_snapshot(network)
         assert snap["user_id"] == "u"
         assert list(snap["belief"]) == ["a", "b"]

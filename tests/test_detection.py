@@ -18,7 +18,6 @@ from bheisr.detection import (
     classify_users,
     detect_fb_system,
     diversity_coverage,
-    diversity_coverage_formula,
     diversity_duplicate,
     item_categories,
     kolmogorov_p,
@@ -58,19 +57,6 @@ class TestDiversityCoverage:
         item = make_item("a", weights={"a": 0.0})
         item.category_weights = {}
         assert item_categories(item) == {"a"}
-
-
-class TestCoverageFormula:
-    def test_degenerate_value_for_positive_frequencies(self):
-        # with every frequency nonzero the sum telescopes to (n-1)/n
-        assert diversity_coverage_formula({"x": 3, "y": 1}) == pytest.approx(0.5)
-        assert diversity_coverage_formula({"x": 5, "y": 5, "z": 5}) == pytest.approx(2 / 3)
-
-    def test_rejects_empty_or_zero(self):
-        with pytest.raises(ValueError):
-            diversity_coverage_formula({})
-        with pytest.raises(ValueError):
-            diversity_coverage_formula({"x": 0})
 
 
 class TestDuplicateRate:

@@ -231,6 +231,3 @@ class TestGraphUpdateBuffer:
         graph = CategoryGraph.build(two_category_corpus())
         buffer = GraphUpdateBuffer(graph)
         assert buffer.categories == graph.categories
-        assert buffer.vocab is graph.vocab
-        assert buffer.item_vectors is graph.item_vectors
-        assert buffer.vectors is graph.vectors

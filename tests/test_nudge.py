@@ -10,15 +10,13 @@ from bheisr.nudge import (
     QUEUE_REPLACE,
     ExternalGenerator,
     NudgeSession,
-    QueueEmpty,
     TemplateGenerator,
+    _generate_for,
     apply_feedback,
     binary_split,
-    generate_item,
     initial_queue,
     new_session,
     pending_prompts,
-    run_step,
 )
 from bheisr.pathfinder import PromptPath, RejectionLedger, path_of
 
@@ -154,13 +152,15 @@ class TestExternalGenerator:
 
 class TestGenerateItem:
     def test_uniform_weights_and_synthetic_subcategory(self):
-        item = generate_item(path_of("food", "tech"), exemplar_items(), seed=3)
+        path = path_of("food", "tech")
+        session = NudgeSession(user_id="u", path=path, queue=[path],
+                               ledger=RejectionLedger(), classes={})
+        item = _generate_for(session, path, TemplateGenerator(exemplar_items()))
         assert item.origin == ORIGIN_GENERATED
         assert item.category == "food"
         assert item.subcategory == "food/generated"
         assert item.category_weights == {"food": 0.5, "tech": 0.5}
         assert item.prompt_key == "food->tech"
-        assert item.id == "gi:3:food->tech"
 
 
 class FakeGraph:
@@ -213,19 +213,21 @@ class TestNewSession:
 
 
 class TestRunStepAndPending:
-    def test_run_step_generates_for_head_prompt(self):
-        session, graph, network = session_fixture()
+    def test_generates_for_head_prompt(self):
+        session, _, _ = session_fixture()
         gen = TemplateGenerator({})
-        item, prompt = run_step(session, graph, network, gen)
+        prompt = pending_prompts(session, 1)[0]
+        item = _generate_for(session, prompt, gen)
         assert prompt.key == session.queue[0].key
         assert item.prompt_key == prompt.key
         assert item.id == "gi:u:1"
         assert sum(item.category_weights.values()) == pytest.approx(1.0)
 
     def test_counter_gives_fresh_ids(self):
-        session, graph, network = session_fixture()
+        session, _, _ = session_fixture()
         gen = TemplateGenerator({})
-        ids = {run_step(session, graph, network, gen)[0].id for _ in range(3)}
+        ids = {_generate_for(session, pending_prompts(session, 1)[0], gen).id
+               for _ in range(3)}
         assert ids == {"gi:u:1", "gi:u:2", "gi:u:3"}
 
     def test_pending_cycles_over_short_queue(self):
@@ -235,16 +237,12 @@ class TestRunStepAndPending:
         assert got == [keys[i % len(keys)] for i in range(5)]
 
     def test_inactive_session_yields_nothing(self):
-        session, graph, network = session_fixture()
+        session, _, _ = session_fixture()
         session.active = False
         assert pending_prompts(session, 3) == []
-        with pytest.raises(QueueEmpty):
-            run_step(session, graph, network, TemplateGenerator({}))
 
 
 def make_feedback(session, graph, network, accepted, prompt=None):
-    from bheisr.nudge import _generate_for
-
     prompt = prompt or session.queue[0]
     item = _generate_for(session, prompt, TemplateGenerator({}))
     return apply_feedback(session, item, accepted, graph, network)

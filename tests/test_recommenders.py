@@ -1,4 +1,4 @@
-"""Baseline recommenders, scoring acceleration, and feed assembly."""
+"""Baseline recommenders, the matrix scoring state, and feed assembly."""
 
 import math
 
@@ -24,10 +24,8 @@ from bheisr.recommenders import (
     acceptance_share,
     assemble_feed,
     baseline_ranking,
-    build_accept_index,
     cb_score,
     n_generated,
-    rd_candidates,
     uc_score,
 )
 
@@ -67,17 +65,15 @@ def small_corpus():
                   users=("u1", "u2", "u3"))
 
 
-def context_for(corpus, accelerate=False):
+def context_for(corpus):
     vocab = build_vocabulary(corpus.items.values())
     index = CandidateIndex.build(corpus, vocab)
     networks = build_all(corpus)
     graph = CategoryGraph.build(corpus, vocab=vocab,
                                 item_vectors=dict(index.vectors))
     ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
-                      accept_index=build_accept_index(networks),
                       generator=TemplateGenerator({}))
-    if accelerate:
-        ctx.enable_acceleration()
+    ctx.enable_acceleration()
     return ctx
 
 
@@ -100,14 +96,6 @@ class TestCandidateIndex:
         for item_id, item in corpus.items.items():
             assert index.categories[index.pos[item_id]] == item.category
 
-    def test_vector_of_checks_extra(self):
-        corpus = small_corpus()
-        index = CandidateIndex.build(corpus, build_vocabulary(corpus.items.values()))
-        assert index.vector_of("i1") is index.vectors["i1"]
-        assert index.vector_of("ghost") is None
-        marker = object()
-        assert index.vector_of("ghost", {"ghost": marker}) is marker
-
 
 class TestCbScore:
     def test_cold_user_scores_zero(self):
@@ -115,7 +103,7 @@ class TestCbScore:
         network = ctx.networks["u3"]
         network.accepted = []
         network.accepted_ids = set()
-        assert cb_score(ctx.corpus.items["i1"], network, ctx.index) == 0.0
+        assert cb_score(ctx.corpus.items["i1"], network, ctx.index.vectors) == 0.0
 
     def test_matches_hand_cosine(self):
         ctx = context_for(small_corpus())
@@ -130,14 +118,14 @@ class TestCbScore:
         dot = sum(w * target.entries.get(tid, 0.0) for tid, w in acc.items())
         norm = math.sqrt(sum(w * w for w in acc.values()))
         expect = dot / (norm * target.norm)
-        assert cb_score(ctx.corpus.items["i4"], network, ctx.index) == \
+        assert cb_score(ctx.corpus.items["i4"], network, ctx.index.vectors) == \
             pytest.approx(expect, abs=1e-12)
 
     def test_prefers_same_topic_items(self):
         ctx = context_for(small_corpus())
         network = ctx.networks["u1"]
-        apple = cb_score(ctx.corpus.items["i2"], network, ctx.index)
-        opera = cb_score(ctx.corpus.items["i5"], network, ctx.index)
+        apple = cb_score(ctx.corpus.items["i2"], network, ctx.index.vectors)
+        opera = cb_score(ctx.corpus.items["i5"], network, ctx.index.vectors)
         assert apple > opera
 
 
@@ -191,18 +179,22 @@ class TestUcScore:
 
 
 class TestRdCandidates:
+    """The RD branch of baseline_ranking: a seeded uniform sample."""
+
     def test_deterministic_and_excluding(self):
-        corpus = small_corpus()
-        first = rd_candidates(corpus, "u1", 3, seed=5)
-        second = rd_candidates(corpus, "u1", 3, seed=5)
+        ctx = context_for(small_corpus())
+        first = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5, exclude=set())
+        second = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5, exclude=set())
         assert first == second
         assert len(set(first)) == 3
-        excluded = rd_candidates(corpus, "u1", 5, seed=5, exclude={"i1", "i2"})
+        excluded = baseline_ranking("rd", ctx, "u1", 5, step=1, seed=5,
+                                    exclude={"i1", "i2"})
         assert set(excluded) == {"i3", "i4", "i5"}
 
     def test_seed_and_user_vary_the_sample(self):
-        corpus = small_corpus()
-        pools = {tuple(rd_candidates(corpus, u, 5, seed=s))
+        ctx = context_for(small_corpus())
+        pools = {tuple(baseline_ranking("rd", ctx, u, 5, step=1, seed=s,
+                                        exclude=set()))
                  for u in ("u1", "u2") for s in (0, 1)}
         assert len(pools) > 1
 
@@ -237,37 +229,46 @@ class TestBaselineRanking:
 
 
 class TestAccelerationAgreesWithReference:
-    """The matrix path and the per-item reference ops must agree."""
+    """The matrix scoring state must agree with the scalar oracles."""
 
-    def contexts(self):
+    def context(self):
         corpus = synth_corpus(SynthSpec(n_users=10, n_categories=6,
                                         subcats_per_category=2, n_items=120,
                                         bias_profile=3, seed=2))
-        return context_for(corpus), context_for(corpus, accelerate=True), corpus
+        return context_for(corpus), corpus
 
     def test_cb_and_uc_scores_match(self):
-        ref, acc, corpus = self.contexts()
-        for kind in ("cb", "uc"):
-            for user in corpus.users:
-                expect = _baseline_scores(kind, ref, user)
-                got = _baseline_scores(kind, acc, user)
-                assert np.allclose(got, expect, atol=1e-9), (kind, user)
+        ctx, corpus = self.context()
+        vectors = ctx.graph.item_vectors
+        for user in corpus.users:
+            network = ctx.networks[user]
+            cb = [cb_score(corpus.items[i], network, vectors) for i in ctx.index.ids]
+            uc = [uc_score(corpus.items[i], user, ctx.networks) for i in ctx.index.ids]
+            np.testing.assert_allclose(_baseline_scores("cb", ctx, user), cb,
+                                       rtol=0, atol=1e-9, err_msg=f"cb {user}")
+            np.testing.assert_allclose(_baseline_scores("uc", ctx, user), uc,
+                                       rtol=0, atol=1e-9, err_msg=f"uc {user}")
 
     def test_reference_ops_match_scalar_functions(self):
-        ref, _, corpus = self.contexts()
-        scores = _baseline_scores("cb", ref, corpus.users[0])
-        network = ref.networks[corpus.users[0]]
-        for item_id in list(corpus.items)[:10]:
-            assert scores[ref.index.pos[item_id]] == pytest.approx(
-                cb_score(corpus.items[item_id], network, ref.index), abs=1e-12)
-        scores = _baseline_scores("uc", ref, corpus.users[0])
-        for item_id in list(corpus.items)[:10]:
-            assert scores[ref.index.pos[item_id]] == pytest.approx(
-                uc_score(corpus.items[item_id], corpus.users[0], ref.networks),
-                abs=1e-12)
+        # after incremental accepts the matrix scores still match the oracles
+        ctx, corpus = self.context()
+        user = corpus.users[0]
+        fresh = next(i for i in corpus.items
+                     if i not in ctx.networks[user].accepted_ids)
+        ctx.networks[user].update_on_feedback(corpus.items[fresh], True)
+        ctx.note_accept(user, corpus.items[fresh])
+        ctx.refresh_mass()
+        network = ctx.networks[user]
+        vectors = ctx.graph.item_vectors
+        cb = [cb_score(corpus.items[i], network, vectors) for i in ctx.index.ids]
+        uc = [uc_score(corpus.items[i], user, ctx.networks) for i in ctx.index.ids]
+        np.testing.assert_allclose(_baseline_scores("cb", ctx, user), cb,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_baseline_scores("uc", ctx, user), uc,
+                                   rtol=0, atol=1e-9)
 
     def test_note_accept_matches_rebuild(self):
-        ref, acc, corpus = self.contexts()
+        acc, corpus = self.context()
         user = corpus.users[0]
         # accept one dataset item and one generated item
         fresh = next(i for i in corpus.items
@@ -284,7 +285,6 @@ class TestAccelerationAgreesWithReference:
 
         rebuilt = FeedContext(corpus=corpus, index=acc.index,
                               networks=acc.networks, graph=acc.graph,
-                              accept_index=build_accept_index(acc.networks),
                               generator=acc.generator)
         rebuilt.enable_acceleration()
         assert np.allclose(acc.profile_sums, rebuilt.profile_sums, atol=1e-12)

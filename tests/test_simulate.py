@@ -195,6 +195,12 @@ class TestRunLoop:
         with pytest.raises(ValueError, match="unknown user"):
             run_loop(self.config(users=("ghost",)), fb_corpus, fb_assets)
 
+    def test_duplicate_user_rejected(self, fb_corpus, fb_assets):
+        # a repeated id would run two user-steps per step but log only one
+        with pytest.raises(ValueError, match="duplicate user"):
+            run_loop(self.config(model="rd", feeds=3, users=("u0000", "u0000")),
+                     fb_corpus, fb_assets)
+
     def test_checkpoints_at_expected_steps(self, fb_corpus, fb_assets):
         run = run_loop(self.config(feeds=4), fb_corpus, fb_assets)
         assert [s for s, _ in run.checkpoints["u0000"]] == [1, 2, 3, 4]
