@@ -37,7 +37,6 @@ class BeliefNetwork:
     subcat_to_cat: dict                 # subcategory label -> category
     click_counts: dict = field(default_factory=dict)   # subcategory -> mass
     accepted: list = field(default_factory=list)       # item ids, append-only
-    declined_prompts: list = field(default_factory=list)   # prompt keys
     click_probs: dict = field(default_factory=dict)
     belief: dict = field(default_factory=dict)
     accepted_ids: set = field(default_factory=set, compare=False)
@@ -83,13 +82,13 @@ class BeliefNetwork:
                              f"{self.subcat_to_cat[subcategory]!r}")
         self.click_counts[subcategory] = self.click_counts.get(subcategory, 0.0) + mass
 
-    def update_on_feedback(self, item, accepted: bool, prompt=None) -> "BeliefNetwork":
-        """Fold one accept/reject decision into the network.
+    def update_on_feedback(self, item, accepted: bool) -> "BeliefNetwork":
+        """Fold one decision into the network; a reject leaves it unchanged.
 
         Accepts add the item to the history and credit its category weights as
         click mass (dataset items to their own subcategory, generated items to
-        each spanned category's synthetic subcategory). Rejects only log the
-        declined prompt, if any.
+        each spanned category's synthetic subcategory). Rejections are kept by
+        the nudge session's ledger and history.
         """
         if accepted:
             self.remember_accept(item.id)
@@ -104,8 +103,6 @@ class BeliefNetwork:
                     sub = item.subcategory
                 self.add_click_mass(sub, cat, w)
             self.recompute()
-        elif prompt is not None:
-            self.declined_prompts.append(prompt.key)
         return self
 
 

@@ -2,6 +2,7 @@
 experiment."""
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,10 +25,9 @@ CONFIG_ALIASES = {
     "generator.retries": "generator_retries",
 }
 
-_INT_FIELDS = {"k", "feeds", "seed", "max_path_len", "generator_timeout_ms",
-               "generator_retries"}
-_FLOAT_FIELDS = {"w", "theta"}
-_BOOL_FIELDS = {"parallel", "track_fb", "trace_paths"}
+# field name -> annotated type, which drives the coercion of text values
+SIM_FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig)}
+SYNTH_FIELDS = {f.name: f.type for f in dataclasses.fields(SynthSpec)}
 
 
 def parse_kv_list(text: str) -> dict:
@@ -45,12 +45,10 @@ def parse_kv_list(text: str) -> dict:
 
 def parse_synth(text: str) -> SynthSpec:
     spec = SynthSpec()
-    known = {"n_users", "n_categories", "subcats_per_category", "n_items",
-             "bias_profile", "seed"}
     for key, value in parse_kv_list(text).items():
-        if key not in known:
+        if key not in SYNTH_FIELDS:
             raise ValueError(f"unknown synth field {key!r}")
-        setattr(spec, key, int(value))
+        setattr(spec, key, SYNTH_FIELDS[key](value))
     return spec
 
 
@@ -71,17 +69,14 @@ def load_config_file(path: str) -> dict:
 def _coerce(field: str, value):
     if not isinstance(value, str):
         return value
-    if field in _INT_FIELDS:
-        return int(value)
-    if field in _FLOAT_FIELDS:
-        return float(value)
-    if field in _BOOL_FIELDS:
+    kind = SIM_FIELDS[field]
+    if kind is bool:
         return value.lower() in ("1", "true", "yes", "on")
-    if field == "users":
+    if kind is tuple:
         return tuple(u.strip() for u in value.split(",") if u.strip())
-    if field == "synth":
+    if kind is SynthSpec:
         return parse_synth(value)
-    return value
+    return kind(value)
 
 
 def build_config(args) -> SimConfig:
@@ -91,18 +86,12 @@ def build_config(args) -> SimConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             raw[CONFIG_ALIASES.get(key, key)] = value
-    for field in ("model", "w", "k", "theta", "feeds", "seed", "dataset",
-                  "dataset_format", "users", "target_user", "queue_discipline",
-                  "max_path_len", "generator_kind", "generator_url",
-                  "generator_timeout_ms", "generator_retries", "parallel",
-                  "track_fb", "trace_paths"):
+    for field in SIM_FIELDS:
         value = getattr(args, field, None)
         if value is not None and value is not False:
             raw[field] = value
-    if getattr(args, "synth", None):
-        raw["synth"] = args.synth
     for field, value in raw.items():
-        if not hasattr(config, field):
+        if field not in SIM_FIELDS:
             raise ValueError(f"unknown config key {field!r}")
         setattr(config, field, _coerce(field, value))
     return config

@@ -198,9 +198,9 @@ class CategoryGraph:
 class GraphUpdateBuffer:
     """Batches accept_item_update calls so a step sees a frozen graph.
 
-    Reads delegate to the underlying graph; updates queue until flush. Used by
-    the simulation loop to give every user in a step the same snapshot no
-    matter the execution order.
+    Updates queue until flush; nothing writes the graph before then, so every
+    user in a step reads the same snapshot from the graph itself, no matter
+    the execution order.
     """
 
     def __init__(self, graph: CategoryGraph):
@@ -210,13 +210,6 @@ class GraphUpdateBuffer:
     def accept_item_update(self, item):
         self.pending.append(item)
         return self
-
-    def rho(self, a, b):
-        return self.graph.rho(a, b)
-
-    @property
-    def categories(self):
-        return self.graph.categories
 
     def flush(self) -> int:
         count = len(self.pending)

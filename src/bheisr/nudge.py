@@ -223,9 +223,11 @@ def apply_feedback(session: NudgeSession, item: GeneratedItem, accepted: bool,
                    graph, network) -> str:
     """Fold one decision on a generated item back into the session.
 
-    Accepts credit belief mass and the category graph and retire the prompt;
-    rejects count against the ledger and split the prompt (terminal prompts
-    trigger a reschedule per the queue discipline). Returns the event name.
+    Accepts retire the prompt; rejects count against the ledger and split the
+    prompt (terminal prompts trigger a reschedule per the queue discipline).
+    Only the session changes: the caller credits an accepted item to the
+    network and the graph, and a reschedule reads both. Returns the event
+    name.
     """
     try:
         index = next(i for i, p in enumerate(session.queue)
@@ -235,8 +237,6 @@ def apply_feedback(session: NudgeSession, item: GeneratedItem, accepted: bool,
         index = prompt = None
 
     if accepted:
-        network.update_on_feedback(item, True)
-        graph.accept_item_update(item)
         status = "accepted"
         if index is not None:
             session.queue.pop(index)
@@ -245,7 +245,6 @@ def apply_feedback(session: NudgeSession, item: GeneratedItem, accepted: bool,
     else:
         fallback_prompt = prompt if prompt is not None else \
             PromptPath(tuple(item.prompt_key.split("->")))
-        network.update_on_feedback(item, False, fallback_prompt)
         pathfinder.record_rejection(session.ledger, fallback_prompt)
         status = "rejected"
         if index is not None:

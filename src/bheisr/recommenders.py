@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from . import nudge
-from .features import FeatureVector, correlation, featurize
+from .features import _mean_vector, correlation, featurize
 from .rng import substream
 
 
@@ -46,27 +46,15 @@ class CandidateIndex:
                    vectors=vectors)
 
 
-def _profile_vector(network, vectors: dict):
-    """Mean feature vector over the user's accepted items (occurrences)."""
-    n = len(network.accepted)
-    if n == 0:
-        return None
-    acc: dict = {}
-    for item_id in network.accepted:
-        for tid, w in vectors[item_id].entries.items():
-            acc[tid] = acc.get(tid, 0.0) + w
-    return FeatureVector.from_entries({tid: w / n for tid, w in acc.items()})
-
-
 def cb_score(item, network, vectors: dict) -> float:
     """Cosine between the item and the mean of the user's accepted items.
 
     `vectors` maps item id to FeatureVector for the item and for every item
     the user accepted. Cold users (empty history) score 0 for every item.
     """
-    profile = _profile_vector(network, vectors)
-    if profile is None:
+    if not network.accepted:
         return 0.0
+    profile = _mean_vector([vectors[i] for i in network.accepted])
     return correlation(vectors[item.id], profile)
 
 
@@ -254,10 +242,6 @@ def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,
     filled from the baseline. Baseline items come first in score order, then
     the generated items.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not (0.0 <= w <= 1.0):
-        raise ValueError("w must be in [0, 1]")
     network = ctx.networks[user_id]
     exclude = network.accepted_ids
 

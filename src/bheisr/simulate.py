@@ -58,6 +58,25 @@ class SimConfig:
     track_fb: bool = False
     trace_paths: bool = False
 
+    def validate(self) -> None:
+        """Reject values no run can use, before any work starts."""
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; pick from "
+                             f"{sorted(MODELS)}")
+        if self.k < 1:
+            raise ValueError("k must be positive")
+        if not (0.0 <= self.w <= 1.0):
+            raise ValueError("w must be in [0, 1]")
+        if self.feeds < 1:
+            raise ValueError("feeds must be positive")
+        if not (self.theta >= 0.0):
+            raise ValueError("theta must be non-negative")
+        seen = set()
+        for user in self.users or ():
+            if user in seen:
+                raise ValueError(f"duplicate user {user!r}")
+            seen.add(user)
+
 
 def decide(item, network, rng) -> tuple:
     """One Bernoulli decision; always consumes exactly one uniform draw."""
@@ -181,7 +200,9 @@ def build_assets(corpus: Corpus) -> SharedAssets:
     return SharedAssets(vocab=vocab, index=CandidateIndex.build(corpus, vocab))
 
 
-def _initial_classification(corpus, networks):
+def _classify(corpus, networks):
+    """Two-sigma classification of every user with history; None when fewer
+    than detection.MIN_POPULATION users have any."""
     beliefs = {u: net.belief for u, net in networks.items() if net.total_mass() > 0.0}
     if len(beliefs) < detection.MIN_POPULATION:
         return None
@@ -190,9 +211,7 @@ def _initial_classification(corpus, networks):
 
 def prepare(config: SimConfig, corpus: Corpus = None,
             assets: SharedAssets = None) -> SimState:
-    if config.model not in MODELS:
-        raise ValueError(f"unknown model {config.model!r}; pick from "
-                         f"{sorted(MODELS)}")
+    config.validate()
     if corpus is None:
         corpus = build_corpus(config)
     if assets is None:
@@ -200,7 +219,7 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     vocab, index = assets.vocab, assets.index
     graph = CategoryGraph.build(corpus, vocab, item_vectors=index.vectors)
     networks = belief_mod.build_all(corpus)
-    classification = _initial_classification(corpus, networks)
+    classification = _classify(corpus, networks)
     exemplars = _collect_exemplars(corpus)
     generator = _build_generator(config, exemplars)
     ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
@@ -230,25 +249,24 @@ def _user_step(state: SimState, user_id: str, step: int):
     network = state.networks[user_id]
     session = state.sessions.get(user_id)
     buffer = GraphUpdateBuffer(state.graph)
-    ctx = replace(state.ctx, graph=buffer)
-
     feed = assemble_feed(state.baseline, state.with_bheisr, state.w_eff, config.k,
-                         session, ctx, user_id, step, config.seed)
+                         session, state.ctx, user_id, step, config.seed)
     rng = substream(config.seed, "decide", user_id, step)
     decisions = []
-    accepted_dataset = []
     for item in feed.items:
         ok, ap, draw = decide(item, network, rng)
         decisions.append(DecisionRecord(item_id=item.id, origin=item.origin,
                                         ap=ap, draw=draw, accepted=ok))
+    # the one place an accepted item is credited; the graph sees it at flush
+    accepted_items = []
     for item, dec in zip(feed.items, decisions):
-        if item.origin == ORIGIN_GENERATED and session is not None:
-            nudge.apply_feedback(session, item, dec.accepted, buffer, network)
-        elif dec.accepted:
+        if dec.accepted:
             network.update_on_feedback(item, True)
             buffer.accept_item_update(item)
-    accepted_items = [item for item, dec in zip(feed.items, decisions)
-                      if dec.accepted]
+            accepted_items.append(item)
+        if item.origin == ORIGIN_GENERATED:
+            nudge.apply_feedback(session, item, dec.accepted, state.graph,
+                                 network)
     taxonomy = state.corpus.taxonomy
     record = StepUserRecord(
         step=step,
@@ -275,13 +293,9 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
     """
     state = prepare(config, corpus, assets)
     sim_users = tuple(config.users) if config.users else state.corpus.users
-    seen = set()
     for user in sim_users:
         if user not in state.networks:
             raise ValueError(f"unknown user {user!r}")
-        if user in seen:
-            raise ValueError(f"duplicate user {user!r}")
-        seen.add(user)
 
     record = RunRecord(model=config.model, seed=config.seed, w=state.w_eff,
                        k=config.k, users=sim_users)
@@ -292,7 +306,7 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
         record.checkpoints[user] = []
     fb_counts = []
     if config.track_fb:
-        fb_counts.append((0, _current_fb_count(state)))
+        fb_counts.append((0, _fb_count(state.classification)))
 
     for step in range(1, config.feeds + 1):
         if config.parallel and len(sim_users) > 1:
@@ -321,7 +335,8 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
                 record.checkpoints[user].append(
                     (step, {c: net.belief[c] for c in net.categories}))
         if config.track_fb:
-            fb_counts.append((step, _current_fb_count(state)))
+            fb_counts.append(
+                (step, _fb_count(_classify(state.corpus, state.networks))))
 
     if config.track_fb:
         record.fb_counts = fb_counts
@@ -334,23 +349,20 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
     return record
 
 
-def _current_fb_count(state: SimState) -> int:
-    beliefs = {u: net.belief for u, net in state.networks.items()
-               if net.total_mass() > 0.0}
-    if len(beliefs) < detection.MIN_POPULATION:
-        return 0
-    return len(detection.classify_users(beliefs, state.corpus.categories()).fb_users)
+def _fb_count(classification) -> int:
+    return 0 if classification is None else len(classification.fb_users)
 
 
-def resolve_target_user(config: SimConfig, corpus: Corpus = None,
-                        assets: SharedAssets = None) -> str:
+def resolve_target_user(config: SimConfig, corpus: Corpus = None) -> str:
     """The configured target, or the first bubble-affected user."""
     if config.target_user:
         return config.target_user
-    state = prepare(replace(config, model="cb"), corpus, assets)
-    if state.classification is None or not state.classification.fb_users:
+    if corpus is None:
+        corpus = build_corpus(config)
+    classification = _classify(corpus, belief_mod.build_all(corpus))
+    if classification is None or not classification.fb_users:
         raise ValueError("no bubble-affected users to target")
-    return state.classification.fb_users[0]
+    return classification.fb_users[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +385,11 @@ def experiment_coverage(config: SimConfig, corpus: Corpus = None,
                         models: tuple = COVERAGE_MODELS,
                         out_dir: str = None) -> CoverageTable:
     """Per-feed diversity coverage of one user's feeds under each model."""
+    config.validate()
     if corpus is None:
         corpus = build_corpus(config)
     assets = build_assets(corpus)
-    target = resolve_target_user(config, corpus, assets)
+    target = resolve_target_user(config, corpus)
     series = {}
     for model in models:
         run = run_loop(replace(config, model=model, users=(target,),
@@ -399,18 +412,20 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
                           interest: str = None, disinterest: str = None,
                           out_dir: str = None) -> dict:
     """Belief of the interest and disinterest categories at checkpoints."""
+    config.validate()
     if corpus is None:
         corpus = build_corpus(config)
     assets = build_assets(corpus)
-    target = resolve_target_user(config, corpus, assets)
+    target = resolve_target_user(config, corpus)
     if interest is None or disinterest is None:
-        state = prepare(replace(config, model="cb"), corpus, assets)
-        if state.classification is None:
+        networks = belief_mod.build_all(corpus)
+        classification = _classify(corpus, networks)
+        if classification is None:
             raise ValueError("cannot infer endpoint categories without "
                              "a classified population")
         from . import pathfinder
         src, dst = pathfinder.select_endpoints(
-            state.networks[target], state.classification.classes[target])
+            networks[target], classification.classes[target])
         interest = interest or src
         disinterest = disinterest or dst
     run = run_loop(replace(config, users=(target,), track_fb=False), corpus,
@@ -439,6 +454,7 @@ def experiment_fb_count(config: SimConfig, corpus: Corpus = None,
                         models: tuple = COVERAGE_MODELS,
                         out_dir: str = None) -> dict:
     """Population bubble-affected count after every feed, per model."""
+    config.validate()
     if corpus is None:
         corpus = build_corpus(config)
     assets = build_assets(corpus)
@@ -462,10 +478,11 @@ def experiment_w_sweep(config: SimConfig, corpus: Corpus = None,
                        w_values: tuple = (0.2, 0.4, 0.6, 0.8),
                        out_dir: str = None) -> dict:
     """Belief-network category coverage of the target user per feed, per w."""
+    config.validate()
     if corpus is None:
         corpus = build_corpus(config)
     assets = build_assets(corpus)
-    target = resolve_target_user(config, corpus, assets)
+    target = resolve_target_user(config, corpus)
     model = config.model if MODELS[config.model][1] else "uc_w"
     series = {}
     for w in w_values:

@@ -25,7 +25,6 @@ from bheisr.nudge import (
     pending_prompts,
 )
 from bheisr.pathfinder import (
-    PromptPath,
     RejectionLedger,
     next_hop,
     path_of,

@@ -142,17 +142,11 @@ class TestFeedback:
         network.update_on_feedback(generated_item("g1", {"b": 1.0}), True)
         assert network.belief_degree("b") > before
 
-    def test_reject_logs_prompt_and_leaves_mass_alone(self):
+    def test_reject_leaves_mass_alone(self):
         network = build_all(tiny_corpus())["u"]
-
-        class Prompt:
-            key = "a->b"
-
         mass = dict(network.click_counts)
-        network.update_on_feedback(generated_item("g1", {"b": 1.0}), False,
-                                   prompt=Prompt())
+        network.update_on_feedback(generated_item("g1", {"b": 1.0}), False)
         assert network.click_counts == mass
-        assert network.declined_prompts == ["a->b"]
         assert "g1" not in network.accepted_ids
 
     def test_unknown_category_weight_rejected(self):

@@ -247,6 +247,12 @@ class TestExperiments:
         assert "w=0.2" in stdout and "w=0.8" in stdout
         assert (out / "w_sweep.csv").exists()
 
+    def test_bad_feeds_exits_2_before_any_run(self, tmp_path, capsys):
+        code = main(["experiment", "4", "--synth", SYNTH, "--feeds", "0",
+                     "--out", str(tmp_path / "e4")])
+        assert code == 2
+        assert "feeds must be positive" in capsys.readouterr().err
+
     def test_unknown_experiment_number_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "9", "--synth", SYNTH])

@@ -18,7 +18,7 @@ from bheisr.nudge import (
     new_session,
     pending_prompts,
 )
-from bheisr.pathfinder import PromptPath, RejectionLedger, path_of
+from bheisr.pathfinder import RejectionLedger, path_of
 
 
 def split_keys(prompt):
@@ -249,14 +249,17 @@ def make_feedback(session, graph, network, accepted, prompt=None):
 
 
 class TestApplyFeedback:
-    def test_accept_pops_prompt_and_credits_mass(self):
+    def test_accept_pops_prompt_and_leaves_graph_alone(self):
         session, graph, network = session_fixture()
         before = len(session.queue)
+        mass = dict(network.click_counts)
         status = make_feedback(session, graph, network, accepted=True)
         assert status in ("accepted", "accepted+rescheduled", "accepted+terminal")
         assert len(session.queue) in (before - 1, 2 * before)   # popped or rescheduled
-        assert graph.accepted   # graph saw the accepted item
-        assert any(s.endswith("/generated") for s in network.click_counts)
+        # the loop credits accepted items; the session only does bookkeeping
+        assert not graph.accepted
+        assert network.click_counts == mass
+        assert not network.accepted
 
     def test_reject_splits_prompt_in_place(self):
         session, graph, network = session_fixture()
@@ -312,6 +315,7 @@ class TestApplyFeedback:
         assert len(session.history) == 2
         assert {h["accepted"] for h in session.history} == {False, True}
         assert all(h["prompt"] and h["item"] for h in session.history)
+        assert not graph.accepted
 
 
 class TestAcceptanceRescheduleLoop:
@@ -326,3 +330,4 @@ class TestAcceptanceRescheduleLoop:
         # once rescheduling reuses an accepted path; it must not loop forever
         assert len(events) <= 60
         assert all(e.startswith("accepted") for e in events)
+        assert not graph.accepted

@@ -7,7 +7,6 @@ import pytest
 
 from bheisr.detection import Exposure
 from bheisr.pathfinder import (
-    PromptPath,
     RejectionLedger,
     explore,
     next_hop,

@@ -28,6 +28,7 @@ from bheisr.recommenders import (
     n_generated,
     uc_score,
 )
+from bheisr.simulate import SimConfig
 
 
 class TestNGenerated:
@@ -344,8 +345,8 @@ class TestAssembleFeed:
         assert feed.original_count == 3
 
     def test_validation(self):
-        ctx = context_for(small_corpus())
-        with pytest.raises(ValueError):
-            assemble_feed("cb", False, 0.5, 0, None, ctx, "u1", step=1, seed=0)
-        with pytest.raises(ValueError):
-            assemble_feed("cb", False, 1.5, 3, None, ctx, "u1", step=1, seed=0)
+        # k and w reach assemble_feed only through a validated SimConfig
+        with pytest.raises(ValueError, match="k must be positive"):
+            SimConfig(model="cb", w=0.5, k=0).validate()
+        with pytest.raises(ValueError, match=r"w must be in \[0, 1\]"):
+            SimConfig(model="cb", w=1.5, k=3).validate()

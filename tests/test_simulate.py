@@ -2,9 +2,15 @@
 
 import csv
 import json
+import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bheisr import simulate
+from bheisr.belief import build_all
 from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, save_corpus, synth_corpus
 from bheisr.rng import substream
 from bheisr.simulate import (
@@ -22,7 +28,6 @@ from bheisr.simulate import (
     resolve_target_user,
     run_loop,
     write_belief_snapshots,
-    write_coverage_csv,
     write_run_log,
 )
 
@@ -123,6 +128,18 @@ class TestPrepare:
         with pytest.raises(ValueError, match="unknown model"):
             prepare(SimConfig(model="zz", synth=PLAIN_SPEC))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("feeds", -3, "feeds must be positive"),
+        ("feeds", 0, "feeds must be positive"),
+        ("theta", -1.0, "theta must be non-negative"),
+        ("theta", math.nan, "theta must be non-negative"),
+        ("w", math.nan, r"w must be in \[0, 1\]"),
+        ("users", ("u0000", "u0000"), "duplicate user"),
+    ])
+    def test_bad_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            prepare(SimConfig(synth=PLAIN_SPEC, **{field: value}))
+
     def test_sessions_only_for_fb_users_in_scope(self, fb_corpus, fb_assets):
         config = SimConfig(model="cb_w", users=("u0000", "u0009"))
         state = prepare(config, fb_corpus, fb_assets)
@@ -157,12 +174,18 @@ class TestRunLoop:
         assert a.steps == b.steps
         assert a.checkpoints == b.checkpoints
 
-    def test_parallel_matches_serial(self, fb_corpus, fb_assets):
-        serial = run_loop(self.config(users=None), fb_corpus, fb_assets)
-        parallel = run_loop(self.config(users=None, parallel=True), fb_corpus,
-                            fb_assets)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), model=st.sampled_from(sorted(MODELS)),
+           w=st.floats(0.0, 1.0))
+    @example(seed=1, model="cb_w", w=0.6)
+    def test_parallel_matches_serial(self, fb_corpus, fb_assets, seed, model, w):
+        config = self.config(users=None, model=model, w=w, seed=seed,
+                             trace_paths=True)
+        serial = run_loop(config, fb_corpus, fb_assets)
+        parallel = run_loop(replace(config, parallel=True), fb_corpus, fb_assets)
         assert serial.steps == parallel.steps
         assert serial.checkpoints == parallel.checkpoints
+        assert serial.path_traces == parallel.path_traces
 
     def test_seed_changes_decisions(self, fb_corpus, fb_assets):
         a = run_loop(self.config(seed=1), fb_corpus, fb_assets)
@@ -225,18 +248,54 @@ class TestRunLoop:
         assert all(0.0 < c <= 1.0 for c in series)
 
 
-class TestResolveTargetUser:
-    def test_explicit_target_wins(self, fb_corpus, fb_assets):
-        config = SimConfig(target_user="u0003")
-        assert resolve_target_user(config, fb_corpus, fb_assets) == "u0003"
+class TestStateMatchesLog:
+    def test_accepts_in_state_equal_accepts_in_log(self, fb_corpus, fb_assets,
+                                                   monkeypatch):
+        states = []
 
-    def test_defaults_to_first_fb_user(self, fb_corpus, fb_assets):
-        assert resolve_target_user(SimConfig(), fb_corpus, fb_assets) == "u0000"
+        def spy(*args, **kwargs):
+            states.append(prepare(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(simulate, "prepare", spy)
+        run = run_loop(SimConfig(model="uc_w", w=0.6, k=6, feeds=5, seed=0),
+                       fb_corpus, fb_assets)
+        (state,) = states
+        seeded = build_all(fb_corpus)
+        generated_accepts = 0
+        for user in run.users:
+            network = state.networks[user]
+            logged = [d for recs in run.steps for r in recs if r.user_id == user
+                      for d in r.decisions if d.accepted]
+            assert network.accepted == \
+                seeded[user].accepted + [d.item_id for d in logged]
+            row = state.ctx.user_pos[user]
+            assert state.ctx.profile_counts[row] == len(network.accepted)
+            assert all(i in state.graph.item_vectors for i in network.accepted)
+            # an accepted generated item is credited once, at unit weight, to
+            # the synthetic subcategories and to its categories' graph members
+            gen = [d.item_id for d in logged if d.origin == ORIGIN_GENERATED]
+            generated_accepts += len(gen)
+            gen_mass = sum(c for s, c in network.click_counts.items()
+                           if s.endswith("/generated"))
+            assert gen_mass == pytest.approx(len(gen))
+            for item_id in gen:
+                assert any(item_id in m for m in state.graph.members.values())
+        assert generated_accepts > 0
+
+
+class TestResolveTargetUser:
+    def test_explicit_target_wins(self, fb_corpus):
+        config = SimConfig(target_user="u0003")
+        assert resolve_target_user(config, fb_corpus) == "u0003"
+
+    def test_defaults_to_first_fb_user(self, fb_corpus):
+        assert resolve_target_user(SimConfig(), fb_corpus) == "u0000"
 
     def test_no_fb_population_raises(self):
         corpus = synth_corpus(PLAIN_SPEC)
         with pytest.raises(ValueError, match="no bubble-affected"):
-            resolve_target_user(SimConfig(), corpus, build_assets(corpus))
+            resolve_target_user(SimConfig(), corpus)
 
 
 class TestExperimentCoverage:
@@ -312,6 +371,10 @@ class TestExperimentWSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "w", "belief_coverage"]
         assert len(rows) == 1 + 2 * 3
+
+    def test_unknown_model_rejected(self, fb_corpus):
+        with pytest.raises(ValueError, match="unknown model"):
+            experiment_w_sweep(SimConfig(model="zz"), fb_corpus)
 
     def test_pure_model_falls_back_to_mixed(self, fb_corpus):
         result = experiment_w_sweep(SimConfig(model="cb", k=4, feeds=2),
