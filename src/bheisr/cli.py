@@ -119,17 +119,14 @@ def cmd_ingest(args) -> int:
 def cmd_detect(args) -> int:
     config = build_config(args)
     corpus = _load_corpus(config)
-    networks = belief_mod.build_all(corpus)
-    beliefs = {u: net.belief for u, net in networks.items()
-               if net.total_mass() > 0.0}
-    if len(beliefs) < detection.MIN_POPULATION:
-        print(f"only {len(beliefs)} users with history; need at least "
-              f"{detection.MIN_POPULATION}", file=sys.stderr)
+    result = simulate._classify(corpus, belief_mod.build_all(corpus))
+    if result is None:
+        print(f"need at least {detection.MIN_POPULATION} users with history "
+              f"to classify", file=sys.stderr)
         return 1
-    result = detection.classify_users(beliefs, corpus.categories())
     doc = {
         "population": len(corpus.users),
-        "classified": len(beliefs),
+        "classified": len(result.classes),
         "fb_users": list(result.fb_users),
         "categories": {
             cat: {
@@ -153,7 +150,7 @@ def cmd_detect(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
-    print(f"classified={len(beliefs)} bubble_affected={len(result.fb_users)}")
+    print(f"classified={len(result.classes)} bubble_affected={len(result.fb_users)}")
     for user in result.fb_users:
         print(f"  {user}")
     return 0

@@ -114,6 +114,7 @@ class CategoryGraph:
     item_vectors: dict                  # item id -> FeatureVector
     vectors: dict = field(default_factory=dict)   # category -> FeatureVector
     edges: dict = field(default_factory=dict)     # sorted (a, b) -> correlation
+    sums: dict = field(default_factory=dict)      # category -> {term id: sum}
 
     @classmethod
     def build(cls, corpus, vocab: Vocabulary = None,
@@ -125,21 +126,43 @@ class CategoryGraph:
         else:
             # the graph mutates its vector cache, so take a copy
             item_vectors = dict(item_vectors)
-        members = {c: [] for c in corpus.categories()}
+        categories = corpus.categories()
+        graph = cls(vocab=vocab, categories=categories,
+                    members={c: [] for c in categories},
+                    item_vectors=item_vectors,
+                    sums={c: {} for c in categories})
         for item in corpus.items.values():
-            for cat, w in item.category_weights.items():
-                if w > 0.0:
-                    members[cat].append(item.id)
-        graph = cls(vocab=vocab, categories=corpus.categories(),
-                    members=members, item_vectors=item_vectors)
-        for cat in graph.categories:
+            graph._fold(item)
+        for cat in categories:
             graph._recompute_vector(cat)
         graph.rebuild_edges()
         return graph
 
+    def _fold(self, item) -> list:
+        """Append the item to its categories' members and running sums.
+
+        Each sum is the left fold over the members in order that
+        _mean_vector computes, term by term in the same insertion order.
+        Returns the touched categories.
+        """
+        vec = self.item_vectors[item.id]
+        touched = []
+        for cat, w in item.category_weights.items():
+            if w <= 0.0:
+                continue
+            if cat not in self.members:
+                raise ValueError(f"item {item.id}: unknown category {cat!r}")
+            self.members[cat].append(item.id)
+            acc = self.sums[cat]
+            for tid, value in vec.entries.items():
+                acc[tid] = acc.get(tid, 0.0) + value
+            touched.append(cat)
+        return touched
+
     def _recompute_vector(self, category: str) -> None:
-        vecs = [self.item_vectors[i] for i in self.members[category]]
-        self.vectors[category] = _mean_vector(vecs)
+        n = len(self.members[category])
+        self.vectors[category] = FeatureVector.from_entries(
+            {tid: w / n for tid, w in self.sums[category].items()})
 
     def rebuild_edges(self) -> None:
         cats = self.categories
@@ -157,20 +180,14 @@ class CategoryGraph:
     def accept_item_update(self, item) -> "CategoryGraph":
         """Fold an accepted item into its categories' vectors and edges.
 
-        The affected category vectors are recomputed from their full member
-        lists, so the incremental result is bit-identical to a rebuild.
+        The affected category vectors are the running sums over their members
+        divided by the member count, bit-identical to a rebuild. Edges are
+        correlation(touched, other); a rebuild takes (a, b) in sorted order,
+        which can differ in the last bit (see FeatureVector.dot).
         """
         if item.id not in self.item_vectors:
             self.item_vectors[item.id] = featurize(item, self.vocab)
-        touched = []
-        for cat, w in item.category_weights.items():
-            if w <= 0.0:
-                continue
-            if cat not in self.members:
-                raise ValueError(f"accepted item {item.id} references unknown "
-                                 f"category {cat!r}")
-            self.members[cat].append(item.id)
-            touched.append(cat)
+        touched = self._fold(item)
         for cat in touched:
             self._recompute_vector(cat)
         for cat in touched:

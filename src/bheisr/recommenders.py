@@ -8,6 +8,7 @@ k - n_gen baseline items; accepted items never reappear.
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy import sparse
@@ -133,6 +134,7 @@ class FeedContext:
     accept_matrix: np.ndarray = None     # users x items, 0/1
     mass_matrix: np.ndarray = None       # users x categories, history masses
     cat_index: np.ndarray = None         # per item, category row in cats
+    id_order: np.ndarray = None          # item positions in ascending id order
     profile_sums: np.ndarray = None      # users x terms, running accept sums
     profile_counts: np.ndarray = None
 
@@ -144,14 +146,14 @@ class FeedContext:
         cat_pos = {c: j for j, c in enumerate(self.cats)}
         self.cat_index = np.array([cat_pos[c] for c in index.categories],
                                   dtype=np.intp)
+        self.id_order = np.array(sorted(range(len(index.ids)),
+                                        key=index.ids.__getitem__), dtype=np.intp)
         n_users = len(self.user_ids)
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
         self.profile_sums = np.zeros((n_users, index.matrix.shape[1]))
         self.profile_counts = np.zeros(n_users, dtype=np.intp)
         for u in self.user_ids:
-            row = self.user_pos[u]
-            for item_id in self.networks[u].accepted:
-                self._fold_accept(row, item_id)
+            self._fold_accepts(self.user_pos[u], self.networks[u].accepted)
         self.refresh_mass()
 
     def refresh_mass(self) -> None:
@@ -168,15 +170,45 @@ class FeedContext:
         The item's vector must already be in the graph, so pending graph
         updates are flushed first.
         """
-        self._fold_accept(self.user_pos[user_id], item.id)
+        self._fold_accepts(self.user_pos[user_id], (item.id,))
 
-    def _fold_accept(self, row: int, item_id: str) -> None:
-        pos = self.index.pos.get(item_id)
-        if pos is not None:
-            self.accept_matrix[row, pos] = 1.0
-        for tid, w in self.graph.item_vectors[item_id].entries.items():
-            self.profile_sums[row, tid] += w
-        self.profile_counts[row] += 1
+    def _fold_accepts(self, row: int, item_ids) -> None:
+        """Add the items' term weights to the user's profile sums.
+
+        Each run of index items gathers its terms from the index matrix at
+        once; other items take theirs from the graph's item vectors.
+        np.add.at applies the additions one at a time in item order, so each
+        sum is the same left fold as adding the items' entries in turn.
+        """
+        positions = [self.index.pos.get(i) for i in item_ids]
+        tids, weights = [], []
+        for in_index, run in groupby(zip(item_ids, positions),
+                                     key=lambda pair: pair[1] is not None):
+            if in_index:
+                rows = np.array([p for _, p in run], dtype=np.intp)
+                self.accept_matrix[row, rows] = 1.0
+                run_tids, run_weights = _row_entries(self.index.matrix, rows)
+                tids.append(run_tids)
+                weights.append(run_weights)
+            else:
+                for item_id, _ in run:
+                    entries = self.graph.item_vectors[item_id].entries
+                    tids.append(np.fromiter(entries, np.intp, len(entries)))
+                    weights.append(np.fromiter(entries.values(), float,
+                                               len(entries)))
+        if tids:
+            np.add.at(self.profile_sums[row], np.concatenate(tids),
+                      np.concatenate(weights))
+        self.profile_counts[row] += len(positions)
+
+
+def _row_entries(matrix, rows: np.ndarray) -> tuple:
+    """Column ids and values of the CSR matrix rows, concatenated in order."""
+    start = matrix.indptr[rows]
+    length = matrix.indptr[rows + 1] - start
+    take = np.arange(length.sum()) + np.repeat(start - (np.cumsum(length) - length),
+                                               length)
+    return matrix.indices[take], matrix.data[take]
 
 
 def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
@@ -218,18 +250,24 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
 
 def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
                      step: int, seed: int, exclude: set) -> list:
-    """Top-k candidate items for a baseline, deterministic under ties."""
+    """Top-k candidate items for a baseline, deterministic under ties.
+
+    Scored baselines rank by descending score, ties broken by ascending id:
+    one stable argsort over the scores laid out in id order. RD draws a
+    seeded permutation of the eligible items in index order.
+    """
     index = ctx.index
+    keep = np.ones(len(index.ids), dtype=bool)
+    keep[[p for p in map(index.pos.get, exclude) if p is not None]] = False
     if kind == "rd":
-        eligible = [i for i in index.ids if i not in exclude]
+        eligible = np.flatnonzero(keep)
         rng = substream(seed, "rd", user_id, step)
         order = rng.permutation(len(eligible))
-        return [eligible[i] for i in order[:k]]
+        return [index.ids[eligible[i]] for i in order[:k]]
     scores = _baseline_scores(kind, ctx, user_id)
-    ranked = sorted(
-        (i for i in index.ids if i not in exclude),
-        key=lambda i: (-scores[index.pos[i]], i))
-    return ranked[:k]
+    by_id = ctx.id_order
+    ranked = by_id[np.argsort(-scores[by_id], kind="stable")]
+    return [index.ids[p] for p in ranked[keep[ranked]][:k]]
 
 
 def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,

@@ -275,7 +275,9 @@ def _user_step(state: SimState, user_id: str, step: int):
         origins=tuple(it.origin for it in feed.items),
         categories=tuple(sorted(set().union(
             *[detection.item_categories(it) for it in feed.items]))),
-        coverage=detection.diversity_coverage(feed, taxonomy),
+        # an exhausted catalog gives an empty feed, which covers nothing
+        coverage=(detection.diversity_coverage(feed, taxonomy)
+                  if feed.items else 0.0),
         belief_coverage=network.positive_category_count() / len(taxonomy),
         decisions=tuple(decisions),
     )
@@ -359,7 +361,10 @@ def resolve_target_user(config: SimConfig, corpus: Corpus = None) -> str:
         return config.target_user
     if corpus is None:
         corpus = build_corpus(config)
-    classification = _classify(corpus, belief_mod.build_all(corpus))
+    return _first_fb_user(_classify(corpus, belief_mod.build_all(corpus)))
+
+
+def _first_fb_user(classification) -> str:
     if classification is None or not classification.fb_users:
         raise ValueError("no bubble-affected users to target")
     return classification.fb_users[0]
@@ -416,10 +421,11 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
     if corpus is None:
         corpus = build_corpus(config)
     assets = build_assets(corpus)
-    target = resolve_target_user(config, corpus)
     if interest is None or disinterest is None:
+        # one build serves both the target and the endpoints
         networks = belief_mod.build_all(corpus)
         classification = _classify(corpus, networks)
+        target = config.target_user or _first_fb_user(classification)
         if classification is None:
             raise ValueError("cannot infer endpoint categories without "
                              "a classified population")
@@ -428,6 +434,8 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
             networks[target], classification.classes[target])
         interest = interest or src
         disinterest = disinterest or dst
+    else:
+        target = resolve_target_user(config, corpus)
     run = run_loop(replace(config, users=(target,), track_fb=False), corpus,
                    assets)
     points = run.checkpoints[target]

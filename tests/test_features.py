@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bheisr.corpus import Corpus, Item
 from bheisr.features import (
     CategoryGraph,
     FeatureVector,
     GraphUpdateBuffer,
+    _mean_vector,
     build_vocabulary,
     correlation,
     featurize,
@@ -214,6 +217,65 @@ class TestIncrementalUpdate:
         assert {n["category"] for n in doc["nodes"]} == {"food", "tech"}
         assert doc["edges"][0]["a"] == "food"
         assert 0.0 <= doc["edges"][0]["rho"] <= 1.0
+
+
+GRAPH_WORDS = ["soup", "chip", "recipe", "panel", "bread", "design", "opera"]
+THREE_CATEGORIES = {"food": ("food/s",), "tech": ("tech/s",), "arts": ("arts/s",)}
+
+# one accept: a new item over one or two categories (weights may be 0), or a
+# repeat of an earlier accept
+accept_steps = st.one_of(
+    st.tuples(st.just("new"),
+              st.lists(st.sampled_from(sorted(THREE_CATEGORIES)), min_size=1,
+                       max_size=2, unique=True),
+              st.lists(st.sampled_from(GRAPH_WORDS), min_size=0, max_size=4),
+              st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+    st.tuples(st.just("again"), st.integers(0, 10**6)))
+
+
+class TestIncrementalGraphMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(accept_steps, max_size=25))
+    def test_vectors_and_edges_equal_the_mean_of_members(self, steps):
+        items = [
+            make_item("i1", "food", "food/s", "soup recipe", "warm soup recipe"),
+            make_item("i2", "tech", "tech/s", "chip design", "silicon chip"),
+            make_item("i3", "arts", "arts/s", "opera review", "opera notes"),
+            make_item("i4", "food", "food/s", "bread chip", "oven bread",
+                      weights={"food": 0.5, "tech": 0.5}),
+        ]
+        graph = CategoryGraph.build(make_corpus(items, THREE_CATEGORIES))
+        members = {"food": ["i1", "i4"], "tech": ["i2", "i4"], "arts": ["i3"]}
+        accepted = list(items)
+        for n, step in enumerate(steps):
+            if step[0] == "new":
+                _, cats, words, second = step
+                weights = {cats[0]: 1.0 - second if len(cats) == 2 else 1.0}
+                if len(cats) == 2:
+                    weights[cats[1]] = second
+                item = make_item(f"gi:u:{n}", cats[0], f"{cats[0]}/generated",
+                                 " ".join(words), weights=weights)
+            else:
+                item = accepted[step[1] % len(accepted)]
+            graph.accept_item_update(item)
+            accepted.append(item)
+            for cat, w in item.category_weights.items():
+                if w > 0.0:
+                    members[cat].append(item.id)
+        assert graph.members == members
+        oracle = {c: _mean_vector([graph.item_vectors[i] for i in members[c]])
+                  for c in graph.categories}
+        for cat in graph.categories:
+            vec = graph.vectors[cat]
+            assert list(vec.entries.items()) == list(oracle[cat].entries.items())
+            assert vec.norm == oracle[cat].norm
+        # an accept computes an edge as correlation(touched, other), and
+        # FeatureVector.dot sums in its first argument's order when both have
+        # as many entries, so the edge is one of the two argument orders
+        for i, a in enumerate(graph.categories):
+            for b in graph.categories[i + 1:]:
+                assert graph.edges[(a, b)] in (correlation(oracle[a], oracle[b]),
+                                               correlation(oracle[b], oracle[a]))
 
 
 class TestGraphUpdateBuffer:

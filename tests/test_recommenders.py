@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bheisr import recommenders
 from bheisr.belief import build_all
 from bheisr.corpus import (
     ORIGIN_GENERATED,
@@ -28,6 +31,7 @@ from bheisr.recommenders import (
     n_generated,
     uc_score,
 )
+from bheisr.rng import substream
 from bheisr.simulate import SimConfig
 
 
@@ -229,6 +233,55 @@ class TestBaselineRanking:
             baseline_ranking("zz", ctx, "u1", 3, step=1, seed=0, exclude=set())
 
 
+def sorted_ranking(ctx, scores, k, exclude):
+    """Reference ranking: descending score, ties by ascending id."""
+    pos = ctx.index.pos
+    return sorted((i for i in ctx.index.ids if i not in exclude),
+                  key=lambda i: (-scores[pos[i]], i))[:k]
+
+
+def rd_ranking(ctx, user_id, k, step, seed, exclude):
+    """Reference RD sample over the eligible items in index order."""
+    eligible = [i for i in ctx.index.ids if i not in exclude]
+    order = substream(seed, "rd", user_id, step).permutation(len(eligible))
+    return [eligible[i] for i in order[:k]]
+
+
+@st.composite
+def ranking_cases(draw):
+    n = draw(st.integers(1, 40))
+    # "i10" sorts before "i2": index order, numeric order and id order differ
+    ids = [f"i{j}" for j in draw(st.permutations(range(n)))]
+    tied = st.sampled_from([0.0, 0.0, -0.0, 0.5, 1.0, -0.25])
+    scores = draw(st.lists(tied | st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    outside = ["gi:u1:1", "gi:u1:2", "zz"]     # excluded ids not in the index
+    exclude = draw(st.sets(st.sampled_from(ids + outside)))
+    k = draw(st.integers(0, n + 3))
+    return ids, np.array(scores), exclude, k
+
+
+def ranking_context(ids):
+    items = {i: Item(i, "a", "a/s", f"story {i}", "plain words", {"a": 1.0})
+             for i in ids}
+    return context_for(Corpus(items=items, interactions=[],
+                              taxonomy={"a": ("a/s",)}, users=("u1",)))
+
+
+class TestRankingMatchesSortedOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=ranking_cases(), step=st.integers(1, 5))
+    def test_scored_and_rd_rankings_match_the_reference(self, case, step):
+        ids, scores, exclude, k = case
+        ctx = ranking_context(ids)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recommenders, "_baseline_scores",
+                       lambda kind, ctx, user_id: scores)
+            ranked = baseline_ranking("cb", ctx, "u1", k, step, 3, exclude)
+        assert ranked == sorted_ranking(ctx, scores, k, exclude)
+        assert (baseline_ranking("rd", ctx, "u1", k, step, 3, exclude)
+                == rd_ranking(ctx, "u1", k, step, 3, exclude))
+
+
 class TestAccelerationAgreesWithReference:
     """The matrix scoring state must agree with the scalar oracles."""
 
@@ -288,12 +341,32 @@ class TestAccelerationAgreesWithReference:
                               networks=acc.networks, graph=acc.graph,
                               generator=acc.generator)
         rebuilt.enable_acceleration()
-        assert np.allclose(acc.profile_sums, rebuilt.profile_sums, atol=1e-12)
+        assert np.array_equal(acc.profile_sums, rebuilt.profile_sums)
         assert np.array_equal(acc.accept_matrix, rebuilt.accept_matrix)
         assert np.allclose(acc.mass_matrix, rebuilt.mass_matrix, atol=1e-12)
         for kind in ("cb", "uc"):
             assert np.allclose(_baseline_scores(kind, acc, user),
                                _baseline_scores(kind, rebuilt, user), atol=1e-12)
+
+
+    def test_profile_sums_are_the_left_fold_of_accepts(self):
+        ctx, corpus = self.context()
+        user = corpus.users[0]
+        gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
+                  "bridging piece", {"cat00": 0.5, "cat01": 0.5},
+                  origin=ORIGIN_GENERATED)
+        ctx.graph.accept_item_update(gi)
+        for item in (gi, corpus.items[ctx.index.ids[0]]):
+            ctx.networks[user].update_on_feedback(item, True)
+            ctx.note_accept(user, item)
+        for u in corpus.users:
+            expected = np.zeros(ctx.profile_sums.shape[1])
+            for item_id in ctx.networks[u].accepted:
+                for tid, w in ctx.graph.item_vectors[item_id].entries.items():
+                    expected[tid] += w
+            row = ctx.user_pos[u]
+            assert np.array_equal(ctx.profile_sums[row], expected), u
+            assert ctx.profile_counts[row] == len(ctx.networks[u].accepted)
 
 
 def session_for(ctx, user_id):

@@ -248,6 +248,27 @@ class TestRunLoop:
         assert all(0.0 < c <= 1.0 for c in series)
 
 
+class TestCatalogExhaustion:
+    # the fed user accepts every item of a 6-item corpus in its history; with
+    # 12 items the run empties the catalog at step 3
+    @pytest.mark.parametrize("n_items", [6, 12])
+    @pytest.mark.parametrize("model", ["rd", "cb", "uc", "rd_w"])
+    def test_empty_feed_is_recorded_and_the_loop_goes_on(self, model, n_items):
+        corpus = synth_corpus(SynthSpec(n_users=8, n_categories=3,
+                                        subcats_per_category=1, n_items=n_items))
+        run = run_loop(SimConfig(model=model, k=n_items, feeds=30,
+                                 users=("u0000",)), corpus)
+        assert len(run.steps) == 30
+        records = [recs[0] for recs in run.steps]
+        empty = [rec for rec in records if not rec.item_ids]
+        assert empty and records[-1] in empty
+        for rec in empty:
+            assert rec.decisions == ()
+            assert rec.origins == ()
+            assert rec.categories == ()
+            assert rec.coverage == 0.0
+
+
 class TestStateMatchesLog:
     def test_accepts_in_state_equal_accepts_in_log(self, fb_corpus, fb_assets,
                                                    monkeypatch):
@@ -335,6 +356,28 @@ class TestExperimentTrajectory:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "series", "value"]
         assert len(rows) == 1 + 2 * 4
+
+    def test_networks_built_once_for_target_and_endpoints(self, fb_corpus,
+                                                          monkeypatch):
+        calls = []
+
+        def spy(corpus):
+            calls.append(corpus)
+            return build_all(corpus)
+
+        monkeypatch.setattr(simulate.belief_mod, "build_all", spy)
+        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0)
+        result = experiment_trajectory(config, fb_corpus)
+        # one for the target and the endpoints, one in run_loop's prepare
+        assert len(calls) == 2
+        assert result["user"] == resolve_target_user(config, fb_corpus)
+
+    def test_explicit_target_infers_its_endpoints(self, fb_corpus):
+        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0,
+                           target_user="u0001")
+        result = experiment_trajectory(config, fb_corpus)
+        assert result["user"] == "u0001"
+        assert result["interest"] != result["disinterest"]
 
     def test_explicit_endpoints_respected(self, fb_corpus):
         config = SimConfig(model="cb_w", feeds=2, k=5, seed=0)
