@@ -5,12 +5,13 @@ shares) plus population-side belief classification: per category, users more
 than two standard deviations from the mean are extreme, and a user with at
 least one extreme-high and one extreme-low category is bubble-affected.
 Normality of each category's belief distribution is checked with a
-Kolmogorov-Smirnov statistic and skewness.
+Kolmogorov-Smirnov statistic and skewness, computed only when read.
 """
 
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -153,12 +154,24 @@ def skewness(samples) -> float:
 
 @dataclass
 class CategoryStats:
+    """Thresholds of one category; the normality statistics are computed
+    from `values` only when read (the loop never reads them)."""
     mu: float
     sigma: float
     low_threshold: float
     high_threshold: float
-    ks: KSResult = None
-    skewness: float = None
+    values: tuple = field(repr=False)     # the category's beliefs, user order
+
+    @cached_property
+    def ks(self) -> KSResult:
+        """None when sigma is 0."""
+        return ks_normality(self.values, self.mu, self.sigma) \
+            if self.sigma > 0.0 else None
+
+    @cached_property
+    def skewness(self) -> float:
+        """None when sigma is 0."""
+        return skewness(self.values) if self.sigma > 0.0 else None
 
 
 @dataclass
@@ -190,12 +203,8 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
         sigma = math.sqrt(sum((v - mu) ** 2 for v in values) / n)
         low = mu - 2.0 * sigma
         high = mu + 2.0 * sigma
-        ks = skew = None
-        if sigma > 0.0 and n >= MIN_POPULATION:
-            ks = ks_normality(values, mu, sigma)
-            skew = skewness(values)
         stats[cat] = CategoryStats(mu=mu, sigma=sigma, low_threshold=low,
-                                   high_threshold=high, ks=ks, skewness=skew)
+                                   high_threshold=high, values=tuple(values))
         for u, v in zip(users, values):
             if sigma == 0.0:
                 label = Exposure.NORMAL

@@ -132,26 +132,30 @@ class CategoryGraph:
                     item_vectors=item_vectors,
                     sums={c: {} for c in categories})
         for item in corpus.items.values():
+            graph._check(item)
             graph._fold(item)
         for cat in categories:
             graph._recompute_vector(cat)
         graph.rebuild_edges()
         return graph
 
+    def _check(self, item) -> None:
+        for cat, w in item.category_weights.items():
+            if w > 0.0 and cat not in self.members:
+                raise ValueError(f"item {item.id}: unknown category {cat!r}")
+
     def _fold(self, item) -> list:
         """Append the item to its categories' members and running sums.
 
         Each sum is the left fold over the members in order that
         _mean_vector computes, term by term in the same insertion order.
-        Returns the touched categories.
+        Returns the touched categories in category_weights order.
         """
         vec = self.item_vectors[item.id]
         touched = []
         for cat, w in item.category_weights.items():
             if w <= 0.0:
                 continue
-            if cat not in self.members:
-                raise ValueError(f"item {item.id}: unknown category {cat!r}")
             self.members[cat].append(item.id)
             acc = self.sums[cat]
             for tid, value in vec.entries.items():
@@ -177,26 +181,40 @@ class CategoryGraph:
         key = (a, b) if a < b else (b, a)
         return self.edges[key]
 
-    def accept_item_update(self, item) -> "CategoryGraph":
-        """Fold an accepted item into its categories' vectors and edges.
+    def accept_items(self, items) -> None:
+        """Fold a batch of accepted items into the node vectors and edges.
 
-        The affected category vectors are the running sums over their members
-        divided by the member count, bit-identical to a rebuild. Edges are
-        correlation(touched, other); a rebuild takes (a, b) in sorted order,
-        which can differ in the last bit (see FeatureVector.dot).
+        Every item is checked before any is folded, so a bad item leaves the
+        graph as it was. Items fold into members and running sums in the
+        order given; each touched node vector is then recomputed once, and
+        each edge with a touched endpoint once, from the final vectors. The
+        result is bit-identical to accepting the items one at a time: an
+        edge is correlation(x, y), where x is the endpoint whose last fold
+        came later (for one item, the later category in category_weights
+        order). A rebuild takes (a, b) in sorted order, which can differ in
+        the last bit (see FeatureVector.dot).
         """
-        if item.id not in self.item_vectors:
-            self.item_vectors[item.id] = featurize(item, self.vocab)
-        touched = self._fold(item)
-        for cat in touched:
+        items = list(items)
+        for item in items:
+            self._check(item)
+        last = {}            # touched category -> None, in order of last fold
+        for item in items:
+            if item.id not in self.item_vectors:
+                self.item_vectors[item.id] = featurize(item, self.vocab)
+            for cat in self._fold(item):
+                last.pop(cat, None)
+                last[cat] = None
+        rank = {cat: r for r, cat in enumerate(last)}
+        for cat in rank:
             self._recompute_vector(cat)
-        for cat in touched:
+        for cat, r in rank.items():
+            vec = self.vectors[cat]
             for other in self.categories:
-                if other == cat:
+                # a later-folded endpoint writes the edge itself
+                if other == cat or rank.get(other, -1) > r:
                     continue
                 key = (cat, other) if cat < other else (other, cat)
-                self.edges[key] = correlation(self.vectors[cat], self.vectors[other])
-        return self
+                self.edges[key] = correlation(vec, self.vectors[other])
 
     def to_json_dict(self) -> dict:
         terms = self.vocab.terms()
@@ -213,24 +231,22 @@ class CategoryGraph:
 
 
 class GraphUpdateBuffer:
-    """Batches accept_item_update calls so a step sees a frozen graph.
+    """Queues accepted items so a step sees a frozen graph.
 
-    Updates queue until flush; nothing writes the graph before then, so every
-    user in a step reads the same snapshot from the graph itself, no matter
-    the execution order.
+    Items queue until flush, which folds them all in one accept_items call;
+    nothing writes the graph before then, so every user in a step reads the
+    same snapshot from the graph itself, no matter the execution order.
     """
 
     def __init__(self, graph: CategoryGraph):
         self.graph = graph
         self.pending = []
 
-    def accept_item_update(self, item):
-        self.pending.append(item)
-        return self
+    def accept_items(self, items) -> None:
+        self.pending.extend(items)
 
     def flush(self) -> int:
         count = len(self.pending)
-        for item in self.pending:
-            self.graph.accept_item_update(item)
+        self.graph.accept_items(self.pending)
         self.pending = []
         return count

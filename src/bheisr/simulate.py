@@ -248,7 +248,6 @@ def _user_step(state: SimState, user_id: str, step: int):
     config = state.config
     network = state.networks[user_id]
     session = state.sessions.get(user_id)
-    buffer = GraphUpdateBuffer(state.graph)
     feed = assemble_feed(state.baseline, state.with_bheisr, state.w_eff, config.k,
                          session, state.ctx, user_id, step, config.seed)
     rng = substream(config.seed, "decide", user_id, step)
@@ -262,7 +261,6 @@ def _user_step(state: SimState, user_id: str, step: int):
     for item, dec in zip(feed.items, decisions):
         if dec.accepted:
             network.update_on_feedback(item, True)
-            buffer.accept_item_update(item)
             accepted_items.append(item)
         if item.origin == ORIGIN_GENERATED:
             nudge.apply_feedback(session, item, dec.accepted, state.graph,
@@ -281,7 +279,7 @@ def _user_step(state: SimState, user_id: str, step: int):
         belief_coverage=network.positive_category_count() / len(taxonomy),
         decisions=tuple(decisions),
     )
-    return record, buffer, accepted_items
+    return record, accepted_items
 
 
 def run_loop(config: SimConfig, corpus: Corpus = None,
@@ -319,17 +317,15 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
         else:
             results = {u: _user_step(state, u, step) for u in sim_users}
 
-        step_records = []
+        buffer = GraphUpdateBuffer(state.graph)
         for user in sim_users:
-            rec, buffer, accepted = results[user]
-            step_records.append(rec)
-            buffer.flush()
+            buffer.accept_items(results[user][1])
+        buffer.flush()
         for user in sim_users:
-            _, _, accepted = results[user]
-            for item in accepted:
+            for item in results[user][1]:
                 state.ctx.note_accept(user, item)
         state.ctx.refresh_mass()
-        record.steps.append(step_records)
+        record.steps.append([results[user][0] for user in sim_users])
 
         if step in checkpoints:
             for user in sim_users:

@@ -354,8 +354,8 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
     belief_net.recompute()
 
     class NullGraph(TableGraph):
-        def accept_item_update(self, item):
-            return self
+        def accept_items(self, items):
+            pass
 
     null_graph = NullGraph(cats, table)
     steps = 0

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bheisr.belief import build_all
 from bheisr.cli import (
     build_config,
     load_config_file,
@@ -13,6 +14,8 @@ from bheisr.cli import (
     parse_kv_list,
     parse_synth,
 )
+from bheisr.corpus import synth_corpus
+from bheisr.detection import ks_normality, skewness
 
 SYNTH = "n_users=16,n_categories=10,subcats_per_category=2,n_items=400,bias_profile=5,seed=0"
 
@@ -144,6 +147,26 @@ class TestDetect:
         assert set(cat) >= {"mu", "sigma", "low_threshold", "high_threshold",
                             "ks_p", "skewness"}
         assert any(doc["classes"][u] for u in doc["fb_users"])
+
+    def test_normality_statistics_match_direct_calls(self, tmp_path):
+        out = tmp_path / "detect.json"
+        assert main(["detect", "--synth", SYNTH, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        networks = build_all(synth_corpus(parse_synth(SYNTH)))
+        users = sorted(u for u, net in networks.items() if net.total_mass() > 0.0)
+        assert len(users) == doc["classified"]
+        checked = 0
+        for cat, stats in doc["categories"].items():
+            values = [networks[u].belief.get(cat, 0.0) for u in users]
+            if stats["sigma"] == 0.0:
+                assert stats["ks_stat"] is stats["ks_p"] is stats["skewness"] is None
+                continue
+            ks = ks_normality(values, stats["mu"], stats["sigma"])
+            assert stats["ks_stat"] == ks.statistic
+            assert stats["ks_p"] == ks.p_value
+            assert stats["skewness"] == skewness(values)
+            checked += 1
+        assert checked > 0
 
     def test_small_population_exits_1(self, capsys):
         code = main(["detect", "--synth",

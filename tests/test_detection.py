@@ -208,6 +208,7 @@ class TestClassifyUsers:
         assert result.stats["a"].sigma == 0.0
         assert all(c["a"] is Exposure.NORMAL for c in result.classes.values())
         assert result.stats["a"].ks is None
+        assert result.stats["a"].skewness is None
 
     def test_fb_requires_both_extremes(self):
         beliefs = {f"u{i}": {"a": 1.0, "b": 1.0} for i in range(11)}

@@ -1,5 +1,6 @@
 """Tokenizing, tf-idf vectors, and the category correlation graph."""
 
+import copy
 import math
 
 import numpy as np
@@ -171,7 +172,7 @@ class TestCategoryGraph:
         vocab = build_vocabulary(corpus.items.values())
         vectors = {it.id: featurize(it, vocab) for it in corpus.items.values()}
         graph = CategoryGraph.build(corpus, vocab=vocab, item_vectors=vectors)
-        graph.accept_item_update(make_item("new", "food", "food/s", "pie recipe"))
+        graph.accept_items([make_item("new", "food", "food/s", "pie recipe")])
         assert "new" not in vectors
         assert "new" in graph.item_vectors
 
@@ -182,7 +183,7 @@ class TestIncrementalUpdate:
         graph = CategoryGraph.build(corpus)
         new = make_item("i9", "tech", "tech/s", "solar panel design",
                         "panel design recipe")
-        graph.accept_item_update(new)
+        graph.accept_items([new])
 
         corpus.items["i9"] = new
         rebuilt = CategoryGraph.build(corpus, vocab=graph.vocab)
@@ -199,7 +200,7 @@ class TestIncrementalUpdate:
             cat = ["food", "tech"][rng.integers(2)]
             title = " ".join(rng.choice(words, size=3))
             item = make_item(f"x{n}", cat, f"{cat}/s", title)
-            graph.accept_item_update(item)
+            graph.accept_items([item])
             corpus.items[item.id] = item
         rebuilt = CategoryGraph.build(corpus, vocab=vocab)
         for cat in graph.categories:
@@ -210,7 +211,22 @@ class TestIncrementalUpdate:
         graph = CategoryGraph.build(two_category_corpus())
         bad = make_item("b", "food", "food/s", "t", weights={"nope": 1.0})
         with pytest.raises(ValueError, match="unknown"):
-            graph.accept_item_update(bad)
+            graph.accept_items([bad])
+
+    def test_rejected_batch_leaves_graph_unchanged(self):
+        graph = CategoryGraph.build(two_category_corpus())
+        before = copy.deepcopy(graph)
+        good = make_item("g", "tech", "tech/s", "chip panel")
+        bad = make_item("b", "food", "food/s", "pie recipe",
+                        weights={"food": 1.0, "nope": 1.0})
+        for batch in ([bad], [good, bad]):
+            with pytest.raises(ValueError, match="unknown category 'nope'"):
+                graph.accept_items(batch)
+            assert graph.members == before.members
+            assert graph.sums == before.sums
+            assert graph.item_vectors == before.item_vectors
+            assert graph.vectors == before.vectors
+            assert graph.edges == before.edges
 
     def test_to_json_dict_shape(self):
         doc = CategoryGraph.build(two_category_corpus()).to_json_dict()
@@ -257,7 +273,7 @@ class TestIncrementalGraphMatchesOracle:
                                  " ".join(words), weights=weights)
             else:
                 item = accepted[step[1] % len(accepted)]
-            graph.accept_item_update(item)
+            graph.accept_items([item])
             accepted.append(item)
             for cat, w in item.category_weights.items():
                 if w > 0.0:
@@ -269,13 +285,106 @@ class TestIncrementalGraphMatchesOracle:
             vec = graph.vectors[cat]
             assert list(vec.entries.items()) == list(oracle[cat].entries.items())
             assert vec.norm == oracle[cat].norm
-        # an accept computes an edge as correlation(touched, other), and
-        # FeatureVector.dot sums in its first argument's order when both have
-        # as many entries, so the edge is one of the two argument orders
+        # accept_items computes an edge as correlation(x, y), x the endpoint
+        # folded last, and FeatureVector.dot sums in its first argument's
+        # order when both have as many entries, so the edge is one of the two
+        # argument orders
         for i, a in enumerate(graph.categories):
             for b in graph.categories[i + 1:]:
                 assert graph.edges[(a, b)] in (correlation(oracle[a], oracle[b]),
                                                correlation(oracle[b], oracle[a]))
+
+
+def sequential_accept(graph, item):
+    """Oracle: the per-item update that accept_items replaced. It folds one
+    item, recomputes its categories' vectors, then writes every edge of each
+    touched category as correlation(touched, other)."""
+    if item.id not in graph.item_vectors:
+        graph.item_vectors[item.id] = featurize(item, graph.vocab)
+    touched = []
+    for cat, w in item.category_weights.items():
+        if w <= 0.0:
+            continue
+        graph.members[cat].append(item.id)
+        acc = graph.sums[cat]
+        for tid, value in graph.item_vectors[item.id].entries.items():
+            acc[tid] = acc.get(tid, 0.0) + value
+        touched.append(cat)
+    for cat in touched:
+        n = len(graph.members[cat])
+        graph.vectors[cat] = FeatureVector.from_entries(
+            {tid: w / n for tid, w in graph.sums[cat].items()})
+    for cat in touched:
+        for other in graph.categories:
+            if other == cat:
+                continue
+            key = (cat, other) if cat < other else (other, cat)
+            graph.edges[key] = correlation(graph.vectors[cat],
+                                           graph.vectors[other])
+
+
+FOUR_CATEGORIES = dict(THREE_CATEGORIES, sport=("sport/s",))
+
+# one user's accept: a new item over one to three categories with weights
+# that may be 0, or a repeat of an earlier accept
+batch_accepts = st.one_of(
+    st.tuples(st.just("new"),
+              st.lists(st.tuples(st.sampled_from(sorted(FOUR_CATEGORIES)),
+                                 st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+                       min_size=1, max_size=3, unique_by=lambda cw: cw[0]),
+              st.lists(st.sampled_from(GRAPH_WORDS), min_size=0, max_size=4)),
+    st.tuples(st.just("again"), st.integers(0, 10**6)))
+# steps of users of accepts: every step's accepts fold as one batch
+batch_steps = st.lists(st.lists(st.lists(batch_accepts, max_size=4),
+                                min_size=1, max_size=4),
+                       min_size=1, max_size=4)
+
+
+class TestBatchedAcceptEqualsSequential:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=batch_steps)
+    def test_one_batch_per_step_is_bit_identical(self, steps):
+        items = [
+            make_item("i1", "food", "food/s", "soup recipe", "warm soup recipe"),
+            make_item("i2", "tech", "tech/s", "chip design", "silicon chip"),
+            make_item("i3", "arts", "arts/s", "opera review", "opera notes"),
+            make_item("i4", "sport", "sport/s", "bread panel", "oven panel",
+                      weights={"sport": 0.5, "tech": 0.5}),
+        ]
+        corpus = make_corpus(items, FOUR_CATEGORIES)
+        batched = CategoryGraph.build(corpus)
+        sequential = CategoryGraph.build(corpus, vocab=batched.vocab)
+        accepted = list(items)
+        n = 0
+        for users in steps:
+            batch = []
+            for user, accepts in enumerate(users):
+                for accept in accepts:
+                    if accept[0] == "new":
+                        _, weights, words = accept
+                        n += 1
+                        cat = weights[0][0]
+                        item = make_item(f"gi:u{user}:{n}", cat,
+                                         f"{cat}/generated", " ".join(words),
+                                         weights=dict(weights))
+                    else:
+                        item = accepted[accept[1] % len(accepted)]
+                    batch.append(item)
+                    accepted.append(item)
+            batched.accept_items(batch)
+            for item in batch:
+                sequential_accept(sequential, item)
+        assert batched.members == sequential.members
+        assert batched.item_vectors == sequential.item_vectors
+        for cat in batched.categories:
+            assert list(batched.sums[cat].items()) == \
+                list(sequential.sums[cat].items())
+            vec, oracle = batched.vectors[cat], sequential.vectors[cat]
+            assert list(vec.entries.items()) == list(oracle.entries.items())
+            assert vec.norm == oracle.norm
+        assert list(batched.edges) == list(sequential.edges)
+        for key, rho in sequential.edges.items():
+            assert batched.edges[key] == rho
 
 
 class TestGraphUpdateBuffer:
@@ -283,8 +392,27 @@ class TestGraphUpdateBuffer:
         graph = CategoryGraph.build(two_category_corpus())
         before = graph.rho("food", "tech")
         buffer = GraphUpdateBuffer(graph)
-        buffer.accept_item_update(make_item("z", "food", "food/s", "chip design"))
+        buffer.accept_items([make_item("z", "food", "food/s", "chip design")])
         assert graph.rho("food", "tech") == before
         assert buffer.flush() == 1
         assert graph.rho("food", "tech") != before
+        assert buffer.flush() == 0
+
+    def test_multi_item_flush_folds_all_and_returns_count(self):
+        graph = CategoryGraph.build(two_category_corpus())
+        oracle = copy.deepcopy(graph)
+        items = [make_item("z1", "food", "food/s", "chip design"),
+                 make_item("z2", "tech", "tech/s", "soup panel"),
+                 make_item("z3", "food", "food/s", "bread chip",
+                           weights={"food": 0.5, "tech": 0.5})]
+        buffer = GraphUpdateBuffer(graph)
+        buffer.accept_items(items[:2])
+        buffer.accept_items(items[2:])
+        assert graph.members == oracle.members
+        assert buffer.flush() == 3
+        for item in items:
+            sequential_accept(oracle, item)
+        assert graph.members == oracle.members
+        assert graph.vectors == oracle.vectors
+        assert graph.edges == oracle.edges
         assert buffer.flush() == 0

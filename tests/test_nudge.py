@@ -172,9 +172,8 @@ class FakeGraph:
     def rho(self, a, b):
         return 1.0 if a == b else self.default_rho
 
-    def accept_item_update(self, item):
-        self.accepted.append(item.id)
-        return self
+    def accept_items(self, items):
+        self.accepted.extend(item.id for item in items)
 
 
 def session_fixture(theta=2, queue_discipline=QUEUE_DRAIN, max_path_len=None):

@@ -332,7 +332,7 @@ class TestAccelerationAgreesWithReference:
         gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
                   origin=ORIGIN_GENERATED)
-        acc.graph.accept_item_update(gi)
+        acc.graph.accept_items([gi])
         acc.networks[user].update_on_feedback(gi, True)
         acc.note_accept(user, gi)
         acc.refresh_mass()
@@ -355,7 +355,7 @@ class TestAccelerationAgreesWithReference:
         gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
                   origin=ORIGIN_GENERATED)
-        ctx.graph.accept_item_update(gi)
+        ctx.graph.accept_items([gi])
         for item in (gi, corpus.items[ctx.index.ids[0]]):
             ctx.networks[user].update_on_feedback(item, True)
             ctx.note_accept(user, item)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bheisr import simulate
+from bheisr import detection, simulate
 from bheisr.belief import build_all
 from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, save_corpus, synth_corpus
+from bheisr.features import GraphUpdateBuffer
 from bheisr.rng import substream
 from bheisr.simulate import (
     MODELS,
@@ -235,6 +236,43 @@ class TestRunLoop:
         assert run.fb_counts[0] == (0, 5)
         assert len(run.fb_counts) == 5   # initial plus one per feed
         assert run.initial_fb_users == tuple(f"u{i:04d}" for i in range(5))
+
+    def test_fb_tracking_skips_normality_statistics(self, fb_corpus, fb_assets,
+                                                     monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("ks_normality", "skewness"):
+            monkeypatch.setattr(detection, name,
+                                spy(name, getattr(detection, name)))
+        run = run_loop(self.config(track_fb=True), fb_corpus, fb_assets)
+        assert len(run.fb_counts) == 5
+        assert calls == []
+        # the spies sit where a read of the statistics looks them up
+        stats = simulate._classify(fb_corpus, build_all(fb_corpus)).stats
+        stats["cat00"].ks, stats["cat00"].skewness
+        assert calls == ["ks_normality", "skewness"]
+
+    def test_one_graph_flush_per_step(self, fb_corpus, fb_assets, monkeypatch):
+        counts = []
+        flush = GraphUpdateBuffer.flush
+
+        def spy(buffer):
+            counts.append(flush(buffer))
+            return counts[-1]
+
+        monkeypatch.setattr(GraphUpdateBuffer, "flush", spy)
+        run = run_loop(self.config(users=None, model="bheisr"), fb_corpus,
+                       fb_assets)
+        accepts = [sum(d.accepted for rec in recs for d in rec.decisions)
+                   for recs in run.steps]
+        assert counts == accepts
+        assert len(counts) == 4 and sum(counts) > 0
 
     def test_path_traces_when_requested(self, fb_corpus, fb_assets):
         run = run_loop(self.config(trace_paths=True), fb_corpus, fb_assets)
