@@ -54,11 +54,10 @@ class BeliefNetwork:
             self.click_probs = {s: c / total for s, c in self.click_counts.items()}
         else:
             self.click_probs = {}
-        belief = {c: 0.0 for c in self.categories}
+        probs_by_cat = {c: [] for c in self.categories}
         for sub, p in self.click_probs.items():
-            if p > 0.0:
-                belief[self.subcat_to_cat[sub]] -= p * math.log2(p)
-        self.belief = belief
+            probs_by_cat[self.subcat_to_cat[sub]].append(p)
+        self.belief = {c: entropy_bits(ps) for c, ps in probs_by_cat.items()}
 
     def belief_degree(self, category: str) -> float:
         if category not in self.belief:
@@ -133,10 +132,3 @@ def build_all(corpus) -> dict:
         networks[user] = network
     return networks
 
-
-def belief_snapshot(network: BeliefNetwork) -> dict:
-    return {
-        "user_id": network.user_id,
-        "belief": {c: network.belief[c] for c in network.categories},
-        "click_probs": dict(sorted(network.click_probs.items())),
-    }

@@ -11,6 +11,7 @@ from . import belief as belief_mod
 from . import detection, simulate
 from .corpus import SynthSpec, save_corpus
 from .features import CategoryGraph, build_vocabulary
+from .nudge import QUEUE_DISCIPLINES
 from .recommenders import assemble_feed
 from .simulate import SimConfig
 
@@ -262,10 +263,10 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
         u.strip() for u in s.split(",") if u.strip()))
     parser.add_argument("--target-user", dest="target_user")
     parser.add_argument("--queue-discipline", dest="queue_discipline",
-                        choices=("drain", "replace"))
+                        choices=QUEUE_DISCIPLINES)
     parser.add_argument("--max-path-len", dest="max_path_len", type=int)
     parser.add_argument("--generator-kind", dest="generator_kind",
-                        choices=("template", "external"))
+                        choices=simulate.GENERATOR_KINDS)
     parser.add_argument("--generator-url", dest="generator_url")
     parser.add_argument("--generator-timeout-ms", dest="generator_timeout_ms",
                         type=int)

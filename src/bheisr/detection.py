@@ -1,11 +1,11 @@
 """Filter-bubble detection.
 
-Feed-side metrics (diversity coverage, duplicate rate, per-window category
-shares) plus population-side belief classification: per category, users more
-than two standard deviations from the mean are extreme, and a user with at
-least one extreme-high and one extreme-low category is bubble-affected.
-Normality of each category's belief distribution is checked with a
-Kolmogorov-Smirnov statistic and skewness, computed only when read.
+A feed's diversity coverage (the share of categories its items touch) plus
+population-side belief classification: per category, users more than two
+standard deviations from the mean are extreme, and a user with at least one
+extreme-high and one extreme-low category is bubble-affected. Normality of
+each category's belief distribution is checked with a Kolmogorov-Smirnov
+statistic and skewness, computed only when read.
 """
 
 import enum
@@ -24,19 +24,14 @@ class Exposure(enum.Enum):
 MIN_POPULATION = 8
 
 
-def _items_of(feed):
-    return list(getattr(feed, "items", feed))
-
-
 def item_categories(item) -> set:
     """Categories an item touches: every positively weighted one."""
     cats = {c for c, w in item.category_weights.items() if w > 0.0}
     return cats or {item.category}
 
 
-def diversity_coverage(feed, taxonomy) -> float:
-    """Distinct categories present in the feed over total categories."""
-    items = _items_of(feed)
+def diversity_coverage(items, taxonomy) -> float:
+    """Distinct categories the items touch over total categories."""
     if not items:
         raise ValueError("empty feed")
     if not taxonomy:
@@ -45,47 +40,6 @@ def diversity_coverage(feed, taxonomy) -> float:
     for item in items:
         seen |= item_categories(item)
     return len(seen) / len(taxonomy)
-
-
-def diversity_duplicate(feed) -> float:
-    """Share of ordered item pairs that fall in the same subcategory."""
-    items = _items_of(feed)
-    n = len(items)
-    if n < 2:
-        raise ValueError("duplicate rate needs at least two items")
-    same = 0
-    for i in range(n):
-        for j in range(n):
-            if i != j and items[i].subcategory == items[j].subcategory:
-                same += 1
-    return same / (n * (n - 1))
-
-
-def time_evolution_report(feeds: list, window: int) -> list:
-    """Weighted category shares per consecutive window of feeds.
-
-    Returns [(window_index, {category: share})]; shares in a window sum to 1.
-    A trailing partial window is included.
-    """
-    if window < 1:
-        raise ValueError("window must be positive")
-    if not feeds:
-        raise ValueError("no feeds")
-    report = []
-    for w_idx, start in enumerate(range(0, len(feeds), window)):
-        chunk = feeds[start:start + window]
-        shares: dict = {}
-        count = 0
-        for feed in chunk:
-            for item in _items_of(feed):
-                count += 1
-                for cat, wgt in item.category_weights.items():
-                    if wgt > 0.0:
-                        shares[cat] = shares.get(cat, 0.0) + wgt
-        if count == 0:
-            raise ValueError(f"window {w_idx} has no items")
-        report.append((w_idx, {c: s / count for c, s in sorted(shares.items())}))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -221,82 +175,3 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
         if (Exposure.EXTREME_HIGH in labels) and (Exposure.EXTREME_LOW in labels):
             fb.append(u)
     return UserClassification(classes=classes, fb_users=tuple(fb), stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# system-level detection
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SystemThresholds:
-    coverage_max: float = 0.15
-    trend_min: float = 0.5
-
-
-@dataclass
-class DetectionReport:
-    coverage: list                       # per-feed diversity coverage
-    duplicate: list                      # per-feed duplicate rate
-    evolution: list                      # time_evolution_report output
-    user_classes: dict = None
-    fb_users: tuple = ()
-    category_stats: dict = field(default_factory=dict)
-    fb_system: bool = None
-
-
-def monotone_trend(series) -> float:
-    """Kendall-style trend against time with ties counted as concordant.
-
-    (#{j>i: s_j >= s_i} - #{j>i: s_j < s_i}) / C(n, 2); a constant or
-    non-decreasing series scores 1.0, a strictly decreasing one -1.0.
-    """
-    xs = list(series)
-    n = len(xs)
-    if n < 2:
-        raise ValueError("trend needs at least two points")
-    up = down = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if xs[j] >= xs[i]:
-                up += 1
-            else:
-                down += 1
-    return (up - down) / (n * (n - 1) / 2)
-
-
-def detect_fb_system(report: DetectionReport,
-                     thresholds: SystemThresholds = None) -> bool:
-    """Feed-level bubble verdict: low coverage plus a non-decreasing
-    preferred-category share across windows."""
-    thresholds = thresholds or SystemThresholds()
-    if len(report.coverage) < 5:
-        raise ValueError("need coverage for at least 5 feeds")
-    if len(report.evolution) < 2:
-        raise ValueError("need at least 2 evolution windows")
-    mean_coverage = sum(report.coverage) / len(report.coverage)
-    totals: dict = {}
-    for _, shares in report.evolution:
-        for cat, s in shares.items():
-            totals[cat] = totals.get(cat, 0.0) + s
-    preferred = max(sorted(totals), key=lambda c: totals[c])
-    series = [shares.get(preferred, 0.0) for _, shares in report.evolution]
-    return (mean_coverage < thresholds.coverage_max
-            and monotone_trend(series) >= thresholds.trend_min)
-
-
-def build_report(feeds: list, beliefs: dict, taxonomy, window: int = 5,
-                 thresholds: SystemThresholds = None) -> DetectionReport:
-    """Full report over one user's feed sequence and the population beliefs."""
-    coverage = [diversity_coverage(f, taxonomy) for f in feeds]
-    duplicate = [diversity_duplicate(f) for f in feeds if len(_items_of(f)) >= 2]
-    evolution = time_evolution_report(feeds, window)
-    report = DetectionReport(coverage=coverage, duplicate=duplicate,
-                             evolution=evolution)
-    if beliefs is not None and len(beliefs) >= MIN_POPULATION:
-        result = classify_users(beliefs, taxonomy)
-        report.user_classes = result.classes
-        report.fb_users = result.fb_users
-        report.category_stats = result.stats
-    if len(coverage) >= 5 and len(evolution) >= 2:
-        report.fb_system = detect_fb_system(report, thresholds)
-    return report

@@ -19,6 +19,7 @@ log = logging.getLogger(__name__)
 
 QUEUE_DRAIN = "drain"      # reschedule only once the queue empties
 QUEUE_REPLACE = "replace"  # literal: any terminal reject replaces the queue
+QUEUE_DISCIPLINES = (QUEUE_DRAIN, QUEUE_REPLACE)
 
 
 def binary_split(prompt: PromptPath):

@@ -102,12 +102,7 @@ class Feed:
     user_id: str
     step: int
     items: list
-    original_count: int
     generated_count: int
-    w: float
-
-    def item_ids(self) -> list:
-        return [it.id for it in self.items]
 
 
 def n_generated(w: float, k: int) -> int:
@@ -285,13 +280,11 @@ def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,
 
     gen_items = []
     if with_bheisr and session is not None:
-        want = n_generated(w, k)
-        if not session.queue and session.active:
-            nudge._do_reschedule(session, ctx.graph, network)
-        for prompt in nudge.pending_prompts(session, want):
+        # an active session always has a non-empty queue
+        for prompt in nudge.pending_prompts(session, n_generated(w, k)):
             gen_items.append(nudge._generate_for(session, prompt, ctx.generator))
     n_base = k - len(gen_items)
     base_ids = baseline_ranking(baseline, ctx, user_id, n_base, step, seed, exclude)
     items = [ctx.corpus.items[i] for i in base_ids] + gen_items
     return Feed(user_id=user_id, step=step, items=items,
-                original_count=len(base_ids), generated_count=len(gen_items), w=w)
+                generated_count=len(gen_items))

@@ -33,6 +33,7 @@ MODELS = {
 }
 
 EXEMPLARS_PER_CATEGORY = 3
+GENERATOR_KINDS = ("template", "external")
 
 
 @dataclass
@@ -71,6 +72,18 @@ class SimConfig:
             raise ValueError("feeds must be positive")
         if not (self.theta >= 0.0):
             raise ValueError("theta must be non-negative")
+        if self.queue_discipline not in nudge.QUEUE_DISCIPLINES:
+            raise ValueError(f"unknown queue discipline {self.queue_discipline!r}")
+        if self.max_path_len is not None and self.max_path_len < 1:
+            raise ValueError("max_path_len must be positive")
+        if self.generator_kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {self.generator_kind!r}")
+        if self.generator_kind == "external" and not self.generator_url:
+            raise ValueError("external generator needs generator_url")
+        if self.generator_timeout_ms <= 0:
+            raise ValueError("generator_timeout_ms must be positive")
+        if self.generator_retries < 0:
+            raise ValueError("generator_retries must be non-negative")
         seen = set()
         for user in self.users or ():
             if user in seen:
@@ -163,13 +176,9 @@ def _collect_exemplars(corpus: Corpus) -> dict:
 def _build_generator(config: SimConfig, exemplars: dict):
     template = nudge.TemplateGenerator(exemplars)
     if config.generator_kind == "external":
-        if not config.generator_url:
-            raise ValueError("external generator needs generator_url")
         return nudge.ExternalGenerator(config.generator_url, template,
                                        timeout_ms=config.generator_timeout_ms,
                                        retries=config.generator_retries)
-    if config.generator_kind != "template":
-        raise ValueError(f"unknown generator kind {config.generator_kind!r}")
     return template
 
 
@@ -274,7 +283,7 @@ def _user_step(state: SimState, user_id: str, step: int):
         categories=tuple(sorted(set().union(
             *[detection.item_categories(it) for it in feed.items]))),
         # an exhausted catalog gives an empty feed, which covers nothing
-        coverage=(detection.diversity_coverage(feed, taxonomy)
+        coverage=(detection.diversity_coverage(feed.items, taxonomy)
                   if feed.items else 0.0),
         belief_coverage=network.positive_category_count() / len(taxonomy),
         decisions=tuple(decisions),

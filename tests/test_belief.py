@@ -7,7 +7,6 @@ import pytest
 
 from bheisr.belief import (
     BeliefNetwork,
-    belief_snapshot,
     build_all,
     entropy_bits,
 )
@@ -179,12 +178,3 @@ class TestIncrementalConsistency:
         for cat in network.categories:
             assert network.belief_degree(cat) == pytest.approx(
                 scratch.belief_degree(cat), abs=1e-12)
-
-
-class TestSnapshot:
-    def test_snapshot_shape(self):
-        network = build_all(tiny_corpus())["u"]
-        snap = belief_snapshot(network)
-        assert snap["user_id"] == "u"
-        assert list(snap["belief"]) == ["a", "b"]
-        assert list(snap["click_probs"]) == sorted(snap["click_probs"])

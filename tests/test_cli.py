@@ -228,6 +228,17 @@ class TestSimulate:
         assert main(base + ["--parallel", "--out", str(b)]) == 0
         assert (a / "runlog.jsonl").read_bytes() == (b / "runlog.jsonl").read_bytes()
 
+    def test_config_file_value_outside_flag_choices_exits_2(self, tmp_path, capsys):
+        # a config file bypasses argparse choices; validate() must catch it
+        path = tmp_path / "run.conf"
+        path.write_text("nudge.queue_discipline=bogus\n")
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(path), "--synth", SYNTH,
+                     "--feeds", "2", "--out", str(out)])
+        assert code == 2
+        assert "unknown queue discipline" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperiments:
     def test_experiment_1_prints_sums_and_writes_csv(self, tmp_path, capsys):

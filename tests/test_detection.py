@@ -1,4 +1,4 @@
-"""Diversity metrics, normality statistics, and the two-sigma classifier."""
+"""Diversity coverage, normality statistics, and the two-sigma classifier."""
 
 import math
 
@@ -10,22 +10,15 @@ import scipy.stats
 from bheisr.corpus import Item, SynthSpec, synth_corpus
 from bheisr.belief import build_all
 from bheisr.detection import (
-    DetectionReport,
     Exposure,
     MIN_POPULATION,
-    SystemThresholds,
-    build_report,
     classify_users,
-    detect_fb_system,
     diversity_coverage,
-    diversity_duplicate,
     item_categories,
     kolmogorov_p,
     ks_normality,
-    monotone_trend,
     normal_cdf,
     skewness,
-    time_evolution_report,
 )
 
 TAXONOMY = {"a": ("a/s",), "b": ("b/s",), "c": ("c/s",), "d": ("d/s",)}
@@ -57,46 +50,6 @@ class TestDiversityCoverage:
         item = make_item("a", weights={"a": 0.0})
         item.category_weights = {}
         assert item_categories(item) == {"a"}
-
-
-class TestDuplicateRate:
-    def test_all_same_subcategory(self):
-        feed = [make_item("a", "a/s")] * 3
-        assert diversity_duplicate(feed) == 1.0
-
-    def test_all_distinct(self):
-        feed = [make_item("a", "a/1"), make_item("a", "a/2"), make_item("b", "b/1")]
-        assert diversity_duplicate(feed) == 0.0
-
-    def test_hand_value(self):
-        feed = [make_item("a", "a/1"), make_item("a", "a/1"), make_item("b", "b/1")]
-        assert diversity_duplicate(feed) == pytest.approx(2 / 6)
-
-    def test_needs_two_items(self):
-        with pytest.raises(ValueError):
-            diversity_duplicate([make_item("a")])
-
-
-class TestTimeEvolution:
-    def test_windows_and_shares(self):
-        feeds = [[make_item("a"), make_item("b")],
-                 [make_item("a"), make_item("a")],
-                 [make_item("b")]]
-        report = time_evolution_report(feeds, window=2)
-        assert len(report) == 2
-        idx0, shares0 = report[0]
-        assert idx0 == 0
-        assert shares0 == pytest.approx({"a": 0.75, "b": 0.25})
-        assert report[1][1] == pytest.approx({"b": 1.0})
-
-    def test_shares_sum_to_one(self):
-        feeds = [[make_item("a", weights={"a": 0.5, "b": 0.5}), make_item("c")]]
-        _, shares = time_evolution_report(feeds, window=1)[0]
-        assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            time_evolution_report([[make_item("a")]], window=0)
 
 
 class TestNormalCdf:
@@ -254,64 +207,3 @@ class TestClassifyUsers:
         networks0 = build_all(corpus)
         beliefs0 = {u: dict(net.belief) for u, net in networks0.items()}
         assert classify_users(beliefs0, corpus.categories()).fb_users == ()
-
-
-class TestMonotoneTrend:
-    def test_increasing_and_decreasing(self):
-        assert monotone_trend([1, 2, 3, 4]) == 1.0
-        assert monotone_trend([4, 3, 2, 1]) == -1.0
-
-    def test_constant_counts_as_concordant(self):
-        assert monotone_trend([2, 2, 2]) == 1.0
-
-    def test_mixed_hand_value(self):
-        # pairs: (3,1)d (3,2)d (3,4)u (1,2)u (1,4)u (2,4)u -> (4-2)/6
-        assert monotone_trend([3, 1, 2, 4]) == pytest.approx(2 / 6)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            monotone_trend([1])
-
-
-class TestDetectFbSystem:
-    def narrow_feeds(self):
-        return [[make_item("a"), make_item("a")] for _ in range(10)]
-
-    def test_low_coverage_rising_share_flags(self):
-        report = build_report(self.narrow_feeds(), beliefs=None,
-                              taxonomy={f"c{i}": () for i in range(20)} | {"a": ("a/s",)},
-                              window=2)
-        assert report.fb_system is True
-
-    def test_high_coverage_passes(self):
-        feeds = [[make_item("a"), make_item("b"), make_item("c")]
-                 for _ in range(10)]
-        report = build_report(feeds, beliefs=None, taxonomy=TAXONOMY, window=2)
-        assert report.fb_system is False
-
-    def test_threshold_override(self):
-        report = DetectionReport(
-            coverage=[0.3] * 6,
-            duplicate=[],
-            evolution=[(0, {"a": 1.0}), (1, {"a": 1.0})])
-        assert detect_fb_system(report) is False
-        assert detect_fb_system(report, SystemThresholds(coverage_max=0.4)) is True
-
-    def test_needs_history(self):
-        report = DetectionReport(coverage=[0.1] * 3, duplicate=[],
-                                 evolution=[(0, {"a": 1.0}), (1, {"a": 1.0})])
-        with pytest.raises(ValueError):
-            detect_fb_system(report)
-
-
-class TestBuildReport:
-    def test_population_section_present_when_enough_users(self):
-        corpus = synth_corpus(SynthSpec(bias_profile=10))
-        networks = build_all(corpus)
-        beliefs = {u: dict(net.belief) for u, net in networks.items()}
-        feeds = [[make_item("a", "a/s")] * 3 for _ in range(6)]
-        report = build_report(feeds, beliefs, {"a": ("a/s",), **corpus.taxonomy})
-        assert len(report.fb_users) == 10
-        assert report.coverage == [pytest.approx(1 / 18)] * 6
-        assert report.duplicate == [1.0] * 6
-        assert report.fb_system is not None

@@ -1,6 +1,8 @@
 """Binary-split nudging sessions and item generation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bheisr.belief import BeliefNetwork
 from bheisr.corpus import ORIGIN_GENERATED, Item
@@ -330,3 +332,38 @@ class TestAcceptanceRescheduleLoop:
         assert len(events) <= 60
         assert all(e.startswith("accepted") for e in events)
         assert not graph.accepted
+
+
+class TestActiveSessionHasQueue:
+    """new_session, apply_feedback and rescheduling each leave an active
+    session a non-empty queue, so feed assembly never has to reschedule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(discipline=st.sampled_from((QUEUE_DRAIN, QUEUE_REPLACE)),
+           theta=st.sampled_from((0, 1, 2, 4)),
+           max_path_len=st.sampled_from((None, 1, 2)),
+           feeds=st.lists(st.lists(st.booleans(), min_size=1, max_size=6),
+                          max_size=30))
+    # the first reject replaces the queue, so the second item is stale
+    @example(discipline=QUEUE_REPLACE, theta=0, max_path_len=None,
+             feeds=[[False, False]])
+    def test_random_decision_feeds(self, discipline, theta, max_path_len,
+                                   feeds):
+        session, graph, network = session_fixture(
+            theta=theta, queue_discipline=discipline,
+            max_path_len=max_path_len)
+        generator = TemplateGenerator({})
+        assert session.active and session.queue
+        for decisions in feeds:
+            # one feed's generated slots cycle over the queue, so a later
+            # item may carry a prompt an earlier decision already retired
+            items = [_generate_for(session, prompt, generator)
+                     for prompt in pending_prompts(session, len(decisions))]
+            if not items:
+                assert not session.active
+                break
+            for item, accepted in zip(items, decisions):
+                if accepted:
+                    network.update_on_feedback(item, True)
+                apply_feedback(session, item, accepted, graph, network)
+                assert session.queue or not session.active

@@ -382,7 +382,7 @@ class TestAssembleFeed:
         session = session_for(ctx, "u1")
         feed = assemble_feed("cb", True, 0.4, 5, session, ctx, "u1", step=1, seed=0)
         assert feed.generated_count == 2
-        assert feed.original_count == 3
+        assert sum(it.origin == "dataset" for it in feed.items) == 3
         assert len(feed.items) == 5
         origins = [it.origin for it in feed.items]
         assert origins == ["dataset"] * 3 + [ORIGIN_GENERATED] * 2
@@ -399,14 +399,14 @@ class TestAssembleFeed:
     def test_accepted_items_never_reappear(self):
         ctx = context_for(small_corpus())
         feed = assemble_feed("cb", False, 0.0, 5, None, ctx, "u1", step=1, seed=0)
-        assert set(feed.item_ids()).isdisjoint(ctx.networks["u1"].accepted_ids)
+        assert {it.id for it in feed.items}.isdisjoint(ctx.networks["u1"].accepted_ids)
         assert len(feed.items) == 3   # only three unaccepted items exist
 
     def test_without_nudging_all_slots_are_baseline(self):
         ctx = context_for(small_corpus())
         feed = assemble_feed("uc", False, 0.6, 3, None, ctx, "u2", step=1, seed=0)
         assert feed.generated_count == 0
-        assert feed.original_count == len(feed.items)
+        assert sum(it.origin == "dataset" for it in feed.items) == len(feed.items)
 
     def test_inactive_session_falls_back_to_baseline(self):
         ctx = context_for(small_corpus())
@@ -415,7 +415,7 @@ class TestAssembleFeed:
         session.queue = []
         feed = assemble_feed("cb", True, 0.6, 3, session, ctx, "u1", step=1, seed=0)
         assert feed.generated_count == 0
-        assert feed.original_count == 3
+        assert sum(it.origin == "dataset" for it in feed.items) == 3
 
     def test_validation(self):
         # k and w reach assemble_feed only through a validated SimConfig

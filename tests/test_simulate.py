@@ -136,10 +136,24 @@ class TestPrepare:
         ("theta", math.nan, "theta must be non-negative"),
         ("w", math.nan, r"w must be in \[0, 1\]"),
         ("users", ("u0000", "u0000"), "duplicate user"),
+        ("queue_discipline", "bogus", "unknown queue discipline"),
+        ("max_path_len", 0, "max_path_len must be positive"),
+        ("max_path_len", -1, "max_path_len must be positive"),
+        ("generator_kind", "bogus", "unknown generator kind"),
+        ("generator_kind", "external", "external generator needs generator_url"),
+        ("generator_timeout_ms", 0, "generator_timeout_ms must be positive"),
+        ("generator_retries", -1, "generator_retries must be non-negative"),
     ])
     def test_bad_values_rejected(self, field, value, message):
+        # the config names no corpus, so the value must be caught before any
+        # corpus is built
         with pytest.raises(ValueError, match=message):
-            prepare(SimConfig(synth=PLAIN_SPEC, **{field: value}))
+            prepare(SimConfig(**{field: value}))
+
+    def test_boundary_values_accepted(self):
+        SimConfig(queue_discipline="replace", max_path_len=1, generator_retries=0,
+                  generator_timeout_ms=1, generator_kind="external",
+                  generator_url="http://localhost:1").validate()
 
     def test_sessions_only_for_fb_users_in_scope(self, fb_corpus, fb_assets):
         config = SimConfig(model="cb_w", users=("u0000", "u0009"))
