@@ -39,11 +39,6 @@ class BeliefNetwork:
     accepted: list = field(default_factory=list)       # item ids, append-only
     click_probs: dict = field(default_factory=dict)
     belief: dict = field(default_factory=dict)
-    accepted_ids: set = field(default_factory=set, compare=False)
-
-    def remember_accept(self, item_id: str) -> None:
-        self.accepted.append(item_id)
-        self.accepted_ids.add(item_id)
 
     def total_mass(self) -> float:
         return sum(self.click_counts.values())
@@ -81,27 +76,26 @@ class BeliefNetwork:
                              f"{self.subcat_to_cat[subcategory]!r}")
         self.click_counts[subcategory] = self.click_counts.get(subcategory, 0.0) + mass
 
-    def update_on_feedback(self, item, accepted: bool) -> "BeliefNetwork":
-        """Fold one decision into the network; a reject leaves it unchanged.
+    def update_on_feedback(self, item) -> "BeliefNetwork":
+        """Fold one accepted item into the network.
 
-        Accepts add the item to the history and credit its category weights as
+        The item joins the history and its category weights are credited as
         click mass (dataset items to their own subcategory, generated items to
         each spanned category's synthetic subcategory). Rejections are kept by
         the nudge session's ledger and history.
         """
-        if accepted:
-            self.remember_accept(item.id)
-            for cat, w in item.category_weights.items():
-                if w <= 0.0:
-                    continue
-                if cat not in self.belief:
-                    raise ValueError(f"item {item.id}: unknown category {cat!r}")
-                if item.origin == ORIGIN_GENERATED:
-                    sub = _generated_subcat(cat)
-                else:
-                    sub = item.subcategory
-                self.add_click_mass(sub, cat, w)
-            self.recompute()
+        self.accepted.append(item.id)
+        for cat, w in item.category_weights.items():
+            if w <= 0.0:
+                continue
+            if cat not in self.belief:
+                raise ValueError(f"item {item.id}: unknown category {cat!r}")
+            if item.origin == ORIGIN_GENERATED:
+                sub = _generated_subcat(cat)
+            else:
+                sub = item.subcategory
+            self.add_click_mass(sub, cat, w)
+        self.recompute()
         return self
 
 
@@ -126,7 +120,7 @@ def build_all(corpus) -> dict:
                                 subcat_to_cat=dict(subcat_to_cat))
         for inter in sorted(histories[user], key=lambda x: x.timestamp):
             item = corpus.items[inter.item_id]
-            network.remember_accept(item.id)
+            network.accepted.append(item.id)
             network.add_click_mass(item.subcategory, item.category, 1.0)
         network.recompute()
         networks[user] = network

@@ -29,6 +29,8 @@ CONFIG_ALIASES = {
 # field name -> annotated type, which drives the coercion of text values
 SIM_FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 SYNTH_FIELDS = {f.name: f.type for f in dataclasses.fields(SynthSpec)}
+BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_kv_list(text: str) -> dict:
@@ -72,7 +74,11 @@ def _coerce(field: str, value):
         return value
     kind = SIM_FIELDS[field]
     if kind is bool:
-        return value.lower() in ("1", "true", "yes", "on")
+        text = value.lower()
+        if text in BOOL_TEXT:
+            return BOOL_TEXT[text]
+        raise ValueError(f"{field}: expected one of {sorted(BOOL_TEXT)}, "
+                         f"got {value!r}")
     if kind is tuple:
         return tuple(u.strip() for u in value.split(",") if u.strip())
     if kind is SynthSpec:

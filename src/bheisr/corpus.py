@@ -18,6 +18,7 @@ ORIGIN_DATASET = "dataset"
 ORIGIN_GENERATED = "generated"
 
 WEIGHT_TOL = 1e-9
+MAX_WEIGHT = 1.0 + WEIGHT_TOL      # weights are non-negative and sum to one
 
 
 class ParseError(ValueError):
@@ -64,21 +65,32 @@ class Corpus:
         return tuple(sorted(self.taxonomy))
 
     def validate(self) -> None:
-        for item in self.items.values():
-            if item.category not in self.taxonomy:
-                raise ValueError(f"item {item.id}: unknown category {item.category!r}")
-            if item.subcategory not in self.taxonomy[item.category]:
+        taxonomy, items = self.taxonomy, self.items
+        for item in items.values():
+            category = item.category
+            if category not in taxonomy:
+                raise ValueError(f"item {item.id}: unknown category {category!r}")
+            if item.subcategory not in taxonomy[category]:
                 raise ValueError(f"item {item.id}: subcategory {item.subcategory!r} "
-                                 f"not under {item.category!r}")
-            total = sum(item.category_weights.values())
+                                 f"not under {category!r}")
+            weights = item.category_weights
+            for cat, w in weights.items():
+                if cat not in taxonomy:
+                    raise ValueError(f"item {item.id}: weight on unknown category {cat!r}")
+                if not 0.0 <= w <= MAX_WEIGHT:
+                    raise ValueError(f"item {item.id}: weight {w} on {cat!r} is not "
+                                     f"in [0, 1]")
+                # a dataset item's mass goes to its own subcategory, which
+                # only its own category can hold
+                if cat != category and w > 0.0 and item.origin != ORIGIN_GENERATED:
+                    raise ValueError(f"item {item.id}: weight on {cat!r}, not on its "
+                                     f"own category {category!r}")
+            total = sum(weights.values())
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"item {item.id}: category weights sum to {total}")
-            for cat in item.category_weights:
-                if cat not in self.taxonomy:
-                    raise ValueError(f"item {item.id}: weight on unknown category {cat!r}")
         known_users = set(self.users)
         for inter in self.interactions:
-            if inter.item_id not in self.items:
+            if inter.item_id not in items:
                 raise ValueError(f"interaction references unknown item {inter.item_id!r}")
             if inter.user_id not in known_users:
                 raise ValueError(f"interaction references unknown user {inter.user_id!r}")

@@ -104,9 +104,11 @@ class ExternalGenerator:
     """HTTP generation endpoint with retries and template fallback.
 
     POSTs {"prompt_categories": [...], "exemplar_snippets": [...],
-    "max_tokens": n} and expects {"title": ..., "abstract": ...} back. Any
-    failure after the retry budget falls back to the template generator and
-    counts the event.
+    "max_tokens": n} and expects {"title": ..., "abstract": ...} back, both
+    non-empty strings. A transport error (OSError, which requests' errors
+    subclass) or a malformed response counts as a failed attempt; once the
+    retry budget is spent the template generator fills in and the event is
+    counted. Any other exception is a bug and propagates.
     """
 
     def __init__(self, url: str, fallback: TemplateGenerator, timeout_ms: int = 2000,
@@ -139,8 +141,13 @@ class ExternalGenerator:
             try:
                 doc = self._post(self.url, json=payload,
                                  timeout=self.timeout_ms / 1000.0)
-                return str(doc["title"]), str(doc["abstract"])
-            except Exception as exc:   # noqa: BLE001 - any transport failure
+                title, abstract = doc["title"], doc["abstract"]
+                for value in (title, abstract):
+                    if not isinstance(value, str) or not value:
+                        raise ValueError(f"expected a non-empty string, "
+                                         f"got {value!r}")
+                return title, abstract
+            except (OSError, KeyError, TypeError, ValueError) as exc:
                 last_error = exc
         self.fallback_count += 1
         log.warning("external generator failed (%s); using template", last_error)

@@ -92,7 +92,7 @@ def uc_score(item, user_id: str, networks: dict) -> float:
     for other_id, other in networks.items():
         if other_id == user_id:
             continue
-        if item.id in other.accepted_ids:
+        if item.id in other.accepted:
             total += _dict_cosine(my_hist, other.mass_by_category())
     return total * share
 
@@ -113,10 +113,11 @@ def n_generated(w: float, k: int) -> int:
 class FeedContext:
     """Everything assemble_feed needs to score candidates for one user.
 
-    enable_acceleration builds the matrix scoring state from the networks
-    and the graph's item vectors; note_accept keeps it in sync for every
-    accepted item and refresh_mass re-snapshots the history masses once per
-    step barrier.
+    The networks' accepted lists are the one record of each user's history;
+    the scoring state holds only what derives from it. enable_acceleration
+    builds that state from the networks and the graph's item vectors;
+    note_accept folds each user's new accepts into it and refresh_mass
+    re-snapshots the history masses once per step barrier.
     """
     corpus: object
     index: CandidateIndex
@@ -131,7 +132,6 @@ class FeedContext:
     cat_index: np.ndarray = None         # per item, category row in cats
     id_order: np.ndarray = None          # item positions in ascending id order
     profile_sums: np.ndarray = None      # users x terms, running accept sums
-    profile_counts: np.ndarray = None
 
     def enable_acceleration(self) -> None:
         index = self.index
@@ -146,9 +146,8 @@ class FeedContext:
         n_users = len(self.user_ids)
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
         self.profile_sums = np.zeros((n_users, index.matrix.shape[1]))
-        self.profile_counts = np.zeros(n_users, dtype=np.intp)
         for u in self.user_ids:
-            self._fold_accepts(self.user_pos[u], self.networks[u].accepted)
+            self.note_accept(u, self.networks[u].accepted)
         self.refresh_mass()
 
     def refresh_mass(self) -> None:
@@ -159,22 +158,17 @@ class FeedContext:
             rows.append([mass.get(c, 0.0) for c in self.cats])
         self.mass_matrix = np.array(rows)
 
-    def note_accept(self, user_id: str, item) -> None:
-        """Fold one accepted item into the shared scoring state.
-
-        The item's vector must already be in the graph, so pending graph
-        updates are flushed first.
-        """
-        self._fold_accepts(self.user_pos[user_id], (item.id,))
-
-    def _fold_accepts(self, row: int, item_ids) -> None:
-        """Add the items' term weights to the user's profile sums.
+    def note_accept(self, user_id: str, item_ids) -> None:
+        """Fold the user's newly accepted items, in order, into their accept
+        row and profile sums.
 
         Each run of index items gathers its terms from the index matrix at
-        once; other items take theirs from the graph's item vectors.
-        np.add.at applies the additions one at a time in item order, so each
-        sum is the same left fold as adding the items' entries in turn.
+        once; other items take theirs from the graph's item vectors, so
+        pending graph updates must be flushed first. np.add.at applies the
+        additions one at a time in item order, so each sum is the same left
+        fold as adding the items' entries in turn.
         """
+        row = self.user_pos[user_id]
         positions = [self.index.pos.get(i) for i in item_ids]
         tids, weights = [], []
         for in_index, run in groupby(zip(item_ids, positions),
@@ -194,7 +188,6 @@ class FeedContext:
         if tids:
             np.add.at(self.profile_sums[row], np.concatenate(tids),
                       np.concatenate(weights))
-        self.profile_counts[row] += len(positions)
 
 
 def _row_entries(matrix, rows: np.ndarray) -> tuple:
@@ -215,7 +208,7 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
         return np.zeros(n)
     row = ctx.user_pos[user_id]
     if kind == "cb":
-        count = ctx.profile_counts[row]
+        count = len(ctx.networks[user_id].accepted)
         if count == 0:
             return np.zeros(n)
         dense = ctx.profile_sums[row] / count
@@ -244,16 +237,18 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
 
 
 def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
-                     step: int, seed: int, exclude: set) -> list:
+                     step: int, seed: int) -> list:
     """Top-k candidate items for a baseline, deterministic under ties.
 
-    Scored baselines rank by descending score, ties broken by ascending id:
-    one stable argsort over the scores laid out in id order. RD draws a
-    seeded permutation of the eligible items in index order.
+    Items in the user's accept row are never ranked. Scored baselines rank
+    by descending score, ties broken by ascending id: one stable argsort over
+    the scores laid out in id order. RD draws a seeded permutation of the
+    eligible items in index order.
     """
+    if k == 0:
+        return []
     index = ctx.index
-    keep = np.ones(len(index.ids), dtype=bool)
-    keep[[p for p in map(index.pos.get, exclude) if p is not None]] = False
+    keep = ctx.accept_matrix[ctx.user_pos[user_id]] == 0.0
     if kind == "rd":
         eligible = np.flatnonzero(keep)
         rng = substream(seed, "rd", user_id, step)
@@ -275,16 +270,13 @@ def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,
     filled from the baseline. Baseline items come first in score order, then
     the generated items.
     """
-    network = ctx.networks[user_id]
-    exclude = network.accepted_ids
-
     gen_items = []
     if with_bheisr and session is not None:
         # an active session always has a non-empty queue
         for prompt in nudge.pending_prompts(session, n_generated(w, k)):
             gen_items.append(nudge._generate_for(session, prompt, ctx.generator))
     n_base = k - len(gen_items)
-    base_ids = baseline_ranking(baseline, ctx, user_id, n_base, step, seed, exclude)
+    base_ids = baseline_ranking(baseline, ctx, user_id, n_base, step, seed)
     items = [ctx.corpus.items[i] for i in base_ids] + gen_items
     return Feed(user_id=user_id, step=step, items=items,
                 generated_count=len(gen_items))

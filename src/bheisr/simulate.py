@@ -269,7 +269,7 @@ def _user_step(state: SimState, user_id: str, step: int):
     accepted_items = []
     for item, dec in zip(feed.items, decisions):
         if dec.accepted:
-            network.update_on_feedback(item, True)
+            network.update_on_feedback(item)
             accepted_items.append(item)
         if item.origin == ORIGIN_GENERATED:
             nudge.apply_feedback(session, item, dec.accepted, state.graph,
@@ -331,8 +331,7 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
             buffer.accept_items(results[user][1])
         buffer.flush()
         for user in sim_users:
-            for item in results[user][1]:
-                state.ctx.note_accept(user, item)
+            state.ctx.note_accept(user, [it.id for it in results[user][1]])
         state.ctx.refresh_mass()
         record.steps.append([results[user][0] for user in sim_users])
 

@@ -126,10 +126,10 @@ def test_criterion_01_entropy_and_incremental_updates(capsys):
         for _ in range(int(rng.integers(3, 9))):
             if rng.random() < 0.7:
                 network.update_on_feedback(
-                    dataset_items[int(rng.integers(len(dataset_items)))], True)
+                    dataset_items[int(rng.integers(len(dataset_items)))])
             else:
                 network.update_on_feedback(
-                    gen_items[int(rng.integers(len(gen_items)))], True)
+                    gen_items[int(rng.integers(len(gen_items)))])
         scratch = BeliefNetwork(user_id="u", categories=cats,
                                 subcat_to_cat=dict(network.subcat_to_cat),
                                 click_counts=dict(network.click_counts))

@@ -106,7 +106,6 @@ class TestHistorySeeding:
         corpus.interactions = list(reversed(corpus.interactions))
         network = build_all(corpus)["u"]
         assert network.accepted == ["i1", "i2", "i1", "i3"]
-        assert network.accepted_ids == {"i1", "i2", "i3"}
 
     def test_uninterested_rows_excluded(self):
         network = build_all(tiny_corpus())["u"]
@@ -124,13 +123,13 @@ class TestFeedback:
     def test_accept_dataset_item_adds_unit_mass(self):
         corpus = tiny_corpus()
         network = build_all(corpus)["u"]
-        network.update_on_feedback(corpus.items["i2"], accepted=True)
+        network.update_on_feedback(corpus.items["i2"])
         assert network.click_counts["a/s2"] == 2.0
         assert network.accepted[-1] == "i2"
 
     def test_accept_generated_item_routes_to_synthetic_subcat(self):
         network = build_all(tiny_corpus())["u"]
-        network.update_on_feedback(generated_item("g1", {"a": 0.5, "b": 0.5}), True)
+        network.update_on_feedback(generated_item("g1", {"a": 0.5, "b": 0.5}))
         assert network.click_counts["a/generated"] == 0.5
         assert network.click_counts["b/generated"] == 0.5
         assert network.subcat_to_cat["b/generated"] == "b"
@@ -138,20 +137,13 @@ class TestFeedback:
     def test_generated_mass_shifts_belief_toward_spanned_category(self):
         network = build_all(tiny_corpus())["u"]
         before = network.belief_degree("b")
-        network.update_on_feedback(generated_item("g1", {"b": 1.0}), True)
+        network.update_on_feedback(generated_item("g1", {"b": 1.0}))
         assert network.belief_degree("b") > before
-
-    def test_reject_leaves_mass_alone(self):
-        network = build_all(tiny_corpus())["u"]
-        mass = dict(network.click_counts)
-        network.update_on_feedback(generated_item("g1", {"b": 1.0}), False)
-        assert network.click_counts == mass
-        assert "g1" not in network.accepted_ids
 
     def test_unknown_category_weight_rejected(self):
         network = build_all(tiny_corpus())["u"]
         with pytest.raises(ValueError, match="unknown category"):
-            network.update_on_feedback(generated_item("g1", {"zzz": 1.0}), True)
+            network.update_on_feedback(generated_item("g1", {"zzz": 1.0}))
 
     def test_subcategory_cannot_rebind_category(self):
         network = build_all(tiny_corpus())["u"]
@@ -170,7 +162,7 @@ class TestIncrementalConsistency:
             else:
                 cat = ["a", "b"][rng.integers(2)]
                 item = generated_item(f"g{n}", {cat: 1.0})
-            network.update_on_feedback(item, accepted=True)
+            network.update_on_feedback(item)
         scratch = BeliefNetwork(user_id="u", categories=network.categories,
                                 subcat_to_cat=dict(network.subcat_to_cat),
                                 click_counts=dict(network.click_counts))

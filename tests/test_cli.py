@@ -104,6 +104,27 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             build_config(args)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("on", True), ("TRUE", True), ("1", True),
+        ("off", False), ("No", False), ("0", False),
+    ])
+    def test_boolean_config_text(self, tmp_path, text, expected):
+        path = tmp_path / "run.conf"
+        path.write_text(f"track_fb={text}\n")
+        config = build_config(self.parse(["simulate", "--config", str(path)]))
+        assert config.track_fb is expected
+
+    def test_unknown_boolean_text_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.conf"
+        path.write_text("track_fb=ture\n")
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(path), "--synth", SYNTH,
+                     "--feeds", "2", "--out", str(out)])
+        assert code == 2
+        assert "track_fb: expected one of" in capsys.readouterr().err
+        assert not out.exists()
+
+
 
 class TestIngest:
     def test_synth_to_json(self, tmp_path, capsys):

@@ -3,8 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bheisr.belief import build_all
 from bheisr.corpus import (
+    ORIGIN_DATASET,
+    ORIGIN_GENERATED,
     Corpus,
     Interaction,
     Item,
@@ -20,6 +25,7 @@ from bheisr.corpus import (
     save_corpus,
     synth_corpus,
 )
+from bheisr.recommenders import acceptance_share
 
 BEHAVIORS = """\
 u1\t100\tsports\tsports/soccer\tCup final recap\tA long match report\t1
@@ -175,6 +181,30 @@ class TestValidate:
         with pytest.raises(ValueError, match="weights sum"):
             corpus.validate()
 
+    @pytest.mark.parametrize("weights, message", [
+        ({"c": 1.5, "d": -0.5}, "not in \\[0, 1\\]"),
+        ({"c": math.nan}, "not in \\[0, 1\\]"),
+        ({"c": math.inf, "d": -math.inf}, "not in \\[0, 1\\]"),
+        ({"c": 0.5, "d": 0.5}, "not on its own category"),
+        ({"d": 1.0}, "not on its own category"),
+    ])
+    def test_weights_the_loop_cannot_credit_rejected(self, weights, message):
+        corpus = self.base()
+        corpus.taxonomy["d"] = ("d/s",)
+        corpus.items["i1"].category_weights = weights
+        with pytest.raises(ValueError, match=message):
+            corpus_from_json(corpus_to_json(corpus))
+
+    def test_generated_item_may_span_categories(self):
+        corpus = self.base()
+        corpus.taxonomy["d"] = ("d/s",)
+        corpus.items["i1"].origin = ORIGIN_GENERATED
+        corpus.items["i1"].category_weights = {"c": 0.5, "d": 0.5, "e": 0.0}
+        with pytest.raises(ValueError, match="unknown category 'e'"):
+            corpus.validate()
+        del corpus.items["i1"].category_weights["e"]
+        corpus.validate()
+
     def test_interaction_user_must_exist(self):
         corpus = self.base()
         corpus.interactions.append(Interaction("ghost", "i1", 1, 1.0))
@@ -246,7 +276,51 @@ class TestSynthCorpus:
             synth_corpus(SynthSpec(n_categories=2, n_items=100, bias_profile=1))
 
 
+CATEGORIES = ("a", "b", "c")
+WEIGHT = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, -0.5, math.nan, math.inf]) \
+    | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def corpora(draw):
+    """Small corpora, some of whose items carry weights validate() rejects."""
+    items = {}
+    for n in range(draw(st.integers(1, 4))):
+        cat = draw(st.sampled_from(CATEGORIES))
+        if draw(st.booleans()):
+            weights = {cat: 1.0}
+        else:
+            weights = draw(st.dictionaries(st.sampled_from(CATEGORIES), WEIGHT,
+                                           min_size=1, max_size=3))
+        origin = draw(st.sampled_from([ORIGIN_DATASET, ORIGIN_GENERATED]))
+        items[f"i{n}"] = Item(id=f"i{n}", category=cat, subcategory=f"{cat}/s",
+                              title="t", abstract="", category_weights=weights,
+                              origin=origin)
+    users = ("u0", "u1")
+    interactions = [Interaction(u, i, t, 1.0) for t, (u, i) in enumerate(
+        draw(st.lists(st.tuples(st.sampled_from(users),
+                                st.sampled_from(sorted(items))), max_size=6)))]
+    return Corpus(items=items, interactions=interactions,
+                  taxonomy={c: (f"{c}/s",) for c in CATEGORIES}, users=users)
+
+
 class TestJsonRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=corpora())
+    def test_loaded_corpus_equals_saved_or_is_rejected(self, corpus):
+        try:
+            loaded = corpus_from_json(corpus_to_json(corpus))
+        except ValueError:
+            with pytest.raises(ValueError):
+                corpus.validate()
+            return
+        assert loaded == corpus
+        # the loop can credit every item of an accepted corpus
+        for user, network in build_all(loaded).items():
+            for item in loaded.items.values():
+                assert 0.0 <= acceptance_share(item, network) <= 1.0 + 1e-9
+                network.update_on_feedback(item)
+
     def test_equal_after_round_trip(self, tmp_path):
         corpus = synth_corpus(SynthSpec(n_users=4, n_categories=4,
                                         subcats_per_category=2, n_items=40,

@@ -151,6 +151,35 @@ class TestExternalGenerator:
         assert gen.generate(("food",)) == ("ok", "fine")
         assert gen.fallback_count == 0
 
+    @pytest.mark.parametrize("doc", [
+        {"title": None, "abstract": "fine"},
+        {"title": "", "abstract": "fine"},
+        {"title": "ok", "abstract": 3},
+        {"title": "ok"},
+        ["not", "a", "mapping"],
+    ])
+    def test_malformed_response_counts_and_falls_back(self, doc):
+        attempts = []
+
+        def post(url, json, timeout):
+            attempts.append(1)
+            return doc
+
+        gen = ExternalGenerator("http://gen", self.fallback(), retries=1, post=post)
+        assert gen.generate(("food",), seed=0) == \
+            self.fallback().generate(("food",), 0)
+        assert len(attempts) == 2
+        assert gen.fallback_count == 1
+
+    def test_programming_error_propagates(self):
+        def post(url, json, timeout):
+            raise AttributeError("bug in the caller")
+
+        gen = ExternalGenerator("http://gen", self.fallback(), retries=2, post=post)
+        with pytest.raises(AttributeError):
+            gen.generate(("food",))
+        assert gen.fallback_count == 0
+
 
 class TestGenerateItem:
     def test_uniform_weights_and_synthetic_subcategory(self):
@@ -364,6 +393,6 @@ class TestActiveSessionHasQueue:
                 break
             for item, accepted in zip(items, decisions):
                 if accepted:
-                    network.update_on_feedback(item, True)
+                    network.update_on_feedback(item)
                 apply_feedback(session, item, accepted, graph, network)
                 assert session.queue or not session.active

@@ -107,7 +107,6 @@ class TestCbScore:
         ctx = context_for(small_corpus())
         network = ctx.networks["u3"]
         network.accepted = []
-        network.accepted_ids = set()
         assert cb_score(ctx.corpus.items["i1"], network, ctx.index.vectors) == 0.0
 
     def test_matches_hand_cosine(self):
@@ -183,23 +182,28 @@ class TestUcScore:
         assert uc_score(ctx.corpus.items["i2"], "u1", ctx.networks) == 0.0
 
 
+def every_item_eligible(ctx):
+    """Clear every accept row, so ranking may return any item."""
+    ctx.accept_matrix[:] = 0.0
+
+
 class TestRdCandidates:
     """The RD branch of baseline_ranking: a seeded uniform sample."""
 
     def test_deterministic_and_excluding(self):
         ctx = context_for(small_corpus())
-        first = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5, exclude=set())
-        second = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5, exclude=set())
+        excluded = baseline_ranking("rd", ctx, "u1", 5, step=1, seed=5)
+        assert set(excluded) == {"i3", "i4", "i5"}   # u1 accepted i1 and i2
+        every_item_eligible(ctx)
+        first = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5)
+        second = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5)
         assert first == second
         assert len(set(first)) == 3
-        excluded = baseline_ranking("rd", ctx, "u1", 5, step=1, seed=5,
-                                    exclude={"i1", "i2"})
-        assert set(excluded) == {"i3", "i4", "i5"}
 
     def test_seed_and_user_vary_the_sample(self):
         ctx = context_for(small_corpus())
-        pools = {tuple(baseline_ranking("rd", ctx, u, 5, step=1, seed=s,
-                                        exclude=set()))
+        every_item_eligible(ctx)
+        pools = {tuple(baseline_ranking("rd", ctx, u, 5, step=1, seed=s))
                  for u in ("u1", "u2") for s in (0, 1)}
         assert len(pools) > 1
 
@@ -207,30 +211,40 @@ class TestRdCandidates:
 class TestBaselineRanking:
     def test_rd_varies_by_step_and_stays_seeded(self):
         ctx = context_for(small_corpus())
-        a = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=7, exclude=set())
-        b = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=7, exclude=set())
-        c = baseline_ranking("rd", ctx, "u1", 3, step=2, seed=7, exclude=set())
+        every_item_eligible(ctx)
+        a = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=7)
+        b = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=7)
+        c = baseline_ranking("rd", ctx, "u1", 3, step=2, seed=7)
         assert a == b
         assert a != c or len(ctx.index.ids) <= 3
 
     def test_cb_orders_by_score_then_id(self):
         ctx = context_for(small_corpus())
-        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0,
-                                  exclude=set())
+        every_item_eligible(ctx)
+        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
         scores = _baseline_scores("cb", ctx, "u1")
         keys = [(-scores[ctx.index.pos[i]], i) for i in ranked]
         assert keys == sorted(keys)
 
     def test_exclusion_respected(self):
         ctx = context_for(small_corpus())
-        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0,
-                                  exclude={"i1", "i2"})
-        assert "i1" not in ranked and "i2" not in ranked
+        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
+        assert "i1" not in ranked and "i2" not in ranked   # u1's history
+        ctx.note_accept("u1", ["i4"])
+        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
+        assert sorted(ranked) == ["i3", "i5"]
+
+    def test_no_baseline_slot_ranks_nothing(self, monkeypatch):
+        ctx = context_for(small_corpus())
+        monkeypatch.setattr(recommenders, "substream", None)
+        monkeypatch.setattr(recommenders, "_baseline_scores", None)
+        for kind in ("rd", "cb", "uc"):
+            assert baseline_ranking(kind, ctx, "u1", 0, step=1, seed=0) == []
 
     def test_unknown_kind_rejected(self):
         ctx = context_for(small_corpus())
         with pytest.raises(ValueError):
-            baseline_ranking("zz", ctx, "u1", 3, step=1, seed=0, exclude=set())
+            baseline_ranking("zz", ctx, "u1", 3, step=1, seed=0)
 
 
 def sorted_ranking(ctx, scores, k, exclude):
@@ -254,8 +268,7 @@ def ranking_cases(draw):
     ids = [f"i{j}" for j in draw(st.permutations(range(n)))]
     tied = st.sampled_from([0.0, 0.0, -0.0, 0.5, 1.0, -0.25])
     scores = draw(st.lists(tied | st.floats(-1.0, 1.0), min_size=n, max_size=n))
-    outside = ["gi:u1:1", "gi:u1:2", "zz"]     # excluded ids not in the index
-    exclude = draw(st.sets(st.sampled_from(ids + outside)))
+    exclude = draw(st.sets(st.sampled_from(ids)))
     k = draw(st.integers(0, n + 3))
     return ids, np.array(scores), exclude, k
 
@@ -273,12 +286,13 @@ class TestRankingMatchesSortedOracle:
     def test_scored_and_rd_rankings_match_the_reference(self, case, step):
         ids, scores, exclude, k = case
         ctx = ranking_context(ids)
+        ctx.note_accept("u1", sorted(exclude))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recommenders, "_baseline_scores",
                        lambda kind, ctx, user_id: scores)
-            ranked = baseline_ranking("cb", ctx, "u1", k, step, 3, exclude)
+            ranked = baseline_ranking("cb", ctx, "u1", k, step, 3)
         assert ranked == sorted_ranking(ctx, scores, k, exclude)
-        assert (baseline_ranking("rd", ctx, "u1", k, step, 3, exclude)
+        assert (baseline_ranking("rd", ctx, "u1", k, step, 3)
                 == rd_ranking(ctx, "u1", k, step, 3, exclude))
 
 
@@ -308,9 +322,9 @@ class TestAccelerationAgreesWithReference:
         ctx, corpus = self.context()
         user = corpus.users[0]
         fresh = next(i for i in corpus.items
-                     if i not in ctx.networks[user].accepted_ids)
-        ctx.networks[user].update_on_feedback(corpus.items[fresh], True)
-        ctx.note_accept(user, corpus.items[fresh])
+                     if i not in ctx.networks[user].accepted)
+        ctx.networks[user].update_on_feedback(corpus.items[fresh])
+        ctx.note_accept(user, [fresh])
         ctx.refresh_mass()
         network = ctx.networks[user]
         vectors = ctx.graph.item_vectors
@@ -326,15 +340,15 @@ class TestAccelerationAgreesWithReference:
         user = corpus.users[0]
         # accept one dataset item and one generated item
         fresh = next(i for i in corpus.items
-                     if i not in acc.networks[user].accepted_ids)
-        acc.networks[user].update_on_feedback(corpus.items[fresh], True)
-        acc.note_accept(user, corpus.items[fresh])
+                     if i not in acc.networks[user].accepted)
+        acc.networks[user].update_on_feedback(corpus.items[fresh])
+        acc.note_accept(user, [fresh])
         gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
                   origin=ORIGIN_GENERATED)
         acc.graph.accept_items([gi])
-        acc.networks[user].update_on_feedback(gi, True)
-        acc.note_accept(user, gi)
+        acc.networks[user].update_on_feedback(gi)
+        acc.note_accept(user, [gi.id])
         acc.refresh_mass()
 
         rebuilt = FeedContext(corpus=corpus, index=acc.index,
@@ -356,9 +370,10 @@ class TestAccelerationAgreesWithReference:
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
                   origin=ORIGIN_GENERATED)
         ctx.graph.accept_items([gi])
-        for item in (gi, corpus.items[ctx.index.ids[0]]):
-            ctx.networks[user].update_on_feedback(item, True)
-            ctx.note_accept(user, item)
+        accepts = [gi, corpus.items[ctx.index.ids[0]]]
+        for item in accepts:
+            ctx.networks[user].update_on_feedback(item)
+        ctx.note_accept(user, [item.id for item in accepts])
         for u in corpus.users:
             expected = np.zeros(ctx.profile_sums.shape[1])
             for item_id in ctx.networks[u].accepted:
@@ -366,7 +381,9 @@ class TestAccelerationAgreesWithReference:
                     expected[tid] += w
             row = ctx.user_pos[u]
             assert np.array_equal(ctx.profile_sums[row], expected), u
-            assert ctx.profile_counts[row] == len(ctx.networks[u].accepted)
+            in_index = {ctx.index.pos[i] for i in ctx.networks[u].accepted
+                        if i in ctx.index.pos}
+            assert set(np.flatnonzero(ctx.accept_matrix[row])) == in_index, u
 
 
 def session_for(ctx, user_id):
@@ -399,7 +416,7 @@ class TestAssembleFeed:
     def test_accepted_items_never_reappear(self):
         ctx = context_for(small_corpus())
         feed = assemble_feed("cb", False, 0.0, 5, None, ctx, "u1", step=1, seed=0)
-        assert {it.id for it in feed.items}.isdisjoint(ctx.networks["u1"].accepted_ids)
+        assert {it.id for it in feed.items}.isdisjoint(ctx.networks["u1"].accepted)
         assert len(feed.items) == 3   # only three unaccepted items exist
 
     def test_without_nudging_all_slots_are_baseline(self):

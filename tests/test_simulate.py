@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,17 +218,22 @@ class TestRunLoop:
                 if rec.user_id == "u0000":   # bubble-affected, nudged
                     assert rec.origins.count(ORIGIN_GENERATED) == 4  # round(0.6*6)
 
-    def test_accepted_items_never_reappear(self, fb_corpus, fb_assets):
-        run = run_loop(self.config(feeds=6), fb_corpus, fb_assets)
-        seen_accepted = set()
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), model=st.sampled_from(sorted(MODELS)),
+           w=st.floats(0.0, 1.0))
+    @example(seed=1, model="cb_w", w=0.6)
+    def test_accepted_items_never_reappear(self, fb_corpus, fb_assets, seed,
+                                           model, w):
+        run = run_loop(self.config(feeds=6, model=model, w=w, seed=seed),
+                       fb_corpus, fb_assets)
+        seeded = build_all(fb_corpus)
+        accepted = {u: set(seeded[u].accepted) for u in run.users}
         for recs in run.steps:
             for rec in recs:
-                if rec.user_id != "u0000":
-                    continue
-                assert seen_accepted.isdisjoint(rec.item_ids)
-                for dec in rec.decisions:
-                    if dec.accepted:
-                        seen_accepted.add(dec.item_id)
+                assert accepted[rec.user_id].isdisjoint(rec.item_ids)
+            for rec in recs:
+                accepted[rec.user_id].update(
+                    d.item_id for d in rec.decisions if d.accepted)
 
     def test_unknown_user_rejected(self, fb_corpus, fb_assets):
         with pytest.raises(ValueError, match="unknown user"):
@@ -342,8 +348,11 @@ class TestStateMatchesLog:
                       for d in r.decisions if d.accepted]
             assert network.accepted == \
                 seeded[user].accepted + [d.item_id for d in logged]
+            # the accept row holds exactly the history's index items
             row = state.ctx.user_pos[user]
-            assert state.ctx.profile_counts[row] == len(network.accepted)
+            pos = state.ctx.index.pos
+            assert set(np.flatnonzero(state.ctx.accept_matrix[row])) == \
+                {pos[i] for i in network.accepted if i in pos}
             assert all(i in state.graph.item_vectors for i in network.accepted)
             # an accepted generated item is credited once, at unit weight, to
             # the synthetic subcategories and to its categories' graph members
