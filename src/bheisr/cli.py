@@ -104,15 +104,9 @@ def build_config(args) -> SimConfig:
     return config
 
 
-def _load_corpus(config: SimConfig):
-    corpus = simulate.build_corpus(config)
-    corpus.validate()
-    return corpus
-
-
 def cmd_ingest(args) -> int:
     config = build_config(args)
-    corpus = _load_corpus(config)
+    corpus = simulate.build_corpus(config)
     if args.out:
         save_corpus(corpus, args.out)
     print(f"items={len(corpus.items)} interactions={len(corpus.interactions)} "
@@ -125,7 +119,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_detect(args) -> int:
     config = build_config(args)
-    corpus = _load_corpus(config)
+    corpus = simulate.build_corpus(config)
     result = simulate._classify(corpus, belief_mod.build_all(corpus))
     if result is None:
         print(f"need at least {detection.MIN_POPULATION} users with history "
@@ -165,7 +159,7 @@ def cmd_detect(args) -> int:
 
 def cmd_graph(args) -> int:
     config = build_config(args)
-    corpus = _load_corpus(config)
+    corpus = simulate.build_corpus(config)
     vocab = build_vocabulary(corpus.items.values())
     graph = CategoryGraph.build(corpus, vocab)
     if args.out:

@@ -66,6 +66,13 @@ class Corpus:
 
     def validate(self) -> None:
         taxonomy, items = self.taxonomy, self.items
+        # a belief network files each subcategory's mass under one category
+        owner = {}
+        for category, subs in taxonomy.items():
+            for sub in subs:
+                if owner.setdefault(sub, category) != category:
+                    raise ValueError(f"subcategory {sub!r} is under both "
+                                     f"{owner[sub]!r} and {category!r}")
         for item in items.values():
             category = item.category
             if category not in taxonomy:
@@ -77,6 +84,10 @@ class Corpus:
             for cat, w in weights.items():
                 if cat not in taxonomy:
                     raise ValueError(f"item {item.id}: weight on unknown category {cat!r}")
+                # bool is an int: a JSON true would otherwise count as 1
+                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                    raise ValueError(f"item {item.id}: weight {w!r} on {cat!r} is not "
+                                     f"a number")
                 if not 0.0 <= w <= MAX_WEIGHT:
                     raise ValueError(f"item {item.id}: weight {w} on {cat!r} is not "
                                      f"in [0, 1]")
@@ -184,6 +195,24 @@ def load_behaviors(path: str) -> Corpus:
     return corpus
 
 
+def _csv_rows(path: str, required: tuple):
+    """(line number, row) for each data row of a CSV file whose header names
+    the required columns. A row too short to fill them, or one the csv
+    module cannot read, is a ParseError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+                raise ParseError(f"{path}: header must contain {sorted(required)}")
+            for lineno, row in enumerate(reader, start=2):
+                if any(row[column] is None for column in required):
+                    raise ParseError(f"{path}: line {lineno}: expected "
+                                     f"{len(reader.fieldnames)} fields")
+                yield lineno, row
+        except csv.Error as exc:    # not a ValueError, e.g. an oversized field
+            raise ParseError(f"{path}: line {reader.reader.line_num}: {exc}") from None
+
+
 def load_ratings(path: str) -> Corpus:
     """Load a ratings-style corpus from a directory with movies.csv + ratings.csv.
 
@@ -200,50 +229,41 @@ def load_ratings(path: str) -> Corpus:
     items: dict = {}
     taxonomy: dict = {}
     rejects = []
-    with open(movies_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "genres", "title", "overview"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(f"{movies_path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            genres = [g for g in (row["genres"] or "").split("|") if g]
-            if not genres:
-                rejects.append((lineno, f"movie {row['id']!r}: no genres"))
-                continue
-            category = genres[0]
-            if len(genres) == 1:
-                sublabels = [f"{category}/general"]
-            else:
-                sublabels = [f"{category}/{g}" for g in genres[1:]]
-            taxonomy.setdefault(category, set()).update(sublabels)
-            item_id = row["id"]
-            items[item_id] = Item(id=item_id, category=category,
-                                  subcategory=sublabels[0],
-                                  title=row["title"], abstract=row["overview"] or "",
-                                  category_weights={category: 1.0})
+    for lineno, row in _csv_rows(movies_path, ("id", "genres", "title", "overview")):
+        genres = [g for g in row["genres"].split("|") if g]
+        if not genres:
+            rejects.append((lineno, f"movie {row['id']!r}: no genres"))
+            continue
+        category = genres[0]
+        if len(genres) == 1:
+            sublabels = [f"{category}/general"]
+        else:
+            sublabels = [f"{category}/{g}" for g in genres[1:]]
+        taxonomy.setdefault(category, set()).update(sublabels)
+        item_id = row["id"]
+        items[item_id] = Item(id=item_id, category=category,
+                              subcategory=sublabels[0],
+                              title=row["title"], abstract=row["overview"],
+                              category_weights={category: 1.0})
 
     latest: dict = {}   # (user, movie) -> (ts_key, file order, rating, raw ts)
-    with open(ratings_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"user_id", "movie_id", "rating", "timestamp"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(f"{ratings_path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rating = float(row["rating"])
-            except ValueError:
-                raise ParseError(f"{ratings_path}: line {lineno}: bad rating "
-                                 f"{row['rating']!r}") from None
-            if not (0.0 <= rating <= 5.0):
-                rejects.append((lineno, f"rating {rating} outside [0, 5]"))
-                continue
-            if row["movie_id"] not in items:
-                rejects.append((lineno, f"unknown movie {row['movie_id']!r}"))
-                continue
-            key = (row["user_id"], row["movie_id"])
-            entry = (_timestamp_key(row["timestamp"]), lineno, rating, row["timestamp"])
-            if key not in latest or entry[:2] >= latest[key][:2]:
-                latest[key] = entry
+    for lineno, row in _csv_rows(ratings_path,
+                                 ("user_id", "movie_id", "rating", "timestamp")):
+        try:
+            rating = float(row["rating"])
+        except ValueError:
+            raise ParseError(f"{ratings_path}: line {lineno}: bad rating "
+                             f"{row['rating']!r}") from None
+        if not (0.0 <= rating <= 5.0):
+            rejects.append((lineno, f"rating {rating} outside [0, 5]"))
+            continue
+        if row["movie_id"] not in items:
+            rejects.append((lineno, f"unknown movie {row['movie_id']!r}"))
+            continue
+        key = (row["user_id"], row["movie_id"])
+        entry = (_timestamp_key(row["timestamp"]), lineno, rating, row["timestamp"])
+        if key not in latest or entry[:2] >= latest[key][:2]:
+            latest[key] = entry
 
     kept = sorted(latest.items(), key=lambda kv: kv[1][1])   # file order of the kept row
     ordinals = _ordinalize([kv[1][3] for kv in kept])

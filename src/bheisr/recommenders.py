@@ -117,7 +117,8 @@ class FeedContext:
     the scoring state holds only what derives from it. enable_acceleration
     builds that state from the networks and the graph's item vectors;
     note_accept folds each user's new accepts into it and refresh_mass
-    re-snapshots the history masses once per step barrier.
+    re-snapshots the history masses of the users who accepted something,
+    once per step barrier.
     """
     corpus: object
     index: CandidateIndex
@@ -129,8 +130,9 @@ class FeedContext:
     cats: list = None
     accept_matrix: np.ndarray = None     # users x items, 0/1
     mass_matrix: np.ndarray = None       # users x categories, history masses
+    mass_norms: np.ndarray = None        # per user, norm of the mass row
     cat_index: np.ndarray = None         # per item, category row in cats
-    id_order: np.ndarray = None          # item positions in ascending id order
+    id_rank: np.ndarray = None           # per item, rank in ascending id order
     profile_sums: np.ndarray = None      # users x terms, running accept sums
 
     def enable_acceleration(self) -> None:
@@ -141,8 +143,9 @@ class FeedContext:
         cat_pos = {c: j for j, c in enumerate(self.cats)}
         self.cat_index = np.array([cat_pos[c] for c in index.categories],
                                   dtype=np.intp)
-        self.id_order = np.array(sorted(range(len(index.ids)),
-                                        key=index.ids.__getitem__), dtype=np.intp)
+        id_order = sorted(range(len(index.ids)), key=index.ids.__getitem__)
+        self.id_rank = np.empty(len(id_order), dtype=np.intp)
+        self.id_rank[id_order] = np.arange(len(id_order))
         n_users = len(self.user_ids)
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
         self.profile_sums = np.zeros((n_users, index.matrix.shape[1]))
@@ -150,13 +153,23 @@ class FeedContext:
             self.note_accept(u, self.networks[u].accepted)
         self.refresh_mass()
 
-    def refresh_mass(self) -> None:
-        """Re-snapshot every user's per-category history mass."""
-        rows = []
-        for u in self.user_ids:
+    def refresh_mass(self, user_ids=None) -> None:
+        """Re-snapshot the per-category history mass and its norm for the
+        given users, or for every user.
+
+        Only an accept changes a user's mass, so the step barrier passes just
+        the users who accepted something.
+        """
+        if user_ids is None:
+            user_ids = self.user_ids
+            self.mass_matrix = np.zeros((len(user_ids), len(self.cats)))
+            self.mass_norms = np.zeros(len(user_ids))
+        rows = np.array([self.user_pos[u] for u in user_ids], dtype=np.intp)
+        for u, r in zip(user_ids, rows):
             mass = self.networks[u].mass_by_category()
-            rows.append([mass.get(c, 0.0) for c in self.cats])
-        self.mass_matrix = np.array(rows)
+            self.mass_matrix[r] = [mass[c] for c in self.cats]
+        # row-wise sums, as a full rebuild takes them (a 1-D norm calls BLAS dot)
+        self.mass_norms[rows] = np.linalg.norm(self.mass_matrix[rows], axis=1)
 
     def note_accept(self, user_id: str, item_ids) -> None:
         """Fold the user's newly accepted items, in order, into their accept
@@ -224,8 +237,7 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
             return np.zeros(n)
         mine = ctx.mass_matrix[row]
         dots = ctx.mass_matrix @ mine
-        norms = np.linalg.norm(ctx.mass_matrix, axis=1)
-        denom = norms * float(np.linalg.norm(mine))
+        denom = ctx.mass_norms * float(np.linalg.norm(mine))
         with np.errstate(divide="ignore", invalid="ignore"):
             sims = np.where(denom > 0.0, dots / denom, 0.0)
         sims[row] = 0.0
@@ -241,23 +253,26 @@ def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
     """Top-k candidate items for a baseline, deterministic under ties.
 
     Items in the user's accept row are never ranked. Scored baselines rank
-    by descending score, ties broken by ascending id: one stable argsort over
-    the scores laid out in id order. RD draws a seeded permutation of the
-    eligible items in index order.
+    by descending score, ties broken by ascending id: a partition finds the
+    k-th best score, and only the candidates at or above it, ties included,
+    are sorted. RD draws a seeded permutation of the eligible items in index
+    order.
     """
     if k == 0:
         return []
     index = ctx.index
-    keep = ctx.accept_matrix[ctx.user_pos[user_id]] == 0.0
+    cand = np.flatnonzero(ctx.accept_matrix[ctx.user_pos[user_id]] == 0.0)
     if kind == "rd":
-        eligible = np.flatnonzero(keep)
         rng = substream(seed, "rd", user_id, step)
-        order = rng.permutation(len(eligible))
-        return [index.ids[eligible[i]] for i in order[:k]]
-    scores = _baseline_scores(kind, ctx, user_id)
-    by_id = ctx.id_order
-    ranked = by_id[np.argsort(-scores[by_id], kind="stable")]
-    return [index.ids[p] for p in ranked[keep[ranked]][:k]]
+        order = rng.permutation(len(cand))
+        return [index.ids[cand[i]] for i in order[:k]]
+    neg = -_baseline_scores(kind, ctx, user_id)[cand]
+    if len(cand) > k:
+        kth = np.partition(neg, k - 1)[k - 1]
+        within = neg <= kth
+        cand, neg = cand[within], neg[within]
+    order = np.lexsort((ctx.id_rank[cand], neg))[:k]
+    return [index.ids[p] for p in cand[order]]
 
 
 def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,

@@ -330,9 +330,10 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
         for user in sim_users:
             buffer.accept_items(results[user][1])
         buffer.flush()
-        for user in sim_users:
+        changed = [user for user in sim_users if results[user][1]]
+        for user in changed:
             state.ctx.note_accept(user, [it.id for it in results[user][1]])
-        state.ctx.refresh_mass()
+        state.ctx.refresh_mass(changed)
         record.steps.append([results[user][0] for user in sim_users])
 
         if step in checkpoints:

@@ -14,7 +14,7 @@ from bheisr.cli import (
     parse_kv_list,
     parse_synth,
 )
-from bheisr.corpus import synth_corpus
+from bheisr.corpus import Corpus, save_corpus, synth_corpus
 from bheisr.detection import ks_normality, skewness
 
 SYNTH = "n_users=16,n_categories=10,subcats_per_category=2,n_items=400,bias_profile=5,seed=0"
@@ -153,6 +153,17 @@ class TestIngest:
         assert main(["ingest"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["x", True])
+    def test_weight_that_is_not_a_number_exits_2(self, tmp_path, capsys, weight):
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
+        doc = json.loads(path.read_text())
+        item = doc["items"][0]
+        item["category_weights"] = {item["category"]: weight}
+        path.write_text(json.dumps(doc))
+        assert main(["ingest", "--dataset", str(path)]) == 2
+        assert "is not a number" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_reports_bubble_affected_users(self, tmp_path, capsys):
@@ -188,6 +199,14 @@ class TestDetect:
             assert stats["skewness"] == skewness(values)
             checked += 1
         assert checked > 0
+
+    def test_corpus_validated_once(self, monkeypatch, capsys):
+        calls = []
+        validate = Corpus.validate
+        monkeypatch.setattr(Corpus, "validate",
+                            lambda corpus: calls.append(1) or validate(corpus))
+        assert main(["detect", "--synth", "n_users=20,bias_profile=10"]) == 0
+        assert len(calls) == 1
 
     def test_small_population_exits_1(self, capsys):
         code = main(["detect", "--synth",

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bheisr.belief import build_all
@@ -143,6 +143,13 @@ class TestLoadRatings:
         with pytest.raises(FileNotFoundError):
             load_ratings(str(tmp_path))
 
+    def test_unreadable_csv_raises_parse_error(self, tmp_path):
+        write(tmp_path / "movies.csv", RATINGS_MOVIES.replace("Heist night",
+                                                              "x" * 200_000))
+        write(tmp_path / "ratings.csv", RATINGS_ROWS)
+        with pytest.raises(ParseError, match="line 2: field larger than"):
+            load_ratings(str(tmp_path))
+
     def test_bad_header_raises(self, tmp_path):
         write(tmp_path / "movies.csv", "id,title\nm1,x\n")
         write(tmp_path / "ratings.csv", RATINGS_ROWS)
@@ -195,6 +202,18 @@ class TestValidate:
         with pytest.raises(ValueError, match=message):
             corpus_from_json(corpus_to_json(corpus))
 
+    @pytest.mark.parametrize("weight", ["x", "1.0", None, True, [1.0]])
+    def test_weight_that_is_not_a_number_rejected(self, weight):
+        corpus = self.base()
+        corpus.items["i1"].category_weights = {"c": weight}
+        with pytest.raises(ValueError, match="is not a number"):
+            corpus_from_json(corpus_to_json(corpus))
+
+    def test_integer_weight_accepted(self):
+        corpus = self.base()
+        corpus.items["i1"].category_weights = {"c": 1}
+        assert corpus_from_json(corpus_to_json(corpus)) == corpus
+
     def test_generated_item_may_span_categories(self):
         corpus = self.base()
         corpus.taxonomy["d"] = ("d/s",)
@@ -204,6 +223,12 @@ class TestValidate:
             corpus.validate()
         del corpus.items["i1"].category_weights["e"]
         corpus.validate()
+
+    def test_subcategory_under_two_categories_rejected(self):
+        corpus = self.base()
+        corpus.taxonomy["d"] = ("d/s", "c/s")
+        with pytest.raises(ValueError, match="'c/s' is under both 'c' and 'd'"):
+            corpus.validate()
 
     def test_interaction_user_must_exist(self):
         corpus = self.base()
@@ -341,3 +366,61 @@ class TestJsonRoundTrip:
         corpus.items[first].origin = "generated"
         back = corpus_from_json(corpus_to_json(corpus))
         assert back.items[first].origin == "generated"
+
+
+# short fields from a few shared tokens, so rows collide on categories,
+# subcategories, users and items; plus arbitrary text with separators
+FUZZ_TOKENS = st.sampled_from(["", "u1", "u2", "a", "b", "s", "a/s", "b/s", "0", "1",
+                               "2", "4.5", "10", "-1", "nan", "m1", "m2", "a|b",
+                               "a|s", "b|a/s", "a/s|b", '"', "x,y"])
+FUZZ_FIELDS = FUZZ_TOKENS | st.text(st.characters(blacklist_categories=("Cs",)),
+                                    max_size=6)
+
+
+def fuzz_file(sep, n_fields):
+    """Rows of mostly n_fields fields (last one often 0 or 1), some ragged."""
+    last = st.sampled_from(["0", "1"]) | FUZZ_FIELDS
+    shaped = st.tuples(st.lists(FUZZ_FIELDS, min_size=n_fields - 1,
+                                max_size=n_fields - 1), last)
+    row = (shaped.map(lambda t: t[0] + [t[1]])
+           | st.lists(FUZZ_FIELDS, max_size=n_fields + 1)).map(sep.join)
+    return st.lists(row, max_size=8).map(lambda rows: "\n".join(rows) + "\n")
+
+
+def loads_or_rejects(load, path):
+    """The loader returns a corpus the loop can use, or raises ValueError."""
+    try:
+        corpus = load(path)
+    except ValueError:          # ParseError included
+        return
+    corpus.validate()
+    for network in build_all(corpus).values():
+        for item in corpus.items.values():
+            network.update_on_feedback(item)
+
+
+class TestLoadersFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(text=fuzz_file("\t", 7) | fuzz_file("\t", 6))
+    @example(text="u1\t1\ta\ts\tT\t1\nu1\t2\tb\ts\tU\t1\n")   # shared subcategory
+    def test_behaviors_rows(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tsv") / "b.tsv"
+        loads_or_rejects(load_behaviors, write(path, text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(movies=fuzz_file(",", 4), ratings=fuzz_file(",", 4),
+           movies_header=st.booleans(), ratings_header=st.booleans())
+    @example(movies="m1,a,T,O\n", ratings="u1,m1\n",        # short row
+             movies_header=True, ratings_header=True)
+    @example(movies="m1,a/b,T,O\nm2,a|b/general,U,O\n",  # a/b/general twice
+             ratings="u1,m2,4,1\n", movies_header=True, ratings_header=True)
+    def test_ratings_rows(self, movies, ratings, movies_header, ratings_header,
+                          tmp_path_factory):
+        root = tmp_path_factory.mktemp("csv")
+        if movies_header:
+            movies = "id,genres,title,overview\n" + movies
+        if ratings_header:
+            ratings = "user_id,movie_id,rating,timestamp\n" + ratings
+        write(root / "movies.csv", movies)
+        write(root / "ratings.csv", ratings)
+        loads_or_rejects(load_ratings, str(root))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bheisr import recommenders
@@ -280,10 +280,30 @@ def ranking_context(ids):
                               taxonomy={"a": ("a/s",)}, users=("u1",)))
 
 
+@st.composite
+def tie_block_cases(draw):
+    """Up to 300 items whose scores take two or three values, with k on, just
+    inside or just outside the edge of a block of tied eligible scores."""
+    n = draw(st.integers(1, 300))
+    ids = [f"i{j}" for j in draw(st.permutations(range(n)))]
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.25]),
+                           min_size=2, max_size=3))
+    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n,
+                                    max_size=n)))
+    exclude = draw(st.sets(st.sampled_from(ids), max_size=n // 3))
+    eligible = sorted(-scores[j] for j, i in enumerate(ids) if i not in exclude)
+    edges = [b for b in range(1, len(eligible) + 1)
+             if b == len(eligible) or eligible[b] != eligible[b - 1]]
+    k = max(0, draw(st.sampled_from(edges)) + draw(st.sampled_from([-1, 0, 1])))
+    return ids, scores, exclude, k
+
+
+# index order differs from id order; "i10" sorts before "i2"
+MIXED_IDS = ["i3", "i10", "i1", "i2", "i0", "i5"]
+
+
 class TestRankingMatchesSortedOracle:
-    @settings(max_examples=200, deadline=None)
-    @given(case=ranking_cases(), step=st.integers(1, 5))
-    def test_scored_and_rd_rankings_match_the_reference(self, case, step):
+    def check(self, case, step):
         ids, scores, exclude, k = case
         ctx = ranking_context(ids)
         ctx.note_accept("u1", sorted(exclude))
@@ -294,6 +314,28 @@ class TestRankingMatchesSortedOracle:
         assert ranked == sorted_ranking(ctx, scores, k, exclude)
         assert (baseline_ranking("rd", ctx, "u1", k, step, 3)
                 == rd_ranking(ctx, "u1", k, step, 3, exclude))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=ranking_cases(), step=st.integers(1, 5))
+    # every score equal: the ranking is the id order
+    @example(case=(MIXED_IDS, np.full(6, 0.5), set(), 4), step=1)
+    # 0.0 and -0.0 tie at the k-th value
+    @example(case=(MIXED_IDS, np.array([1.0, 0.0, -0.0, 0.0, -0.0, -0.5]), set(), 2),
+             step=1)
+    @example(case=(MIXED_IDS, np.array([-0.0, 0.0, 1.0, -0.0, 0.0, 0.0]), {"i5"}, 3),
+             step=2)
+    # k equal to, then above, the number of eligible items
+    @example(case=(MIXED_IDS, np.array([0.5, 1.0, 0.5, -1.0, 0.0, 1.0]),
+                   {"i3", "i0"}, 4), step=1)
+    @example(case=(MIXED_IDS, np.array([0.5, 1.0, 0.5, -1.0, 0.0, 1.0]),
+                   {"i3", "i0"}, 6), step=1)
+    def test_scored_and_rd_rankings_match_the_reference(self, case, step):
+        self.check(case, step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tie_block_cases(), step=st.integers(1, 5))
+    def test_large_tie_blocks_match_the_reference(self, case, step):
+        self.check(case, step)
 
 
 class TestAccelerationAgreesWithReference:

@@ -40,6 +40,8 @@ PLAIN_SPEC = SynthSpec(n_users=12, n_categories=6, subcats_per_category=2,
 FB_SPEC = SynthSpec(n_users=16, n_categories=10, subcats_per_category=2,
                     n_items=400, bias_profile=5, seed=0)
 
+FB_USERS = tuple(f"u{j:04d}" for j in range(FB_SPEC.n_users))
+
 
 @pytest.fixture(scope="module")
 def fb_corpus():
@@ -364,6 +366,30 @@ class TestStateMatchesLog:
             for item_id in gen:
                 assert any(item_id in m for m in state.graph.members.values())
         assert generated_accepts > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), feeds=st.integers(1, 6),
+           users=st.none() | st.sets(st.sampled_from(FB_USERS), min_size=1))
+    @example(seed=0, feeds=5, users=None)
+    def test_refreshed_mass_rows_equal_a_rebuild(self, fb_corpus, fb_assets,
+                                                  seed, feeds, users):
+        # the barrier re-snapshots only the rows of users who accepted
+        states = []
+
+        def spy(*args, **kwargs):
+            states.append(prepare(*args, **kwargs))
+            return states[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "prepare", spy)
+            run_loop(SimConfig(model="uc_w", w=0.6, k=6, feeds=feeds, seed=seed,
+                               users=tuple(sorted(users)) if users else None),
+                     fb_corpus, fb_assets)
+        ctx = states[0].ctx
+        mass, norms = ctx.mass_matrix.copy(), ctx.mass_norms.copy()
+        ctx.refresh_mass()
+        assert np.array_equal(mass, ctx.mass_matrix)
+        assert np.array_equal(norms, ctx.mass_norms)
 
 
 class TestResolveTargetUser:
