@@ -10,7 +10,9 @@ generated items contribute fractional click mass to a synthetic
 import math
 from dataclasses import dataclass, field
 
-from .corpus import ORIGIN_GENERATED
+import numpy as np
+
+from .corpus import ORIGIN_GENERATED, generated_subcategory
 
 PROB_TOL = 1e-9
 
@@ -26,15 +28,11 @@ def entropy_bits(probs) -> float:
     return total
 
 
-def _generated_subcat(category: str) -> str:
-    return f"{category}/generated"
-
-
 @dataclass
 class BeliefNetwork:
     user_id: str
     categories: tuple                   # full taxonomy, fixed for the run
-    subcat_to_cat: dict                 # subcategory label -> category
+    subcat_to_cat: dict                 # subcategory label -> category; shared
     click_counts: dict = field(default_factory=dict)   # subcategory -> mass
     accepted: list = field(default_factory=list)       # item ids, append-only
     click_probs: dict = field(default_factory=dict)
@@ -66,7 +64,10 @@ class BeliefNetwork:
         return mass
 
     def positive_category_count(self) -> int:
-        return sum(1 for m in self.mass_by_category().values() if m > 0.0)
+        # click mass is never negative, so a category's mass is positive
+        # exactly when one of its subcategories has a positive count
+        return len({self.subcat_to_cat[s] for s, c in self.click_counts.items()
+                    if c > 0.0})
 
     def add_click_mass(self, subcategory: str, category: str, mass: float) -> None:
         if subcategory not in self.subcat_to_cat:
@@ -91,7 +92,7 @@ class BeliefNetwork:
             if cat not in self.belief:
                 raise ValueError(f"item {item.id}: unknown category {cat!r}")
             if item.origin == ORIGIN_GENERATED:
-                sub = _generated_subcat(cat)
+                sub = generated_subcategory(cat)
             else:
                 sub = item.subcategory
             self.add_click_mass(sub, cat, w)
@@ -102,27 +103,42 @@ class BeliefNetwork:
 def build_all(corpus) -> dict:
     """Belief network per corpus user from their interested interactions.
 
-    Each accepted history is seeded with those items (in timestamp order), so
-    recommenders can score and exclude them from the first feed on. Users with
-    no interested interactions get an empty (zero-mass) network.
+    Each accepted history is seeded with those items (in timestamp order,
+    equal stamps in file order), so recommenders can score and exclude them
+    from the first feed on. A subcategory's click count is its number of
+    rows, kept in first-touch order, the order entropy sums in. Users with
+    no interested interactions get an empty (zero-mass) network. Every
+    network shares one subcategory -> category map, which also binds each
+    category's reserved generated label.
     """
-    histories: dict = {u: [] for u in corpus.users}
-    for inter in corpus.interactions:
-        if corpus.interested(inter):
-            histories[inter.user_id].append(inter)
-    subcat_to_cat = {}
-    for cat, subs in corpus.taxonomy.items():
-        for sub in subs:
-            subcat_to_cat[sub] = cat
+    categories = corpus.categories()
+    subcat_to_cat = {sub: cat for cat, subs in corpus.taxonomy.items() for sub in subs}
+    labels = list(subcat_to_cat)
+    subcat_to_cat.update((generated_subcategory(c), c) for c in categories)
+    label_pos = {sub: j for j, sub in enumerate(labels)}
+    item_label = np.array([label_pos[it.subcategory] for it in corpus.items.values()],
+                          dtype=np.int64)
+    user, item = corpus.history
+    ids = np.array(list(corpus.items), dtype=object)
+    accepted = ids[item].tolist()
+    # (user, subcategory) groups in first-touch order: user is sorted, so
+    # ordering groups by their first row keeps each user's groups together
+    key = user.astype(np.int64) * len(labels) + item_label[item]
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    touch = np.argsort(first)
+    group_user = user[first[touch]]
+    group_labels = [labels[j] for j in item_label[item[first[touch]]].tolist()]
+    group_counts = counts[touch].astype(float).tolist()
+    n_users = len(corpus.users)
+    row_bounds = np.searchsorted(user, np.arange(n_users + 1)).tolist()
+    group_bounds = np.searchsorted(group_user, np.arange(n_users + 1)).tolist()
     networks = {}
-    for user in corpus.users:
-        network = BeliefNetwork(user_id=user, categories=corpus.categories(),
-                                subcat_to_cat=dict(subcat_to_cat))
-        for inter in sorted(histories[user], key=lambda x: x.timestamp):
-            item = corpus.items[inter.item_id]
-            network.accepted.append(item.id)
-            network.add_click_mass(item.subcategory, item.category, 1.0)
+    for u, user_id in enumerate(corpus.users):
+        g0, g1 = group_bounds[u], group_bounds[u + 1]
+        network = BeliefNetwork(
+            user_id=user_id, categories=categories, subcat_to_cat=subcat_to_cat,
+            click_counts=dict(zip(group_labels[g0:g1], group_counts[g0:g1])),
+            accepted=accepted[row_bounds[u]:row_bounds[u + 1]])
         network.recompute()
-        networks[user] = network
+        networks[user_id] = network
     return networks
-

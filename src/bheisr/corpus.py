@@ -2,23 +2,37 @@
 
 A corpus is a bag of textual items, a user-item interaction log with integer
 ordinal timestamps, and the category/subcategory taxonomy derived from the
-items. Two tabular layouts are supported (click behavior TSV and a two-file
-ratings CSV pair) plus a canonical JSON round-trip format.
+items. The log is kept as four columns, not as one object per row. Two
+tabular layouts are supported (click behavior TSV and a two-file ratings CSV
+pair) plus a canonical JSON round-trip format.
 """
 
 import csv
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .rng import stable_hash, substream
 
 ORIGIN_DATASET = "dataset"
 ORIGIN_GENERATED = "generated"
+GENERATED_SUFFIX = "/generated"
 
 WEIGHT_TOL = 1e-9
 MAX_WEIGHT = 1.0 + WEIGHT_TOL      # weights are non-negative and sum to one
+
+
+def generated_subcategory(category: str) -> str:
+    """The subcategory an accepted generated item credits in `category`.
+
+    The label is reserved: no corpus may name a subcategory this way.
+    """
+    return category + GENERATED_SUFFIX
 
 
 class ParseError(ValueError):
@@ -41,35 +55,154 @@ class Item:
 
 @dataclass
 class Interaction:
+    """One log row, decoded from a corpus's columns or given to from_rows."""
     user_id: str
     item_id: str
     timestamp: int
     signal: float
 
 
-@dataclass
+class InteractionRows(Sequence):
+    """The log's rows as Interaction objects, built on demand.
+
+    Walking it builds one object per row, O(n) in time; only export and
+    checks read the log this way. The loop reads the columns.
+    """
+
+    def __init__(self, corpus: "Corpus"):
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus.log_user)
+
+    def __getitem__(self, row: int) -> Interaction:
+        c = self._corpus
+        row = range(len(self))[row]
+        return Interaction(c.users[c.log_user[row]], list(c.items)[c.log_item[row]],
+                           int(c.log_ts[row]), float(c.log_signal[row]))
+
+    def __iter__(self):
+        c = self._corpus
+        ids = list(c.items)
+        for u, i, t, s in zip(c.log_user.tolist(), c.log_item.tolist(),
+                              c.log_ts.tolist(), c.log_signal.tolist()):
+            yield Interaction(c.users[u], ids[i], t, s)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or len(self) != len(other):
+            return False
+        return all(a == b for a, b in zip(self, other))
+
+
+def _log_columns(items: dict, users, user_ids, item_ids, timestamps,
+                 signals) -> dict:
+    """The four log columns of rows given by user id and item id.
+
+    An id with no position in `users` or `items` is a ValueError that names
+    the first such row's id.
+    """
+    item_pos = {item_id: p for p, item_id in enumerate(items)}
+    user_pos = {user: p for p, user in enumerate(users)}
+    for user, item_id in zip(user_ids, item_ids):
+        if item_id not in item_pos:
+            raise ValueError(f"interaction references unknown item {item_id!r}")
+        if user not in user_pos:
+            raise ValueError(f"interaction references unknown user {user!r}")
+    try:
+        log_ts = np.array(timestamps, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("interaction timestamp outside the 64-bit range") from None
+    return dict(log_user=np.array([user_pos[u] for u in user_ids], dtype=np.int32),
+                log_item=np.array([item_pos[i] for i in item_ids], dtype=np.int32),
+                log_ts=log_ts, log_signal=np.array(signals, dtype=np.float64))
+
+
+@dataclass(eq=False)
 class Corpus:
+    """Items, taxonomy, users and the interaction log.
+
+    The log is four equal-length columns; row r is the r-th row in file
+    order. `log_user` holds the user's position in `users`, `log_item` the
+    item's position in `items` (dict order), then the ordinal timestamp and
+    the signal: 24 bytes a row. The columns are read-only, so `history`,
+    which derives from them and the signal scheme, is computed once.
+    """
     items: dict            # item id -> Item
-    interactions: list     # Interaction, file order
     taxonomy: dict         # category -> tuple of subcategory labels
-    users: tuple           # sorted user ids
+    users: tuple           # user ids, in any order
+    log_user: np.ndarray   # int32
+    log_item: np.ndarray   # int32
+    log_ts: np.ndarray     # int64
+    log_signal: np.ndarray  # float64
     signal_scheme: str = "click"   # "click" (signal in {0,1}) or "rating" ([0,5])
-    rejects: list = field(default_factory=list, compare=False)
+    rejects: list = field(default_factory=list)
+
+    def __post_init__(self):
+        for column in (self.log_user, self.log_item, self.log_ts, self.log_signal):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_rows(cls, items: dict, rows, taxonomy: dict, users: tuple,
+                  signal_scheme: str = "click") -> "Corpus":
+        """Corpus whose log holds the given Interaction rows, in order.
+
+        The corpus is not validated; an unknown user or item id is a
+        ValueError here, since it has no position.
+        """
+        rows = list(rows)
+        return cls(items=items, taxonomy=taxonomy, users=users,
+                   signal_scheme=signal_scheme,
+                   **_log_columns(items, users, [x.user_id for x in rows],
+                                  [x.item_id for x in rows],
+                                  [x.timestamp for x in rows],
+                                  [x.signal for x in rows]))
+
+    @property
+    def interactions(self) -> InteractionRows:
+        return InteractionRows(self)
+
+    def _is_interested(self, signal):
+        # one test for a single signal and for the whole signal column
+        if self.signal_scheme == "rating":
+            return signal > 2.5
+        return signal >= 1.0
 
     def interested(self, interaction: Interaction) -> bool:
-        if self.signal_scheme == "rating":
-            return interaction.signal > 2.5
-        return interaction.signal >= 1.0
+        return bool(self._is_interested(interaction.signal))
+
+    @cached_property
+    def history(self) -> tuple:
+        """(user position, item position) of every interested row, ordered by
+        user position and then timestamp; equal stamps keep file order."""
+        keep = self._is_interested(self.log_signal)
+        user, item = self.log_user[keep], self.log_item[keep]
+        order = np.lexsort((self.log_ts[keep], user))    # a stable sort
+        user, item = user[order], item[order]
+        user.flags.writeable = item.flags.writeable = False
+        return user, item
 
     def categories(self) -> tuple:
         return tuple(sorted(self.taxonomy))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.items == other.items and self.taxonomy == other.taxonomy
+                and self.users == other.users
+                and self.signal_scheme == other.signal_scheme
+                and self.interactions == other.interactions)
+
     def validate(self) -> None:
         taxonomy, items = self.taxonomy, self.items
-        # a belief network files each subcategory's mass under one category
+        # a belief network files each subcategory's mass under one category,
+        # and a generated item's under the reserved label
         owner = {}
         for category, subs in taxonomy.items():
             for sub in subs:
+                if sub.endswith(GENERATED_SUFFIX):
+                    raise ValueError(f"subcategory {sub!r}: labels ending in "
+                                     f"{GENERATED_SUFFIX!r} are reserved for "
+                                     f"generated items")
                 if owner.setdefault(sub, category) != category:
                     raise ValueError(f"subcategory {sub!r} is under both "
                                      f"{owner[sub]!r} and {category!r}")
@@ -99,12 +232,15 @@ class Corpus:
             total = sum(weights.values())
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"item {item.id}: category weights sum to {total}")
-        known_users = set(self.users)
-        for inter in self.interactions:
-            if inter.item_id not in items:
-                raise ValueError(f"interaction references unknown item {inter.item_id!r}")
-            if inter.user_id not in known_users:
-                raise ValueError(f"interaction references unknown user {inter.user_id!r}")
+        columns = (self.log_user, self.log_item, self.log_ts, self.log_signal)
+        if any(np.ndim(c) != 1 or len(c) != len(self.log_user) for c in columns):
+            raise ValueError("interaction columns must be 1-D and equally long")
+        for name, column, bound in (("item", self.log_item, len(items)),
+                                    ("user", self.log_user, len(self.users))):
+            bad = np.flatnonzero((column < 0) | (column >= bound))
+            if len(bad):
+                raise ValueError(f"interaction references unknown {name} "
+                                 f"position {int(column[bad[0]])}")
 
 
 def _timestamp_key(raw: str):
@@ -174,22 +310,19 @@ def load_behaviors(path: str) -> Corpus:
             items[item_id] = Item(id=item_id, category=cat, subcategory=subcat,
                                   title=title, abstract=abstract,
                                   category_weights={cat: 1.0})
-    ordinals = _ordinalize([r[1] for r in rows])
-    interactions = [
-        Interaction(user_id=r[0], item_id=item_key_to_id[(r[2], r[3], r[4], r[5])],
-                    timestamp=ordinals[i], signal=r[6])
-        for i, r in enumerate(rows)
-    ]
     taxonomy: dict = {}
     for item in items.values():
         taxonomy.setdefault(item.category, set()).add(item.subcategory)
+    users = tuple(sorted({r[0] for r in rows}))
     corpus = Corpus(
         items=items,
-        interactions=interactions,
         taxonomy={c: tuple(sorted(s)) for c, s in sorted(taxonomy.items())},
-        users=tuple(sorted({r[0] for r in rows})),
+        users=users,
         signal_scheme="click",
         rejects=rejects,
+        **_log_columns(items, users, [r[0] for r in rows],
+                       [item_key_to_id[r[2:6]] for r in rows],
+                       _ordinalize([r[1] for r in rows]), [r[6] for r in rows]),
     )
     corpus.validate()
     return corpus
@@ -266,19 +399,17 @@ def load_ratings(path: str) -> Corpus:
             latest[key] = entry
 
     kept = sorted(latest.items(), key=lambda kv: kv[1][1])   # file order of the kept row
-    ordinals = _ordinalize([kv[1][3] for kv in kept])
-    interactions = [
-        Interaction(user_id=key[0], item_id=key[1], timestamp=ordinals[i],
-                    signal=entry[2])
-        for i, (key, entry) in enumerate(kept)
-    ]
+    users = tuple(sorted({key[0] for key, _ in kept}))
     corpus = Corpus(
         items=items,
-        interactions=interactions,
         taxonomy={c: tuple(sorted(s)) for c, s in sorted(taxonomy.items())},
-        users=tuple(sorted({k[0] for k, _ in kept})),
+        users=users,
         signal_scheme="rating",
         rejects=rejects,
+        **_log_columns(items, users, [key[0] for key, _ in kept],
+                       [key[1] for key, _ in kept],
+                       _ordinalize([entry[3] for _, entry in kept]),
+                       [entry[2] for _, entry in kept]),
     )
     corpus.validate()
     return corpus
@@ -325,9 +456,14 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     Biased users concentrate >=90% of their clicks in one extreme-interest
     category and have zero clicks in one extreme-disinterest category, with
     click quotas engineered so the population classifier separates them.
-    Separation is guaranteed for bias_profile <= min(n_users/2,
-    n_categories - pool size); beyond that the histories are still biased but
-    the two-sigma thresholds may not isolate them.
+    Separation is meant to hold for bias_profile <= min(n_users/2,
+    n_categories - pool size), but the bound is neither sharp nor safe. With
+    the default 17 categories, classification flags every biased user at
+    these n_users/bias_profile shapes: 30/10, 100/10, 400/20, 400/40,
+    1000/50, 1000/100 and 2000/200, the last outside the bound. It flags
+    none at 100/20, 400/80 and 1000/200: there the biased users are no
+    longer two-sigma outliers, and nothing reports it. The histories are
+    biased at every shape.
     """
     if spec.n_users < 1 or spec.n_categories < 1 or spec.subcats_per_category < 1:
         raise ValueError("synth spec counts must be positive")
@@ -352,7 +488,7 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     # items, round-robin over (category, subcategory) pairs
     pairs = [(c, s) for c in cats for s in subcats[c]]
     items: dict = {}
-    pool_items: dict = {p: [] for p in pairs}
+    pool_sizes = [0] * len(pairs)
     for i in range(spec.n_items):
         cat, sub = pairs[i % len(pairs)]
         item_id = f"it{i:05d}"
@@ -366,7 +502,7 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
         items[item_id] = Item(id=item_id, category=cat, subcategory=sub,
                               title=title, abstract=abstract,
                               category_weights={cat: 1.0})
-        pool_items[(cat, sub)].append(item_id)
+        pool_sizes[i % len(pairs)] += 1
 
     users = [f"u{j:04d}" for j in range(spec.n_users)]
     biased = users[:spec.bias_profile]
@@ -395,28 +531,34 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
                 per_cat[c] = [count] * spec.subcats_per_category
         quotas[user] = per_cat
 
-    interactions = []
-    ts = 0
-    for user in users:
-        for cat in cats:
-            for s_idx, sub in enumerate(subcats[cat]):
-                count = quotas[user][cat][s_idx]
-                if count == 0:
-                    continue
-                pool_ids = pool_items[(cat, sub)]
-                head = max(1, math.ceil(_HISTORY_FRACTION * len(pool_ids)))
-                offset = stable_hash(f"{user}|{sub}") % head
-                for t in range(count):
-                    item_id = pool_ids[(offset + t) % head]
-                    interactions.append(Interaction(user_id=user, item_id=item_id,
-                                                    timestamp=ts, signal=1.0))
-                    ts += 1
-
+    # one group of rows per (user, subcategory) with clicks, in user, then
+    # subcategory order; row t of a group clicks the pool item at
+    # (offset + t) % head, and every row has its own timestamp
+    group_user, group_pair, group_offset, group_head, group_count = [], [], [], [], []
+    for u_pos, user in enumerate(users):
+        for pair, (cat, sub) in enumerate(pairs):
+            count = quotas[user][cat][pair % spec.subcats_per_category]
+            if count == 0:
+                continue
+            head = max(1, math.ceil(_HISTORY_FRACTION * pool_sizes[pair]))
+            group_user.append(u_pos)
+            group_pair.append(pair)
+            group_offset.append(stable_hash(f"{user}|{sub}") % head)
+            group_head.append(head)
+            group_count.append(count)
+    counts = np.array(group_count, dtype=np.int64)
+    n_rows = int(counts.sum())
+    step = np.arange(n_rows) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = (np.repeat(group_offset, counts) + step) % np.repeat(group_head, counts)
     corpus = Corpus(
         items=items,
-        interactions=interactions,
         taxonomy={c: subcats[c] for c in cats},
         users=tuple(users),
+        log_user=np.repeat(np.array(group_user, dtype=np.int32), counts),
+        # slot j of pair q's pool is the item at position q + j * len(pairs)
+        log_item=(np.repeat(group_pair, counts) + slot * len(pairs)).astype(np.int32),
+        log_ts=np.arange(n_rows, dtype=np.int64),
+        log_signal=np.ones(n_rows),
         signal_scheme="click",
     )
     corpus.validate()
@@ -428,6 +570,7 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
 # ---------------------------------------------------------------------------
 
 def corpus_to_json(corpus: Corpus) -> str:
+    users, ids = corpus.users, list(corpus.items)
     doc = {
         "signal_scheme": corpus.signal_scheme,
         "items": [
@@ -437,9 +580,9 @@ def corpus_to_json(corpus: Corpus) -> str:
             for it in corpus.items.values()
         ],
         "interactions": [
-            {"user_id": x.user_id, "item_id": x.item_id,
-             "timestamp": x.timestamp, "signal": x.signal}
-            for x in corpus.interactions
+            {"user_id": users[u], "item_id": ids[i], "timestamp": t, "signal": s}
+            for u, i, t, s in zip(corpus.log_user.tolist(), corpus.log_item.tolist(),
+                                  corpus.log_ts.tolist(), corpus.log_signal.tolist())
         ],
         "taxonomy": [
             {"category": c, "subcategories": list(subs)}
@@ -459,17 +602,17 @@ def corpus_from_json(text: str) -> Corpus:
                       origin=d.get("origin", ORIGIN_DATASET))
         for d in doc["items"]
     }
-    interactions = [
-        Interaction(user_id=d["user_id"], item_id=d["item_id"],
-                    timestamp=int(d["timestamp"]), signal=float(d["signal"]))
-        for d in doc["interactions"]
-    ]
+    rows = doc["interactions"]
+    users = tuple(doc["users"])
     corpus = Corpus(
         items=items,
-        interactions=interactions,
         taxonomy={d["category"]: tuple(d["subcategories"]) for d in doc["taxonomy"]},
-        users=tuple(doc["users"]),
+        users=users,
         signal_scheme=doc.get("signal_scheme", "click"),
+        **_log_columns(items, users, [d["user_id"] for d in rows],
+                       [d["item_id"] for d in rows],
+                       [int(d["timestamp"]) for d in rows],
+                       [float(d["signal"]) for d in rows]),
     )
     corpus.validate()
     return corpus

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 
 from . import pathfinder
-from .corpus import ORIGIN_GENERATED, Item
+from .corpus import ORIGIN_GENERATED, Item, generated_subcategory
 from .features import build_vocabulary, featurize
 from .pathfinder import PromptPath, RejectionLedger
 
@@ -199,7 +199,7 @@ def _generate_for(session: NudgeSession, prompt: PromptPath,
     return GeneratedItem(
         id=f"gi:{session.user_id}:{session.gen_counter}",
         category=prompt.nodes[0],
-        subcategory=f"{prompt.nodes[0]}/generated",
+        subcategory=generated_subcategory(prompt.nodes[0]),
         title=title,
         abstract=abstract,
         category_weights={c: weight for c in prompt.nodes},

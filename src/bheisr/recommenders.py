@@ -20,12 +20,14 @@ from .rng import substream
 
 @dataclass
 class CandidateIndex:
-    """Frozen matrix view of the corpus for batch scoring."""
+    """Frozen matrix view of the corpus for batch scoring; row r is the
+    corpus's r-th item."""
     ids: list
     pos: dict
     matrix: "sparse.csr_matrix"
     norms: np.ndarray
-    categories: list                 # primary category per item
+    cat_index: np.ndarray            # per item, its row in corpus.categories()
+    id_rank: np.ndarray              # per item, rank in ascending id order
     vectors: dict                    # item id -> FeatureVector
 
     @classmethod
@@ -42,8 +44,13 @@ class CandidateIndex:
         matrix = sparse.csr_matrix((data, (rows, cols)),
                                    shape=(len(ids), max(1, n_terms)))
         norms = np.array([vectors[i].norm for i in ids])
+        cat_pos = {c: j for j, c in enumerate(corpus.categories())}
+        cat_index = np.array([cat_pos[corpus.items[i].category] for i in ids],
+                             dtype=np.intp)
+        id_rank = np.empty(len(ids), dtype=np.intp)
+        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         return cls(ids=ids, pos={i: r for r, i in enumerate(ids)}, matrix=matrix,
-                   norms=norms, categories=[corpus.items[i].category for i in ids],
+                   norms=norms, cat_index=cat_index, id_rank=id_rank,
                    vectors=vectors)
 
 
@@ -59,9 +66,12 @@ def cb_score(item, network, vectors: dict) -> float:
     return correlation(vectors[item.id], profile)
 
 
-def acceptance_share(item, network) -> float:
-    """Belief share of the item's categories: sum of w_C * B(C) / sum B."""
-    total = sum(network.belief.values())
+def acceptance_share(item, network, total: float) -> float:
+    """Belief share of the item's categories: sum of w_C * B(C) / sum B.
+
+    `total` is sum B, `sum(network.belief.values())`; a caller that decides
+    on many items between belief updates sums it once.
+    """
     if total <= 0.0:
         return 0.0
     share = 0.0
@@ -84,7 +94,7 @@ def uc_score(item, user_id: str, networks: dict) -> float:
     """Sum over other users who accepted the item of their history cosine with
     this user, weighted by this user's belief share for the item."""
     me = networks[user_id]
-    share = acceptance_share(item, me)
+    share = acceptance_share(item, me, sum(me.belief.values()))
     if share == 0.0:
         return 0.0
     my_hist = me.mass_by_category()
@@ -109,53 +119,74 @@ def n_generated(w: float, k: int) -> int:
     return int(math.floor(w * k + 0.5))
 
 
+SEED_CHUNK_ROWS = 16384     # history rows per profile-sum seeding pass
+
+
 @dataclass
 class FeedContext:
     """Everything assemble_feed needs to score candidates for one user.
 
     The networks' accepted lists are the one record of each user's history;
-    the scoring state holds only what derives from it. enable_acceleration
-    builds that state from the networks and the graph's item vectors;
-    note_accept folds each user's new accepts into it and refresh_mass
-    re-snapshots the history masses of the users who accepted something,
-    once per step barrier.
+    the scoring state holds only what derives from it, and only what the
+    run's baseline reads: a 0/1 accept row per user for every baseline, the
+    profile sums for CB, and the per-category history masses for UC.
+    enable_acceleration builds that state from the corpus log, which seeded
+    the networks' histories; note_accept folds each user's new accepts into
+    it and refresh_mass re-snapshots the history masses of the users who
+    accepted something, once per step barrier.
     """
     corpus: object
     index: CandidateIndex
     networks: dict
     graph: object
+    baseline: str                        # "rd", "cb" or "uc"
     generator: object = None
     user_ids: list = None
     user_pos: dict = None
     cats: list = None
     accept_matrix: np.ndarray = None     # users x items, 0/1
-    mass_matrix: np.ndarray = None       # users x categories, history masses
-    mass_norms: np.ndarray = None        # per user, norm of the mass row
-    cat_index: np.ndarray = None         # per item, category row in cats
-    id_rank: np.ndarray = None           # per item, rank in ascending id order
-    profile_sums: np.ndarray = None      # users x terms, running accept sums
+    mass_matrix: np.ndarray = None       # UC: users x categories, history masses
+    mass_norms: np.ndarray = None        # UC: per user, norm of the mass row
+    profile_sums: np.ndarray = None      # CB: users x terms, running accept sums
 
     def enable_acceleration(self) -> None:
-        index = self.index
+        """Build the scoring state from the corpus's interested rows.
+
+        Every history row sets its accept-row entry in one write. CB's
+        profile sums take the rows' terms through np.add.at, in user, then
+        history order: the same left fold, per user, as note_accept over
+        the history.
+        """
+        index, corpus = self.index, self.corpus
+        if index.ids != list(corpus.items):
+            raise ValueError("the candidate index was built from another corpus")
         self.user_ids = sorted(self.networks)
         self.user_pos = {u: r for r, u in enumerate(self.user_ids)}
-        self.cats = list(self.corpus.categories())
-        cat_pos = {c: j for j, c in enumerate(self.cats)}
-        self.cat_index = np.array([cat_pos[c] for c in index.categories],
-                                  dtype=np.intp)
-        id_order = sorted(range(len(index.ids)), key=index.ids.__getitem__)
-        self.id_rank = np.empty(len(id_order), dtype=np.intp)
-        self.id_rank[id_order] = np.arange(len(id_order))
+        self.cats = list(corpus.categories())
         n_users = len(self.user_ids)
+        # corpus users need not be sorted; index rows are corpus positions
+        row_of = np.array([self.user_pos[u] for u in corpus.users], dtype=np.intp)
+        user, cols = corpus.history
+        rows = row_of[user]
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
-        self.profile_sums = np.zeros((n_users, index.matrix.shape[1]))
-        for u in self.user_ids:
-            self.note_accept(u, self.networks[u].accepted)
-        self.refresh_mass()
+        self.accept_matrix[rows, cols] = 1.0
+        if self.baseline == "cb":
+            n_terms = index.matrix.shape[1]
+            self.profile_sums = np.zeros((n_users, n_terms))
+            flat, lengths = self.profile_sums.ravel(), np.diff(index.matrix.indptr)
+            # consecutive slices continue the same folds and bound the
+            # temporaries
+            for start in range(0, len(cols), SEED_CHUNK_ROWS):
+                part = slice(start, start + SEED_CHUNK_ROWS)
+                tids, weights = _row_entries(index.matrix, cols[part])
+                cells = np.repeat(rows[part] * n_terms, lengths[cols[part]]) + tids
+                np.add.at(flat, cells, weights)
+        elif self.baseline == "uc":
+            self.refresh_mass()
 
     def refresh_mass(self, user_ids=None) -> None:
         """Re-snapshot the per-category history mass and its norm for the
-        given users, or for every user.
+        given users, or for every user. UC alone reads them.
 
         Only an accept changes a user's mass, so the step barrier passes just
         the users who accepted something.
@@ -173,7 +204,7 @@ class FeedContext:
 
     def note_accept(self, user_id: str, item_ids) -> None:
         """Fold the user's newly accepted items, in order, into their accept
-        row and profile sums.
+        row and, for CB, their profile sums.
 
         Each run of index items gathers its terms from the index matrix at
         once; other items take theirs from the graph's item vectors, so
@@ -183,12 +214,14 @@ class FeedContext:
         """
         row = self.user_pos[user_id]
         positions = [self.index.pos.get(i) for i in item_ids]
+        self.accept_matrix[row, [p for p in positions if p is not None]] = 1.0
+        if self.baseline != "cb":
+            return
         tids, weights = [], []
         for in_index, run in groupby(zip(item_ids, positions),
                                      key=lambda pair: pair[1] is not None):
             if in_index:
                 rows = np.array([p for _, p in run], dtype=np.intp)
-                self.accept_matrix[row, rows] = 1.0
                 run_tids, run_weights = _row_entries(self.index.matrix, rows)
                 tids.append(run_tids)
                 weights.append(run_weights)
@@ -243,7 +276,7 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
         sims[row] = 0.0
         neighbor_mass = sims @ ctx.accept_matrix
         belief_arr = np.array([network.belief[c] for c in ctx.cats])
-        belief_share = belief_arr[ctx.cat_index] / total_belief
+        belief_share = belief_arr[index.cat_index] / total_belief
         return neighbor_mass * belief_share
     raise ValueError(f"unknown baseline {kind!r}")
 
@@ -271,7 +304,7 @@ def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
         kth = np.partition(neg, k - 1)[k - 1]
         within = neg <= kth
         cand, neg = cand[within], neg[within]
-    order = np.lexsort((ctx.id_rank[cand], neg))[:k]
+    order = np.lexsort((index.id_rank[cand], neg))[:k]
     return [index.ids[p] for p in cand[order]]
 
 

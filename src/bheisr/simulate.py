@@ -91,9 +91,13 @@ class SimConfig:
             seen.add(user)
 
 
-def decide(item, network, rng) -> tuple:
-    """One Bernoulli decision; always consumes exactly one uniform draw."""
-    ap = acceptance_share(item, network)
+def decide(item, network, belief_total: float, rng) -> tuple:
+    """One Bernoulli decision; always consumes exactly one uniform draw.
+
+    `belief_total` is the network's summed belief, as acceptance_share
+    takes it.
+    """
+    ap = acceptance_share(item, network, belief_total)
     draw = float(rng.random())
     return draw < ap, ap, draw
 
@@ -231,11 +235,11 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     classification = _classify(corpus, networks)
     exemplars = _collect_exemplars(corpus)
     generator = _build_generator(config, exemplars)
+    baseline, with_bheisr = MODELS[config.model]
     ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
-                      generator=generator)
+                      baseline=baseline, generator=generator)
     ctx.enable_acceleration()
 
-    baseline, with_bheisr = MODELS[config.model]
     w_eff = 1.0 if config.model == "bheisr" else config.w
     sessions = {}
     if with_bheisr and classification is not None:
@@ -260,9 +264,11 @@ def _user_step(state: SimState, user_id: str, step: int):
     feed = assemble_feed(state.baseline, state.with_bheisr, state.w_eff, config.k,
                          session, state.ctx, user_id, step, config.seed)
     rng = substream(config.seed, "decide", user_id, step)
+    # every decision comes before any update, so the belief total holds
+    belief_total = sum(network.belief.values())
     decisions = []
     for item in feed.items:
-        ok, ap, draw = decide(item, network, rng)
+        ok, ap, draw = decide(item, network, belief_total, rng)
         decisions.append(DecisionRecord(item_id=item.id, origin=item.origin,
                                         ap=ap, draw=draw, accepted=ok))
     # the one place an accepted item is credited; the graph sees it at flush
@@ -333,7 +339,8 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
         changed = [user for user in sim_users if results[user][1]]
         for user in changed:
             state.ctx.note_accept(user, [it.id for it in results[user][1]])
-        state.ctx.refresh_mass(changed)
+        if state.baseline == "uc":
+            state.ctx.refresh_mass(changed)
         record.steps.append([results[user][0] for user in sim_users])
 
         if step in checkpoints:

@@ -39,23 +39,25 @@ class TestEntropyBits:
             assert entropy_bits(p) == pytest.approx(expect, abs=1e-12)
 
 
-def tiny_corpus():
+TINY_ROWS = [
+    Interaction("u", "i1", 0, 1.0),
+    Interaction("u", "i2", 1, 1.0),
+    Interaction("u", "i1", 2, 1.0),
+    Interaction("u", "i3", 3, 1.0),
+    Interaction("u", "i3", 4, 0.0),   # not interested, must be ignored
+]
+
+
+def tiny_corpus(rows=TINY_ROWS):
     """Two categories; user u clicks a/s1 twice, a/s2 once, b/s1 once."""
     items = {
         "i1": Item("i1", "a", "a/s1", "t1", "", {"a": 1.0}),
         "i2": Item("i2", "a", "a/s2", "t2", "", {"a": 1.0}),
         "i3": Item("i3", "b", "b/s1", "t3", "", {"b": 1.0}),
     }
-    interactions = [
-        Interaction("u", "i1", 0, 1.0),
-        Interaction("u", "i2", 1, 1.0),
-        Interaction("u", "i1", 2, 1.0),
-        Interaction("u", "i3", 3, 1.0),
-        Interaction("u", "i3", 4, 0.0),   # not interested, must be ignored
-    ]
-    return Corpus(items=items, interactions=interactions,
-                  taxonomy={"a": ("a/s1", "a/s2"), "b": ("b/s1",)},
-                  users=("u", "v"))
+    return Corpus.from_rows(items, rows,
+                            taxonomy={"a": ("a/s1", "a/s2"), "b": ("b/s1",)},
+                            users=("u", "v"))
 
 
 class TestGlobalNormalization:
@@ -82,8 +84,7 @@ class TestGlobalNormalization:
         assert network.belief == pytest.approx(before, abs=1e-12)
 
     def test_untouched_category_has_zero_belief(self):
-        corpus = tiny_corpus()
-        corpus.interactions = corpus.interactions[:3]   # only category a
+        corpus = tiny_corpus(TINY_ROWS[:3])   # only category a
         network = build_all(corpus)["u"]
         assert network.belief_degree("b") == 0.0
         assert network.positive_category_count() == 1
@@ -102,8 +103,7 @@ class TestGlobalNormalization:
 
 class TestHistorySeeding:
     def test_accepted_follows_timestamp_order(self):
-        corpus = tiny_corpus()
-        corpus.interactions = list(reversed(corpus.interactions))
+        corpus = tiny_corpus(list(reversed(TINY_ROWS)))
         network = build_all(corpus)["u"]
         assert network.accepted == ["i1", "i2", "i1", "i3"]
 
@@ -170,3 +170,5 @@ class TestIncrementalConsistency:
         for cat in network.categories:
             assert network.belief_degree(cat) == pytest.approx(
                 scratch.belief_degree(cat), abs=1e-12)
+        assert network.positive_category_count() == sum(
+            1 for m in network.mass_by_category().values() if m > 0.0)

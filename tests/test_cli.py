@@ -244,6 +244,29 @@ class TestRecommend:
 
 
 class TestSimulate:
+    def test_reserved_generated_label_exits_2_before_the_run(self, tmp_path, capsys):
+        # each category's last subcategory takes the next category's
+        # generated label; the network would file generated mass under it
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
+        doc = json.loads(path.read_text())
+        cats = [entry["category"] for entry in doc["taxonomy"]]
+        renamed = {}
+        for entry, after in zip(doc["taxonomy"], cats[1:]):
+            renamed[entry["subcategories"][-1]] = f"{after}/generated"
+            entry["subcategories"][-1] = f"{after}/generated"
+        for item in doc["items"]:
+            item["subcategory"] = renamed.get(item["subcategory"], item["subcategory"])
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", "--dataset", str(path), "--model", "bheisr",
+                     "--feeds", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "reserved" in err and "already bound" not in err
+        assert not out.exists()
+        assert main(["ingest", "--dataset", str(path)]) == 2
+        assert "reserved" in capsys.readouterr().err
+
     def test_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["simulate", "--synth", SYNTH, "--model", "cb_w",

@@ -1,7 +1,9 @@
 """Dataset loaders, synthetic corpus, and the JSON round trip."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -169,9 +171,8 @@ class TestValidate:
     def base(self):
         items = {"i1": Item(id="i1", category="c", subcategory="c/s",
                             title="t", abstract="", category_weights={"c": 1.0})}
-        return Corpus(items=items,
-                      interactions=[Interaction("u", "i1", 0, 1.0)],
-                      taxonomy={"c": ("c/s",)}, users=("u",))
+        return Corpus.from_rows(items, [Interaction("u", "i1", 0, 1.0)],
+                                taxonomy={"c": ("c/s",)}, users=("u",))
 
     def test_ok(self):
         self.base().validate()
@@ -230,11 +231,22 @@ class TestValidate:
         with pytest.raises(ValueError, match="'c/s' is under both 'c' and 'd'"):
             corpus.validate()
 
+    @pytest.mark.parametrize("label", ["c/generated", "d/generated"])
+    def test_generated_label_is_reserved(self, label):
+        corpus = self.base()
+        corpus.taxonomy["c"] = ("c/s", label)
+        with pytest.raises(ValueError, match="reserved for generated items"):
+            corpus.validate()
+
     def test_interaction_user_must_exist(self):
         corpus = self.base()
-        corpus.interactions.append(Interaction("ghost", "i1", 1, 1.0))
+        rows = list(corpus.interactions) + [Interaction("ghost", "i1", 1, 1.0)]
         with pytest.raises(ValueError, match="unknown user"):
-            corpus.validate()
+            Corpus.from_rows(corpus.items, rows, corpus.taxonomy, corpus.users)
+        # a position past the users is the column form of the same fault
+        ghost = dataclasses.replace(corpus, log_user=np.array([1], dtype=np.int32))
+        with pytest.raises(ValueError, match="unknown user"):
+            ghost.validate()
 
 
 class TestSynthCorpus:
@@ -325,8 +337,8 @@ def corpora(draw):
     interactions = [Interaction(u, i, t, 1.0) for t, (u, i) in enumerate(
         draw(st.lists(st.tuples(st.sampled_from(users),
                                 st.sampled_from(sorted(items))), max_size=6)))]
-    return Corpus(items=items, interactions=interactions,
-                  taxonomy={c: (f"{c}/s",) for c in CATEGORIES}, users=users)
+    return Corpus.from_rows(items, interactions,
+                            taxonomy={c: (f"{c}/s",) for c in CATEGORIES}, users=users)
 
 
 class TestJsonRoundTrip:
@@ -343,7 +355,8 @@ class TestJsonRoundTrip:
         # the loop can credit every item of an accepted corpus
         for user, network in build_all(loaded).items():
             for item in loaded.items.values():
-                assert 0.0 <= acceptance_share(item, network) <= 1.0 + 1e-9
+                assert 0.0 <= acceptance_share(
+                    item, network, sum(network.belief.values())) <= 1.0 + 1e-9
                 network.update_on_feedback(item)
 
     def test_equal_after_round_trip(self, tmp_path):

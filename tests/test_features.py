@@ -28,8 +28,8 @@ def make_item(id, cat, sub, title, abstract="", weights=None):
 
 
 def make_corpus(items, taxonomy):
-    return Corpus(items={it.id: it for it in items}, interactions=[],
-                  taxonomy=taxonomy, users=())
+    return Corpus.from_rows({it.id: it for it in items}, [],
+                            taxonomy=taxonomy, users=())
 
 
 class TestTokenize:

@@ -50,6 +50,30 @@ class TestBinarySplit:
             assert len(left.nodes) >= 2
             assert len(right.nodes) >= 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(nodes=st.lists(st.text(min_size=1, max_size=3), min_size=2, max_size=17,
+                          unique=True))
+    def test_splitting_to_the_leaves_covers_the_path(self, nodes):
+        # split every prompt until each is terminal; the depth bound shows
+        # the recursion ends
+        path = path_of(*nodes)
+        leaves, pending = [], [(path, 0)]
+        while pending:
+            prompt, depth = pending.pop()
+            assert depth <= len(nodes)
+            halves = binary_split(prompt)
+            if halves is None:
+                leaves.append(prompt)
+            else:
+                pending.extend((half, depth + 1) for half in reversed(halves))
+        starts = [nodes.index(leaf.source) for leaf in leaves]
+        for start, leaf in zip(starts, leaves):
+            assert leaf.nodes == tuple(nodes[start:start + 2])
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        assert leaves[0].source == path.source
+        assert leaves[-1].target == path.target
+        assert len(leaves) & (len(leaves) - 1) == 0
+
     def test_initial_queue(self):
         assert [p.key for p in initial_queue(path_of("a", "b"))] == ["a->b"]
         assert [p.key for p in initial_queue(path_of("a", "b", "c", "d"))] == \

@@ -65,21 +65,25 @@ def small_corpus():
         Interaction("u2", "i3", 3, 1.0),
         Interaction("u3", "i5", 4, 1.0),
     ]
-    return Corpus(items=items, interactions=interactions,
-                  taxonomy={"a": ("a/s",), "b": ("b/s",), "c": ("c/s",)},
-                  users=("u1", "u2", "u3"))
+    return Corpus.from_rows(items, interactions,
+                            taxonomy={"a": ("a/s",), "b": ("b/s",), "c": ("c/s",)},
+                            users=("u1", "u2", "u3"))
 
 
-def context_for(corpus):
+def context_for(corpus, baseline="cb"):
     vocab = build_vocabulary(corpus.items.values())
     index = CandidateIndex.build(corpus, vocab)
     networks = build_all(corpus)
     graph = CategoryGraph.build(corpus, vocab=vocab,
                                 item_vectors=dict(index.vectors))
     ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
-                      generator=TemplateGenerator({}))
+                      baseline=baseline, generator=TemplateGenerator({}))
     ctx.enable_acceleration()
     return ctx
+
+
+def share(item, network):
+    return acceptance_share(item, network, sum(network.belief.values()))
 
 
 class TestCandidateIndex:
@@ -98,8 +102,9 @@ class TestCandidateIndex:
     def test_categories_aligned(self):
         corpus = small_corpus()
         index = CandidateIndex.build(corpus, build_vocabulary(corpus.items.values()))
+        cats = corpus.categories()
         for item_id, item in corpus.items.items():
-            assert index.categories[index.pos[item_id]] == item.category
+            assert cats[index.cat_index[index.pos[item_id]]] == item.category
 
 
 class TestCbScore:
@@ -139,7 +144,7 @@ class TestAcceptanceShare:
         network = ctx.networks["u2"]   # belief mass split between a and b
         total = sum(network.belief.values())
         expect = network.belief_degree("a") / total
-        assert acceptance_share(ctx.corpus.items["i1"], network) == \
+        assert share(ctx.corpus.items["i1"], network) == \
             pytest.approx(expect, abs=1e-12)
 
     def test_weighted_item_mixes_categories(self):
@@ -149,13 +154,13 @@ class TestAcceptanceShare:
                     origin=ORIGIN_GENERATED)
         total = sum(network.belief.values())
         expect = 0.5 * (network.belief_degree("a") + network.belief_degree("b")) / total
-        assert acceptance_share(item, network) == pytest.approx(expect, abs=1e-12)
+        assert share(item, network) == pytest.approx(expect, abs=1e-12)
 
     def test_zero_belief_user(self):
         ctx = context_for(small_corpus())
         network = ctx.networks["u1"]
         network.belief = {c: 0.0 for c in network.categories}
-        assert acceptance_share(ctx.corpus.items["i1"], network) == 0.0
+        assert share(ctx.corpus.items["i1"], network) == 0.0
 
 
 class TestUcScore:
@@ -172,9 +177,9 @@ class TestUcScore:
         a = np.array([me[c] for c in ("a", "b", "c")])
         b = np.array([other[c] for c in ("a", "b", "c")])
         cos = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-        share = acceptance_share(ctx.corpus.items["i1"], networks["u1"])
+        belief_share = share(ctx.corpus.items["i1"], networks["u1"])
         assert uc_score(ctx.corpus.items["i1"], "u1", networks) == \
-            pytest.approx(cos * share, abs=1e-12)
+            pytest.approx(cos * belief_share, abs=1e-12)
 
     def test_self_acceptance_not_counted(self):
         ctx = context_for(small_corpus())
@@ -276,8 +281,8 @@ def ranking_cases(draw):
 def ranking_context(ids):
     items = {i: Item(i, "a", "a/s", f"story {i}", "plain words", {"a": 1.0})
              for i in ids}
-    return context_for(Corpus(items=items, interactions=[],
-                              taxonomy={"a": ("a/s",)}, users=("u1",)))
+    return context_for(Corpus.from_rows(items, [], taxonomy={"a": ("a/s",)},
+                                        users=("u1",)))
 
 
 @st.composite
@@ -338,47 +343,74 @@ class TestRankingMatchesSortedOracle:
         self.check(case, step)
 
 
+def oracle_scores(kind, ctx, user):
+    """cb_score or uc_score of every index item, in index order."""
+    items = [ctx.corpus.items[i] for i in ctx.index.ids]
+    if kind == "cb":
+        return [cb_score(it, ctx.networks[user], ctx.graph.item_vectors)
+                for it in items]
+    return [uc_score(it, user, ctx.networks) for it in items]
+
+
+def rebuilt_by_fold(ctx):
+    """A context for the same networks whose accept rows and profile sums
+    are the per-user note_accept fold of each whole history, and whose mass
+    rows are a full refresh_mass()."""
+    rebuilt = FeedContext(corpus=ctx.corpus, index=ctx.index,
+                          networks=ctx.networks, graph=ctx.graph,
+                          baseline=ctx.baseline, generator=ctx.generator)
+    rebuilt.enable_acceleration()
+    rebuilt.accept_matrix[:] = 0.0
+    if rebuilt.profile_sums is not None:
+        rebuilt.profile_sums[:] = 0.0
+    for user in rebuilt.user_ids:
+        rebuilt.note_accept(user, ctx.networks[user].accepted)
+    if ctx.baseline == "uc":
+        rebuilt.refresh_mass()
+    return rebuilt
+
+
 class TestAccelerationAgreesWithReference:
     """The matrix scoring state must agree with the scalar oracles."""
 
-    def context(self):
+    def context(self, baseline="cb"):
         corpus = synth_corpus(SynthSpec(n_users=10, n_categories=6,
                                         subcats_per_category=2, n_items=120,
                                         bias_profile=3, seed=2))
-        return context_for(corpus), corpus
+        return context_for(corpus, baseline), corpus
 
     def test_cb_and_uc_scores_match(self):
-        ctx, corpus = self.context()
-        vectors = ctx.graph.item_vectors
-        for user in corpus.users:
-            network = ctx.networks[user]
-            cb = [cb_score(corpus.items[i], network, vectors) for i in ctx.index.ids]
-            uc = [uc_score(corpus.items[i], user, ctx.networks) for i in ctx.index.ids]
-            np.testing.assert_allclose(_baseline_scores("cb", ctx, user), cb,
-                                       rtol=0, atol=1e-9, err_msg=f"cb {user}")
-            np.testing.assert_allclose(_baseline_scores("uc", ctx, user), uc,
-                                       rtol=0, atol=1e-9, err_msg=f"uc {user}")
+        for kind in ("cb", "uc"):
+            ctx, corpus = self.context(kind)
+            for user in corpus.users:
+                np.testing.assert_allclose(_baseline_scores(kind, ctx, user),
+                                           oracle_scores(kind, ctx, user), rtol=0,
+                                           atol=1e-9, err_msg=f"{kind} {user}")
 
     def test_reference_ops_match_scalar_functions(self):
         # after incremental accepts the matrix scores still match the oracles
-        ctx, corpus = self.context()
+        for kind in ("cb", "uc"):
+            self.check_after_an_accept(kind)
+
+    def check_after_an_accept(self, kind):
+        ctx, corpus = self.context(kind)
         user = corpus.users[0]
         fresh = next(i for i in corpus.items
                      if i not in ctx.networks[user].accepted)
         ctx.networks[user].update_on_feedback(corpus.items[fresh])
         ctx.note_accept(user, [fresh])
-        ctx.refresh_mass()
-        network = ctx.networks[user]
-        vectors = ctx.graph.item_vectors
-        cb = [cb_score(corpus.items[i], network, vectors) for i in ctx.index.ids]
-        uc = [uc_score(corpus.items[i], user, ctx.networks) for i in ctx.index.ids]
-        np.testing.assert_allclose(_baseline_scores("cb", ctx, user), cb,
-                                   rtol=0, atol=1e-9)
-        np.testing.assert_allclose(_baseline_scores("uc", ctx, user), uc,
+        if kind == "uc":
+            ctx.refresh_mass()
+        np.testing.assert_allclose(_baseline_scores(kind, ctx, user),
+                                   oracle_scores(kind, ctx, user),
                                    rtol=0, atol=1e-9)
 
     def test_note_accept_matches_rebuild(self):
-        acc, corpus = self.context()
+        for kind in ("rd", "cb", "uc"):
+            self.check_rebuild(kind)
+
+    def check_rebuild(self, kind):
+        acc, corpus = self.context(kind)
         user = corpus.users[0]
         # accept one dataset item and one generated item
         fresh = next(i for i in corpus.items
@@ -391,22 +423,39 @@ class TestAccelerationAgreesWithReference:
         acc.graph.accept_items([gi])
         acc.networks[user].update_on_feedback(gi)
         acc.note_accept(user, [gi.id])
-        acc.refresh_mass()
+        if kind == "uc":
+            acc.refresh_mass([user])
 
-        rebuilt = FeedContext(corpus=corpus, index=acc.index,
-                              networks=acc.networks, graph=acc.graph,
-                              generator=acc.generator)
-        rebuilt.enable_acceleration()
-        assert np.array_equal(acc.profile_sums, rebuilt.profile_sums)
+        rebuilt = rebuilt_by_fold(acc)
         assert np.array_equal(acc.accept_matrix, rebuilt.accept_matrix)
-        assert np.allclose(acc.mass_matrix, rebuilt.mass_matrix, atol=1e-12)
-        for kind in ("cb", "uc"):
+        if kind == "cb":
+            assert np.array_equal(acc.profile_sums, rebuilt.profile_sums)
+        if kind == "uc":
+            assert np.array_equal(acc.mass_matrix, rebuilt.mass_matrix)
+            assert np.array_equal(acc.mass_norms, rebuilt.mass_norms)
+        if kind != "rd":
             assert np.allclose(_baseline_scores(kind, acc, user),
                                _baseline_scores(kind, rebuilt, user), atol=1e-12)
 
+    def test_index_of_another_item_order_rejected(self):
+        ctx, corpus = self.context()
+        reordered = Corpus.from_rows(dict(reversed(corpus.items.items())),
+                                     corpus.interactions, corpus.taxonomy,
+                                     corpus.users)
+        other = FeedContext(corpus=reordered, index=ctx.index, networks=ctx.networks,
+                            graph=ctx.graph, baseline="rd")
+        with pytest.raises(ValueError, match="another corpus"):
+            other.enable_acceleration()
+
+    def test_scoring_state_only_for_the_baseline(self):
+        for kind in ("rd", "cb", "uc"):
+            ctx, _ = self.context(kind)
+            assert (ctx.profile_sums is not None) == (kind == "cb"), kind
+            assert (ctx.mass_matrix is not None) == (kind == "uc"), kind
+            assert (ctx.mass_norms is not None) == (kind == "uc"), kind
 
     def test_profile_sums_are_the_left_fold_of_accepts(self):
-        ctx, corpus = self.context()
+        ctx, corpus = self.context("cb")
         user = corpus.users[0]
         gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
@@ -462,7 +511,7 @@ class TestAssembleFeed:
         assert len(feed.items) == 3   # only three unaccepted items exist
 
     def test_without_nudging_all_slots_are_baseline(self):
-        ctx = context_for(small_corpus())
+        ctx = context_for(small_corpus(), "uc")
         feed = assemble_feed("uc", False, 0.6, 3, None, ctx, "u2", step=1, seed=0)
         assert feed.generated_count == 0
         assert sum(it.origin == "dataset" for it in feed.items) == len(feed.items)

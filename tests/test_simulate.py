@@ -77,7 +77,7 @@ class TestDecide:
 
         rng = substream(0, "decide", "u", 1)
         witness = substream(0, "decide", "u", 1)
-        _, ap, draw = decide(Item(), Network(), rng)
+        _, ap, draw = decide(Item(), Network(), 1.0, rng)
         assert draw == float(witness.random())
         assert ap == 1.0
 
@@ -99,10 +99,10 @@ class TestDecide:
                 return self.value
 
         network = Network()
-        accepted, ap, _ = decide(Item(), network, FixedRng(0.74))
+        accepted, ap, _ = decide(Item(), network, 4.0, FixedRng(0.74))
         assert ap == pytest.approx(0.75)
         assert accepted
-        accepted, _, _ = decide(Item(), network, FixedRng(0.75))
+        accepted, _, _ = decide(Item(), network, 4.0, FixedRng(0.75))
         assert not accepted   # strict inequality
 
 
