@@ -94,6 +94,15 @@ class InteractionRows(Sequence):
         return all(a == b for a, b in zip(self, other))
 
 
+def reject_duplicate_users(users) -> None:
+    """A ValueError naming the first user id that is listed twice."""
+    seen = set()
+    for user in users:
+        if user in seen:
+            raise ValueError(f"duplicate user {user!r}")
+        seen.add(user)
+
+
 def _log_columns(items: dict, users, user_ids, item_ids, timestamps,
                  signals) -> dict:
     """The four log columns of rows given by user id and item id.
@@ -232,6 +241,8 @@ class Corpus:
             total = sum(weights.values())
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"item {item.id}: category weights sum to {total}")
+        # run_loop feeds each listed user once per step from their network
+        reject_duplicate_users(self.users)
         columns = (self.log_user, self.log_item, self.log_ts, self.log_signal)
         if any(np.ndim(c) != 1 or len(c) != len(self.log_user) for c in columns):
             raise ValueError("interaction columns must be 1-D and equally long")

@@ -9,7 +9,7 @@ accept items.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -112,68 +112,28 @@ class CategoryGraph:
     categories: tuple
     members: dict                       # category -> list of item ids
     item_vectors: dict                  # item id -> FeatureVector
-    vectors: dict = field(default_factory=dict)   # category -> FeatureVector
-    edges: dict = field(default_factory=dict)     # sorted (a, b) -> correlation
-    sums: dict = field(default_factory=dict)      # category -> {term id: sum}
+    vectors: dict                       # category -> FeatureVector
+    edges: dict                         # sorted (a, b) -> correlation
+    sums: dict                          # category -> {term id: sum}
 
     @classmethod
     def build(cls, corpus, vocab: Vocabulary = None,
               item_vectors: dict = None) -> "CategoryGraph":
+        """Every category starts with the zero vector and every sorted pair
+        with edge 0.0; then the corpus's items are accepted as one batch.
+        `item_vectors` is copied, as the graph adds to its own cache."""
         if vocab is None:
             vocab = build_vocabulary(corpus.items.values())
-        if item_vectors is None:
-            item_vectors = {it.id: featurize(it, vocab) for it in corpus.items.values()}
-        else:
-            # the graph mutates its vector cache, so take a copy
-            item_vectors = dict(item_vectors)
         categories = corpus.categories()
         graph = cls(vocab=vocab, categories=categories,
                     members={c: [] for c in categories},
-                    item_vectors=item_vectors,
+                    item_vectors=dict(item_vectors or {}),
+                    vectors={c: FeatureVector.from_entries({}) for c in categories},
+                    edges={(a, b): 0.0 for i, a in enumerate(categories)
+                           for b in categories[i + 1:]},
                     sums={c: {} for c in categories})
-        for item in corpus.items.values():
-            graph._check(item)
-            graph._fold(item)
-        for cat in categories:
-            graph._recompute_vector(cat)
-        graph.rebuild_edges()
+        graph.accept_items(corpus.items.values())
         return graph
-
-    def _check(self, item) -> None:
-        for cat, w in item.category_weights.items():
-            if w > 0.0 and cat not in self.members:
-                raise ValueError(f"item {item.id}: unknown category {cat!r}")
-
-    def _fold(self, item) -> list:
-        """Append the item to its categories' members and running sums.
-
-        Each sum is the left fold over the members in order that
-        _mean_vector computes, term by term in the same insertion order.
-        Returns the touched categories in category_weights order.
-        """
-        vec = self.item_vectors[item.id]
-        touched = []
-        for cat, w in item.category_weights.items():
-            if w <= 0.0:
-                continue
-            self.members[cat].append(item.id)
-            acc = self.sums[cat]
-            for tid, value in vec.entries.items():
-                acc[tid] = acc.get(tid, 0.0) + value
-            touched.append(cat)
-        return touched
-
-    def _recompute_vector(self, category: str) -> None:
-        n = len(self.members[category])
-        self.vectors[category] = FeatureVector.from_entries(
-            {tid: w / n for tid, w in self.sums[category].items()})
-
-    def rebuild_edges(self) -> None:
-        cats = self.categories
-        self.edges = {}
-        for i, a in enumerate(cats):
-            for b in cats[i + 1:]:
-                self.edges[(a, b)] = correlation(self.vectors[a], self.vectors[b])
 
     def rho(self, a: str, b: str) -> float:
         if a == b:
@@ -186,35 +146,41 @@ class CategoryGraph:
 
         Every item is checked before any is folded, so a bad item leaves the
         graph as it was. Items fold into members and running sums in the
-        order given; each touched node vector is then recomputed once, and
-        each edge with a touched endpoint once, from the final vectors. The
-        result is bit-identical to accepting the items one at a time: an
-        edge is correlation(x, y), where x is the endpoint whose last fold
-        came later (for one item, the later category in category_weights
-        order). A rebuild takes (a, b) in sorted order, which can differ in
-        the last bit (see FeatureVector.dot).
+        order given, an item without a vector being featurized first; each
+        sum is the left fold over the members in order that _mean_vector
+        computes, term by term in the same insertion order. Each touched
+        node vector is then recomputed once, and each edge with a touched
+        endpoint once, as correlation(vectors[a], vectors[b]) with a < b.
+        The result depends only on the order of the accepts, not on how
+        they are split into batches, so it equals a rebuild bit for bit.
         """
         items = list(items)
         for item in items:
-            self._check(item)
-        last = {}            # touched category -> None, in order of last fold
+            for cat, w in item.category_weights.items():
+                if w > 0.0 and cat not in self.members:
+                    raise ValueError(f"item {item.id}: unknown category {cat!r}")
+        touched = set()
         for item in items:
-            if item.id not in self.item_vectors:
-                self.item_vectors[item.id] = featurize(item, self.vocab)
-            for cat in self._fold(item):
-                last.pop(cat, None)
-                last[cat] = None
-        rank = {cat: r for r, cat in enumerate(last)}
-        for cat in rank:
-            self._recompute_vector(cat)
-        for cat, r in rank.items():
-            vec = self.vectors[cat]
-            for other in self.categories:
-                # a later-folded endpoint writes the edge itself
-                if other == cat or rank.get(other, -1) > r:
+            vec = self.item_vectors.get(item.id)
+            if vec is None:
+                vec = self.item_vectors[item.id] = featurize(item, self.vocab)
+            for cat, w in item.category_weights.items():
+                if w <= 0.0:
                     continue
-                key = (cat, other) if cat < other else (other, cat)
-                self.edges[key] = correlation(vec, self.vectors[other])
+                self.members[cat].append(item.id)
+                acc = self.sums[cat]
+                for tid, value in vec.entries.items():
+                    acc[tid] = acc.get(tid, 0.0) + value
+                touched.add(cat)
+        for cat in touched:
+            n = len(self.members[cat])
+            self.vectors[cat] = FeatureVector.from_entries(
+                {tid: w / n for tid, w in self.sums[cat].items()})
+        cats = self.categories
+        for i, a in enumerate(cats):
+            for b in cats[i + 1:]:
+                if a in touched or b in touched:
+                    self.edges[(a, b)] = correlation(self.vectors[a], self.vectors[b])
 
     def to_json_dict(self) -> dict:
         terms = self.vocab.terms()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from . import belief as belief_mod
 from . import detection, nudge
 from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, load_behaviors, \
-    load_corpus, load_ratings, synth_corpus
+    load_corpus, load_ratings, reject_duplicate_users, synth_corpus
 from .features import CategoryGraph, GraphUpdateBuffer, build_vocabulary
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
 from .rng import substream
@@ -84,11 +84,7 @@ class SimConfig:
             raise ValueError("generator_timeout_ms must be positive")
         if self.generator_retries < 0:
             raise ValueError("generator_retries must be non-negative")
-        seen = set()
-        for user in self.users or ():
-            if user in seen:
-                raise ValueError(f"duplicate user {user!r}")
-            seen.add(user)
+        reject_duplicate_users(self.users or ())
 
 
 def decide(item, network, belief_total: float, rng) -> tuple:

@@ -267,6 +267,19 @@ class TestSimulate:
         assert main(["ingest", "--dataset", str(path)]) == 2
         assert "reserved" in capsys.readouterr().err
 
+    def test_repeated_user_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # a user listed twice would be fed twice a step from one network
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth("n_users=12,bias_profile=5")), str(path))
+        doc = json.loads(path.read_text())
+        doc["users"].append("u0000")
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", "--dataset", str(path), "--model", "rd",
+                     "--feeds", "2", "--out", str(out)]) == 2
+        assert "duplicate user 'u0000'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["simulate", "--synth", SYNTH, "--model", "cb_w",

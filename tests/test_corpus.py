@@ -1,6 +1,7 @@
 """Dataset loaders, synthetic corpus, and the JSON round trip."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -237,6 +238,12 @@ class TestValidate:
         corpus.taxonomy["c"] = ("c/s", label)
         with pytest.raises(ValueError, match="reserved for generated items"):
             corpus.validate()
+
+    def test_repeated_user_rejected(self):
+        doc = json.loads(corpus_to_json(self.base()))
+        doc["users"].append("u")
+        with pytest.raises(ValueError, match="duplicate user 'u'"):
+            corpus_from_json(json.dumps(doc))
 
     def test_interaction_user_must_exist(self):
         corpus = self.base()

@@ -207,6 +207,23 @@ class TestIncrementalUpdate:
             assert graph.vectors[cat].entries == rebuilt.vectors[cat].entries
         assert graph.edges == rebuilt.edges
 
+    def test_three_generated_items_give_the_rebuilt_edges(self):
+        # food and tech end with six terms each, in different orders, and
+        # FeatureVector.dot sums in its first argument's order: taking the
+        # last-folded endpoint (tech) first gives 0.6506297430699626, one ulp
+        # off the rebuild's sorted-order 0.6506297430699625
+        items = three_category_items()
+        graph = CategoryGraph.build(make_corpus(items, THREE_CATEGORIES))
+        generated = [make_item("gi:u:0", "food", "food/generated", ""),
+                     make_item("gi:u:1", "arts", "arts/generated", ""),
+                     make_item("gi:u:2", "tech", "tech/generated", "chip soup")]
+        for item in generated:
+            graph.accept_items([item])
+        rebuilt = CategoryGraph.build(
+            make_corpus(items + generated, THREE_CATEGORIES), vocab=graph.vocab)
+        assert graph.edges[("food", "tech")] == rebuilt.edges[("food", "tech")]
+        assert list(graph.edges.items()) == list(rebuilt.edges.items())
+
     def test_unknown_category_rejected(self):
         graph = CategoryGraph.build(two_category_corpus())
         bad = make_item("b", "food", "food/s", "t", weights={"nope": 1.0})
@@ -238,6 +255,17 @@ class TestIncrementalUpdate:
 GRAPH_WORDS = ["soup", "chip", "recipe", "panel", "bread", "design", "opera"]
 THREE_CATEGORIES = {"food": ("food/s",), "tech": ("tech/s",), "arts": ("arts/s",)}
 
+
+def three_category_items():
+    return [
+        make_item("i1", "food", "food/s", "soup recipe", "warm soup recipe"),
+        make_item("i2", "tech", "tech/s", "chip design", "silicon chip"),
+        make_item("i3", "arts", "arts/s", "opera review", "opera notes"),
+        make_item("i4", "food", "food/s", "bread chip", "oven bread",
+                  weights={"food": 0.5, "tech": 0.5}),
+    ]
+
+
 # one accept: a new item over one or two categories (weights may be 0), or a
 # repeat of an earlier accept
 accept_steps = st.one_of(
@@ -253,13 +281,7 @@ class TestIncrementalGraphMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(accept_steps, max_size=25))
     def test_vectors_and_edges_equal_the_mean_of_members(self, steps):
-        items = [
-            make_item("i1", "food", "food/s", "soup recipe", "warm soup recipe"),
-            make_item("i2", "tech", "tech/s", "chip design", "silicon chip"),
-            make_item("i3", "arts", "arts/s", "opera review", "opera notes"),
-            make_item("i4", "food", "food/s", "bread chip", "oven bread",
-                      weights={"food": 0.5, "tech": 0.5}),
-        ]
+        items = three_category_items()
         graph = CategoryGraph.build(make_corpus(items, THREE_CATEGORIES))
         members = {"food": ["i1", "i4"], "tech": ["i2", "i4"], "arts": ["i3"]}
         accepted = list(items)
@@ -285,48 +307,15 @@ class TestIncrementalGraphMatchesOracle:
             vec = graph.vectors[cat]
             assert list(vec.entries.items()) == list(oracle[cat].entries.items())
             assert vec.norm == oracle[cat].norm
-        # accept_items computes an edge as correlation(x, y), x the endpoint
-        # folded last, and FeatureVector.dot sums in its first argument's
-        # order when both have as many entries, so the edge is one of the two
-        # argument orders
         for i, a in enumerate(graph.categories):
             for b in graph.categories[i + 1:]:
-                assert graph.edges[(a, b)] in (correlation(oracle[a], oracle[b]),
-                                               correlation(oracle[b], oracle[a]))
-
-
-def sequential_accept(graph, item):
-    """Oracle: the per-item update that accept_items replaced. It folds one
-    item, recomputes its categories' vectors, then writes every edge of each
-    touched category as correlation(touched, other)."""
-    if item.id not in graph.item_vectors:
-        graph.item_vectors[item.id] = featurize(item, graph.vocab)
-    touched = []
-    for cat, w in item.category_weights.items():
-        if w <= 0.0:
-            continue
-        graph.members[cat].append(item.id)
-        acc = graph.sums[cat]
-        for tid, value in graph.item_vectors[item.id].entries.items():
-            acc[tid] = acc.get(tid, 0.0) + value
-        touched.append(cat)
-    for cat in touched:
-        n = len(graph.members[cat])
-        graph.vectors[cat] = FeatureVector.from_entries(
-            {tid: w / n for tid, w in graph.sums[cat].items()})
-    for cat in touched:
-        for other in graph.categories:
-            if other == cat:
-                continue
-            key = (cat, other) if cat < other else (other, cat)
-            graph.edges[key] = correlation(graph.vectors[cat],
-                                           graph.vectors[other])
+                assert graph.edges[(a, b)] == correlation(oracle[a], oracle[b])
 
 
 FOUR_CATEGORIES = dict(THREE_CATEGORIES, sport=("sport/s",))
 
-# one user's accept: a new item over one to three categories with weights
-# that may be 0, or a repeat of an earlier accept
+# one accept: a new item over one to three categories with weights that may
+# be 0, or a repeat of an earlier accept
 batch_accepts = st.one_of(
     st.tuples(st.just("new"),
               st.lists(st.tuples(st.sampled_from(sorted(FOUR_CATEGORIES)),
@@ -334,57 +323,65 @@ batch_accepts = st.one_of(
                        min_size=1, max_size=3, unique_by=lambda cw: cw[0]),
               st.lists(st.sampled_from(GRAPH_WORDS), min_size=0, max_size=4)),
     st.tuples(st.just("again"), st.integers(0, 10**6)))
-# steps of users of accepts: every step's accepts fold as one batch
-batch_steps = st.lists(st.lists(st.lists(batch_accepts, max_size=4),
-                                min_size=1, max_size=4),
-                       min_size=1, max_size=4)
 
 
-class TestBatchedAcceptEqualsSequential:
+def assert_same_graph(graph, other):
+    assert graph.members == other.members
+    assert graph.item_vectors == other.item_vectors
+    for cat in graph.categories:
+        assert list(graph.sums[cat].items()) == list(other.sums[cat].items())
+        vec, twin = graph.vectors[cat], other.vectors[cat]
+        assert list(vec.entries.items()) == list(twin.entries.items())
+        assert vec.norm == twin.norm
+    assert list(graph.vectors) == list(other.vectors)
+    assert list(graph.edges.items()) == list(other.edges.items())
+
+
+class TestBatchingDoesNotChangeTheGraph:
     @settings(max_examples=150, deadline=None)
-    @given(steps=batch_steps)
-    def test_one_batch_per_step_is_bit_identical(self, steps):
-        items = [
+    @given(accepts=st.lists(batch_accepts, max_size=16), data=st.data())
+    def test_any_split_into_batches_is_bit_identical(self, accepts, data):
+        """The same accepts, split into any batches (the first one folded by
+        build), give equal members, sums, vectors and edges in the same key
+        order, and every edge is correlation(vectors[a], vectors[b]), a < b."""
+        sequence = [
             make_item("i1", "food", "food/s", "soup recipe", "warm soup recipe"),
             make_item("i2", "tech", "tech/s", "chip design", "silicon chip"),
             make_item("i3", "arts", "arts/s", "opera review", "opera notes"),
             make_item("i4", "sport", "sport/s", "bread panel", "oven panel",
                       weights={"sport": 0.5, "tech": 0.5}),
         ]
-        corpus = make_corpus(items, FOUR_CATEGORIES)
-        batched = CategoryGraph.build(corpus)
-        sequential = CategoryGraph.build(corpus, vocab=batched.vocab)
-        accepted = list(items)
-        n = 0
-        for users in steps:
-            batch = []
-            for user, accepts in enumerate(users):
-                for accept in accepts:
-                    if accept[0] == "new":
-                        _, weights, words = accept
-                        n += 1
-                        cat = weights[0][0]
-                        item = make_item(f"gi:u{user}:{n}", cat,
-                                         f"{cat}/generated", " ".join(words),
-                                         weights=dict(weights))
-                    else:
-                        item = accepted[accept[1] % len(accepted)]
-                    batch.append(item)
-                    accepted.append(item)
-            batched.accept_items(batch)
-            for item in batch:
-                sequential_accept(sequential, item)
-        assert batched.members == sequential.members
-        assert batched.item_vectors == sequential.item_vectors
-        for cat in batched.categories:
-            assert list(batched.sums[cat].items()) == \
-                list(sequential.sums[cat].items())
-            vec, oracle = batched.vectors[cat], sequential.vectors[cat]
-            assert list(vec.entries.items()) == list(oracle.entries.items())
-            assert vec.norm == oracle.norm
-        assert list(batched.edges) == list(sequential.edges)
-        for key, rho in sequential.edges.items():
-            assert batched.edges[key] == rho
+        vocab = build_vocabulary(sequence)
+        for n, accept in enumerate(accepts):
+            if accept[0] == "new":
+                _, weights, words = accept
+                cat = weights[0][0]
+                sequence.append(make_item(f"gi:u:{n}", cat, f"{cat}/generated",
+                                          " ".join(words), weights=dict(weights)))
+            else:
+                sequence.append(sequence[accept[1] % len(sequence)])
+        # build folds the first batch, which a corpus holds only while no id
+        # repeats
+        ids = [item.id for item in sequence]
+        distinct = next((n for n in range(len(ids)) if ids[n] in ids[:n]),
+                        len(ids))
+
+        def fold(n_built, cuts):
+            graph = CategoryGraph.build(
+                make_corpus(sequence[:n_built], FOUR_CATEGORIES), vocab=vocab)
+            bounds = [n_built, *cuts, len(sequence)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                graph.accept_items(sequence[lo:hi])
+            return graph
+
+        n_built = data.draw(st.integers(0, distinct), label="n_built")
+        cuts = sorted(data.draw(st.sets(st.integers(n_built, len(sequence))),
+                                label="cuts"))
+        split = fold(n_built, cuts)
+        for (a, b), rho in split.edges.items():
+            assert a < b and rho == correlation(split.vectors[a], split.vectors[b])
+        assert_same_graph(split, fold(distinct, []))
+        assert_same_graph(split, fold(0, range(len(sequence))))
 
 
 class TestGraphUpdateBuffer:
@@ -399,8 +396,9 @@ class TestGraphUpdateBuffer:
         assert buffer.flush() == 0
 
     def test_multi_item_flush_folds_all_and_returns_count(self):
-        graph = CategoryGraph.build(two_category_corpus())
-        oracle = copy.deepcopy(graph)
+        corpus = two_category_corpus()
+        graph = CategoryGraph.build(corpus)
+        before = copy.deepcopy(graph.members)
         items = [make_item("z1", "food", "food/s", "chip design"),
                  make_item("z2", "tech", "tech/s", "soup panel"),
                  make_item("z3", "food", "food/s", "bread chip",
@@ -408,11 +406,8 @@ class TestGraphUpdateBuffer:
         buffer = GraphUpdateBuffer(graph)
         buffer.accept_items(items[:2])
         buffer.accept_items(items[2:])
-        assert graph.members == oracle.members
+        assert graph.members == before
         assert buffer.flush() == 3
-        for item in items:
-            sequential_accept(oracle, item)
-        assert graph.members == oracle.members
-        assert graph.vectors == oracle.vectors
-        assert graph.edges == oracle.edges
+        corpus.items.update((item.id, item) for item in items)
+        assert_same_graph(graph, CategoryGraph.build(corpus, vocab=graph.vocab))
         assert buffer.flush() == 0
