@@ -94,13 +94,13 @@ class InteractionRows(Sequence):
         return all(a == b for a, b in zip(self, other))
 
 
-def reject_duplicate_users(users) -> None:
-    """A ValueError naming the first user id that is listed twice."""
+def reject_duplicates(ids, kind: str) -> None:
+    """A ValueError naming the first `kind` id that is listed twice."""
     seen = set()
-    for user in users:
-        if user in seen:
-            raise ValueError(f"duplicate user {user!r}")
-        seen.add(user)
+    for value in ids:
+        if value in seen:
+            raise ValueError(f"duplicate {kind} {value!r}")
+        seen.add(value)
 
 
 def _log_columns(items: dict, users, user_ids, item_ids, timestamps,
@@ -242,7 +242,7 @@ class Corpus:
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"item {item.id}: category weights sum to {total}")
         # run_loop feeds each listed user once per step from their network
-        reject_duplicate_users(self.users)
+        reject_duplicates(self.users, "user")
         columns = (self.log_user, self.log_item, self.log_ts, self.log_signal)
         if any(np.ndim(c) != 1 or len(c) != len(self.log_user) for c in columns):
             raise ValueError("interaction columns must be 1-D and equally long")
@@ -606,6 +606,8 @@ def corpus_to_json(corpus: Corpus) -> str:
 
 def corpus_from_json(text: str) -> Corpus:
     doc = json.loads(text)
+    # a later record would silently replace an earlier one of the same id
+    reject_duplicates([d["id"] for d in doc["items"]], "item")
     items = {
         d["id"]: Item(id=d["id"], category=d["category"], subcategory=d["subcategory"],
                       title=d["title"], abstract=d["abstract"],

@@ -130,9 +130,27 @@ class CategoryStats:
 
 @dataclass
 class UserClassification:
-    classes: dict            # user -> {category -> Exposure}
+    users: tuple             # sorted user ids
     fb_users: tuple          # sorted user ids with >=1 high and >=1 low
     stats: dict              # category -> CategoryStats
+
+    @cached_property
+    def classes(self) -> dict:
+        """user -> {category -> Exposure}, built when first read (the loop
+        reads only the bubble-affected users' classes)."""
+        classes = {u: {} for u in self.users}
+        for cat, st in self.stats.items():
+            for u, v in zip(self.users, st.values):
+                if st.sigma == 0.0:
+                    label = Exposure.NORMAL
+                elif v > st.high_threshold:
+                    label = Exposure.EXTREME_HIGH
+                elif v < st.low_threshold:
+                    label = Exposure.EXTREME_LOW
+                else:
+                    label = Exposure.NORMAL
+                classes[u][cat] = label
+        return classes
 
 
 def classify_users(beliefs: dict, taxonomy) -> UserClassification:
@@ -143,35 +161,28 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
     identical across users classifies everyone Normal there. The low threshold
     mu - 2*sigma is floored at zero in effect: beliefs are nonnegative, so a
     nonpositive threshold makes ExtremeLow unreachable in that category.
+    The bubble-affected users come from the sets of users above some high
+    threshold and below some low one; `classes` is built only when read.
     """
     users = sorted(beliefs)
     if len(users) < MIN_POPULATION:
         raise ValueError(f"need at least {MIN_POPULATION} users, got {len(users)}")
     categories = tuple(sorted(taxonomy)) if not isinstance(taxonomy, tuple) else taxonomy
-    classes = {u: {} for u in users}
+    rows = [beliefs[u] for u in users]
     stats = {}
+    highs, lows = set(), set()
     n = len(users)
     for cat in categories:
-        values = [beliefs[u].get(cat, 0.0) for u in users]
+        values = [row.get(cat, 0.0) for row in rows]
         mu = sum(values) / n
         sigma = math.sqrt(sum((v - mu) ** 2 for v in values) / n)
         low = mu - 2.0 * sigma
         high = mu + 2.0 * sigma
         stats[cat] = CategoryStats(mu=mu, sigma=sigma, low_threshold=low,
                                    high_threshold=high, values=tuple(values))
-        for u, v in zip(users, values):
-            if sigma == 0.0:
-                label = Exposure.NORMAL
-            elif v > high:
-                label = Exposure.EXTREME_HIGH
-            elif v < low:
-                label = Exposure.EXTREME_LOW
-            else:
-                label = Exposure.NORMAL
-            classes[u][cat] = label
-    fb = []
-    for u in users:
-        labels = classes[u].values()
-        if (Exposure.EXTREME_HIGH in labels) and (Exposure.EXTREME_LOW in labels):
-            fb.append(u)
-    return UserClassification(classes=classes, fb_users=tuple(fb), stats=stats)
+        if sigma != 0.0:
+            # low <= high, so no value is on both sides
+            highs.update(u for u, v in zip(users, values) if v > high)
+            lows.update(u for u, v in zip(users, values) if v < low)
+    fb = tuple(u for u in users if u in highs and u in lows)
+    return UserClassification(users=tuple(users), fb_users=fb, stats=stats)

@@ -9,14 +9,19 @@ accept items.
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
-TOKEN_RE = re.compile(r"[a-z0-9]+")
+import numpy as np
+
+TOKEN_RE = re.compile(r"[a-z0-9]{2,}")   # maximal runs of two or more
 
 
 def tokenize(text: str) -> list:
     """Lowercase, split on non-alphanumerics, drop tokens shorter than 2."""
-    return [t for t in TOKEN_RE.findall(text.lower()) if len(t) >= 2]
+    return TOKEN_RE.findall(text.lower())
 
 
 @dataclass
@@ -32,17 +37,16 @@ class Vocabulary:
         return out
 
 
-def build_vocabulary(items) -> Vocabulary:
+def build_vocabulary(items, tokens: list = None) -> Vocabulary:
     """Vocabulary over item titles+abstracts with smoothed idf.
 
-    idf(t) = ln((1 + N) / (1 + df(t))) + 1, always positive.
+    idf(t) = ln((1 + N) / (1 + df(t))) + 1, always positive. `tokens`, when
+    the caller has them, is each item's tokenize(item.text()), in order.
     """
-    df: dict = {}
-    n_docs = 0
-    for item in items:
-        n_docs += 1
-        for term in set(tokenize(item.text())):
-            df[term] = df.get(term, 0) + 1
+    if tokens is None:
+        tokens = [tokenize(item.text()) for item in items]
+    df = Counter(chain.from_iterable(map(set, tokens)))
+    n_docs = len(tokens)
     term_ids = {term: i for i, term in enumerate(sorted(df))}
     idf = {term_ids[t]: math.log((1 + n_docs) / (1 + c)) + 1.0 for t, c in df.items()}
     return Vocabulary(term_ids=term_ids, idf=idf, n_docs=n_docs)
@@ -74,7 +78,12 @@ def featurize(item, vocab: Vocabulary) -> FeatureVector:
     Tokens outside the vocabulary are ignored. Empty or fully-unknown text
     gives the zero vector.
     """
-    tokens = tokenize(item.text())
+    return featurize_tokens(tokenize(item.text()), vocab)
+
+
+def featurize_tokens(tokens: list, vocab: Vocabulary) -> FeatureVector:
+    """featurize of a text with these tokens; entries in first-occurrence
+    order."""
     if not tokens:
         return FeatureVector.from_entries({})
     counts: dict = {}
@@ -85,6 +94,24 @@ def featurize(item, vocab: Vocabulary) -> FeatureVector:
     length = len(tokens)
     return FeatureVector.from_entries(
         {tid: (c / length) * vocab.idf[tid] for tid, c in counts.items()})
+
+
+class FlatEntries(NamedTuple):
+    """The entries of a run of vectors, each in its own order, concatenated."""
+    counts: np.ndarray      # entries per vector
+    terms: np.ndarray
+    weights: np.ndarray
+
+
+def flat_entries(vectors) -> FlatEntries:
+    entries = [vec.entries for vec in vectors]
+    counts = np.fromiter(map(len, entries), np.intp, len(entries))
+    total = int(counts.sum())
+    return FlatEntries(
+        counts=counts,
+        terms=np.fromiter(chain.from_iterable(entries), np.intp, total),
+        weights=np.fromiter(chain.from_iterable(map(dict.values, entries)),
+                            float, total))
 
 
 def correlation(a: FeatureVector, b: FeatureVector) -> float:
@@ -108,85 +135,202 @@ def _mean_vector(vectors: list) -> FeatureVector:
 
 @dataclass
 class CategoryGraph:
+    """Category nodes and the edges between every pair of them.
+
+    Node state is kept as categories x (terms + 1) arrays; the last column
+    is always zero and pads each category's term order. `term_sums` holds
+    each category's running per-term sums over its members, `node_values`
+    the sums over the member count, `touch_order` each category's term ids
+    in first-touch order (the order the mean's entries take) with
+    `n_touched` of them in use, and `norms` each node vector's norm.
+    `vectors` and `sums` are read-only views built from them on each read.
+    """
     vocab: Vocabulary
     categories: tuple
     members: dict                       # category -> list of item ids
     item_vectors: dict                  # item id -> FeatureVector
-    vectors: dict                       # category -> FeatureVector
     edges: dict                         # sorted (a, b) -> correlation
-    sums: dict                          # category -> {term id: sum}
+    edge_rows: tuple                    # the edges' (a rows, b rows)
+    rows: dict                          # category -> array row
+    term_sums: np.ndarray
+    node_values: np.ndarray
+    touched: np.ndarray                 # bool, categories x terms
+    touch_order: np.ndarray             # term ids, padded with the zero column
+    n_touched: np.ndarray
+    norms: np.ndarray
+    text_vectors: dict                  # text -> FeatureVector, items without one
 
     @classmethod
     def build(cls, corpus, vocab: Vocabulary = None,
-              item_vectors: dict = None) -> "CategoryGraph":
+              index=None) -> "CategoryGraph":
         """Every category starts with the zero vector and every sorted pair
         with edge 0.0; then the corpus's items are accepted as one batch.
-        `item_vectors` is copied, as the graph adds to its own cache."""
+
+        `index`, a CandidateIndex of the corpus, supplies the item vectors,
+        which the graph copies as it adds to its own cache, and their flat
+        entries; without it the items are featurized.
+        """
+        if index is not None and index.ids != list(corpus.items):
+            raise ValueError("the candidate index was built from another corpus")
         if vocab is None:
             vocab = build_vocabulary(corpus.items.values())
         categories = corpus.categories()
+        shape = (len(categories), len(vocab.term_ids) + 1)
         graph = cls(vocab=vocab, categories=categories,
                     members={c: [] for c in categories},
-                    item_vectors=dict(item_vectors or {}),
-                    vectors={c: FeatureVector.from_entries({}) for c in categories},
+                    item_vectors=dict(index.vectors) if index is not None else {},
                     edges={(a, b): 0.0 for i, a in enumerate(categories)
                            for b in categories[i + 1:]},
-                    sums={c: {} for c in categories})
-        graph.accept_items(corpus.items.values())
+                    edge_rows=np.triu_indices(len(categories), 1),
+                    rows={c: r for r, c in enumerate(categories)},
+                    term_sums=np.zeros(shape), node_values=np.zeros(shape),
+                    touched=np.zeros(shape, dtype=bool),
+                    touch_order=np.full(shape, shape[1] - 1, dtype=np.intp),
+                    n_touched=np.zeros(len(categories), dtype=np.intp),
+                    norms=np.zeros(len(categories)), text_vectors={})
+        graph._fold(list(corpus.items.values()),
+                    index.entries if index is not None else None)
         return graph
+
+    @property
+    def vectors(self) -> dict:
+        """category -> FeatureVector of its node, entries in first-touch
+        order."""
+        return {c: FeatureVector(entries=self._entries(self.node_values, r),
+                                 norm=float(self.norms[r]))
+                for c, r in self.rows.items()}
+
+    @property
+    def sums(self) -> dict:
+        """category -> {term id: running sum}, in first-touch order."""
+        return {c: self._entries(self.term_sums, r) for c, r in self.rows.items()}
+
+    def _entries(self, table: np.ndarray, row: int) -> dict:
+        tids = self.touch_order[row, :self.n_touched[row]]
+        return dict(zip(tids.tolist(), table[row, tids].tolist()))
 
     def rho(self, a: str, b: str) -> float:
         if a == b:
-            return 1.0 if not self.vectors[a].is_zero() else 0.0
+            return 1.0 if self.norms[self.rows[a]] != 0.0 else 0.0
         key = (a, b) if a < b else (b, a)
         return self.edges[key]
+
+    def _vector(self, item) -> FeatureVector:
+        """The item's vector; an item without one is featurized, once per
+        distinct text."""
+        vec = self.item_vectors.get(item.id)
+        if vec is None:
+            text = item.text()
+            vec = self.text_vectors.get(text)
+            if vec is None:
+                vec = self.text_vectors[text] = featurize(item, self.vocab)
+            self.item_vectors[item.id] = vec
+        return vec
 
     def accept_items(self, items) -> None:
         """Fold a batch of accepted items into the node vectors and edges.
 
         Every item is checked before any is folded, so a bad item leaves the
         graph as it was. Items fold into members and running sums in the
-        order given, an item without a vector being featurized first; each
-        sum is the left fold over the members in order that _mean_vector
-        computes, term by term in the same insertion order. Each touched
-        node vector is then recomputed once, and each edge with a touched
-        endpoint once, as correlation(vectors[a], vectors[b]) with a < b.
-        The result depends only on the order of the accepts, not on how
-        they are split into batches, so it equals a rebuild bit for bit.
+        order given: np.add.at adds to each sum one item at a time, the left
+        fold over the members that _mean_vector computes. A term first
+        touched by the batch joins the end of its category's term order.
+        Each touched node is then divided by its member count, and every
+        norm and edge is a np.cumsum, which adds strictly left to right as
+        Python's sum does: a norm over the node's own term order, and an
+        edge's dot product over the order of the endpoint with fewer terms,
+        the smaller category on a tie, which is the side FeatureVector.dot
+        walks in correlation(vectors[a], vectors[b]) with a < b. Padding
+        and terms absent from the other endpoint add 0.0, which leaves the
+        non-negative sums unchanged. So every edge equals that correlation,
+        and the graph equals a rebuild bit for bit however the accepts are
+        split into batches.
         """
-        items = list(items)
-        for item in items:
+        self._fold(list(items))
+
+    def _fold(self, items: list, entries: FlatEntries = None) -> None:
+        """accept_items, with the items' flat entries when the caller has
+        them."""
+        pair_item, rows = self._pairs(items)
+        if entries is None:
+            entries = flat_entries([self._vector(item) for item in items])
+        if not len(rows):
+            return
+        for i, r in zip(pair_item.tolist(), rows.tolist()):
+            self.members[self.categories[r]].append(items[i].id)
+        # each (category, item) pair takes its item's entries
+        counts = entries.counts[pair_item]
+        starts = np.cumsum(entries.counts) - entries.counts
+        take = np.arange(int(counts.sum())) + np.repeat(
+            starts[pair_item] - (np.cumsum(counts) - counts), counts)
+        cat_rows, terms = np.repeat(rows, counts), entries.terms[take]
+        np.add.at(self.term_sums, (cat_rows, terms), entries.weights[take])
+        self._extend_touch_order(cat_rows, terms)
+        changed = np.flatnonzero(np.bincount(rows, minlength=len(self.categories)))
+        members = [len(self.members[self.categories[r]]) for r in changed.tolist()]
+        self.node_values[changed] = self.term_sums[changed] / np.array(members)[:, None]
+        order = self.touch_order[:, :max(1, int(self.n_touched.max()))]
+        node = self.node_values[changed[:, None], order[changed]]
+        self.norms[changed] = np.sqrt(np.cumsum(node * node, axis=1)[:, -1])
+        self._recompute_edges(order)
+
+    def _pairs(self, items: list) -> tuple:
+        """(item position, category row) of every positive weight, in item
+        and then weight order. An unknown category is a ValueError naming
+        the first such item."""
+        positions, rows = [], []
+        for n, item in enumerate(items):
             for cat, w in item.category_weights.items():
-                if w > 0.0 and cat not in self.members:
-                    raise ValueError(f"item {item.id}: unknown category {cat!r}")
-        touched = set()
-        for item in items:
-            vec = self.item_vectors.get(item.id)
-            if vec is None:
-                vec = self.item_vectors[item.id] = featurize(item, self.vocab)
-            for cat, w in item.category_weights.items():
-                if w <= 0.0:
-                    continue
-                self.members[cat].append(item.id)
-                acc = self.sums[cat]
-                for tid, value in vec.entries.items():
-                    acc[tid] = acc.get(tid, 0.0) + value
-                touched.add(cat)
-        for cat in touched:
-            n = len(self.members[cat])
-            self.vectors[cat] = FeatureVector.from_entries(
-                {tid: w / n for tid, w in self.sums[cat].items()})
-        cats = self.categories
-        for i, a in enumerate(cats):
-            for b in cats[i + 1:]:
-                if a in touched or b in touched:
-                    self.edges[(a, b)] = correlation(self.vectors[a], self.vectors[b])
+                if w > 0.0:
+                    row = self.rows.get(cat)
+                    if row is None:
+                        raise ValueError(f"item {item.id}: unknown category {cat!r}")
+                    positions.append(n)
+                    rows.append(row)
+        return np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp)
+
+    def _extend_touch_order(self, cat_rows: np.ndarray, terms: np.ndarray) -> None:
+        """Append each (category, term) the batch touches first, in the order
+        of its first touch."""
+        fresh = np.flatnonzero(~self.touched[cat_rows, terms])
+        if not len(fresh):
+            return
+        width = self.touched.shape[1]
+        keys = cat_rows[fresh] * width + terms[fresh]
+        first = np.full(self.touched.size, len(keys))
+        np.minimum.at(first, keys, np.arange(len(keys)))
+        new = np.flatnonzero(first < len(keys))
+        cat_rows, terms = np.divmod(new[np.argsort(first[new])], width)
+        group = np.argsort(cat_rows, kind="stable")
+        cat_rows, terms = cat_rows[group], terms[group]
+        added = np.bincount(cat_rows, minlength=len(self.categories))
+        rank = np.arange(len(cat_rows)) - (np.cumsum(added) - added)[cat_rows]
+        self.touch_order[cat_rows, self.n_touched[cat_rows] + rank] = terms
+        self.touched[cat_rows, terms] = True
+        self.n_touched += added
+
+    def _recompute_edges(self, order: np.ndarray) -> None:
+        a, b = self.edge_rows
+        n = self.n_touched
+        side = np.where(n[b] < n[a], b, a)
+        width = self.node_values.shape[1]
+        values = self.node_values.ravel()
+        cols = order[side]
+        dots = np.cumsum(values[(side * width)[:, None] + cols]
+                         * values[((a + b - side) * width)[:, None] + cols],
+                         axis=1)[:, -1]
+        norm_a, norm_b = self.norms[a], self.norms[b]
+        zero = (norm_a == 0.0) | (norm_b == 0.0)
+        rho = np.clip(dots / np.where(zero, 1.0, norm_a * norm_b), -1.0, 1.0)
+        rho[zero] = 0.0
+        self.edges = dict(zip(self.edges, rho.tolist()))
 
     def to_json_dict(self) -> dict:
         terms = self.vocab.terms()
+        vectors = self.vectors
         nodes = []
         for cat in self.categories:
-            vec = self.vectors[cat]
+            vec = vectors[cat]
             nodes.append({
                 "category": cat,
                 "members": len(self.members[cat]),

@@ -8,6 +8,7 @@ falls back to the template on failure.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from . import pathfinder
@@ -61,6 +62,8 @@ class TemplateGenerator:
         self.exemplars = exemplars
         self._top_terms: dict = {}
         self._vocab = None
+        self._cycles: dict = {}     # prompt -> period of its text in the seed
+        self._texts: dict = {}      # (prompt, seed % period) -> (title, abstract)
 
     def _vocabulary(self):
         if self._vocab is None:
@@ -85,6 +88,22 @@ class TemplateGenerator:
         return self._top_terms[category][:limit]
 
     def generate(self, prompt_categories, seed: int = 0) -> tuple:
+        """(title, abstract). The text depends on the seed only through each
+        category's term offset, seed % max(1, len(terms) - 1), and so
+        through the seed modulo the least common multiple of those periods;
+        it is memoised on the prompt and that residue."""
+        prompt = tuple(prompt_categories)
+        cycle = self._cycles.get(prompt)
+        if cycle is None:
+            cycle = self._cycles[prompt] = math.lcm(
+                *(max(1, len(self.top_terms(cat)) - 1) for cat in prompt))
+        key = (prompt, seed % cycle)
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = self._compose(prompt, seed)
+        return text
+
+    def _compose(self, prompt_categories, seed: int) -> tuple:
         title = " meets ".join(prompt_categories)
         parts = []
         for cat in prompt_categories:

@@ -17,16 +17,15 @@ DEFAULT_THETA = 2
 @dataclass(frozen=True)
 class PromptPath:
     nodes: tuple
+    key: str = field(init=False, repr=False, compare=False)   # "a->b->c"
 
     def __post_init__(self):
         if len(self.nodes) < 2:
             raise ValueError("a prompt path needs at least two nodes")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError(f"path nodes must be distinct: {self.nodes}")
-
-    @property
-    def key(self) -> str:
-        return "->".join(self.nodes)
+        # sessions compare and count prompts by key many times per step
+        object.__setattr__(self, "key", "->".join(self.nodes))
 
     @property
     def source(self) -> str:
@@ -57,8 +56,8 @@ def _edge_key(a: str, b: str) -> tuple:
 
 def record_rejection(ledger: RejectionLedger, prompt: PromptPath) -> RejectionLedger:
     """Count a rejection; past the tolerance, penalize the prompt's edges."""
-    ledger.counts[prompt.key] = ledger.counts.get(prompt.key, 0) + 1
-    if ledger.counts[prompt.key] > ledger.theta:
+    count = ledger.counts[prompt.key] = ledger.counts.get(prompt.key, 0) + 1
+    if count > ledger.theta:
         for a, b in prompt.edges():
             ledger.penalized_edges.add(_edge_key(a, b))
     return ledger
@@ -78,11 +77,13 @@ def next_hop(graph, current: str, network, ledger: RejectionLedger,
     best = None
     best_score = None
     rows = [] if trace is not None else None
+    belief, penalized = network.belief, ledger.penalized_edges
     for cand in graph.categories:
         if cand == current or cand in visited:
             continue
+        edge = (current, cand) if current < cand else (cand, current)
         score = (graph.rho(current, cand)
-                 + network.belief_degree(cand) * rejection_weight(ledger, current, cand))
+                 + belief[cand] * (-1.0 if edge in penalized else 1.0))
         if rows is not None:
             rows.append({"candidate": cand, "score": score})
         if best_score is None or score > best_score or \

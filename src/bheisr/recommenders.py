@@ -14,7 +14,8 @@ import numpy as np
 from scipy import sparse
 
 from . import nudge
-from .features import _mean_vector, correlation, featurize
+from .features import FlatEntries, _mean_vector, correlation, \
+    featurize_tokens, flat_entries, tokenize
 from .rng import substream
 
 
@@ -29,21 +30,21 @@ class CandidateIndex:
     cat_index: np.ndarray            # per item, its row in corpus.categories()
     id_rank: np.ndarray              # per item, rank in ascending id order
     vectors: dict                    # item id -> FeatureVector
+    entries: FlatEntries             # the vectors' entries, in row order
 
     @classmethod
-    def build(cls, corpus, vocab) -> "CandidateIndex":
+    def build(cls, corpus, vocab, tokens: list = None) -> "CandidateIndex":
+        """`tokens`, when the caller has them, is each item's
+        tokenize(item.text()), in corpus order."""
         ids = list(corpus.items)
-        vectors = {i: featurize(corpus.items[i], vocab) for i in ids}
-        n_terms = len(vocab.term_ids)
-        rows, cols, data = [], [], []
-        for r, item_id in enumerate(ids):
-            for tid, w in vectors[item_id].entries.items():
-                rows.append(r)
-                cols.append(tid)
-                data.append(w)
-        matrix = sparse.csr_matrix((data, (rows, cols)),
-                                   shape=(len(ids), max(1, n_terms)))
-        norms = np.array([vectors[i].norm for i in ids])
+        if tokens is None:
+            tokens = [tokenize(item.text()) for item in corpus.items.values()]
+        vecs = [featurize_tokens(t, vocab) for t in tokens]
+        entries = flat_entries(vecs)
+        rows = np.repeat(np.arange(len(ids)), entries.counts)
+        matrix = sparse.csr_matrix((entries.weights, (rows, entries.terms)),
+                                   shape=(len(ids), max(1, len(vocab.term_ids))))
+        norms = np.array([vec.norm for vec in vecs])
         cat_pos = {c: j for j, c in enumerate(corpus.categories())}
         cat_index = np.array([cat_pos[corpus.items[i].category] for i in ids],
                              dtype=np.intp)
@@ -51,7 +52,7 @@ class CandidateIndex:
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         return cls(ids=ids, pos={i: r for r, i in enumerate(ids)}, matrix=matrix,
                    norms=norms, cat_index=cat_index, id_rank=id_rank,
-                   vectors=vectors)
+                   vectors=dict(zip(ids, vecs)), entries=entries)
 
 
 def cb_score(item, network, vectors: dict) -> float:

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 from . import belief as belief_mod
 from . import detection, nudge
 from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, load_behaviors, \
-    load_corpus, load_ratings, reject_duplicate_users, synth_corpus
-from .features import CategoryGraph, GraphUpdateBuffer, build_vocabulary
+    load_corpus, load_ratings, reject_duplicates, synth_corpus
+from .features import CategoryGraph, GraphUpdateBuffer, build_vocabulary, \
+    tokenize
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
 from .rng import substream
 
@@ -84,7 +85,7 @@ class SimConfig:
             raise ValueError("generator_timeout_ms must be positive")
         if self.generator_retries < 0:
             raise ValueError("generator_retries must be non-negative")
-        reject_duplicate_users(self.users or ())
+        reject_duplicates(self.users or (), "user")
 
 
 def decide(item, network, belief_total: float, rng) -> tuple:
@@ -205,8 +206,12 @@ class SharedAssets:
 
 
 def build_assets(corpus: Corpus) -> SharedAssets:
-    vocab = build_vocabulary(corpus.items.values())
-    return SharedAssets(vocab=vocab, index=CandidateIndex.build(corpus, vocab))
+    """The vocabulary and the candidate index, from one tokenizing pass."""
+    items = corpus.items.values()
+    tokens = [tokenize(item.text()) for item in items]
+    vocab = build_vocabulary(items, tokens)
+    return SharedAssets(vocab=vocab,
+                        index=CandidateIndex.build(corpus, vocab, tokens))
 
 
 def _classify(corpus, networks):
@@ -226,7 +231,7 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     if assets is None:
         assets = build_assets(corpus)
     vocab, index = assets.vocab, assets.index
-    graph = CategoryGraph.build(corpus, vocab, item_vectors=index.vectors)
+    graph = CategoryGraph.build(corpus, vocab, index=index)
     networks = belief_mod.build_all(corpus)
     classification = _classify(corpus, networks)
     exemplars = _collect_exemplars(corpus)

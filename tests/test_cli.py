@@ -280,6 +280,18 @@ class TestSimulate:
         assert "duplicate user 'u0000'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_item_id_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth("n_users=12,bias_profile=5")), str(path))
+        doc = json.loads(path.read_text())
+        doc["items"].append(dict(doc["items"][1], id=doc["items"][0]["id"]))
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", "--dataset", str(path), "--model", "rd",
+                     "--feeds", "2", "--out", str(out)]) == 2
+        assert "duplicate item 'it00000'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["simulate", "--synth", SYNTH, "--model", "cb_w",

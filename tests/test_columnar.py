@@ -96,7 +96,7 @@ def assert_networks_equal(got, want):
 def context(corpus, baseline):
     vocab = build_vocabulary(corpus.items.values())
     index = CandidateIndex.build(corpus, vocab)
-    graph = CategoryGraph.build(corpus, vocab=vocab, item_vectors=dict(index.vectors))
+    graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
     ctx = FeedContext(corpus=corpus, index=index, networks=build_all(corpus),
                       graph=graph, baseline=baseline)
     ctx.enable_acceleration()

@@ -245,6 +245,13 @@ class TestValidate:
         with pytest.raises(ValueError, match="duplicate user 'u'"):
             corpus_from_json(json.dumps(doc))
 
+    def test_repeated_item_id_rejected(self):
+        # the later record would otherwise silently replace the first
+        doc = json.loads(corpus_to_json(self.base()))
+        doc["items"].append(dict(doc["items"][0], title="other"))
+        with pytest.raises(ValueError, match="duplicate item 'i1'"):
+            corpus_from_json(json.dumps(doc))
+
     def test_interaction_user_must_exist(self):
         corpus = self.base()
         rows = list(corpus.interactions) + [Interaction("ghost", "i1", 1, 1.0)]

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bheisr.features import (
     featurize,
     tokenize,
 )
+from bheisr.recommenders import CandidateIndex
 
 
 def make_item(id, cat, sub, title, abstract="", weights=None):
@@ -42,6 +44,12 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("!?.") == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("aZ09 -x\u212a\u0130.")) | st.text())
+    def test_equals_splitting_then_dropping_short_runs(self, text):
+        runs = re.findall(r"[a-z0-9]+", text.lower())
+        assert tokenize(text) == [t for t in runs if len(t) >= 2]
 
 
 class TestVocabulary:
@@ -170,11 +178,15 @@ class TestCategoryGraph:
     def test_prebuilt_item_vectors_are_copied(self):
         corpus = two_category_corpus()
         vocab = build_vocabulary(corpus.items.values())
-        vectors = {it.id: featurize(it, vocab) for it in corpus.items.values()}
-        graph = CategoryGraph.build(corpus, vocab=vocab, item_vectors=vectors)
+        index = CandidateIndex.build(corpus, vocab)
+        graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
         graph.accept_items([make_item("new", "food", "food/s", "pie recipe")])
-        assert "new" not in vectors
+        assert "new" not in index.vectors
         assert "new" in graph.item_vectors
+        assert_same_graph(graph, CategoryGraph.build(
+            make_corpus([*corpus.items.values(),
+                         make_item("new", "food", "food/s", "pie recipe")],
+                        {"food": ("food/s",), "tech": ("tech/s",)}), vocab=vocab))
 
 
 class TestIncrementalUpdate:
@@ -313,6 +325,61 @@ class TestIncrementalGraphMatchesOracle:
 
 
 FOUR_CATEGORIES = dict(THREE_CATEGORIES, sport=("sport/s",))
+
+
+def assert_equals_the_oracle(graph):
+    """Nodes equal _mean_vector of the members and edges equal correlation
+    of those, a < b, with ==."""
+    oracle = {c: _mean_vector([graph.item_vectors[i] for i in graph.members[c]])
+              for c in graph.categories}
+    vectors = graph.vectors
+    for cat in graph.categories:
+        assert list(vectors[cat].entries.items()) == list(oracle[cat].entries.items())
+        assert vectors[cat].norm == oracle[cat].norm
+        assert graph.rho(cat, cat) == (0.0 if oracle[cat].is_zero() else 1.0)
+    for (a, b), rho in graph.edges.items():
+        assert rho == correlation(oracle[a], oracle[b])
+
+
+class TestArrayEdgeCases:
+    def test_tie_in_term_count_sums_in_the_smaller_categorys_order(self):
+        # arts and food end with six terms each; summed in food's order the
+        # dot product is one ulp above the one summed in arts' order
+        items = [make_item("i0", "arts", "arts/s", "design opera warm panel"),
+                 make_item("i1", "food", "food/s", "warm chip recipe warm"),
+                 make_item("i2", "arts", "arts/s", "chip soup opera"),
+                 make_item("i3", "food", "food/s", "soup silicon chip panel")]
+        taxonomy = {"arts": ("arts/s",), "food": ("food/s",)}
+        built = CategoryGraph.build(make_corpus(items, taxonomy))
+        arts, food = built.vectors["arts"], built.vectors["food"]
+        assert len(arts.entries) == len(food.entries)
+        assert correlation(food, arts) != correlation(arts, food)
+        assert built.edges[("arts", "food")] == correlation(arts, food)
+        assert_equals_the_oracle(built)
+        folded = CategoryGraph.build(make_corpus(items[:1], taxonomy),
+                                     vocab=built.vocab)
+        for item in items[1:]:
+            folded.accept_items([item])
+        assert_same_graph(folded, built)
+
+    def test_empty_text_item_is_a_member_without_terms(self):
+        # arts gains a member that halves its node; sport holds only an
+        # empty-text item, so its node is the zero vector and its edges 0.0
+        items = three_category_items() + [
+            make_item("e1", "arts", "arts/s", ""),
+            make_item("e2", "sport", "sport/s", "")]
+        built = CategoryGraph.build(make_corpus(items, FOUR_CATEGORIES))
+        assert built.vectors["sport"].is_zero()
+        assert all(rho == 0.0 for (a, b), rho in built.edges.items()
+                   if "sport" in (a, b))
+        assert built.members["arts"] == ["i3", "e1"]
+        assert built.vectors["arts"].entries == {
+            tid: w / 2 for tid, w in built.item_vectors["i3"].entries.items()}
+        assert_equals_the_oracle(built)
+        folded = CategoryGraph.build(make_corpus(items[:4], FOUR_CATEGORIES),
+                                     vocab=built.vocab)
+        folded.accept_items(items[4:])
+        assert_same_graph(folded, built)
 
 # one accept: a new item over one to three categories with weights that may
 # be 0, or a repeat of an earlier accept

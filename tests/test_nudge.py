@@ -129,6 +129,27 @@ class TestTemplateGenerator:
         assert terms[0] == "recipe"   # appears in all three food texts
 
 
+# categories with 0, 1, 3 and more top terms
+GENERATOR_EXEMPLARS = {
+    **exemplar_items(),
+    "solo": [Item("s1", "solo", "solo/s", "opera", "", {"solo": 1.0})],
+}
+
+
+class TestTemplateMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.lists(st.sampled_from(sorted(GENERATOR_EXEMPLARS)), min_size=1,
+                 max_size=4, unique=True),
+        st.integers(0, 50)), min_size=1, max_size=12))
+    def test_cached_text_equals_uncached_generation(self, calls):
+        shared = TemplateGenerator(GENERATOR_EXEMPLARS)
+        for prompt, seed in calls:
+            fresh = TemplateGenerator(GENERATOR_EXEMPLARS)
+            assert shared.generate(tuple(prompt), seed) == \
+                fresh.generate(tuple(prompt), seed)
+
+
 class TestExternalGenerator:
     def fallback(self):
         return TemplateGenerator(exemplar_items())

@@ -74,8 +74,7 @@ def context_for(corpus, baseline="cb"):
     vocab = build_vocabulary(corpus.items.values())
     index = CandidateIndex.build(corpus, vocab)
     networks = build_all(corpus)
-    graph = CategoryGraph.build(corpus, vocab=vocab,
-                                item_vectors=dict(index.vectors))
+    graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
     ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
                       baseline=baseline, generator=TemplateGenerator({}))
     ctx.enable_acceleration()
