@@ -60,13 +60,25 @@ class FeatureVector:
     @classmethod
     def from_entries(cls, entries: dict) -> "FeatureVector":
         entries = {k: v for k, v in entries.items() if v != 0.0}
-        return cls(entries=entries, norm=math.sqrt(sum(v * v for v in entries.values())))
+        norm = 0.0
+        for v in entries.values():
+            norm += v * v
+        return cls(entries=entries, norm=math.sqrt(norm))
 
     def dot(self, other: "FeatureVector") -> float:
+        """Products over the shorter side's entries (this side on a tie),
+        added left to right like the norm in from_entries. Both are plain
+        loops, not sum(), which compensates its rounding from Python 3.12
+        on: the category graph's np.cumsum edges equal correlation() only
+        under this order."""
         a, b = self.entries, other.entries
         if len(b) < len(a):
             a, b = b, a
-        return sum(w * b[t] for t, w in a.items() if t in b)
+        total = 0.0
+        for t, w in a.items():
+            if t in b:
+                total += w * b[t]
+        return total
 
     def is_zero(self) -> bool:
         return self.norm == 0.0
@@ -237,8 +249,8 @@ class CategoryGraph:
         touched by the batch joins the end of its category's term order.
         Each touched node is then divided by its member count, and every
         norm and edge is a np.cumsum, which adds strictly left to right as
-        Python's sum does: a norm over the node's own term order, and an
-        edge's dot product over the order of the endpoint with fewer terms,
+        FeatureVector's loops do: a norm over the node's own term order, and
+        an edge's dot product over the order of the endpoint with fewer terms,
         the smaller category on a tie, which is the side FeatureVector.dot
         walks in correlation(vectors[a], vectors[b]) with a < b. Padding
         and terms absent from the other endpoint add 0.0, which leaves the

@@ -63,13 +63,10 @@ def record_rejection(ledger: RejectionLedger, prompt: PromptPath) -> RejectionLe
     return ledger
 
 
-def rejection_weight(ledger: RejectionLedger, a: str, b: str) -> float:
-    return -1.0 if _edge_key(a, b) in ledger.penalized_edges else 1.0
-
-
 def next_hop(graph, current: str, network, ledger: RejectionLedger,
              visited: set, trace=None) -> str:
-    """Best next node from `current`: argmax of rho + belief * rejection weight.
+    """Best next node from `current`: argmax of rho + belief * rejection
+    weight, the weight -1 on an edge the ledger penalizes and 1 otherwise.
 
     Ties break to the lexicographically smallest candidate. Raises if every
     other node has been visited.
@@ -81,9 +78,8 @@ def next_hop(graph, current: str, network, ledger: RejectionLedger,
     for cand in graph.categories:
         if cand == current or cand in visited:
             continue
-        edge = (current, cand) if current < cand else (cand, current)
-        score = (graph.rho(current, cand)
-                 + belief[cand] * (-1.0 if edge in penalized else 1.0))
+        score = (graph.rho(current, cand) + belief[cand]
+                 * (-1.0 if _edge_key(current, cand) in penalized else 1.0))
         if rows is not None:
             rows.append({"candidate": cand, "score": score})
         if best_score is None or score > best_score or \

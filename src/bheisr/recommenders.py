@@ -15,7 +15,7 @@ from scipy import sparse
 
 from . import nudge
 from .features import FlatEntries, _mean_vector, correlation, \
-    featurize_tokens, flat_entries, tokenize
+    featurize_tokens, flat_entries
 from .rng import substream
 
 
@@ -33,12 +33,9 @@ class CandidateIndex:
     entries: FlatEntries             # the vectors' entries, in row order
 
     @classmethod
-    def build(cls, corpus, vocab, tokens: list = None) -> "CandidateIndex":
-        """`tokens`, when the caller has them, is each item's
-        tokenize(item.text()), in corpus order."""
+    def build(cls, corpus, vocab, tokens: list) -> "CandidateIndex":
+        """`tokens` is each item's tokenize(item.text()), in corpus order."""
         ids = list(corpus.items)
-        if tokens is None:
-            tokens = [tokenize(item.text()) for item in corpus.items.values()]
         vecs = [featurize_tokens(t, vocab) for t in tokens]
         entries = flat_entries(vecs)
         rows = np.repeat(np.arange(len(ids)), entries.counts)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from bheisr import recommenders, simulate
 from bheisr.belief import BeliefNetwork, build_all
 from bheisr.corpus import Corpus, Interaction, Item, SynthSpec, synth_corpus
-from bheisr.features import CategoryGraph, build_vocabulary
-from bheisr.recommenders import CandidateIndex, FeedContext
+from bheisr.features import CategoryGraph
+from bheisr.recommenders import FeedContext
 from bheisr.simulate import SimConfig
 
 
@@ -94,8 +94,8 @@ def assert_networks_equal(got, want):
 
 
 def context(corpus, baseline):
-    vocab = build_vocabulary(corpus.items.values())
-    index = CandidateIndex.build(corpus, vocab)
+    assets = simulate.build_assets(corpus)
+    vocab, index = assets.vocab, assets.index
     graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
     ctx = FeedContext(corpus=corpus, index=index, networks=build_all(corpus),
                       graph=graph, baseline=baseline)

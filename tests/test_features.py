@@ -20,7 +20,7 @@ from bheisr.features import (
     featurize,
     tokenize,
 )
-from bheisr.recommenders import CandidateIndex
+from bheisr.simulate import build_assets
 
 
 def make_item(id, cat, sub, title, abstract="", weights=None):
@@ -177,8 +177,8 @@ class TestCategoryGraph:
 
     def test_prebuilt_item_vectors_are_copied(self):
         corpus = two_category_corpus()
-        vocab = build_vocabulary(corpus.items.values())
-        index = CandidateIndex.build(corpus, vocab)
+        assets = build_assets(corpus)
+        vocab, index = assets.vocab, assets.index
         graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
         graph.accept_items([make_item("new", "food", "food/s", "pie recipe")])
         assert "new" not in index.vectors

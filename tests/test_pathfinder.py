@@ -12,7 +12,6 @@ from bheisr.pathfinder import (
     next_hop,
     path_of,
     record_rejection,
-    rejection_weight,
     reschedule,
     select_endpoints,
 )
@@ -66,16 +65,16 @@ class TestRejectionLedger:
         path = path_of("a", "b")
         record_rejection(ledger, path)
         record_rejection(ledger, path)
-        assert rejection_weight(ledger, "a", "b") == 1.0   # at theta, not past
+        assert hop_scores(ledger, "a")["b"] == 0.9 + 1.0   # at theta, not past
         record_rejection(ledger, path)
-        assert rejection_weight(ledger, "a", "b") == -1.0
-        assert rejection_weight(ledger, "b", "a") == -1.0  # undirected
+        assert hop_scores(ledger, "a")["b"] == 0.9 - 1.0
+        assert hop_scores(ledger, "b")["a"] == 0.9 - 1.0   # undirected
 
     def test_every_edge_of_the_path_penalized(self):
         ledger = RejectionLedger(theta=0)
         record_rejection(ledger, path_of("a", "b", "c"))
         assert ledger.penalized_edges == {("a", "b"), ("b", "c")}
-        assert rejection_weight(ledger, "a", "c") == 1.0
+        assert hop_scores(ledger, "a")["c"] == 0.2 + 1.0
 
     def test_counts_keyed_by_full_path(self):
         ledger = RejectionLedger(theta=2)
@@ -88,6 +87,15 @@ GRAPH = FakeGraph(
     ["a", "b", "c", "d"],
     {("a", "b"): 0.9, ("a", "c"): 0.2, ("a", "d"): 0.1,
      ("b", "c"): 0.5, ("b", "d"): 0.3, ("c", "d"): 0.8})
+
+
+def hop_scores(ledger, current):
+    """next_hop's traced score of every other node of GRAPH, every belief 1:
+    rho plus the edge's rejection weight."""
+    trace = []
+    network = FakeNetwork(dict.fromkeys(GRAPH.categories, 1.0))
+    next_hop(GRAPH, current, network, ledger, {current}, trace=trace)
+    return {row["candidate"]: row["score"] for row in trace[0]["candidates"]}
 
 
 class TestNextHop:

@@ -17,11 +17,10 @@ from bheisr.corpus import (
     SynthSpec,
     synth_corpus,
 )
-from bheisr.features import CategoryGraph, build_vocabulary, featurize
+from bheisr.features import CategoryGraph, featurize
 from bheisr.nudge import NudgeSession, TemplateGenerator
 from bheisr.pathfinder import RejectionLedger, path_of
 from bheisr.recommenders import (
-    CandidateIndex,
     FeedContext,
     _baseline_scores,
     acceptance_share,
@@ -32,7 +31,7 @@ from bheisr.recommenders import (
     uc_score,
 )
 from bheisr.rng import substream
-from bheisr.simulate import SimConfig
+from bheisr.simulate import SimConfig, build_assets
 
 
 class TestNGenerated:
@@ -71,8 +70,8 @@ def small_corpus():
 
 
 def context_for(corpus, baseline="cb"):
-    vocab = build_vocabulary(corpus.items.values())
-    index = CandidateIndex.build(corpus, vocab)
+    assets = build_assets(corpus)
+    vocab, index = assets.vocab, assets.index
     networks = build_all(corpus)
     graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
     ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
@@ -88,8 +87,8 @@ def share(item, network):
 class TestCandidateIndex:
     def test_matrix_rows_match_featurize(self):
         corpus = small_corpus()
-        vocab = build_vocabulary(corpus.items.values())
-        index = CandidateIndex.build(corpus, vocab)
+        assets = build_assets(corpus)
+        vocab, index = assets.vocab, assets.index
         for item_id, item in corpus.items.items():
             row = index.matrix.getrow(index.pos[item_id]).toarray().ravel()
             vec = featurize(item, vocab)
@@ -100,7 +99,7 @@ class TestCandidateIndex:
 
     def test_categories_aligned(self):
         corpus = small_corpus()
-        index = CandidateIndex.build(corpus, build_vocabulary(corpus.items.values()))
+        index = build_assets(corpus).index
         cats = corpus.categories()
         for item_id, item in corpus.items.items():
             assert cats[index.cat_index[index.pos[item_id]]] == item.category
