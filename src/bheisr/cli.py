@@ -10,7 +10,7 @@ import sys
 from . import belief as belief_mod
 from . import detection, simulate
 from .corpus import SynthSpec, save_corpus
-from .features import CategoryGraph, build_vocabulary
+from .features import CategoryGraph
 from .nudge import QUEUE_DISCIPLINES
 from .recommenders import assemble_feed
 from .simulate import SimConfig
@@ -160,8 +160,9 @@ def cmd_detect(args) -> int:
 def cmd_graph(args) -> int:
     config = build_config(args)
     corpus = simulate.build_corpus(config)
-    vocab = build_vocabulary(corpus.items.values())
-    graph = CategoryGraph.build(corpus, vocab)
+    assets = simulate.build_assets(corpus)
+    vocab = assets.vocab
+    graph = CategoryGraph.build(corpus, vocab, assets.index)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(graph.to_json_dict(), fh, indent=2, sort_keys=True)

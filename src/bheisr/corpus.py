@@ -360,7 +360,8 @@ def _csv_rows(path: str, required: tuple):
 def load_ratings(path: str) -> Corpus:
     """Load a ratings-style corpus from a directory with movies.csv + ratings.csv.
 
-    movies.csv: id, genres (pipe-separated), title, overview.
+    movies.csv: id, genres (pipe-separated), title, overview; a repeated id
+    is a ParseError naming its line.
     ratings.csv: user_id, movie_id, rating, timestamp. Interested means
     rating > 2.5. Duplicate (user, movie) pairs keep the last row by timestamp.
     """
@@ -373,7 +374,13 @@ def load_ratings(path: str) -> Corpus:
     items: dict = {}
     taxonomy: dict = {}
     rejects = []
+    first_line: dict = {}   # movie id -> line of its row
     for lineno, row in _csv_rows(movies_path, ("id", "genres", "title", "overview")):
+        item_id = row["id"]
+        if item_id in first_line:
+            raise ParseError(f"{movies_path}: line {lineno}: duplicate movie "
+                             f"{item_id!r} (first on line {first_line[item_id]})")
+        first_line[item_id] = lineno
         genres = [g for g in row["genres"].split("|") if g]
         if not genres:
             rejects.append((lineno, f"movie {row['id']!r}: no genres"))
@@ -384,7 +391,6 @@ def load_ratings(path: str) -> Corpus:
         else:
             sublabels = [f"{category}/{g}" for g in genres[1:]]
         taxonomy.setdefault(category, set()).update(sublabels)
-        item_id = row["id"]
         items[item_id] = Item(id=item_id, category=category,
                               subcategory=sublabels[0],
                               title=row["title"], abstract=row["overview"],

@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -111,19 +111,56 @@ def featurize_tokens(tokens: list, vocab: Vocabulary) -> FeatureVector:
 class FlatEntries(NamedTuple):
     """The entries of a run of vectors, each in its own order, concatenated."""
     counts: np.ndarray      # entries per vector
+    starts: np.ndarray      # each vector's first position in terms and weights
     terms: np.ndarray
     weights: np.ndarray
 
 
-def flat_entries(vectors) -> FlatEntries:
-    entries = [vec.entries for vec in vectors]
-    counts = np.fromiter(map(len, entries), np.intp, len(entries))
-    total = int(counts.sum())
-    return FlatEntries(
-        counts=counts,
-        terms=np.fromiter(chain.from_iterable(entries), np.intp, total),
-        weights=np.fromiter(chain.from_iterable(map(dict.values, entries)),
-                            float, total))
+def segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[i] .. starts[i] + counts[i] - 1 of every i, in
+    order."""
+    return np.arange(int(counts.sum())) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
+
+
+def featurize_corpus(tokens: list, vocab: Vocabulary) -> tuple:
+    """featurize_tokens of every token list, in array passes: the vectors'
+    FlatEntries and their norms.
+
+    Each list's distinct terms keep their first-occurrence order (np.unique
+    over (list, term) keys, groups ordered by first index) and weigh
+    (count / length) * idf, elementwise as featurize_tokens computes them.
+    Each norm adds its squares to 0.0 in entry order, one entry rank at a
+    time across every vector that has an entry at that rank: the left fold
+    from_entries loops. So every entry, weight and norm equals
+    featurize_tokens's. Weights are never 0.0 (a count is at least 1 and
+    idf at least 1), so none is dropped.
+    """
+    n = len(tokens)
+    lengths = np.fromiter(map(len, tokens), np.intp, n)
+    tids = np.fromiter(map(vocab.term_ids.get, chain.from_iterable(tokens),
+                           repeat(-1)), np.intp, int(lengths.sum()))
+    width = max(1, len(vocab.term_ids))
+    keys = (np.repeat(np.arange(n) * width, lengths) + tids)[tids >= 0]
+    pairs, first, occurrences = np.unique(keys, return_index=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rows, terms = np.divmod(pairs[order], width)
+    idf = np.fromiter(map(vocab.idf.__getitem__, range(len(vocab.term_ids))),
+                      float, len(vocab.term_ids))
+    weights = (occurrences[order] / lengths[rows]) * idf[terms]
+    counts = np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    squares, norms = weights * weights, np.zeros(n)
+    longest_first = np.argsort(-counts, kind="stable")
+    # how many vectors have more than j entries, for each rank j
+    longer = np.searchsorted(-counts[longest_first],
+                             -np.arange(counts.max(initial=0)))
+    for rank, m in enumerate(longer.tolist()):
+        live = longest_first[:m]
+        norms[live] += squares[starts[live] + rank]
+    return FlatEntries(counts=counts, starts=starts, terms=terms,
+                       weights=weights), np.sqrt(norms)
 
 
 def correlation(a: FeatureVector, b: FeatureVector) -> float:
@@ -158,9 +195,10 @@ class CategoryGraph:
     `vectors` and `sums` are read-only views built from them on each read.
     """
     vocab: Vocabulary
+    index: object                       # the CandidateIndex of the corpus
     categories: tuple
     members: dict                       # category -> list of item ids
-    item_vectors: dict                  # item id -> FeatureVector
+    item_vectors: dict                  # item id -> FeatureVector, items outside the index
     edges: dict                         # sorted (a, b) -> correlation
     edge_rows: tuple                    # the edges' (a rows, b rows)
     rows: dict                          # category -> array row
@@ -170,27 +208,23 @@ class CategoryGraph:
     touch_order: np.ndarray             # term ids, padded with the zero column
     n_touched: np.ndarray
     norms: np.ndarray
-    text_vectors: dict                  # text -> FeatureVector, items without one
+    text_vectors: dict                  # text -> FeatureVector, items outside the index
 
     @classmethod
-    def build(cls, corpus, vocab: Vocabulary = None,
-              index=None) -> "CategoryGraph":
+    def build(cls, corpus, vocab: Vocabulary, index) -> "CategoryGraph":
         """Every category starts with the zero vector and every sorted pair
         with edge 0.0; then the corpus's items are accepted as one batch.
 
-        `index`, a CandidateIndex of the corpus, supplies the item vectors,
-        which the graph copies as it adds to its own cache, and their flat
-        entries; without it the items are featurized.
+        `index`, the CandidateIndex of the corpus built over `vocab`, holds
+        the corpus items' vectors: an accepted item in it folds its index
+        row, and only other items are featurized.
         """
-        if index is not None and index.ids != list(corpus.items):
+        if index.ids != list(corpus.items):
             raise ValueError("the candidate index was built from another corpus")
-        if vocab is None:
-            vocab = build_vocabulary(corpus.items.values())
         categories = corpus.categories()
         shape = (len(categories), len(vocab.term_ids) + 1)
-        graph = cls(vocab=vocab, categories=categories,
-                    members={c: [] for c in categories},
-                    item_vectors=dict(index.vectors) if index is not None else {},
+        graph = cls(vocab=vocab, index=index, categories=categories,
+                    members={c: [] for c in categories}, item_vectors={},
                     edges={(a, b): 0.0 for i, a in enumerate(categories)
                            for b in categories[i + 1:]},
                     edge_rows=np.triu_indices(len(categories), 1),
@@ -200,8 +234,7 @@ class CategoryGraph:
                     touch_order=np.full(shape, shape[1] - 1, dtype=np.intp),
                     n_touched=np.zeros(len(categories), dtype=np.intp),
                     norms=np.zeros(len(categories)), text_vectors={})
-        graph._fold(list(corpus.items.values()),
-                    index.entries if index is not None else None)
+        graph._fold(list(corpus.items.values()), index.entries)
         return graph
 
     @property
@@ -228,7 +261,7 @@ class CategoryGraph:
         return self.edges[key]
 
     def _vector(self, item) -> FeatureVector:
-        """The item's vector; an item without one is featurized, once per
+        """The vector of an item outside the index, featurized once per
         distinct text."""
         vec = self.item_vectors.get(item.id)
         if vec is None:
@@ -238,6 +271,28 @@ class CategoryGraph:
                 vec = self.text_vectors[text] = featurize(item, self.vocab)
             self.item_vectors[item.id] = vec
         return vec
+
+    def _item_entries(self, items: list) -> FlatEntries:
+        """The items' flat entries: an index item's from its index row, any
+        other item's from _vector."""
+        index = self.index.entries
+        counts, terms, weights = [], [], []
+        for item in items:
+            row = self.index.pos.get(item.id)
+            if row is None:
+                entries = self._vector(item).entries
+                counts.append(len(entries))
+                terms.append(np.fromiter(entries, np.intp, len(entries)))
+                weights.append(np.fromiter(entries.values(), float, len(entries)))
+            else:
+                span = slice(index.starts[row], index.starts[row] + index.counts[row])
+                counts.append(index.counts[row])
+                terms.append(index.terms[span])
+                weights.append(index.weights[span])
+        counts = np.array(counts, dtype=np.intp)
+        return FlatEntries(counts=counts, starts=np.cumsum(counts) - counts,
+                           terms=np.concatenate(terms),
+                           weights=np.concatenate(weights))
 
     def accept_items(self, items) -> None:
         """Fold a batch of accepted items into the node vectors and edges.
@@ -263,18 +318,18 @@ class CategoryGraph:
     def _fold(self, items: list, entries: FlatEntries = None) -> None:
         """accept_items, with the items' flat entries when the caller has
         them."""
+        if not items:
+            return
         pair_item, rows = self._pairs(items)
         if entries is None:
-            entries = flat_entries([self._vector(item) for item in items])
+            entries = self._item_entries(items)
         if not len(rows):
             return
         for i, r in zip(pair_item.tolist(), rows.tolist()):
             self.members[self.categories[r]].append(items[i].id)
         # each (category, item) pair takes its item's entries
         counts = entries.counts[pair_item]
-        starts = np.cumsum(entries.counts) - entries.counts
-        take = np.arange(int(counts.sum())) + np.repeat(
-            starts[pair_item] - (np.cumsum(counts) - counts), counts)
+        take = segments(entries.starts[pair_item], counts)
         cat_rows, terms = np.repeat(rows, counts), entries.terms[take]
         np.add.at(self.term_sums, (cat_rows, terms), entries.weights[take])
         self._extend_touch_order(cat_rows, terms)

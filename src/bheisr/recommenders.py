@@ -14,42 +14,43 @@ import numpy as np
 from scipy import sparse
 
 from . import nudge
-from .features import FlatEntries, _mean_vector, correlation, \
-    featurize_tokens, flat_entries
+from .features import FlatEntries, _mean_vector, correlation, featurize_corpus, \
+    segments
 from .rng import substream
 
 
 @dataclass
 class CandidateIndex:
     """Frozen matrix view of the corpus for batch scoring; row r is the
-    corpus's r-th item."""
+    corpus's r-th item, and the one store of its vector: its entries in
+    first-occurrence order, its matrix row (term order) and its norm."""
     ids: list
     pos: dict
     matrix: "sparse.csr_matrix"
     norms: np.ndarray
     cat_index: np.ndarray            # per item, its row in corpus.categories()
     id_rank: np.ndarray              # per item, rank in ascending id order
-    vectors: dict                    # item id -> FeatureVector
-    entries: FlatEntries             # the vectors' entries, in row order
+    entries: FlatEntries             # the items' entries, in row order
 
     @classmethod
     def build(cls, corpus, vocab, tokens: list) -> "CandidateIndex":
         """`tokens` is each item's tokenize(item.text()), in corpus order."""
         ids = list(corpus.items)
-        vecs = [featurize_tokens(t, vocab) for t in tokens]
-        entries = flat_entries(vecs)
-        rows = np.repeat(np.arange(len(ids)), entries.counts)
-        matrix = sparse.csr_matrix((entries.weights, (rows, entries.terms)),
-                                   shape=(len(ids), max(1, len(vocab.term_ids))))
-        norms = np.array([vec.norm for vec in vecs])
+        entries, norms = featurize_corpus(tokens, vocab)
+        indptr = np.append(entries.starts, len(entries.terms))
+        matrix = sparse.csr_matrix((entries.weights, entries.terms, indptr),
+                                   shape=(len(ids), max(1, len(vocab.term_ids))),
+                                   copy=True)
+        matrix.sort_indices()
         cat_pos = {c: j for j, c in enumerate(corpus.categories())}
-        cat_index = np.array([cat_pos[corpus.items[i].category] for i in ids],
-                             dtype=np.intp)
+        cat_index = np.fromiter((cat_pos[item.category]
+                                 for item in corpus.items.values()),
+                                np.intp, len(ids))
         id_rank = np.empty(len(ids), dtype=np.intp)
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         return cls(ids=ids, pos={i: r for r, i in enumerate(ids)}, matrix=matrix,
                    norms=norms, cat_index=cat_index, id_rank=id_rank,
-                   vectors=dict(zip(ids, vecs)), entries=entries)
+                   entries=entries)
 
 
 def cb_score(item, network, vectors: dict) -> float:
@@ -237,9 +238,7 @@ class FeedContext:
 def _row_entries(matrix, rows: np.ndarray) -> tuple:
     """Column ids and values of the CSR matrix rows, concatenated in order."""
     start = matrix.indptr[rows]
-    length = matrix.indptr[rows + 1] - start
-    take = np.arange(length.sum()) + np.repeat(start - (np.cumsum(length) - length),
-                                               length)
+    take = segments(start, matrix.indptr[rows + 1] - start)
     return matrix.indices[take], matrix.data[take]
 
 

@@ -292,6 +292,19 @@ class TestSimulate:
         assert "duplicate item 'it00000'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_movie_id_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "movies.csv").write_text(
+            "id,genres,title,overview\n"
+            "m1,Drama|Crime,First,a\nm2,Comedy,Second,b\nm1,Horror,Third,c\n")
+        (tmp_path / "ratings.csv").write_text(
+            "user_id,movie_id,rating,timestamp\na,m1,4.0,1\nb,m2,5.0,2\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--dataset", str(tmp_path), "--dataset-format",
+                     "imdb_csv", "--model", "rd", "--feeds", "2",
+                     "--out", str(out)]) == 2
+        assert "line 4: duplicate movie 'm1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["simulate", "--synth", SYNTH, "--model", "cb_w",

@@ -153,6 +153,16 @@ class TestLoadRatings:
         with pytest.raises(ParseError, match="line 2: field larger than"):
             load_ratings(str(tmp_path))
 
+    def test_repeated_movie_id_raises(self, tmp_path):
+        # the later row used to replace the earlier, leaving Drama in the
+        # taxonomy with no items
+        write(tmp_path / "movies.csv", "id,genres,title,overview\n"
+              "m1,Drama|Crime,First,a\nm2,Comedy,Second,b\nm1,Horror,Third,c\n")
+        write(tmp_path / "ratings.csv", RATINGS_ROWS)
+        with pytest.raises(ParseError,
+                           match=r"line 4: duplicate movie 'm1' \(first on line 2\)"):
+            load_ratings(str(tmp_path))
+
     def test_bad_header_raises(self, tmp_path):
         write(tmp_path / "movies.csv", "id,title\nm1,x\n")
         write(tmp_path / "ratings.csv", RATINGS_ROWS)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bheisr.corpus import Corpus, Item
@@ -18,9 +18,11 @@ from bheisr.features import (
     build_vocabulary,
     correlation,
     featurize,
+    featurize_corpus,
+    featurize_tokens,
     tokenize,
 )
-from bheisr.simulate import build_assets
+from bheisr.recommenders import CandidateIndex
 
 
 def make_item(id, cat, sub, title, abstract="", weights=None):
@@ -32,6 +34,22 @@ def make_item(id, cat, sub, title, abstract="", weights=None):
 def make_corpus(items, taxonomy):
     return Corpus.from_rows({it.id: it for it in items}, [],
                             taxonomy=taxonomy, users=())
+
+
+def graph_of(corpus, vocab=None):
+    """CategoryGraph.build over the corpus's candidate index; the vocabulary
+    is the corpus's own unless given."""
+    tokens = [tokenize(item.text()) for item in corpus.items.values()]
+    if vocab is None:
+        vocab = build_vocabulary(corpus.items.values(), tokens)
+    return CategoryGraph.build(corpus, vocab,
+                               CandidateIndex.build(corpus, vocab, tokens))
+
+
+def same_vector(vec, oracle):
+    """Equal entries in the same order and an equal norm."""
+    return list(vec.entries.items()) == list(oracle.entries.items()) and \
+        vec.norm == oracle.norm
 
 
 class TestTokenize:
@@ -103,6 +121,36 @@ class TestFeaturize:
         assert featurize(make_item("2", "c", "c/s", ""), vocab).is_zero()
 
 
+# tokens from a small pool, so documents repeat terms and share them
+CORPUS_WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "ii", "jj",
+                "kk", "ll"]
+documents = st.lists(st.lists(st.sampled_from(CORPUS_WORDS), max_size=30),
+                     max_size=12)
+
+
+class TestFeaturizeCorpus:
+    @settings(max_examples=300, deadline=None)
+    @given(docs=documents, known=st.integers(0, 12))
+    @example(docs=[], known=0)                       # no items
+    @example(docs=[[], ["aa", "aa"], []], known=3)   # empty token lists
+    @example(docs=[["aa", "bb"], ["cc", "aa"]], known=0)   # empty vocabulary
+    def test_equals_featurize_tokens_item_by_item(self, docs, known):
+        """Entries in order, weights and norms equal featurize_tokens with ==;
+        the vocabulary comes from the first `known` documents, so the others
+        may hold tokens outside it."""
+        vocab = build_vocabulary([], docs[:known])
+        entries, norms = featurize_corpus(docs, vocab)
+        assert len(entries.counts) == len(norms) == len(docs)
+        starts = entries.starts
+        for r, tokens in enumerate(docs):
+            vec = featurize_tokens(tokens, vocab)
+            span = slice(starts[r], starts[r] + entries.counts[r])
+            got = list(zip(entries.terms[span].tolist(),
+                           entries.weights[span].tolist()))
+            assert got == list(vec.entries.items()), r
+            assert norms[r] == vec.norm, r
+
+
 class TestCorrelation:
     def test_identical_vectors_give_one(self):
         v = FeatureVector.from_entries({0: 0.3, 1: 0.4})
@@ -143,28 +191,28 @@ def two_category_corpus():
 class TestCategoryGraph:
     def test_category_vector_is_mean_of_members(self):
         corpus = two_category_corpus()
-        graph = CategoryGraph.build(corpus)
-        v1 = graph.item_vectors["i1"]
-        v2 = graph.item_vectors["i2"]
+        graph = graph_of(corpus)
+        v1 = featurize(corpus.items["i1"], graph.vocab)
+        v2 = featurize(corpus.items["i2"], graph.vocab)
         for tid in set(v1.entries) | set(v2.entries):
             expect = (v1.entries.get(tid, 0.0) + v2.entries.get(tid, 0.0)) / 2
             assert graph.vectors["food"].entries.get(tid, 0.0) == pytest.approx(expect)
 
     def test_rho_symmetric_and_bounded(self):
-        graph = CategoryGraph.build(two_category_corpus())
+        graph = graph_of(two_category_corpus())
         r = graph.rho("food", "tech")
         assert r == graph.rho("tech", "food")
         assert 0.0 < r <= 1.0   # shared "recipe" token links them
 
     def test_rho_self_is_one(self):
-        graph = CategoryGraph.build(two_category_corpus())
+        graph = graph_of(two_category_corpus())
         assert graph.rho("food", "food") == 1.0
 
     def test_multi_category_item_joins_both(self):
         corpus = two_category_corpus()
         corpus.items["i5"] = make_item("i5", "food", "food/s", "fusion",
                                        weights={"food": 0.5, "tech": 0.5})
-        graph = CategoryGraph.build(corpus)
+        graph = graph_of(corpus)
         assert "i5" in graph.members["food"]
         assert "i5" in graph.members["tech"]
 
@@ -172,33 +220,33 @@ class TestCategoryGraph:
         corpus = two_category_corpus()
         corpus.items["i5"] = make_item("i5", "food", "food/s", "pure food",
                                        weights={"food": 1.0, "tech": 0.0})
-        graph = CategoryGraph.build(corpus)
+        graph = graph_of(corpus)
         assert "i5" not in graph.members["tech"]
 
-    def test_prebuilt_item_vectors_are_copied(self):
+    def test_only_items_outside_the_index_are_featurized(self):
         corpus = two_category_corpus()
-        assets = build_assets(corpus)
-        vocab, index = assets.vocab, assets.index
-        graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
-        graph.accept_items([make_item("new", "food", "food/s", "pie recipe")])
-        assert "new" not in index.vectors
-        assert "new" in graph.item_vectors
-        assert_same_graph(graph, CategoryGraph.build(
-            make_corpus([*corpus.items.values(),
-                         make_item("new", "food", "food/s", "pie recipe")],
-                        {"food": ("food/s",), "tech": ("tech/s",)}), vocab=vocab))
+        graph = graph_of(corpus)
+        new = make_item("new", "food", "food/s", "pie recipe")
+        graph.accept_items([new])
+        assert_same_graph(graph, graph_of(
+            make_corpus([*corpus.items.values(), new],
+                        {"food": ("food/s",), "tech": ("tech/s",)}), graph.vocab))
+        # a corpus item accepted again folds its index row
+        graph.accept_items([corpus.items["i3"], new])
+        assert list(graph.item_vectors) == ["new"]
+        assert_equals_the_oracle(graph, [*corpus.items.values(), new])
 
 
 class TestIncrementalUpdate:
     def test_matches_full_rebuild_bit_for_bit(self):
         corpus = two_category_corpus()
-        graph = CategoryGraph.build(corpus)
+        graph = graph_of(corpus)
         new = make_item("i9", "tech", "tech/s", "solar panel design",
                         "panel design recipe")
         graph.accept_items([new])
 
         corpus.items["i9"] = new
-        rebuilt = CategoryGraph.build(corpus, vocab=graph.vocab)
+        rebuilt = graph_of(corpus, graph.vocab)
         assert graph.vectors["tech"].entries == rebuilt.vectors["tech"].entries
         assert graph.edges == rebuilt.edges
 
@@ -206,7 +254,7 @@ class TestIncrementalUpdate:
         rng = np.random.default_rng(7)
         corpus = two_category_corpus()
         vocab = build_vocabulary(corpus.items.values())
-        graph = CategoryGraph.build(corpus, vocab=vocab)
+        graph = graph_of(corpus, vocab)
         words = ["soup", "chip", "recipe", "panel", "bread", "design"]
         for n in range(40):
             cat = ["food", "tech"][rng.integers(2)]
@@ -214,7 +262,7 @@ class TestIncrementalUpdate:
             item = make_item(f"x{n}", cat, f"{cat}/s", title)
             graph.accept_items([item])
             corpus.items[item.id] = item
-        rebuilt = CategoryGraph.build(corpus, vocab=vocab)
+        rebuilt = graph_of(corpus, vocab)
         for cat in graph.categories:
             assert graph.vectors[cat].entries == rebuilt.vectors[cat].entries
         assert graph.edges == rebuilt.edges
@@ -225,25 +273,25 @@ class TestIncrementalUpdate:
         # last-folded endpoint (tech) first gives 0.6506297430699626, one ulp
         # off the rebuild's sorted-order 0.6506297430699625
         items = three_category_items()
-        graph = CategoryGraph.build(make_corpus(items, THREE_CATEGORIES))
+        graph = graph_of(make_corpus(items, THREE_CATEGORIES))
         generated = [make_item("gi:u:0", "food", "food/generated", ""),
                      make_item("gi:u:1", "arts", "arts/generated", ""),
                      make_item("gi:u:2", "tech", "tech/generated", "chip soup")]
         for item in generated:
             graph.accept_items([item])
-        rebuilt = CategoryGraph.build(
-            make_corpus(items + generated, THREE_CATEGORIES), vocab=graph.vocab)
+        rebuilt = graph_of(
+            make_corpus(items + generated, THREE_CATEGORIES), graph.vocab)
         assert graph.edges[("food", "tech")] == rebuilt.edges[("food", "tech")]
         assert list(graph.edges.items()) == list(rebuilt.edges.items())
 
     def test_unknown_category_rejected(self):
-        graph = CategoryGraph.build(two_category_corpus())
+        graph = graph_of(two_category_corpus())
         bad = make_item("b", "food", "food/s", "t", weights={"nope": 1.0})
         with pytest.raises(ValueError, match="unknown"):
             graph.accept_items([bad])
 
     def test_rejected_batch_leaves_graph_unchanged(self):
-        graph = CategoryGraph.build(two_category_corpus())
+        graph = graph_of(two_category_corpus())
         before = copy.deepcopy(graph)
         good = make_item("g", "tech", "tech/s", "chip panel")
         bad = make_item("b", "food", "food/s", "pie recipe",
@@ -258,7 +306,7 @@ class TestIncrementalUpdate:
             assert graph.edges == before.edges
 
     def test_to_json_dict_shape(self):
-        doc = CategoryGraph.build(two_category_corpus()).to_json_dict()
+        doc = graph_of(two_category_corpus()).to_json_dict()
         assert {n["category"] for n in doc["nodes"]} == {"food", "tech"}
         assert doc["edges"][0]["a"] == "food"
         assert 0.0 <= doc["edges"][0]["rho"] <= 1.0
@@ -294,7 +342,7 @@ class TestIncrementalGraphMatchesOracle:
     @given(steps=st.lists(accept_steps, max_size=25))
     def test_vectors_and_edges_equal_the_mean_of_members(self, steps):
         items = three_category_items()
-        graph = CategoryGraph.build(make_corpus(items, THREE_CATEGORIES))
+        graph = graph_of(make_corpus(items, THREE_CATEGORIES))
         members = {"food": ["i1", "i4"], "tech": ["i2", "i4"], "arts": ["i3"]}
         accepted = list(items)
         for n, step in enumerate(steps):
@@ -313,24 +361,22 @@ class TestIncrementalGraphMatchesOracle:
                 if w > 0.0:
                     members[cat].append(item.id)
         assert graph.members == members
-        oracle = {c: _mean_vector([graph.item_vectors[i] for i in members[c]])
-                  for c in graph.categories}
-        for cat in graph.categories:
-            vec = graph.vectors[cat]
-            assert list(vec.entries.items()) == list(oracle[cat].entries.items())
-            assert vec.norm == oracle[cat].norm
-        for i, a in enumerate(graph.categories):
-            for b in graph.categories[i + 1:]:
-                assert graph.edges[(a, b)] == correlation(oracle[a], oracle[b])
+        assert_equals_the_oracle(graph, accepted)
 
 
 FOUR_CATEGORIES = dict(THREE_CATEGORIES, sport=("sport/s",))
 
 
-def assert_equals_the_oracle(graph):
-    """Nodes equal _mean_vector of the members and edges equal correlation
-    of those, a < b, with ==."""
-    oracle = {c: _mean_vector([graph.item_vectors[i] for i in graph.members[c]])
+def assert_equals_the_oracle(graph, items):
+    """The graph holds the vectors of just the accepted `items` outside its
+    index, each equal to featurize. Nodes equal _mean_vector of the members'
+    featurize vectors and edges equal correlation of those, a < b, with ==."""
+    by_id = {item.id: item for item in items}
+    assert set(graph.item_vectors) == set(by_id) - set(graph.index.pos)
+    for item_id, vec in graph.item_vectors.items():
+        assert same_vector(vec, featurize(by_id[item_id], graph.vocab))
+    oracle = {c: _mean_vector([featurize(by_id[i], graph.vocab)
+                               for i in graph.members[c]])
               for c in graph.categories}
     vectors = graph.vectors
     for cat in graph.categories:
@@ -350,17 +396,17 @@ class TestArrayEdgeCases:
                  make_item("i2", "arts", "arts/s", "chip soup opera"),
                  make_item("i3", "food", "food/s", "soup silicon chip panel")]
         taxonomy = {"arts": ("arts/s",), "food": ("food/s",)}
-        built = CategoryGraph.build(make_corpus(items, taxonomy))
+        built = graph_of(make_corpus(items, taxonomy))
         arts, food = built.vectors["arts"], built.vectors["food"]
         assert len(arts.entries) == len(food.entries)
         assert correlation(food, arts) != correlation(arts, food)
         assert built.edges[("arts", "food")] == correlation(arts, food)
-        assert_equals_the_oracle(built)
-        folded = CategoryGraph.build(make_corpus(items[:1], taxonomy),
-                                     vocab=built.vocab)
+        assert_equals_the_oracle(built, items)
+        folded = graph_of(make_corpus(items[:1], taxonomy), built.vocab)
         for item in items[1:]:
             folded.accept_items([item])
         assert_same_graph(folded, built)
+        assert_equals_the_oracle(folded, items)
 
     def test_empty_text_item_is_a_member_without_terms(self):
         # arts gains a member that halves its node; sport holds only an
@@ -368,18 +414,18 @@ class TestArrayEdgeCases:
         items = three_category_items() + [
             make_item("e1", "arts", "arts/s", ""),
             make_item("e2", "sport", "sport/s", "")]
-        built = CategoryGraph.build(make_corpus(items, FOUR_CATEGORIES))
+        built = graph_of(make_corpus(items, FOUR_CATEGORIES))
         assert built.vectors["sport"].is_zero()
         assert all(rho == 0.0 for (a, b), rho in built.edges.items()
                    if "sport" in (a, b))
         assert built.members["arts"] == ["i3", "e1"]
         assert built.vectors["arts"].entries == {
-            tid: w / 2 for tid, w in built.item_vectors["i3"].entries.items()}
-        assert_equals_the_oracle(built)
-        folded = CategoryGraph.build(make_corpus(items[:4], FOUR_CATEGORIES),
-                                     vocab=built.vocab)
+            tid: w / 2 for tid, w in featurize(items[2], built.vocab).entries.items()}
+        assert_equals_the_oracle(built, items)
+        folded = graph_of(make_corpus(items[:4], FOUR_CATEGORIES), built.vocab)
         folded.accept_items(items[4:])
         assert_same_graph(folded, built)
+        assert_equals_the_oracle(folded, items)
 
 # one accept: a new item over one to three categories with weights that may
 # be 0, or a repeat of an earlier accept
@@ -393,8 +439,9 @@ batch_accepts = st.one_of(
 
 
 def assert_same_graph(graph, other):
+    """Equal members, sums, nodes and edges, in the same orders; the graphs
+    may hold different item vectors, as their indexes may differ."""
     assert graph.members == other.members
-    assert graph.item_vectors == other.item_vectors
     for cat in graph.categories:
         assert list(graph.sums[cat].items()) == list(other.sums[cat].items())
         vec, twin = graph.vectors[cat], other.vectors[cat]
@@ -434,8 +481,8 @@ class TestBatchingDoesNotChangeTheGraph:
                         len(ids))
 
         def fold(n_built, cuts):
-            graph = CategoryGraph.build(
-                make_corpus(sequence[:n_built], FOUR_CATEGORIES), vocab=vocab)
+            graph = graph_of(
+                make_corpus(sequence[:n_built], FOUR_CATEGORIES), vocab)
             bounds = [n_built, *cuts, len(sequence)]
             for lo, hi in zip(bounds, bounds[1:]):
                 graph.accept_items(sequence[lo:hi])
@@ -447,13 +494,14 @@ class TestBatchingDoesNotChangeTheGraph:
         split = fold(n_built, cuts)
         for (a, b), rho in split.edges.items():
             assert a < b and rho == correlation(split.vectors[a], split.vectors[b])
+        assert_equals_the_oracle(split, sequence)
         assert_same_graph(split, fold(distinct, []))
         assert_same_graph(split, fold(0, range(len(sequence))))
 
 
 class TestGraphUpdateBuffer:
     def test_reads_see_frozen_graph_until_flush(self):
-        graph = CategoryGraph.build(two_category_corpus())
+        graph = graph_of(two_category_corpus())
         before = graph.rho("food", "tech")
         buffer = GraphUpdateBuffer(graph)
         buffer.accept_items([make_item("z", "food", "food/s", "chip design")])
@@ -464,7 +512,7 @@ class TestGraphUpdateBuffer:
 
     def test_multi_item_flush_folds_all_and_returns_count(self):
         corpus = two_category_corpus()
-        graph = CategoryGraph.build(corpus)
+        graph = graph_of(corpus)
         before = copy.deepcopy(graph.members)
         items = [make_item("z1", "food", "food/s", "chip design"),
                  make_item("z2", "tech", "tech/s", "soup panel"),
@@ -476,5 +524,5 @@ class TestGraphUpdateBuffer:
         assert graph.members == before
         assert buffer.flush() == 3
         corpus.items.update((item.id, item) for item in items)
-        assert_same_graph(graph, CategoryGraph.build(corpus, vocab=graph.vocab))
+        assert_same_graph(graph, graph_of(corpus, graph.vocab))
         assert buffer.flush() == 0

@@ -80,6 +80,13 @@ def context_for(corpus, baseline="cb"):
     return ctx
 
 
+def vectors_of(ctx, *extra):
+    """featurize of every corpus item and of the `extra` items, by id: the
+    oracle vectors cb_score takes."""
+    items = [*ctx.corpus.items.values(), *extra]
+    return {item.id: featurize(item, ctx.graph.vocab) for item in items}
+
+
 def share(item, network):
     return acceptance_share(item, network, sum(network.belief.values()))
 
@@ -110,29 +117,31 @@ class TestCbScore:
         ctx = context_for(small_corpus())
         network = ctx.networks["u3"]
         network.accepted = []
-        assert cb_score(ctx.corpus.items["i1"], network, ctx.index.vectors) == 0.0
+        assert cb_score(ctx.corpus.items["i1"], network, vectors_of(ctx)) == 0.0
 
     def test_matches_hand_cosine(self):
         ctx = context_for(small_corpus())
         network = ctx.networks["u1"]   # accepted i1, i2
-        v1 = ctx.index.vectors["i1"]
-        v2 = ctx.index.vectors["i2"]
+        vectors = vectors_of(ctx)
+        v1 = vectors["i1"]
+        v2 = vectors["i2"]
         acc = {}
         for vec in (v1, v2):
             for tid, w in vec.entries.items():
                 acc[tid] = acc.get(tid, 0.0) + w / 2
-        target = ctx.index.vectors["i4"]
+        target = vectors["i4"]
         dot = sum(w * target.entries.get(tid, 0.0) for tid, w in acc.items())
         norm = math.sqrt(sum(w * w for w in acc.values()))
         expect = dot / (norm * target.norm)
-        assert cb_score(ctx.corpus.items["i4"], network, ctx.index.vectors) == \
+        assert cb_score(ctx.corpus.items["i4"], network, vectors) == \
             pytest.approx(expect, abs=1e-12)
 
     def test_prefers_same_topic_items(self):
         ctx = context_for(small_corpus())
         network = ctx.networks["u1"]
-        apple = cb_score(ctx.corpus.items["i2"], network, ctx.index.vectors)
-        opera = cb_score(ctx.corpus.items["i5"], network, ctx.index.vectors)
+        vectors = vectors_of(ctx)
+        apple = cb_score(ctx.corpus.items["i2"], network, vectors)
+        opera = cb_score(ctx.corpus.items["i5"], network, vectors)
         assert apple > opera
 
 
@@ -345,8 +354,8 @@ def oracle_scores(kind, ctx, user):
     """cb_score or uc_score of every index item, in index order."""
     items = [ctx.corpus.items[i] for i in ctx.index.ids]
     if kind == "cb":
-        return [cb_score(it, ctx.networks[user], ctx.graph.item_vectors)
-                for it in items]
+        vectors = vectors_of(ctx)
+        return [cb_score(it, ctx.networks[user], vectors) for it in items]
     return [uc_score(it, user, ctx.networks) for it in items]
 
 
@@ -463,10 +472,11 @@ class TestAccelerationAgreesWithReference:
         for item in accepts:
             ctx.networks[user].update_on_feedback(item)
         ctx.note_accept(user, [item.id for item in accepts])
+        vectors = vectors_of(ctx, gi)
         for u in corpus.users:
             expected = np.zeros(ctx.profile_sums.shape[1])
             for item_id in ctx.networks[u].accepted:
-                for tid, w in ctx.graph.item_vectors[item_id].entries.items():
+                for tid, w in vectors[item_id].entries.items():
                     expected[tid] += w
             row = ctx.user_pos[u]
             assert np.array_equal(ctx.profile_sums[row], expected), u

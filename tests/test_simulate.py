@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bheisr import detection, simulate
 from bheisr.belief import build_all
 from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, save_corpus, synth_corpus
-from bheisr.features import GraphUpdateBuffer
+from bheisr.features import FeatureVector, GraphUpdateBuffer
 from bheisr.rng import substream
 from bheisr.simulate import (
     MODELS,
@@ -173,6 +173,21 @@ class TestPrepare:
         state = prepare(SimConfig(model="bheisr", w=0.3), fb_corpus, fb_assets)
         assert state.w_eff == 1.0
         assert state.baseline == "rd"
+
+    def test_set_up_builds_no_feature_vector(self, fb_corpus, monkeypatch):
+        # corpus item vectors live only as candidate index rows
+        built = []
+        init = FeatureVector.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeatureVector, "__init__", spy)
+        assets = build_assets(fb_corpus)
+        for model in ("bheisr", "cb_w", "uc_w"):
+            prepare(SimConfig(model=model, track_fb=True), fb_corpus, assets)
+        assert built == []
 
     def test_model_table(self):
         assert set(MODELS) == {"rd", "rd_w", "cb", "cb_w", "uc", "uc_w", "bheisr"}
@@ -355,7 +370,10 @@ class TestStateMatchesLog:
             pos = state.ctx.index.pos
             assert set(np.flatnonzero(state.ctx.accept_matrix[row])) == \
                 {pos[i] for i in network.accepted if i in pos}
-            assert all(i in state.graph.item_vectors for i in network.accepted)
+            # the graph holds the vector of every accepted item outside the
+            # index, and of no item in it
+            assert all((i in pos) != (i in state.graph.item_vectors)
+                       for i in network.accepted)
             # an accepted generated item is credited once, at unit weight, to
             # the synthetic subcategories and to its categories' graph members
             gen = [d.item_id for d in logged if d.origin == ORIGIN_GENERATED]
