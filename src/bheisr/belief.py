@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import ORIGIN_GENERATED, generated_subcategory
+from .folds import fold_sum
 
 PROB_TOL = 1e-9
 
@@ -39,7 +40,7 @@ class BeliefNetwork:
     belief: dict = field(default_factory=dict)
 
     def total_mass(self) -> float:
-        return sum(self.click_counts.values())
+        return fold_sum(self.click_counts.values())
 
     def recompute(self) -> None:
         total = self.total_mass()

@@ -11,6 +11,7 @@ from . import belief as belief_mod
 from . import detection, simulate
 from .corpus import SynthSpec, save_corpus
 from .features import CategoryGraph
+from .folds import fold_sum
 from .nudge import QUEUE_DISCIPLINES
 from .recommenders import assemble_feed
 from .simulate import SimConfig
@@ -201,7 +202,7 @@ def cmd_simulate(args) -> int:
         with open(os.path.join(out, "paths.jsonl"), "w", encoding="utf-8") as fh:
             for trace in record.path_traces:
                 fh.write(json.dumps(trace, sort_keys=True, default=str) + "\n")
-    mean_cov = sum(r.coverage for step in record.steps for r in step) / max(
+    mean_cov = fold_sum(r.coverage for step in record.steps for r in step) / max(
         1, sum(len(step) for step in record.steps))
     print(f"model={record.model} feeds={config.feeds} users={len(record.users)} "
           f"mean_coverage={mean_cov:.6f}")

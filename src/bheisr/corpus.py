@@ -17,11 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .folds import fold_sum
 from .rng import stable_hash, substream
 
 ORIGIN_DATASET = "dataset"
 ORIGIN_GENERATED = "generated"
 GENERATED_SUFFIX = "/generated"
+PROMPT_KEY_SEPARATOR = "->"        # joins a prompt path's categories into its key
 
 WEIGHT_TOL = 1e-9
 MAX_WEIGHT = 1.0 + WEIGHT_TOL      # weights are non-negative and sum to one
@@ -207,6 +209,10 @@ class Corpus:
         # and a generated item's under the reserved label
         owner = {}
         for category, subs in taxonomy.items():
+            # a prompt key must split back into the path's categories
+            if PROMPT_KEY_SEPARATOR in category:
+                raise ValueError(f"category {category!r}: {PROMPT_KEY_SEPARATOR!r} "
+                                 f"separates the categories of a prompt key")
             for sub in subs:
                 if sub.endswith(GENERATED_SUFFIX):
                     raise ValueError(f"subcategory {sub!r}: labels ending in "
@@ -238,7 +244,7 @@ class Corpus:
                 if cat != category and w > 0.0 and item.origin != ORIGIN_GENERATED:
                     raise ValueError(f"item {item.id}: weight on {cat!r}, not on its "
                                      f"own category {category!r}")
-            total = sum(weights.values())
+            total = fold_sum(weights.values())
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"item {item.id}: category weights sum to {total}")
         # run_loop feeds each listed user once per step from their network

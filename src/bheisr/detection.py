@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
+from .folds import fold_sum
+
 
 class Exposure(enum.Enum):
     NORMAL = "Normal"
@@ -94,11 +96,11 @@ def skewness(samples) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("skewness needs at least two samples")
-    mu = sum(xs) / n
-    var = sum((x - mu) ** 2 for x in xs) / n
+    mu = fold_sum(xs) / n
+    var = fold_sum((x - mu) ** 2 for x in xs) / n
     if var == 0.0:
         raise ValueError("zero variance")
-    third = sum((x - mu) ** 3 for x in xs) / n
+    third = fold_sum((x - mu) ** 3 for x in xs) / n
     return third / var ** 1.5
 
 
@@ -174,8 +176,8 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
     n = len(users)
     for cat in categories:
         values = [row.get(cat, 0.0) for row in rows]
-        mu = sum(values) / n
-        sigma = math.sqrt(sum((v - mu) ** 2 for v in values) / n)
+        mu = fold_sum(values) / n
+        sigma = math.sqrt(fold_sum((v - mu) ** 2 for v in values) / n)
         low = mu - 2.0 * sigma
         high = mu + 2.0 * sigma
         stats[cat] = CategoryStats(mu=mu, sigma=sigma, low_threshold=low,

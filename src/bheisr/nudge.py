@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import pathfinder
-from .corpus import ORIGIN_GENERATED, Item, generated_subcategory
+from .corpus import ORIGIN_GENERATED, PROMPT_KEY_SEPARATOR, Item, \
+    generated_subcategory
 from .features import build_vocabulary, featurize
 from .pathfinder import PromptPath, RejectionLedger
 
@@ -271,7 +272,7 @@ def apply_feedback(session: NudgeSession, item: GeneratedItem, accepted: bool,
                 status = f"accepted+{_do_reschedule(session, graph, network)}"
     else:
         fallback_prompt = prompt if prompt is not None else \
-            PromptPath(tuple(item.prompt_key.split("->")))
+            PromptPath(tuple(item.prompt_key.split(PROMPT_KEY_SEPARATOR)))
         pathfinder.record_rejection(session.ledger, fallback_prompt)
         status = "rejected"
         if index is not None:

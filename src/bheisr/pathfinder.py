@@ -9,6 +9,7 @@ threshold. Ties break lexicographically.
 
 from dataclasses import dataclass, field
 
+from .corpus import PROMPT_KEY_SEPARATOR
 from .detection import Exposure
 
 DEFAULT_THETA = 2
@@ -25,7 +26,7 @@ class PromptPath:
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError(f"path nodes must be distinct: {self.nodes}")
         # sessions compare and count prompts by key many times per step
-        object.__setattr__(self, "key", "->".join(self.nodes))
+        object.__setattr__(self, "key", PROMPT_KEY_SEPARATOR.join(self.nodes))
 
     @property
     def source(self) -> str:

@@ -7,7 +7,7 @@ k - n_gen baseline items; accepted items never reappear.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -16,6 +16,7 @@ from scipy import sparse
 from . import nudge
 from .features import FlatEntries, _mean_vector, correlation, featurize_corpus, \
     segments
+from .folds import fold_sum
 from .rng import substream
 
 
@@ -68,7 +69,7 @@ def cb_score(item, network, vectors: dict) -> float:
 def acceptance_share(item, network, total: float) -> float:
     """Belief share of the item's categories: sum of w_C * B(C) / sum B.
 
-    `total` is sum B, `sum(network.belief.values())`; a caller that decides
+    `total` is sum B, `fold_sum(network.belief.values())`; a caller that decides
     on many items between belief updates sums it once.
     """
     if total <= 0.0:
@@ -93,7 +94,7 @@ def uc_score(item, user_id: str, networks: dict) -> float:
     """Sum over other users who accepted the item of their history cosine with
     this user, weighted by this user's belief share for the item."""
     me = networks[user_id]
-    share = acceptance_share(item, me, sum(me.belief.values()))
+    share = acceptance_share(item, me, fold_sum(me.belief.values()))
     if share == 0.0:
         return 0.0
     my_hist = me.mass_by_category()
@@ -120,6 +121,23 @@ def n_generated(w: float, k: int) -> int:
 
 SEED_CHUNK_ROWS = 16384     # history rows per profile-sum seeding pass
 
+# The UC ranking certificate (README §7) holds for positive masses and belief
+# shares in these ranges, where no intermediate value under- or overflows.
+MASS_RANGE = (2.0 ** -64, 2.0 ** 64)
+SHARE_FLOOR = 2.0 ** -512
+
+
+def uc_tolerance(n_users: int, n_cats: int) -> float:
+    """The relative bound eta of the UC ranking certificate (README §7).
+
+    With u = 2^-53, a UC score computed in any summation order lies within
+    a factor (1 - u)^(+-K) of its real value, K = n_users + 3 * n_cats + 5.
+    eta = 4Ku makes (1 + eta) / (1 - eta) at least (1 - u)^(-4K), so scores
+    a, b of one path with a * (1 - eta) > b * (1 + eta) keep that strict
+    order in any other path.
+    """
+    return 4.0 * (n_users + 3 * n_cats + 5) * 2.0 ** -53
+
 
 @dataclass
 class FeedContext:
@@ -132,7 +150,9 @@ class FeedContext:
     enable_acceleration builds that state from the corpus log, which seeded
     the networks' histories; note_accept folds each user's new accepts into
     it and refresh_mass re-snapshots the history masses of the users who
-    accepted something, once per step barrier.
+    accepted something, once per step barrier. For UC, batch_neighbor_mass
+    computes the neighbour mass of a block of the step's users in one
+    product, which ranking reads where it can certify the result.
     """
     corpus: object
     index: CandidateIndex
@@ -147,6 +167,7 @@ class FeedContext:
     mass_matrix: np.ndarray = None       # UC: users x categories, history masses
     mass_norms: np.ndarray = None        # UC: per user, norm of the mass row
     profile_sums: np.ndarray = None      # CB: users x terms, running accept sums
+    neighbor_mass: dict = field(default_factory=dict)   # UC: user -> batched row
 
     def enable_acceleration(self) -> None:
         """Build the scoring state from the corpus's interested rows.
@@ -200,6 +221,32 @@ class FeedContext:
             self.mass_matrix[r] = [mass[c] for c in self.cats]
         # row-wise sums, as a full rebuild takes them (a 1-D norm calls BLAS dot)
         self.mass_norms[rows] = np.linalg.norm(self.mass_matrix[rows], axis=1)
+
+    def batch_neighbor_mass(self, user_ids) -> None:
+        """Replace `neighbor_mass` with the UC neighbour mass of each of the
+        given users, from one similarity product and one accept product.
+
+        The rows differ from _baseline_scores' per-user products in the last
+        bits, so ranking reads a row only where it can certify that the
+        exact scores rank the same. They derive from the scoring state, so
+        they hold until the next barrier. Nothing is batched for another
+        baseline, for a lone user (its product would cost what the exact one
+        does), or for masses outside MASS_RANGE.
+        """
+        self.neighbor_mass = {}
+        if self.baseline != "uc" or len(user_ids) < 2:
+            return
+        mass, norms = self.mass_matrix, self.mass_norms
+        positive = mass[mass > 0.0]
+        if len(positive) and not (MASS_RANGE[0] <= positive.min()
+                                  and positive.max() <= MASS_RANGE[1]):
+            return
+        rows = np.array([self.user_pos[u] for u in user_ids], dtype=np.intp)
+        denom = norms[rows, None] * norms
+        sims = np.zeros_like(denom)
+        np.divide(mass[rows] @ mass.T, denom, out=sims, where=denom > 0.0)
+        sims[np.arange(len(rows)), rows] = 0.0
+        self.neighbor_mass = dict(zip(user_ids, sims @ self.accept_matrix))
 
     def note_accept(self, user_id: str, item_ids) -> None:
         """Fold the user's newly accepted items, in order, into their accept
@@ -261,9 +308,8 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
             scores = np.where(denom > 0.0, dots / denom, 0.0)
         return np.clip(scores, -1.0, 1.0)
     if kind == "uc":
-        network = ctx.networks[user_id]
-        total_belief = sum(network.belief.values())
-        if total_belief <= 0.0:
+        shares = _category_shares(ctx, user_id)
+        if shares is None:
             return np.zeros(n)
         mine = ctx.mass_matrix[row]
         dots = ctx.mass_matrix @ mine
@@ -272,10 +318,18 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
             sims = np.where(denom > 0.0, dots / denom, 0.0)
         sims[row] = 0.0
         neighbor_mass = sims @ ctx.accept_matrix
-        belief_arr = np.array([network.belief[c] for c in ctx.cats])
-        belief_share = belief_arr[index.cat_index] / total_belief
-        return neighbor_mass * belief_share
+        return neighbor_mass * shares[index.cat_index]
     raise ValueError(f"unknown baseline {kind!r}")
+
+
+def _category_shares(ctx: FeedContext, user_id: str):
+    """The user's belief share B(C) / sum B of each category, in ctx.cats
+    order, or None when sum B is not positive (UC then scores 0)."""
+    belief = ctx.networks[user_id].belief
+    total = fold_sum(belief.values())
+    if total <= 0.0:
+        return None
+    return np.array([belief[c] for c in ctx.cats]) / total
 
 
 def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
@@ -283,10 +337,10 @@ def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
     """Top-k candidate items for a baseline, deterministic under ties.
 
     Items in the user's accept row are never ranked. Scored baselines rank
-    by descending score, ties broken by ascending id: a partition finds the
-    k-th best score, and only the candidates at or above it, ties included,
-    are sorted. RD draws a seeded permutation of the eligible items in index
-    order.
+    by descending score, ties broken by ascending id. RD draws a seeded
+    permutation of the eligible items in index order. UC ranks from the
+    user's batched neighbour-mass row where that ranking is certified, and
+    from the exact _baseline_scores otherwise.
     """
     if k == 0:
         return []
@@ -296,13 +350,57 @@ def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
         rng = substream(seed, "rd", user_id, step)
         order = rng.permutation(len(cand))
         return [index.ids[cand[i]] for i in order[:k]]
-    neg = -_baseline_scores(kind, ctx, user_id)[cand]
+    if kind == "uc" and user_id in ctx.neighbor_mass:
+        best = _certified_uc_best(ctx, user_id, cand, k)
+        if best is not None:
+            return [index.ids[p] for p in best]
+    best, _ = _best(cand, -_baseline_scores(kind, ctx, user_id)[cand],
+                    index.id_rank, k)
+    return [index.ids[p] for p in best]
+
+
+def _best(cand: np.ndarray, neg: np.ndarray, id_rank: np.ndarray,
+          k: int) -> tuple:
+    """The k candidates of lowest `neg` (negated score), ties by ascending id
+    rank, in that order, with their `neg` values.
+
+    A partition finds the k-th lowest value, and only the candidates at or
+    below it, ties included, are sorted.
+    """
     if len(cand) > k:
         kth = np.partition(neg, k - 1)[k - 1]
         within = neg <= kth
         cand, neg = cand[within], neg[within]
-    order = np.lexsort((index.id_rank[cand], neg))[:k]
-    return [index.ids[p] for p in cand[order]]
+    order = np.lexsort((id_rank[cand], neg))[:k]
+    return cand[order], neg[order]
+
+
+def _certified_uc_best(ctx: FeedContext, user_id: str, cand: np.ndarray,
+                       k: int):
+    """The UC top k from the user's batched neighbour-mass row, or None when
+    the exact per-user scores might rank differently (README §7).
+
+    The batched top k + 1 is certified when each consecutive pair of scores
+    a >= b has a * (1 - eta) > b * (1 + eta), or a == 0.0 (and so b too; a
+    zero is exact in both paths, as it sums no positive term). The factors
+    use 2 * eta, which leaves eta after their own rounding, and a rounded
+    product is monotone, so a comparison that holds in floating point holds
+    for the real values. Both paths take their shares from
+    _category_shares, so the shares add no difference between them.
+    """
+    shares = _category_shares(ctx, user_id)
+    if shares is None or any(0.0 < share < SHARE_FLOOR
+                             for share in shares.tolist()):
+        return None
+    index = ctx.index
+    scores = ctx.neighbor_mass[user_id] * shares[index.cat_index]
+    best, neg = _best(cand, -scores[cand], index.id_rank, k + 1)
+    eta = uc_tolerance(*ctx.mass_matrix.shape)
+    low, high = 1.0 - 2.0 * eta, 1.0 + 2.0 * eta
+    top = (-neg).tolist()
+    if all(a * low > b * high or a == 0.0 for a, b in zip(top, top[1:])):
+        return best[:k]
+    return None
 
 
 def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,

@@ -19,6 +19,7 @@ from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, load_behaviors, \
     load_corpus, load_ratings, reject_duplicates, synth_corpus
 from .features import CategoryGraph, GraphUpdateBuffer, build_vocabulary, \
     tokenize
+from .folds import fold_sum
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
 from .rng import substream
 
@@ -34,6 +35,7 @@ MODELS = {
 }
 
 EXEMPLARS_PER_CATEGORY = 3
+BATCH_USERS = 256        # fed users per batched UC neighbour-mass product
 GENERATOR_KINDS = ("template", "external")
 
 
@@ -266,7 +268,7 @@ def _user_step(state: SimState, user_id: str, step: int):
                          session, state.ctx, user_id, step, config.seed)
     rng = substream(config.seed, "decide", user_id, step)
     # every decision comes before any update, so the belief total holds
-    belief_total = sum(network.belief.values())
+    belief_total = fold_sum(network.belief.values())
     decisions = []
     for item in feed.items:
         ok, ap, draw = decide(item, network, belief_total, rng)
@@ -298,6 +300,15 @@ def _user_step(state: SimState, user_id: str, step: int):
     return record, accepted_items
 
 
+def _step_block(state: SimState, users: tuple, step: int) -> dict:
+    """Every user step of the block, on a thread pool when configured."""
+    if state.config.parallel and len(users) > 1:
+        with ThreadPoolExecutor(max_workers=min(8, len(users))) as pool:
+            return dict(zip(users, pool.map(lambda u: _user_step(state, u, step),
+                                            users)))
+    return {u: _user_step(state, u, step) for u in users}
+
+
 def run_loop(config: SimConfig, corpus: Corpus = None,
              assets: SharedAssets = None) -> RunRecord:
     """Run the interaction loop for `config.feeds` steps.
@@ -325,13 +336,13 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
         fb_counts.append((0, _fb_count(state.classification)))
 
     for step in range(1, config.feeds + 1):
-        if config.parallel and len(sim_users) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(sim_users))) as pool:
-                results = dict(zip(sim_users,
-                                   pool.map(lambda u: _user_step(state, u, step),
-                                            sim_users)))
-        else:
-            results = {u: _user_step(state, u, step) for u in sim_users}
+        results = {}
+        # shared state changes only at the barrier, so blocks change no result
+        for start in range(0, len(sim_users), BATCH_USERS):
+            block = sim_users[start:start + BATCH_USERS]
+            state.ctx.batch_neighbor_mass(block)
+            results.update(_step_block(state, block, step))
+        state.ctx.neighbor_mass = {}
 
         buffer = GraphUpdateBuffer(state.graph)
         for user in sim_users:
@@ -414,7 +425,7 @@ def experiment_coverage(config: SimConfig, corpus: Corpus = None,
                                track_fb=False), corpus, assets)
         series[model] = run.coverage_series(target)
     rows = [{m: series[m][t] for m in models} for t in range(config.feeds)]
-    sums = {m: sum(series[m]) for m in models}
+    sums = {m: fold_sum(series[m]) for m in models}
     improvements = {}
     for base, mixed in IMPROVEMENT_PAIRS:
         if base in sums and mixed in sums and sums[base] > 0.0:

@@ -267,6 +267,21 @@ class TestSimulate:
         assert main(["ingest", "--dataset", str(path)]) == 2
         assert "reserved" in capsys.readouterr().err
 
+    def test_prompt_key_separator_in_a_category_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        # a bubble user's prompt keys join categories with "->"; a category
+        # holding it would be split apart again at a rejection, mid-run
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
+        text = path.read_text()
+        cat = json.loads(text)["taxonomy"][0]["category"]
+        path.write_text(text.replace(f'"{cat}"', f'"{cat}->x"'))
+        out = tmp_path / "run"
+        assert main(["simulate", "--dataset", str(path), "--model", "bheisr",
+                     "--feeds", "10", "--out", str(out)]) == 2
+        assert f"category '{cat}->x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_user_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # a user listed twice would be fed twice a step from one network
         path = tmp_path / "c.json"

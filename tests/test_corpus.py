@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,15 @@ class TestValidate:
         corpus = self.base()
         corpus.taxonomy["c"] = ("c/s", label)
         with pytest.raises(ValueError, match="reserved for generated items"):
+            corpus.validate()
+
+    @pytest.mark.parametrize("name", ["x->y", "->", "y->"])
+    def test_prompt_key_separator_in_a_category_rejected(self, name):
+        # the path (x->y, y) would key as "x->y->y", which apply_feedback
+        # splits back into three categories
+        corpus = self.base()
+        corpus.taxonomy[name] = ("d/s",)
+        with pytest.raises(ValueError, match=f"category {re.escape(repr(name))}"):
             corpus.validate()
 
     def test_repeated_user_rejected(self):

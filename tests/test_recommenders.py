@@ -1,6 +1,7 @@
 """Baseline recommenders, the matrix scoring state, and feed assembly."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -483,6 +484,147 @@ class TestAccelerationAgreesWithReference:
             in_index = {ctx.index.pos[i] for i in ctx.networks[u].accepted
                         if i in ctx.index.pos}
             assert set(np.flatnonzero(ctx.accept_matrix[row])) == in_index, u
+
+
+def uc_state(mass, accept, beliefs, item_cats):
+    """A UC scoring state built straight from arrays: users u00, u01, ...
+    with these mass rows, accept rows and per-category beliefs, and items
+    whose index order differs from their id order ("i10" sorts before
+    "i2"). Ranking reads nothing else of a network than its beliefs."""
+    n_users, n_cats = mass.shape
+    n_items = accept.shape[1]
+    users = [f"u{r:02d}" for r in range(n_users)]
+    cats = [f"c{j}" for j in range(n_cats)]
+    ids = [f"i{j}" for j in reversed(range(n_items))]
+    id_rank = np.empty(n_items, dtype=np.intp)
+    id_rank[sorted(range(n_items), key=ids.__getitem__)] = np.arange(n_items)
+    index = recommenders.CandidateIndex(
+        ids=ids, pos={i: r for r, i in enumerate(ids)}, matrix=None, norms=None,
+        cat_index=np.asarray(item_cats, dtype=np.intp), id_rank=id_rank,
+        entries=None)
+    networks = {u: SimpleNamespace(belief=dict(zip(cats, map(float, row))))
+                for u, row in zip(users, beliefs)}
+    ctx = FeedContext(corpus=None, index=index, networks=networks, graph=None,
+                      baseline="uc", user_ids=users,
+                      user_pos={u: r for r, u in enumerate(users)}, cats=cats,
+                      accept_matrix=np.asarray(accept, dtype=float),
+                      mass_matrix=np.asarray(mass, dtype=float))
+    # row-wise, as refresh_mass takes them
+    ctx.mass_norms = np.linalg.norm(ctx.mass_matrix, axis=1)
+    return ctx
+
+
+def exact_rankings(ctx, k):
+    """Every user's UC ranking from the exact per-user scores alone."""
+    saved, ctx.neighbor_mass = ctx.neighbor_mass, {}
+    ranked = {u: baseline_ranking("uc", ctx, u, k, 1, 0) for u in ctx.user_ids}
+    ctx.neighbor_mass = saved
+    return ranked
+
+
+@st.composite
+def uc_populations(draw):
+    """Random small UC states. Small-integer masses and beliefs make many
+    exact ties, in the neighbour masses and in the scores; float ones make
+    near ties only."""
+    n_users = draw(st.integers(8, 40))
+    n_cats = draw(st.integers(3, 8))
+    n_items = draw(st.integers(20, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    present = rng.random((n_users, n_cats)) < draw(st.sampled_from([0.3, 0.6, 1.0]))
+    if draw(st.booleans()):
+        mass = rng.integers(1, 4, (n_users, n_cats)) * present
+        beliefs = rng.integers(0, 3, (n_users, n_cats))
+    else:
+        mass = rng.random((n_users, n_cats)) * present
+        beliefs = rng.random((n_users, n_cats))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    accept = rng.random((n_users, n_items)) < density
+    item_cats = rng.integers(0, n_cats, n_items)
+    k = draw(st.integers(1, 12))
+    return uc_state(mass, accept, beliefs, item_cats), k, rng
+
+
+class TestCertifiedUcRanking:
+    """UC ranks from a batched neighbour-mass row only where the exact
+    per-user scores provably rank the same (README §7)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=uc_populations())
+    def test_every_fed_user_gets_the_exact_ranking(self, case):
+        ctx, k, rng = case
+        exact = exact_rankings(ctx, k)
+        ctx.batch_neighbor_mass(ctx.user_ids)
+        assert set(ctx.neighbor_mass) == set(ctx.user_ids)
+        for user in ctx.user_ids:
+            assert baseline_ranking("uc", ctx, user, k, 1, 0) == exact[user]
+        # another kernel's fold: each entry a few units in the last place off
+        for user, row in ctx.neighbor_mass.items():
+            ulps = rng.integers(-4, 5, len(row))
+            ctx.neighbor_mass[user] = row * (1.0 + ulps * 2.0 ** -52)
+        for user in ctx.user_ids:
+            assert baseline_ranking("uc", ctx, user, k, 1, 0) == exact[user]
+
+    @pytest.mark.parametrize("nudge", [math.inf, -math.inf])
+    def test_a_last_bit_difference_falls_back_to_the_exact_ranking(self, nudge):
+        # u01 alone is like u00, and accepted i1 and i0 (index order), so
+        # both score exactly its similarity: one term plus zeros in any
+        # order. The tie ranks by id. A batched row one unit in the last
+        # place off on either item reverses them, and must not be trusted.
+        mass = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
+        accept = np.zeros((3, 4))
+        accept[1, [2, 3]] = 1.0
+        accept[2, 0] = 1.0
+        beliefs = np.array([[1.5, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        ctx = uc_state(mass, accept, beliefs, item_cats=[0, 0, 0, 0])
+        exact = exact_rankings(ctx, 2)
+        assert exact["u00"] == ["i0", "i1"]
+        scores = _baseline_scores("uc", ctx, "u00")
+        tied = scores[ctx.index.pos["i0"]]
+        assert tied > 0.0 and scores[ctx.index.pos["i1"]] == tied
+        row = scores.copy()            # every share is 1.0: scores are masses
+        moved = ctx.index.pos["i1" if nudge > 0 else "i0"]
+        row[moved] = np.nextafter(tied, nudge)
+        ctx.neighbor_mass = {"u00": row}
+        assert baseline_ranking("uc", ctx, "u00", 2, 1, 0) == exact["u00"]
+
+    def test_a_clear_gap_and_zero_ties_are_certified(self, monkeypatch):
+        mass = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        accept = np.zeros((3, 6))
+        accept[1, [5, 4]] = 1.0
+        accept[2, 4] = 1.0
+        beliefs = np.ones((3, 3))
+        ctx = uc_state(mass, accept, beliefs, item_cats=[0, 1, 2, 0, 0, 0])
+        exact = exact_rankings(ctx, 4)
+        # i1 (two neighbours) over i0 (one), then zeros in id order
+        assert exact["u00"] == ["i1", "i0", "i2", "i3"]
+        ctx.batch_neighbor_mass(ctx.user_ids)
+        monkeypatch.setattr(recommenders, "_baseline_scores", None)
+        assert baseline_ranking("uc", ctx, "u00", 4, 1, 0) == exact["u00"]
+
+    def test_masses_outside_the_covered_range_are_not_batched(self):
+        mass = np.array([[1.0, 2.0 ** -70], [1.0, 1.0]])
+        ctx = uc_state(mass, np.eye(2, 5), np.ones((2, 2)), item_cats=[0] * 5)
+        ctx.batch_neighbor_mass(ctx.user_ids)
+        assert ctx.neighbor_mass == {}
+        assert exact_rankings(ctx, 3)["u00"] == \
+            baseline_ranking("uc", ctx, "u00", 3, 1, 0)
+
+    def test_only_uc_and_more_than_one_user_are_batched(self):
+        ctx = context_for(small_corpus(), "uc")
+        ctx.batch_neighbor_mass(["u1"])
+        assert ctx.neighbor_mass == {}
+        ctx.batch_neighbor_mass(["u1", "u3"])
+        assert set(ctx.neighbor_mass) == {"u1", "u3"}
+        ctx = context_for(small_corpus(), "cb")
+        ctx.batch_neighbor_mass(["u1", "u3"])
+        assert ctx.neighbor_mass == {}
+
+    def test_tolerance_grows_with_the_population(self):
+        # 4 * (n_users + 3 * n_cats + 5) units of 2^-53
+        assert recommenders.uc_tolerance(100, 17) == 4 * 156 * 2.0 ** -53
+        assert recommenders.uc_tolerance(2000, 17) > \
+            recommenders.uc_tolerance(100, 17)
 
 
 def session_for(ctx, user_id):

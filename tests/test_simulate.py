@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bheisr import detection, simulate
+from bheisr import detection, recommenders, simulate
 from bheisr.belief import build_all
 from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, save_corpus, synth_corpus
 from bheisr.features import FeatureVector, GraphUpdateBuffer
@@ -219,6 +219,37 @@ class TestRunLoop:
         assert serial.steps == parallel.steps
         assert serial.checkpoints == parallel.checkpoints
         assert serial.path_traces == parallel.path_traces
+
+    @pytest.mark.parametrize("model,seed", [("uc", 0), ("uc_w", 1), ("uc_w", 7)])
+    def test_batched_uc_ranking_changes_no_record(self, fb_corpus, fb_assets,
+                                                  model, seed):
+        config = self.config(users=None, model=model, seed=seed,
+                             trace_paths=True, track_fb=True)
+        certified = []
+        best = recommenders._certified_uc_best
+
+        def counted(*args):
+            result = best(*args)
+            certified.append(result is not None)
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recommenders, "_certified_uc_best", counted)
+            batched = run_loop(config, fb_corpus, fb_assets)
+            # blocks of 3 users, on the thread pool
+            mp.setattr(simulate, "BATCH_USERS", 3)
+            blocked = run_loop(replace(config, parallel=True), fb_corpus,
+                               fb_assets)
+        # every user-step tried the batched row, but for the lone user of
+        # the last block of 3, and both outcomes occurred
+        assert len(certified) == config.feeds * (2 * len(fb_corpus.users) - 1)
+        assert 0 < sum(certified) < len(certified)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate.FeedContext, "batch_neighbor_mass",
+                       lambda ctx, users: None)
+            exact = run_loop(config, fb_corpus, fb_assets)
+        for run in (batched, blocked):
+            assert run == exact
 
     def test_seed_changes_decisions(self, fb_corpus, fb_assets):
         a = run_loop(self.config(seed=1), fb_corpus, fb_assets)
