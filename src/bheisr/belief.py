@@ -43,15 +43,25 @@ class BeliefNetwork:
         return fold_sum(self.click_counts.values())
 
     def recompute(self) -> None:
+        """Probabilities and beliefs from the click counts, in one pass.
+
+        Each category's belief starts from 0.0 and subtracts p * log2(p) for
+        its subcategories in click_counts order, which is entropy_bits over
+        the category's probabilities in that order, operation for operation.
+        """
         total = self.total_mass()
+        probs = {}
+        belief = dict.fromkeys(self.categories, 0.0)
         if total > 0.0:
-            self.click_probs = {s: c / total for s, c in self.click_counts.items()}
-        else:
-            self.click_probs = {}
-        probs_by_cat = {c: [] for c in self.categories}
-        for sub, p in self.click_probs.items():
-            probs_by_cat[self.subcat_to_cat[sub]].append(p)
-        self.belief = {c: entropy_bits(ps) for c, ps in probs_by_cat.items()}
+            subcat_to_cat, log2 = self.subcat_to_cat, math.log2
+            for sub, count in self.click_counts.items():
+                p = probs[sub] = count / total
+                if p < 0.0:
+                    raise ValueError(f"negative probability {p}")
+                if p > 0.0:
+                    belief[subcat_to_cat[sub]] -= p * log2(p)
+        self.click_probs = probs
+        self.belief = belief
 
     def belief_degree(self, category: str) -> float:
         if category not in self.belief:

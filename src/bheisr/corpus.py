@@ -209,7 +209,7 @@ class Corpus:
         # and a generated item's under the reserved label
         owner = {}
         for category, subs in taxonomy.items():
-            # a prompt key must split back into the path's categories
+            # distinct prompt paths must have distinct keys
             if PROMPT_KEY_SEPARATOR in category:
                 raise ValueError(f"category {category!r}: {PROMPT_KEY_SEPARATOR!r} "
                                  f"separates the categories of a prompt key")
@@ -249,6 +249,12 @@ class Corpus:
                 raise ValueError(f"item {item.id}: category weights sum to {total}")
         # run_loop feeds each listed user once per step from their network
         reject_duplicates(self.users, "user")
+        for user in self.users:
+            # simulate writes each user's beliefs to networks/<user>.json
+            name = str(user)
+            if name in ("", ".", "..") or "/" in name or "\0" in name:
+                raise ValueError(f"user id {user!r} cannot name a file: it is "
+                                 f"empty, '.' or '..', or holds '/' or NUL")
         columns = (self.log_user, self.log_item, self.log_ts, self.log_signal)
         if any(np.ndim(c) != 1 or len(c) != len(self.log_user) for c in columns):
             raise ValueError("interaction columns must be 1-D and equally long")
@@ -616,29 +622,63 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
+JSON_KEYS = {   # list in the document -> the keys each of its records needs
+    "items": ("id", "category", "subcategory", "title", "abstract",
+              "category_weights"),
+    "taxonomy": ("category", "subcategories"),
+    "interactions": ("user_id", "item_id", "timestamp", "signal"),
+}
+
+
+def _check_records(doc) -> None:
+    """A ParseError naming the first record, in document order, that is not
+    an object or lacks one of its list's JSON_KEYS (or the document itself,
+    or one of its lists)."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"corpus: the document is a {type(doc).__name__}, "
+                         f"not an object")
+    for name in (*JSON_KEYS, "users"):
+        if name not in doc:
+            raise ParseError(f"corpus: missing key {name!r}")
+        if not isinstance(doc[name], list):
+            raise ParseError(f"corpus: {name!r} is not a list")
+    for name, keys in JSON_KEYS.items():
+        for n, record in enumerate(doc[name]):
+            if not isinstance(record, dict):
+                raise ParseError(f"{name}[{n}]: not an object")
+            for key in keys:
+                if key not in record:
+                    raise ParseError(f"{name}[{n}]: missing key {key!r}")
+
+
 def corpus_from_json(text: str) -> Corpus:
     doc = json.loads(text)
-    # a later record would silently replace an earlier one of the same id
-    reject_duplicates([d["id"] for d in doc["items"]], "item")
-    items = {
-        d["id"]: Item(id=d["id"], category=d["category"], subcategory=d["subcategory"],
-                      title=d["title"], abstract=d["abstract"],
-                      category_weights=dict(d["category_weights"]),
-                      origin=d.get("origin", ORIGIN_DATASET))
-        for d in doc["items"]
-    }
-    rows = doc["interactions"]
-    users = tuple(doc["users"])
-    corpus = Corpus(
-        items=items,
-        taxonomy={d["category"]: tuple(d["subcategories"]) for d in doc["taxonomy"]},
-        users=users,
-        signal_scheme=doc.get("signal_scheme", "click"),
-        **_log_columns(items, users, [d["user_id"] for d in rows],
-                       [d["item_id"] for d in rows],
-                       [int(d["timestamp"]) for d in rows],
-                       [float(d["signal"]) for d in rows]),
-    )
+    try:
+        # a later record would silently replace an earlier one of the same id
+        reject_duplicates([d["id"] for d in doc["items"]], "item")
+        reject_duplicates([d["category"] for d in doc["taxonomy"]], "category")
+        items = {
+            d["id"]: Item(id=d["id"], category=d["category"],
+                          subcategory=d["subcategory"], title=d["title"],
+                          abstract=d["abstract"],
+                          category_weights=dict(d["category_weights"]),
+                          origin=d.get("origin", ORIGIN_DATASET))
+            for d in doc["items"]
+        }
+        rows = doc["interactions"]
+        users = tuple(doc["users"])
+        taxonomy = {d["category"]: tuple(d["subcategories"]) for d in doc["taxonomy"]}
+        columns = ([d["user_id"] for d in rows], [d["item_id"] for d in rows],
+                   [int(d["timestamp"]) for d in rows],
+                   [float(d["signal"]) for d in rows])
+    except (KeyError, TypeError) as exc:
+        # only a malformed document gets here, so only a bad one is walked
+        _check_records(doc)
+        raise ParseError(f"corpus: a record holds a value of the wrong "
+                         f"type ({exc})") from exc
+    corpus = Corpus(items=items, taxonomy=taxonomy, users=users,
+                    signal_scheme=doc.get("signal_scheme", "click"),
+                    **_log_columns(items, users, *columns))
     corpus.validate()
     return corpus
 

@@ -140,17 +140,19 @@ class UserClassification:
     def classes(self) -> dict:
         """user -> {category -> Exposure}, built when first read (the loop
         reads only the bubble-affected users' classes)."""
+        normal, high, low = Exposure.NORMAL, Exposure.EXTREME_HIGH, \
+            Exposure.EXTREME_LOW
         classes = {u: {} for u in self.users}
         for cat, st in self.stats.items():
             for u, v in zip(self.users, st.values):
                 if st.sigma == 0.0:
-                    label = Exposure.NORMAL
+                    label = normal
                 elif v > st.high_threshold:
-                    label = Exposure.EXTREME_HIGH
+                    label = high
                 elif v < st.low_threshold:
-                    label = Exposure.EXTREME_LOW
+                    label = low
                 else:
-                    label = Exposure.NORMAL
+                    label = normal
                 classes[u][cat] = label
         return classes
 
@@ -177,14 +179,16 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
     for cat in categories:
         values = [row.get(cat, 0.0) for row in rows]
         mu = fold_sum(values) / n
-        sigma = math.sqrt(fold_sum((v - mu) ** 2 for v in values) / n)
+        sigma = math.sqrt(fold_sum([(v - mu) ** 2 for v in values]) / n)
         low = mu - 2.0 * sigma
         high = mu + 2.0 * sigma
         stats[cat] = CategoryStats(mu=mu, sigma=sigma, low_threshold=low,
                                    high_threshold=high, values=tuple(values))
         if sigma != 0.0:
             # low <= high, so no value is on both sides
-            highs.update(u for u, v in zip(users, values) if v > high)
-            lows.update(u for u, v in zip(users, values) if v < low)
+            if max(values) > high:
+                highs.update(u for u, v in zip(users, values) if v > high)
+            if min(values) < low:
+                lows.update(u for u, v in zip(users, values) if v < low)
     fb = tuple(u for u in users if u in highs and u in lows)
     return UserClassification(users=tuple(users), fb_users=fb, stats=stats)

@@ -192,15 +192,17 @@ class CategoryGraph:
     the sums over the member count, `touch_order` each category's term ids
     in first-touch order (the order the mean's entries take) with
     `n_touched` of them in use, and `norms` each node vector's norm.
-    `vectors` and `sums` are read-only views built from them on each read.
+    `rho_rows` holds every rho(a, c) as one list per category row, in
+    `categories` order, with rho(a, a) on the diagonal: the one store of
+    the edges. `vectors`, `sums` and `edges` are read-only views built from
+    them on each read.
     """
     vocab: Vocabulary
     index: object                       # the CandidateIndex of the corpus
     categories: tuple
     members: dict                       # category -> list of item ids
     item_vectors: dict                  # item id -> FeatureVector, items outside the index
-    edges: dict                         # sorted (a, b) -> correlation
-    edge_rows: tuple                    # the edges' (a rows, b rows)
+    edge_rows: tuple                    # the edges' (a rows, b rows), a < b
     rows: dict                          # category -> array row
     term_sums: np.ndarray
     node_values: np.ndarray
@@ -208,7 +210,9 @@ class CategoryGraph:
     touch_order: np.ndarray             # term ids, padded with the zero column
     n_touched: np.ndarray
     norms: np.ndarray
-    text_vectors: dict                  # text -> FeatureVector, items outside the index
+    text_entries: dict                  # text -> (vector, terms, weights), as item_vectors
+    rho_rows: list                      # row of a -> [rho(a, c) for c in categories]
+    rho_gather: np.ndarray              # rows (a, c) -> index in edges + diagonal
 
     @classmethod
     def build(cls, corpus, vocab: Vocabulary, index) -> "CategoryGraph":
@@ -222,18 +226,21 @@ class CategoryGraph:
         if index.ids != list(corpus.items):
             raise ValueError("the candidate index was built from another corpus")
         categories = corpus.categories()
-        shape = (len(categories), len(vocab.term_ids) + 1)
+        n = len(categories)
+        shape = (n, len(vocab.term_ids) + 1)
+        a, b = np.triu_indices(n, 1)
+        gather = np.empty((n, n), dtype=np.intp)
+        gather[a, b] = gather[b, a] = np.arange(len(a))
+        gather[np.diag_indices(n)] = len(a) + np.arange(n)
         graph = cls(vocab=vocab, index=index, categories=categories,
                     members={c: [] for c in categories}, item_vectors={},
-                    edges={(a, b): 0.0 for i, a in enumerate(categories)
-                           for b in categories[i + 1:]},
-                    edge_rows=np.triu_indices(len(categories), 1),
-                    rows={c: r for r, c in enumerate(categories)},
+                    edge_rows=(a, b), rows={c: r for r, c in enumerate(categories)},
                     term_sums=np.zeros(shape), node_values=np.zeros(shape),
                     touched=np.zeros(shape, dtype=bool),
                     touch_order=np.full(shape, shape[1] - 1, dtype=np.intp),
-                    n_touched=np.zeros(len(categories), dtype=np.intp),
-                    norms=np.zeros(len(categories)), text_vectors={})
+                    n_touched=np.zeros(n, dtype=np.intp),
+                    norms=np.zeros(n), text_entries={},
+                    rho_rows=np.zeros((n, n)).tolist(), rho_gather=gather)
         graph._fold(list(corpus.items.values()), index.entries)
         return graph
 
@@ -254,36 +261,48 @@ class CategoryGraph:
         tids = self.touch_order[row, :self.n_touched[row]]
         return dict(zip(tids.tolist(), table[row, tids].tolist()))
 
-    def rho(self, a: str, b: str) -> float:
-        if a == b:
-            return 1.0 if self.norms[self.rows[a]] != 0.0 else 0.0
-        key = (a, b) if a < b else (b, a)
-        return self.edges[key]
+    @property
+    def edges(self) -> dict:
+        """sorted (a, b) -> correlation, pairs in `categories` order."""
+        cats, table = self.categories, self.rho_rows
+        return {(cats[i], cats[j]): table[i][j]
+                for i, j in zip(*(rows.tolist() for rows in self.edge_rows))}
 
-    def _vector(self, item) -> FeatureVector:
-        """The vector of an item outside the index, featurized once per
-        distinct text."""
-        vec = self.item_vectors.get(item.id)
-        if vec is None:
-            text = item.text()
-            vec = self.text_vectors.get(text)
-            if vec is None:
-                vec = self.text_vectors[text] = featurize(item, self.vocab)
-            self.item_vectors[item.id] = vec
-        return vec
+    def rho(self, a: str, b: str) -> float:
+        """The edge between a and b; for a == b, 1.0 when the node's vector
+        is nonzero and 0.0 otherwise."""
+        return self.rho_rows[self.rows[a]][self.rows[b]]
+
+    def rho_row(self, a: str) -> list:
+        """[rho(a, c) for c in categories]; the caller must not change it."""
+        return self.rho_rows[self.rows[a]]
+
+    def _text_entries(self, item) -> tuple:
+        """(vector, term array, weight array) of an item outside the index,
+        featurized once per distinct text; records the item's vector."""
+        text = item.text()
+        found = self.text_entries.get(text)
+        if found is None:
+            vec = featurize(item, self.vocab)
+            entries = vec.entries
+            found = self.text_entries[text] = (
+                vec, np.fromiter(entries, np.intp, len(entries)),
+                np.fromiter(entries.values(), float, len(entries)))
+        self.item_vectors[item.id] = found[0]
+        return found
 
     def _item_entries(self, items: list) -> FlatEntries:
         """The items' flat entries: an index item's from its index row, any
-        other item's from _vector."""
+        other item's from _text_entries."""
         index = self.index.entries
         counts, terms, weights = [], [], []
         for item in items:
             row = self.index.pos.get(item.id)
             if row is None:
-                entries = self._vector(item).entries
-                counts.append(len(entries))
-                terms.append(np.fromiter(entries, np.intp, len(entries)))
-                weights.append(np.fromiter(entries.values(), float, len(entries)))
+                _, item_terms, item_weights = self._text_entries(item)
+                counts.append(len(item_terms))
+                terms.append(item_terms)
+                weights.append(item_weights)
             else:
                 span = slice(index.starts[row], index.starts[row] + index.counts[row])
                 counts.append(index.counts[row])
@@ -390,7 +409,9 @@ class CategoryGraph:
         zero = (norm_a == 0.0) | (norm_b == 0.0)
         rho = np.clip(dots / np.where(zero, 1.0, norm_a * norm_b), -1.0, 1.0)
         rho[zero] = 0.0
-        self.edges = dict(zip(self.edges, rho.tolist()))
+        # rho(a, a) is 1.0 for a node with a nonzero vector and 0.0 otherwise
+        self.rho_rows = np.concatenate((rho, self.norms != 0.0))[
+            self.rho_gather].tolist()
 
     def to_json_dict(self) -> dict:
         terms = self.vocab.terms()

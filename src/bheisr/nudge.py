@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import pathfinder
-from .corpus import ORIGIN_GENERATED, PROMPT_KEY_SEPARATOR, Item, \
-    generated_subcategory
+from .corpus import ORIGIN_GENERATED, Item
 from .features import build_vocabulary, featurize
 from .pathfinder import PromptPath, RejectionLedger
 
@@ -27,19 +26,10 @@ QUEUE_DISCIPLINES = (QUEUE_DRAIN, QUEUE_REPLACE)
 def binary_split(prompt: PromptPath):
     """Split a prompt in half; None marks a terminal (length-2) prompt.
 
-    Odd lengths drop the middle node (zero-based halves [0:(L-1)/2) and
-    [(L+1)/2:L)); a length-3 prompt would leave single-node halves, so each
-    half absorbs its nearest neighbor from the parent instead.
+    The halves are `prompt.halves` (rule there), the same objects on every
+    split of the same prompt.
     """
-    nodes = prompt.nodes
-    length = len(nodes)
-    if length == 2:
-        return None
-    if length == 3:
-        return (PromptPath(nodes[0:2]), PromptPath(nodes[1:3]))
-    if length % 2 == 0:
-        return (PromptPath(nodes[: length // 2]), PromptPath(nodes[length // 2:]))
-    return (PromptPath(nodes[: (length - 1) // 2]), PromptPath(nodes[(length + 1) // 2:]))
+    return prompt.halves
 
 
 def initial_queue(path: PromptPath) -> list:
@@ -63,8 +53,8 @@ class TemplateGenerator:
         self.exemplars = exemplars
         self._top_terms: dict = {}
         self._vocab = None
-        self._cycles: dict = {}     # prompt -> period of its text in the seed
-        self._texts: dict = {}      # (prompt, seed % period) -> (title, abstract)
+        # prompt -> (period of its text in the seed, {seed % period: text})
+        self._texts: dict = {}
 
     def _vocabulary(self):
         if self._vocab is None:
@@ -94,14 +84,14 @@ class TemplateGenerator:
         through the seed modulo the least common multiple of those periods;
         it is memoised on the prompt and that residue."""
         prompt = tuple(prompt_categories)
-        cycle = self._cycles.get(prompt)
-        if cycle is None:
-            cycle = self._cycles[prompt] = math.lcm(
-                *(max(1, len(self.top_terms(cat)) - 1) for cat in prompt))
-        key = (prompt, seed % cycle)
-        text = self._texts.get(key)
+        memo = self._texts.get(prompt)
+        if memo is None:
+            memo = self._texts[prompt] = (math.lcm(
+                *(max(1, len(self.top_terms(cat)) - 1) for cat in prompt)), {})
+        cycle, texts = memo
+        text = texts.get(seed % cycle)
         if text is None:
-            text = self._texts[key] = self._compose(prompt, seed)
+            text = texts[seed % cycle] = self._compose(prompt, seed)
         return text
 
     def _compose(self, prompt_categories, seed: int) -> tuple:
@@ -176,7 +166,11 @@ class ExternalGenerator:
 
 @dataclass
 class GeneratedItem(Item):
-    prompt_key: str = ""
+    prompt: PromptPath = None       # the prompt the item was generated for
+
+    @property
+    def prompt_key(self) -> str:
+        return self.prompt.key
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +209,15 @@ def _generate_for(session: NudgeSession, prompt: PromptPath,
                   generator) -> GeneratedItem:
     session.gen_counter += 1
     title, abstract = generator.generate(prompt.nodes, session.gen_counter)
-    weight = 1.0 / len(prompt.nodes)
     return GeneratedItem(
         id=f"gi:{session.user_id}:{session.gen_counter}",
         category=prompt.nodes[0],
-        subcategory=generated_subcategory(prompt.nodes[0]),
+        subcategory=prompt.subcategory,
         title=title,
         abstract=abstract,
-        category_weights={c: weight for c in prompt.nodes},
+        category_weights=prompt.weights,
         origin=ORIGIN_GENERATED,
-        prompt_key=prompt.key,
+        prompt=prompt,
     )
 
 
@@ -255,40 +248,40 @@ def apply_feedback(session: NudgeSession, item: GeneratedItem, accepted: bool,
     prompt (terminal prompts trigger a reschedule per the queue discipline).
     Only the session changes: the caller credits an accepted item to the
     network and the graph, and a reschedule reads both. Returns the event
-    name.
+    name. An item whose prompt has left the queue is stale; rejecting it
+    still counts against its prompt.
     """
-    try:
-        index = next(i for i, p in enumerate(session.queue)
-                     if p.key == item.prompt_key)
-        prompt = session.queue[index]
-    except StopIteration:
-        index = prompt = None
+    queue, key = session.queue, item.prompt.key
+    index = prompt = None
+    for i, queued in enumerate(queue):
+        if queued.key == key:
+            index, prompt = i, queued
+            break
 
     if accepted:
         status = "accepted"
         if index is not None:
-            session.queue.pop(index)
-            if not session.queue:
+            queue.pop(index)
+            if not queue:
                 status = f"accepted+{_do_reschedule(session, graph, network)}"
     else:
-        fallback_prompt = prompt if prompt is not None else \
-            PromptPath(tuple(item.prompt_key.split(PROMPT_KEY_SEPARATOR)))
-        pathfinder.record_rejection(session.ledger, fallback_prompt)
+        pathfinder.record_rejection(session.ledger,
+                                    item.prompt if prompt is None else prompt)
         status = "rejected"
         if index is not None:
             halves = binary_split(prompt)
             if halves is not None:
-                session.queue[index:index + 1] = list(halves)
+                queue[index:index + 1] = halves
                 status = "split"
             else:
-                session.queue.pop(index)
-                if session.queue_discipline == QUEUE_REPLACE or not session.queue:
+                queue.pop(index)
+                if session.queue_discipline == QUEUE_REPLACE or not queue:
                     status = f"rejected+{_do_reschedule(session, graph, network)}"
     if index is None:
         status += "/stale"
     session.history.append({
         "step": session.gen_counter,
-        "prompt": item.prompt_key,
+        "prompt": key,
         "item": item.id,
         "accepted": accepted,
         "event": status,

@@ -8,8 +8,9 @@ threshold. Ties break lexicographically.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .corpus import PROMPT_KEY_SEPARATOR
+from .corpus import PROMPT_KEY_SEPARATOR, generated_subcategory
 from .detection import Exposure
 
 DEFAULT_THETA = 2
@@ -17,16 +18,32 @@ DEFAULT_THETA = 2
 
 @dataclass(frozen=True)
 class PromptPath:
+    """A walk over distinct categories, and the facts every item generated
+    for it shares, computed once when the path is built.
+
+    `weights` is the generated item's {category: 1/len(nodes)} (one dict,
+    shared by every such item and read-only), `subcategory` its generated
+    subcategory, and `edge_keys` the sorted (a, b) pair of each edge in path
+    order, the edges a rejection past the tolerance penalizes.
+    """
     nodes: tuple
     key: str = field(init=False, repr=False, compare=False)   # "a->b->c"
+    weights: dict = field(init=False, repr=False, compare=False)
+    subcategory: str = field(init=False, repr=False, compare=False)
+    edge_keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.nodes) < 2:
+        nodes = self.nodes
+        if len(nodes) < 2:
             raise ValueError("a prompt path needs at least two nodes")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"path nodes must be distinct: {self.nodes}")
-        # sessions compare and count prompts by key many times per step
-        object.__setattr__(self, "key", PROMPT_KEY_SEPARATOR.join(self.nodes))
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"path nodes must be distinct: {nodes}")
+        # frozen: the computed fields go straight into the instance dict
+        facts = vars(self)
+        facts["key"] = PROMPT_KEY_SEPARATOR.join(nodes)
+        facts["weights"] = dict.fromkeys(nodes, 1.0 / len(nodes))
+        facts["subcategory"] = generated_subcategory(nodes[0])
+        facts["edge_keys"] = tuple([_edge_key(a, b) for a, b in zip(nodes, nodes[1:])])
 
     @property
     def source(self) -> str:
@@ -39,6 +56,26 @@ class PromptPath:
     def edges(self) -> list:
         return [(self.nodes[i], self.nodes[i + 1]) for i in range(len(self.nodes) - 1)]
 
+    @cached_property
+    def halves(self):
+        """The binary split: two halves, or None for a terminal (length-2)
+        path. Memoised, so every split of this path yields the same objects.
+
+        Odd lengths drop the middle node (zero-based halves [0:(L-1)/2) and
+        [(L+1)/2:L)); a length-3 path would leave single-node halves, so
+        each half absorbs its nearest neighbor from the parent instead.
+        """
+        nodes = self.nodes
+        length = len(nodes)
+        if length == 2:
+            return None
+        if length == 3:
+            return (PromptPath(nodes[0:2]), PromptPath(nodes[1:3]))
+        if length % 2 == 0:
+            return (PromptPath(nodes[: length // 2]), PromptPath(nodes[length // 2:]))
+        return (PromptPath(nodes[: (length - 1) // 2]),
+                PromptPath(nodes[(length + 1) // 2:]))
+
 
 def path_of(*nodes) -> PromptPath:
     return PromptPath(nodes=tuple(nodes))
@@ -49,6 +86,9 @@ class RejectionLedger:
     theta: float = DEFAULT_THETA
     counts: dict = field(default_factory=dict)           # prompt key -> rejections
     penalized_edges: set = field(default_factory=set)    # sorted (a, b) pairs
+    # nodes -> the path explore built for them; a path walked again is the
+    # same object, so its facts and halves are not computed again
+    paths: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _edge_key(a: str, b: str) -> tuple:
@@ -57,10 +97,10 @@ def _edge_key(a: str, b: str) -> tuple:
 
 def record_rejection(ledger: RejectionLedger, prompt: PromptPath) -> RejectionLedger:
     """Count a rejection; past the tolerance, penalize the prompt's edges."""
-    count = ledger.counts[prompt.key] = ledger.counts.get(prompt.key, 0) + 1
+    key = prompt.key
+    count = ledger.counts[key] = ledger.counts.get(key, 0) + 1
     if count > ledger.theta:
-        for a, b in prompt.edges():
-            ledger.penalized_edges.add(_edge_key(a, b))
+        ledger.penalized_edges.update(prompt.edge_keys)
     return ledger
 
 
@@ -70,17 +110,20 @@ def next_hop(graph, current: str, network, ledger: RejectionLedger,
     weight, the weight -1 on an edge the ledger penalizes and 1 otherwise.
 
     Ties break to the lexicographically smallest candidate. Raises if every
-    other node has been visited.
+    other node has been visited. The correlations come from one
+    `graph.rho_row(current)`, in `graph.categories` order.
     """
     best = None
     best_score = None
     rows = [] if trace is not None else None
-    belief, penalized = network.belief, ledger.penalized_edges
-    for cand in graph.categories:
+    belief = network.belief
+    # the far ends of the penalized edges at `current`
+    flipped = {b if a == current else a for a, b in ledger.penalized_edges
+               if a == current or b == current}
+    for cand, rho in zip(graph.categories, graph.rho_row(current)):
         if cand == current or cand in visited:
             continue
-        score = (graph.rho(current, cand) + belief[cand]
-                 * (-1.0 if _edge_key(current, cand) in penalized else 1.0))
+        score = rho + belief[cand] * (-1.0 if cand in flipped else 1.0)
         if rows is not None:
             rows.append({"candidate": cand, "score": score})
         if best_score is None or score > best_score or \
@@ -98,7 +141,8 @@ def explore(graph, source: str, target: str, network, ledger: RejectionLedger,
     """Greedy walk from source until the target wins a hop or length runs out.
 
     max_len defaults to the number of categories; on truncation the target is
-    force-appended so the path always ends at the target.
+    force-appended so the path always ends at the target. A walk the ledger
+    has seen before returns the PromptPath it returned then.
     """
     if source == target:
         raise ValueError("source and target must differ")
@@ -114,7 +158,11 @@ def explore(graph, source: str, target: str, network, ledger: RejectionLedger,
         current = nxt
     if nodes[-1] != target:
         nodes.append(target)
-    return PromptPath(nodes=tuple(nodes))
+    nodes = tuple(nodes)
+    path = ledger.paths.get(nodes)
+    if path is None:
+        path = ledger.paths[nodes] = PromptPath(nodes)
+    return path
 
 
 def select_endpoints(network, classes: dict) -> tuple:
@@ -123,8 +171,9 @@ def select_endpoints(network, classes: dict) -> tuple:
     Belief ties break lexicographically. Raises for users with no extreme
     categories on either side.
     """
-    highs = sorted(c for c, label in classes.items() if label is Exposure.EXTREME_HIGH)
-    lows = sorted(c for c, label in classes.items() if label is Exposure.EXTREME_LOW)
+    high, low = Exposure.EXTREME_HIGH, Exposure.EXTREME_LOW
+    highs = [c for c, label in classes.items() if label is high]
+    lows = [c for c, label in classes.items() if label is low]
     if not highs or not lows:
         raise ValueError(f"user {network.user_id!r} is not bubble-affected")
     source = min(highs, key=lambda c: (-network.belief_degree(c), c))

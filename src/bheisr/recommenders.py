@@ -74,10 +74,14 @@ def acceptance_share(item, network, total: float) -> float:
     """
     if total <= 0.0:
         return 0.0
+    belief = network.belief
     share = 0.0
-    for cat, w in item.category_weights.items():
-        if w > 0.0:
-            share += w * network.belief_degree(cat) / total
+    try:
+        for cat, w in item.category_weights.items():
+            if w > 0.0:
+                share += w * belief[cat] / total
+    except KeyError as exc:
+        raise ValueError(f"unknown category {exc.args[0]!r}") from None
     return share
 
 

@@ -256,6 +256,9 @@ class TableGraph:
             return 1.0
         return self.table[(a, b) if a < b else (b, a)]
 
+    def rho_row(self, a):
+        return [self.rho(a, c) for c in self.categories]
+
 
 class TableNetwork:
     def __init__(self, belief):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bheisr.belief import (
     BeliefNetwork,
@@ -15,7 +17,9 @@ from bheisr.corpus import (
     Corpus,
     Interaction,
     Item,
+    generated_subcategory,
 )
+from bheisr.folds import fold_sum
 
 
 class TestEntropyBits:
@@ -172,3 +176,48 @@ class TestIncrementalConsistency:
                 scratch.belief_degree(cat), abs=1e-12)
         assert network.positive_category_count() == sum(
             1 for m in network.mass_by_category().values() if m > 0.0)
+
+
+# click masses as the loop credits them: whole clicks, a generated item's
+# 1/len(prompt) shares, and zeros
+click_masses = st.one_of(st.just(0.0), st.integers(1, 40).map(float),
+                         st.sampled_from([1 / 2, 1 / 3, 1 / 5, 1 / 7]),
+                         st.floats(1e-3, 50.0))
+
+
+@st.composite
+def click_counts(draw):
+    """(categories, subcategory -> category, click counts in touch order).
+    A category may have no subcategories; the labels include each
+    category's generated one."""
+    categories = tuple(sorted(draw(st.sets(st.sampled_from("abcdef"),
+                                           min_size=1, max_size=5))))
+    subcat_to_cat = {}
+    for cat in categories:
+        for n in range(draw(st.integers(0, 4))):
+            subcat_to_cat[f"{cat}/s{n}"] = cat
+        subcat_to_cat[generated_subcategory(cat)] = cat
+    labels = draw(st.permutations(sorted(subcat_to_cat)))
+    touched = labels[:draw(st.integers(0, len(labels)))]
+    counts = {sub: draw(click_masses) for sub in touched}
+    return categories, subcat_to_cat, counts
+
+
+class TestOnePassRecompute:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=click_counts())
+    def test_equals_entropy_bits_per_category(self, drawn):
+        """recompute's one pass gives every category the bits of entropy_bits
+        over that category's probabilities in click_counts order."""
+        categories, subcat_to_cat, counts = drawn
+        network = BeliefNetwork(user_id="u", categories=categories,
+                                subcat_to_cat=subcat_to_cat,
+                                click_counts=dict(counts))
+        network.recompute()
+        total = fold_sum(counts.values())
+        probs = {s: c / total for s, c in counts.items()} if total > 0.0 else {}
+        assert list(network.click_probs.items()) == list(probs.items())
+        assert list(network.belief.items()) == [
+            (cat, entropy_bits([p for s, p in probs.items()
+                                if subcat_to_cat[s] == cat]))
+            for cat in categories]

@@ -149,6 +149,25 @@ class TestIngest:
         assert code == 0
         assert "users=3" in capsys.readouterr().out
 
+    def test_item_missing_a_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
+        doc = json.loads(path.read_text())
+        del doc["items"][3]["abstract"]
+        path.write_text(json.dumps(doc))
+        assert main(["ingest", "--dataset", str(path)]) == 2
+        assert "items[3]: missing key 'abstract'" in capsys.readouterr().err
+
+    def test_repeated_category_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
+        doc = json.loads(path.read_text())
+        doc["taxonomy"].append(dict(doc["taxonomy"][0], subcategories=["x/y"]))
+        path.write_text(json.dumps(doc))
+        assert main(["ingest", "--dataset", str(path)]) == 2
+        cat = doc["taxonomy"][0]["category"]
+        assert f"duplicate category {cat!r}" in capsys.readouterr().err
+
     def test_missing_source_exits_2(self, capsys):
         assert main(["ingest"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -280,6 +299,19 @@ class TestSimulate:
         assert main(["simulate", "--dataset", str(path), "--model", "bheisr",
                      "--feeds", "10", "--out", str(out)]) == 2
         assert f"category '{cat}->x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_user_id_that_cannot_name_a_file_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        # networks/team/u19.json has no directory: the run would fail after
+        # writing runlog.jsonl and part of networks/
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
+        path.write_text(path.read_text().replace('"u0019"', '"team/u19"'))
+        out = tmp_path / "run"
+        assert main(["simulate", "--dataset", str(path), "--model", "bheisr",
+                     "--feeds", "2", "--out", str(out)]) == 2
+        assert "user id 'team/u19' cannot name a file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_user_exits_2_and_writes_nothing(self, tmp_path, capsys):

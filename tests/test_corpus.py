@@ -15,6 +15,7 @@ from bheisr.corpus import (
     ORIGIN_DATASET,
     ORIGIN_GENERATED,
     Corpus,
+    JSON_KEYS,
     Interaction,
     Item,
     ParseError,
@@ -252,8 +253,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("name", ["x->y", "->", "y->"])
     def test_prompt_key_separator_in_a_category_rejected(self, name):
-        # the path (x->y, y) would key as "x->y->y", which apply_feedback
-        # splits back into three categories
+        # the paths (x->y, y) and (x, y->y) would both key as "x->y->y",
+        # and so share a rejection count
         corpus = self.base()
         corpus.taxonomy[name] = ("d/s",)
         with pytest.raises(ValueError, match=f"category {re.escape(repr(name))}"):
@@ -270,6 +271,53 @@ class TestValidate:
         doc = json.loads(corpus_to_json(self.base()))
         doc["items"].append(dict(doc["items"][0], title="other"))
         with pytest.raises(ValueError, match="duplicate item 'i1'"):
+            corpus_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("user", ["", ".", "..", "team/u19", "../x", "a\0b"])
+    def test_user_id_that_cannot_name_a_file_rejected(self, user):
+        # simulate writes networks/<user>.json; "../x" would land outside it
+        corpus = self.base()
+        corpus = Corpus.from_rows(corpus.items, [Interaction(user, "i1", 0, 1.0)],
+                                  taxonomy=corpus.taxonomy, users=(user,))
+        with pytest.raises(ValueError, match=f"user id {re.escape(repr(user))}"):
+            corpus.validate()
+        doc = json.loads(corpus_to_json(self.base()))
+        doc["users"] = [user]
+        doc["interactions"][0]["user_id"] = user
+        with pytest.raises(ValueError, match="cannot name a file"):
+            corpus_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("records, key", [
+        (name, key) for name, keys in JSON_KEYS.items() for key in keys])
+    def test_record_missing_a_key_is_a_parse_error(self, records, key):
+        doc = json.loads(corpus_to_json(self.base()))
+        del doc[records][0][key]
+        with pytest.raises(ParseError, match=re.escape(
+                f"{records}[0]: missing key {key!r}")):
+            corpus_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc.update(items=5), "'items' is not a list"),
+        (lambda doc: doc.pop("users"), "missing key 'users'"),
+        (lambda doc: doc["taxonomy"].append(["c"]), "taxonomy[1]: not an object"),
+        (lambda doc: doc["items"][0].update(category_weights=3),
+         "a value of the wrong type"),
+        (lambda doc: doc["interactions"][0].update(timestamp=None),
+         "a value of the wrong type"),
+    ])
+    def test_malformed_document_is_a_parse_error(self, change, message):
+        doc = json.loads(corpus_to_json(self.base()))
+        change(doc)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            corpus_from_json(json.dumps(doc))
+        with pytest.raises(ParseError, match="not an object"):
+            corpus_from_json("[]")
+
+    def test_repeated_category_rejected(self):
+        # the later entry would otherwise silently replace the first
+        doc = json.loads(corpus_to_json(self.base()))
+        doc["taxonomy"].append({"category": "c", "subcategories": ["c/t"]})
+        with pytest.raises(ValueError, match="duplicate category 'c'"):
             corpus_from_json(json.dumps(doc))
 
     def test_interaction_user_must_exist(self):

@@ -497,6 +497,15 @@ class TestBatchingDoesNotChangeTheGraph:
         assert_equals_the_oracle(split, sequence)
         assert_same_graph(split, fold(distinct, []))
         assert_same_graph(split, fold(0, range(len(sequence))))
+        # every row of the hop table holds the correlation oracle, and on
+        # the diagonal whether the node's vector is nonzero
+        vectors = split.vectors
+        for a in split.categories:
+            assert split.rho_row(a) == [split.rho(a, c) for c in split.categories]
+            assert split.rho_row(a) == [
+                (0.0 if vectors[a].is_zero() else 1.0) if a == c
+                else correlation(vectors[min(a, c)], vectors[max(a, c)])
+                for c in split.categories]
 
 
 class TestGraphUpdateBuffer:

@@ -13,6 +13,7 @@ from bheisr.nudge import (
     ExternalGenerator,
     NudgeSession,
     TemplateGenerator,
+    _do_reschedule,
     _generate_for,
     apply_feedback,
     binary_split,
@@ -20,7 +21,8 @@ from bheisr.nudge import (
     new_session,
     pending_prompts,
 )
-from bheisr.pathfinder import RejectionLedger, path_of
+from bheisr.pathfinder import PromptPath, RejectionLedger, path_of, \
+    record_rejection
 
 
 def split_keys(prompt):
@@ -248,6 +250,9 @@ class FakeGraph:
     def rho(self, a, b):
         return 1.0 if a == b else self.default_rho
 
+    def rho_row(self, a):
+        return [self.rho(a, c) for c in self.categories]
+
     def accept_items(self, items):
         self.accepted.extend(item.id for item in items)
 
@@ -441,3 +446,71 @@ class TestActiveSessionHasQueue:
                     network.update_on_feedback(item)
                 apply_feedback(session, item, accepted, graph, network)
                 assert session.queue or not session.active
+
+
+def reparsed_apply_feedback(session, item, accepted, graph, network):
+    """apply_feedback with the queue searched by key and a stale rejection
+    counted against the prompt parsed back from the item's key."""
+    index = next((i for i, p in enumerate(session.queue)
+                  if p.key == item.prompt_key), None)
+    if accepted:
+        status = "accepted"
+        if index is not None:
+            session.queue.pop(index)
+            if not session.queue:
+                status += "+" + _do_reschedule(session, graph, network)
+    else:
+        prompt = PromptPath(tuple(item.prompt_key.split("->"))) \
+            if index is None else session.queue[index]
+        record_rejection(session.ledger, prompt)
+        status = "rejected"
+        if index is not None:
+            halves = binary_split(prompt)
+            if halves is not None:
+                session.queue[index:index + 1] = list(halves)
+                status = "split"
+            else:
+                session.queue.pop(index)
+                if session.queue_discipline == QUEUE_REPLACE or not session.queue:
+                    status += "+" + _do_reschedule(session, graph, network)
+    if index is None:
+        status += "/stale"
+    session.history.append({"step": session.gen_counter,
+                            "prompt": item.prompt_key, "item": item.id,
+                            "accepted": accepted, "event": status})
+    return status
+
+
+class TestStaleFeedbackUsesTheItemsPrompt:
+    @settings(max_examples=200, deadline=None)
+    @given(discipline=st.sampled_from((QUEUE_DRAIN, QUEUE_REPLACE)),
+           theta=st.sampled_from((0, 1, 2)),
+           feeds=st.lists(st.lists(st.booleans(), min_size=1, max_size=6),
+                          max_size=30))
+    # the first reject replaces the queue, so the second item is stale
+    @example(discipline=QUEUE_REPLACE, theta=0, feeds=[[False, False]])
+    def test_ledger_and_events_equal_the_reparse_path(self, discipline, theta,
+                                                      feeds):
+        """Rejecting a stale item through its own prompt counts and
+        penalizes what parsing its key back into a path did."""
+        sessions = [session_fixture(theta=theta, queue_discipline=discipline)
+                    for _ in range(2)]
+        generator = TemplateGenerator({})
+        for decisions in feeds:
+            feeds_of = [[_generate_for(session, prompt, generator)
+                         for prompt in pending_prompts(session, len(decisions))]
+                        for session, _, _ in sessions]
+            assert [[(i.id, i.prompt_key) for i in items] for items in feeds_of] \
+                == [[(i.id, i.prompt_key) for i in feeds_of[0]]] * 2
+            for n, accepted in enumerate(decisions[:len(feeds_of[0])]):
+                events = [apply(session, items[n], accepted, graph, network)
+                          for apply, (session, graph, network), items in zip(
+                              (apply_feedback, reparsed_apply_feedback),
+                              sessions, feeds_of)]
+                assert events[0] == events[1]
+            (real, _, _), (oracle, _, _) = sessions
+            assert real.ledger.counts == oracle.ledger.counts
+            assert real.ledger.penalized_edges == oracle.ledger.penalized_edges
+            assert [p.key for p in real.queue] == [p.key for p in oracle.queue]
+            assert real.history == oracle.history
+            assert real.active == oracle.active

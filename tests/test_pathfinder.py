@@ -4,9 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bheisr.corpus import generated_subcategory
 from bheisr.detection import Exposure
 from bheisr.pathfinder import (
+    PromptPath,
     RejectionLedger,
     explore,
     next_hop,
@@ -31,6 +35,9 @@ class FakeGraph:
         if a == b:
             return 1.0
         return self.table.get((a, b), 0.0)
+
+    def rho_row(self, a):
+        return [self.rho(a, c) for c in self.categories]
 
 
 class FakeNetwork:
@@ -57,6 +64,44 @@ class TestPromptPath:
     def test_repeated_node_rejected(self):
         with pytest.raises(ValueError):
             path_of("a", "b", "a")
+
+
+def fresh_halves(nodes):
+    """The binary split rule, computed from scratch."""
+    n = len(nodes)
+    if n == 2:
+        return None
+    if n == 3:
+        cut = [nodes[0:2], nodes[1:3]]
+    elif n % 2 == 0:
+        cut = [nodes[:n // 2], nodes[n // 2:]]
+    else:
+        cut = [nodes[:(n - 1) // 2], nodes[(n + 1) // 2:]]
+    return tuple(PromptPath(tuple(half)) for half in cut)
+
+
+class TestCachedPromptFacts:
+    @given(nodes=st.lists(st.sampled_from("abcdefghij"), min_size=2,
+                          max_size=10, unique=True))
+    def test_equal_a_fresh_computation(self, nodes):
+        nodes = tuple(nodes)
+        path = path_of(*nodes)
+        assert path.key == "->".join(nodes)
+        assert path.weights == {c: 1.0 / len(nodes) for c in nodes}
+        assert path.subcategory == generated_subcategory(nodes[0])
+        assert path.edge_keys == tuple(tuple(sorted(edge))
+                                       for edge in path.edges())
+        assert path.halves == fresh_halves(nodes)
+        # memoised: every split of the path yields the same objects
+        assert path.halves is path.halves
+
+    def test_explore_returns_the_ledgers_path_for_the_same_nodes(self):
+        network = FakeNetwork(dict.fromkeys(GRAPH.categories, 0.0))
+        ledger = RejectionLedger()
+        first = explore(GRAPH, "a", "d", network, ledger)
+        assert explore(GRAPH, "a", "d", network, ledger) is first
+        assert ledger.paths == {first.nodes: first}
+        assert explore(GRAPH, "a", "d", network, RejectionLedger()) == first
 
 
 class TestRejectionLedger:
