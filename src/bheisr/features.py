@@ -26,15 +26,12 @@ def tokenize(text: str) -> list:
 
 @dataclass
 class Vocabulary:
-    term_ids: dict          # term -> int id
-    idf: dict               # term id -> idf weight
+    term_ids: dict          # term -> int id, in id order
+    idf: np.ndarray         # per term id, its idf weight
     n_docs: int
 
     def terms(self) -> list:
-        out = [None] * len(self.term_ids)
-        for term, tid in self.term_ids.items():
-            out[tid] = term
-        return out
+        return list(self.term_ids)
 
 
 def build_vocabulary(items, tokens: list = None) -> Vocabulary:
@@ -47,65 +44,11 @@ def build_vocabulary(items, tokens: list = None) -> Vocabulary:
         tokens = [tokenize(item.text()) for item in items]
     df = Counter(chain.from_iterable(map(set, tokens)))
     n_docs = len(tokens)
-    term_ids = {term: i for i, term in enumerate(sorted(df))}
-    idf = {term_ids[t]: math.log((1 + n_docs) / (1 + c)) + 1.0 for t, c in df.items()}
-    return Vocabulary(term_ids=term_ids, idf=idf, n_docs=n_docs)
-
-
-@dataclass
-class FeatureVector:
-    entries: dict           # term id -> weight
-    norm: float
-
-    @classmethod
-    def from_entries(cls, entries: dict) -> "FeatureVector":
-        entries = {k: v for k, v in entries.items() if v != 0.0}
-        norm = 0.0
-        for v in entries.values():
-            norm += v * v
-        return cls(entries=entries, norm=math.sqrt(norm))
-
-    def dot(self, other: "FeatureVector") -> float:
-        """Products over the shorter side's entries (this side on a tie),
-        added left to right like the norm in from_entries. Both are plain
-        loops, not sum(), which compensates its rounding from Python 3.12
-        on: the category graph's np.cumsum edges equal correlation() only
-        under this order."""
-        a, b = self.entries, other.entries
-        if len(b) < len(a):
-            a, b = b, a
-        total = 0.0
-        for t, w in a.items():
-            if t in b:
-                total += w * b[t]
-        return total
-
-    def is_zero(self) -> bool:
-        return self.norm == 0.0
-
-
-def featurize(item, vocab: Vocabulary) -> FeatureVector:
-    """TF-IDF vector; tf is raw count over document token length.
-
-    Tokens outside the vocabulary are ignored. Empty or fully-unknown text
-    gives the zero vector.
-    """
-    return featurize_tokens(tokenize(item.text()), vocab)
-
-
-def featurize_tokens(tokens: list, vocab: Vocabulary) -> FeatureVector:
-    """featurize of a text with these tokens; entries in first-occurrence
-    order."""
-    if not tokens:
-        return FeatureVector.from_entries({})
-    counts: dict = {}
-    for t in tokens:
-        tid = vocab.term_ids.get(t)
-        if tid is not None:
-            counts[tid] = counts.get(tid, 0) + 1
-    length = len(tokens)
-    return FeatureVector.from_entries(
-        {tid: (c / length) * vocab.idf[tid] for tid, c in counts.items()})
+    terms = sorted(df)
+    idf = np.array([math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in terms],
+                   dtype=float)
+    return Vocabulary(term_ids={term: i for i, term in enumerate(terms)},
+                      idf=idf, n_docs=n_docs)
 
 
 class FlatEntries(NamedTuple):
@@ -123,18 +66,17 @@ def segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         starts - (np.cumsum(counts) - counts), counts)
 
 
-def featurize_corpus(tokens: list, vocab: Vocabulary) -> tuple:
-    """featurize_tokens of every token list, in array passes: the vectors'
-    FlatEntries and their norms.
+def featurize_corpus(tokens: list, vocab: Vocabulary) -> FlatEntries:
+    """TF-IDF vectors of the token lists, in array passes: their
+    FlatEntries. The package's one featurizer; entry_norms gives the norms.
 
-    Each list's distinct terms keep their first-occurrence order (np.unique
-    over (list, term) keys, groups ordered by first index) and weigh
-    (count / length) * idf, elementwise as featurize_tokens computes them.
-    Each norm adds its squares to 0.0 in entry order, one entry rank at a
-    time across every vector that has an entry at that rank: the left fold
-    from_entries loops. So every entry, weight and norm equals
-    featurize_tokens's. Weights are never 0.0 (a count is at least 1 and
-    idf at least 1), so none is dropped.
+    A list's entries are its distinct vocabulary terms in first-occurrence
+    order (np.unique over (list, term) keys, groups ordered by first index),
+    each weighing (count / length) * idf. Tokens outside the vocabulary are
+    ignored but count in the length, so an empty or fully unknown list has
+    no entries. Weights are never 0.0 (a count is at least 1 and idf at
+    least 1). The scalar oracle in tests/oracle.py gives every entry and
+    weight, and entry_norms every norm, with ==.
     """
     n = len(tokens)
     lengths = np.fromiter(map(len, tokens), np.intp, n)
@@ -146,12 +88,18 @@ def featurize_corpus(tokens: list, vocab: Vocabulary) -> tuple:
                                           return_counts=True)
     order = np.argsort(first)
     rows, terms = np.divmod(pairs[order], width)
-    idf = np.fromiter(map(vocab.idf.__getitem__, range(len(vocab.term_ids))),
-                      float, len(vocab.term_ids))
-    weights = (occurrences[order] / lengths[rows]) * idf[terms]
+    weights = (occurrences[order] / lengths[rows]) * vocab.idf[terms]
     counts = np.bincount(rows, minlength=n)
-    starts = np.cumsum(counts) - counts
-    squares, norms = weights * weights, np.zeros(n)
+    return FlatEntries(counts=counts, starts=np.cumsum(counts) - counts,
+                       terms=terms, weights=weights)
+
+
+def entry_norms(entries: FlatEntries) -> np.ndarray:
+    """Each vector's norm. Its squares add to 0.0 in entry order, one entry
+    rank at a time across every vector that has an entry at that rank: a
+    left fold per vector."""
+    counts, starts = entries.counts, entries.starts
+    squares, norms = entries.weights * entries.weights, np.zeros(len(counts))
     longest_first = np.argsort(-counts, kind="stable")
     # how many vectors have more than j entries, for each rank j
     longer = np.searchsorted(-counts[longest_first],
@@ -159,27 +107,7 @@ def featurize_corpus(tokens: list, vocab: Vocabulary) -> tuple:
     for rank, m in enumerate(longer.tolist()):
         live = longest_first[:m]
         norms[live] += squares[starts[live] + rank]
-    return FlatEntries(counts=counts, starts=starts, terms=terms,
-                       weights=weights), np.sqrt(norms)
-
-
-def correlation(a: FeatureVector, b: FeatureVector) -> float:
-    """Cosine similarity; zero if either vector has zero norm."""
-    if a.norm == 0.0 or b.norm == 0.0:
-        return 0.0
-    value = a.dot(b) / (a.norm * b.norm)
-    return min(1.0, max(-1.0, value))
-
-
-def _mean_vector(vectors: list) -> FeatureVector:
-    if not vectors:
-        return FeatureVector.from_entries({})
-    acc: dict = {}
-    for vec in vectors:
-        for tid, w in vec.entries.items():
-            acc[tid] = acc.get(tid, 0.0) + w
-    n = len(vectors)
-    return FeatureVector.from_entries({tid: w / n for tid, w in acc.items()})
+    return np.sqrt(norms)
 
 
 @dataclass
@@ -194,14 +122,16 @@ class CategoryGraph:
     `n_touched` of them in use, and `norms` each node vector's norm.
     `rho_rows` holds every rho(a, c) as one list per category row, in
     `categories` order, with rho(a, a) on the diagonal: the one store of
-    the edges. `vectors`, `sums` and `edges` are read-only views built from
-    them on each read.
+    the edges. `edges` is a read-only view built from it on each read.
+    An item's vector is a term array and a weight array: a corpus item's
+    are its index row, and any other item's are featurized once per
+    distinct text in a run and kept in `text_entries` and `item_vectors`.
     """
     vocab: Vocabulary
     index: object                       # the CandidateIndex of the corpus
     categories: tuple
     members: dict                       # category -> list of item ids
-    item_vectors: dict                  # item id -> FeatureVector, items outside the index
+    item_vectors: dict                  # id -> (terms, weights), items outside the index
     edge_rows: tuple                    # the edges' (a rows, b rows), a < b
     rows: dict                          # category -> array row
     term_sums: np.ndarray
@@ -210,7 +140,7 @@ class CategoryGraph:
     touch_order: np.ndarray             # term ids, padded with the zero column
     n_touched: np.ndarray
     norms: np.ndarray
-    text_entries: dict                  # text -> (vector, terms, weights), as item_vectors
+    text_entries: dict                  # text -> (terms, weights)
     rho_rows: list                      # row of a -> [rho(a, c) for c in categories]
     rho_gather: np.ndarray              # rows (a, c) -> index in edges + diagonal
 
@@ -245,23 +175,6 @@ class CategoryGraph:
         return graph
 
     @property
-    def vectors(self) -> dict:
-        """category -> FeatureVector of its node, entries in first-touch
-        order."""
-        return {c: FeatureVector(entries=self._entries(self.node_values, r),
-                                 norm=float(self.norms[r]))
-                for c, r in self.rows.items()}
-
-    @property
-    def sums(self) -> dict:
-        """category -> {term id: running sum}, in first-touch order."""
-        return {c: self._entries(self.term_sums, r) for c, r in self.rows.items()}
-
-    def _entries(self, table: np.ndarray, row: int) -> dict:
-        tids = self.touch_order[row, :self.n_touched[row]]
-        return dict(zip(tids.tolist(), table[row, tids].tolist()))
-
-    @property
     def edges(self) -> dict:
         """sorted (a, b) -> correlation, pairs in `categories` order."""
         cats, table = self.categories, self.rho_rows
@@ -277,38 +190,38 @@ class CategoryGraph:
         """[rho(a, c) for c in categories]; the caller must not change it."""
         return self.rho_rows[self.rows[a]]
 
-    def _text_entries(self, item) -> tuple:
-        """(vector, term array, weight array) of an item outside the index,
-        featurized once per distinct text; records the item's vector."""
-        text = item.text()
-        found = self.text_entries.get(text)
-        if found is None:
-            vec = featurize(item, self.vocab)
-            entries = vec.entries
-            found = self.text_entries[text] = (
-                vec, np.fromiter(entries, np.intp, len(entries)),
-                np.fromiter(entries.values(), float, len(entries)))
-        self.item_vectors[item.id] = found[0]
-        return found
+    def _featurize_new(self, items: list) -> None:
+        """Record the vector of every item outside the index in item_vectors.
+        The distinct texts not featurized before in this run are featurized
+        in one featurize_corpus call."""
+        texts = [(item.id, item.text()) for item in items
+                 if item.id not in self.index.pos]
+        fresh = list(dict.fromkeys(text for _, text in texts
+                                   if text not in self.text_entries))
+        if fresh:
+            entries = featurize_corpus(list(map(tokenize, fresh)), self.vocab)
+            ends = (entries.starts + entries.counts).tolist()
+            for text, start, end in zip(fresh, entries.starts.tolist(), ends):
+                self.text_entries[text] = (entries.terms[start:end],
+                                           entries.weights[start:end])
+        for item_id, text in texts:
+            self.item_vectors[item_id] = self.text_entries[text]
 
-    def _item_entries(self, items: list) -> FlatEntries:
-        """The items' flat entries: an index item's from its index row, any
-        other item's from _text_entries."""
+    def item_entries(self, item_ids) -> FlatEntries:
+        """The flat entries of the items with these ids, in order: an index
+        item's from its index row, any other item's from item_vectors."""
         index = self.index.entries
-        counts, terms, weights = [], [], []
-        for item in items:
-            row = self.index.pos.get(item.id)
+        terms, weights = [], []
+        for item_id in item_ids:
+            row = self.index.pos.get(item_id)
             if row is None:
-                _, item_terms, item_weights = self._text_entries(item)
-                counts.append(len(item_terms))
-                terms.append(item_terms)
-                weights.append(item_weights)
+                item_terms, item_weights = self.item_vectors[item_id]
             else:
                 span = slice(index.starts[row], index.starts[row] + index.counts[row])
-                counts.append(index.counts[row])
-                terms.append(index.terms[span])
-                weights.append(index.weights[span])
-        counts = np.array(counts, dtype=np.intp)
+                item_terms, item_weights = index.terms[span], index.weights[span]
+            terms.append(item_terms)
+            weights.append(item_weights)
+        counts = np.fromiter(map(len, terms), np.intp, len(terms))
         return FlatEntries(counts=counts, starts=np.cumsum(counts) - counts,
                            terms=np.concatenate(terms),
                            weights=np.concatenate(weights))
@@ -318,19 +231,18 @@ class CategoryGraph:
 
         Every item is checked before any is folded, so a bad item leaves the
         graph as it was. Items fold into members and running sums in the
-        order given: np.add.at adds to each sum one item at a time, the left
-        fold over the members that _mean_vector computes. A term first
-        touched by the batch joins the end of its category's term order.
-        Each touched node is then divided by its member count, and every
-        norm and edge is a np.cumsum, which adds strictly left to right as
-        FeatureVector's loops do: a norm over the node's own term order, and
-        an edge's dot product over the order of the endpoint with fewer terms,
-        the smaller category on a tie, which is the side FeatureVector.dot
-        walks in correlation(vectors[a], vectors[b]) with a < b. Padding
-        and terms absent from the other endpoint add 0.0, which leaves the
-        non-negative sums unchanged. So every edge equals that correlation,
-        and the graph equals a rebuild bit for bit however the accepts are
-        split into batches.
+        order given: np.add.at adds to each sum one item at a time, a left
+        fold over the members. A term first touched by the batch joins the
+        end of its category's term order. Each touched node is then divided
+        by its member count, and every norm and edge is a np.cumsum, which
+        adds strictly left to right: a norm over the node's own term order,
+        and an edge's dot product over the order of the endpoint with fewer
+        terms, the smaller category on a tie. Padding and terms absent from
+        the other endpoint add 0.0, which leaves the non-negative sums
+        unchanged. So every node and edge equals its scalar oracle, the
+        mean of the members' vectors and the cosine of a < b in
+        tests/oracle.py, and the graph equals a rebuild bit for bit however
+        the accepts are split into batches.
         """
         self._fold(list(items))
 
@@ -341,7 +253,8 @@ class CategoryGraph:
             return
         pair_item, rows = self._pairs(items)
         if entries is None:
-            entries = self._item_entries(items)
+            self._featurize_new(items)
+            entries = self.item_entries([item.id for item in items])
         if not len(rows):
             return
         for i, r in zip(pair_item.tolist(), rows.tolist()):
@@ -415,14 +328,14 @@ class CategoryGraph:
 
     def to_json_dict(self) -> dict:
         terms = self.vocab.terms()
-        vectors = self.vectors
         nodes = []
-        for cat in self.categories:
-            vec = vectors[cat]
+        for cat, row in self.rows.items():
+            tids = np.sort(self.touch_order[row, :self.n_touched[row]])
             nodes.append({
                 "category": cat,
                 "members": len(self.members[cat]),
-                "vector": {terms[tid]: w for tid, w in sorted(vec.entries.items())},
+                "vector": dict(zip(map(terms.__getitem__, tids.tolist()),
+                                   self.node_values[row, tids].tolist())),
             })
         edges = [{"a": a, "b": b, "rho": r} for (a, b), r in sorted(self.edges.items())]
         return {"nodes": nodes, "edges": edges}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import pathfinder
 from .corpus import ORIGIN_GENERATED, Item
-from .features import build_vocabulary, featurize
+from .features import build_vocabulary, featurize_corpus, tokenize
 from .pathfinder import PromptPath, RejectionLedger
 
 log = logging.getLogger(__name__)
@@ -51,32 +51,36 @@ class TemplateGenerator:
 
     def __init__(self, exemplars: dict):
         self.exemplars = exemplars
-        self._top_terms: dict = {}
-        self._vocab = None
+        self._top_terms = None      # category -> its terms, best first
         # prompt -> (period of its text in the seed, {seed % period: text})
         self._texts: dict = {}
 
-    def _vocabulary(self):
-        if self._vocab is None:
-            docs = [it for its in self.exemplars.values() for it in its]
-            self._vocab = build_vocabulary(docs)
-        return self._vocab
-
     def top_terms(self, category: str, limit: int = 4) -> list:
-        if category not in self._top_terms:
-            items = self.exemplars.get(category, [])
-            if not items:
-                self._top_terms[category] = []
-            else:
-                vocab = self._vocabulary()
+        """The category's exemplar terms by descending summed weight, ties
+        by term. The first call featurizes every category's exemplars in
+        one featurize_corpus call, over their own vocabulary."""
+        if self._top_terms is None:
+            docs = [it for its in self.exemplars.values() for it in its]
+            tokens = [tokenize(it.text()) for it in docs]
+            vocab = build_vocabulary(docs, tokens)
+            entries = featurize_corpus(tokens, vocab)
+            # a category's items are consecutive rows, so their entries are
+            # one run of the flat arrays
+            bounds = [*entries.starts.tolist(), len(entries.terms)]
+            terms, n, top = vocab.terms(), 0, {}
+            for cat, items in self.exemplars.items():
+                span = slice(bounds[n], bounds[n + len(items)])
+                n += len(items)
                 acc: dict = {}
-                for item in items:
-                    for tid, w in featurize(item, vocab).entries.items():
-                        acc[tid] = acc.get(tid, 0.0) + w
-                terms = vocab.terms()
+                for tid, w in zip(entries.terms[span].tolist(),
+                                  entries.weights[span].tolist()):
+                    acc[tid] = acc.get(tid, 0.0) + w
                 ranked = sorted(acc, key=lambda tid: (-acc[tid], terms[tid]))
-                self._top_terms[category] = [terms[tid] for tid in ranked]
-        return self._top_terms[category][:limit]
+                top[cat] = [terms[tid] for tid in ranked]
+            # published whole: parallel user steps generate on threads, and
+            # none may read a table that is still being filled
+            self._top_terms = top
+        return self._top_terms.get(category, [])[:limit]
 
     def generate(self, prompt_categories, seed: int = 0) -> tuple:
         """(title, abstract). The text depends on the seed only through each

@@ -8,14 +8,12 @@ k - n_gen baseline items; accepted items never reappear.
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 from scipy import sparse
 
 from . import nudge
-from .features import FlatEntries, _mean_vector, correlation, featurize_corpus, \
-    segments
+from .features import FlatEntries, entry_norms, featurize_corpus, segments
 from .folds import fold_sum
 from .rng import substream
 
@@ -37,7 +35,7 @@ class CandidateIndex:
     def build(cls, corpus, vocab, tokens: list) -> "CandidateIndex":
         """`tokens` is each item's tokenize(item.text()), in corpus order."""
         ids = list(corpus.items)
-        entries, norms = featurize_corpus(tokens, vocab)
+        entries = featurize_corpus(tokens, vocab)
         indptr = np.append(entries.starts, len(entries.terms))
         matrix = sparse.csr_matrix((entries.weights, entries.terms, indptr),
                                    shape=(len(ids), max(1, len(vocab.term_ids))),
@@ -50,20 +48,8 @@ class CandidateIndex:
         id_rank = np.empty(len(ids), dtype=np.intp)
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         return cls(ids=ids, pos={i: r for r, i in enumerate(ids)}, matrix=matrix,
-                   norms=norms, cat_index=cat_index, id_rank=id_rank,
-                   entries=entries)
-
-
-def cb_score(item, network, vectors: dict) -> float:
-    """Cosine between the item and the mean of the user's accepted items.
-
-    `vectors` maps item id to FeatureVector for the item and for every item
-    the user accepted. Cold users (empty history) score 0 for every item.
-    """
-    if not network.accepted:
-        return 0.0
-    profile = _mean_vector([vectors[i] for i in network.accepted])
-    return correlation(vectors[item.id], profile)
+                   norms=entry_norms(entries), cat_index=cat_index,
+                   id_rank=id_rank, entries=entries)
 
 
 def acceptance_share(item, network, total: float) -> float:
@@ -83,32 +69,6 @@ def acceptance_share(item, network, total: float) -> float:
     except KeyError as exc:
         raise ValueError(f"unknown category {exc.args[0]!r}") from None
     return share
-
-
-def _dict_cosine(a: dict, b: dict) -> float:
-    dot = sum(v * b.get(k, 0.0) for k, v in a.items())
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
-
-
-def uc_score(item, user_id: str, networks: dict) -> float:
-    """Sum over other users who accepted the item of their history cosine with
-    this user, weighted by this user's belief share for the item."""
-    me = networks[user_id]
-    share = acceptance_share(item, me, fold_sum(me.belief.values()))
-    if share == 0.0:
-        return 0.0
-    my_hist = me.mass_by_category()
-    total = 0.0
-    for other_id, other in networks.items():
-        if other_id == user_id:
-            continue
-        if item.id in other.accepted:
-            total += _dict_cosine(my_hist, other.mass_by_category())
-    return total * share
 
 
 @dataclass
@@ -197,14 +157,15 @@ class FeedContext:
         if self.baseline == "cb":
             n_terms = index.matrix.shape[1]
             self.profile_sums = np.zeros((n_users, n_terms))
-            flat, lengths = self.profile_sums.ravel(), np.diff(index.matrix.indptr)
+            flat, entries = self.profile_sums.ravel(), index.entries
             # consecutive slices continue the same folds and bound the
             # temporaries
             for start in range(0, len(cols), SEED_CHUNK_ROWS):
                 part = slice(start, start + SEED_CHUNK_ROWS)
-                tids, weights = _row_entries(index.matrix, cols[part])
-                cells = np.repeat(rows[part] * n_terms, lengths[cols[part]]) + tids
-                np.add.at(flat, cells, weights)
+                counts = entries.counts[cols[part]]
+                take = segments(entries.starts[cols[part]], counts)
+                cells = np.repeat(rows[part] * n_terms, counts) + entries.terms[take]
+                np.add.at(flat, cells, entries.weights[take])
         elif self.baseline == "uc":
             self.refresh_mass()
 
@@ -256,46 +217,21 @@ class FeedContext:
         """Fold the user's newly accepted items, in order, into their accept
         row and, for CB, their profile sums.
 
-        Each run of index items gathers its terms from the index matrix at
-        once; other items take theirs from the graph's item vectors, so
-        pending graph updates must be flushed first. np.add.at applies the
-        additions one at a time in item order, so each sum is the same left
-        fold as adding the items' entries in turn.
+        The items' entries come from the graph (CategoryGraph.item_entries),
+        so pending graph updates must be flushed first. np.add.at applies
+        the additions one at a time in item order, so each sum is the same
+        left fold as adding the items' entries in turn.
         """
-        row = self.user_pos[user_id]
-        positions = [self.index.pos.get(i) for i in item_ids]
-        self.accept_matrix[row, [p for p in positions if p is not None]] = 1.0
-        if self.baseline != "cb":
-            return
-        tids, weights = [], []
-        for in_index, run in groupby(zip(item_ids, positions),
-                                     key=lambda pair: pair[1] is not None):
-            if in_index:
-                rows = np.array([p for _, p in run], dtype=np.intp)
-                run_tids, run_weights = _row_entries(self.index.matrix, rows)
-                tids.append(run_tids)
-                weights.append(run_weights)
-            else:
-                for item_id, _ in run:
-                    entries = self.graph.item_vectors[item_id].entries
-                    tids.append(np.fromiter(entries, np.intp, len(entries)))
-                    weights.append(np.fromiter(entries.values(), float,
-                                               len(entries)))
-        if tids:
-            np.add.at(self.profile_sums[row], np.concatenate(tids),
-                      np.concatenate(weights))
-
-
-def _row_entries(matrix, rows: np.ndarray) -> tuple:
-    """Column ids and values of the CSR matrix rows, concatenated in order."""
-    start = matrix.indptr[rows]
-    take = segments(start, matrix.indptr[rows + 1] - start)
-    return matrix.indices[take], matrix.data[take]
+        row, pos = self.user_pos[user_id], self.index.pos
+        self.accept_matrix[row, [pos[i] for i in item_ids if i in pos]] = 1.0
+        if self.baseline == "cb" and item_ids:
+            entries = self.graph.item_entries(item_ids)
+            np.add.at(self.profile_sums[row], entries.terms, entries.weights)
 
 
 def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
-    """Candidate scores from the matrix state, equal per item to cb_score or
-    uc_score."""
+    """Candidate scores from the matrix state, equal per item to the scalar
+    CB and UC oracles in tests/oracle.py."""
     index = ctx.index
     n = len(index.ids)
     if kind == "rd":

@@ -453,9 +453,14 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
         networks = belief_mod.build_all(corpus)
         classification = _classify(corpus, networks)
         target = config.target_user or _first_fb_user(classification)
+        if target not in networks:
+            raise ValueError(f"unknown user {target!r}")
         if classification is None:
             raise ValueError("cannot infer endpoint categories without "
                              "a classified population")
+        if target not in classification.users:
+            raise ValueError(f"cannot infer endpoint categories for user "
+                             f"{target!r}, who has no history")
         from . import pathfinder
         src, dst = pathfinder.select_endpoints(
             networks[target], classification.classes[target])

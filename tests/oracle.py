@@ -1,0 +1,188 @@
+"""Scalar reference implementations the tests compare the package against.
+
+The package computes item vectors, category nodes, edges and baseline scores
+in array passes; these are the plain-loop definitions of the same values. A
+vector is a dict of term id -> weight in first-occurrence order plus its
+norm, and every sum is a left fold, so the array paths can be checked against
+them with ==. A spy on the package's one featurizer counts what it is asked
+to featurize.
+"""
+
+import math
+from dataclasses import dataclass
+
+from bheisr import features, nudge, recommenders
+from bheisr.features import Vocabulary, tokenize
+from bheisr.folds import fold_sum
+from bheisr.recommenders import acceptance_share
+
+
+@dataclass
+class FeatureVector:
+    entries: dict           # term id -> weight
+    norm: float
+
+    @classmethod
+    def from_entries(cls, entries: dict) -> "FeatureVector":
+        entries = {k: v for k, v in entries.items() if v != 0.0}
+        norm = 0.0
+        for v in entries.values():
+            norm += v * v
+        return cls(entries=entries, norm=math.sqrt(norm))
+
+    def dot(self, other: "FeatureVector") -> float:
+        """Products over the shorter side's entries (this side on a tie),
+        added left to right like the norm in from_entries. Both are plain
+        loops, not sum(), which compensates its rounding from Python 3.12
+        on: the category graph's np.cumsum edges equal correlation() only
+        under this order."""
+        a, b = self.entries, other.entries
+        if len(b) < len(a):
+            a, b = b, a
+        total = 0.0
+        for t, w in a.items():
+            if t in b:
+                total += w * b[t]
+        return total
+
+    def is_zero(self) -> bool:
+        return self.norm == 0.0
+
+
+def featurize(item, vocab: Vocabulary) -> FeatureVector:
+    """TF-IDF vector; tf is raw count over document token length.
+
+    Tokens outside the vocabulary are ignored. Empty or fully-unknown text
+    gives the zero vector.
+    """
+    return featurize_tokens(tokenize(item.text()), vocab)
+
+
+def featurize_tokens(tokens: list, vocab: Vocabulary) -> FeatureVector:
+    """featurize of a text with these tokens; entries in first-occurrence
+    order."""
+    if not tokens:
+        return FeatureVector.from_entries({})
+    counts: dict = {}
+    for t in tokens:
+        tid = vocab.term_ids.get(t)
+        if tid is not None:
+            counts[tid] = counts.get(tid, 0) + 1
+    length = len(tokens)
+    return FeatureVector.from_entries(
+        {tid: (c / length) * vocab.idf[tid] for tid, c in counts.items()})
+
+
+def correlation(a: FeatureVector, b: FeatureVector) -> float:
+    """Cosine similarity; zero if either vector has zero norm."""
+    if a.norm == 0.0 or b.norm == 0.0:
+        return 0.0
+    value = a.dot(b) / (a.norm * b.norm)
+    return min(1.0, max(-1.0, value))
+
+
+def _mean_vector(vectors: list) -> FeatureVector:
+    if not vectors:
+        return FeatureVector.from_entries({})
+    acc: dict = {}
+    for vec in vectors:
+        for tid, w in vec.entries.items():
+            acc[tid] = acc.get(tid, 0.0) + w
+    n = len(vectors)
+    return FeatureVector.from_entries({tid: w / n for tid, w in acc.items()})
+
+
+def cb_score(item, network, vectors: dict) -> float:
+    """Cosine between the item and the mean of the user's accepted items.
+
+    `vectors` maps item id to FeatureVector for the item and for every item
+    the user accepted. Cold users (empty history) score 0 for every item.
+    """
+    if not network.accepted:
+        return 0.0
+    profile = _mean_vector([vectors[i] for i in network.accepted])
+    return correlation(vectors[item.id], profile)
+
+
+def _dict_cosine(a: dict, b: dict) -> float:
+    dot = sum(v * b.get(k, 0.0) for k, v in a.items())
+    na = math.sqrt(sum(v * v for v in a.values()))
+    nb = math.sqrt(sum(v * v for v in b.values()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def uc_score(item, user_id: str, networks: dict) -> float:
+    """Sum over other users who accepted the item of their history cosine with
+    this user, weighted by this user's belief share for the item."""
+    me = networks[user_id]
+    share = acceptance_share(item, me, fold_sum(me.belief.values()))
+    if share == 0.0:
+        return 0.0
+    my_hist = me.mass_by_category()
+    total = 0.0
+    for other_id, other in networks.items():
+        if other_id == user_id:
+            continue
+        if item.id in other.accepted:
+            total += _dict_cosine(my_hist, other.mass_by_category())
+    return total * share
+
+
+def node_entries(graph, table) -> dict:
+    """category -> {term id: value in the graph's `table` row}, term ids in
+    the node's first-touch order."""
+    out = {}
+    for cat, row in graph.rows.items():
+        tids = graph.touch_order[row, :graph.n_touched[row]]
+        out[cat] = dict(zip(tids.tolist(), table[row, tids].tolist()))
+    return out
+
+
+def node_vectors(graph) -> dict:
+    """category -> FeatureVector of its node, from the graph's arrays."""
+    return {cat: FeatureVector(entries=entries,
+                               norm=float(graph.norms[graph.rows[cat]]))
+            for cat, entries in node_entries(graph, graph.node_values).items()}
+
+
+def assert_equals_the_oracle(graph, items):
+    """The graph holds the vectors of just the accepted `items` outside its
+    index, each equal to featurize and kept once per distinct text. Nodes
+    equal _mean_vector of the members' featurize vectors and edges equal
+    correlation of those, a < b, with ==."""
+    by_id = {item.id: item for item in items}
+    assert set(graph.item_vectors) == set(by_id) - set(graph.index.pos)
+    for item_id, (terms, weights) in graph.item_vectors.items():
+        oracle = featurize(by_id[item_id], graph.vocab)
+        assert list(zip(terms.tolist(), weights.tolist())) == \
+            list(oracle.entries.items())
+        assert graph.item_vectors[item_id] is \
+            graph.text_entries[by_id[item_id].text()]
+    assert set(graph.text_entries) == {by_id[i].text() for i in graph.item_vectors}
+    oracle = {c: _mean_vector([featurize(by_id[i], graph.vocab)
+                               for i in graph.members[c]])
+              for c in graph.categories}
+    vectors = node_vectors(graph)
+    for cat in graph.categories:
+        assert list(vectors[cat].entries.items()) == list(oracle[cat].entries.items())
+        assert vectors[cat].norm == oracle[cat].norm
+        assert graph.rho(cat, cat) == (0.0 if oracle[cat].is_zero() else 1.0)
+    for (a, b), rho in graph.edges.items():
+        assert rho == correlation(oracle[a], oracle[b])
+
+
+def spy_featurize_corpus(monkeypatch) -> list:
+    """Record the token lists of every featurize_corpus call the package
+    makes, one list per call, for the rest of the test."""
+    calls = []
+    real = features.featurize_corpus
+
+    def spy(tokens, vocab):
+        calls.append([list(t) for t in tokens])
+        return real(tokens, vocab)
+
+    for module in (features, nudge, recommenders):
+        monkeypatch.setattr(module, "featurize_corpus", spy)
+    return calls

@@ -411,6 +411,24 @@ class TestExperiments:
         assert "user=u0000" in capsys.readouterr().out
         assert (out / "trajectory.csv").exists()
 
+    def test_experiment_2_unknown_or_unclassified_target_exits_2(self, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "e2"
+        assert main(["experiment", "2", "--synth", "n_users=30,bias_profile=10",
+                     "--target-user", "nobody", "--out", str(out)]) == 2
+        assert "unknown user 'nobody'" in capsys.readouterr().err
+        # a corpus user without history has no class to pick endpoints from
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
+        doc = json.loads(path.read_text())
+        doc["users"].append("idle")
+        path.write_text(json.dumps(doc))
+        assert main(["experiment", "2", "--dataset", str(path), "--target-user",
+                     "idle", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'idle'" in err and "no history" in err
+        assert not (out / "trajectory.csv").exists()
+
     def test_experiment_3_fb_counts(self, tmp_path, capsys):
         out = tmp_path / "e3"
         code = main(["experiment", "3", "--synth", SYNTH, "--k", "4",

@@ -12,17 +12,22 @@ from hypothesis import strategies as st
 from bheisr.corpus import Corpus, Item
 from bheisr.features import (
     CategoryGraph,
-    FeatureVector,
     GraphUpdateBuffer,
-    _mean_vector,
     build_vocabulary,
-    correlation,
-    featurize,
+    entry_norms,
     featurize_corpus,
-    featurize_tokens,
     tokenize,
 )
 from bheisr.recommenders import CandidateIndex
+from oracle import (
+    FeatureVector,
+    assert_equals_the_oracle,
+    correlation,
+    featurize,
+    featurize_tokens,
+    node_entries,
+    node_vectors,
+)
 
 
 def make_item(id, cat, sub, title, abstract="", weights=None):
@@ -46,10 +51,11 @@ def graph_of(corpus, vocab=None):
                                CandidateIndex.build(corpus, vocab, tokens))
 
 
-def same_vector(vec, oracle):
-    """Equal entries in the same order and an equal norm."""
-    return list(vec.entries.items()) == list(oracle.entries.items()) and \
-        vec.norm == oracle.norm
+def item_vector_lists(graph):
+    """item id -> (term ids, weights) of every item vector the graph holds,
+    as lists."""
+    return {i: (terms.tolist(), weights.tolist())
+            for i, (terms, weights) in graph.item_vectors.items()}
 
 
 class TestTokenize:
@@ -139,7 +145,8 @@ class TestFeaturizeCorpus:
         the vocabulary comes from the first `known` documents, so the others
         may hold tokens outside it."""
         vocab = build_vocabulary([], docs[:known])
-        entries, norms = featurize_corpus(docs, vocab)
+        entries = featurize_corpus(docs, vocab)
+        norms = entry_norms(entries)
         assert len(entries.counts) == len(norms) == len(docs)
         starts = entries.starts
         for r, tokens in enumerate(docs):
@@ -194,9 +201,10 @@ class TestCategoryGraph:
         graph = graph_of(corpus)
         v1 = featurize(corpus.items["i1"], graph.vocab)
         v2 = featurize(corpus.items["i2"], graph.vocab)
+        food = node_vectors(graph)["food"]
         for tid in set(v1.entries) | set(v2.entries):
             expect = (v1.entries.get(tid, 0.0) + v2.entries.get(tid, 0.0)) / 2
-            assert graph.vectors["food"].entries.get(tid, 0.0) == pytest.approx(expect)
+            assert food.entries.get(tid, 0.0) == pytest.approx(expect)
 
     def test_rho_symmetric_and_bounded(self):
         graph = graph_of(two_category_corpus())
@@ -247,7 +255,8 @@ class TestIncrementalUpdate:
 
         corpus.items["i9"] = new
         rebuilt = graph_of(corpus, graph.vocab)
-        assert graph.vectors["tech"].entries == rebuilt.vectors["tech"].entries
+        assert node_vectors(graph)["tech"].entries == \
+            node_vectors(rebuilt)["tech"].entries
         assert graph.edges == rebuilt.edges
 
     def test_random_update_sequences_match_rebuild(self):
@@ -263,8 +272,9 @@ class TestIncrementalUpdate:
             graph.accept_items([item])
             corpus.items[item.id] = item
         rebuilt = graph_of(corpus, vocab)
+        vectors, rebuilt_vectors = node_vectors(graph), node_vectors(rebuilt)
         for cat in graph.categories:
-            assert graph.vectors[cat].entries == rebuilt.vectors[cat].entries
+            assert vectors[cat].entries == rebuilt_vectors[cat].entries
         assert graph.edges == rebuilt.edges
 
     def test_three_generated_items_give_the_rebuilt_edges(self):
@@ -300,9 +310,10 @@ class TestIncrementalUpdate:
             with pytest.raises(ValueError, match="unknown category 'nope'"):
                 graph.accept_items(batch)
             assert graph.members == before.members
-            assert graph.sums == before.sums
-            assert graph.item_vectors == before.item_vectors
-            assert graph.vectors == before.vectors
+            assert node_entries(graph, graph.term_sums) == \
+                node_entries(before, before.term_sums)
+            assert item_vector_lists(graph) == item_vector_lists(before)
+            assert node_vectors(graph) == node_vectors(before)
             assert graph.edges == before.edges
 
     def test_to_json_dict_shape(self):
@@ -367,26 +378,6 @@ class TestIncrementalGraphMatchesOracle:
 FOUR_CATEGORIES = dict(THREE_CATEGORIES, sport=("sport/s",))
 
 
-def assert_equals_the_oracle(graph, items):
-    """The graph holds the vectors of just the accepted `items` outside its
-    index, each equal to featurize. Nodes equal _mean_vector of the members'
-    featurize vectors and edges equal correlation of those, a < b, with ==."""
-    by_id = {item.id: item for item in items}
-    assert set(graph.item_vectors) == set(by_id) - set(graph.index.pos)
-    for item_id, vec in graph.item_vectors.items():
-        assert same_vector(vec, featurize(by_id[item_id], graph.vocab))
-    oracle = {c: _mean_vector([featurize(by_id[i], graph.vocab)
-                               for i in graph.members[c]])
-              for c in graph.categories}
-    vectors = graph.vectors
-    for cat in graph.categories:
-        assert list(vectors[cat].entries.items()) == list(oracle[cat].entries.items())
-        assert vectors[cat].norm == oracle[cat].norm
-        assert graph.rho(cat, cat) == (0.0 if oracle[cat].is_zero() else 1.0)
-    for (a, b), rho in graph.edges.items():
-        assert rho == correlation(oracle[a], oracle[b])
-
-
 class TestArrayEdgeCases:
     def test_tie_in_term_count_sums_in_the_smaller_categorys_order(self):
         # arts and food end with six terms each; summed in food's order the
@@ -397,7 +388,8 @@ class TestArrayEdgeCases:
                  make_item("i3", "food", "food/s", "soup silicon chip panel")]
         taxonomy = {"arts": ("arts/s",), "food": ("food/s",)}
         built = graph_of(make_corpus(items, taxonomy))
-        arts, food = built.vectors["arts"], built.vectors["food"]
+        vectors = node_vectors(built)
+        arts, food = vectors["arts"], vectors["food"]
         assert len(arts.entries) == len(food.entries)
         assert correlation(food, arts) != correlation(arts, food)
         assert built.edges[("arts", "food")] == correlation(arts, food)
@@ -415,11 +407,11 @@ class TestArrayEdgeCases:
             make_item("e1", "arts", "arts/s", ""),
             make_item("e2", "sport", "sport/s", "")]
         built = graph_of(make_corpus(items, FOUR_CATEGORIES))
-        assert built.vectors["sport"].is_zero()
+        assert node_vectors(built)["sport"].is_zero()
         assert all(rho == 0.0 for (a, b), rho in built.edges.items()
                    if "sport" in (a, b))
         assert built.members["arts"] == ["i3", "e1"]
-        assert built.vectors["arts"].entries == {
+        assert node_vectors(built)["arts"].entries == {
             tid: w / 2 for tid, w in featurize(items[2], built.vocab).entries.items()}
         assert_equals_the_oracle(built, items)
         folded = graph_of(make_corpus(items[:4], FOUR_CATEGORIES), built.vocab)
@@ -442,12 +434,15 @@ def assert_same_graph(graph, other):
     """Equal members, sums, nodes and edges, in the same orders; the graphs
     may hold different item vectors, as their indexes may differ."""
     assert graph.members == other.members
+    vectors, twins = node_vectors(graph), node_vectors(other)
+    sums, twin_sums = node_entries(graph, graph.term_sums), \
+        node_entries(other, other.term_sums)
     for cat in graph.categories:
-        assert list(graph.sums[cat].items()) == list(other.sums[cat].items())
-        vec, twin = graph.vectors[cat], other.vectors[cat]
+        assert list(sums[cat].items()) == list(twin_sums[cat].items())
+        vec, twin = vectors[cat], twins[cat]
         assert list(vec.entries.items()) == list(twin.entries.items())
         assert vec.norm == twin.norm
-    assert list(graph.vectors) == list(other.vectors)
+    assert list(vectors) == list(twins)
     assert list(graph.edges.items()) == list(other.edges.items())
 
 
@@ -492,14 +487,14 @@ class TestBatchingDoesNotChangeTheGraph:
         cuts = sorted(data.draw(st.sets(st.integers(n_built, len(sequence))),
                                 label="cuts"))
         split = fold(n_built, cuts)
+        vectors = node_vectors(split)
         for (a, b), rho in split.edges.items():
-            assert a < b and rho == correlation(split.vectors[a], split.vectors[b])
+            assert a < b and rho == correlation(vectors[a], vectors[b])
         assert_equals_the_oracle(split, sequence)
         assert_same_graph(split, fold(distinct, []))
         assert_same_graph(split, fold(0, range(len(sequence))))
         # every row of the hop table holds the correlation oracle, and on
         # the diagonal whether the node's vector is nonzero
-        vectors = split.vectors
         for a in split.categories:
             assert split.rho_row(a) == [split.rho(a, c) for c in split.categories]
             assert split.rho_row(a) == [

@@ -1,12 +1,17 @@
 """Binary-split nudging sessions and item generation."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bheisr.belief import BeliefNetwork
-from bheisr.corpus import ORIGIN_GENERATED, Item
+from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, synth_corpus
 from bheisr.detection import Exposure
+from bheisr.features import build_vocabulary
 from bheisr.nudge import (
     QUEUE_DRAIN,
     QUEUE_REPLACE,
@@ -23,6 +28,8 @@ from bheisr.nudge import (
 )
 from bheisr.pathfinder import PromptPath, RejectionLedger, path_of, \
     record_rejection
+from bheisr.simulate import _collect_exemplars
+from oracle import featurize, spy_featurize_corpus
 
 
 def split_keys(prompt):
@@ -129,6 +136,64 @@ class TestTemplateGenerator:
         gen = TemplateGenerator(exemplar_items())
         terms = gen.top_terms("food")
         assert terms[0] == "recipe"   # appears in all three food texts
+
+
+def oracle_top_terms(exemplars: dict) -> dict:
+    """Each category's terms ranked by the sum of its exemplars' featurize
+    weights, added item by item, ties by term."""
+    vocab = build_vocabulary([it for its in exemplars.values() for it in its])
+    terms, ranked = vocab.terms(), {}
+    for cat, items in exemplars.items():
+        acc = {}
+        for item in items:
+            for tid, w in featurize(item, vocab).entries.items():
+                acc[tid] = acc.get(tid, 0.0) + w
+        ranked[cat] = [terms[tid] for tid in
+                       sorted(acc, key=lambda tid: (-acc[tid], terms[tid]))]
+    return ranked
+
+
+SYNTH_EXEMPLARS = _collect_exemplars(
+    synth_corpus(SynthSpec(n_users=20, bias_profile=10)))
+
+
+class TestTopTerms:
+    @pytest.mark.parametrize("exemplars", [
+        SYNTH_EXEMPLARS,
+        {**exemplar_items(), "empty": [],
+         "solo": [Item("s1", "solo", "solo/s", "opera", "", {"solo": 1.0})]}])
+    def test_one_featurization_ranks_as_the_per_item_oracle(self, exemplars,
+                                                            monkeypatch):
+        calls = spy_featurize_corpus(monkeypatch)
+        gen = TemplateGenerator(exemplars)
+        expected = oracle_top_terms(exemplars)
+        for cat in [*exemplars, "unknown"]:
+            assert gen.top_terms(cat, limit=10**6) == expected.get(cat, []), cat
+        assert len(calls) == 1
+        assert len(calls[0]) == sum(map(len, exemplars.values()))
+
+    def test_threads_never_read_a_partial_table(self):
+        # parallel user steps share one generator; its first top_terms calls
+        # may race, and every one must see the whole ranking, also of the
+        # categories ranked last
+        cats = list(SYNTH_EXEMPLARS)[::-1]
+        expected = oracle_top_terms(SYNTH_EXEMPLARS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                gen, start = TemplateGenerator(SYNTH_EXEMPLARS), Barrier(8)
+
+                def first_call(cat):
+                    start.wait(timeout=60)
+                    return gen.top_terms(cat, limit=10**6)
+
+                with ThreadPoolExecutor(8) as pool:
+                    futures = [pool.submit(first_call, cats[i]) for i in range(8)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert results == [expected[cats[i]] for i in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # categories with 0, 1, 3 and more top terms

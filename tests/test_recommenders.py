@@ -18,7 +18,7 @@ from bheisr.corpus import (
     SynthSpec,
     synth_corpus,
 )
-from bheisr.features import CategoryGraph, featurize
+from bheisr.features import CategoryGraph, GraphUpdateBuffer, tokenize
 from bheisr.nudge import NudgeSession, TemplateGenerator
 from bheisr.pathfinder import RejectionLedger, path_of
 from bheisr.recommenders import (
@@ -27,12 +27,17 @@ from bheisr.recommenders import (
     acceptance_share,
     assemble_feed,
     baseline_ranking,
-    cb_score,
     n_generated,
-    uc_score,
 )
 from bheisr.rng import substream
 from bheisr.simulate import SimConfig, build_assets
+from oracle import (
+    assert_equals_the_oracle,
+    cb_score,
+    featurize,
+    spy_featurize_corpus,
+    uc_score,
+)
 
 
 class TestNGenerated:
@@ -484,6 +489,72 @@ class TestAccelerationAgreesWithReference:
             in_index = {ctx.index.pos[i] for i in ctx.networks[u].accepted
                         if i in ctx.index.pos}
             assert set(np.flatnonzero(ctx.accept_matrix[row])) == in_index, u
+
+
+# generated texts; the two empty ones repeat one text, and one text has no
+# term in the vocabulary
+GENERATED_TEXTS = [("cat00 meets cat01", "A piece connecting cat00, cat01."),
+                   ("cat02", "cat02 angle: topic1 daily."),
+                   ("", ""), ("", " "), ("zz qq", "unknown words only")]
+ONE_ENTRIES_SPEC = SynthSpec(n_users=10, n_categories=6, subcats_per_category=2,
+                             n_items=120, bias_profile=3, seed=2)
+# one accept: a user and either an index item by position or a generated
+# item with one of the texts over one or two categories
+entries_accepts = st.tuples(
+    st.integers(0, ONE_ENTRIES_SPEC.n_users - 1),
+    st.one_of(
+        st.tuples(st.just("index"), st.integers(0, ONE_ENTRIES_SPEC.n_items - 1)),
+        st.tuples(st.just("generated"), st.integers(0, len(GENERATED_TEXTS) - 1),
+                  st.lists(st.sampled_from([f"cat{j:02d}" for j in range(6)]),
+                           min_size=1, max_size=2, unique=True))))
+
+
+class TestOneEntriesPath:
+    """Index rows and generated items' arrays are the one store of item
+    vectors: the graph and CB's profile sums read them through one path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.lists(entries_accepts, max_size=8), max_size=5))
+    def test_graph_and_profile_sums_equal_the_oracle(self, steps):
+        corpus = synth_corpus(ONE_ENTRIES_SPEC)
+        ctx = context_for(corpus, "cb")
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_featurize_corpus(mp)
+            accepted, generated = list(corpus.items.values()), []
+            for n, batch in enumerate(steps):
+                # the step barrier: credit every accept, flush, then fold each
+                # user's accepts into the scoring state
+                by_user, buffer = {}, GraphUpdateBuffer(ctx.graph)
+                for m, (u, pick) in enumerate(batch):
+                    user = corpus.users[u]
+                    if pick[0] == "index":
+                        item = corpus.items[ctx.index.ids[pick[1]]]
+                    else:
+                        _, text, cats = pick
+                        item = Item(f"gi:{user}:{n}.{m}", cats[0],
+                                    f"{cats[0]}/generated", *GENERATED_TEXTS[text],
+                                    {c: 1.0 / len(cats) for c in cats},
+                                    origin=ORIGIN_GENERATED)
+                        generated.append(item)
+                    ctx.networks[user].update_on_feedback(item)
+                    buffer.accept_items([item])
+                    by_user.setdefault(user, []).append(item.id)
+                    accepted.append(item)
+                assert buffer.flush() == len(batch)
+                for user, ids in by_user.items():
+                    ctx.note_accept(user, ids)
+        assert_equals_the_oracle(ctx.graph, accepted)
+        # every distinct generated text is featurized once in the run
+        texts = {item.text() for item in generated}
+        assert sorted(tuple(t) for call in calls for t in call) == \
+            sorted(tuple(tokenize(t)) for t in texts)
+        vectors = vectors_of(ctx, *generated)
+        for user in corpus.users:
+            expected = np.zeros(ctx.profile_sums.shape[1])
+            for item_id in ctx.networks[user].accepted:
+                for tid, w in vectors[item_id].entries.items():
+                    expected[tid] += w
+            assert np.array_equal(ctx.profile_sums[ctx.user_pos[user]], expected)
 
 
 def uc_state(mass, accept, beliefs, item_cats):

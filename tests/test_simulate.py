@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bheisr import detection, recommenders, simulate
+from bheisr import detection, nudge, recommenders, simulate
 from bheisr.belief import build_all
-from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, save_corpus, synth_corpus
-from bheisr.features import FeatureVector, GraphUpdateBuffer
+from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, corpus_from_json, \
+    corpus_to_json, save_corpus, synth_corpus
+from bheisr.features import GraphUpdateBuffer, tokenize
 from bheisr.rng import substream
 from bheisr.simulate import (
     MODELS,
@@ -32,6 +33,7 @@ from bheisr.simulate import (
     write_belief_snapshots,
     write_run_log,
 )
+from oracle import spy_featurize_corpus
 
 # no bubble-affected users: enough for loop mechanics
 PLAIN_SPEC = SynthSpec(n_users=12, n_categories=6, subcats_per_category=2,
@@ -175,19 +177,13 @@ class TestPrepare:
         assert state.baseline == "rd"
 
     def test_set_up_builds_no_feature_vector(self, fb_corpus, monkeypatch):
-        # corpus item vectors live only as candidate index rows
-        built = []
-        init = FeatureVector.__init__
-
-        def spy(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(FeatureVector, "__init__", spy)
+        # corpus item vectors live only as candidate index rows: the set-up
+        # featurizes the catalog once, and prepare featurizes nothing
+        calls = spy_featurize_corpus(monkeypatch)
         assets = build_assets(fb_corpus)
         for model in ("bheisr", "cb_w", "uc_w"):
             prepare(SimConfig(model=model, track_fb=True), fb_corpus, assets)
-        assert built == []
+        assert calls == [[tokenize(it.text()) for it in fb_corpus.items.values()]]
 
     def test_model_table(self):
         assert set(MODELS) == {"rd", "rd_w", "cb", "cb_w", "uc", "uc_w", "bheisr"}
@@ -219,6 +215,36 @@ class TestRunLoop:
         assert serial.steps == parallel.steps
         assert serial.checkpoints == parallel.checkpoints
         assert serial.path_traces == parallel.path_traces
+
+    @pytest.mark.parametrize("model", ["bheisr", "cb_w"])
+    def test_loop_featurizes_each_accepted_generated_text_once(
+            self, fb_corpus, fb_assets, model, monkeypatch):
+        # the template generator featurizes its exemplars in one call; then
+        # each flush featurizes just the accepted generated texts the run has
+        # not met before, so over the run every such text is one row
+        generated = {}
+        generate = nudge._generate_for
+
+        def record(session, prompt, generator):
+            item = generate(session, prompt, generator)
+            generated[item.id] = item
+            return item
+
+        monkeypatch.setattr(nudge, "_generate_for", record)
+        calls = spy_featurize_corpus(monkeypatch)
+        run = run_loop(self.config(users=None, model=model, feeds=6), fb_corpus,
+                       fb_assets)
+        accepted = {generated[d.item_id].text() for recs in run.steps
+                    for r in recs for d in r.decisions
+                    if d.accepted and d.origin == ORIGIN_GENERATED}
+        assert len(accepted) > 1
+        exemplars = simulate._collect_exemplars(fb_corpus)
+        assert calls[0] == [tokenize(it.text())
+                            for items in exemplars.values() for it in items]
+        flushed = [tuple(tokens) for call in calls[1:] for tokens in call]
+        assert sorted(flushed) == sorted(tuple(tokenize(t)) for t in accepted)
+        assert sum(map(len, calls)) == \
+            len(accepted) + sum(map(len, exemplars.values()))
 
     @pytest.mark.parametrize("model,seed", [("uc", 0), ("uc_w", 1), ("uc_w", 7)])
     def test_batched_uc_ranking_changes_no_record(self, fb_corpus, fb_assets,
@@ -401,8 +427,8 @@ class TestStateMatchesLog:
             pos = state.ctx.index.pos
             assert set(np.flatnonzero(state.ctx.accept_matrix[row])) == \
                 {pos[i] for i in network.accepted if i in pos}
-            # the graph holds the vector of every accepted item outside the
-            # index, and of no item in it
+            # the graph holds the term and weight arrays of every accepted
+            # item outside the index, and of no item in it
             assert all((i in pos) != (i in state.graph.item_vectors)
                        for i in network.accepted)
             # an accepted generated item is credited once, at unit weight, to
@@ -507,6 +533,19 @@ class TestExperimentTrajectory:
         # one for the target and the endpoints, one in run_loop's prepare
         assert len(calls) == 2
         assert result["user"] == resolve_target_user(config, fb_corpus)
+
+    @pytest.mark.parametrize("target,message", [
+        ("nobody", "unknown user 'nobody'"),
+        ("idle", "user 'idle', who has no history")])
+    def test_unknown_or_unclassified_target_rejected(self, fb_corpus, target,
+                                                     message):
+        # "idle" is a corpus user without history, so it has no class
+        doc = json.loads(corpus_to_json(fb_corpus))
+        doc["users"].append("idle")
+        corpus = corpus_from_json(json.dumps(doc))
+        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0, target_user=target)
+        with pytest.raises(ValueError, match=message):
+            experiment_trajectory(config, corpus)
 
     def test_explicit_target_infers_its_endpoints(self, fb_corpus):
         config = SimConfig(model="cb_w", k=5, feeds=2, seed=0,
