@@ -36,31 +36,29 @@ class BeliefNetwork:
     subcat_to_cat: dict                 # subcategory label -> category; shared
     click_counts: dict = field(default_factory=dict)   # subcategory -> mass
     accepted: list = field(default_factory=list)       # item ids, append-only
-    click_probs: dict = field(default_factory=dict)
     belief: dict = field(default_factory=dict)
 
     def total_mass(self) -> float:
         return fold_sum(self.click_counts.values())
 
     def recompute(self) -> None:
-        """Probabilities and beliefs from the click counts, in one pass.
+        """Beliefs from the click counts, in one pass.
 
-        Each category's belief starts from 0.0 and subtracts p * log2(p) for
-        its subcategories in click_counts order, which is entropy_bits over
-        the category's probabilities in that order, operation for operation.
+        Each category's belief starts from 0.0 and subtracts p * log2(p),
+        p = count / total_mass(), for its subcategories in click_counts
+        order, which is entropy_bits over the category's probabilities in
+        that order, operation for operation.
         """
         total = self.total_mass()
-        probs = {}
         belief = dict.fromkeys(self.categories, 0.0)
         if total > 0.0:
             subcat_to_cat, log2 = self.subcat_to_cat, math.log2
             for sub, count in self.click_counts.items():
-                p = probs[sub] = count / total
+                p = count / total
                 if p < 0.0:
                     raise ValueError(f"negative probability {p}")
                 if p > 0.0:
                     belief[subcat_to_cat[sub]] -= p * log2(p)
-        self.click_probs = probs
         self.belief = belief
 
     def belief_degree(self, category: str) -> float:

@@ -10,7 +10,7 @@ import sys
 from . import belief as belief_mod
 from . import detection, simulate
 from .corpus import SynthSpec, save_corpus
-from .features import CategoryGraph
+from .features import CategoryGraph, ItemTable
 from .folds import fold_sum
 from .nudge import QUEUE_DISCIPLINES
 from .recommenders import assemble_feed
@@ -162,14 +162,13 @@ def cmd_graph(args) -> int:
     config = build_config(args)
     corpus = simulate.build_corpus(config)
     assets = simulate.build_assets(corpus)
-    vocab = assets.vocab
-    graph = CategoryGraph.build(corpus, vocab, assets.index)
+    graph = CategoryGraph.build(corpus, ItemTable(assets.vocab, assets.index))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(graph.to_json_dict(), fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
     print(f"nodes={len(graph.categories)} edges={len(graph.edges)} "
-          f"vocabulary={len(vocab.term_ids)}")
+          f"vocabulary={len(assets.vocab.term_ids)}")
     return 0
 
 
@@ -178,8 +177,7 @@ def cmd_recommend(args) -> int:
     state = simulate.prepare(config)
     user = args.user or config.target_user or state.corpus.users[0]
     if user not in state.networks:
-        print(f"unknown user {user!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown user {user!r}")
     feed = assemble_feed(state.baseline, state.with_bheisr, state.w_eff,
                          config.k, state.sessions.get(user), state.ctx,
                          user, 1, config.seed)
@@ -233,14 +231,11 @@ def cmd_experiment(args) -> int:
             print(f"{simulate.MODEL_LABELS[model]}: start={series[0][1]} "
                   f"end={series[-1][1]}")
         print(f"wrote {out}/fb_count.csv")
-    elif args.number == 4:
+    else:                           # 4: argparse admits only 1-4
         result = simulate.experiment_w_sweep(config, out_dir=out)
         for w, series in result["series"].items():
             print(f"w={w}: final_belief_coverage={series[-1]:.6f}")
         print(f"wrote {out}/w_sweep.csv")
-    else:
-        print(f"unknown experiment {args.number}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -23,6 +23,7 @@ from .rng import stable_hash, substream
 ORIGIN_DATASET = "dataset"
 ORIGIN_GENERATED = "generated"
 GENERATED_SUFFIX = "/generated"
+GENERATED_ID_PREFIX = "gi:"        # reserved: a generated item's id starts so
 PROMPT_KEY_SEPARATOR = "->"        # joins a prompt path's categories into its key
 
 WEIGHT_TOL = 1e-9
@@ -222,6 +223,11 @@ class Corpus:
                     raise ValueError(f"subcategory {sub!r} is under both "
                                      f"{owner[sub]!r} and {category!r}")
         for item in items.values():
+            # an item in the candidate index takes its vector by id
+            if str(item.id).startswith(GENERATED_ID_PREFIX):
+                raise ValueError(f"item {item.id}: ids starting with "
+                                 f"{GENERATED_ID_PREFIX!r} are reserved for "
+                                 f"generated items")
             category = item.category
             if category not in taxonomy:
                 raise ValueError(f"item {item.id}: unknown category {category!r}")

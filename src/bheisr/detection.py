@@ -32,16 +32,14 @@ def item_categories(item) -> set:
     return cats or {item.category}
 
 
-def diversity_coverage(items, taxonomy) -> float:
-    """Distinct categories the items touch over total categories."""
-    if not items:
+def diversity_coverage(categories: set, taxonomy) -> float:
+    """The distinct categories a feed touches, the union of its items'
+    item_categories, over total categories."""
+    if not categories:
         raise ValueError("empty feed")
     if not taxonomy:
         raise ValueError("empty taxonomy")
-    seen = set()
-    for item in items:
-        seen |= item_categories(item)
-    return len(seen) / len(taxonomy)
+    return len(categories) / len(taxonomy)
 
 
 # ---------------------------------------------------------------------------

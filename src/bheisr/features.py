@@ -110,6 +110,72 @@ def entry_norms(entries: FlatEntries) -> np.ndarray:
     return np.sqrt(norms)
 
 
+class ItemTable:
+    """The vector of every item one run meets, one row per item.
+
+    Rows 0..n-1 are the candidate index's rows, never written. An item
+    outside the index takes the row of its text: the texts a call brings for
+    the first time in the run are featurized in one featurize_corpus call
+    and appended, and the item's id keeps its row. The table grows only at
+    the step barrier, which is the only place that passes it new items.
+    """
+
+    def __init__(self, vocab: Vocabulary, index):
+        self.vocab = vocab
+        self.index = index                  # the CandidateIndex of the corpus
+        self.entries = index.entries        # FlatEntries of every row
+        self.text_rows = {}                 # text -> row, items outside the index
+        self.item_rows = {}                 # id -> row, items outside the index
+        self._store = None                  # FlatEntries with room behind entries
+
+    def rows(self, items: list) -> np.ndarray:
+        """Each item's row, in order, appending the rows of new texts."""
+        text_rows, item_rows = self.text_rows, self.item_rows
+        ids = [item.id for item in items]
+        rows = np.fromiter(map(self.index.pos.get, ids,
+                               map(item_rows.get, ids, repeat(-1))),
+                           np.intp, len(ids))
+        new = np.flatnonzero(rows < 0).tolist()
+        if new:
+            texts = [items[n].text() for n in new]
+            self._append([text for text in dict.fromkeys(texts)
+                          if text not in text_rows])
+            for n, text in zip(new, texts):
+                rows[n] = item_rows[ids[n]] = text_rows[text]
+        return rows
+
+    def _append(self, texts: list) -> None:
+        """Featurize the texts in one call and append their rows in place,
+        into arrays with room to spare that double when it runs out: a flush
+        copies only its own rows, where a copy of every row costs more."""
+        if not texts:
+            return
+        old = self.entries
+        n_rows, n_entries = len(old.counts), len(old.terms)
+        self.text_rows.update(zip(texts, range(n_rows, n_rows + len(texts))))
+        new = featurize_corpus(list(map(tokenize, texts)), self.vocab)
+        row_end, entry_end = n_rows + len(new.counts), n_entries + len(new.terms)
+        store = self._store
+        if store is None or row_end > len(store.counts) or entry_end > len(store.terms):
+            store = self._store = FlatEntries(*(
+                np.resize(part, 2 * end)
+                for part, end in zip(old, (row_end, row_end, entry_end, entry_end))))
+        store.counts[n_rows:row_end] = new.counts
+        store.starts[n_rows:row_end] = new.starts + n_entries
+        store.terms[n_entries:entry_end] = new.terms
+        store.weights[n_entries:entry_end] = new.weights
+        self.entries = FlatEntries(store.counts[:row_end], store.starts[:row_end],
+                                   store.terms[:entry_end], store.weights[:entry_end])
+
+    def take(self, rows: np.ndarray) -> tuple:
+        """(counts, terms, weights) of these rows' entries, in row order:
+        one segments pass."""
+        entries = self.entries
+        counts = entries.counts[rows]
+        take = segments(entries.starts[rows], counts)
+        return counts, entries.terms[take], entries.weights[take]
+
+
 @dataclass
 class CategoryGraph:
     """Category nodes and the edges between every pair of them.
@@ -123,15 +189,11 @@ class CategoryGraph:
     `rho_rows` holds every rho(a, c) as one list per category row, in
     `categories` order, with rho(a, a) on the diagonal: the one store of
     the edges. `edges` is a read-only view built from it on each read.
-    An item's vector is a term array and a weight array: a corpus item's
-    are its index row, and any other item's are featurized once per
-    distinct text in a run and kept in `text_entries` and `item_vectors`.
+    Every item's vector is its row of the run's ItemTable.
     """
-    vocab: Vocabulary
-    index: object                       # the CandidateIndex of the corpus
+    table: ItemTable
     categories: tuple
     members: dict                       # category -> list of item ids
-    item_vectors: dict                  # id -> (terms, weights), items outside the index
     edge_rows: tuple                    # the edges' (a rows, b rows), a < b
     rows: dict                          # category -> array row
     term_sums: np.ndarray
@@ -140,38 +202,35 @@ class CategoryGraph:
     touch_order: np.ndarray             # term ids, padded with the zero column
     n_touched: np.ndarray
     norms: np.ndarray
-    text_entries: dict                  # text -> (terms, weights)
     rho_rows: list                      # row of a -> [rho(a, c) for c in categories]
     rho_gather: np.ndarray              # rows (a, c) -> index in edges + diagonal
 
     @classmethod
-    def build(cls, corpus, vocab: Vocabulary, index) -> "CategoryGraph":
+    def build(cls, corpus, table: ItemTable) -> "CategoryGraph":
         """Every category starts with the zero vector and every sorted pair
-        with edge 0.0; then the corpus's items are accepted as one batch.
-
-        `index`, the CandidateIndex of the corpus built over `vocab`, holds
-        the corpus items' vectors: an accepted item in it folds its index
-        row, and only other items are featurized.
+        with edge 0.0; then the corpus's items are accepted as one batch,
+        each folding its row of `table`, the run's table over the corpus's
+        candidate index.
         """
-        if index.ids != list(corpus.items):
+        if table.index.ids != list(corpus.items):
             raise ValueError("the candidate index was built from another corpus")
         categories = corpus.categories()
         n = len(categories)
-        shape = (n, len(vocab.term_ids) + 1)
+        shape = (n, len(table.vocab.term_ids) + 1)
         a, b = np.triu_indices(n, 1)
         gather = np.empty((n, n), dtype=np.intp)
         gather[a, b] = gather[b, a] = np.arange(len(a))
         gather[np.diag_indices(n)] = len(a) + np.arange(n)
-        graph = cls(vocab=vocab, index=index, categories=categories,
-                    members={c: [] for c in categories}, item_vectors={},
-                    edge_rows=(a, b), rows={c: r for r, c in enumerate(categories)},
+        graph = cls(table=table, categories=categories,
+                    members={c: [] for c in categories}, edge_rows=(a, b),
+                    rows={c: r for r, c in enumerate(categories)},
                     term_sums=np.zeros(shape), node_values=np.zeros(shape),
                     touched=np.zeros(shape, dtype=bool),
                     touch_order=np.full(shape, shape[1] - 1, dtype=np.intp),
                     n_touched=np.zeros(n, dtype=np.intp),
-                    norms=np.zeros(n), text_entries={},
-                    rho_rows=np.zeros((n, n)).tolist(), rho_gather=gather)
-        graph._fold(list(corpus.items.values()), index.entries)
+                    norms=np.zeros(n), rho_rows=np.zeros((n, n)).tolist(),
+                    rho_gather=gather)
+        graph.accept_items(corpus.items.values())
         return graph
 
     @property
@@ -189,42 +248,6 @@ class CategoryGraph:
     def rho_row(self, a: str) -> list:
         """[rho(a, c) for c in categories]; the caller must not change it."""
         return self.rho_rows[self.rows[a]]
-
-    def _featurize_new(self, items: list) -> None:
-        """Record the vector of every item outside the index in item_vectors.
-        The distinct texts not featurized before in this run are featurized
-        in one featurize_corpus call."""
-        texts = [(item.id, item.text()) for item in items
-                 if item.id not in self.index.pos]
-        fresh = list(dict.fromkeys(text for _, text in texts
-                                   if text not in self.text_entries))
-        if fresh:
-            entries = featurize_corpus(list(map(tokenize, fresh)), self.vocab)
-            ends = (entries.starts + entries.counts).tolist()
-            for text, start, end in zip(fresh, entries.starts.tolist(), ends):
-                self.text_entries[text] = (entries.terms[start:end],
-                                           entries.weights[start:end])
-        for item_id, text in texts:
-            self.item_vectors[item_id] = self.text_entries[text]
-
-    def item_entries(self, item_ids) -> FlatEntries:
-        """The flat entries of the items with these ids, in order: an index
-        item's from its index row, any other item's from item_vectors."""
-        index = self.index.entries
-        terms, weights = [], []
-        for item_id in item_ids:
-            row = self.index.pos.get(item_id)
-            if row is None:
-                item_terms, item_weights = self.item_vectors[item_id]
-            else:
-                span = slice(index.starts[row], index.starts[row] + index.counts[row])
-                item_terms, item_weights = index.terms[span], index.weights[span]
-            terms.append(item_terms)
-            weights.append(item_weights)
-        counts = np.fromiter(map(len, terms), np.intp, len(terms))
-        return FlatEntries(counts=counts, starts=np.cumsum(counts) - counts,
-                           terms=np.concatenate(terms),
-                           weights=np.concatenate(weights))
 
     def accept_items(self, items) -> None:
         """Fold a batch of accepted items into the node vectors and edges.
@@ -244,26 +267,19 @@ class CategoryGraph:
         tests/oracle.py, and the graph equals a rebuild bit for bit however
         the accepts are split into batches.
         """
-        self._fold(list(items))
-
-    def _fold(self, items: list, entries: FlatEntries = None) -> None:
-        """accept_items, with the items' flat entries when the caller has
-        them."""
+        items = list(items)
         if not items:
             return
         pair_item, rows = self._pairs(items)
-        if entries is None:
-            self._featurize_new(items)
-            entries = self.item_entries([item.id for item in items])
+        item_rows = self.table.rows(items)
         if not len(rows):
             return
         for i, r in zip(pair_item.tolist(), rows.tolist()):
             self.members[self.categories[r]].append(items[i].id)
         # each (category, item) pair takes its item's entries
-        counts = entries.counts[pair_item]
-        take = segments(entries.starts[pair_item], counts)
-        cat_rows, terms = np.repeat(rows, counts), entries.terms[take]
-        np.add.at(self.term_sums, (cat_rows, terms), entries.weights[take])
+        counts, terms, weights = self.table.take(item_rows[pair_item])
+        cat_rows = np.repeat(rows, counts)
+        np.add.at(self.term_sums, (cat_rows, terms), weights)
         self._extend_touch_order(cat_rows, terms)
         changed = np.flatnonzero(np.bincount(rows, minlength=len(self.categories)))
         members = [len(self.members[self.categories[r]]) for r in changed.tolist()]
@@ -327,7 +343,7 @@ class CategoryGraph:
             self.rho_gather].tolist()
 
     def to_json_dict(self) -> dict:
-        terms = self.vocab.terms()
+        terms = self.table.vocab.terms()
         nodes = []
         for cat, row in self.rows.items():
             tids = np.sort(self.touch_order[row, :self.n_touched[row]])

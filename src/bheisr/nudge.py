@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import pathfinder
-from .corpus import ORIGIN_GENERATED, Item
+from .corpus import GENERATED_ID_PREFIX, ORIGIN_GENERATED, Item
 from .features import build_vocabulary, featurize_corpus, tokenize
 from .pathfinder import PromptPath, RejectionLedger
 
@@ -214,7 +214,7 @@ def _generate_for(session: NudgeSession, prompt: PromptPath,
     session.gen_counter += 1
     title, abstract = generator.generate(prompt.nodes, session.gen_counter)
     return GeneratedItem(
-        id=f"gi:{session.user_id}:{session.gen_counter}",
+        id=f"{GENERATED_ID_PREFIX}{session.user_id}:{session.gen_counter}",
         category=prompt.nodes[0],
         subcategory=prompt.subcategory,
         title=title,

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from . import nudge
-from .features import FlatEntries, entry_norms, featurize_corpus, segments
+from .features import FlatEntries, ItemTable, entry_norms, featurize_corpus
 from .folds import fold_sum
 from .rng import substream
 
@@ -83,7 +83,7 @@ def n_generated(w: float, k: int) -> int:
     return int(math.floor(w * k + 0.5))
 
 
-SEED_CHUNK_ROWS = 16384     # history rows per profile-sum seeding pass
+FOLD_CHUNK_ROWS = 16384     # accepts per profile-sum fold pass
 
 # The UC ranking certificate (README §7) holds for positive masses and belief
 # shares in these ranges, where no intermediate value under- or overflows.
@@ -112,16 +112,16 @@ class FeedContext:
     run's baseline reads: a 0/1 accept row per user for every baseline, the
     profile sums for CB, and the per-category history masses for UC.
     enable_acceleration builds that state from the corpus log, which seeded
-    the networks' histories; note_accept folds each user's new accepts into
-    it and refresh_mass re-snapshots the history masses of the users who
-    accepted something, once per step barrier. For UC, batch_neighbor_mass
-    computes the neighbour mass of a block of the step's users in one
-    product, which ranking reads where it can certify the result.
+    the networks' histories, and note_accept folds each step's new accepts
+    into it, both through _fold_accepts; refresh_mass re-snapshots the
+    history masses of the users who accepted something, once per step
+    barrier. For UC, batch_neighbor_mass computes the neighbour mass of a
+    block of the step's users in one product, which ranking reads where it
+    can certify the result.
     """
     corpus: object
-    index: CandidateIndex
     networks: dict
-    graph: object
+    table: ItemTable                     # the run's item vectors
     baseline: str                        # "rd", "cb" or "uc"
     generator: object = None
     user_ids: list = None
@@ -134,14 +134,11 @@ class FeedContext:
     neighbor_mass: dict = field(default_factory=dict)   # UC: user -> batched row
 
     def enable_acceleration(self) -> None:
-        """Build the scoring state from the corpus's interested rows.
-
-        Every history row sets its accept-row entry in one write. CB's
-        profile sums take the rows' terms through np.add.at, in user, then
-        history order: the same left fold, per user, as note_accept over
-        the history.
+        """Build the scoring state from the corpus's interested rows, folded
+        in user, then history order: the same fold, per user, as note_accept
+        over the history.
         """
-        index, corpus = self.index, self.corpus
+        index, corpus = self.table.index, self.corpus
         if index.ids != list(corpus.items):
             raise ValueError("the candidate index was built from another corpus")
         self.user_ids = sorted(self.networks)
@@ -151,23 +148,31 @@ class FeedContext:
         # corpus users need not be sorted; index rows are corpus positions
         row_of = np.array([self.user_pos[u] for u in corpus.users], dtype=np.intp)
         user, cols = corpus.history
-        rows = row_of[user]
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
-        self.accept_matrix[rows, cols] = 1.0
         if self.baseline == "cb":
-            n_terms = index.matrix.shape[1]
-            self.profile_sums = np.zeros((n_users, n_terms))
-            flat, entries = self.profile_sums.ravel(), index.entries
-            # consecutive slices continue the same folds and bound the
-            # temporaries
-            for start in range(0, len(cols), SEED_CHUNK_ROWS):
-                part = slice(start, start + SEED_CHUNK_ROWS)
-                counts = entries.counts[cols[part]]
-                take = segments(entries.starts[cols[part]], counts)
-                cells = np.repeat(rows[part] * n_terms, counts) + entries.terms[take]
-                np.add.at(flat, cells, entries.weights[take])
-        elif self.baseline == "uc":
+            self.profile_sums = np.zeros((n_users, index.matrix.shape[1]))
+        self._fold_accepts(row_of[user], cols)
+        if self.baseline == "uc":
             self.refresh_mass()
+
+    def _fold_accepts(self, user_rows: np.ndarray, item_rows: np.ndarray) -> None:
+        """Fold accepts, the user row and table row of each, in order: an
+        index item sets its accept-matrix entry, and for CB every item's
+        entries add to its user's profile sums through np.add.at, which
+        applies the additions one at a time in accept order, so each sum is
+        the same left fold as adding the items' entries in turn.
+        """
+        corpus_item = item_rows < len(self.table.index.ids)
+        self.accept_matrix[user_rows[corpus_item], item_rows[corpus_item]] = 1.0
+        if self.baseline != "cb":
+            return
+        flat, n_terms = self.profile_sums.ravel(), self.profile_sums.shape[1]
+        # consecutive slices continue the same folds and bound the temporaries
+        for start in range(0, len(item_rows), FOLD_CHUNK_ROWS):
+            part = slice(start, start + FOLD_CHUNK_ROWS)
+            counts, terms, weights = self.table.take(item_rows[part])
+            np.add.at(flat, np.repeat(user_rows[part] * n_terms, counts) + terms,
+                      weights)
 
     def refresh_mass(self, user_ids=None) -> None:
         """Re-snapshot the per-category history mass and its norm for the
@@ -213,26 +218,19 @@ class FeedContext:
         sims[np.arange(len(rows)), rows] = 0.0
         self.neighbor_mass = dict(zip(user_ids, sims @ self.accept_matrix))
 
-    def note_accept(self, user_id: str, item_ids) -> None:
-        """Fold the user's newly accepted items, in order, into their accept
-        row and, for CB, their profile sums.
-
-        The items' entries come from the graph (CategoryGraph.item_entries),
-        so pending graph updates must be flushed first. np.add.at applies
-        the additions one at a time in item order, so each sum is the same
-        left fold as adding the items' entries in turn.
-        """
-        row, pos = self.user_pos[user_id], self.index.pos
-        self.accept_matrix[row, [pos[i] for i in item_ids if i in pos]] = 1.0
-        if self.baseline == "cb" and item_ids:
-            entries = self.graph.item_entries(item_ids)
-            np.add.at(self.profile_sums[row], entries.terms, entries.weights)
+    def note_accept(self, accepts: dict) -> None:
+        """Fold each user's newly accepted items (user id -> items, in
+        accept order) into the scoring state."""
+        users = [self.user_pos[u] for u, items in accepts.items() for _ in items]
+        self._fold_accepts(np.array(users, dtype=np.intp),
+                           self.table.rows([it for items in accepts.values()
+                                            for it in items]))
 
 
 def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
     """Candidate scores from the matrix state, equal per item to the scalar
     CB and UC oracles in tests/oracle.py."""
-    index = ctx.index
+    index = ctx.table.index
     n = len(index.ids)
     if kind == "rd":
         return np.zeros(n)
@@ -284,7 +282,7 @@ def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
     """
     if k == 0:
         return []
-    index = ctx.index
+    index = ctx.table.index
     cand = np.flatnonzero(ctx.accept_matrix[ctx.user_pos[user_id]] == 0.0)
     if kind == "rd":
         rng = substream(seed, "rd", user_id, step)
@@ -332,7 +330,7 @@ def _certified_uc_best(ctx: FeedContext, user_id: str, cand: np.ndarray,
     if shares is None or any(0.0 < share < SHARE_FLOOR
                              for share in shares.tolist()):
         return None
-    index = ctx.index
+    index = ctx.table.index
     scores = ctx.neighbor_mass[user_id] * shares[index.cat_index]
     best, neg = _best(cand, -scores[cand], index.id_rank, k + 1)
     eta = uc_tolerance(*ctx.mass_matrix.shape)

@@ -17,8 +17,8 @@ from . import belief as belief_mod
 from . import detection, nudge
 from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, load_behaviors, \
     load_corpus, load_ratings, reject_duplicates, synth_corpus
-from .features import CategoryGraph, GraphUpdateBuffer, build_vocabulary, \
-    tokenize
+from .features import CategoryGraph, GraphUpdateBuffer, ItemTable, \
+    build_vocabulary, tokenize
 from .folds import fold_sum
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
 from .rng import substream
@@ -234,14 +234,14 @@ def prepare(config: SimConfig, corpus: Corpus = None,
         corpus = build_corpus(config)
     if assets is None:
         assets = build_assets(corpus)
-    vocab, index = assets.vocab, assets.index
-    graph = CategoryGraph.build(corpus, vocab, index=index)
+    table = ItemTable(assets.vocab, assets.index)
+    graph = CategoryGraph.build(corpus, table)
     networks = belief_mod.build_all(corpus)
     classification = _classify(corpus, networks)
     exemplars = _collect_exemplars(corpus)
     generator = _build_generator(config, exemplars)
     baseline, with_bheisr = MODELS[config.model]
-    ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
+    ctx = FeedContext(corpus=corpus, networks=networks, table=table,
                       baseline=baseline, generator=generator)
     ctx.enable_acceleration()
 
@@ -287,15 +287,15 @@ def _user_step(state: SimState, user_id: str, step: int):
             nudge.apply_feedback(session, item, dec.accepted, state.graph,
                                  network)
     taxonomy = state.corpus.taxonomy
+    categories = set().union(*map(detection.item_categories, feed.items))
     record = StepUserRecord(
         step=step,
         user_id=user_id,
         item_ids=tuple(it.id for it in feed.items),
         origins=tuple(it.origin for it in feed.items),
-        categories=tuple(sorted(set().union(
-            *[detection.item_categories(it) for it in feed.items]))),
+        categories=tuple(sorted(categories)),
         # an exhausted catalog gives an empty feed, which covers nothing
-        coverage=(detection.diversity_coverage(feed.items, taxonomy)
+        coverage=(detection.diversity_coverage(categories, taxonomy)
                   if feed.items else 0.0),
         belief_coverage=network.positive_category_count() / len(taxonomy),
         decisions=tuple(decisions),
@@ -347,15 +347,14 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
             results.update(_step_block(state, block, step))
         state.ctx.neighbor_mass = {}
 
+        accepts = {user: results[user][1] for user in sim_users if results[user][1]}
         buffer = GraphUpdateBuffer(state.graph)
-        for user in sim_users:
-            buffer.accept_items(results[user][1])
+        for items in accepts.values():
+            buffer.accept_items(items)
         buffer.flush()
-        changed = [user for user in sim_users if results[user][1]]
-        for user in changed:
-            state.ctx.note_accept(user, [it.id for it in results[user][1]])
+        state.ctx.note_accept(accepts)
         if state.baseline == "uc":
-            state.ctx.refresh_mass(changed)
+            state.ctx.refresh_mass(list(accepts))
         record.steps.append([results[user][0] for user in sim_users])
 
         if step in checkpoints:

@@ -11,6 +11,8 @@ to featurize.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from bheisr import features, nudge, recommenders
 from bheisr.features import Vocabulary, tokenize
 from bheisr.folds import fold_sum
@@ -147,21 +149,45 @@ def node_vectors(graph) -> dict:
             for cat, entries in node_entries(graph, graph.node_values).items()}
 
 
+def click_probs(network) -> dict:
+    """The network's click probabilities, each subcategory's count over
+    total_mass(), in click_counts order; {} for no mass."""
+    total = network.total_mass()
+    return {s: c / total for s, c in network.click_counts.items()} \
+        if total > 0.0 else {}
+
+
+def row_lists(table, row: int) -> tuple:
+    """(term ids, weights) of one row of an ItemTable, as lists."""
+    start, count = table.entries.starts[row], table.entries.counts[row]
+    return (table.entries.terms[start:start + count].tolist(),
+            table.entries.weights[start:start + count].tolist())
+
+
 def assert_equals_the_oracle(graph, items):
-    """The graph holds the vectors of just the accepted `items` outside its
-    index, each equal to featurize and kept once per distinct text. Nodes
-    equal _mean_vector of the members' featurize vectors and edges equal
-    correlation of those, a < b, with ==."""
+    """The graph's table holds the candidate index's rows unchanged, then
+    one row per distinct text of the accepted `items` outside the index,
+    each equal to featurize. Nodes equal _mean_vector of the members'
+    featurize vectors and edges equal correlation of those, a < b, with
+    ==."""
     by_id = {item.id: item for item in items}
-    assert set(graph.item_vectors) == set(by_id) - set(graph.index.pos)
-    for item_id, (terms, weights) in graph.item_vectors.items():
-        oracle = featurize(by_id[item_id], graph.vocab)
-        assert list(zip(terms.tolist(), weights.tolist())) == \
-            list(oracle.entries.items())
-        assert graph.item_vectors[item_id] is \
-            graph.text_entries[by_id[item_id].text()]
-    assert set(graph.text_entries) == {by_id[i].text() for i in graph.item_vectors}
-    oracle = {c: _mean_vector([featurize(by_id[i], graph.vocab)
+    table, vocab = graph.table, graph.table.vocab
+    index, n = table.index.entries, len(table.index.ids)
+    for name in ("counts", "starts"):
+        assert np.array_equal(getattr(table.entries, name)[:n],
+                              getattr(index, name))
+    for name in ("terms", "weights"):
+        assert np.array_equal(getattr(table.entries, name)[:len(index.terms)],
+                              getattr(index, name))
+    outside = [item for item in items if item.id not in table.index.pos]
+    assert set(table.text_rows) == {item.text() for item in outside}
+    assert sorted(table.text_rows.values()) == \
+        list(range(n, len(table.entries.counts)))
+    for item in outside:
+        terms, weights = row_lists(table, table.text_rows[item.text()])
+        assert list(zip(terms, weights)) == \
+            list(featurize(item, vocab).entries.items())
+    oracle = {c: _mean_vector([featurize(by_id[i], vocab)
                                for i in graph.members[c]])
               for c in graph.categories}
     vectors = node_vectors(graph)

@@ -256,10 +256,11 @@ class TestRecommend:
         assert origins.count("generated") == 3   # round(0.6 * 5)
         assert all(len(line.split("\t")) == 4 for line in lines)
 
-    def test_unknown_user_exits_1(self, capsys):
+    def test_unknown_user_exits_2(self, capsys):
+        # the exit code and message simulate and experiment give
         code = main(["recommend", "--synth", SYNTH, "--user", "nobody"])
-        assert code == 1
-        assert "unknown user" in capsys.readouterr().err
+        assert code == 2
+        assert "error: unknown user 'nobody'" in capsys.readouterr().err
 
 
 class TestSimulate:

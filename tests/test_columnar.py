@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from bheisr import recommenders, simulate
 from bheisr.belief import BeliefNetwork, build_all
 from bheisr.corpus import Corpus, Interaction, Item, SynthSpec, synth_corpus
-from bheisr.features import CategoryGraph
+from bheisr.features import ItemTable
 from bheisr.recommenders import FeedContext
 from bheisr.simulate import SimConfig
+from oracle import click_probs
 
 
 def per_row_build_all(corpus) -> dict:
@@ -39,14 +40,15 @@ def per_row_build_all(corpus) -> dict:
 def fold_state(ctx) -> FeedContext:
     """The scoring state as a per-user note_accept fold of each network's
     history, plus a full refresh_mass() for UC."""
-    folded = FeedContext(corpus=ctx.corpus, index=ctx.index, networks=ctx.networks,
-                         graph=ctx.graph, baseline=ctx.baseline)
+    folded = FeedContext(corpus=ctx.corpus, networks=ctx.networks,
+                         table=ctx.table, baseline=ctx.baseline)
     folded.enable_acceleration()
     folded.accept_matrix[:] = 0.0
     if folded.profile_sums is not None:
         folded.profile_sums[:] = 0.0
     for user in folded.user_ids:
-        folded.note_accept(user, ctx.networks[user].accepted)
+        folded.note_accept({user: [ctx.corpus.items[i]
+                                   for i in ctx.networks[user].accepted]})
     if ctx.baseline == "uc":
         folded.refresh_mass()
     return folded
@@ -88,17 +90,16 @@ def assert_networks_equal(got, want):
         assert network.accepted == expect.accepted, user
         assert list(network.click_counts.items()) == \
             list(expect.click_counts.items()), user
-        assert list(network.click_probs.items()) == \
-            list(expect.click_probs.items()), user
+        assert list(click_probs(network).items()) == \
+            list(click_probs(expect).items()), user
         assert network.belief == expect.belief, user
 
 
 def context(corpus, baseline):
     assets = simulate.build_assets(corpus)
-    vocab, index = assets.vocab, assets.index
-    graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
-    ctx = FeedContext(corpus=corpus, index=index, networks=build_all(corpus),
-                      graph=graph, baseline=baseline)
+    ctx = FeedContext(corpus=corpus, networks=build_all(corpus),
+                      table=ItemTable(assets.vocab, assets.index),
+                      baseline=baseline)
     ctx.enable_acceleration()
     return ctx
 
@@ -125,9 +126,9 @@ class TestColumnsEqualThePerRowBuild:
             assert np.array_equal(ctx.accept_matrix, folded.accept_matrix)
             if baseline == "cb":
                 assert np.array_equal(ctx.profile_sums, folded.profile_sums)
-                # seeding in slices of a few rows continues the same folds
+                # folding in slices of a few accepts continues the same folds
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(recommenders, "SEED_CHUNK_ROWS", 3)
+                    mp.setattr(recommenders, "FOLD_CHUNK_ROWS", 3)
                     sliced = context(corpus, baseline)
                 assert np.array_equal(sliced.profile_sums, folded.profile_sums)
             if baseline == "uc":

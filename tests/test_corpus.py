@@ -251,6 +251,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="reserved for generated items"):
             corpus.validate()
 
+    def test_generated_id_is_reserved(self):
+        # an item in the candidate index takes its vector by id, so a corpus
+        # item named as a generated one would lend it its row
+        corpus = self.base()
+        corpus.items["i1"].id = "gi:u:1"
+        with pytest.raises(ValueError, match="'gi:' are reserved for generated"):
+            corpus.validate()
+
     @pytest.mark.parametrize("name", ["x->y", "->", "y->"])
     def test_prompt_key_separator_in_a_category_rejected(self, name):
         # the paths (x->y, y) and (x, y->y) would both key as "x->y->y",

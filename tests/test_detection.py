@@ -29,22 +29,28 @@ def make_item(cat, sub=None, weights=None):
                 title="t", abstract="", category_weights=weights or {cat: 1.0})
 
 
+def feed_coverage(feed):
+    """diversity_coverage of the feed's categories, built as the loop
+    builds them."""
+    return diversity_coverage(set().union(*map(item_categories, feed)), TAXONOMY)
+
+
 class TestDiversityCoverage:
     def test_counts_distinct_categories(self):
         feed = [make_item("a"), make_item("a"), make_item("b")]
-        assert diversity_coverage(feed, TAXONOMY) == pytest.approx(2 / 4)
+        assert feed_coverage(feed) == pytest.approx(2 / 4)
 
     def test_weighted_items_count_every_positive_category(self):
         feed = [make_item("a", weights={"a": 0.5, "b": 0.5})]
-        assert diversity_coverage(feed, TAXONOMY) == pytest.approx(2 / 4)
+        assert feed_coverage(feed) == pytest.approx(2 / 4)
 
     def test_single_category_feed(self):
         feed = [make_item("a")] * 10
-        assert diversity_coverage(feed, TAXONOMY) == pytest.approx(1 / 4)
+        assert feed_coverage(feed) == pytest.approx(1 / 4)
 
     def test_empty_feed_rejected(self):
         with pytest.raises(ValueError):
-            diversity_coverage([], TAXONOMY)
+            feed_coverage([])
 
     def test_item_categories_falls_back_to_primary(self):
         item = make_item("a", weights={"a": 0.0})

@@ -13,6 +13,7 @@ from bheisr.corpus import Corpus, Item
 from bheisr.features import (
     CategoryGraph,
     GraphUpdateBuffer,
+    ItemTable,
     build_vocabulary,
     entry_norms,
     featurize_corpus,
@@ -27,6 +28,7 @@ from oracle import (
     featurize_tokens,
     node_entries,
     node_vectors,
+    row_lists,
 )
 
 
@@ -47,15 +49,15 @@ def graph_of(corpus, vocab=None):
     tokens = [tokenize(item.text()) for item in corpus.items.values()]
     if vocab is None:
         vocab = build_vocabulary(corpus.items.values(), tokens)
-    return CategoryGraph.build(corpus, vocab,
-                               CandidateIndex.build(corpus, vocab, tokens))
+    return CategoryGraph.build(
+        corpus, ItemTable(vocab, CandidateIndex.build(corpus, vocab, tokens)))
 
 
-def item_vector_lists(graph):
-    """item id -> (term ids, weights) of every item vector the graph holds,
-    as lists."""
-    return {i: (terms.tolist(), weights.tolist())
-            for i, (terms, weights) in graph.item_vectors.items()}
+def appended_rows(graph):
+    """text -> (term ids, weights) of every row the graph's table appended
+    after the index rows, as lists."""
+    return {text: row_lists(graph.table, row)
+            for text, row in graph.table.text_rows.items()}
 
 
 class TestTokenize:
@@ -199,8 +201,8 @@ class TestCategoryGraph:
     def test_category_vector_is_mean_of_members(self):
         corpus = two_category_corpus()
         graph = graph_of(corpus)
-        v1 = featurize(corpus.items["i1"], graph.vocab)
-        v2 = featurize(corpus.items["i2"], graph.vocab)
+        v1 = featurize(corpus.items["i1"], graph.table.vocab)
+        v2 = featurize(corpus.items["i2"], graph.table.vocab)
         food = node_vectors(graph)["food"]
         for tid in set(v1.entries) | set(v2.entries):
             expect = (v1.entries.get(tid, 0.0) + v2.entries.get(tid, 0.0)) / 2
@@ -238,10 +240,11 @@ class TestCategoryGraph:
         graph.accept_items([new])
         assert_same_graph(graph, graph_of(
             make_corpus([*corpus.items.values(), new],
-                        {"food": ("food/s",), "tech": ("tech/s",)}), graph.vocab))
+                        {"food": ("food/s",), "tech": ("tech/s",)}), graph.table.vocab))
         # a corpus item accepted again folds its index row
         graph.accept_items([corpus.items["i3"], new])
-        assert list(graph.item_vectors) == ["new"]
+        assert list(graph.table.text_rows) == [new.text()]
+        assert len(graph.table.entries.counts) == len(corpus.items) + 1
         assert_equals_the_oracle(graph, [*corpus.items.values(), new])
 
 
@@ -254,7 +257,7 @@ class TestIncrementalUpdate:
         graph.accept_items([new])
 
         corpus.items["i9"] = new
-        rebuilt = graph_of(corpus, graph.vocab)
+        rebuilt = graph_of(corpus, graph.table.vocab)
         assert node_vectors(graph)["tech"].entries == \
             node_vectors(rebuilt)["tech"].entries
         assert graph.edges == rebuilt.edges
@@ -290,7 +293,7 @@ class TestIncrementalUpdate:
         for item in generated:
             graph.accept_items([item])
         rebuilt = graph_of(
-            make_corpus(items + generated, THREE_CATEGORIES), graph.vocab)
+            make_corpus(items + generated, THREE_CATEGORIES), graph.table.vocab)
         assert graph.edges[("food", "tech")] == rebuilt.edges[("food", "tech")]
         assert list(graph.edges.items()) == list(rebuilt.edges.items())
 
@@ -312,7 +315,7 @@ class TestIncrementalUpdate:
             assert graph.members == before.members
             assert node_entries(graph, graph.term_sums) == \
                 node_entries(before, before.term_sums)
-            assert item_vector_lists(graph) == item_vector_lists(before)
+            assert appended_rows(graph) == appended_rows(before)
             assert node_vectors(graph) == node_vectors(before)
             assert graph.edges == before.edges
 
@@ -394,7 +397,7 @@ class TestArrayEdgeCases:
         assert correlation(food, arts) != correlation(arts, food)
         assert built.edges[("arts", "food")] == correlation(arts, food)
         assert_equals_the_oracle(built, items)
-        folded = graph_of(make_corpus(items[:1], taxonomy), built.vocab)
+        folded = graph_of(make_corpus(items[:1], taxonomy), built.table.vocab)
         for item in items[1:]:
             folded.accept_items([item])
         assert_same_graph(folded, built)
@@ -412,9 +415,9 @@ class TestArrayEdgeCases:
                    if "sport" in (a, b))
         assert built.members["arts"] == ["i3", "e1"]
         assert node_vectors(built)["arts"].entries == {
-            tid: w / 2 for tid, w in featurize(items[2], built.vocab).entries.items()}
+            tid: w / 2 for tid, w in featurize(items[2], built.table.vocab).entries.items()}
         assert_equals_the_oracle(built, items)
-        folded = graph_of(make_corpus(items[:4], FOUR_CATEGORIES), built.vocab)
+        folded = graph_of(make_corpus(items[:4], FOUR_CATEGORIES), built.table.vocab)
         folded.accept_items(items[4:])
         assert_same_graph(folded, built)
         assert_equals_the_oracle(folded, items)
@@ -528,5 +531,40 @@ class TestGraphUpdateBuffer:
         assert graph.members == before
         assert buffer.flush() == 3
         corpus.items.update((item.id, item) for item in items)
-        assert_same_graph(graph, graph_of(corpus, graph.vocab))
+        assert_same_graph(graph, graph_of(corpus, graph.table.vocab))
         assert buffer.flush() == 0
+
+
+class TestItemTable:
+    @settings(max_examples=40, deadline=None)
+    @given(batches=st.lists(st.lists(st.lists(st.sampled_from(GRAPH_WORDS + ["zz"]),
+                                              max_size=4), max_size=6),
+                            max_size=12))
+    @example(batches=[[["soup"]] * 3] + [[[a, b]] for a in GRAPH_WORDS
+                                          for b in GRAPH_WORDS])
+    def test_rows_equal_featurize_however_the_table_grows(self, batches):
+        # the arrays behind the appended rows run out of room and grow again
+        # and again; every row still equals featurize of its text, a text
+        # keeps one row, and the candidate index is never written
+        corpus = two_category_corpus()
+        tokens = [tokenize(item.text()) for item in corpus.items.values()]
+        vocab = build_vocabulary(corpus.items.values(), tokens)
+        index = CandidateIndex.build(corpus, vocab, tokens)
+        before = [array.copy() for array in index.entries]
+        table, seen = ItemTable(vocab, index), []
+        for n, batch in enumerate(batches):
+            items = [make_item(f"gi:u:{n}.{m}", "food", "food/generated",
+                               " ".join(words)) for m, words in enumerate(batch)]
+            items.append(corpus.items["i1"])
+            rows = table.rows(items)
+            assert rows[-1] == index.pos["i1"]
+            seen.extend(zip(items, rows.tolist()))
+            assert len(table.entries.counts) == len(index.ids) + len(table.text_rows)
+            for item, row in seen:
+                assert row == table.rows([item])[0]
+                assert list(zip(*row_lists(table, row))) == \
+                    list(featurize(item, vocab).entries.items())
+        assert set(table.text_rows) == {item.text() for item, row in seen
+                                        if item.id.startswith("gi:")}
+        assert all(np.array_equal(was, now) and was.dtype == now.dtype
+                   for was, now in zip(before, index.entries))

@@ -18,7 +18,7 @@ from bheisr.corpus import (
     SynthSpec,
     synth_corpus,
 )
-from bheisr.features import CategoryGraph, GraphUpdateBuffer, tokenize
+from bheisr.features import CategoryGraph, GraphUpdateBuffer, ItemTable, tokenize
 from bheisr.nudge import NudgeSession, TemplateGenerator
 from bheisr.pathfinder import RejectionLedger, path_of
 from bheisr.recommenders import (
@@ -75,22 +75,26 @@ def small_corpus():
                             users=("u1", "u2", "u3"))
 
 
-def context_for(corpus, baseline="cb"):
+def context_and_graph(corpus, baseline="cb"):
+    """A scoring context and the category graph, over one item table."""
     assets = build_assets(corpus)
-    vocab, index = assets.vocab, assets.index
-    networks = build_all(corpus)
-    graph = CategoryGraph.build(corpus, vocab=vocab, index=index)
-    ctx = FeedContext(corpus=corpus, index=index, networks=networks, graph=graph,
+    table = ItemTable(assets.vocab, assets.index)
+    graph = CategoryGraph.build(corpus, table)
+    ctx = FeedContext(corpus=corpus, networks=build_all(corpus), table=table,
                       baseline=baseline, generator=TemplateGenerator({}))
     ctx.enable_acceleration()
-    return ctx
+    return ctx, graph
+
+
+def context_for(corpus, baseline="cb"):
+    return context_and_graph(corpus, baseline)[0]
 
 
 def vectors_of(ctx, *extra):
     """featurize of every corpus item and of the `extra` items, by id: the
     oracle vectors cb_score takes."""
     items = [*ctx.corpus.items.values(), *extra]
-    return {item.id: featurize(item, ctx.graph.vocab) for item in items}
+    return {item.id: featurize(item, ctx.table.vocab) for item in items}
 
 
 def share(item, network):
@@ -234,21 +238,21 @@ class TestBaselineRanking:
         b = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=7)
         c = baseline_ranking("rd", ctx, "u1", 3, step=2, seed=7)
         assert a == b
-        assert a != c or len(ctx.index.ids) <= 3
+        assert a != c or len(ctx.table.index.ids) <= 3
 
     def test_cb_orders_by_score_then_id(self):
         ctx = context_for(small_corpus())
         every_item_eligible(ctx)
         ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
         scores = _baseline_scores("cb", ctx, "u1")
-        keys = [(-scores[ctx.index.pos[i]], i) for i in ranked]
+        keys = [(-scores[ctx.table.index.pos[i]], i) for i in ranked]
         assert keys == sorted(keys)
 
     def test_exclusion_respected(self):
         ctx = context_for(small_corpus())
         ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
         assert "i1" not in ranked and "i2" not in ranked   # u1's history
-        ctx.note_accept("u1", ["i4"])
+        ctx.note_accept({"u1": [ctx.corpus.items["i4"]]})
         ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
         assert sorted(ranked) == ["i3", "i5"]
 
@@ -267,14 +271,14 @@ class TestBaselineRanking:
 
 def sorted_ranking(ctx, scores, k, exclude):
     """Reference ranking: descending score, ties by ascending id."""
-    pos = ctx.index.pos
-    return sorted((i for i in ctx.index.ids if i not in exclude),
+    pos = ctx.table.index.pos
+    return sorted((i for i in ctx.table.index.ids if i not in exclude),
                   key=lambda i: (-scores[pos[i]], i))[:k]
 
 
 def rd_ranking(ctx, user_id, k, step, seed, exclude):
     """Reference RD sample over the eligible items in index order."""
-    eligible = [i for i in ctx.index.ids if i not in exclude]
+    eligible = [i for i in ctx.table.index.ids if i not in exclude]
     order = substream(seed, "rd", user_id, step).permutation(len(eligible))
     return [eligible[i] for i in order[:k]]
 
@@ -324,7 +328,7 @@ class TestRankingMatchesSortedOracle:
     def check(self, case, step):
         ids, scores, exclude, k = case
         ctx = ranking_context(ids)
-        ctx.note_accept("u1", sorted(exclude))
+        ctx.note_accept({"u1": [ctx.corpus.items[i] for i in sorted(exclude)]})
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recommenders, "_baseline_scores",
                        lambda kind, ctx, user_id: scores)
@@ -358,26 +362,28 @@ class TestRankingMatchesSortedOracle:
 
 def oracle_scores(kind, ctx, user):
     """cb_score or uc_score of every index item, in index order."""
-    items = [ctx.corpus.items[i] for i in ctx.index.ids]
+    items = [ctx.corpus.items[i] for i in ctx.table.index.ids]
     if kind == "cb":
         vectors = vectors_of(ctx)
         return [cb_score(it, ctx.networks[user], vectors) for it in items]
     return [uc_score(it, user, ctx.networks) for it in items]
 
 
-def rebuilt_by_fold(ctx):
+def rebuilt_by_fold(ctx, *extra):
     """A context for the same networks whose accept rows and profile sums
     are the per-user note_accept fold of each whole history, and whose mass
-    rows are a full refresh_mass()."""
-    rebuilt = FeedContext(corpus=ctx.corpus, index=ctx.index,
-                          networks=ctx.networks, graph=ctx.graph,
-                          baseline=ctx.baseline, generator=ctx.generator)
+    rows are a full refresh_mass(). `extra` are the accepted items outside
+    the corpus."""
+    rebuilt = FeedContext(corpus=ctx.corpus, networks=ctx.networks,
+                          table=ctx.table, baseline=ctx.baseline,
+                          generator=ctx.generator)
     rebuilt.enable_acceleration()
     rebuilt.accept_matrix[:] = 0.0
     if rebuilt.profile_sums is not None:
         rebuilt.profile_sums[:] = 0.0
+    by_id = {**ctx.corpus.items, **{item.id: item for item in extra}}
     for user in rebuilt.user_ids:
-        rebuilt.note_accept(user, ctx.networks[user].accepted)
+        rebuilt.note_accept({user: [by_id[i] for i in ctx.networks[user].accepted]})
     if ctx.baseline == "uc":
         rebuilt.refresh_mass()
     return rebuilt
@@ -387,14 +393,15 @@ class TestAccelerationAgreesWithReference:
     """The matrix scoring state must agree with the scalar oracles."""
 
     def context(self, baseline="cb"):
+        """(context, corpus, graph)"""
         corpus = synth_corpus(SynthSpec(n_users=10, n_categories=6,
                                         subcats_per_category=2, n_items=120,
                                         bias_profile=3, seed=2))
-        return context_for(corpus, baseline), corpus
+        return (*context_and_graph(corpus, baseline), corpus)
 
     def test_cb_and_uc_scores_match(self):
         for kind in ("cb", "uc"):
-            ctx, corpus = self.context(kind)
+            ctx, _, corpus = self.context(kind)
             for user in corpus.users:
                 np.testing.assert_allclose(_baseline_scores(kind, ctx, user),
                                            oracle_scores(kind, ctx, user), rtol=0,
@@ -406,12 +413,12 @@ class TestAccelerationAgreesWithReference:
             self.check_after_an_accept(kind)
 
     def check_after_an_accept(self, kind):
-        ctx, corpus = self.context(kind)
+        ctx, _, corpus = self.context(kind)
         user = corpus.users[0]
         fresh = next(i for i in corpus.items
                      if i not in ctx.networks[user].accepted)
         ctx.networks[user].update_on_feedback(corpus.items[fresh])
-        ctx.note_accept(user, [fresh])
+        ctx.note_accept({user: [corpus.items[fresh]]})
         if kind == "uc":
             ctx.refresh_mass()
         np.testing.assert_allclose(_baseline_scores(kind, ctx, user),
@@ -423,23 +430,23 @@ class TestAccelerationAgreesWithReference:
             self.check_rebuild(kind)
 
     def check_rebuild(self, kind):
-        acc, corpus = self.context(kind)
+        acc, graph, corpus = self.context(kind)
         user = corpus.users[0]
         # accept one dataset item and one generated item
         fresh = next(i for i in corpus.items
                      if i not in acc.networks[user].accepted)
         acc.networks[user].update_on_feedback(corpus.items[fresh])
-        acc.note_accept(user, [fresh])
+        acc.note_accept({user: [corpus.items[fresh]]})
         gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
                   origin=ORIGIN_GENERATED)
-        acc.graph.accept_items([gi])
+        graph.accept_items([gi])
         acc.networks[user].update_on_feedback(gi)
-        acc.note_accept(user, [gi.id])
+        acc.note_accept({user: [gi]})
         if kind == "uc":
             acc.refresh_mass([user])
 
-        rebuilt = rebuilt_by_fold(acc)
+        rebuilt = rebuilt_by_fold(acc, gi)
         assert np.array_equal(acc.accept_matrix, rebuilt.accept_matrix)
         if kind == "cb":
             assert np.array_equal(acc.profile_sums, rebuilt.profile_sums)
@@ -451,33 +458,33 @@ class TestAccelerationAgreesWithReference:
                                _baseline_scores(kind, rebuilt, user), atol=1e-12)
 
     def test_index_of_another_item_order_rejected(self):
-        ctx, corpus = self.context()
+        ctx, _, corpus = self.context()
         reordered = Corpus.from_rows(dict(reversed(corpus.items.items())),
                                      corpus.interactions, corpus.taxonomy,
                                      corpus.users)
-        other = FeedContext(corpus=reordered, index=ctx.index, networks=ctx.networks,
-                            graph=ctx.graph, baseline="rd")
+        other = FeedContext(corpus=reordered, networks=ctx.networks,
+                            table=ctx.table, baseline="rd")
         with pytest.raises(ValueError, match="another corpus"):
             other.enable_acceleration()
 
     def test_scoring_state_only_for_the_baseline(self):
         for kind in ("rd", "cb", "uc"):
-            ctx, _ = self.context(kind)
+            ctx, _, _ = self.context(kind)
             assert (ctx.profile_sums is not None) == (kind == "cb"), kind
             assert (ctx.mass_matrix is not None) == (kind == "uc"), kind
             assert (ctx.mass_norms is not None) == (kind == "uc"), kind
 
     def test_profile_sums_are_the_left_fold_of_accepts(self):
-        ctx, corpus = self.context("cb")
+        ctx, graph, corpus = self.context("cb")
         user = corpus.users[0]
         gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
                   origin=ORIGIN_GENERATED)
-        ctx.graph.accept_items([gi])
-        accepts = [gi, corpus.items[ctx.index.ids[0]]]
+        graph.accept_items([gi])
+        accepts = [gi, corpus.items[ctx.table.index.ids[0]]]
         for item in accepts:
             ctx.networks[user].update_on_feedback(item)
-        ctx.note_accept(user, [item.id for item in accepts])
+        ctx.note_accept({user: accepts})
         vectors = vectors_of(ctx, gi)
         for u in corpus.users:
             expected = np.zeros(ctx.profile_sums.shape[1])
@@ -486,8 +493,8 @@ class TestAccelerationAgreesWithReference:
                     expected[tid] += w
             row = ctx.user_pos[u]
             assert np.array_equal(ctx.profile_sums[row], expected), u
-            in_index = {ctx.index.pos[i] for i in ctx.networks[u].accepted
-                        if i in ctx.index.pos}
+            in_index = {ctx.table.index.pos[i] for i in ctx.networks[u].accepted
+                        if i in ctx.table.index.pos}
             assert set(np.flatnonzero(ctx.accept_matrix[row])) == in_index, u
 
 
@@ -517,18 +524,18 @@ class TestOneEntriesPath:
     @given(steps=st.lists(st.lists(entries_accepts, max_size=8), max_size=5))
     def test_graph_and_profile_sums_equal_the_oracle(self, steps):
         corpus = synth_corpus(ONE_ENTRIES_SPEC)
-        ctx = context_for(corpus, "cb")
+        ctx, graph = context_and_graph(corpus, "cb")
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_featurize_corpus(mp)
             accepted, generated = list(corpus.items.values()), []
             for n, batch in enumerate(steps):
                 # the step barrier: credit every accept, flush, then fold each
                 # user's accepts into the scoring state
-                by_user, buffer = {}, GraphUpdateBuffer(ctx.graph)
+                by_user, buffer = {}, GraphUpdateBuffer(graph)
                 for m, (u, pick) in enumerate(batch):
                     user = corpus.users[u]
                     if pick[0] == "index":
-                        item = corpus.items[ctx.index.ids[pick[1]]]
+                        item = corpus.items[ctx.table.index.ids[pick[1]]]
                     else:
                         _, text, cats = pick
                         item = Item(f"gi:{user}:{n}.{m}", cats[0],
@@ -538,12 +545,11 @@ class TestOneEntriesPath:
                         generated.append(item)
                     ctx.networks[user].update_on_feedback(item)
                     buffer.accept_items([item])
-                    by_user.setdefault(user, []).append(item.id)
+                    by_user.setdefault(user, []).append(item)
                     accepted.append(item)
                 assert buffer.flush() == len(batch)
-                for user, ids in by_user.items():
-                    ctx.note_accept(user, ids)
-        assert_equals_the_oracle(ctx.graph, accepted)
+                ctx.note_accept(by_user)
+        assert_equals_the_oracle(graph, accepted)
         # every distinct generated text is featurized once in the run
         texts = {item.text() for item in generated}
         assert sorted(tuple(t) for call in calls for t in call) == \
@@ -575,7 +581,7 @@ def uc_state(mass, accept, beliefs, item_cats):
         entries=None)
     networks = {u: SimpleNamespace(belief=dict(zip(cats, map(float, row))))
                 for u, row in zip(users, beliefs)}
-    ctx = FeedContext(corpus=None, index=index, networks=networks, graph=None,
+    ctx = FeedContext(corpus=None, networks=networks, table=ItemTable(None, index),
                       baseline="uc", user_ids=users,
                       user_pos={u: r for r, u in enumerate(users)}, cats=cats,
                       accept_matrix=np.asarray(accept, dtype=float),
@@ -651,10 +657,10 @@ class TestCertifiedUcRanking:
         exact = exact_rankings(ctx, 2)
         assert exact["u00"] == ["i0", "i1"]
         scores = _baseline_scores("uc", ctx, "u00")
-        tied = scores[ctx.index.pos["i0"]]
-        assert tied > 0.0 and scores[ctx.index.pos["i1"]] == tied
+        tied = scores[ctx.table.index.pos["i0"]]
+        assert tied > 0.0 and scores[ctx.table.index.pos["i1"]] == tied
         row = scores.copy()            # every share is 1.0: scores are masses
-        moved = ctx.index.pos["i1" if nudge > 0 else "i0"]
+        moved = ctx.table.index.pos["i1" if nudge > 0 else "i0"]
         row[moved] = np.nextafter(tied, nudge)
         ctx.neighbor_mass = {"u00": row}
         assert baseline_ranking("uc", ctx, "u00", 2, 1, 0) == exact["u00"]

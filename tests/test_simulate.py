@@ -197,11 +197,42 @@ class TestRunLoop:
         base.update(kw)
         return SimConfig(synth=FB_SPEC, **base)
 
-    def test_identical_reruns(self, fb_corpus, fb_assets):
-        a = run_loop(self.config(), fb_corpus, fb_assets)
-        b = run_loop(self.config(), fb_corpus, fb_assets)
-        assert a.steps == b.steps
-        assert a.checkpoints == b.checkpoints
+    def test_identical_reruns(self, fb_corpus):
+        # a run leaves the shared assets as it found them: the candidate
+        # index's entries are bit for bit the same after a cb_w run, whose
+        # accepts append generated rows to the run's item table, and a rerun
+        # on the same assets equals a run on fresh ones
+        assets = build_assets(fb_corpus)
+        before = [array.copy() for array in assets.index.entries]
+        a = run_loop(self.config(), fb_corpus, assets)
+        assert all(np.array_equal(was, now) and was.dtype == now.dtype
+                   for was, now in zip(before, assets.index.entries))
+        b = run_loop(self.config(), fb_corpus, assets)
+        fresh = run_loop(self.config(), fb_corpus, build_assets(fb_corpus))
+        for run in (b, fresh):
+            assert a.steps == run.steps
+            assert a.checkpoints == run.checkpoints
+        assert any(d.accepted and d.origin == ORIGIN_GENERATED
+                   for recs in a.steps for r in recs for d in r.decisions)
+
+    @pytest.mark.parametrize("model", ["bheisr", "cb_w"])
+    def test_no_generated_id_resolves_to_an_index_row(
+            self, fb_corpus, fb_assets, model, monkeypatch):
+        # a generated item takes the table row of its text, after the index
+        # rows (Corpus.validate rejects a corpus item named as a generated one)
+        generated, states = [], []
+        generate, prep = nudge._generate_for, simulate.prepare
+        monkeypatch.setattr(nudge, "_generate_for", lambda *args: (
+            generated.append(generate(*args)) or generated[-1]))
+        monkeypatch.setattr(simulate, "prepare", lambda *args: (
+            states.append(prep(*args)) or states[-1]))
+        run_loop(self.config(users=None, model=model, feeds=6), fb_corpus,
+                 fb_assets)
+        (state,) = states
+        table, n = state.ctx.table, len(fb_assets.index.ids)
+        assert generated and all(it.id.startswith("gi:") for it in generated)
+        assert not any(it.id in table.index.pos for it in generated)
+        assert (table.rows(generated) >= n).all()
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), model=st.sampled_from(sorted(MODELS)),
@@ -404,16 +435,31 @@ class TestCatalogExhaustion:
 class TestStateMatchesLog:
     def test_accepts_in_state_equal_accepts_in_log(self, fb_corpus, fb_assets,
                                                    monkeypatch):
-        states = []
+        states, flushed = [], {}
 
         def spy(*args, **kwargs):
             states.append(prepare(*args, **kwargs))
             return states[-1]
 
+        def queue(buffer, items):
+            flushed.update((item.id, item) for item in items)
+            buffer.pending.extend(items)
+
         monkeypatch.setattr(simulate, "prepare", spy)
+        monkeypatch.setattr(GraphUpdateBuffer, "accept_items", queue)
         run = run_loop(SimConfig(model="uc_w", w=0.6, k=6, feeds=5, seed=0),
                        fb_corpus, fb_assets)
         (state,) = states
+        # the graph and the scoring state share one table, whose appended
+        # rows are exactly the texts of the accepted items outside the index,
+        # and which keeps the rows of just those items' ids
+        table = state.ctx.table
+        assert state.graph.table is table
+        outside = {i: item for i, item in flushed.items()
+                   if i not in table.index.pos}
+        assert set(table.text_rows) == {item.text() for item in outside.values()}
+        assert table.item_rows == {i: table.text_rows[item.text()]
+                                   for i, item in outside.items()}
         seeded = build_all(fb_corpus)
         generated_accepts = 0
         for user in run.users:
@@ -424,12 +470,13 @@ class TestStateMatchesLog:
                 seeded[user].accepted + [d.item_id for d in logged]
             # the accept row holds exactly the history's index items
             row = state.ctx.user_pos[user]
-            pos = state.ctx.index.pos
+            pos = state.ctx.table.index.pos
             assert set(np.flatnonzero(state.ctx.accept_matrix[row])) == \
                 {pos[i] for i in network.accepted if i in pos}
-            # the graph holds the term and weight arrays of every accepted
-            # item outside the index, and of no item in it
-            assert all((i in pos) != (i in state.graph.item_vectors)
+            # every accepted item outside the index is generated, and takes
+            # the row of its text
+            assert all(i in pos or (i.startswith("gi:")
+                                    and flushed[i].text() in table.text_rows)
                        for i in network.accepted)
             # an accepted generated item is credited once, at unit weight, to
             # the synthetic subcategories and to its categories' graph members
