@@ -31,12 +31,36 @@ def entropy_bits(probs) -> float:
 
 @dataclass
 class BeliefNetwork:
+    """A user's click counts and the beliefs folded from them.
+
+    `belief` (category -> degree) is recomputed from the click counts when
+    first read after update_on_feedback marks it stale, so a user-step with
+    several accepts folds it once, and only if something reads it in
+    between. The fold is recompute's, so the bits do not depend on when it
+    runs. The categories with positive mass are counted from the click
+    counts when first asked for, and add_click_mass, the one writer of the
+    counts after that, extends the set.
+    """
     user_id: str
     categories: tuple                   # full taxonomy, fixed for the run
     subcat_to_cat: dict                 # subcategory label -> category; shared
     click_counts: dict = field(default_factory=dict)   # subcategory -> mass
     accepted: list = field(default_factory=list)       # item ids, append-only
-    belief: dict = field(default_factory=dict)
+    _belief: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    _stale: bool = field(default=False, init=False, repr=False, compare=False)
+    # categories with positive mass; None until counted from click_counts
+    _positive: set = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def belief(self) -> dict:
+        if self._stale:
+            self.recompute()
+        return self._belief
+
+    @belief.setter
+    def belief(self, value: dict) -> None:
+        self._belief, self._stale = value, False
 
     def total_mass(self) -> float:
         return fold_sum(self.click_counts.values())
@@ -59,7 +83,7 @@ class BeliefNetwork:
                     raise ValueError(f"negative probability {p}")
                 if p > 0.0:
                     belief[subcat_to_cat[sub]] -= p * log2(p)
-        self.belief = belief
+        self._belief, self._stale = belief, False
 
     def belief_degree(self, category: str) -> float:
         if category not in self.belief:
@@ -73,10 +97,12 @@ class BeliefNetwork:
         return mass
 
     def positive_category_count(self) -> int:
-        # click mass is never negative, so a category's mass is positive
-        # exactly when one of its subcategories has a positive count
-        return len({self.subcat_to_cat[s] for s, c in self.click_counts.items()
-                    if c > 0.0})
+        if self._positive is None:
+            # click mass is never negative, so a category's mass is positive
+            # exactly when one of its subcategories has a positive count
+            self._positive = {self.subcat_to_cat[s]
+                              for s, c in self.click_counts.items() if c > 0.0}
+        return len(self._positive)
 
     def add_click_mass(self, subcategory: str, category: str, mass: float) -> None:
         if subcategory not in self.subcat_to_cat:
@@ -85,27 +111,34 @@ class BeliefNetwork:
             raise ValueError(f"subcategory {subcategory!r} already bound to "
                              f"{self.subcat_to_cat[subcategory]!r}")
         self.click_counts[subcategory] = self.click_counts.get(subcategory, 0.0) + mass
+        if self._positive is not None:
+            if mass > 0.0:
+                self._positive.add(category)
+            else:
+                # only a positive mass surely keeps the set: count again
+                self._positive = None
 
     def update_on_feedback(self, item) -> "BeliefNetwork":
         """Fold one accepted item into the network.
 
         The item joins the history and its category weights are credited as
         click mass (dataset items to their own subcategory, generated items to
-        each spanned category's synthetic subcategory). Rejections are kept by
-        the nudge session's ledger and history.
+        each spanned category's synthetic subcategory); the beliefs go stale.
+        Rejections are kept by the nudge session's ledger and history.
         """
         self.accepted.append(item.id)
         for cat, w in item.category_weights.items():
             if w <= 0.0:
                 continue
-            if cat not in self.belief:
+            # a stale belief keeps its keys, so this reads no fold
+            if cat not in self._belief:
                 raise ValueError(f"item {item.id}: unknown category {cat!r}")
             if item.origin == ORIGIN_GENERATED:
                 sub = generated_subcategory(cat)
             else:
                 sub = item.subcategory
             self.add_click_mass(sub, cat, w)
-        self.recompute()
+        self._stale = True
         return self
 
 

@@ -210,7 +210,7 @@ class CategoryGraph:
         """Every category starts with the zero vector and every sorted pair
         with edge 0.0; then the corpus's items are accepted as one batch,
         each folding its row of `table`, the run's table over the corpus's
-        candidate index.
+        candidate index: corpus item r is row r.
         """
         if table.index.ids != list(corpus.items):
             raise ValueError("the candidate index was built from another corpus")
@@ -230,7 +230,8 @@ class CategoryGraph:
                     n_touched=np.zeros(n, dtype=np.intp),
                     norms=np.zeros(n), rho_rows=np.zeros((n, n)).tolist(),
                     rho_gather=gather)
-        graph.accept_items(corpus.items.values())
+        graph.accept_items(corpus.items.values(),
+                           np.arange(len(table.index.ids), dtype=np.intp))
         return graph
 
     @property
@@ -249,7 +250,7 @@ class CategoryGraph:
         """[rho(a, c) for c in categories]; the caller must not change it."""
         return self.rho_rows[self.rows[a]]
 
-    def accept_items(self, items) -> None:
+    def accept_items(self, items, item_rows: np.ndarray = None) -> None:
         """Fold a batch of accepted items into the node vectors and edges.
 
         Every item is checked before any is folded, so a bad item leaves the
@@ -266,12 +267,16 @@ class CategoryGraph:
         mean of the members' vectors and the cosine of a < b in
         tests/oracle.py, and the graph equals a rebuild bit for bit however
         the accepts are split into batches.
+
+        `item_rows`, when the caller knows them, are the items' table rows;
+        otherwise table.rows finds them.
         """
         items = list(items)
         if not items:
             return
         pair_item, rows = self._pairs(items)
-        item_rows = self.table.rows(items)
+        if item_rows is None:
+            item_rows = self.table.rows(items)
         if not len(rows):
             return
         for i, r in zip(pair_item.tolist(), rows.tolist()):

@@ -54,6 +54,8 @@ class TemplateGenerator:
         self._top_terms = None      # category -> its terms, best first
         # prompt -> (period of its text in the seed, {seed % period: text})
         self._texts: dict = {}
+        # category -> _part_memo
+        self._parts: dict = {}
 
     def top_terms(self, category: str, limit: int = 4) -> list:
         """The category's exemplar terms by descending summed weight, ties
@@ -91,7 +93,7 @@ class TemplateGenerator:
         memo = self._texts.get(prompt)
         if memo is None:
             memo = self._texts[prompt] = (math.lcm(
-                *(max(1, len(self.top_terms(cat)) - 1) for cat in prompt)), {})
+                *(self._part_memo(cat)[0] for cat in prompt)), {})
         cycle, texts = memo
         text = texts.get(seed % cycle)
         if text is None:
@@ -100,18 +102,34 @@ class TemplateGenerator:
 
     def _compose(self, prompt_categories, seed: int) -> tuple:
         title = " meets ".join(prompt_categories)
-        parts = []
-        for cat in prompt_categories:
-            terms = self.top_terms(cat)
-            if len(terms) < 2:
-                terms = (terms + [cat, "general"])[:2]
-            else:
-                start = seed % max(1, len(terms) - 1)
-                terms = [terms[start], terms[(start + 1) % len(terms)]]
-            parts.append(f"{cat} angle: {terms[0]} {terms[1]}.")
         abstract = "A piece connecting " + ", ".join(prompt_categories) + ". " \
-                   + " ".join(parts)
+                   + " ".join([self._part(cat, seed) for cat in prompt_categories])
         return title, abstract
+
+    def _part_memo(self, category: str) -> tuple:
+        """(period, {seed % period: sentence}) of the category, whose
+        sentence depends on the seed through the term offset
+        seed % period, period = max(1, len(terms) - 1)."""
+        memo = self._parts.get(category)
+        if memo is None:
+            memo = self._parts[category] = (
+                max(1, len(self.top_terms(category)) - 1), {})
+        return memo
+
+    def _part(self, category: str, seed: int) -> str:
+        """The category's sentence: two of its terms from the offset
+        seed % period, memoised on that residue."""
+        period, parts = self._part_memo(category)
+        start = seed % period
+        part = parts.get(start)
+        if part is None:
+            terms = self.top_terms(category)
+            if len(terms) < 2:
+                terms = (terms + [category, "general"])[:2]
+            else:
+                terms = [terms[start], terms[(start + 1) % len(terms)]]
+            part = parts[start] = f"{category} angle: {terms[0]} {terms[1]}."
+        return part
 
 
 class ExternalGenerator:
@@ -193,6 +211,8 @@ class NudgeSession:
     active: bool = True
     gen_counter: int = 0
     history: list = field(default_factory=list)
+    # split_extremes(classes), kept by new_session: the classes never change
+    extremes: tuple = field(default=None, repr=False, compare=False)
 
 
 def new_session(user_id: str, graph, network, classes: dict,
@@ -200,13 +220,14 @@ def new_session(user_id: str, graph, network, classes: dict,
                 queue_discipline: str = QUEUE_DRAIN,
                 max_path_len: int = None) -> NudgeSession:
     ledger = RejectionLedger(theta=theta)
-    source, target = pathfinder.select_endpoints(network, classes)
+    extremes = pathfinder.split_extremes(classes)
+    source, target = pathfinder.select_endpoints(network, classes, extremes)
     path = pathfinder.explore(graph, source, target, network, ledger,
                               max_len=max_path_len)
     return NudgeSession(user_id=user_id, path=path, queue=initial_queue(path),
                         ledger=ledger, classes=classes,
                         queue_discipline=queue_discipline,
-                        max_path_len=max_path_len)
+                        max_path_len=max_path_len, extremes=extremes)
 
 
 def _generate_for(session: NudgeSession, prompt: PromptPath,
@@ -234,7 +255,8 @@ def pending_prompts(session: NudgeSession, count: int) -> list:
 
 def _do_reschedule(session: NudgeSession, graph, network) -> str:
     fresh = pathfinder.reschedule(graph, network, session.ledger, session.classes,
-                                  max_len=session.max_path_len)
+                                  max_len=session.max_path_len,
+                                  extremes=session.extremes)
     if fresh is None:
         session.active = False
         session.queue = []

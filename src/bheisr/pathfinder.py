@@ -22,13 +22,15 @@ class PromptPath:
     for it shares, computed once when the path is built.
 
     `weights` is the generated item's {category: 1/len(nodes)} (one dict,
-    shared by every such item and read-only), `subcategory` its generated
-    subcategory, and `edge_keys` the sorted (a, b) pair of each edge in path
-    order, the edges a rejection past the tolerance penalizes.
+    shared by every such item and read-only), `node_set` the categories it
+    touches, `subcategory` its generated subcategory, and `edge_keys` the
+    sorted (a, b) pair of each edge in path order, the edges a rejection
+    past the tolerance penalizes.
     """
     nodes: tuple
     key: str = field(init=False, repr=False, compare=False)   # "a->b->c"
     weights: dict = field(init=False, repr=False, compare=False)
+    node_set: frozenset = field(init=False, repr=False, compare=False)
     subcategory: str = field(init=False, repr=False, compare=False)
     edge_keys: tuple = field(init=False, repr=False, compare=False)
 
@@ -42,6 +44,7 @@ class PromptPath:
         facts = vars(self)
         facts["key"] = PROMPT_KEY_SEPARATOR.join(nodes)
         facts["weights"] = dict.fromkeys(nodes, 1.0 / len(nodes))
+        facts["node_set"] = frozenset(nodes)
         facts["subcategory"] = generated_subcategory(nodes[0])
         facts["edge_keys"] = tuple([_edge_key(a, b) for a, b in zip(nodes, nodes[1:])])
 
@@ -85,10 +88,18 @@ def path_of(*nodes) -> PromptPath:
 class RejectionLedger:
     theta: float = DEFAULT_THETA
     counts: dict = field(default_factory=dict)           # prompt key -> rejections
-    penalized_edges: set = field(default_factory=set)    # sorted (a, b) pairs
+    # node -> the far ends of its penalized edges: each edge under both
+    # endpoints, so a hop reads the edges at its node in one lookup
+    penalized_at: dict = field(default_factory=dict)
     # nodes -> the path explore built for them; a path walked again is the
     # same object, so its facts and halves are not computed again
     paths: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def penalized_edges(self) -> set:
+        """The penalized edges as sorted (a, b) pairs."""
+        return {(a, b) for a, ends in self.penalized_at.items()
+                for b in ends if a < b}
 
 
 def _edge_key(a: str, b: str) -> tuple:
@@ -100,7 +111,10 @@ def record_rejection(ledger: RejectionLedger, prompt: PromptPath) -> RejectionLe
     key = prompt.key
     count = ledger.counts[key] = ledger.counts.get(key, 0) + 1
     if count > ledger.theta:
-        ledger.penalized_edges.update(prompt.edge_keys)
+        at = ledger.penalized_at
+        for a, b in prompt.edge_keys:
+            at.setdefault(a, set()).add(b)
+            at.setdefault(b, set()).add(a)
     return ledger
 
 
@@ -117,9 +131,7 @@ def next_hop(graph, current: str, network, ledger: RejectionLedger,
     best_score = None
     rows = [] if trace is not None else None
     belief = network.belief
-    # the far ends of the penalized edges at `current`
-    flipped = {b if a == current else a for a, b in ledger.penalized_edges
-               if a == current or b == current}
+    flipped = ledger.penalized_at.get(current, ())
     for cand, rho in zip(graph.categories, graph.rho_row(current)):
         if cand == current or cand in visited:
             continue
@@ -165,15 +177,22 @@ def explore(graph, source: str, target: str, network, ledger: RejectionLedger,
     return path
 
 
-def select_endpoints(network, classes: dict) -> tuple:
+def split_extremes(classes: dict) -> tuple:
+    """(extreme-high categories, extreme-low categories), each a tuple in
+    `classes` order."""
+    high, low = Exposure.EXTREME_HIGH, Exposure.EXTREME_LOW
+    return (tuple([c for c, label in classes.items() if label is high]),
+            tuple([c for c, label in classes.items() if label is low]))
+
+
+def select_endpoints(network, classes: dict, extremes: tuple = None) -> tuple:
     """Source = strongest extreme-high category, target = weakest extreme-low.
 
     Belief ties break lexicographically. Raises for users with no extreme
-    categories on either side.
+    categories on either side. `extremes`, when the caller keeps it, is
+    split_extremes(classes).
     """
-    high, low = Exposure.EXTREME_HIGH, Exposure.EXTREME_LOW
-    highs = [c for c, label in classes.items() if label is high]
-    lows = [c for c, label in classes.items() if label is low]
+    highs, lows = extremes or split_extremes(classes)
     if not highs or not lows:
         raise ValueError(f"user {network.user_id!r} is not bubble-affected")
     source = min(highs, key=lambda c: (-network.belief_degree(c), c))
@@ -182,9 +201,10 @@ def select_endpoints(network, classes: dict) -> tuple:
 
 
 def reschedule(graph, network, ledger: RejectionLedger, classes: dict,
-               max_len: int = None, trace=None):
-    """Fresh path after exhaustion; None when no unexhausted path exists."""
-    source, target = select_endpoints(network, classes)
+               max_len: int = None, trace=None, extremes: tuple = None):
+    """Fresh path after exhaustion; None when no unexhausted path exists.
+    `extremes` is as in select_endpoints."""
+    source, target = select_endpoints(network, classes, extremes)
     path = explore(graph, source, target, network, ledger, max_len=max_len,
                    trace=trace)
     if ledger.counts.get(path.key, 0) > ledger.theta:

@@ -162,8 +162,13 @@ class FeedContext:
         applies the additions one at a time in accept order, so each sum is
         the same left fold as adding the items' entries in turn.
         """
-        corpus_item = item_rows < len(self.table.index.ids)
-        self.accept_matrix[user_rows[corpus_item], item_rows[corpus_item]] = 1.0
+        n_index, marked = len(self.table.index.ids), (user_rows, item_rows)
+        if len(item_rows) and item_rows.max() >= n_index:
+            # generated items have no accept-matrix column; the corpus's
+            # own history, which enable_acceleration folds, has none of them
+            corpus_item = item_rows < n_index
+            marked = (user_rows[corpus_item], item_rows[corpus_item])
+        self.accept_matrix[marked] = 1.0
         if self.baseline != "cb":
             return
         flat, n_terms = self.profile_sums.ravel(), self.profile_sums.shape[1]

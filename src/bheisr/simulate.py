@@ -12,6 +12,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import belief as belief_mod
 from . import detection, nudge
@@ -90,13 +91,14 @@ class SimConfig:
         reject_duplicates(self.users or (), "user")
 
 
-def decide(item, network, belief_total: float, rng) -> tuple:
+def decide(item, network, belief_total: float, rng, ap: float = None) -> tuple:
     """One Bernoulli decision; always consumes exactly one uniform draw.
 
     `belief_total` is the network's summed belief, as acceptance_share
-    takes it.
+    takes it; `ap`, when the caller has it, is that acceptance share.
     """
-    ap = acceptance_share(item, network, belief_total)
+    if ap is None:
+        ap = acceptance_share(item, network, belief_total)
     draw = float(rng.random())
     return draw < ap, ap, draw
 
@@ -219,9 +221,8 @@ def build_assets(corpus: Corpus) -> SharedAssets:
 def _classify(corpus, networks):
     """Two-sigma classification of every user with history; None when fewer
     than detection.MIN_POPULATION users have any."""
-    # click counts are never negative, so a positive one means positive mass
     beliefs = {u: net.belief for u, net in networks.items()
-               if any(count > 0.0 for count in net.click_counts.values())}
+               if net.positive_category_count()}
     if len(beliefs) < detection.MIN_POPULATION:
         return None
     return detection.classify_users(beliefs, corpus.categories())
@@ -262,54 +263,109 @@ def prepare(config: SimConfig, corpus: Corpus = None,
                     classification=classification)
 
 
-def _user_step(state: SimState, user_id: str, step: int):
+def _feed(state: SimState, step: int, user_id: str):
     config = state.config
+    return assemble_feed(state.baseline, state.with_bheisr, state.w_eff, config.k,
+                         state.sessions.get(user_id), state.ctx, user_id, step,
+                         config.seed)
+
+
+def _draws(state: SimState, step: int, user_id: str, feed) -> list:
+    """The user-step's uniforms, one per feed item, from its decision stream
+    in one call: rng.random(n) gives the doubles of n scalar calls."""
+    rng = substream(state.config.seed, "decide", user_id, step)
+    return rng.random(len(feed.items)).tolist()
+
+
+class _Drawn:
+    """Hands pre-drawn uniforms to decide, in order, as `random()`."""
+    __slots__ = ("random",)
+
+    def __init__(self, draws: list):
+        self.random = iter(draws).__next__
+
+
+def _decisions(state: SimState, user_id: str, feed, draws: list) -> tuple:
     network = state.networks[user_id]
-    session = state.sessions.get(user_id)
-    feed = assemble_feed(state.baseline, state.with_bheisr, state.w_eff, config.k,
-                         session, state.ctx, user_id, step, config.seed)
-    rng = substream(config.seed, "decide", user_id, step)
-    # every decision comes before any update, so the belief total holds
+    # every decision comes before any update, so the belief total holds, and
+    # so does the share of each category_weights object, which every item
+    # generated for one prompt shares
     belief_total = fold_sum(network.belief.values())
-    decisions = []
+    rng, shares, decisions = _Drawn(draws), {}, []
     for item in feed.items:
-        ok, ap, draw = decide(item, network, belief_total, rng)
+        weights = id(item.category_weights)
+        ap = shares.get(weights)
+        if ap is None:
+            ap = shares[weights] = acceptance_share(item, network, belief_total)
+        ok, ap, draw = decide(item, network, belief_total, rng, ap)
         # (item_id, origin, ap, draw, accepted), by position: keywords
         # make each frozen record about 1 us dearer
         decisions.append(DecisionRecord(item.id, item.origin, ap, draw, ok))
-    # the one place an accepted item is credited; the graph sees it at flush
+    return tuple(decisions)
+
+
+def _feedback(state: SimState, user_id: str, feed, decisions: tuple) -> list:
+    """Credit the accepted items and fold every decision on a generated item
+    into the session, in feed order; the accepted items, which the graph
+    sees at the barrier's flush."""
+    network = state.networks[user_id]
+    session = state.sessions.get(user_id)
     accepted_items = []
     for item, dec in zip(feed.items, decisions):
+        # the one place an accepted item is credited
         if dec.accepted:
             network.update_on_feedback(item)
             accepted_items.append(item)
         if item.origin == ORIGIN_GENERATED:
             nudge.apply_feedback(session, item, dec.accepted, state.graph,
                                  network)
+    return accepted_items
+
+
+def _record(state: SimState, step: int, user_id: str, feed,
+            decisions: tuple) -> StepUserRecord:
     taxonomy = state.corpus.taxonomy
-    categories = set().union(*map(detection.item_categories, feed.items))
-    record = StepUserRecord(
+    # a generated item touches its prompt's categories
+    categories = set().union(*[
+        item.prompt.node_set if item.origin == ORIGIN_GENERATED
+        else detection.item_categories(item) for item in feed.items])
+    return StepUserRecord(
         step=step,
         user_id=user_id,
-        item_ids=tuple(it.id for it in feed.items),
-        origins=tuple(it.origin for it in feed.items),
+        item_ids=tuple([it.id for it in feed.items]),
+        origins=tuple([it.origin for it in feed.items]),
         categories=tuple(sorted(categories)),
         # an exhausted catalog gives an empty feed, which covers nothing
         coverage=(detection.diversity_coverage(categories, taxonomy)
                   if feed.items else 0.0),
-        belief_coverage=network.positive_category_count() / len(taxonomy),
-        decisions=tuple(decisions),
+        belief_coverage=(state.networks[user_id].positive_category_count()
+                         / len(taxonomy)),
+        decisions=decisions,
     )
-    return record, accepted_items
 
 
 def _step_block(state: SimState, users: tuple, step: int) -> dict:
-    """Every user step of the block, on a thread pool when configured."""
+    """Every user step of the block, {user: (record, accepted items)}, run
+    one phase at a time over all of the block's users: feeds, decision
+    draws, decisions, accepts with session feedback, then records.
+
+    Users share no state inside a step, and each user's phases run in the
+    order of one user step, so the phase order changes no result. With
+    `parallel`, a thread pool maps each phase.
+    """
     if state.config.parallel and len(users) > 1:
         with ThreadPoolExecutor(max_workers=min(8, len(users))) as pool:
-            return dict(zip(users, pool.map(lambda u: _user_step(state, u, step),
-                                            users)))
-    return {u: _user_step(state, u, step) for u in users}
+            return _phases(state, users, step, pool.map)
+    return _phases(state, users, step, map)
+
+
+def _phases(state: SimState, users: tuple, step: int, each) -> dict:
+    feeds = list(each(partial(_feed, state, step), users))
+    draws = list(each(partial(_draws, state, step), users, feeds))
+    decisions = list(each(partial(_decisions, state), users, feeds, draws))
+    accepts = list(each(partial(_feedback, state), users, feeds, decisions))
+    records = list(each(partial(_record, state, step), users, feeds, decisions))
+    return dict(zip(users, zip(records, accepts)))
 
 
 def run_loop(config: SimConfig, corpus: Corpus = None,

@@ -179,6 +179,69 @@ class TestIncrementalConsistency:
             1 for m in network.mass_by_category().values() if m > 0.0)
 
 
+
+# an accept of a corpus item or of a generated item with these weights, or
+# a read of the beliefs or of the positive-category count
+feedback_ops = st.lists(st.one_of(
+    st.tuples(st.just("corpus"), st.sampled_from(["i1", "i2", "i3"])),
+    st.tuples(st.just("generated"), st.sampled_from([
+        {"a": 1.0}, {"b": 1.0}, {"a": 0.5, "b": 0.5}, {"a": 1.0, "b": 0.0}])),
+    st.tuples(st.just("read"), st.sampled_from(["belief", "positive"]))),
+    max_size=25)
+
+
+def assert_beliefs_match_scratch(network):
+    scratch = BeliefNetwork(user_id=network.user_id,
+                            categories=network.categories,
+                            subcat_to_cat=dict(network.subcat_to_cat),
+                            click_counts=dict(network.click_counts))
+    scratch.recompute()
+    # == on every belief, in category order
+    assert list(network.belief.items()) == list(scratch.belief.items())
+
+
+def assert_positive_count_matches_its_definition(network):
+    assert network.positive_category_count() == len(
+        {network.subcat_to_cat[s] for s, c in network.click_counts.items()
+         if c > 0.0})
+
+
+class TestLazyBelief:
+    @settings(max_examples=200, deadline=None)
+    @given(user=st.sampled_from(["u", "v"]), ops=feedback_ops)
+    def test_any_interleaving_reads_a_scratch_recompute(self, user, ops):
+        """Accepts mark the beliefs stale and extend the positive
+        categories; whatever reads come between them, the beliefs read
+        equal a from-scratch recompute of the same click counts, and the
+        count equals the set definition."""
+        corpus = tiny_corpus()
+        network = build_all(corpus)[user]
+        for n, (op, arg) in enumerate(ops):
+            if op == "corpus":
+                network.update_on_feedback(corpus.items[arg])
+            elif op == "generated":
+                network.update_on_feedback(generated_item(f"g{n}", arg))
+            elif arg == "belief":
+                assert_beliefs_match_scratch(network)
+            else:
+                assert_positive_count_matches_its_definition(network)
+        assert_positive_count_matches_its_definition(network)
+        assert_beliefs_match_scratch(network)
+
+    def test_accepts_fold_no_belief_until_read(self, monkeypatch):
+        network = build_all(tiny_corpus())["u"]
+        folds = []
+        recompute = BeliefNetwork.recompute
+        monkeypatch.setattr(BeliefNetwork, "recompute",
+                            lambda self: folds.append(1) or recompute(self))
+        for n in range(3):
+            network.update_on_feedback(generated_item(f"g{n}", {"b": 1.0}))
+        assert folds == []
+        network.belief_degree("a")
+        network.belief_degree("b")
+        assert folds == [1]
+
+
 # click masses as the loop credits them: whole clicks, a generated item's
 # 1/len(prompt) shares, and zeros
 click_masses = st.one_of(st.just(0.0), st.integers(1, 40).map(float),

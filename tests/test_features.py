@@ -248,6 +248,18 @@ class TestCategoryGraph:
         assert_equals_the_oracle(graph, [*corpus.items.values(), new])
 
 
+    def test_build_folds_corpus_item_r_as_index_row_r(self, monkeypatch):
+        # build maps no id to its row: corpus item r is index row r
+        def no_lookup(table, items):
+            raise AssertionError("build looked up item rows")
+
+        corpus = two_category_corpus()
+        with monkeypatch.context() as patch:
+            patch.setattr(ItemTable, "rows", no_lookup)
+            graph = graph_of(corpus)
+        assert_equals_the_oracle(graph, list(corpus.items.values()))
+
+
 class TestIncrementalUpdate:
     def test_matches_full_rebuild_bit_for_bit(self):
         corpus = two_category_corpus()

@@ -203,6 +203,22 @@ GENERATOR_EXEMPLARS = {
 }
 
 
+def composed_text(gen, prompt, seed):
+    """The template text, composed without any memo: each category's two
+    terms start at seed % max(1, len(terms) - 1)."""
+    parts = []
+    for cat in prompt:
+        terms = gen.top_terms(cat)
+        if len(terms) < 2:
+            terms = (terms + [cat, "general"])[:2]
+        else:
+            start = seed % max(1, len(terms) - 1)
+            terms = [terms[start], terms[(start + 1) % len(terms)]]
+        parts.append(f"{cat} angle: {terms[0]} {terms[1]}.")
+    return (" meets ".join(prompt),
+            "A piece connecting " + ", ".join(prompt) + ". " + " ".join(parts))
+
+
 class TestTemplateMemo:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(
@@ -213,8 +229,39 @@ class TestTemplateMemo:
         shared = TemplateGenerator(GENERATOR_EXEMPLARS)
         for prompt, seed in calls:
             fresh = TemplateGenerator(GENERATOR_EXEMPLARS)
-            assert shared.generate(tuple(prompt), seed) == \
-                fresh.generate(tuple(prompt), seed)
+            text = shared.generate(tuple(prompt), seed)
+            assert text == fresh.generate(tuple(prompt), seed)
+            assert text == composed_text(fresh, prompt, seed)
+
+    def test_threads_sharing_the_memos_get_the_composed_text(self):
+        # parallel user steps share one generator and fill its text and part
+        # memos as they go; every thread must still get the composed text
+        cats = list(SYNTH_EXEMPLARS)
+        calls = [(tuple(cats[(i + j) % len(cats)] for j in range(1 + i % 3)), i)
+                 for i in range(48)]
+        reference = TemplateGenerator(SYNTH_EXEMPLARS)
+        expected = [composed_text(reference, prompt, seed)
+                    for prompt, seed in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                gen, start = TemplateGenerator(SYNTH_EXEMPLARS), Barrier(8)
+                gen.top_terms(cats[0])
+
+                def generate_all(offset):
+                    start.wait(timeout=60)
+                    return [gen.generate(*calls[(offset + n) % len(calls)])
+                            for n in range(len(calls))]
+
+                with ThreadPoolExecutor(8) as pool:
+                    futures = [pool.submit(generate_all, t) for t in range(8)]
+                    results = [f.result(timeout=60) for f in futures]
+                for offset, texts in enumerate(results):
+                    assert texts == [expected[(offset + n) % len(calls)]
+                                     for n in range(len(calls))]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestExternalGenerator:

@@ -18,6 +18,7 @@ from bheisr.pathfinder import (
     record_rejection,
     reschedule,
     select_endpoints,
+    split_extremes,
 )
 
 
@@ -120,6 +121,26 @@ class TestRejectionLedger:
         record_rejection(ledger, path_of("a", "b", "c"))
         assert ledger.penalized_edges == {("a", "b"), ("b", "c")}
         assert hop_scores(ledger, "a")["c"] == 0.2 + 1.0
+
+    @given(prompts=st.lists(st.permutations("abcde").flatmap(
+        lambda nodes: st.integers(2, 5).map(lambda n: path_of(*nodes[:n]))),
+        max_size=12), theta=st.integers(0, 2))
+    def test_penalized_edges_are_those_of_prompts_past_theta(self, prompts,
+                                                             theta):
+        # the ledger keeps each edge under both endpoints; every edge of a
+        # prompt rejected more than theta times is penalized, and no other
+        ledger = RejectionLedger(theta=theta)
+        for prompt in prompts:
+            record_rejection(ledger, prompt)
+        rejected = {}
+        for prompt in prompts:
+            rejected[prompt.nodes] = rejected.get(prompt.nodes, 0) + 1
+        edges = {tuple(sorted(edge)) for nodes, count in rejected.items()
+                 if count > theta for edge in zip(nodes, nodes[1:])}
+        assert ledger.penalized_edges == edges
+        assert ledger.penalized_at == {
+            node: {b if a == node else a for a, b in edges if node in (a, b)}
+            for edge in edges for node in edge}
 
     def test_counts_keyed_by_full_path(self):
         ledger = RejectionLedger(theta=2)
@@ -267,6 +288,12 @@ class TestSelectEndpoints:
     def test_belief_ties_break_lexicographically(self):
         network = FakeNetwork({"a": 3.0, "b": 1.0, "c": 3.0, "d": 0.1, "e": 0.1})
         assert select_endpoints(network, self.classes()) == ("a", "d")
+
+    def test_kept_extremes_select_the_same_endpoints(self):
+        network = FakeNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
+        extremes = split_extremes(self.classes())
+        assert extremes == (("a", "c"), ("d", "e"))
+        assert select_endpoints(network, self.classes(), extremes) == ("c", "e")
 
     def test_not_bubble_affected_raises(self):
         network = FakeNetwork({"a": 1.0}, user_id="plain")

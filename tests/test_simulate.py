@@ -247,6 +247,39 @@ class TestRunLoop:
         assert serial.checkpoints == parallel.checkpoints
         assert serial.path_traces == parallel.path_traces
 
+    @pytest.mark.parametrize("model", ["bheisr", "uc_w"])
+    def test_draws_are_the_scalar_stream_in_item_order(self, fb_corpus,
+                                                        fb_assets, model):
+        # a user-step draws its uniforms in one call; they are the doubles
+        # of one scalar call per item on the user-step's stream
+        run = run_loop(self.config(users=None, model=model), fb_corpus,
+                       fb_assets)
+        n = 0
+        for recs in run.steps:
+            for rec in recs:
+                rng = substream(run.seed, "decide", rec.user_id, rec.step)
+                assert [d.draw for d in rec.decisions] == \
+                    [rng.random() for _ in rec.decisions]
+                n += len(rec.decisions)
+        assert n == run.k * len(run.users) * len(run.steps)
+
+    @pytest.mark.parametrize("model", ["bheisr", "uc_w"])
+    def test_records_do_not_depend_on_blocks_or_threads(self, fb_corpus,
+                                                        fb_assets, model):
+        # a step block runs phase by phase over its users; neither the block
+        # size nor the thread pool changes a record
+        config = self.config(users=None, model=model, feeds=5, track_fb=True,
+                             trace_paths=True)
+        serial = run_loop(config, fb_corpus, fb_assets)
+        assert serial.path_traces or model != "bheisr"
+        for batch in (simulate.BATCH_USERS, 1, 3):
+            for parallel in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(simulate, "BATCH_USERS", batch)
+                    run = run_loop(replace(config, parallel=parallel),
+                                   fb_corpus, fb_assets)
+                assert run == serial, (batch, parallel)
+
     @pytest.mark.parametrize("model", ["bheisr", "cb_w"])
     def test_loop_featurizes_each_accepted_generated_text_once(
             self, fb_corpus, fb_assets, model, monkeypatch):
