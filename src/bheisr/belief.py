@@ -58,10 +58,6 @@ class BeliefNetwork:
             self.recompute()
         return self._belief
 
-    @belief.setter
-    def belief(self, value: dict) -> None:
-        self._belief, self._stale = value, False
-
     def total_mass(self) -> float:
         return fold_sum(self.click_counts.values())
 

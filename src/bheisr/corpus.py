@@ -228,6 +228,10 @@ class Corpus:
                 raise ValueError(f"item {item.id}: ids starting with "
                                  f"{GENERATED_ID_PREFIX!r} are reserved for "
                                  f"generated items")
+            # the loop reads a generated item's prompt, which no corpus has
+            if item.origin != ORIGIN_DATASET:
+                raise ValueError(f"item {item.id}: origin {item.origin!r} is not "
+                                 f"{ORIGIN_DATASET!r}")
             category = item.category
             if category not in taxonomy:
                 raise ValueError(f"item {item.id}: unknown category {category!r}")
@@ -247,7 +251,7 @@ class Corpus:
                                      f"in [0, 1]")
                 # a dataset item's mass goes to its own subcategory, which
                 # only its own category can hold
-                if cat != category and w > 0.0 and item.origin != ORIGIN_GENERATED:
+                if cat != category and w > 0.0:
                     raise ValueError(f"item {item.id}: weight on {cat!r}, not on its "
                                      f"own category {category!r}")
             total = fold_sum(weights.values())

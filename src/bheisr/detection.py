@@ -169,7 +169,7 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
     users = sorted(beliefs)
     if len(users) < MIN_POPULATION:
         raise ValueError(f"need at least {MIN_POPULATION} users, got {len(users)}")
-    categories = tuple(sorted(taxonomy)) if not isinstance(taxonomy, tuple) else taxonomy
+    categories = sorted(taxonomy)
     rows = [beliefs[u] for u in users]
     stats = {}
     highs, lows = set(), set()

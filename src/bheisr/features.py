@@ -34,14 +34,12 @@ class Vocabulary:
         return list(self.term_ids)
 
 
-def build_vocabulary(items, tokens: list = None) -> Vocabulary:
-    """Vocabulary over item titles+abstracts with smoothed idf.
+def build_vocabulary(tokens: list) -> Vocabulary:
+    """Vocabulary over documents' token lists (an item's is
+    tokenize(item.text())) with smoothed idf.
 
-    idf(t) = ln((1 + N) / (1 + df(t))) + 1, always positive. `tokens`, when
-    the caller has them, is each item's tokenize(item.text()), in order.
+    idf(t) = ln((1 + N) / (1 + df(t))) + 1, always positive.
     """
-    if tokens is None:
-        tokens = [tokenize(item.text()) for item in items]
     df = Counter(chain.from_iterable(map(set, tokens)))
     n_docs = len(tokens)
     terms = sorted(df)

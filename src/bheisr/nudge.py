@@ -23,17 +23,8 @@ QUEUE_REPLACE = "replace"  # literal: any terminal reject replaces the queue
 QUEUE_DISCIPLINES = (QUEUE_DRAIN, QUEUE_REPLACE)
 
 
-def binary_split(prompt: PromptPath):
-    """Split a prompt in half; None marks a terminal (length-2) prompt.
-
-    The halves are `prompt.halves` (rule there), the same objects on every
-    split of the same prompt.
-    """
-    return prompt.halves
-
-
 def initial_queue(path: PromptPath) -> list:
-    halves = binary_split(path)
+    halves = path.halves
     return [path] if halves is None else list(halves)
 
 
@@ -64,7 +55,7 @@ class TemplateGenerator:
         if self._top_terms is None:
             docs = [it for its in self.exemplars.values() for it in its]
             tokens = [tokenize(it.text()) for it in docs]
-            vocab = build_vocabulary(docs, tokens)
+            vocab = build_vocabulary(tokens)
             entries = featurize_corpus(tokens, vocab)
             # a category's items are consecutive rows, so their entries are
             # one run of the flat arrays
@@ -190,10 +181,6 @@ class ExternalGenerator:
 class GeneratedItem(Item):
     prompt: PromptPath = None       # the prompt the item was generated for
 
-    @property
-    def prompt_key(self) -> str:
-        return self.prompt.key
-
 
 # ---------------------------------------------------------------------------
 # sessions
@@ -205,14 +192,12 @@ class NudgeSession:
     path: PromptPath
     queue: list
     ledger: RejectionLedger
-    classes: dict                    # category -> Exposure at session start
+    extremes: tuple                  # split_extremes(classes at session start)
     queue_discipline: str = QUEUE_DRAIN
     max_path_len: int = None         # exploration cap; None = category count
     active: bool = True
     gen_counter: int = 0
     history: list = field(default_factory=list)
-    # split_extremes(classes), kept by new_session: the classes never change
-    extremes: tuple = field(default=None, repr=False, compare=False)
 
 
 def new_session(user_id: str, graph, network, classes: dict,
@@ -221,13 +206,13 @@ def new_session(user_id: str, graph, network, classes: dict,
                 max_path_len: int = None) -> NudgeSession:
     ledger = RejectionLedger(theta=theta)
     extremes = pathfinder.split_extremes(classes)
-    source, target = pathfinder.select_endpoints(network, classes, extremes)
+    source, target = pathfinder.select_endpoints(network, extremes)
     path = pathfinder.explore(graph, source, target, network, ledger,
                               max_len=max_path_len)
     return NudgeSession(user_id=user_id, path=path, queue=initial_queue(path),
-                        ledger=ledger, classes=classes,
+                        ledger=ledger, extremes=extremes,
                         queue_discipline=queue_discipline,
-                        max_path_len=max_path_len, extremes=extremes)
+                        max_path_len=max_path_len)
 
 
 def _generate_for(session: NudgeSession, prompt: PromptPath,
@@ -254,9 +239,9 @@ def pending_prompts(session: NudgeSession, count: int) -> list:
 
 
 def _do_reschedule(session: NudgeSession, graph, network) -> str:
-    fresh = pathfinder.reschedule(graph, network, session.ledger, session.classes,
-                                  max_len=session.max_path_len,
-                                  extremes=session.extremes)
+    fresh = pathfinder.reschedule(graph, network, session.ledger,
+                                  session.extremes,
+                                  max_len=session.max_path_len)
     if fresh is None:
         session.active = False
         session.queue = []
@@ -295,7 +280,7 @@ def apply_feedback(session: NudgeSession, item: GeneratedItem, accepted: bool,
                                     item.prompt if prompt is None else prompt)
         status = "rejected"
         if index is not None:
-            halves = binary_split(prompt)
+            halves = prompt.halves
             if halves is not None:
                 queue[index:index + 1] = halves
                 status = "split"

@@ -48,17 +48,6 @@ class PromptPath:
         facts["subcategory"] = generated_subcategory(nodes[0])
         facts["edge_keys"] = tuple([_edge_key(a, b) for a, b in zip(nodes, nodes[1:])])
 
-    @property
-    def source(self) -> str:
-        return self.nodes[0]
-
-    @property
-    def target(self) -> str:
-        return self.nodes[-1]
-
-    def edges(self) -> list:
-        return [(self.nodes[i], self.nodes[i + 1]) for i in range(len(self.nodes) - 1)]
-
     @cached_property
     def halves(self):
         """The binary split: two halves, or None for a terminal (length-2)
@@ -185,14 +174,14 @@ def split_extremes(classes: dict) -> tuple:
             tuple([c for c, label in classes.items() if label is low]))
 
 
-def select_endpoints(network, classes: dict, extremes: tuple = None) -> tuple:
-    """Source = strongest extreme-high category, target = weakest extreme-low.
+def select_endpoints(network, extremes: tuple) -> tuple:
+    """Source = strongest extreme-high category, target = weakest extreme-low,
+    from `extremes`, the user's split_extremes(classes).
 
     Belief ties break lexicographically. Raises for users with no extreme
-    categories on either side. `extremes`, when the caller keeps it, is
-    split_extremes(classes).
+    categories on either side.
     """
-    highs, lows = extremes or split_extremes(classes)
+    highs, lows = extremes
     if not highs or not lows:
         raise ValueError(f"user {network.user_id!r} is not bubble-affected")
     source = min(highs, key=lambda c: (-network.belief_degree(c), c))
@@ -200,11 +189,11 @@ def select_endpoints(network, classes: dict, extremes: tuple = None) -> tuple:
     return source, target
 
 
-def reschedule(graph, network, ledger: RejectionLedger, classes: dict,
-               max_len: int = None, trace=None, extremes: tuple = None):
+def reschedule(graph, network, ledger: RejectionLedger, extremes: tuple,
+               max_len: int = None, trace=None):
     """Fresh path after exhaustion; None when no unexhausted path exists.
     `extremes` is as in select_endpoints."""
-    source, target = select_endpoints(network, classes, extremes)
+    source, target = select_endpoints(network, extremes)
     path = explore(graph, source, target, network, ledger, max_len=max_len,
                    trace=trace)
     if ledger.counts.get(path.key, 0) > ledger.theta:

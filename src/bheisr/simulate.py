@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import belief as belief_mod
-from . import detection, nudge
+from . import detection, nudge, pathfinder
 from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, load_behaviors, \
     load_corpus, load_ratings, reject_duplicates, synth_corpus
 from .features import CategoryGraph, GraphUpdateBuffer, ItemTable, \
@@ -91,15 +91,9 @@ class SimConfig:
         reject_duplicates(self.users or (), "user")
 
 
-def decide(item, network, belief_total: float, rng, ap: float = None) -> tuple:
-    """One Bernoulli decision; always consumes exactly one uniform draw.
-
-    `belief_total` is the network's summed belief, as acceptance_share
-    takes it; `ap`, when the caller has it, is that acceptance share.
-    """
-    if ap is None:
-        ap = acceptance_share(item, network, belief_total)
-    draw = float(rng.random())
+def decide(ap: float, draw: float) -> tuple:
+    """One Bernoulli decision on an item's acceptance share `ap` and its
+    uniform `draw`: (accepted, ap, draw), accepted iff draw < ap."""
     return draw < ap, ap, draw
 
 
@@ -211,9 +205,8 @@ class SharedAssets:
 
 def build_assets(corpus: Corpus) -> SharedAssets:
     """The vocabulary and the candidate index, from one tokenizing pass."""
-    items = corpus.items.values()
-    tokens = [tokenize(item.text()) for item in items]
-    vocab = build_vocabulary(items, tokens)
+    tokens = [tokenize(item.text()) for item in corpus.items.values()]
+    vocab = build_vocabulary(tokens)
     return SharedAssets(vocab=vocab,
                         index=CandidateIndex.build(corpus, vocab, tokens))
 
@@ -270,34 +263,23 @@ def _feed(state: SimState, step: int, user_id: str):
                          config.seed)
 
 
-def _draws(state: SimState, step: int, user_id: str, feed) -> list:
-    """The user-step's uniforms, one per feed item, from its decision stream
-    in one call: rng.random(n) gives the doubles of n scalar calls."""
-    rng = substream(state.config.seed, "decide", user_id, step)
-    return rng.random(len(feed.items)).tolist()
-
-
-class _Drawn:
-    """Hands pre-drawn uniforms to decide, in order, as `random()`."""
-    __slots__ = ("random",)
-
-    def __init__(self, draws: list):
-        self.random = iter(draws).__next__
-
-
-def _decisions(state: SimState, user_id: str, feed, draws: list) -> tuple:
+def _decisions(state: SimState, step: int, user_id: str, feed) -> tuple:
     network = state.networks[user_id]
+    # one uniform per item from the user-step's stream, in one call:
+    # rng.random(n) gives the doubles of n scalar calls
+    draws = substream(state.config.seed, "decide", user_id, step).random(
+        len(feed.items)).tolist()
     # every decision comes before any update, so the belief total holds, and
     # so does the share of each category_weights object, which every item
     # generated for one prompt shares
     belief_total = fold_sum(network.belief.values())
-    rng, shares, decisions = _Drawn(draws), {}, []
-    for item in feed.items:
+    shares, decisions = {}, []
+    for item, draw in zip(feed.items, draws):
         weights = id(item.category_weights)
         ap = shares.get(weights)
         if ap is None:
             ap = shares[weights] = acceptance_share(item, network, belief_total)
-        ok, ap, draw = decide(item, network, belief_total, rng, ap)
+        ok, ap, draw = decide(ap, draw)
         # (item_id, origin, ap, draw, accepted), by position: keywords
         # make each frozen record about 1 us dearer
         decisions.append(DecisionRecord(item.id, item.origin, ap, draw, ok))
@@ -346,12 +328,14 @@ def _record(state: SimState, step: int, user_id: str, feed,
 
 def _step_block(state: SimState, users: tuple, step: int) -> dict:
     """Every user step of the block, {user: (record, accepted items)}, run
-    one phase at a time over all of the block's users: feeds, decision
-    draws, decisions, accepts with session feedback, then records.
+    one phase at a time over all of the block's users: feeds, decisions,
+    accepts with session feedback, then records. With `parallel`, a thread
+    pool maps each phase.
 
     Users share no state inside a step, and each user's phases run in the
-    order of one user step, so the phase order changes no result. With
-    `parallel`, a thread pool maps each phase.
+    order of one user step, so the phase order changes no result. It is
+    kept for speed: one function per whole user step ran both benchmark
+    workloads at 0.89-0.98x in paired runs (2-vCPU Xeon, Python 3.11).
     """
     if state.config.parallel and len(users) > 1:
         with ThreadPoolExecutor(max_workers=min(8, len(users))) as pool:
@@ -361,8 +345,7 @@ def _step_block(state: SimState, users: tuple, step: int) -> dict:
 
 def _phases(state: SimState, users: tuple, step: int, each) -> dict:
     feeds = list(each(partial(_feed, state, step), users))
-    draws = list(each(partial(_draws, state, step), users, feeds))
-    decisions = list(each(partial(_decisions, state), users, feeds, draws))
+    decisions = list(each(partial(_decisions, state, step), users, feeds))
     accepts = list(each(partial(_feedback, state), users, feeds, decisions))
     records = list(each(partial(_record, state, step), users, feeds, decisions))
     return dict(zip(users, zip(records, accepts)))
@@ -516,9 +499,9 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
         if target not in classification.users:
             raise ValueError(f"cannot infer endpoint categories for user "
                              f"{target!r}, who has no history")
-        from . import pathfinder
         src, dst = pathfinder.select_endpoints(
-            networks[target], classification.classes[target])
+            networks[target],
+            pathfinder.split_extremes(classification.classes[target]))
         interest = interest or src
         disinterest = disinterest or dst
     else:

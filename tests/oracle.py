@@ -51,6 +51,11 @@ class FeatureVector:
         return self.norm == 0.0
 
 
+def item_vocabulary(items) -> Vocabulary:
+    """build_vocabulary over the items' tokenize(item.text()), in order."""
+    return features.build_vocabulary([tokenize(item.text()) for item in items])
+
+
 def featurize(item, vocab: Vocabulary) -> FeatureVector:
     """TF-IDF vector; tf is raw count over document token length.
 

@@ -20,7 +20,6 @@ from bheisr.nudge import (
     TemplateGenerator,
     _generate_for,
     apply_feedback,
-    binary_split,
     initial_queue,
     pending_prompts,
 )
@@ -30,6 +29,7 @@ from bheisr.pathfinder import (
     path_of,
     record_rejection,
     select_endpoints,
+    split_extremes,
 )
 from bheisr.simulate import (
     SimConfig,
@@ -192,7 +192,8 @@ def test_criterion_04_nudging_moves_beliefs_the_right_way(capsys, corpus20,
     state = prepare(SimConfig(model="cb"), corpus20, assets20)
     target = state.classification.fb_users[0]
     interest, disinterest = select_endpoints(
-        state.networks[target], state.classification.classes[target])
+        state.networks[target],
+        split_extremes(state.classification.classes[target]))
 
     dis_up = 0
     int_ok = 0
@@ -332,7 +333,7 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
     }
     ok = True
     for length, keys in expect.items():
-        halves = binary_split(path_of(*nodes[:length]))
+        halves = path_of(*nodes[:length]).halves
         got = None if halves is None else tuple(h.key for h in halves)
         if got != keys:
             ok = False
@@ -347,7 +348,7 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
     path = path_of(*cats)
     session = NudgeSession(user_id="u", path=path, queue=initial_queue(path),
                            ledger=RejectionLedger(theta=float("inf")),
-                           classes=classes)
+                           extremes=split_extremes(classes))
     generator = TemplateGenerator({})
     belief_net = BeliefNetwork(
         user_id="u", categories=cats,

@@ -183,6 +183,20 @@ class TestIngest:
         assert main(["ingest", "--dataset", str(path)]) == 2
         assert "is not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("origin", ["generated", "bogus"])
+    def test_origin_other_than_dataset_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, origin):
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
+        doc = json.loads(path.read_text())
+        item = doc["items"][0]
+        item["origin"] = origin
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main(["ingest", "--dataset", str(path), "--out", str(out)]) == 2
+        assert f"item {item['id']}: origin {origin!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetect:
     def test_reports_bubble_affected_users(self, tmp_path, capsys):

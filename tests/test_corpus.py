@@ -228,15 +228,17 @@ class TestValidate:
         corpus.items["i1"].category_weights = {"c": 1}
         assert corpus_from_json(corpus_to_json(corpus)) == corpus
 
-    def test_generated_item_may_span_categories(self):
+    @pytest.mark.parametrize("origin", [ORIGIN_GENERATED, "bogus"])
+    def test_origin_other_than_dataset_rejected(self, origin):
+        # the loop reads a generated item's prompt, which a corpus item has
+        # not got: a loaded one crashed the cb and bheisr runs mid-run
         corpus = self.base()
-        corpus.taxonomy["d"] = ("d/s",)
-        corpus.items["i1"].origin = ORIGIN_GENERATED
-        corpus.items["i1"].category_weights = {"c": 0.5, "d": 0.5, "e": 0.0}
-        with pytest.raises(ValueError, match="unknown category 'e'"):
+        corpus.items["i1"].origin = origin
+        message = f"item i1: origin {origin!r} is not 'dataset'"
+        with pytest.raises(ValueError, match=message):
             corpus.validate()
-        del corpus.items["i1"].category_weights["e"]
-        corpus.validate()
+        with pytest.raises(ValueError, match=message):
+            corpus_from_json(corpus_to_json(corpus))
 
     def test_subcategory_under_two_categories_rejected(self):
         corpus = self.base()
@@ -419,7 +421,9 @@ def corpora(draw):
         else:
             weights = draw(st.dictionaries(st.sampled_from(CATEGORIES), WEIGHT,
                                            min_size=1, max_size=3))
-        origin = draw(st.sampled_from([ORIGIN_DATASET, ORIGIN_GENERATED]))
+        # only dataset items load, so other origins come one time in eight
+        origin = ORIGIN_DATASET if draw(st.integers(0, 7)) else \
+            draw(st.sampled_from([ORIGIN_GENERATED, "bogus"]))
         items[f"i{n}"] = Item(id=f"i{n}", category=cat, subcategory=f"{cat}/s",
                               title="t", abstract="", category_weights=weights,
                               origin=origin)
@@ -461,14 +465,6 @@ class TestJsonRoundTrip:
         assert back.taxonomy == corpus.taxonomy
         assert back.users == corpus.users
         assert back.signal_scheme == corpus.signal_scheme
-
-    def test_round_trip_preserves_origin(self):
-        corpus = synth_corpus(SynthSpec(n_users=2, n_categories=3,
-                                        subcats_per_category=1, n_items=9))
-        first = next(iter(corpus.items))
-        corpus.items[first].origin = "generated"
-        back = corpus_from_json(corpus_to_json(corpus))
-        assert back.items[first].origin == "generated"
 
 
 # short fields from a few shared tokens, so rows collide on categories,

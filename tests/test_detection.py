@@ -153,6 +153,14 @@ class TestClassifyUsers:
         assert result.classes["u7"]["a"] is Exposure.EXTREME_HIGH
         assert result.classes["u0"]["a"] is Exposure.NORMAL
 
+    @pytest.mark.parametrize("taxonomy", [("b", "a"), ["b", "a"], {"b", "a"}])
+    def test_categories_in_sorted_order_whatever_the_taxonomy(self, taxonomy):
+        # a tuple used to be taken as already sorted
+        beliefs = {f"u{i}": {"a": 1.0, "b": float(i)} for i in range(8)}
+        result = classify_users(beliefs, taxonomy)
+        assert list(result.stats) == ["a", "b"]
+        assert all(list(c) == ["a", "b"] for c in result.classes.values())
+
     def test_strict_inequality_at_threshold(self):
         # values engineered so one user sits exactly on mu + 2 sigma
         vals = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]

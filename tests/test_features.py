@@ -26,6 +26,7 @@ from oracle import (
     correlation,
     featurize,
     featurize_tokens,
+    item_vocabulary,
     node_entries,
     node_vectors,
     row_lists,
@@ -48,7 +49,7 @@ def graph_of(corpus, vocab=None):
     is the corpus's own unless given."""
     tokens = [tokenize(item.text()) for item in corpus.items.values()]
     if vocab is None:
-        vocab = build_vocabulary(corpus.items.values(), tokens)
+        vocab = build_vocabulary(tokens)
     return CategoryGraph.build(
         corpus, ItemTable(vocab, CandidateIndex.build(corpus, vocab, tokens)))
 
@@ -83,7 +84,7 @@ class TestVocabulary:
         items = [make_item("1", "c", "c/s", "apple banana"),
                  make_item("2", "c", "c/s", "apple cherry"),
                  make_item("3", "c", "c/s", "apple banana cherry")]
-        vocab = build_vocabulary(items)
+        vocab = item_vocabulary(items)
         assert vocab.n_docs == 3
         # df: apple 3, banana 2, cherry 2
         tid = vocab.term_ids
@@ -94,11 +95,11 @@ class TestVocabulary:
     def test_df_counts_documents_not_occurrences(self):
         items = [make_item("1", "c", "c/s", "echo echo echo"),
                  make_item("2", "c", "c/s", "other")]
-        vocab = build_vocabulary(items)
+        vocab = item_vocabulary(items)
         assert vocab.idf[vocab.term_ids["echo"]] == pytest.approx(math.log(3 / 2) + 1.0)
 
     def test_terms_ordered_by_id(self):
-        vocab = build_vocabulary([make_item("1", "c", "c/s", "zz aa mm")])
+        vocab = item_vocabulary([make_item("1", "c", "c/s", "zz aa mm")])
         assert vocab.terms() == ["aa", "mm", "zz"]
 
 
@@ -106,7 +107,7 @@ class TestFeaturize:
     def test_hand_computed_entries(self):
         items = [make_item("1", "c", "c/s", "apple banana apple"),
                  make_item("2", "c", "c/s", "banana cherry")]
-        vocab = build_vocabulary(items)
+        vocab = item_vocabulary(items)
         vec = featurize(items[0], vocab)
         tid = vocab.term_ids
         idf_a = math.log(3 / 2) + 1.0
@@ -119,13 +120,13 @@ class TestFeaturize:
 
     def test_unknown_tokens_ignored_but_count_in_length(self):
         items = [make_item("1", "c", "c/s", "apple")]
-        vocab = build_vocabulary(items)
+        vocab = item_vocabulary(items)
         outside = make_item("2", "c", "c/s", "apple mystery mystery mystery")
         vec = featurize(outside, vocab)
         assert vec.entries[vocab.term_ids["apple"]] == pytest.approx(0.25 * 1.0 * (math.log(2 / 2) + 1.0))
 
     def test_empty_text_zero_vector(self):
-        vocab = build_vocabulary([make_item("1", "c", "c/s", "apple")])
+        vocab = item_vocabulary([make_item("1", "c", "c/s", "apple")])
         assert featurize(make_item("2", "c", "c/s", ""), vocab).is_zero()
 
 
@@ -146,7 +147,7 @@ class TestFeaturizeCorpus:
         """Entries in order, weights and norms equal featurize_tokens with ==;
         the vocabulary comes from the first `known` documents, so the others
         may hold tokens outside it."""
-        vocab = build_vocabulary([], docs[:known])
+        vocab = build_vocabulary(docs[:known])
         entries = featurize_corpus(docs, vocab)
         norms = entry_norms(entries)
         assert len(entries.counts) == len(norms) == len(docs)
@@ -277,7 +278,7 @@ class TestIncrementalUpdate:
     def test_random_update_sequences_match_rebuild(self):
         rng = np.random.default_rng(7)
         corpus = two_category_corpus()
-        vocab = build_vocabulary(corpus.items.values())
+        vocab = item_vocabulary(corpus.items.values())
         graph = graph_of(corpus, vocab)
         words = ["soup", "chip", "recipe", "panel", "bread", "design"]
         for n in range(40):
@@ -475,7 +476,7 @@ class TestBatchingDoesNotChangeTheGraph:
             make_item("i4", "sport", "sport/s", "bread panel", "oven panel",
                       weights={"sport": 0.5, "tech": 0.5}),
         ]
-        vocab = build_vocabulary(sequence)
+        vocab = item_vocabulary(sequence)
         for n, accept in enumerate(accepts):
             if accept[0] == "new":
                 _, weights, words = accept
@@ -560,7 +561,7 @@ class TestItemTable:
         # keeps one row, and the candidate index is never written
         corpus = two_category_corpus()
         tokens = [tokenize(item.text()) for item in corpus.items.values()]
-        vocab = build_vocabulary(corpus.items.values(), tokens)
+        vocab = build_vocabulary(tokens)
         index = CandidateIndex.build(corpus, vocab, tokens)
         before = [array.copy() for array in index.entries]
         table, seen = ItemTable(vocab, index), []

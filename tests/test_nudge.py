@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bheisr.belief import BeliefNetwork
 from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, synth_corpus
 from bheisr.detection import Exposure
-from bheisr.features import build_vocabulary
 from bheisr.nudge import (
     QUEUE_DRAIN,
     QUEUE_REPLACE,
@@ -21,7 +20,6 @@ from bheisr.nudge import (
     _do_reschedule,
     _generate_for,
     apply_feedback,
-    binary_split,
     initial_queue,
     new_session,
     pending_prompts,
@@ -29,11 +27,11 @@ from bheisr.nudge import (
 from bheisr.pathfinder import PromptPath, RejectionLedger, path_of, \
     record_rejection
 from bheisr.simulate import _collect_exemplars
-from oracle import featurize, spy_featurize_corpus
+from oracle import featurize, item_vocabulary, spy_featurize_corpus
 
 
 def split_keys(prompt):
-    halves = binary_split(prompt)
+    halves = prompt.halves
     return None if halves is None else tuple(h.key for h in halves)
 
 
@@ -55,7 +53,7 @@ class TestBinarySplit:
 
     def test_halves_are_valid_paths(self):
         for length in range(3, 12):
-            left, right = binary_split(path_of(*[f"n{i}" for i in range(length)]))
+            left, right = path_of(*[f"n{i}" for i in range(length)]).halves
             assert len(left.nodes) >= 2
             assert len(right.nodes) >= 2
 
@@ -70,17 +68,17 @@ class TestBinarySplit:
         while pending:
             prompt, depth = pending.pop()
             assert depth <= len(nodes)
-            halves = binary_split(prompt)
+            halves = prompt.halves
             if halves is None:
                 leaves.append(prompt)
             else:
                 pending.extend((half, depth + 1) for half in reversed(halves))
-        starts = [nodes.index(leaf.source) for leaf in leaves]
+        starts = [nodes.index(leaf.nodes[0]) for leaf in leaves]
         for start, leaf in zip(starts, leaves):
             assert leaf.nodes == tuple(nodes[start:start + 2])
         assert all(a < b for a, b in zip(starts, starts[1:]))
-        assert leaves[0].source == path.source
-        assert leaves[-1].target == path.target
+        assert leaves[0].nodes[0] == path.nodes[0]
+        assert leaves[-1].nodes[-1] == path.nodes[-1]
         assert len(leaves) & (len(leaves) - 1) == 0
 
     def test_initial_queue(self):
@@ -141,7 +139,7 @@ class TestTemplateGenerator:
 def oracle_top_terms(exemplars: dict) -> dict:
     """Each category's terms ranked by the sum of its exemplars' featurize
     weights, added item by item, ties by term."""
-    vocab = build_vocabulary([it for its in exemplars.values() for it in its])
+    vocab = item_vocabulary([it for its in exemplars.values() for it in its])
     terms, ranked = vocab.terms(), {}
     for cat, items in exemplars.items():
         acc = {}
@@ -344,13 +342,13 @@ class TestGenerateItem:
     def test_uniform_weights_and_synthetic_subcategory(self):
         path = path_of("food", "tech")
         session = NudgeSession(user_id="u", path=path, queue=[path],
-                               ledger=RejectionLedger(), classes={})
+                               ledger=RejectionLedger(), extremes=((), ()))
         item = _generate_for(session, path, TemplateGenerator(exemplar_items()))
         assert item.origin == ORIGIN_GENERATED
         assert item.category == "food"
         assert item.subcategory == "food/generated"
         assert item.category_weights == {"food": 0.5, "tech": 0.5}
-        assert item.prompt_key == "food->tech"
+        assert item.prompt.key == "food->tech"
 
 
 class FakeGraph:
@@ -389,19 +387,19 @@ def session_fixture(theta=2, queue_discipline=QUEUE_DRAIN, max_path_len=None):
 class TestNewSession:
     def test_path_runs_from_high_to_low(self):
         session, _, _ = session_fixture()
-        assert session.path.source == "a"
-        assert session.path.target == "d"
+        assert session.path.nodes[0] == "a"
+        assert session.path.nodes[-1] == "d"
         assert session.active
 
     def test_queue_seeded_with_split(self):
         session, _, _ = session_fixture()
         assert [p.key for p in session.queue] == \
-            [h.key for h in (binary_split(session.path) or (session.path,))]
+            [h.key for h in (session.path.halves or (session.path,))]
 
     def test_max_path_len_caps_exploration(self):
         session, _, _ = session_fixture(max_path_len=2)
         assert len(session.path.nodes) <= 3
-        assert session.path.target == "d"
+        assert session.path.nodes[-1] == "d"
 
 
 class TestRunStepAndPending:
@@ -411,7 +409,7 @@ class TestRunStepAndPending:
         prompt = pending_prompts(session, 1)[0]
         item = _generate_for(session, prompt, gen)
         assert prompt.key == session.queue[0].key
-        assert item.prompt_key == prompt.key
+        assert item.prompt.key == prompt.key
         assert item.id == "gi:u:1"
         assert sum(item.category_weights.values()) == pytest.approx(1.0)
 
@@ -564,7 +562,7 @@ def reparsed_apply_feedback(session, item, accepted, graph, network):
     """apply_feedback with the queue searched by key and a stale rejection
     counted against the prompt parsed back from the item's key."""
     index = next((i for i, p in enumerate(session.queue)
-                  if p.key == item.prompt_key), None)
+                  if p.key == item.prompt.key), None)
     if accepted:
         status = "accepted"
         if index is not None:
@@ -572,12 +570,12 @@ def reparsed_apply_feedback(session, item, accepted, graph, network):
             if not session.queue:
                 status += "+" + _do_reschedule(session, graph, network)
     else:
-        prompt = PromptPath(tuple(item.prompt_key.split("->"))) \
+        prompt = PromptPath(tuple(item.prompt.key.split("->"))) \
             if index is None else session.queue[index]
         record_rejection(session.ledger, prompt)
         status = "rejected"
         if index is not None:
-            halves = binary_split(prompt)
+            halves = prompt.halves
             if halves is not None:
                 session.queue[index:index + 1] = list(halves)
                 status = "split"
@@ -588,7 +586,7 @@ def reparsed_apply_feedback(session, item, accepted, graph, network):
     if index is None:
         status += "/stale"
     session.history.append({"step": session.gen_counter,
-                            "prompt": item.prompt_key, "item": item.id,
+                            "prompt": item.prompt.key, "item": item.id,
                             "accepted": accepted, "event": status})
     return status
 
@@ -612,8 +610,8 @@ class TestStaleFeedbackUsesTheItemsPrompt:
             feeds_of = [[_generate_for(session, prompt, generator)
                          for prompt in pending_prompts(session, len(decisions))]
                         for session, _, _ in sessions]
-            assert [[(i.id, i.prompt_key) for i in items] for items in feeds_of] \
-                == [[(i.id, i.prompt_key) for i in feeds_of[0]]] * 2
+            assert [[(i.id, i.prompt.key) for i in items] for items in feeds_of] \
+                == [[(i.id, i.prompt.key) for i in feeds_of[0]]] * 2
             for n, accepted in enumerate(decisions[:len(feeds_of[0])]):
                 events = [apply(session, items[n], accepted, graph, network)
                           for apply, (session, graph, network), items in zip(

@@ -54,9 +54,9 @@ class TestPromptPath:
     def test_key_and_endpoints(self):
         path = path_of("a", "b", "c")
         assert path.key == "a->b->c"
-        assert path.source == "a"
-        assert path.target == "c"
-        assert path.edges() == [("a", "b"), ("b", "c")]
+        assert path.nodes[0] == "a"
+        assert path.nodes[-1] == "c"
+        assert path.edge_keys == (("a", "b"), ("b", "c"))
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ class TestCachedPromptFacts:
         assert path.weights == {c: 1.0 / len(nodes) for c in nodes}
         assert path.subcategory == generated_subcategory(nodes[0])
         assert path.edge_keys == tuple(tuple(sorted(edge))
-                                       for edge in path.edges())
+                                       for edge in zip(nodes, nodes[1:]))
         assert path.halves == fresh_halves(nodes)
         # memoised: every split of the path yields the same objects
         assert path.halves is path.halves
@@ -253,7 +253,7 @@ class TestExplore:
         network = FakeNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.0})
         path = explore(GRAPH, "a", "d", network, RejectionLedger(), max_len=2)
         assert path.nodes == ("a", "b", "d")   # b won the only hop, d appended
-        assert path.target == "d"
+        assert path.nodes[-1] == "d"
 
     def test_max_len_two_gives_direct_prompt(self):
         network = FakeNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.0})
@@ -267,7 +267,7 @@ class TestExplore:
         network = FakeNetwork({"a": 0.0, "b": 3.0, "c": 2.0, "d": 0.0})
         path = explore(GRAPH, "a", "d", network, RejectionLedger())
         assert len(path.nodes) <= len(GRAPH.categories)
-        assert path.target == "d"
+        assert path.nodes[-1] == "d"
         assert len(set(path.nodes)) == len(path.nodes)
 
     def test_same_endpoints_rejected(self):
@@ -283,22 +283,24 @@ class TestSelectEndpoints:
 
     def test_strongest_high_and_weakest_low(self):
         network = FakeNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
-        assert select_endpoints(network, self.classes()) == ("c", "e")
+        assert select_endpoints(network, split_extremes(self.classes())) == \
+            ("c", "e")
 
     def test_belief_ties_break_lexicographically(self):
         network = FakeNetwork({"a": 3.0, "b": 1.0, "c": 3.0, "d": 0.1, "e": 0.1})
-        assert select_endpoints(network, self.classes()) == ("a", "d")
+        assert select_endpoints(network, split_extremes(self.classes())) == \
+            ("a", "d")
 
     def test_kept_extremes_select_the_same_endpoints(self):
         network = FakeNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
         extremes = split_extremes(self.classes())
         assert extremes == (("a", "c"), ("d", "e"))
-        assert select_endpoints(network, self.classes(), extremes) == ("c", "e")
+        assert select_endpoints(network, extremes) == ("c", "e")
 
     def test_not_bubble_affected_raises(self):
         network = FakeNetwork({"a": 1.0}, user_id="plain")
         with pytest.raises(ValueError, match="not bubble-affected"):
-            select_endpoints(network, {"a": Exposure.EXTREME_HIGH})
+            select_endpoints(network, split_extremes({"a": Exposure.EXTREME_HIGH}))
 
 
 class TestReschedule:
@@ -306,7 +308,8 @@ class TestReschedule:
         network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
         classes = {"a": Exposure.EXTREME_HIGH, "b": Exposure.NORMAL,
                    "c": Exposure.NORMAL, "d": Exposure.EXTREME_LOW}
-        path = reschedule(GRAPH, network, RejectionLedger(), classes)
+        path = reschedule(GRAPH, network, RejectionLedger(),
+                          split_extremes(classes))
         assert path.nodes == ("a", "c", "d")
 
     def test_none_when_replacement_already_exhausted(self):
@@ -318,12 +321,12 @@ class TestReschedule:
             record_rejection(ledger, path_of("a", "c", "d"))
         # rejected edges flip beliefs: from a, b wins (0.9+0.1 vs 0.2-0.9);
         # the rebuilt path differs, so a prompt is still available
-        path = reschedule(GRAPH, network, ledger, classes)
+        path = reschedule(GRAPH, network, ledger, split_extremes(classes))
         assert path is not None
         assert path.key != "a->c->d"
         for _ in range(3):
             record_rejection(ledger, path)
-        again = reschedule(GRAPH, network, ledger, classes)
+        again = reschedule(GRAPH, network, ledger, split_extremes(classes))
         if again is not None:
             assert ledger.counts.get(again.key, 0) <= ledger.theta
 
@@ -331,6 +334,7 @@ class TestReschedule:
         network = FakeNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.4})
         classes = {"a": Exposure.EXTREME_HIGH, "b": Exposure.NORMAL,
                    "c": Exposure.NORMAL, "d": Exposure.EXTREME_LOW}
-        path = reschedule(GRAPH, network, RejectionLedger(), classes, max_len=2)
+        path = reschedule(GRAPH, network, RejectionLedger(),
+                          split_extremes(classes), max_len=2)
         assert len(path.nodes) <= 3   # two walked nodes plus forced target
-        assert path.target == "d"
+        assert path.nodes[-1] == "d"

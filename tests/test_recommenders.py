@@ -176,7 +176,9 @@ class TestAcceptanceShare:
     def test_zero_belief_user(self):
         ctx = context_for(small_corpus())
         network = ctx.networks["u1"]
-        network.belief = {c: 0.0 for c in network.categories}
+        network.click_counts.clear()   # no mass, so every belief is zero
+        network.recompute()
+        assert set(network.belief.values()) == {0.0}
         assert share(ctx.corpus.items["i1"], network) == 0.0
 
 
@@ -708,7 +710,7 @@ def session_for(ctx, user_id):
     path = path_of("a", "b", "c")
     return NudgeSession(user_id=user_id, path=path,
                         queue=[path_of("a", "b"), path_of("b", "c")],
-                        ledger=RejectionLedger(), classes={})
+                        ledger=RejectionLedger(), extremes=((), ()))
 
 
 class TestAssembleFeed:
@@ -727,7 +729,7 @@ class TestAssembleFeed:
         session = session_for(ctx, "u1")
         feed = assemble_feed("cb", True, 1.0, 5, session, ctx, "u1", step=1, seed=0)
         gen = feed.items
-        assert [g.prompt_key for g in gen] == \
+        assert [g.prompt.key for g in gen] == \
             ["a->b", "b->c", "a->b", "b->c", "a->b"]
         assert len({g.id for g in gen}) == 5
 

@@ -67,44 +67,22 @@ class TestCheckpointSteps:
 
 
 class TestDecide:
-    def test_consumes_exactly_one_draw(self):
-        class Network:
-            belief = {"a": 1.0}
-
-            def belief_degree(self, c):
-                return 1.0
-
-        class Item:
-            category_weights = {"a": 1.0}
-
-        rng = substream(0, "decide", "u", 1)
-        witness = substream(0, "decide", "u", 1)
-        _, ap, draw = decide(Item(), Network(), 1.0, rng)
-        assert draw == float(witness.random())
-        assert ap == 1.0
+    def test_passes_ap_and_draw_through(self):
+        assert decide(1.0, 0.5) == (True, 1.0, 0.5)
+        assert decide(0.25, 0.5) == (False, 0.25, 0.5)
 
     def test_accept_iff_draw_below_probability(self):
         class Network:
             belief = {"a": 3.0, "b": 1.0}
 
-            def belief_degree(self, c):
-                return self.belief[c]
-
         class Item:
             category_weights = {"a": 1.0}
 
-        class FixedRng:
-            def __init__(self, value):
-                self.value = value
-
-            def random(self):
-                return self.value
-
-        network = Network()
-        accepted, ap, _ = decide(Item(), network, 4.0, FixedRng(0.74))
+        ap = recommenders.acceptance_share(Item(), Network(), 4.0)
         assert ap == pytest.approx(0.75)
+        accepted, _, _ = decide(ap, 0.74)
         assert accepted
-        accepted, _, _ = decide(Item(), network, 4.0, FixedRng(0.75))
+        accepted, _, _ = decide(ap, 0.75)
         assert not accepted   # strict inequality
 
 
