@@ -228,6 +228,25 @@ class TestValidate:
         corpus.items["i1"].category_weights = {"c": 1}
         assert corpus_from_json(corpus_to_json(corpus)) == corpus
 
+    def test_generated_item_may_span_categories(self):
+        # in the loop, where the network credits every category it spans;
+        # a corpus holds dataset items only
+        corpus = self.base()
+        corpus.taxonomy["d"] = ("d/s",)
+        network = build_all(corpus)["u"]
+        spanning = dataclasses.replace(corpus.items["i1"], id="g1",
+                                       origin=ORIGIN_GENERATED,
+                                       category_weights={"c": 0.5, "d": 0.5})
+        network.update_on_feedback(spanning)
+        assert network.click_counts["c/generated"] == 0.5
+        assert network.click_counts["d/generated"] == 0.5
+        with pytest.raises(ValueError, match="unknown category 'e'"):
+            network.update_on_feedback(dataclasses.replace(
+                spanning, category_weights={"c": 0.5, "e": 0.5}))
+        corpus.items["i1"] = dataclasses.replace(spanning, id="i1")
+        with pytest.raises(ValueError, match="origin 'generated' is not 'dataset'"):
+            corpus.validate()
+
     @pytest.mark.parametrize("origin", [ORIGIN_GENERATED, "bogus"])
     def test_origin_other_than_dataset_rejected(self, origin):
         # the loop reads a generated item's prompt, which a corpus item has
@@ -465,6 +484,18 @@ class TestJsonRoundTrip:
         assert back.taxonomy == corpus.taxonomy
         assert back.users == corpus.users
         assert back.signal_scheme == corpus.signal_scheme
+
+    def test_round_trip_preserves_origin(self):
+        corpus = synth_corpus(SynthSpec(n_users=2, n_categories=3,
+                                        subcats_per_category=1, n_items=9))
+        back = corpus_from_json(corpus_to_json(corpus))
+        assert [i.origin for i in back.items.values()] == \
+            [ORIGIN_DATASET] * len(corpus.items)
+        # an origin other than "dataset" is refused, not read back as one
+        first = next(iter(corpus.items))
+        corpus.items[first].origin = ORIGIN_GENERATED
+        with pytest.raises(ValueError, match="origin 'generated' is not 'dataset'"):
+            corpus_from_json(corpus_to_json(corpus))
 
 
 # short fields from a few shared tokens, so rows collide on categories,
