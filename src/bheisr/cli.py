@@ -175,6 +175,8 @@ def cmd_graph(args) -> int:
 def cmd_recommend(args) -> int:
     config = build_config(args)
     state = simulate.prepare(config)
+    if not state.corpus.users:
+        raise ValueError("the corpus has no users to recommend to")
     user = args.user or config.target_user or state.corpus.users[0]
     if user not in state.networks:
         raise ValueError(f"unknown user {user!r}")

@@ -25,6 +25,7 @@ ORIGIN_GENERATED = "generated"
 GENERATED_SUFFIX = "/generated"
 GENERATED_ID_PREFIX = "gi:"        # reserved: a generated item's id starts so
 PROMPT_KEY_SEPARATOR = "->"        # joins a prompt path's categories into its key
+SIGNAL_SCHEMES = ("click", "rating")
 
 WEIGHT_TOL = 1e-9
 MAX_WEIGHT = 1.0 + WEIGHT_TOL      # weights are non-negative and sum to one
@@ -206,6 +207,10 @@ class Corpus:
 
     def validate(self) -> None:
         taxonomy, items = self.taxonomy, self.items
+        # _is_interested reads any scheme but "rating" as clicks
+        if self.signal_scheme not in SIGNAL_SCHEMES:
+            raise ValueError(f"unknown signal scheme {self.signal_scheme!r}; "
+                             f"pick from {list(SIGNAL_SCHEMES)}")
         # a belief network files each subcategory's mass under one category,
         # and a generated item's under the reserved label
         owner = {}

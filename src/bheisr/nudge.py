@@ -2,14 +2,14 @@
 
 A session walks a prompt path by splitting it in half on rejection and popping
 prompts on acceptance. Each pending prompt is materialized as a generated item
-spanning the prompt's categories; generation is pluggable, with a
-deterministic template generator as the default and an HTTP generator that
-falls back to the template on failure.
+spanning the prompt's categories, whose text is generated when first read.
+Generation is pluggable, with a deterministic template generator as the
+default and an HTTP generator that falls back to the template on failure.
 """
 
 import logging
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import pathfinder
 from .corpus import GENERATED_ID_PREFIX, ORIGIN_GENERATED, Item
@@ -43,10 +43,6 @@ class TemplateGenerator:
     def __init__(self, exemplars: dict):
         self.exemplars = exemplars
         self._top_terms = None      # category -> its terms, best first
-        # prompt -> (period of its text in the seed, {seed % period: text})
-        self._texts: dict = {}
-        # category -> _part_memo
-        self._parts: dict = {}
 
     def top_terms(self, category: str, limit: int = 4) -> list:
         """The category's exemplar terms by descending summed weight, ties
@@ -70,57 +66,26 @@ class TemplateGenerator:
                     acc[tid] = acc.get(tid, 0.0) + w
                 ranked = sorted(acc, key=lambda tid: (-acc[tid], terms[tid]))
                 top[cat] = [terms[tid] for tid in ranked]
-            # published whole: parallel user steps generate on threads, and
-            # none may read a table that is still being filled
+            # published whole: threads sharing the generator must never
+            # read a table that is still being filled
             self._top_terms = top
         return self._top_terms.get(category, [])[:limit]
 
     def generate(self, prompt_categories, seed: int = 0) -> tuple:
-        """(title, abstract). The text depends on the seed only through each
-        category's term offset, seed % max(1, len(terms) - 1), and so
-        through the seed modulo the least common multiple of those periods;
-        it is memoised on the prompt and that residue."""
-        prompt = tuple(prompt_categories)
-        memo = self._texts.get(prompt)
-        if memo is None:
-            memo = self._texts[prompt] = (math.lcm(
-                *(self._part_memo(cat)[0] for cat in prompt)), {})
-        cycle, texts = memo
-        text = texts.get(seed % cycle)
-        if text is None:
-            text = texts[seed % cycle] = self._compose(prompt, seed)
-        return text
-
-    def _compose(self, prompt_categories, seed: int) -> tuple:
+        """(title, abstract); the seed picks each category's terms."""
         title = " meets ".join(prompt_categories)
         abstract = "A piece connecting " + ", ".join(prompt_categories) + ". " \
                    + " ".join([self._part(cat, seed) for cat in prompt_categories])
         return title, abstract
 
-    def _part_memo(self, category: str) -> tuple:
-        """(period, {seed % period: sentence}) of the category, whose
-        sentence depends on the seed through the term offset
-        seed % period, period = max(1, len(terms) - 1)."""
-        memo = self._parts.get(category)
-        if memo is None:
-            memo = self._parts[category] = (
-                max(1, len(self.top_terms(category)) - 1), {})
-        return memo
-
     def _part(self, category: str, seed: int) -> str:
         """The category's sentence: two of its terms from the offset
-        seed % period, memoised on that residue."""
-        period, parts = self._part_memo(category)
-        start = seed % period
-        part = parts.get(start)
-        if part is None:
-            terms = self.top_terms(category)
-            if len(terms) < 2:
-                terms = (terms + [category, "general"])[:2]
-            else:
-                terms = [terms[start], terms[(start + 1) % len(terms)]]
-            part = parts[start] = f"{category} angle: {terms[0]} {terms[1]}."
-        return part
+        seed % max(1, len(terms) - 1), padded with the category's name and
+        "general" when it has fewer than two."""
+        terms = self.top_terms(category)
+        start = seed % max(1, len(terms) - 1)
+        first, second = (terms[start:start + 2] + [category, "general"])[:2]
+        return f"{category} angle: {first} {second}."
 
 
 class ExternalGenerator:
@@ -131,7 +96,8 @@ class ExternalGenerator:
     non-empty strings. A transport error (OSError, which requests' errors
     subclass) or a malformed response counts as a failed attempt; once the
     retry budget is spent the template generator fills in and the event is
-    counted. Any other exception is a bug and propagates.
+    counted. Any other exception is a bug and propagates. A run calls it
+    once per generated item whose text is read, in barrier order.
     """
 
     def __init__(self, url: str, fallback: TemplateGenerator, timeout_ms: int = 2000,
@@ -177,9 +143,29 @@ class ExternalGenerator:
         return self.fallback.generate(prompt_categories, seed)
 
 
-@dataclass
-class GeneratedItem(Item):
-    prompt: PromptPath = None       # the prompt the item was generated for
+class GeneratedItem:
+    """An item generated for a prompt. Its title and abstract are the
+    generator's text for the prompt's categories and the item's seed,
+    generated on first read. A decision reads only the category weights;
+    in a run, only the step barrier reads text, that of accepted items."""
+
+    origin = ORIGIN_GENERATED
+    text = Item.text
+    title = property(lambda self: self._generated[0])
+    abstract = property(lambda self: self._generated[1])
+
+    def __init__(self, id: str, prompt: PromptPath, seed: int, generator):
+        self.id = id
+        self.prompt = prompt
+        self.seed = seed
+        self.generator = generator
+        self.category = prompt.nodes[0]
+        # the prompt's one dict: a user-step memoises a share per weights object
+        self.category_weights = prompt.weights
+
+    @cached_property
+    def _generated(self) -> tuple:
+        return self.generator.generate(self.prompt.nodes, self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +204,8 @@ def new_session(user_id: str, graph, network, classes: dict,
 def _generate_for(session: NudgeSession, prompt: PromptPath,
                   generator) -> GeneratedItem:
     session.gen_counter += 1
-    title, abstract = generator.generate(prompt.nodes, session.gen_counter)
-    return GeneratedItem(
-        id=f"{GENERATED_ID_PREFIX}{session.user_id}:{session.gen_counter}",
-        category=prompt.nodes[0],
-        subcategory=prompt.subcategory,
-        title=title,
-        abstract=abstract,
-        category_weights=prompt.weights,
-        origin=ORIGIN_GENERATED,
-        prompt=prompt,
-    )
+    item_id = f"{GENERATED_ID_PREFIX}{session.user_id}:{session.gen_counter}"
+    return GeneratedItem(item_id, prompt, session.gen_counter, generator)
 
 
 def pending_prompts(session: NudgeSession, count: int) -> list:

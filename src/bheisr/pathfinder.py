@@ -10,7 +10,7 @@ threshold. Ties break lexicographically.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .corpus import PROMPT_KEY_SEPARATOR, generated_subcategory
+from .corpus import PROMPT_KEY_SEPARATOR
 from .detection import Exposure
 
 DEFAULT_THETA = 2
@@ -23,15 +23,13 @@ class PromptPath:
 
     `weights` is the generated item's {category: 1/len(nodes)} (one dict,
     shared by every such item and read-only), `node_set` the categories it
-    touches, `subcategory` its generated subcategory, and `edge_keys` the
-    sorted (a, b) pair of each edge in path order, the edges a rejection
-    past the tolerance penalizes.
+    touches, and `edge_keys` the sorted (a, b) pair of each edge in path
+    order, the edges a rejection past the tolerance penalizes.
     """
     nodes: tuple
     key: str = field(init=False, repr=False, compare=False)   # "a->b->c"
     weights: dict = field(init=False, repr=False, compare=False)
     node_set: frozenset = field(init=False, repr=False, compare=False)
-    subcategory: str = field(init=False, repr=False, compare=False)
     edge_keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -45,7 +43,6 @@ class PromptPath:
         facts["key"] = PROMPT_KEY_SEPARATOR.join(nodes)
         facts["weights"] = dict.fromkeys(nodes, 1.0 / len(nodes))
         facts["node_set"] = frozenset(nodes)
-        facts["subcategory"] = generated_subcategory(nodes[0])
         facts["edge_keys"] = tuple([_edge_key(a, b) for a, b in zip(nodes, nodes[1:])])
 
     @cached_property

@@ -557,6 +557,10 @@ def experiment_w_sweep(config: SimConfig, corpus: Corpus = None,
                        out_dir: str = None) -> dict:
     """Belief-network category coverage of the target user per feed, per w."""
     config.validate()
+    if config.model == "bheisr":
+        # prepare fixes bheisr's w at 1.0, so every w would give one series
+        raise ValueError("model 'bheisr' fills every slot with generated "
+                         "items whatever w is, so it has no w to sweep")
     if corpus is None:
         corpus = build_corpus(config)
     assets = build_assets(corpus)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bheisr import simulate
 from bheisr.belief import build_all
 from bheisr.cli import (
     build_config,
@@ -277,6 +278,17 @@ class TestRecommend:
         assert "error: unknown user 'nobody'" in capsys.readouterr().err
 
 
+    def test_corpus_without_users_exits_2(self, tmp_path, capsys):
+        # simulate, detect and graph run on it; recommend has no user to pick
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
+        doc = json.loads(path.read_text())
+        doc["users"], doc["interactions"] = [], []
+        path.write_text(json.dumps(doc))
+        assert main(["recommend", "--dataset", str(path)]) == 2
+        assert "error: the corpus has no users" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_reserved_generated_label_exits_2_before_the_run(self, tmp_path, capsys):
         # each category's last subcategory takes the next category's
@@ -461,6 +473,16 @@ class TestExperiments:
         stdout = capsys.readouterr().out
         assert "w=0.2" in stdout and "w=0.8" in stdout
         assert (out / "w_sweep.csv").exists()
+
+    def test_experiment_4_bheisr_exits_2_before_any_run(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # bheisr's w is fixed at 1.0, so every w would give the same series
+        monkeypatch.setattr(simulate, "run_loop", None)
+        out = tmp_path / "e4"
+        assert main(["experiment", "4", "--synth", SYNTH, "--model", "bheisr",
+                     "--feeds", "2", "--out", str(out)]) == 2
+        assert "no w to sweep" in capsys.readouterr().err
+        assert not (out / "w_sweep.csv").exists()
 
     def test_bad_feeds_exits_2_before_any_run(self, tmp_path, capsys):
         code = main(["experiment", "4", "--synth", SYNTH, "--feeds", "0",

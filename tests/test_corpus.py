@@ -259,6 +259,18 @@ class TestValidate:
         with pytest.raises(ValueError, match=message):
             corpus_from_json(corpus_to_json(corpus))
 
+    @pytest.mark.parametrize("scheme", ["ratings", "Click", ""])
+    def test_unknown_signal_scheme_rejected(self, scheme):
+        # any scheme but "rating" would read signals as clicks, so a rating
+        # of 1.0 to 2.5 would count as interested
+        corpus = self.base()
+        corpus.signal_scheme = scheme
+        message = f"unknown signal scheme {scheme!r}"
+        with pytest.raises(ValueError, match=message):
+            corpus.validate()
+        with pytest.raises(ValueError, match=message):
+            corpus_from_json(corpus_to_json(corpus))
+
     def test_subcategory_under_two_categories_rejected(self):
         corpus = self.base()
         corpus.taxonomy["d"] = ("d/s", "c/s")

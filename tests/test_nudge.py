@@ -202,7 +202,7 @@ GENERATOR_EXEMPLARS = {
 
 
 def composed_text(gen, prompt, seed):
-    """The template text, composed without any memo: each category's two
+    """The template text, composed here term by term: each category's two
     terms start at seed % max(1, len(terms) - 1)."""
     parts = []
     for cat in prompt:
@@ -232,8 +232,8 @@ class TestTemplateMemo:
             assert text == composed_text(fresh, prompt, seed)
 
     def test_threads_sharing_the_memos_get_the_composed_text(self):
-        # parallel user steps share one generator and fill its text and part
-        # memos as they go; every thread must still get the composed text
+        # threads may share one generator, and every thread must still get
+        # the composed text
         cats = list(SYNTH_EXEMPLARS)
         calls = [(tuple(cats[(i + j) % len(cats)] for j in range(1 + i % 3)), i)
                  for i in range(48)]
@@ -346,9 +346,36 @@ class TestGenerateItem:
         item = _generate_for(session, path, TemplateGenerator(exemplar_items()))
         assert item.origin == ORIGIN_GENERATED
         assert item.category == "food"
-        assert item.subcategory == "food/generated"
         assert item.category_weights == {"food": 0.5, "tech": 0.5}
         assert item.prompt.key == "food->tech"
+        # an accept credits each spanned category's synthetic subcategory
+        network = BeliefNetwork(user_id="u", categories=("food", "tech"),
+                                subcat_to_cat={})
+        network.recompute()
+        network.update_on_feedback(item)
+        assert network.click_counts == {"food/generated": 0.5,
+                                        "tech/generated": 0.5}
+
+    def test_text_is_generated_on_first_read_only(self):
+        calls = []
+
+        class CountingGenerator(TemplateGenerator):
+            def generate(self, prompt_categories, seed=0):
+                calls.append((tuple(prompt_categories), seed))
+                return super().generate(prompt_categories, seed)
+
+        path = path_of("food", "tech")
+        session = NudgeSession(user_id="u", path=path, queue=[path],
+                               ledger=RejectionLedger(), extremes=((), ()))
+        gen = CountingGenerator(exemplar_items())
+        item = _generate_for(session, path, gen)
+        assert calls == []
+        text = item.text()
+        assert item.text() == text
+        assert calls == [(("food", "tech"), 1)]
+        assert (item.title, item.abstract) == \
+            TemplateGenerator(exemplar_items()).generate(("food", "tech"), 1)
+        assert text == f"{item.title} {item.abstract}"
 
 
 class FakeGraph:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bheisr.corpus import generated_subcategory
 from bheisr.detection import Exposure
 from bheisr.pathfinder import (
     PromptPath,
@@ -89,7 +88,6 @@ class TestCachedPromptFacts:
         path = path_of(*nodes)
         assert path.key == "->".join(nodes)
         assert path.weights == {c: 1.0 / len(nodes) for c in nodes}
-        assert path.subcategory == generated_subcategory(nodes[0])
         assert path.edge_keys == tuple(tuple(sorted(edge))
                                        for edge in zip(nodes, nodes[1:]))
         assert path.halves == fresh_halves(nodes)

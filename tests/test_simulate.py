@@ -4,6 +4,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -211,6 +212,47 @@ class TestRunLoop:
         assert generated and all(it.id.startswith("gi:") for it in generated)
         assert not any(it.id in table.index.pos for it in generated)
         assert (table.rows(generated) >= n).all()
+
+    def test_external_generator_is_asked_only_for_accepted_items(
+            self, fb_corpus, fb_assets, monkeypatch):
+        # a generated item's text is generated when the barrier reads it,
+        # which it does for accepted items only; an endpoint that always
+        # fails leaves the template's text, so the record is the template's
+        generate = nudge._generate_for
+
+        def run(parallel):
+            prompts, generated = [], {}
+
+            def post(url, json, timeout):
+                prompts.append(tuple(json["prompt_categories"]))
+                raise OSError("endpoint down")
+
+            def record(session, prompt, generator):
+                item = generate(session, prompt, generator)
+                generated[item.id] = item
+                return item
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(nudge, "ExternalGenerator",
+                           partial(nudge.ExternalGenerator, post=post))
+                mp.setattr(nudge, "_generate_for", record)
+                result = run_loop(replace(external, parallel=parallel),
+                                  fb_corpus, fb_assets)
+            return result, prompts, generated
+
+        config = self.config(users=None, model="bheisr", feeds=8, seed=3)
+        external = replace(config, generator_kind="external",
+                           generator_url="http://gen", generator_retries=1)
+        serial, prompts, generated = run(False)
+        accepted = [generated[d.item_id].prompt.nodes for recs in serial.steps
+                    for r in recs for d in r.decisions
+                    if d.accepted and d.origin == ORIGIN_GENERATED]
+        assert len(accepted) > 1 and len(generated) > len(accepted)
+        assert sorted(prompts) == sorted(accepted * 2)   # retries + 1 each
+        assert repr(serial) == repr(run_loop(config, fb_corpus, fb_assets))
+        parallel, parallel_prompts, _ = run(True)
+        assert parallel == serial
+        assert parallel_prompts == prompts
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), model=st.sampled_from(sorted(MODELS)),
@@ -651,6 +693,13 @@ class TestExperimentWSweep:
     def test_unknown_model_rejected(self, fb_corpus):
         with pytest.raises(ValueError, match="unknown model"):
             experiment_w_sweep(SimConfig(model="zz"), fb_corpus)
+
+    def test_bheisr_has_no_w_to_sweep(self, fb_corpus, monkeypatch):
+        # prepare fixes bheisr's w at 1.0: the sweep fails before any run
+        monkeypatch.setattr(simulate, "run_loop", None)
+        with pytest.raises(ValueError, match="'bheisr' .* no w to sweep"):
+            experiment_w_sweep(SimConfig(model="bheisr", k=4, feeds=2),
+                               fb_corpus)
 
     def test_pure_model_falls_back_to_mixed(self, fb_corpus):
         result = experiment_w_sweep(SimConfig(model="cb", k=4, feeds=2),
