@@ -7,7 +7,6 @@ import json
 import os
 import sys
 
-from . import belief as belief_mod
 from . import detection, simulate
 from .corpus import SynthSpec, save_corpus
 from .features import CategoryGraph, ItemTable
@@ -121,14 +120,14 @@ def cmd_ingest(args) -> int:
 def cmd_detect(args) -> int:
     config = build_config(args)
     corpus = simulate.build_corpus(config)
-    result = simulate._classify(corpus, belief_mod.build_all(corpus))
+    _, result = simulate.build_population(corpus)
     if result is None:
         print(f"need at least {detection.MIN_POPULATION} users with history "
               f"to classify", file=sys.stderr)
         return 1
     doc = {
         "population": len(corpus.users),
-        "classified": len(result.classes),
+        "classified": len(result.extremes),
         "fb_users": list(result.fb_users),
         "categories": {
             cat: {
@@ -152,7 +151,7 @@ def cmd_detect(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
-    print(f"classified={len(result.classes)} bubble_affected={len(result.fb_users)}")
+    print(f"classified={len(result.extremes)} bubble_affected={len(result.fb_users)}")
     for user in result.fb_users:
         print(f"  {user}")
     return 0

@@ -517,6 +517,8 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
         raise ValueError("bias_profile must be between 0 and n_users")
     if spec.bias_profile > 0 and spec.n_categories < 3:
         raise ValueError("bias profiles need at least 3 categories")
+    if spec.seed < 0:
+        raise ValueError("synth seed must be non-negative")
 
     rng = substream(spec.seed, "synth")
     cats = [f"cat{i:02d}" for i in range(spec.n_categories)]

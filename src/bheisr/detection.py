@@ -130,28 +130,20 @@ class CategoryStats:
 
 @dataclass
 class UserClassification:
-    users: tuple             # sorted user ids
     fb_users: tuple          # sorted user ids with >=1 high and >=1 low
     stats: dict              # category -> CategoryStats
+    extremes: dict           # sorted users -> (highs, lows), each sorted
 
     @cached_property
     def classes(self) -> dict:
-        """user -> {category -> Exposure}, built when first read (the loop
-        reads only the bubble-affected users' classes)."""
-        normal, high, low = Exposure.NORMAL, Exposure.EXTREME_HIGH, \
-            Exposure.EXTREME_LOW
-        classes = {u: {} for u in self.users}
-        for cat, st in self.stats.items():
-            for u, v in zip(self.users, st.values):
-                if st.sigma == 0.0:
-                    label = normal
-                elif v > st.high_threshold:
-                    label = high
-                elif v < st.low_threshold:
-                    label = low
-                else:
-                    label = normal
-                classes[u][cat] = label
+        """user -> {category -> Exposure}, a view of `extremes` built when
+        first read (the loop never reads it)."""
+        normal = dict.fromkeys(self.stats, Exposure.NORMAL)
+        classes = {}
+        for u, (highs, lows) in self.extremes.items():
+            labels = classes[u] = dict(normal)
+            labels.update(dict.fromkeys(highs, Exposure.EXTREME_HIGH))
+            labels.update(dict.fromkeys(lows, Exposure.EXTREME_LOW))
         return classes
 
 
@@ -163,8 +155,8 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
     identical across users classifies everyone Normal there. The low threshold
     mu - 2*sigma is floored at zero in effect: beliefs are nonnegative, so a
     nonpositive threshold makes ExtremeLow unreachable in that category.
-    The bubble-affected users come from the sets of users above some high
-    threshold and below some low one; `classes` is built only when read.
+    Each user's extreme categories are decided here, once; the bubble-affected
+    users are those with both kinds.
     """
     users = sorted(beliefs)
     if len(users) < MIN_POPULATION:
@@ -172,7 +164,7 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
     categories = sorted(taxonomy)
     rows = [beliefs[u] for u in users]
     stats = {}
-    highs, lows = set(), set()
+    highs, lows = {}, {}     # user -> its extreme categories, in sorted order
     n = len(users)
     for cat in categories:
         values = [row.get(cat, 0.0) for row in rows]
@@ -189,8 +181,14 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
         if sigma != 0.0:
             # low <= high, so no value is on both sides
             if max(values) > high:
-                highs.update(u for u, v in zip(users, values) if v > high)
+                for u, v in zip(users, values):
+                    if v > high:
+                        highs.setdefault(u, []).append(cat)
             if min(values) < low:
-                lows.update(u for u, v in zip(users, values) if v < low)
-    fb = tuple(u for u in users if u in highs and u in lows)
-    return UserClassification(users=tuple(users), fb_users=fb, stats=stats)
+                for u, v in zip(users, values):
+                    if v < low:
+                        lows.setdefault(u, []).append(cat)
+    extremes = {u: (tuple(highs.get(u, ())), tuple(lows.get(u, ())))
+                for u in users}
+    fb = tuple([u for u in users if u in highs and u in lows])
+    return UserClassification(fb_users=fb, stats=stats, extremes=extremes)

@@ -178,7 +178,7 @@ class NudgeSession:
     path: PromptPath
     queue: list
     ledger: RejectionLedger
-    extremes: tuple                  # split_extremes(classes at session start)
+    extremes: tuple                  # (highs, lows) at session start
     queue_discipline: str = QUEUE_DRAIN
     max_path_len: int = None         # exploration cap; None = category count
     active: bool = True
@@ -186,12 +186,11 @@ class NudgeSession:
     history: list = field(default_factory=list)
 
 
-def new_session(user_id: str, graph, network, classes: dict,
+def new_session(user_id: str, graph, network, extremes: tuple,
                 theta: float = pathfinder.DEFAULT_THETA,
                 queue_discipline: str = QUEUE_DRAIN,
                 max_path_len: int = None) -> NudgeSession:
     ledger = RejectionLedger(theta=theta)
-    extremes = pathfinder.split_extremes(classes)
     source, target = pathfinder.select_endpoints(network, extremes)
     path = pathfinder.explore(graph, source, target, network, ledger,
                               max_len=max_path_len)

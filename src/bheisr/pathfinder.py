@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .corpus import PROMPT_KEY_SEPARATOR
-from .detection import Exposure
 
 DEFAULT_THETA = 2
 
@@ -163,17 +162,9 @@ def explore(graph, source: str, target: str, network, ledger: RejectionLedger,
     return path
 
 
-def split_extremes(classes: dict) -> tuple:
-    """(extreme-high categories, extreme-low categories), each a tuple in
-    `classes` order."""
-    high, low = Exposure.EXTREME_HIGH, Exposure.EXTREME_LOW
-    return (tuple([c for c, label in classes.items() if label is high]),
-            tuple([c for c, label in classes.items() if label is low]))
-
-
 def select_endpoints(network, extremes: tuple) -> tuple:
     """Source = strongest extreme-high category, target = weakest extreme-low,
-    from `extremes`, the user's split_extremes(classes).
+    from `extremes`, the user's (highs, lows) in UserClassification.extremes.
 
     Belief ties break lexicographically. Raises for users with no extreme
     categories on either side.

@@ -88,6 +88,10 @@ class SimConfig:
             raise ValueError("generator_timeout_ms must be positive")
         if self.generator_retries < 0:
             raise ValueError("generator_retries must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.users is not None and not self.users:
+            raise ValueError("users is empty; leave it unset to feed everyone")
         reject_duplicates(self.users or (), "user")
 
 
@@ -221,6 +225,12 @@ def _classify(corpus, networks):
     return detection.classify_users(beliefs, corpus.categories())
 
 
+def build_population(corpus: Corpus) -> tuple:
+    """(every user's belief network, their classification or None)."""
+    networks = belief_mod.build_all(corpus)
+    return networks, _classify(corpus, networks)
+
+
 def prepare(config: SimConfig, corpus: Corpus = None,
             assets: SharedAssets = None) -> SimState:
     config.validate()
@@ -230,8 +240,7 @@ def prepare(config: SimConfig, corpus: Corpus = None,
         assets = build_assets(corpus)
     table = ItemTable(assets.vocab, assets.index)
     graph = CategoryGraph.build(corpus, table)
-    networks = belief_mod.build_all(corpus)
-    classification = _classify(corpus, networks)
+    networks, classification = build_population(corpus)
     exemplars = _collect_exemplars(corpus)
     generator = _build_generator(config, exemplars)
     baseline, with_bheisr = MODELS[config.model]
@@ -247,7 +256,7 @@ def prepare(config: SimConfig, corpus: Corpus = None,
             if user not in sim_users:
                 continue
             sessions[user] = nudge.new_session(
-                user, graph, networks[user], classification.classes[user],
+                user, graph, networks[user], classification.extremes[user],
                 theta=config.theta, queue_discipline=config.queue_discipline,
                 max_path_len=config.max_path_len)
     return SimState(config=config, corpus=corpus, graph=graph, networks=networks,
@@ -424,9 +433,7 @@ def resolve_target_user(config: SimConfig, corpus: Corpus = None) -> str:
     """The configured target, or the first bubble-affected user."""
     if config.target_user:
         return config.target_user
-    if corpus is None:
-        corpus = build_corpus(config)
-    return _first_fb_user(_classify(corpus, belief_mod.build_all(corpus)))
+    return _first_fb_user(build_population(_corpus(config, corpus))[1])
 
 
 def _first_fb_user(classification) -> str:
@@ -443,6 +450,24 @@ COVERAGE_MODELS = ("rd", "rd_w", "cb", "cb_w", "uc", "uc_w", "bheisr")
 IMPROVEMENT_PAIRS = (("rd", "rd_w"), ("cb", "cb_w"), ("uc", "uc_w"))
 
 
+def _corpus(config: SimConfig, corpus: Corpus = None) -> Corpus:
+    """An experiment's corpus, built only after its config is checked."""
+    config.validate()
+    return build_corpus(config) if corpus is None else corpus
+
+
+def _runs(corpus: Corpus, configs: list) -> list:
+    """One RunRecord per config, in order, on one set of shared assets.
+    Every config is checked before the first run starts."""
+    if not configs:
+        raise ValueError("an experiment needs at least one run")
+    for config in configs:
+        config.validate()
+    reject_duplicates([(c.model, c.w) for c in configs], "(model, w) run")
+    assets = build_assets(corpus)
+    return [run_loop(config, corpus, assets) for config in configs]
+
+
 @dataclass
 class CoverageTable:
     models: tuple
@@ -455,61 +480,61 @@ def experiment_coverage(config: SimConfig, corpus: Corpus = None,
                         models: tuple = COVERAGE_MODELS,
                         out_dir: str = None) -> CoverageTable:
     """Per-feed diversity coverage of one user's feeds under each model."""
-    config.validate()
-    if corpus is None:
-        corpus = build_corpus(config)
-    assets = build_assets(corpus)
+    corpus = _corpus(config, corpus)
     target = resolve_target_user(config, corpus)
-    series = {}
-    for model in models:
-        run = run_loop(replace(config, model=model, users=(target,),
-                               track_fb=False), corpus, assets)
-        series[model] = run.coverage_series(target)
+    runs = _runs(corpus, [replace(config, model=m, users=(target,),
+                                  track_fb=False) for m in models])
+    series = {m: run.coverage_series(target) for m, run in zip(models, runs)}
     rows = [{m: series[m][t] for m in models} for t in range(config.feeds)]
     sums = {m: fold_sum(series[m]) for m in models}
     improvements = {}
     for base, mixed in IMPROVEMENT_PAIRS:
         if base in sums and mixed in sums and sums[base] > 0.0:
             improvements[mixed] = 100.0 * (sums[mixed] - sums[base]) / sums[base]
-    table = CoverageTable(models=tuple(models), rows=rows, sums=sums,
-                          improvements=improvements)
-    if out_dir:
-        write_coverage_csv(table, os.path.join(out_dir, "coverage.csv"))
-    return table
+    _write_csv(out_dir, "coverage.csv", [
+        ["Times"] + [MODEL_LABELS[m] for m in models],
+        *[[f"feed_{i}"] + [_fmt(row[m]) for m in models]
+          for i, row in enumerate(rows, start=1)],
+        ["Sum"] + [_fmt(sums[m]) for m in models],
+        ["Improv"] + [_fmt(improvements[m]) + "%" if m in improvements else ""
+                      for m in models]])
+    return CoverageTable(models=tuple(models), rows=rows, sums=sums,
+                         improvements=improvements)
 
 
 def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
                           interest: str = None, disinterest: str = None,
                           out_dir: str = None) -> dict:
     """Belief of the interest and disinterest categories at checkpoints."""
-    config.validate()
-    if corpus is None:
-        corpus = build_corpus(config)
-    assets = build_assets(corpus)
+    corpus = _corpus(config, corpus)
+    for category in (interest, disinterest):
+        if category is not None and category not in corpus.taxonomy:
+            raise ValueError(f"unknown category {category!r}")
     if interest is None or disinterest is None:
         # one build serves both the target and the endpoints
-        networks = belief_mod.build_all(corpus)
-        classification = _classify(corpus, networks)
+        networks, classification = build_population(corpus)
         target = config.target_user or _first_fb_user(classification)
         if target not in networks:
             raise ValueError(f"unknown user {target!r}")
         if classification is None:
             raise ValueError("cannot infer endpoint categories without "
                              "a classified population")
-        if target not in classification.users:
+        if target not in classification.extremes:
             raise ValueError(f"cannot infer endpoint categories for user "
                              f"{target!r}, who has no history")
         src, dst = pathfinder.select_endpoints(
-            networks[target],
-            pathfinder.split_extremes(classification.classes[target]))
+            networks[target], classification.extremes[target])
         interest = interest or src
         disinterest = disinterest or dst
     else:
         target = resolve_target_user(config, corpus)
-    run = run_loop(replace(config, users=(target,), track_fb=False), corpus,
-                   assets)
+    (run,) = _runs(corpus, [replace(config, users=(target,), track_fb=False)])
     points = run.checkpoints[target]
-    result = {
+    _write_csv(out_dir, "trajectory.csv", [["step", "series", "value"], *[
+        [s, series, _fmt(b[category])] for s, b in points
+        for series, category in (("interest", interest),
+                                 ("disinterest", disinterest))]])
+    return {
         "user": target,
         "interest": interest,
         "disinterest": disinterest,
@@ -517,38 +542,19 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
         "interest_series": [b[interest] for _, b in points],
         "disinterest_series": [b[disinterest] for _, b in points],
     }
-    if out_dir:
-        path = os.path.join(out_dir, "trajectory.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "series", "value"])
-            for s, b in points:
-                writer.writerow([s, "interest", _fmt(b[interest])])
-                writer.writerow([s, "disinterest", _fmt(b[disinterest])])
-    return result
 
 
 def experiment_fb_count(config: SimConfig, corpus: Corpus = None,
                         models: tuple = COVERAGE_MODELS,
                         out_dir: str = None) -> dict:
     """Population bubble-affected count after every feed, per model."""
-    config.validate()
-    if corpus is None:
-        corpus = build_corpus(config)
-    assets = build_assets(corpus)
-    counts = {}
-    for model in models:
-        run = run_loop(replace(config, model=model, track_fb=True), corpus,
-                       assets)
-        counts[model] = run.fb_counts
-    if out_dir:
-        path = os.path.join(out_dir, "fb_count.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + list(models))
-            steps = [s for s, _ in counts[models[0]]]
-            for i, s in enumerate(steps):
-                writer.writerow([s] + [counts[m][i][1] for m in models])
+    corpus = _corpus(config, corpus)
+    runs = _runs(corpus, [replace(config, model=m, track_fb=True)
+                          for m in models])
+    counts = {m: run.fb_counts for m, run in zip(models, runs)}
+    _write_csv(out_dir, "fb_count.csv", [["step", *models], *[
+        [s] + [counts[m][i][1] for m in models]
+        for i, (s, _) in enumerate(runs[0].fb_counts)]])
     return counts
 
 
@@ -556,29 +562,20 @@ def experiment_w_sweep(config: SimConfig, corpus: Corpus = None,
                        w_values: tuple = (0.2, 0.4, 0.6, 0.8),
                        out_dir: str = None) -> dict:
     """Belief-network category coverage of the target user per feed, per w."""
-    config.validate()
+    corpus = _corpus(config, corpus)
     if config.model == "bheisr":
         # prepare fixes bheisr's w at 1.0, so every w would give one series
         raise ValueError("model 'bheisr' fills every slot with generated "
                          "items whatever w is, so it has no w to sweep")
-    if corpus is None:
-        corpus = build_corpus(config)
-    assets = build_assets(corpus)
     target = resolve_target_user(config, corpus)
     model = config.model if MODELS[config.model][1] else "uc_w"
-    series = {}
-    for w in w_values:
-        run = run_loop(replace(config, model=model, w=w, users=(target,),
-                               track_fb=False), corpus, assets)
-        series[w] = run.belief_coverage_series(target)
-    if out_dir:
-        path = os.path.join(out_dir, "w_sweep.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "w", "belief_coverage"])
-            for w in w_values:
-                for t, value in enumerate(series[w], start=1):
-                    writer.writerow([t, _fmt(w), _fmt(value)])
+    runs = _runs(corpus, [replace(config, model=model, w=w, users=(target,),
+                                  track_fb=False) for w in w_values])
+    series = {w: run.belief_coverage_series(target)
+              for w, run in zip(w_values, runs)}
+    _write_csv(out_dir, "w_sweep.csv", [["step", "w", "belief_coverage"], *[
+        [t, _fmt(w), _fmt(value)] for w in w_values
+        for t, value in enumerate(series[w], start=1)]])
     return {"user": target, "model": model, "series": series}
 
 
@@ -596,18 +593,12 @@ MODEL_LABELS = {
 }
 
 
-def write_coverage_csv(table: CoverageTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Times"] + [MODEL_LABELS[m] for m in table.models])
-        for i, row in enumerate(table.rows, start=1):
-            writer.writerow([f"feed_{i}"] + [_fmt(row[m]) for m in table.models])
-        writer.writerow(["Sum"] + [_fmt(table.sums[m]) for m in table.models])
-        improv = []
-        for m in table.models:
-            improv.append(_fmt(table.improvements[m]) + "%"
-                          if m in table.improvements else "")
-        writer.writerow(["Improv"] + improv)
+def _write_csv(out_dir: str, name: str, rows: list) -> None:
+    """Write `rows` to out_dir/name; nothing when out_dir is unset."""
+    if out_dir:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+                  newline="") as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def write_run_log(record: RunRecord, path: str) -> None:

@@ -29,7 +29,6 @@ from bheisr.pathfinder import (
     path_of,
     record_rejection,
     select_endpoints,
-    split_extremes,
 )
 from bheisr.simulate import (
     SimConfig,
@@ -192,8 +191,7 @@ def test_criterion_04_nudging_moves_beliefs_the_right_way(capsys, corpus20,
     state = prepare(SimConfig(model="cb"), corpus20, assets20)
     target = state.classification.fb_users[0]
     interest, disinterest = select_endpoints(
-        state.networks[target],
-        split_extremes(state.classification.classes[target]))
+        state.networks[target], state.classification.extremes[target])
 
     dis_up = 0
     int_ok = 0
@@ -342,13 +340,11 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
     table = {pair: 0.5 for pair in itertools.combinations(cats, 2)}
     graph = TableGraph(cats, table)
     network = TableNetwork({c: float(i) / 10.0 for i, c in enumerate(cats)})
-    classes = {c: Exposure.NORMAL for c in cats}
-    classes["n7"] = Exposure.EXTREME_HIGH
-    classes["n0"] = Exposure.EXTREME_LOW
     path = path_of(*cats)
+    # n7 extreme-high, n0 extreme-low, the rest normal
     session = NudgeSession(user_id="u", path=path, queue=initial_queue(path),
                            ledger=RejectionLedger(theta=float("inf")),
-                           extremes=split_extremes(classes))
+                           extremes=(("n7",), ("n0",)))
     generator = TemplateGenerator({})
     belief_net = BeliefNetwork(
         user_id="u", categories=cats,
@@ -431,9 +427,9 @@ def test_criterion_09_reproducibility(capsys, corpus20, assets20, tmp_path):
 
 
 def test_criterion_10_classifier_matches_brute_force(capsys):
-    """Two-sigma classification equals an independent numpy implementation on
-    50 random populations, and a mu=1.0 sigma=0.45 population yields the
-    0.1 / 1.9 thresholds."""
+    """Two-sigma classification (every label and every user's extremes)
+    equals an independent numpy implementation on 50 random populations, and
+    a mu=1.0 sigma=0.45 population yields the 0.1 / 1.9 thresholds."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(103)
     ok = True
@@ -448,6 +444,8 @@ def test_criterion_10_classifier_matches_brute_force(capsys):
         ours = classify_users(beliefs, cats)
         users = sorted(beliefs)
         fb_ref = []
+        # each user's brute-force (highs, lows), in category order
+        extremes_ref = {u: ([], []) for u in users}
         for cat in cats:
             values = np.array([beliefs[u].get(cat, 0.0) for u in users])
             mu, sigma = values.mean(), values.std(ddof=0)
@@ -462,6 +460,11 @@ def test_criterion_10_classifier_matches_brute_force(capsys):
                     expect = Exposure.NORMAL
                 if ours.classes[u][cat] is not expect:
                     ok = False
+                if expect is not Exposure.NORMAL:
+                    extremes_ref[u][expect is Exposure.EXTREME_LOW].append(cat)
+        if ours.extremes != {u: (tuple(h), tuple(lo))
+                             for u, (h, lo) in extremes_ref.items()}:
+            ok = False
         fb_ref = tuple(
             u for u in users
             if Exposure.EXTREME_HIGH in ours.classes[u].values()

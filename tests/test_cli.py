@@ -354,6 +354,17 @@ class TestSimulate:
         assert "duplicate user 'u0000'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--users", ","], "leave it unset to feed everyone"),
+        (["--seed", "-1"], "seed must be non-negative")])
+    def test_empty_users_or_negative_seed_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        assert main(["simulate", "--synth", SYNTH, "--model", "rd", "--feeds",
+                     "1", *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_item_id_exits_2_and_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         save_corpus(synth_corpus(parse_synth("n_users=12,bias_profile=5")), str(path))

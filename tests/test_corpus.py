@@ -434,6 +434,9 @@ class TestSynthCorpus:
             synth_corpus(SynthSpec(bias_profile=99))
         with pytest.raises(ValueError):
             synth_corpus(SynthSpec(n_categories=2, n_items=100, bias_profile=1))
+        # it used to fail inside the random stream's derivation
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            synth_corpus(SynthSpec(seed=-1))
 
 
 CATEGORIES = ("a", "b", "c")

@@ -207,6 +207,11 @@ class TestClassifyUsers:
             ours = classify_users(beliefs, cats)
             ref_classes, ref_fb = brute_force_classify(beliefs, cats)
             assert ours.classes == ref_classes
+            # the extremes, in category order, are the brute-force labels'
+            assert ours.extremes == {
+                u: tuple(tuple(c for c, label in labels.items() if label is side)
+                         for side in (Exposure.EXTREME_HIGH, Exposure.EXTREME_LOW))
+                for u, labels in ref_classes.items()}
             assert ours.fb_users == ref_fb
 
     def test_synth_fixture_flags_exactly_the_biased_users(self):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bheisr.belief import BeliefNetwork
 from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, synth_corpus
-from bheisr.detection import Exposure
 from bheisr.nudge import (
     QUEUE_DRAIN,
     QUEUE_REPLACE,
@@ -403,9 +402,8 @@ def session_fixture(theta=2, queue_discipline=QUEUE_DRAIN, max_path_len=None):
     network.add_click_mass("b/s", "b", 2.0)
     network.add_click_mass("c/s", "c", 1.0)
     network.recompute()
-    classes = {"a": Exposure.EXTREME_HIGH, "b": Exposure.NORMAL,
-               "c": Exposure.NORMAL, "d": Exposure.EXTREME_LOW}
-    session = new_session("u", graph, network, classes, theta=theta,
+    # a extreme-high, d extreme-low, b and c normal
+    session = new_session("u", graph, network, (("a",), ("d",)), theta=theta,
                           queue_discipline=queue_discipline,
                           max_path_len=max_path_len)
     return session, graph, network

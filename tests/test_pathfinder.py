@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bheisr.detection import Exposure
+from bheisr.detection import classify_users
 from bheisr.pathfinder import (
     PromptPath,
     RejectionLedger,
@@ -17,7 +17,6 @@ from bheisr.pathfinder import (
     record_rejection,
     reschedule,
     select_endpoints,
-    split_extremes,
 )
 
 
@@ -274,65 +273,59 @@ class TestExplore:
 
 
 class TestSelectEndpoints:
-    def classes(self):
-        return {"a": Exposure.EXTREME_HIGH, "b": Exposure.NORMAL,
-                "c": Exposure.EXTREME_HIGH, "d": Exposure.EXTREME_LOW,
-                "e": Exposure.EXTREME_LOW}
+    # a and c extreme-high, d and e extreme-low, b normal
+    EXTREMES = (("a", "c"), ("d", "e"))
 
     def test_strongest_high_and_weakest_low(self):
         network = FakeNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
-        assert select_endpoints(network, split_extremes(self.classes())) == \
-            ("c", "e")
+        assert select_endpoints(network, self.EXTREMES) == ("c", "e")
 
     def test_belief_ties_break_lexicographically(self):
         network = FakeNetwork({"a": 3.0, "b": 1.0, "c": 3.0, "d": 0.1, "e": 0.1})
-        assert select_endpoints(network, split_extremes(self.classes())) == \
-            ("a", "d")
+        assert select_endpoints(network, self.EXTREMES) == ("a", "d")
 
     def test_kept_extremes_select_the_same_endpoints(self):
         network = FakeNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
-        extremes = split_extremes(self.classes())
+        # the classifier records x's extremes in category order: nine users
+        # at 1.0 everywhere put x's 5.0 above, and its 0.0 below, two sigma
+        beliefs = {f"u{i}": dict.fromkeys("abcde", 1.0) for i in range(9)}
+        beliefs["x"] = {"a": 5.0, "b": 1.0, "c": 5.0, "d": 0.0, "e": 0.0}
+        extremes = classify_users(beliefs, ("e", "d", "c", "b", "a")).extremes["x"]
         assert extremes == (("a", "c"), ("d", "e"))
         assert select_endpoints(network, extremes) == ("c", "e")
 
     def test_not_bubble_affected_raises(self):
         network = FakeNetwork({"a": 1.0}, user_id="plain")
         with pytest.raises(ValueError, match="not bubble-affected"):
-            select_endpoints(network, split_extremes({"a": Exposure.EXTREME_HIGH}))
+            select_endpoints(network, (("a",), ()))
 
 
 class TestReschedule:
     def test_returns_fresh_path(self):
         network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
-        classes = {"a": Exposure.EXTREME_HIGH, "b": Exposure.NORMAL,
-                   "c": Exposure.NORMAL, "d": Exposure.EXTREME_LOW}
-        path = reschedule(GRAPH, network, RejectionLedger(),
-                          split_extremes(classes))
+        path = reschedule(GRAPH, network, RejectionLedger(), (("a",), ("d",)))
         assert path.nodes == ("a", "c", "d")
 
     def test_none_when_replacement_already_exhausted(self):
         network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
-        classes = {"a": Exposure.EXTREME_HIGH, "b": Exposure.NORMAL,
-                   "c": Exposure.NORMAL, "d": Exposure.EXTREME_LOW}
+        extremes = (("a",), ("d",))
         ledger = RejectionLedger(theta=2)
         for _ in range(3):
             record_rejection(ledger, path_of("a", "c", "d"))
         # rejected edges flip beliefs: from a, b wins (0.9+0.1 vs 0.2-0.9);
         # the rebuilt path differs, so a prompt is still available
-        path = reschedule(GRAPH, network, ledger, split_extremes(classes))
+        path = reschedule(GRAPH, network, ledger, extremes)
         assert path is not None
         assert path.key != "a->c->d"
         for _ in range(3):
             record_rejection(ledger, path)
-        again = reschedule(GRAPH, network, ledger, split_extremes(classes))
+        again = reschedule(GRAPH, network, ledger, extremes)
         if again is not None:
             assert ledger.counts.get(again.key, 0) <= ledger.theta
 
     def test_max_len_respected(self):
         network = FakeNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.4})
-        classes = {"a": Exposure.EXTREME_HIGH, "b": Exposure.NORMAL,
-                   "c": Exposure.NORMAL, "d": Exposure.EXTREME_LOW}
-        path = reschedule(GRAPH, network, RejectionLedger(),
-                          split_extremes(classes), max_len=2)
+        path = reschedule(GRAPH, network, RejectionLedger(), (("a",), ("d",)),
+                          max_len=2)
         assert len(path.nodes) <= 3   # two walked nodes plus forced target
         assert path.nodes[-1] == "d"

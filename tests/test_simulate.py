@@ -120,6 +120,9 @@ class TestPrepare:
         ("theta", math.nan, "theta must be non-negative"),
         ("w", math.nan, r"w must be in \[0, 1\]"),
         ("users", ("u0000", "u0000"), "duplicate user"),
+        # `--users ,` or a config file's `users=` used to feed everyone
+        ("users", (), "leave it unset to feed everyone"),
+        ("seed", -1, "seed must be non-negative"),
         ("queue_discipline", "bogus", "unknown queue discipline"),
         ("max_path_len", 0, "max_path_len must be positive"),
         ("max_path_len", -1, "max_path_len must be positive"),
@@ -705,6 +708,66 @@ class TestExperimentWSweep:
         result = experiment_w_sweep(SimConfig(model="cb", k=4, feeds=2),
                                     fb_corpus, w_values=(0.5,))
         assert result["model"] == "uc_w"
+
+
+class TestExperimentBoundary:
+    """A bad experiment argument fails before the first run starts."""
+
+    CONFIG = SimConfig(w=0.6, k=4, feeds=2, seed=0)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        started = []
+
+        def spy(config, *args):
+            started.append(config.model)
+            return run_loop(config, *args)
+
+        monkeypatch.setattr(simulate, "run_loop", spy)
+        return started
+
+    @pytest.mark.parametrize("experiment", [experiment_coverage,
+                                            experiment_fb_count])
+    def test_unknown_model(self, fb_corpus, started, experiment):
+        with pytest.raises(ValueError, match="unknown model 'zz'"):
+            experiment(self.CONFIG, fb_corpus, models=("rd", "zz"))
+        assert started == []
+
+    @pytest.mark.parametrize("experiment", [experiment_coverage,
+                                            experiment_fb_count])
+    def test_repeated_model(self, fb_corpus, started, experiment):
+        # a repeated model used to write its CSV column twice
+        with pytest.raises(ValueError, match=r"duplicate .*\('cb', 0.6\)"):
+            experiment(self.CONFIG, fb_corpus, models=("cb", "rd", "cb"))
+        assert started == []
+
+    def test_w_outside_the_unit_interval(self, fb_corpus, started):
+        with pytest.raises(ValueError, match=r"w must be in \[0, 1\]"):
+            experiment_w_sweep(replace(self.CONFIG, model="uc_w"), fb_corpus,
+                               w_values=(0.2, 1.5))
+        assert started == []
+
+    def test_repeated_w(self, fb_corpus, started):
+        # a repeated w used to fold two runs into one series
+        with pytest.raises(ValueError, match=r"duplicate .*\('uc_w', 0.2\)"):
+            experiment_w_sweep(replace(self.CONFIG, model="uc_w"), fb_corpus,
+                               w_values=(0.2, 0.8, 0.2))
+        assert started == []
+
+    @pytest.mark.parametrize("endpoint", ["interest", "disinterest"])
+    def test_unknown_endpoint_category(self, fb_corpus, started, endpoint):
+        # it used to raise a KeyError once the whole run had finished
+        with pytest.raises(ValueError, match="unknown category 'nope'"):
+            experiment_trajectory(self.CONFIG, fb_corpus, **{endpoint: "nope"})
+        assert started == []
+
+    def test_no_models(self, fb_corpus, started, tmp_path):
+        # writing the CSV used to raise an IndexError
+        with pytest.raises(ValueError, match="at least one run"):
+            experiment_fb_count(self.CONFIG, fb_corpus, models=(),
+                                out_dir=str(tmp_path))
+        assert started == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriters:
