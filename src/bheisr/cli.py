@@ -212,7 +212,6 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     config = build_config(args)
     out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
     if args.number == 1:
         table = simulate.experiment_coverage(config, out_dir=out)
         for model in table.models:
@@ -247,11 +246,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--synth", type=parse_synth,
                         help="synthetic corpus, e.g. n_users=20,bias_profile=10")
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output file or directory")
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--model", choices=sorted(simulate.MODELS))
     parser.add_argument("--w", type=float)
     parser.add_argument("--k", type=int)

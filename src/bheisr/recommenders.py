@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import nudge
 from .features import FlatEntries, ItemTable, entry_norms, featurize_corpus
@@ -20,13 +19,10 @@ from .rng import substream
 
 @dataclass
 class CandidateIndex:
-    """Frozen matrix view of the corpus for batch scoring; row r is the
-    corpus's r-th item, and the one store of its vector: its entries in
-    first-occurrence order, its matrix row (term order) and its norm."""
+    """Frozen array view of the corpus; row r is the corpus's r-th item, and
+    the one store of its vector: its entries in first-occurrence order."""
     ids: list
     pos: dict
-    matrix: "sparse.csr_matrix"
-    norms: np.ndarray
     cat_index: np.ndarray            # per item, its row in corpus.categories()
     id_rank: np.ndarray              # per item, rank in ascending id order
     entries: FlatEntries             # the items' entries, in row order
@@ -35,21 +31,15 @@ class CandidateIndex:
     def build(cls, corpus, vocab, tokens: list) -> "CandidateIndex":
         """`tokens` is each item's tokenize(item.text()), in corpus order."""
         ids = list(corpus.items)
-        entries = featurize_corpus(tokens, vocab)
-        indptr = np.append(entries.starts, len(entries.terms))
-        matrix = sparse.csr_matrix((entries.weights, entries.terms, indptr),
-                                   shape=(len(ids), max(1, len(vocab.term_ids))),
-                                   copy=True)
-        matrix.sort_indices()
         cat_pos = {c: j for j, c in enumerate(corpus.categories())}
         cat_index = np.fromiter((cat_pos[item.category]
                                  for item in corpus.items.values()),
                                 np.intp, len(ids))
         id_rank = np.empty(len(ids), dtype=np.intp)
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-        return cls(ids=ids, pos={i: r for r, i in enumerate(ids)}, matrix=matrix,
-                   norms=entry_norms(entries), cat_index=cat_index,
-                   id_rank=id_rank, entries=entries)
+        return cls(ids=ids, pos={i: r for r, i in enumerate(ids)},
+                   cat_index=cat_index, id_rank=id_rank,
+                   entries=featurize_corpus(tokens, vocab))
 
 
 def acceptance_share(item, network, total: float) -> float:
@@ -110,7 +100,7 @@ class FeedContext:
     The networks' accepted lists are the one record of each user's history;
     the scoring state holds only what derives from it, and only what the
     run's baseline reads: a 0/1 accept row per user for every baseline, the
-    profile sums for CB, and the per-category history masses for UC.
+    item rows, norms and profile sums for CB, and the history masses for UC.
     enable_acceleration builds that state from the corpus log, which seeded
     the networks' histories, and note_accept folds each step's new accepts
     into it, both through _fold_accepts; refresh_mass re-snapshots the
@@ -130,6 +120,8 @@ class FeedContext:
     accept_matrix: np.ndarray = None     # users x items, 0/1
     mass_matrix: np.ndarray = None       # UC: users x categories, history masses
     mass_norms: np.ndarray = None        # UC: per user, norm of the mass row
+    item_matrix: object = None           # CB: index items x terms, CSR rows
+    item_norms: np.ndarray = None        # CB: per index item, its vector norm
     profile_sums: np.ndarray = None      # CB: users x terms, running accept sums
     neighbor_mass: dict = field(default_factory=dict)   # UC: user -> batched row
 
@@ -150,7 +142,15 @@ class FeedContext:
         user, cols = corpus.history
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
         if self.baseline == "cb":
-            self.profile_sums = np.zeros((n_users, index.matrix.shape[1]))
+            from scipy import sparse    # CB alone scores through scipy
+            entries, n_terms = index.entries, max(1, len(self.table.vocab.term_ids))
+            self.item_matrix = sparse.csr_matrix(
+                (entries.weights, entries.terms,
+                 np.append(entries.starts, len(entries.terms))),
+                shape=(len(index.ids), n_terms), copy=True)
+            self.item_matrix.sort_indices()     # term order
+            self.item_norms = entry_norms(entries)
+            self.profile_sums = np.zeros((n_users, n_terms))
         self._fold_accepts(row_of[user], cols)
         if self.baseline == "uc":
             self.refresh_mass()
@@ -245,8 +245,8 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
         if count == 0:
             return np.zeros(n)
         dense = ctx.profile_sums[row] / count
-        dots = index.matrix @ dense
-        denom = index.norms * float(np.linalg.norm(dense))
+        dots = ctx.item_matrix @ dense
+        denom = ctx.item_norms * float(np.linalg.norm(dense))
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = np.where(denom > 0.0, dots / denom, 0.0)
         return np.clip(scores, -1.0, 1.0)

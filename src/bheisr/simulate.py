@@ -594,8 +594,9 @@ MODEL_LABELS = {
 
 
 def _write_csv(out_dir: str, name: str, rows: list) -> None:
-    """Write `rows` to out_dir/name; nothing when out_dir is unset."""
+    """Write `rows` to out_dir/name, making out_dir; nothing if it is unset."""
     if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w", encoding="utf-8",
                   newline="") as fh:
             csv.writer(fh).writerows(rows)

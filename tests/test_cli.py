@@ -248,6 +248,13 @@ class TestDetect:
         assert code == 1
         assert "need at least" in capsys.readouterr().err
 
+    def test_seed_flag_rejected(self, capsys):
+        # a synthetic corpus takes its seed from --synth ...,seed=N
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--synth", "n_users=20,bias_profile=10", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestGraph:
     def test_writes_graph_json(self, tmp_path, capsys):
@@ -494,6 +501,16 @@ class TestExperiments:
                      "--feeds", "2", "--out", str(out)]) == 2
         assert "no w to sweep" in capsys.readouterr().err
         assert not (out / "w_sweep.csv").exists()
+
+    @pytest.mark.parametrize("number, flags", [
+        ("4", ["--model", "bheisr"]), ("1", ["--w", "2"])])
+    def test_rejected_experiment_leaves_no_directory(self, tmp_path, capsys,
+                                                     number, flags):
+        out = tmp_path / "X"
+        assert main(["experiment", number, "--synth", "n_users=20,bias_profile=10",
+                     "--feeds", "3", *flags, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_feeds_exits_2_before_any_run(self, tmp_path, capsys):
         code = main(["experiment", "4", "--synth", SYNTH, "--feeds", "0",

@@ -1,6 +1,10 @@
 """Baseline recommenders, the matrix scoring state, and feed assembly."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +22,13 @@ from bheisr.corpus import (
     SynthSpec,
     synth_corpus,
 )
-from bheisr.features import CategoryGraph, GraphUpdateBuffer, ItemTable, tokenize
+from bheisr.features import (
+    CategoryGraph,
+    GraphUpdateBuffer,
+    ItemTable,
+    entry_norms,
+    tokenize,
+)
 from bheisr.nudge import NudgeSession, TemplateGenerator
 from bheisr.pathfinder import RejectionLedger, path_of
 from bheisr.recommenders import (
@@ -103,16 +113,17 @@ def share(item, network):
 
 class TestCandidateIndex:
     def test_matrix_rows_match_featurize(self):
+        # CB's context holds the index items' term rows and norms
         corpus = small_corpus()
-        assets = build_assets(corpus)
-        vocab, index = assets.vocab, assets.index
+        ctx = context_for(corpus, "cb")
+        vocab, index = ctx.table.vocab, ctx.table.index
         for item_id, item in corpus.items.items():
-            row = index.matrix.getrow(index.pos[item_id]).toarray().ravel()
+            row = ctx.item_matrix.getrow(index.pos[item_id]).toarray().ravel()
             vec = featurize(item, vocab)
             for tid, w in vec.entries.items():
                 assert row[tid] == pytest.approx(w)
             assert np.count_nonzero(row) == len(vec.entries)
-            assert index.norms[index.pos[item_id]] == pytest.approx(vec.norm)
+            assert ctx.item_norms[index.pos[item_id]] == pytest.approx(vec.norm)
 
     def test_categories_aligned(self):
         corpus = small_corpus()
@@ -120,6 +131,65 @@ class TestCandidateIndex:
         cats = corpus.categories()
         for item_id, item in corpus.items.items():
             assert cats[index.cat_index[index.pos[item_id]]] == item.category
+
+
+class TestCbTermMatrix:
+    """Only a CB context builds the items' term-ordered CSR rows and norms,
+    and only it loads scipy.sparse."""
+
+    def test_scores_equal_a_csr_product_built_from_the_entries(self):
+        from scipy import sparse
+        corpus = synth_corpus(SynthSpec(n_users=10, n_categories=6,
+                                        subcats_per_category=2, n_items=120,
+                                        bias_profile=3, seed=2))
+        ctx = context_for(corpus, "cb")
+        entries, n = ctx.table.index.entries, len(corpus.items)
+        rows = np.repeat(np.arange(n), entries.counts)
+        order = np.lexsort((entries.terms, rows))      # each row in term order
+        matrix = sparse.csr_matrix(
+            (entries.weights[order], entries.terms[order],
+             np.append(entries.starts, len(entries.terms))),
+            shape=(n, len(ctx.table.vocab.term_ids)))
+        assert np.array_equal(ctx.item_matrix.indices, matrix.indices)
+        assert np.array_equal(ctx.item_matrix.data, matrix.data)
+        norms = entry_norms(entries)
+        scored = 0
+        for user in corpus.users:
+            count = len(ctx.networks[user].accepted)
+            if count == 0:
+                continue
+            dense = ctx.profile_sums[ctx.user_pos[user]] / count
+            denom = norms * float(np.linalg.norm(dense))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = np.clip(np.where(denom > 0.0, (matrix @ dense) / denom,
+                                            0.0), -1.0, 1.0)
+            assert np.array_equal(_baseline_scores("cb", ctx, user), expected)
+            scored += 1
+        assert scored > 0
+
+    def test_only_cb_runs_load_scipy_sparse(self):
+        # a fresh process: this one has scipy.sparse loaded already
+        script = (
+            "import json, sys\n"
+            "import bheisr.cli\n"
+            "from bheisr.corpus import SynthSpec, synth_corpus\n"
+            "from bheisr.simulate import SimConfig, run_loop\n"
+            "corpus = synth_corpus(SynthSpec(n_users=20, bias_profile=10))\n"
+            "loaded = [['import', 'scipy.sparse' in sys.modules]]\n"
+            "for model in ('uc_w', 'rd', 'bheisr', 'cb'):\n"
+            "    run_loop(SimConfig(model=model, k=4, feeds=2), corpus)\n"
+            "    loaded.append([model, 'scipy.sparse' in sys.modules])\n"
+            "print(json.dumps(loaded))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(recommenders.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (
+                   src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert json.loads(done.stdout) == [["import", False], ["uc_w", False],
+                                           ["rd", False], ["bheisr", False],
+                                           ["cb", True]]
 
 
 class TestCbScore:
@@ -578,7 +648,7 @@ def uc_state(mass, accept, beliefs, item_cats):
     id_rank = np.empty(n_items, dtype=np.intp)
     id_rank[sorted(range(n_items), key=ids.__getitem__)] = np.arange(n_items)
     index = recommenders.CandidateIndex(
-        ids=ids, pos={i: r for r, i in enumerate(ids)}, matrix=None, norms=None,
+        ids=ids, pos={i: r for r, i in enumerate(ids)},
         cat_index=np.asarray(item_cats, dtype=np.intp), id_rank=id_rank,
         entries=None)
     networks = {u: SimpleNamespace(belief=dict(zip(cats, map(float, row))))
