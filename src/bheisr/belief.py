@@ -15,8 +15,6 @@ import numpy as np
 from .corpus import ORIGIN_GENERATED, generated_subcategory
 from .folds import fold_sum
 
-PROB_TOL = 1e-9
-
 
 def entropy_bits(probs) -> float:
     """Shannon entropy in bits; 0 * log2(0) is taken as 0."""

@@ -87,7 +87,8 @@ def _coerce(field: str, value):
 
 
 def build_config(args) -> SimConfig:
-    """Config file first, then CLI flags override key by key."""
+    """Config file first, then CLI flags override key by key; validated
+    whole, so every subcommand rejects a bad key before building a corpus."""
     config = SimConfig()
     raw = {}
     if getattr(args, "config", None):
@@ -101,6 +102,7 @@ def build_config(args) -> SimConfig:
         if field not in SIM_FIELDS:
             raise ValueError(f"unknown config key {field!r}")
         setattr(config, field, _coerce(field, value))
+    config.validate()
     return config
 
 
@@ -109,7 +111,7 @@ def cmd_ingest(args) -> int:
     corpus = simulate.build_corpus(config)
     if args.out:
         save_corpus(corpus, args.out)
-    print(f"items={len(corpus.items)} interactions={len(corpus.interactions)} "
+    print(f"items={len(corpus.items)} interactions={len(corpus.log_user)} "
           f"users={len(corpus.users)} categories={len(corpus.taxonomy)} "
           f"rejects={len(corpus.rejects)}")
     if args.out:

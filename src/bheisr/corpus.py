@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +28,7 @@ SIGNAL_SCHEMES = ("click", "rating")
 
 WEIGHT_TOL = 1e-9
 MAX_WEIGHT = 1.0 + WEIGHT_TOL      # weights are non-negative and sum to one
+ROW_CHUNK = 4096                   # log rows decoded at a time by a walk
 
 
 def generated_subcategory(category: str) -> str:
@@ -59,43 +59,11 @@ class Item:
 
 @dataclass
 class Interaction:
-    """One log row, decoded from a corpus's columns or given to from_rows."""
+    """One log row, decoded from a corpus's columns."""
     user_id: str
     item_id: str
     timestamp: int
     signal: float
-
-
-class InteractionRows(Sequence):
-    """The log's rows as Interaction objects, built on demand.
-
-    Walking it builds one object per row, O(n) in time; only export and
-    checks read the log this way. The loop reads the columns.
-    """
-
-    def __init__(self, corpus: "Corpus"):
-        self._corpus = corpus
-
-    def __len__(self) -> int:
-        return len(self._corpus.log_user)
-
-    def __getitem__(self, row: int) -> Interaction:
-        c = self._corpus
-        row = range(len(self))[row]
-        return Interaction(c.users[c.log_user[row]], list(c.items)[c.log_item[row]],
-                           int(c.log_ts[row]), float(c.log_signal[row]))
-
-    def __iter__(self):
-        c = self._corpus
-        ids = list(c.items)
-        for u, i, t, s in zip(c.log_user.tolist(), c.log_item.tolist(),
-                              c.log_ts.tolist(), c.log_signal.tolist()):
-            yield Interaction(c.users[u], ids[i], t, s)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or len(self) != len(other):
-            return False
-        return all(a == b for a, b in zip(self, other))
 
 
 def reject_duplicates(ids, kind: str) -> None:
@@ -154,25 +122,17 @@ class Corpus:
         for column in (self.log_user, self.log_item, self.log_ts, self.log_signal):
             column.flags.writeable = False
 
-    @classmethod
-    def from_rows(cls, items: dict, rows, taxonomy: dict, users: tuple,
-                  signal_scheme: str = "click") -> "Corpus":
-        """Corpus whose log holds the given Interaction rows, in order.
-
-        The corpus is not validated; an unknown user or item id is a
-        ValueError here, since it has no position.
-        """
-        rows = list(rows)
-        return cls(items=items, taxonomy=taxonomy, users=users,
-                   signal_scheme=signal_scheme,
-                   **_log_columns(items, users, [x.user_id for x in rows],
-                                  [x.item_id for x in rows],
-                                  [x.timestamp for x in rows],
-                                  [x.signal for x in rows]))
-
     @property
-    def interactions(self) -> InteractionRows:
-        return InteractionRows(self)
+    def interactions(self):
+        """The log's rows as Interaction objects, in log order, decoded
+        ROW_CHUNK rows at a time, so a walk holds no whole-column list. The
+        loop reads the columns; only the benchmark's record check walks."""
+        users, ids = self.users, list(self.items)
+        columns = (self.log_user, self.log_item, self.log_ts, self.log_signal)
+        for start in range(0, len(self.log_user), ROW_CHUNK):
+            for u, i, t, s in zip(*[c[start:start + ROW_CHUNK].tolist()
+                                    for c in columns]):
+                yield Interaction(users[u], ids[i], t, s)
 
     def _is_interested(self, signal):
         # one test for a single signal and for the whole signal column
@@ -200,10 +160,18 @@ class Corpus:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (self.items == other.items and self.taxonomy == other.taxonomy
+        if not (self.items == other.items and self.taxonomy == other.taxonomy
                 and self.users == other.users
-                and self.signal_scheme == other.signal_scheme
-                and self.interactions == other.interactions)
+                and self.signal_scheme == other.signal_scheme):
+            return False
+        # equal users share positions, but equal items may be in another
+        # order: other's item positions are mapped to this corpus's
+        pos = {item_id: p for p, item_id in enumerate(self.items)}
+        to_mine = np.array([pos[i] for i in other.items], dtype=np.int64)
+        return all(np.array_equal(a, b) for a, b in (
+            (self.log_user, other.log_user),
+            (self.log_item, to_mine[other.log_item]),
+            (self.log_ts, other.log_ts), (self.log_signal, other.log_signal)))
 
     def validate(self) -> None:
         taxonomy, items = self.taxonomy, self.items

@@ -65,10 +65,6 @@ class PromptPath:
                 PromptPath(nodes[(length + 1) // 2:]))
 
 
-def path_of(*nodes) -> PromptPath:
-    return PromptPath(nodes=tuple(nodes))
-
-
 @dataclass
 class RejectionLedger:
     theta: float = DEFAULT_THETA
@@ -80,22 +76,17 @@ class RejectionLedger:
     # same object, so its facts and halves are not computed again
     paths: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def penalized_edges(self) -> set:
-        """The penalized edges as sorted (a, b) pairs."""
-        return {(a, b) for a, ends in self.penalized_at.items()
-                for b in ends if a < b}
-
 
 def _edge_key(a: str, b: str) -> tuple:
     return (a, b) if a < b else (b, a)
 
 
 def record_rejection(ledger: RejectionLedger, prompt: PromptPath) -> RejectionLedger:
-    """Count a rejection; past the tolerance, penalize the prompt's edges."""
+    """Count a rejection; the one that first passes the tolerance (theta is
+    non-negative, as SimConfig checks) penalizes the prompt's edges."""
     key = prompt.key
     count = ledger.counts[key] = ledger.counts.get(key, 0) + 1
-    if count > ledger.theta:
+    if count - 1 <= ledger.theta < count:
         at = ledger.penalized_at
         for a, b in prompt.edge_keys:
             at.setdefault(a, set()).add(b)

@@ -407,9 +407,8 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
 
         if step in checkpoints:
             for user in sim_users:
-                net = state.networks[user]
                 record.checkpoints[user].append(
-                    (step, {c: net.belief[c] for c in net.categories}))
+                    (step, dict(state.networks[user].belief)))
         if config.track_fb:
             fb_counts.append(
                 (step, _fb_count(_classify(state.corpus, state.networks))))

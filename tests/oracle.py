@@ -5,17 +5,20 @@ in array passes; these are the plain-loop definitions of the same values. A
 vector is a dict of term id -> weight in first-occurrence order plus its
 norm, and every sum is a left fold, so the array paths can be checked against
 them with ==. A spy on the package's one featurizer counts what it is asked
-to featurize.
+to featurize. The last helpers build test inputs: a corpus from log rows, a
+prompt path from its nodes, and the ledger's penalized edges as pairs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from bheisr import features, nudge, recommenders
+from bheisr.corpus import Corpus, _log_columns
 from bheisr.features import Vocabulary, tokenize
 from bheisr.folds import fold_sum
+from bheisr.pathfinder import PromptPath
 from bheisr.recommenders import acceptance_share
 
 
@@ -217,3 +220,28 @@ def spy_featurize_corpus(monkeypatch) -> list:
     for module in (features, nudge, recommenders):
         monkeypatch.setattr(module, "featurize_corpus", spy)
     return calls
+
+
+def corpus_of(items: dict, log, taxonomy: dict, users: tuple,
+              signal_scheme: str = "click") -> Corpus:
+    """An unvalidated corpus whose log holds `log`, (user id, item id,
+    timestamp, signal) rows in order; an unknown id is a ValueError."""
+    columns = list(zip(*log)) or [()] * 4
+    return Corpus(items=items, taxonomy=taxonomy, users=users,
+                  signal_scheme=signal_scheme,
+                  **_log_columns(items, users, *columns))
+
+
+def log_rows(corpus) -> list:
+    """The corpus's log as (user id, item id, timestamp, signal) rows."""
+    return [astuple(row) for row in corpus.interactions]
+
+
+def path_of(*nodes) -> PromptPath:
+    return PromptPath(nodes=tuple(nodes))
+
+
+def penalized_edges(ledger) -> set:
+    """The ledger's penalized edges as sorted (a, b) pairs."""
+    return {(a, b) for a, ends in ledger.penalized_at.items()
+            for b in ends if a < b}

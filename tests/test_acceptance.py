@@ -26,7 +26,6 @@ from bheisr.nudge import (
 from bheisr.pathfinder import (
     RejectionLedger,
     next_hop,
-    path_of,
     record_rejection,
     select_endpoints,
 )
@@ -37,6 +36,7 @@ from bheisr.simulate import (
     prepare,
     run_loop,
 )
+from oracle import path_of, penalized_edges
 
 SPEC20 = SynthSpec(bias_profile=10)                 # 20 users, 10 biased
 SPEC30 = SynthSpec(n_users=30, bias_profile=10)     # 30 users, 10 biased
@@ -297,7 +297,7 @@ def test_criterion_06_next_hop_matches_brute_force(capsys):
             if cand in visited:
                 continue
             weight = -1.0 if tuple(sorted((current, cand))) in \
-                ledger.penalized_edges else 1.0
+                penalized_edges(ledger) else 1.0
             score = graph.rho(current, cand) + network.belief_degree(cand) * weight
             if best is None or score > best[0] or \
                     (score == best[0] and cand < best[1]):

@@ -14,13 +14,11 @@ from bheisr.belief import (
 )
 from bheisr.corpus import (
     ORIGIN_GENERATED,
-    Corpus,
-    Interaction,
     Item,
     generated_subcategory,
 )
 from bheisr.folds import fold_sum
-from oracle import click_probs
+from oracle import click_probs, corpus_of
 
 
 class TestEntropyBits:
@@ -45,11 +43,11 @@ class TestEntropyBits:
 
 
 TINY_ROWS = [
-    Interaction("u", "i1", 0, 1.0),
-    Interaction("u", "i2", 1, 1.0),
-    Interaction("u", "i1", 2, 1.0),
-    Interaction("u", "i3", 3, 1.0),
-    Interaction("u", "i3", 4, 0.0),   # not interested, must be ignored
+    ("u", "i1", 0, 1.0),
+    ("u", "i2", 1, 1.0),
+    ("u", "i1", 2, 1.0),
+    ("u", "i3", 3, 1.0),
+    ("u", "i3", 4, 0.0),   # not interested, must be ignored
 ]
 
 
@@ -60,9 +58,9 @@ def tiny_corpus(rows=TINY_ROWS):
         "i2": Item("i2", "a", "a/s2", "t2", "", {"a": 1.0}),
         "i3": Item("i3", "b", "b/s1", "t3", "", {"b": 1.0}),
     }
-    return Corpus.from_rows(items, rows,
-                            taxonomy={"a": ("a/s1", "a/s2"), "b": ("b/s1",)},
-                            users=("u", "v"))
+    return corpus_of(items, rows,
+                     taxonomy={"a": ("a/s1", "a/s2"), "b": ("b/s1",)},
+                     users=("u", "v"))
 
 
 class TestGlobalNormalization:

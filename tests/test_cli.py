@@ -267,6 +267,40 @@ class TestGraph:
         assert len(doc["edges"]) == 45
 
 
+class TestCorpusCommandConfig:
+    """ingest, detect and graph read only a config file's corpus keys, but
+    check every key before building a corpus, as simulate does."""
+
+    @pytest.mark.parametrize("command", ["ingest", "detect", "graph"])
+    @pytest.mark.parametrize("line, message", [
+        ("seed=-5", "seed must be non-negative"), ("k=0", "k must be positive")])
+    def test_bad_run_key_exits_2_before_any_corpus(self, tmp_path, capsys,
+                                                    monkeypatch, command, line,
+                                                    message):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        monkeypatch.setattr(simulate, "build_corpus",
+                            lambda config: pytest.fail("a corpus was built"))
+        out = tmp_path / "out.json"
+        code = main([command, "--synth", "n_users=20,bias_profile=10",
+                     "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "detect", "graph"])
+    def test_valid_run_keys_accepted(self, tmp_path, capsys, command):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed=3\nk=5\nmodel=uc_w\n")
+        base = [command, "--synth", "n_users=20,bias_profile=10", "--out"]
+        assert main(base + [str(tmp_path / "plain.json")]) == 0
+        plain = capsys.readouterr().out
+        assert main(base + [str(tmp_path / "cfg.json"), "--config", str(path)]) == 0
+        assert capsys.readouterr().out == plain.replace("plain.json", "cfg.json")
+        assert (tmp_path / "plain.json").read_bytes() == \
+            (tmp_path / "cfg.json").read_bytes()
+
+
 class TestRecommend:
     def test_prints_one_line_per_item(self, capsys):
         code = main(["recommend", "--synth", SYNTH, "--model", "cb_w",

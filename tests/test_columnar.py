@@ -1,18 +1,22 @@
 """The columnar interaction log: histories and scoring state built from the
-columns equal the per-row builds they replace."""
+columns equal the per-row builds they replace, and a walk of the rows
+decodes the columns a chunk at a time."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bheisr import corpus as corpus_module
 from bheisr import recommenders, simulate
 from bheisr.belief import BeliefNetwork, build_all
-from bheisr.corpus import Corpus, Interaction, Item, SynthSpec, synth_corpus
+from bheisr.corpus import Interaction, Item, SynthSpec, synth_corpus
 from bheisr.features import ItemTable
 from bheisr.recommenders import FeedContext
 from bheisr.simulate import SimConfig
-from oracle import click_probs
+from oracle import click_probs, corpus_of, log_rows
 
 
 def per_row_build_all(corpus) -> dict:
@@ -76,11 +80,11 @@ def logs(draw):
     users = tuple(f"u{k}" for k in draw(st.permutations(range(n_users))))
     scheme = draw(st.sampled_from(["click", "rating"]))
     signals = [0.0, 1.0] if scheme == "click" else [0.0, 1.5, 2.5, 3.0, 5.0]
-    rows = draw(st.lists(st.builds(Interaction, st.sampled_from(users),
-                                   st.sampled_from(sorted(items)),
-                                   st.integers(0, 3), st.sampled_from(signals)),
-                         max_size=30))
-    return Corpus.from_rows(items, rows, taxonomy, users, signal_scheme=scheme)
+    log = draw(st.lists(st.tuples(st.sampled_from(users),
+                                  st.sampled_from(sorted(items)),
+                                  st.integers(0, 3), st.sampled_from(signals)),
+                        max_size=30))
+    return corpus_of(items, log, taxonomy, users, signal_scheme=scheme)
 
 
 def assert_networks_equal(got, want):
@@ -104,9 +108,8 @@ def context(corpus, baseline):
     return ctx
 
 
-TIED = [Interaction("u1", "i1", 0, 1.0), Interaction("u0", "i2", 0, 1.0),
-        Interaction("u1", "i0", 0, 1.0), Interaction("u1", "i1", 0, 0.0),
-        Interaction("u1", "i2", 0, 1.0)]
+TIED = [("u1", "i1", 0, 1.0), ("u0", "i2", 0, 1.0), ("u1", "i0", 0, 1.0),
+        ("u1", "i1", 0, 0.0), ("u1", "i2", 0, 1.0)]
 
 
 class TestColumnsEqualThePerRowBuild:
@@ -114,7 +117,7 @@ class TestColumnsEqualThePerRowBuild:
     @given(corpus=logs())
     # equal stamps, a repeated item, an uninterested row, a user without
     # history and unsorted users, over items in shuffled order
-    @example(corpus=Corpus.from_rows(
+    @example(corpus=corpus_of(
         {f"i{j}": Item(f"i{j}", "c0", f"c0/s{j % 2}", "apple soup", "", {"c0": 1.0})
          for j in (2, 0, 1)},
         TIED, {"c0": ("c0/s0", "c0/s1")}, ("u1", "u2", "u0")))
@@ -160,6 +163,30 @@ class TestNoRowObjects:
                               corpus)
         assert made == []
         # the spy sees a row decoded from the columns
-        assert corpus.interactions[0] == Interaction(
+        assert next(corpus.interactions) == Interaction(
             "u0000", list(corpus.items)[int(corpus.log_item[0])], 0, 1.0)
         assert made == [1, 1]
+
+
+class TestRowWalk:
+    def test_walk_holds_no_whole_column(self):
+        # 233,320 rows; decoding whole columns at once peaked near 30 MB
+        corpus = synth_corpus(SynthSpec(n_users=400, bias_profile=20))
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in corpus.interactions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == len(corpus.log_user)
+        assert peak < 2 * 2**20
+
+    def test_rows_across_chunks_are_the_columns(self, monkeypatch):
+        corpus = synth_corpus(SynthSpec(n_users=3, n_categories=3,
+                                        subcats_per_category=2, n_items=30))
+        monkeypatch.setattr(corpus_module, "ROW_CHUNK", 7)
+        ids = list(corpus.items)
+        assert log_rows(corpus) == [
+            (corpus.users[u], ids[i], t, s) for u, i, t, s in zip(
+                corpus.log_user.tolist(), corpus.log_item.tolist(),
+                corpus.log_ts.tolist(), corpus.log_signal.tolist())]

@@ -14,9 +14,7 @@ from bheisr.belief import build_all
 from bheisr.corpus import (
     ORIGIN_DATASET,
     ORIGIN_GENERATED,
-    Corpus,
     JSON_KEYS,
-    Interaction,
     Item,
     ParseError,
     SynthSpec,
@@ -31,6 +29,7 @@ from bheisr.corpus import (
     synth_corpus,
 )
 from bheisr.recommenders import acceptance_share
+from oracle import corpus_of, log_rows
 
 BEHAVIORS = """\
 u1\t100\tsports\tsports/soccer\tCup final recap\tA long match report\t1
@@ -49,7 +48,7 @@ class TestLoadBehaviors:
     def test_items_deduplicate_on_content(self, tmp_path):
         corpus = load_behaviors(write(tmp_path / "b.tsv", BEHAVIORS))
         assert len(corpus.items) == 2
-        assert len(corpus.interactions) == 4
+        assert len(corpus.log_user) == 4
         assert corpus.users == ("u1", "u2")
 
     def test_timestamps_become_sort_ordinals(self, tmp_path):
@@ -76,7 +75,7 @@ class TestLoadBehaviors:
 
     def test_blank_lines_skipped(self, tmp_path):
         corpus = load_behaviors(write(tmp_path / "b.tsv", "\n" + BEHAVIORS + "\n"))
-        assert len(corpus.interactions) == 4
+        assert len(corpus.log_user) == 4
 
     def test_wrong_field_count_raises_with_line(self, tmp_path):
         path = write(tmp_path / "b.tsv", "u1\t1\tnews\n")
@@ -92,7 +91,7 @@ class TestLoadBehaviors:
         text = "u1\t1\t\tnews/world\tT\tA\t1\n" + BEHAVIORS
         corpus = load_behaviors(write(tmp_path / "b.tsv", text))
         assert corpus.rejects == [(1, "empty category")]
-        assert len(corpus.interactions) == 4
+        assert len(corpus.log_user) == 4
 
 
 RATINGS_MOVIES = """\
@@ -184,8 +183,8 @@ class TestValidate:
     def base(self):
         items = {"i1": Item(id="i1", category="c", subcategory="c/s",
                             title="t", abstract="", category_weights={"c": 1.0})}
-        return Corpus.from_rows(items, [Interaction("u", "i1", 0, 1.0)],
-                                taxonomy={"c": ("c/s",)}, users=("u",))
+        return corpus_of(items, [("u", "i1", 0, 1.0)],
+                         taxonomy={"c": ("c/s",)}, users=("u",))
 
     def test_ok(self):
         self.base().validate()
@@ -318,8 +317,8 @@ class TestValidate:
     def test_user_id_that_cannot_name_a_file_rejected(self, user):
         # simulate writes networks/<user>.json; "../x" would land outside it
         corpus = self.base()
-        corpus = Corpus.from_rows(corpus.items, [Interaction(user, "i1", 0, 1.0)],
-                                  taxonomy=corpus.taxonomy, users=(user,))
+        corpus = corpus_of(corpus.items, [(user, "i1", 0, 1.0)],
+                           taxonomy=corpus.taxonomy, users=(user,))
         with pytest.raises(ValueError, match=f"user id {re.escape(repr(user))}"):
             corpus.validate()
         doc = json.loads(corpus_to_json(self.base()))
@@ -363,9 +362,9 @@ class TestValidate:
 
     def test_interaction_user_must_exist(self):
         corpus = self.base()
-        rows = list(corpus.interactions) + [Interaction("ghost", "i1", 1, 1.0)]
+        rows = log_rows(corpus) + [("ghost", "i1", 1, 1.0)]
         with pytest.raises(ValueError, match="unknown user"):
-            Corpus.from_rows(corpus.items, rows, corpus.taxonomy, corpus.users)
+            corpus_of(corpus.items, rows, corpus.taxonomy, corpus.users)
         # a position past the users is the column form of the same fault
         ghost = dataclasses.replace(corpus, log_user=np.array([1], dtype=np.int32))
         with pytest.raises(ValueError, match="unknown user"):
@@ -462,11 +461,11 @@ def corpora(draw):
                               title="t", abstract="", category_weights=weights,
                               origin=origin)
     users = ("u0", "u1")
-    interactions = [Interaction(u, i, t, 1.0) for t, (u, i) in enumerate(
+    log = [(u, i, t, 1.0) for t, (u, i) in enumerate(
         draw(st.lists(st.tuples(st.sampled_from(users),
                                 st.sampled_from(sorted(items))), max_size=6)))]
-    return Corpus.from_rows(items, interactions,
-                            taxonomy={c: (f"{c}/s",) for c in CATEGORIES}, users=users)
+    return corpus_of(items, log,
+                     taxonomy={c: (f"{c}/s",) for c in CATEGORIES}, users=users)
 
 
 class TestJsonRoundTrip:
@@ -495,10 +494,11 @@ class TestJsonRoundTrip:
         save_corpus(corpus, str(path))
         back = load_corpus(str(path))
         assert back.items == corpus.items
-        assert back.interactions == corpus.interactions
+        assert log_rows(back) == log_rows(corpus)
         assert back.taxonomy == corpus.taxonomy
         assert back.users == corpus.users
         assert back.signal_scheme == corpus.signal_scheme
+        assert back == corpus
 
     def test_round_trip_preserves_origin(self):
         corpus = synth_corpus(SynthSpec(n_users=2, n_categories=3,
@@ -542,6 +542,37 @@ def loads_or_rejects(load, path):
     for network in build_all(corpus).values():
         for item in corpus.items.values():
             network.update_on_feedback(item)
+
+
+class TestEquality:
+    """== compares items as a dict and the log's rows, as (user id, item id,
+    timestamp, signal), in order."""
+
+    def corpus(self):
+        return synth_corpus(SynthSpec(n_users=4, n_categories=4,
+                                      subcats_per_category=2, n_items=40,
+                                      bias_profile=1))
+
+    def reversed_items(self, corpus):
+        """The corpus with its items dict reversed and its log re-encoded."""
+        return corpus_of(dict(reversed(corpus.items.items())), log_rows(corpus),
+                         corpus.taxonomy, corpus.users)
+
+    def test_items_in_another_order(self):
+        corpus = self.corpus()
+        copy = self.reversed_items(corpus)
+        assert not np.array_equal(copy.log_item, corpus.log_item)
+        assert copy == corpus and corpus == copy
+
+    @pytest.mark.parametrize("column", ["log_ts", "log_signal", "log_item"])
+    def test_one_row_differs(self, column):
+        corpus = self.corpus()
+        values = getattr(corpus, column).copy()
+        # another timestamp, signal or item in row 7
+        values[7] = (values[7] + 1) % len(corpus.items)
+        changed = dataclasses.replace(corpus, **{column: values})
+        assert changed != corpus
+        assert self.reversed_items(changed) != corpus
 
 
 class TestLoadersFuzz:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bheisr.corpus import Corpus, Item
+from bheisr.corpus import Item
 from bheisr.features import (
     CategoryGraph,
     GraphUpdateBuffer,
@@ -23,6 +23,7 @@ from bheisr.recommenders import CandidateIndex
 from oracle import (
     FeatureVector,
     assert_equals_the_oracle,
+    corpus_of,
     correlation,
     featurize,
     featurize_tokens,
@@ -40,8 +41,8 @@ def make_item(id, cat, sub, title, abstract="", weights=None):
 
 
 def make_corpus(items, taxonomy):
-    return Corpus.from_rows({it.id: it for it in items}, [],
-                            taxonomy=taxonomy, users=())
+    return corpus_of({it.id: it for it in items}, [],
+                     taxonomy=taxonomy, users=())
 
 
 def graph_of(corpus, vocab=None):

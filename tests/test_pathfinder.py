@@ -13,11 +13,11 @@ from bheisr.pathfinder import (
     RejectionLedger,
     explore,
     next_hop,
-    path_of,
     record_rejection,
     reschedule,
     select_endpoints,
 )
+from oracle import path_of, penalized_edges
 
 
 class FakeGraph:
@@ -116,7 +116,7 @@ class TestRejectionLedger:
     def test_every_edge_of_the_path_penalized(self):
         ledger = RejectionLedger(theta=0)
         record_rejection(ledger, path_of("a", "b", "c"))
-        assert ledger.penalized_edges == {("a", "b"), ("b", "c")}
+        assert penalized_edges(ledger) == {("a", "b"), ("b", "c")}
         assert hop_scores(ledger, "a")["c"] == 0.2 + 1.0
 
     @given(prompts=st.lists(st.permutations("abcde").flatmap(
@@ -134,10 +134,31 @@ class TestRejectionLedger:
             rejected[prompt.nodes] = rejected.get(prompt.nodes, 0) + 1
         edges = {tuple(sorted(edge)) for nodes, count in rejected.items()
                  if count > theta for edge in zip(nodes, nodes[1:])}
-        assert ledger.penalized_edges == edges
+        assert penalized_edges(ledger) == edges
         assert ledger.penalized_at == {
             node: {b if a == node else a for a, b in edges if node in (a, b)}
             for edge in edges for node in edge}
+
+    def test_edges_added_once_when_rejections_first_pass_theta(self):
+        filed = []
+
+        class Recording(dict):
+            def setdefault(self, node, ends):
+                filed.append(node)
+                return super().setdefault(node, ends)
+
+        theta = 2
+        ledger = RejectionLedger(theta=theta, penalized_at=Recording())
+        path = path_of("a", "b", "c")
+        for _ in range(theta + 1):
+            record_rejection(ledger, path)
+        crossed = {node: set(ends) for node, ends in ledger.penalized_at.items()}
+        assert crossed == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        for _ in range(3):
+            record_rejection(ledger, path)
+        assert ledger.penalized_at == crossed
+        # each edge was filed under its two endpoints once, at the crossing
+        assert sorted(filed) == ["a", "b", "b", "c"]
 
     def test_counts_keyed_by_full_path(self):
         ledger = RejectionLedger(theta=2)
@@ -202,10 +223,11 @@ class TestNextHop:
 def brute_force_next_hop(graph, current, network, ledger, visited):
     """Enumerate candidates and pick max score, smallest name on ties."""
     scored = []
+    penalized = penalized_edges(ledger)
     for cand in graph.categories:
         if cand == current or cand in visited:
             continue
-        weight = -1.0 if tuple(sorted((current, cand))) in ledger.penalized_edges else 1.0
+        weight = -1.0 if tuple(sorted((current, cand))) in penalized else 1.0
         scored.append((-(graph.rho(current, cand)
                          + network.belief_degree(cand) * weight), cand))
     if not scored:

@@ -16,8 +16,6 @@ from bheisr import recommenders
 from bheisr.belief import build_all
 from bheisr.corpus import (
     ORIGIN_GENERATED,
-    Corpus,
-    Interaction,
     Item,
     SynthSpec,
     synth_corpus,
@@ -30,7 +28,7 @@ from bheisr.features import (
     tokenize,
 )
 from bheisr.nudge import NudgeSession, TemplateGenerator
-from bheisr.pathfinder import RejectionLedger, path_of
+from bheisr.pathfinder import RejectionLedger
 from bheisr.recommenders import (
     FeedContext,
     _baseline_scores,
@@ -44,7 +42,10 @@ from bheisr.simulate import SimConfig, build_assets
 from oracle import (
     assert_equals_the_oracle,
     cb_score,
+    corpus_of,
     featurize,
+    log_rows,
+    path_of,
     spy_featurize_corpus,
     uc_score,
 )
@@ -73,16 +74,16 @@ def small_corpus():
         "i4": Item("i4", "b", "b/s", "chip soup crossover", "chip soup", {"b": 1.0}),
         "i5": Item("i5", "c", "c/s", "opera review notes", "opera notes", {"c": 1.0}),
     }
-    interactions = [
-        Interaction("u1", "i1", 0, 1.0),
-        Interaction("u1", "i2", 1, 1.0),
-        Interaction("u2", "i1", 2, 1.0),
-        Interaction("u2", "i3", 3, 1.0),
-        Interaction("u3", "i5", 4, 1.0),
+    log = [
+        ("u1", "i1", 0, 1.0),
+        ("u1", "i2", 1, 1.0),
+        ("u2", "i1", 2, 1.0),
+        ("u2", "i3", 3, 1.0),
+        ("u3", "i5", 4, 1.0),
     ]
-    return Corpus.from_rows(items, interactions,
-                            taxonomy={"a": ("a/s",), "b": ("b/s",), "c": ("c/s",)},
-                            users=("u1", "u2", "u3"))
+    return corpus_of(items, log,
+                     taxonomy={"a": ("a/s",), "b": ("b/s",), "c": ("c/s",)},
+                     users=("u1", "u2", "u3"))
 
 
 def context_and_graph(corpus, baseline="cb"):
@@ -370,8 +371,8 @@ def ranking_cases(draw):
 def ranking_context(ids):
     items = {i: Item(i, "a", "a/s", f"story {i}", "plain words", {"a": 1.0})
              for i in ids}
-    return context_for(Corpus.from_rows(items, [], taxonomy={"a": ("a/s",)},
-                                        users=("u1",)))
+    return context_for(corpus_of(items, [], taxonomy={"a": ("a/s",)},
+                                 users=("u1",)))
 
 
 @st.composite
@@ -531,9 +532,8 @@ class TestAccelerationAgreesWithReference:
 
     def test_index_of_another_item_order_rejected(self):
         ctx, _, corpus = self.context()
-        reordered = Corpus.from_rows(dict(reversed(corpus.items.items())),
-                                     corpus.interactions, corpus.taxonomy,
-                                     corpus.users)
+        reordered = corpus_of(dict(reversed(corpus.items.items())),
+                              log_rows(corpus), corpus.taxonomy, corpus.users)
         other = FeedContext(corpus=reordered, networks=ctx.networks,
                             table=ctx.table, baseline="rd")
         with pytest.raises(ValueError, match="another corpus"):
