@@ -269,7 +269,6 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--generator-url", dest="generator_url")
     parser.add_argument("--generator-timeout-ms", dest="generator_timeout_ms",
                         type=int)
-    parser.add_argument("--parallel", action="store_true", default=None)
     parser.add_argument("--track-fb", dest="track_fb", action="store_true",
                         default=None)
     parser.add_argument("--trace-paths", dest="trace_paths",

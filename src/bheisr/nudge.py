@@ -10,6 +10,7 @@ default and an HTTP generator that falls back to the template on failure.
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from json import dumps, loads
 
 from . import pathfinder
 from .corpus import GENERATED_ID_PREFIX, ORIGIN_GENERATED, Item
@@ -56,7 +57,7 @@ class TemplateGenerator:
             # a category's items are consecutive rows, so their entries are
             # one run of the flat arrays
             bounds = [*entries.starts.tolist(), len(entries.terms)]
-            terms, n, top = vocab.terms(), 0, {}
+            terms, n, self._top_terms = vocab.terms(), 0, {}
             for cat, items in self.exemplars.items():
                 span = slice(bounds[n], bounds[n + len(items)])
                 n += len(items)
@@ -65,10 +66,7 @@ class TemplateGenerator:
                                   entries.weights[span].tolist()):
                     acc[tid] = acc.get(tid, 0.0) + w
                 ranked = sorted(acc, key=lambda tid: (-acc[tid], terms[tid]))
-                top[cat] = [terms[tid] for tid in ranked]
-            # published whole: threads sharing the generator must never
-            # read a table that is still being filled
-            self._top_terms = top
+                self._top_terms[cat] = [terms[tid] for tid in ranked]
         return self._top_terms.get(category, [])[:limit]
 
     def generate(self, prompt_categories, seed: int = 0) -> tuple:
@@ -88,27 +86,36 @@ class TemplateGenerator:
         return f"{category} angle: {first} {second}."
 
 
+def _post_json(url: str, json, timeout: float):
+    """POST `json` and parse the reply. Every HTTP failure is an OSError."""
+    import http.client       # imported here: only external runs pay for them
+    import urllib.error
+    import urllib.request
+    request = urllib.request.Request(url, data=dumps(json).encode(), headers={
+        "Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()          # an error status holds its reply open
+        raise
+    except http.client.HTTPException as exc:
+        raise OSError(f"bad HTTP reply: {exc!r}") from exc
+
+
 class ExternalGenerator:
     """HTTP generation endpoint with retries and template fallback.
 
     POSTs {"prompt_categories": [...], "exemplar_snippets": [...],
-    "max_tokens": n} and expects {"title": ..., "abstract": ...} back, both
-    non-empty strings. A transport error (OSError, which requests' errors
-    subclass) or a malformed response counts as a failed attempt; once the
-    retry budget is spent the template generator fills in and the event is
-    counted. Any other exception is a bug and propagates. A run calls it
-    once per generated item whose text is read, in barrier order.
+    "max_tokens": n} and expects non-empty {"title": ..., "abstract": ...}
+    strings back. An OSError or a malformed reply is a failed attempt; once
+    the retries are spent the template fills in and the event is counted.
+    Any other exception is a bug and propagates. A run calls it once per
+    generated item whose text is read, in barrier order.
     """
 
     def __init__(self, url: str, fallback: TemplateGenerator, timeout_ms: int = 2000,
-                 retries: int = 2, max_tokens: int = 120, post=None):
-        if post is None:
-            import requests
-
-            def post(url, json, timeout):
-                resp = requests.post(url, json=json, timeout=timeout)
-                resp.raise_for_status()
-                return resp.json()
+                 retries: int = 2, max_tokens: int = 120, post=_post_json):
         self.url = url
         self.fallback = fallback
         self.timeout_ms = timeout_ms

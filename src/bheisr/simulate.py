@@ -2,15 +2,14 @@
 
 Users accept each recommended item with probability equal to the item's
 belief share (one logged uniform draw per decision). Per-user nudge sessions,
-belief networks, and RNG streams are independent; category-graph and
-history-index updates are batched between steps, so parallel and
-single-threaded execution produce identical results.
+belief networks, and RNG streams are independent; the category graph and the
+scoring state change only at the barrier between steps, so the order in
+which a step visits its users changes no result.
 """
 
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -59,7 +58,7 @@ class SimConfig:
     generator_url: str = None
     generator_timeout_ms: int = 2000
     generator_retries: int = 2
-    parallel: bool = False
+    parallel: bool = False               # runs are serial; True is rejected
     track_fb: bool = False
     trace_paths: bool = False
 
@@ -93,6 +92,8 @@ class SimConfig:
         if self.users is not None and not self.users:
             raise ValueError("users is empty; leave it unset to feed everyone")
         reject_duplicates(self.users or (), "user")
+        if self.parallel:
+            raise ValueError("parallel is not supported: runs are serial")
 
 
 def decide(ap: float, draw: float) -> tuple:
@@ -338,25 +339,17 @@ def _record(state: SimState, step: int, user_id: str, feed,
 def _step_block(state: SimState, users: tuple, step: int) -> dict:
     """Every user step of the block, {user: (record, accepted items)}, run
     one phase at a time over all of the block's users: feeds, decisions,
-    accepts with session feedback, then records. With `parallel`, a thread
-    pool maps each phase.
+    accepts with session feedback, then records.
 
     Users share no state inside a step, and each user's phases run in the
     order of one user step, so the phase order changes no result. It is
     kept for speed: one function per whole user step ran both benchmark
     workloads at 0.89-0.98x in paired runs (2-vCPU Xeon, Python 3.11).
     """
-    if state.config.parallel and len(users) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(users))) as pool:
-            return _phases(state, users, step, pool.map)
-    return _phases(state, users, step, map)
-
-
-def _phases(state: SimState, users: tuple, step: int, each) -> dict:
-    feeds = list(each(partial(_feed, state, step), users))
-    decisions = list(each(partial(_decisions, state, step), users, feeds))
-    accepts = list(each(partial(_feedback, state), users, feeds, decisions))
-    records = list(each(partial(_record, state, step), users, feeds, decisions))
+    feeds = list(map(partial(_feed, state, step), users))
+    decisions = list(map(partial(_decisions, state, step), users, feeds))
+    accepts = list(map(partial(_feedback, state), users, feeds, decisions))
+    records = list(map(partial(_record, state, step), users, feeds, decisions))
     return dict(zip(users, zip(records, accepts)))
 
 

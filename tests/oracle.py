@@ -5,8 +5,9 @@ in array passes; these are the plain-loop definitions of the same values. A
 vector is a dict of term id -> weight in first-occurrence order plus its
 norm, and every sum is a left fold, so the array paths can be checked against
 them with ==. A spy on the package's one featurizer counts what it is asked
-to featurize. The last helpers build test inputs: a corpus from log rows, a
-prompt path from its nodes, and the ledger's penalized edges as pairs.
+to featurize, and a patch reverses the order a step visits its users in. The
+last helpers build test inputs: a corpus from log rows, a prompt path from
+its nodes, and the ledger's penalized edges as pairs.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from bheisr import features, nudge, recommenders
+from bheisr import features, nudge, recommenders, simulate
 from bheisr.corpus import Corpus, _log_columns
 from bheisr.features import Vocabulary, tokenize
 from bheisr.folds import fold_sum
@@ -220,6 +221,14 @@ def spy_featurize_corpus(monkeypatch) -> list:
     for module in (features, nudge, recommenders):
         monkeypatch.setattr(module, "featurize_corpus", spy)
     return calls
+
+
+def reverse_user_order(monkeypatch) -> None:
+    """Have every step block visit its users last to first, for the rest
+    of the test."""
+    step_block = simulate._step_block
+    monkeypatch.setattr(simulate, "_step_block", lambda state, users, step:
+                        step_block(state, users[::-1], step))
 
 
 def corpus_of(items: dict, log, taxonomy: dict, users: tuple,

@@ -36,7 +36,7 @@ from bheisr.simulate import (
     prepare,
     run_loop,
 )
-from oracle import path_of, penalized_edges
+from oracle import path_of, penalized_edges, reverse_user_order
 
 SPEC20 = SynthSpec(bias_profile=10)                 # 20 users, 10 biased
 SPEC30 = SynthSpec(n_users=30, bias_profile=10)     # 30 users, 10 biased
@@ -398,7 +398,8 @@ def test_criterion_08_ks_calibration(capsys):
 
 def test_criterion_09_reproducibility(capsys, corpus20, assets20, tmp_path):
     """The coverage experiment writes byte-identical CSVs on repeated runs,
-    and threaded execution reproduces single-threaded results exactly."""
+    and steps that visit their users in reverse order reproduce the
+    forward-order results exactly."""
     t0 = time.perf_counter()
     config = SimConfig(w=0.6, k=10, feeds=10, seed=0)
     out_a = tmp_path / "a"
@@ -412,18 +413,20 @@ def test_criterion_09_reproducibility(capsys, corpus20, assets20, tmp_path):
 
     state = prepare(SimConfig(model="cb"), corpus20, assets20)
     cohort = state.classification.fb_users
-    serial = run_loop(SimConfig(model="cb_w", w=0.6, k=10, feeds=5, seed=3,
-                                users=cohort), corpus20, assets20)
-    threaded = run_loop(SimConfig(model="cb_w", w=0.6, k=10, feeds=5, seed=3,
-                                  users=cohort, parallel=True), corpus20,
-                        assets20)
-    same_runs = serial.steps == threaded.steps and \
-        serial.checkpoints == threaded.checkpoints
+    run_config = SimConfig(model="cb_w", w=0.6, k=10, feeds=5, seed=3,
+                           users=cohort)
+    forward = run_loop(run_config, corpus20, assets20)
+    with pytest.MonkeyPatch.context() as mp:
+        reverse_user_order(mp)
+        backward = run_loop(run_config, corpus20, assets20)
+    same_runs = forward.steps == backward.steps and \
+        forward.checkpoints == backward.checkpoints
     ok = identical and same_runs
     elapsed = time.perf_counter() - t0
     report(capsys, 9, ok,
-           f"coverage.csv byte-identical: {identical}; parallel == serial "
-           f"over {len(cohort)} users: {same_runs}", elapsed, 60.0)
+           f"coverage.csv byte-identical: {identical}; reversed user order "
+           f"== forward order over {len(cohort)} users: {same_runs}",
+           elapsed, 60.0)
 
 
 def test_criterion_10_classifier_matches_brute_force(capsys):

@@ -446,14 +446,25 @@ class TestSimulate:
         assert json.loads((out / "fb_counts.json").read_text())[0] == [0, 5]
         assert (out / "paths.jsonl").exists()
 
-    def test_parallel_flag_matches_serial_log(self, tmp_path):
-        base = ["simulate", "--synth", SYNTH, "--model", "uc", "--k", "4",
-                "--feeds", "2"]
-        a = tmp_path / "serial"
-        b = tmp_path / "parallel"
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--parallel", "--out", str(b)]) == 0
-        assert (a / "runlog.jsonl").read_bytes() == (b / "runlog.jsonl").read_bytes()
+    def test_parallel_flag_is_gone(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--synth", SYNTH, "--feeds", "2", "--parallel",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_config_file_parallel_exits_2(self, tmp_path, capsys):
+        # runs are serial; the key is still a config field, so validate()
+        # names it rather than calling it unknown
+        path = tmp_path / "run.conf"
+        path.write_text("parallel=true\n")
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(path), "--synth", SYNTH,
+                     "--feeds", "2", "--out", str(out)])
+        assert code == 2
+        assert "parallel" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_value_outside_flag_choices_exits_2(self, tmp_path, capsys):
         # a config file bypasses argparse choices; validate() must catch it

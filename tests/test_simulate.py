@@ -34,7 +34,7 @@ from bheisr.simulate import (
     write_belief_snapshots,
     write_run_log,
 )
-from oracle import spy_featurize_corpus
+from oracle import reverse_user_order, spy_featurize_corpus
 
 # no bubble-affected users: enough for loop mechanics
 PLAIN_SPEC = SynthSpec(n_users=12, n_categories=6, subcats_per_category=2,
@@ -130,6 +130,7 @@ class TestPrepare:
         ("generator_kind", "external", "external generator needs generator_url"),
         ("generator_timeout_ms", 0, "generator_timeout_ms must be positive"),
         ("generator_retries", -1, "generator_retries must be non-negative"),
+        ("parallel", True, "parallel is not supported: runs are serial"),
     ])
     def test_bad_values_rejected(self, field, value, message):
         # the config names no corpus, so the value must be caught before any
@@ -140,7 +141,7 @@ class TestPrepare:
     def test_boundary_values_accepted(self):
         SimConfig(queue_discipline="replace", max_path_len=1, generator_retries=0,
                   generator_timeout_ms=1, generator_kind="external",
-                  generator_url="http://localhost:1").validate()
+                  generator_url="http://localhost:1", parallel=False).validate()
 
     def test_sessions_only_for_fb_users_in_scope(self, fb_corpus, fb_assets):
         config = SimConfig(model="cb_w", users=("u0000", "u0009"))
@@ -223,7 +224,7 @@ class TestRunLoop:
         # fails leaves the template's text, so the record is the template's
         generate = nudge._generate_for
 
-        def run(parallel):
+        def run(reverse):
             prompts, generated = [], {}
 
             def post(url, json, timeout):
@@ -239,36 +240,44 @@ class TestRunLoop:
                 mp.setattr(nudge, "ExternalGenerator",
                            partial(nudge.ExternalGenerator, post=post))
                 mp.setattr(nudge, "_generate_for", record)
-                result = run_loop(replace(external, parallel=parallel),
-                                  fb_corpus, fb_assets)
+                if reverse:
+                    reverse_user_order(mp)
+                result = run_loop(external, fb_corpus, fb_assets)
             return result, prompts, generated
 
         config = self.config(users=None, model="bheisr", feeds=8, seed=3)
         external = replace(config, generator_kind="external",
                            generator_url="http://gen", generator_retries=1)
-        serial, prompts, generated = run(False)
-        accepted = [generated[d.item_id].prompt.nodes for recs in serial.steps
+        forward, prompts, generated = run(False)
+        accepted = [generated[d.item_id].prompt.nodes for recs in forward.steps
                     for r in recs for d in r.decisions
                     if d.accepted and d.origin == ORIGIN_GENERATED]
         assert len(accepted) > 1 and len(generated) > len(accepted)
         assert sorted(prompts) == sorted(accepted * 2)   # retries + 1 each
-        assert repr(serial) == repr(run_loop(config, fb_corpus, fb_assets))
-        parallel, parallel_prompts, _ = run(True)
-        assert parallel == serial
-        assert parallel_prompts == prompts
+        assert repr(forward) == repr(run_loop(config, fb_corpus, fb_assets))
+        # the barrier reads text in user order, whatever order a step
+        # visited its users in
+        backward, backward_prompts, _ = run(True)
+        assert backward == forward
+        assert backward_prompts == prompts
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), model=st.sampled_from(sorted(MODELS)),
            w=st.floats(0.0, 1.0))
     @example(seed=1, model="cb_w", w=0.6)
-    def test_parallel_matches_serial(self, fb_corpus, fb_assets, seed, model, w):
+    def test_reversed_user_order_matches_forward(self, fb_corpus, fb_assets,
+                                                 seed, model, w):
+        # users share no state inside a step, so a step block that visits
+        # its users last to first changes no record
         config = self.config(users=None, model=model, w=w, seed=seed,
                              trace_paths=True)
-        serial = run_loop(config, fb_corpus, fb_assets)
-        parallel = run_loop(replace(config, parallel=True), fb_corpus, fb_assets)
-        assert serial.steps == parallel.steps
-        assert serial.checkpoints == parallel.checkpoints
-        assert serial.path_traces == parallel.path_traces
+        forward = run_loop(config, fb_corpus, fb_assets)
+        with pytest.MonkeyPatch.context() as mp:
+            reverse_user_order(mp)
+            backward = run_loop(config, fb_corpus, fb_assets)
+        assert forward.steps == backward.steps
+        assert forward.checkpoints == backward.checkpoints
+        assert forward.path_traces == backward.path_traces
 
     @pytest.mark.parametrize("model", ["bheisr", "uc_w"])
     def test_draws_are_the_scalar_stream_in_item_order(self, fb_corpus,
@@ -287,21 +296,22 @@ class TestRunLoop:
         assert n == run.k * len(run.users) * len(run.steps)
 
     @pytest.mark.parametrize("model", ["bheisr", "uc_w"])
-    def test_records_do_not_depend_on_blocks_or_threads(self, fb_corpus,
-                                                        fb_assets, model):
+    def test_records_do_not_depend_on_blocks_or_user_order(self, fb_corpus,
+                                                           fb_assets, model):
         # a step block runs phase by phase over its users; neither the block
-        # size nor the thread pool changes a record
+        # size nor the order of its users changes a record
         config = self.config(users=None, model=model, feeds=5, track_fb=True,
                              trace_paths=True)
-        serial = run_loop(config, fb_corpus, fb_assets)
-        assert serial.path_traces or model != "bheisr"
+        forward = run_loop(config, fb_corpus, fb_assets)
+        assert forward.path_traces or model != "bheisr"
         for batch in (simulate.BATCH_USERS, 1, 3):
-            for parallel in (False, True):
+            for reverse in (False, True):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(simulate, "BATCH_USERS", batch)
-                    run = run_loop(replace(config, parallel=parallel),
-                                   fb_corpus, fb_assets)
-                assert run == serial, (batch, parallel)
+                    if reverse:
+                        reverse_user_order(mp)
+                    run = run_loop(config, fb_corpus, fb_assets)
+                assert run == forward, (batch, reverse)
 
     @pytest.mark.parametrize("model", ["bheisr", "cb_w"])
     def test_loop_featurizes_each_accepted_generated_text_once(
@@ -349,10 +359,9 @@ class TestRunLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recommenders, "_certified_uc_best", counted)
             batched = run_loop(config, fb_corpus, fb_assets)
-            # blocks of 3 users, on the thread pool
+            # blocks of 3 users
             mp.setattr(simulate, "BATCH_USERS", 3)
-            blocked = run_loop(replace(config, parallel=True), fb_corpus,
-                               fb_assets)
+            blocked = run_loop(config, fb_corpus, fb_assets)
         # every user-step tried the batched row, but for the lone user of
         # the last block of 3, and both outcomes occurred
         assert len(certified) == config.feeds * (2 * len(fb_corpus.users) - 1)
