@@ -16,17 +16,6 @@ from .corpus import ORIGIN_GENERATED, generated_subcategory
 from .folds import fold_sum
 
 
-def entropy_bits(probs) -> float:
-    """Shannon entropy in bits; 0 * log2(0) is taken as 0."""
-    total = 0.0
-    for p in probs:
-        if p < 0.0:
-            raise ValueError(f"negative probability {p}")
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
-
-
 @dataclass
 class BeliefNetwork:
     """A user's click counts and the beliefs folded from them.
@@ -64,8 +53,8 @@ class BeliefNetwork:
 
         Each category's belief starts from 0.0 and subtracts p * log2(p),
         p = count / total_mass(), for its subcategories in click_counts
-        order, which is entropy_bits over the category's probabilities in
-        that order, operation for operation.
+        order, which is the scalar entropy oracle in tests/oracle.py over
+        the category's probabilities in that order, operation for operation.
         """
         total = self.total_mass()
         belief = dict.fromkeys(self.categories, 0.0)

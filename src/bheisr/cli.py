@@ -144,9 +144,9 @@ def cmd_detect(args) -> int:
             for cat, stats in result.stats.items()
         },
         "classes": {
-            user: {cat: exp.value for cat, exp in classes.items()
-                   if exp is not detection.Exposure.NORMAL}
-            for user, classes in result.classes.items()
+            user: {**dict.fromkeys(highs, "ExtremeHigh"),
+                   **dict.fromkeys(lows, "ExtremeLow")}
+            for user, (highs, lows) in result.extremes.items()
         },
     }
     if args.out:
@@ -162,14 +162,14 @@ def cmd_detect(args) -> int:
 def cmd_graph(args) -> int:
     config = build_config(args)
     corpus = simulate.build_corpus(config)
-    assets = simulate.build_assets(corpus)
-    graph = CategoryGraph.build(corpus, ItemTable(assets.vocab, assets.index))
+    index = simulate.build_assets(corpus)
+    graph = CategoryGraph.build(corpus, ItemTable(index))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(graph.to_json_dict(), fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
     print(f"nodes={len(graph.categories)} edges={len(graph.edges)} "
-          f"vocabulary={len(assets.vocab.term_ids)}")
+          f"vocabulary={len(index.vocab.term_ids)}")
     return 0
 
 
@@ -244,7 +244,7 @@ def cmd_experiment(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", help="dataset path (file or directory)")
     parser.add_argument("--dataset-format", dest="dataset_format",
-                        choices=("json", "mind_tsv", "imdb_csv"))
+                        choices=simulate.DATASET_FORMATS)
     parser.add_argument("--synth", type=parse_synth,
                         help="synthetic corpus, e.g. n_users=20,bias_profile=10")
     parser.add_argument("--config", help="key=value config file")

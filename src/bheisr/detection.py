@@ -3,24 +3,19 @@
 A feed's diversity coverage (the share of categories its items touch) plus
 population-side belief classification: per category, users more than two
 standard deviations from the mean are extreme, and a user with at least one
-extreme-high and one extreme-low category is bubble-affected. Normality of
-each category's belief distribution is checked with a Kolmogorov-Smirnov
-statistic and skewness, computed only when read.
+extreme-high and one extreme-low category is bubble-affected. Each user's
+(highs, lows) in UserClassification.extremes is the one record of those
+labels; `bheisr detect` writes them from it. Normality of each category's
+belief distribution is checked with a Kolmogorov-Smirnov statistic and
+skewness, computed only when read.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 from .folds import fold_sum
-
-
-class Exposure(enum.Enum):
-    NORMAL = "Normal"
-    EXTREME_HIGH = "ExtremeHigh"
-    EXTREME_LOW = "ExtremeLow"
 
 
 MIN_POPULATION = 8
@@ -134,27 +129,15 @@ class UserClassification:
     stats: dict              # category -> CategoryStats
     extremes: dict           # sorted users -> (highs, lows), each sorted
 
-    @cached_property
-    def classes(self) -> dict:
-        """user -> {category -> Exposure}, a view of `extremes` built when
-        first read (the loop never reads it)."""
-        normal = dict.fromkeys(self.stats, Exposure.NORMAL)
-        classes = {}
-        for u, (highs, lows) in self.extremes.items():
-            labels = classes[u] = dict(normal)
-            labels.update(dict.fromkeys(highs, Exposure.EXTREME_HIGH))
-            labels.update(dict.fromkeys(lows, Exposure.EXTREME_LOW))
-        return classes
-
 
 def classify_users(beliefs: dict, taxonomy) -> UserClassification:
     """Two-sigma empirical-rule classification over per-category beliefs.
 
     `beliefs` maps user -> {category -> belief degree} for users with nonzero
     networks (cold users are excluded upstream). A category whose belief is
-    identical across users classifies everyone Normal there. The low threshold
+    identical across users makes no one extreme there. The low threshold
     mu - 2*sigma is floored at zero in effect: beliefs are nonnegative, so a
-    nonpositive threshold makes ExtremeLow unreachable in that category.
+    nonpositive threshold makes extreme-low unreachable in that category.
     Each user's extreme categories are decided here, once; the bubble-affected
     users are those with both kinds.
     """

@@ -28,7 +28,6 @@ def tokenize(text: str) -> list:
 class Vocabulary:
     term_ids: dict          # term -> int id, in id order
     idf: np.ndarray         # per term id, its idf weight
-    n_docs: int
 
     def terms(self) -> list:
         return list(self.term_ids)
@@ -41,12 +40,12 @@ def build_vocabulary(tokens: list) -> Vocabulary:
     idf(t) = ln((1 + N) / (1 + df(t))) + 1, always positive.
     """
     df = Counter(chain.from_iterable(map(set, tokens)))
-    n_docs = len(tokens)
+    n = len(tokens)
     terms = sorted(df)
-    idf = np.array([math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in terms],
+    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms],
                    dtype=float)
     return Vocabulary(term_ids={term: i for i, term in enumerate(terms)},
-                      idf=idf, n_docs=n_docs)
+                      idf=idf)
 
 
 class FlatEntries(NamedTuple):
@@ -118,8 +117,7 @@ class ItemTable:
     the step barrier, which is the only place that passes it new items.
     """
 
-    def __init__(self, vocab: Vocabulary, index):
-        self.vocab = vocab
+    def __init__(self, index):
         self.index = index                  # the CandidateIndex of the corpus
         self.entries = index.entries        # FlatEntries of every row
         self.text_rows = {}                 # text -> row, items outside the index
@@ -151,7 +149,7 @@ class ItemTable:
         old = self.entries
         n_rows, n_entries = len(old.counts), len(old.terms)
         self.text_rows.update(zip(texts, range(n_rows, n_rows + len(texts))))
-        new = featurize_corpus(list(map(tokenize, texts)), self.vocab)
+        new = featurize_corpus(list(map(tokenize, texts)), self.index.vocab)
         row_end, entry_end = n_rows + len(new.counts), n_entries + len(new.terms)
         store = self._store
         if store is None or row_end > len(store.counts) or entry_end > len(store.terms):
@@ -214,7 +212,7 @@ class CategoryGraph:
             raise ValueError("the candidate index was built from another corpus")
         categories = corpus.categories()
         n = len(categories)
-        shape = (n, len(table.vocab.term_ids) + 1)
+        shape = (n, len(table.index.vocab.term_ids) + 1)
         a, b = np.triu_indices(n, 1)
         gather = np.empty((n, n), dtype=np.intp)
         gather[a, b] = gather[b, a] = np.arange(len(a))
@@ -346,7 +344,7 @@ class CategoryGraph:
             self.rho_gather].tolist()
 
     def to_json_dict(self) -> dict:
-        terms = self.table.vocab.terms()
+        terms = self.table.index.vocab.terms()
         nodes = []
         for cat, row in self.rows.items():
             tids = np.sort(self.touch_order[row, :self.n_touched[row]])

@@ -95,7 +95,7 @@ def record_rejection(ledger: RejectionLedger, prompt: PromptPath) -> RejectionLe
 
 
 def next_hop(graph, current: str, network, ledger: RejectionLedger,
-             visited: set, trace=None) -> str:
+             visited: set) -> str:
     """Best next node from `current`: argmax of rho + belief * rejection
     weight, the weight -1 on an edge the ledger penalizes and 1 otherwise.
 
@@ -105,27 +105,22 @@ def next_hop(graph, current: str, network, ledger: RejectionLedger,
     """
     best = None
     best_score = None
-    rows = [] if trace is not None else None
     belief = network.belief
     flipped = ledger.penalized_at.get(current, ())
     for cand, rho in zip(graph.categories, graph.rho_row(current)):
         if cand == current or cand in visited:
             continue
         score = rho + belief[cand] * (-1.0 if cand in flipped else 1.0)
-        if rows is not None:
-            rows.append({"candidate": cand, "score": score})
         if best_score is None or score > best_score or \
                 (score == best_score and cand < best):
             best, best_score = cand, score
     if best is None:
         raise ValueError(f"no unvisited candidates from {current!r}")
-    if trace is not None:
-        trace.append({"current": current, "candidates": rows, "chosen": best})
     return best
 
 
 def explore(graph, source: str, target: str, network, ledger: RejectionLedger,
-            max_len: int = None, trace=None) -> PromptPath:
+            max_len: int = None) -> PromptPath:
     """Greedy walk from source until the target wins a hop or length runs out.
 
     max_len defaults to the number of categories; on truncation the target is
@@ -140,7 +135,7 @@ def explore(graph, source: str, target: str, network, ledger: RejectionLedger,
     visited = {source}
     current = source
     while current != target and len(nodes) < max_len:
-        nxt = next_hop(graph, current, network, ledger, visited, trace=trace)
+        nxt = next_hop(graph, current, network, ledger, visited)
         nodes.append(nxt)
         visited.add(nxt)
         current = nxt
@@ -169,12 +164,11 @@ def select_endpoints(network, extremes: tuple) -> tuple:
 
 
 def reschedule(graph, network, ledger: RejectionLedger, extremes: tuple,
-               max_len: int = None, trace=None):
+               max_len: int = None):
     """Fresh path after exhaustion; None when no unexhausted path exists.
     `extremes` is as in select_endpoints."""
     source, target = select_endpoints(network, extremes)
-    path = explore(graph, source, target, network, ledger, max_len=max_len,
-                   trace=trace)
+    path = explore(graph, source, target, network, ledger, max_len=max_len)
     if ledger.counts.get(path.key, 0) > ledger.theta:
         return None
     return path

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nudge
-from .features import FlatEntries, ItemTable, entry_norms, featurize_corpus
+from .features import FlatEntries, ItemTable, Vocabulary, entry_norms, featurize_corpus
 from .folds import fold_sum
 from .rng import substream
 
@@ -20,12 +20,14 @@ from .rng import substream
 @dataclass
 class CandidateIndex:
     """Frozen array view of the corpus; row r is the corpus's r-th item, and
-    the one store of its vector: its entries in first-occurrence order."""
+    the one store of its vector: its entries in first-occurrence order over
+    `vocab`, the corpus vocabulary."""
     ids: list
     pos: dict
     cat_index: np.ndarray            # per item, its row in corpus.categories()
     id_rank: np.ndarray              # per item, rank in ascending id order
     entries: FlatEntries             # the items' entries, in row order
+    vocab: Vocabulary
 
     @classmethod
     def build(cls, corpus, vocab, tokens: list) -> "CandidateIndex":
@@ -39,7 +41,7 @@ class CandidateIndex:
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         return cls(ids=ids, pos={i: r for r, i in enumerate(ids)},
                    cat_index=cat_index, id_rank=id_rank,
-                   entries=featurize_corpus(tokens, vocab))
+                   entries=featurize_corpus(tokens, vocab), vocab=vocab)
 
 
 def acceptance_share(item, network, total: float) -> float:
@@ -63,8 +65,6 @@ def acceptance_share(item, network, total: float) -> float:
 
 @dataclass
 class Feed:
-    user_id: str
-    step: int
     items: list
     generated_count: int
 
@@ -143,7 +143,7 @@ class FeedContext:
         self.accept_matrix = np.zeros((n_users, len(index.ids)))
         if self.baseline == "cb":
             from scipy import sparse    # CB alone scores through scipy
-            entries, n_terms = index.entries, max(1, len(self.table.vocab.term_ids))
+            entries, n_terms = index.entries, max(1, len(index.vocab.term_ids))
             self.item_matrix = sparse.csr_matrix(
                 (entries.weights, entries.terms,
                  np.append(entries.starts, len(entries.terms))),
@@ -364,5 +364,4 @@ def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,
     n_base = k - len(gen_items)
     base_ids = baseline_ranking(baseline, ctx, user_id, n_base, step, seed)
     items = [ctx.corpus.items[i] for i in base_ids] + gen_items
-    return Feed(user_id=user_id, step=step, items=items,
-                generated_count=len(gen_items))
+    return Feed(items=items, generated_count=len(gen_items))

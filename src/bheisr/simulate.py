@@ -9,8 +9,9 @@ which a step visits its users changes no result.
 
 import csv
 import json
+import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from . import belief as belief_mod
@@ -37,6 +38,11 @@ MODELS = {
 EXEMPLARS_PER_CATEGORY = 3
 BATCH_USERS = 256        # fed users per batched UC neighbour-mass product
 GENERATOR_KINDS = ("template", "external")
+DATASET_FORMATS = {"json": load_corpus, "mind_tsv": load_behaviors,   # -> loader
+                   "imdb_csv": load_ratings}
+# a numeric field's annotation -> the type its value must have, never a bool
+NUMBER_KINDS = {int: (numbers.Integral, "an integer"),
+                float: (numbers.Real, "a number")}
 
 
 @dataclass
@@ -48,7 +54,7 @@ class SimConfig:
     feeds: int = 10
     seed: int = 0
     dataset: str = None
-    dataset_format: str = "json"         # json | mind_tsv | imdb_csv
+    dataset_format: str = "json"         # a key of DATASET_FORMATS
     synth: SynthSpec = None
     users: tuple = None                  # simulate only these users
     target_user: str = None
@@ -64,6 +70,19 @@ class SimConfig:
 
     def validate(self) -> None:
         """Reject values no run can use, before any work starts."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # None is a value only where it is the default (max_path_len)
+            if f.type in NUMBER_KINDS and (value is not None or f.default is not None):
+                kind, noun = NUMBER_KINDS[f.type]
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        users = () if self.users is None else self.users
+        if not isinstance(users, (tuple, list)) or \
+                not all(isinstance(u, str) for u in users):
+            raise ValueError(f"users must be a list of user ids, got {users!r}")
+        if self.dataset_format not in DATASET_FORMATS:
+            raise ValueError(f"unknown dataset format {self.dataset_format!r}")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; pick from "
                              f"{sorted(MODELS)}")
@@ -91,7 +110,7 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if self.users is not None and not self.users:
             raise ValueError("users is empty; leave it unset to feed everyone")
-        reject_duplicates(self.users or (), "user")
+        reject_duplicates(users, "user")
         if self.parallel:
             raise ValueError("parallel is not supported: runs are serial")
 
@@ -159,13 +178,9 @@ def build_corpus(config: SimConfig) -> Corpus:
         return synth_corpus(config.synth)
     if config.dataset is None:
         raise ValueError("config needs either a dataset path or a synth spec")
-    if config.dataset_format == "mind_tsv":
-        return load_behaviors(config.dataset)
-    if config.dataset_format == "imdb_csv":
-        return load_ratings(config.dataset)
-    if config.dataset_format == "json":
-        return load_corpus(config.dataset)
-    raise ValueError(f"unknown dataset format {config.dataset_format!r}")
+    if config.dataset_format not in DATASET_FORMATS:
+        raise ValueError(f"unknown dataset format {config.dataset_format!r}")
+    return DATASET_FORMATS[config.dataset_format](config.dataset)
 
 
 def _collect_exemplars(corpus: Corpus) -> dict:
@@ -191,6 +206,7 @@ class SimState:
     """Shared immutable-within-a-step world handed to user steps."""
     config: SimConfig
     corpus: Corpus
+    users: tuple                         # the fed users, in feed order
     graph: CategoryGraph
     networks: dict
     ctx: FeedContext
@@ -201,19 +217,11 @@ class SimState:
     classification: object = None
 
 
-@dataclass
-class SharedAssets:
-    """Immutable per-corpus features, reusable across runs with any seed."""
-    vocab: object
-    index: CandidateIndex
-
-
-def build_assets(corpus: Corpus) -> SharedAssets:
-    """The vocabulary and the candidate index, from one tokenizing pass."""
+def build_assets(corpus: Corpus) -> CandidateIndex:
+    """The candidate index over the corpus vocabulary, from one tokenizing
+    pass: immutable, and reusable across runs with any seed."""
     tokens = [tokenize(item.text()) for item in corpus.items.values()]
-    vocab = build_vocabulary(tokens)
-    return SharedAssets(vocab=vocab,
-                        index=CandidateIndex.build(corpus, vocab, tokens))
+    return CandidateIndex.build(corpus, build_vocabulary(tokens), tokens)
 
 
 def _classify(corpus, networks):
@@ -233,13 +241,19 @@ def build_population(corpus: Corpus) -> tuple:
 
 
 def prepare(config: SimConfig, corpus: Corpus = None,
-            assets: SharedAssets = None) -> SimState:
+            assets: CandidateIndex = None) -> SimState:
+    """The run's state; the fed users, config.users or all, are checked first."""
     config.validate()
     if corpus is None:
         corpus = build_corpus(config)
+    users = tuple(config.users) if config.users else corpus.users
+    known = set(corpus.users)
+    for user in users:
+        if user not in known:
+            raise ValueError(f"unknown user {user!r}")
     if assets is None:
         assets = build_assets(corpus)
-    table = ItemTable(assets.vocab, assets.index)
+    table = ItemTable(assets)
     graph = CategoryGraph.build(corpus, table)
     networks, classification = build_population(corpus)
     exemplars = _collect_exemplars(corpus)
@@ -252,17 +266,16 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     w_eff = 1.0 if config.model == "bheisr" else config.w
     sessions = {}
     if with_bheisr and classification is not None:
-        sim_users = config.users or corpus.users
+        fed = set(users)
         for user in classification.fb_users:
-            if user not in sim_users:
-                continue
-            sessions[user] = nudge.new_session(
-                user, graph, networks[user], classification.extremes[user],
-                theta=config.theta, queue_discipline=config.queue_discipline,
-                max_path_len=config.max_path_len)
-    return SimState(config=config, corpus=corpus, graph=graph, networks=networks,
-                    ctx=ctx, sessions=sessions, baseline=baseline,
-                    with_bheisr=with_bheisr, w_eff=w_eff,
+            if user in fed:
+                sessions[user] = nudge.new_session(
+                    user, graph, networks[user], classification.extremes[user],
+                    theta=config.theta, queue_discipline=config.queue_discipline,
+                    max_path_len=config.max_path_len)
+    return SimState(config=config, corpus=corpus, users=users, graph=graph,
+                    networks=networks, ctx=ctx, sessions=sessions,
+                    baseline=baseline, with_bheisr=with_bheisr, w_eff=w_eff,
                     classification=classification)
 
 
@@ -354,7 +367,7 @@ def _step_block(state: SimState, users: tuple, step: int) -> dict:
 
 
 def run_loop(config: SimConfig, corpus: Corpus = None,
-             assets: SharedAssets = None) -> RunRecord:
+             assets: CandidateIndex = None) -> RunRecord:
     """Run the interaction loop for `config.feeds` steps.
 
     Only `config.users` (default: everyone) are fed; the rest of the
@@ -363,17 +376,12 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
     so results do not depend on execution order within a step.
     """
     state = prepare(config, corpus, assets)
-    sim_users = tuple(config.users) if config.users else state.corpus.users
-    for user in sim_users:
-        if user not in state.networks:
-            raise ValueError(f"unknown user {user!r}")
-
     record = RunRecord(model=config.model, seed=config.seed, w=state.w_eff,
-                       k=config.k, users=sim_users)
+                       k=config.k, users=state.users)
     if state.classification is not None:
         record.initial_fb_users = state.classification.fb_users
     checkpoints = set(checkpoint_steps(config.feeds))
-    for user in sim_users:
+    for user in state.users:
         record.checkpoints[user] = []
     fb_counts = []
     if config.track_fb:
@@ -382,13 +390,13 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
     for step in range(1, config.feeds + 1):
         results = {}
         # shared state changes only at the barrier, so blocks change no result
-        for start in range(0, len(sim_users), BATCH_USERS):
-            block = sim_users[start:start + BATCH_USERS]
+        for start in range(0, len(state.users), BATCH_USERS):
+            block = state.users[start:start + BATCH_USERS]
             state.ctx.batch_neighbor_mass(block)
             results.update(_step_block(state, block, step))
         state.ctx.neighbor_mass = {}
 
-        accepts = {user: results[user][1] for user in sim_users if results[user][1]}
+        accepts = {user: results[user][1] for user in state.users if results[user][1]}
         buffer = GraphUpdateBuffer(state.graph)
         for items in accepts.values():
             buffer.accept_items(items)
@@ -396,10 +404,10 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
         state.ctx.note_accept(accepts)
         if state.baseline == "uc":
             state.ctx.refresh_mass(list(accepts))
-        record.steps.append([results[user][0] for user in sim_users])
+        record.steps.append([results[user][0] for user in state.users])
 
         if step in checkpoints:
-            for user in sim_users:
+            for user in state.users:
                 record.checkpoints[user].append(
                     (step, dict(state.networks[user].belief)))
         if config.track_fb:

@@ -1,7 +1,8 @@
 """Scalar reference implementations the tests compare the package against.
 
-The package computes item vectors, category nodes, edges and baseline scores
-in array passes; these are the plain-loop definitions of the same values. A
+The package computes item vectors, category nodes, edges, baseline scores
+and beliefs in array passes or one fused loop; these are the plain-loop
+definitions of the same values (entropy_bits is the belief's). A
 vector is a dict of term id -> weight in first-occurrence order plus its
 norm, and every sum is a left fold, so the array paths can be checked against
 them with ==. A spy on the package's one featurizer counts what it is asked
@@ -158,6 +159,19 @@ def node_vectors(graph) -> dict:
             for cat, entries in node_entries(graph, graph.node_values).items()}
 
 
+def entropy_bits(probs) -> float:
+    """Shannon entropy in bits; 0 * log2(0) is taken as 0. The scalar
+    oracle for BeliefNetwork.recompute, which folds each category's
+    probabilities the same way, in click_counts order."""
+    total = 0.0
+    for p in probs:
+        if p < 0.0:
+            raise ValueError(f"negative probability {p}")
+        if p > 0.0:
+            total -= p * math.log2(p)
+    return total
+
+
 def click_probs(network) -> dict:
     """The network's click probabilities, each subcategory's count over
     total_mass(), in click_counts order; {} for no mass."""
@@ -180,7 +194,7 @@ def assert_equals_the_oracle(graph, items):
     featurize vectors and edges equal correlation of those, a < b, with
     ==."""
     by_id = {item.id: item for item in items}
-    table, vocab = graph.table, graph.table.vocab
+    table, vocab = graph.table, graph.table.index.vocab
     index, n = table.index.entries, len(table.index.ids)
     for name in ("counts", "starts"):
         assert np.array_equal(getattr(table.entries, name)[:n],

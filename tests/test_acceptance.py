@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from bheisr.belief import BeliefNetwork, entropy_bits
+from bheisr.belief import BeliefNetwork
 from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, synth_corpus
-from bheisr.detection import Exposure, classify_users, ks_normality
+from bheisr.detection import classify_users, ks_normality
 from bheisr.nudge import (
     NudgeSession,
     TemplateGenerator,
@@ -36,7 +36,7 @@ from bheisr.simulate import (
     prepare,
     run_loop,
 )
-from oracle import path_of, penalized_edges, reverse_user_order
+from oracle import entropy_bits, path_of, penalized_edges, reverse_user_order
 
 SPEC20 = SynthSpec(bias_profile=10)                 # 20 users, 10 biased
 SPEC30 = SynthSpec(n_users=30, bias_profile=10)     # 30 users, 10 biased
@@ -454,24 +454,17 @@ def test_criterion_10_classifier_matches_brute_force(capsys):
             mu, sigma = values.mean(), values.std(ddof=0)
             for u, v in zip(users, values):
                 if sigma == 0.0:
-                    expect = Exposure.NORMAL
-                elif v > mu + 2 * sigma:
-                    expect = Exposure.EXTREME_HIGH
+                    continue            # everyone is normal here
+                if v > mu + 2 * sigma:
+                    extremes_ref[u][0].append(cat)
                 elif v < mu - 2 * sigma:
-                    expect = Exposure.EXTREME_LOW
-                else:
-                    expect = Exposure.NORMAL
-                if ours.classes[u][cat] is not expect:
-                    ok = False
-                if expect is not Exposure.NORMAL:
-                    extremes_ref[u][expect is Exposure.EXTREME_LOW].append(cat)
+                    extremes_ref[u][1].append(cat)
+        # every user's labels: the categories absent from both are normal
         if ours.extremes != {u: (tuple(h), tuple(lo))
                              for u, (h, lo) in extremes_ref.items()}:
             ok = False
-        fb_ref = tuple(
-            u for u in users
-            if Exposure.EXTREME_HIGH in ours.classes[u].values()
-            and Exposure.EXTREME_LOW in ours.classes[u].values())
+        fb_ref = tuple(u for u in users
+                       if extremes_ref[u][0] and extremes_ref[u][1])
         if ours.fb_users != fb_ref:
             ok = False
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bheisr.belief import (
     BeliefNetwork,
     build_all,
-    entropy_bits,
 )
 from bheisr.corpus import (
     ORIGIN_GENERATED,
@@ -18,7 +17,7 @@ from bheisr.corpus import (
     generated_subcategory,
 )
 from bheisr.folds import fold_sum
-from oracle import click_probs, corpus_of
+from oracle import click_probs, corpus_of, entropy_bits
 
 
 class TestEntropyBits:

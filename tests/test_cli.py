@@ -212,7 +212,16 @@ class TestDetect:
         cat = next(iter(doc["categories"].values()))
         assert set(cat) >= {"mu", "sigma", "low_threshold", "high_threshold",
                             "ks_p", "skewness"}
-        assert any(doc["classes"][u] for u in doc["fb_users"])
+        # every classified user's labels, from its extremes; none for a user
+        # with no extreme category
+        high, low = "ExtremeHigh", "ExtremeLow"
+        assert doc["classes"] == {
+            "u0000": {"cat02": low, "cat05": high},
+            "u0001": {"cat03": low, "cat06": high},
+            "u0002": {"cat08": high, "cat09": low},
+            "u0003": {"cat01": high, "cat02": low},
+            "u0004": {"cat03": low, "cat07": high},
+            **{f"u{i:04d}": {} for i in range(5, 16)}}
 
     def test_normality_statistics_match_direct_calls(self, tmp_path):
         out = tmp_path / "detect.json"
@@ -273,7 +282,9 @@ class TestCorpusCommandConfig:
 
     @pytest.mark.parametrize("command", ["ingest", "detect", "graph"])
     @pytest.mark.parametrize("line, message", [
-        ("seed=-5", "seed must be non-negative"), ("k=0", "k must be positive")])
+        ("seed=-5", "seed must be non-negative"), ("k=0", "k must be positive"),
+        # a config file bypasses --dataset-format's choices
+        ("dataset_format=xml", "unknown dataset format 'xml'")])
     def test_bad_run_key_exits_2_before_any_corpus(self, tmp_path, capsys,
                                                     monkeypatch, command, line,
                                                     message):
@@ -315,6 +326,12 @@ class TestRecommend:
     def test_unknown_user_exits_2(self, capsys):
         # the exit code and message simulate and experiment give
         code = main(["recommend", "--synth", SYNTH, "--user", "nobody"])
+        assert code == 2
+        assert "error: unknown user 'nobody'" in capsys.readouterr().err
+
+    def test_unknown_fed_user_exits_2(self, capsys):
+        # --users used to be ignored here; prepare checks it as for simulate
+        code = main(["recommend", "--synth", SYNTH, "--users", "nobody"])
         assert code == 2
         assert "error: unknown user 'nobody'" in capsys.readouterr().err
 

@@ -100,9 +100,8 @@ def assert_networks_equal(got, want):
 
 
 def context(corpus, baseline):
-    assets = simulate.build_assets(corpus)
     ctx = FeedContext(corpus=corpus, networks=build_all(corpus),
-                      table=ItemTable(assets.vocab, assets.index),
+                      table=ItemTable(simulate.build_assets(corpus)),
                       baseline=baseline)
     ctx.enable_acceleration()
     return ctx

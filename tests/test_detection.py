@@ -10,7 +10,6 @@ import scipy.stats
 from bheisr.corpus import Item, SynthSpec, synth_corpus
 from bheisr.belief import build_all
 from bheisr.detection import (
-    Exposure,
     MIN_POPULATION,
     classify_users,
     diversity_coverage,
@@ -119,26 +118,24 @@ class TestSkewness:
 
 
 def brute_force_classify(beliefs, categories):
-    """Independent reimplementation: loops and statistics from numpy."""
+    """Independent reimplementation: loops and statistics from numpy.
+    Every user's (highs, lows) in category order, and the users with both."""
     users = sorted(beliefs)
-    classes = {u: {} for u in users}
+    labels = {u: ([], []) for u in users}
     for cat in categories:
         values = np.array([beliefs[u].get(cat, 0.0) for u in users])
         mu = values.mean()
         sigma = values.std(ddof=0)
         for u, v in zip(users, values):
             if sigma == 0.0:
-                classes[u][cat] = Exposure.NORMAL
-            elif v > mu + 2 * sigma:
-                classes[u][cat] = Exposure.EXTREME_HIGH
+                continue                # everyone is normal here
+            if v > mu + 2 * sigma:
+                labels[u][0].append(cat)
             elif v < mu - 2 * sigma:
-                classes[u][cat] = Exposure.EXTREME_LOW
-            else:
-                classes[u][cat] = Exposure.NORMAL
-    fb = tuple(u for u in users
-               if Exposure.EXTREME_HIGH in classes[u].values()
-               and Exposure.EXTREME_LOW in classes[u].values())
-    return classes, fb
+                labels[u][1].append(cat)
+    extremes = {u: (tuple(h), tuple(lo)) for u, (h, lo) in labels.items()}
+    fb = tuple(u for u in users if extremes[u][0] and extremes[u][1])
+    return extremes, fb
 
 
 class TestClassifyUsers:
@@ -150,16 +147,17 @@ class TestClassifyUsers:
         stats = result.stats["a"]
         assert stats.mu == pytest.approx(1.25)
         assert stats.sigma == pytest.approx(math.sqrt(7 * 0.0625 + 3.0625) / math.sqrt(8))
-        assert result.classes["u7"]["a"] is Exposure.EXTREME_HIGH
-        assert result.classes["u0"]["a"] is Exposure.NORMAL
+        assert result.extremes["u7"] == (("a",), ())
+        assert result.extremes["u0"] == ((), ())
 
     @pytest.mark.parametrize("taxonomy", [("b", "a"), ["b", "a"], {"b", "a"}])
     def test_categories_in_sorted_order_whatever_the_taxonomy(self, taxonomy):
         # a tuple used to be taken as already sorted
-        beliefs = {f"u{i}": {"a": 1.0, "b": float(i)} for i in range(8)}
+        beliefs = {f"u{i}": {"a": 1.0, "b": 1.0} for i in range(8)}
+        beliefs["u7"] = {"a": 3.0, "b": 3.0}      # extreme-high on both
         result = classify_users(beliefs, taxonomy)
         assert list(result.stats) == ["a", "b"]
-        assert all(list(c) == ["a", "b"] for c in result.classes.values())
+        assert result.extremes["u7"] == (("a", "b"), ())
 
     def test_strict_inequality_at_threshold(self):
         # values engineered so one user sits exactly on mu + 2 sigma
@@ -167,13 +165,13 @@ class TestClassifyUsers:
         beliefs = {f"u{i}": {"a": v} for i, v in enumerate(vals)}
         result = classify_users(beliefs, ("a",))
         # mu = 0.5, sigma = 0.5, high = 1.5: nobody crosses strictly
-        assert all(result.classes[u]["a"] is Exposure.NORMAL for u in beliefs)
+        assert all(result.extremes[u] == ((), ()) for u in beliefs)
 
     def test_zero_sigma_category_all_normal(self):
         beliefs = {f"u{i}": {"a": 2.0} for i in range(9)}
         result = classify_users(beliefs, ("a",))
         assert result.stats["a"].sigma == 0.0
-        assert all(c["a"] is Exposure.NORMAL for c in result.classes.values())
+        assert all(e == ((), ()) for e in result.extremes.values())
         assert result.stats["a"].ks is None
         assert result.stats["a"].skewness is None
 
@@ -181,11 +179,11 @@ class TestClassifyUsers:
         beliefs = {f"u{i}": {"a": 1.0, "b": 1.0} for i in range(11)}
         beliefs["uX"] = {"a": 9.0, "b": 1.0}       # high only: not bubble-affected
         result = classify_users(beliefs, ("a", "b"))
-        assert result.classes["uX"]["a"] is Exposure.EXTREME_HIGH
+        assert result.extremes["uX"] == (("a",), ())
         assert result.fb_users == ()
         beliefs["uX"]["b"] = 0.0                   # now low on b as well
         result = classify_users(beliefs, ("a", "b"))
-        assert result.classes["uX"]["b"] is Exposure.EXTREME_LOW
+        assert result.extremes["uX"] == (("a",), ("b",))
         assert result.fb_users == ("uX",)
 
     def test_population_floor(self):
@@ -205,13 +203,8 @@ class TestClassifyUsers:
                 for i in range(n_users)
             }
             ours = classify_users(beliefs, cats)
-            ref_classes, ref_fb = brute_force_classify(beliefs, cats)
-            assert ours.classes == ref_classes
-            # the extremes, in category order, are the brute-force labels'
-            assert ours.extremes == {
-                u: tuple(tuple(c for c, label in labels.items() if label is side)
-                         for side in (Exposure.EXTREME_HIGH, Exposure.EXTREME_LOW))
-                for u, labels in ref_classes.items()}
+            ref_extremes, ref_fb = brute_force_classify(beliefs, cats)
+            assert ours.extremes == ref_extremes
             assert ours.fb_users == ref_fb
 
     def test_synth_fixture_flags_exactly_the_biased_users(self):

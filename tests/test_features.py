@@ -52,7 +52,7 @@ def graph_of(corpus, vocab=None):
     if vocab is None:
         vocab = build_vocabulary(tokens)
     return CategoryGraph.build(
-        corpus, ItemTable(vocab, CandidateIndex.build(corpus, vocab, tokens)))
+        corpus, ItemTable(CandidateIndex.build(corpus, vocab, tokens)))
 
 
 def appended_rows(graph):
@@ -86,7 +86,6 @@ class TestVocabulary:
                  make_item("2", "c", "c/s", "apple cherry"),
                  make_item("3", "c", "c/s", "apple banana cherry")]
         vocab = item_vocabulary(items)
-        assert vocab.n_docs == 3
         # df: apple 3, banana 2, cherry 2
         tid = vocab.term_ids
         assert vocab.idf[tid["apple"]] == pytest.approx(math.log(4 / 4) + 1.0)
@@ -203,8 +202,8 @@ class TestCategoryGraph:
     def test_category_vector_is_mean_of_members(self):
         corpus = two_category_corpus()
         graph = graph_of(corpus)
-        v1 = featurize(corpus.items["i1"], graph.table.vocab)
-        v2 = featurize(corpus.items["i2"], graph.table.vocab)
+        v1 = featurize(corpus.items["i1"], graph.table.index.vocab)
+        v2 = featurize(corpus.items["i2"], graph.table.index.vocab)
         food = node_vectors(graph)["food"]
         for tid in set(v1.entries) | set(v2.entries):
             expect = (v1.entries.get(tid, 0.0) + v2.entries.get(tid, 0.0)) / 2
@@ -242,7 +241,7 @@ class TestCategoryGraph:
         graph.accept_items([new])
         assert_same_graph(graph, graph_of(
             make_corpus([*corpus.items.values(), new],
-                        {"food": ("food/s",), "tech": ("tech/s",)}), graph.table.vocab))
+                        {"food": ("food/s",), "tech": ("tech/s",)}), graph.table.index.vocab))
         # a corpus item accepted again folds its index row
         graph.accept_items([corpus.items["i3"], new])
         assert list(graph.table.text_rows) == [new.text()]
@@ -271,7 +270,7 @@ class TestIncrementalUpdate:
         graph.accept_items([new])
 
         corpus.items["i9"] = new
-        rebuilt = graph_of(corpus, graph.table.vocab)
+        rebuilt = graph_of(corpus, graph.table.index.vocab)
         assert node_vectors(graph)["tech"].entries == \
             node_vectors(rebuilt)["tech"].entries
         assert graph.edges == rebuilt.edges
@@ -307,7 +306,7 @@ class TestIncrementalUpdate:
         for item in generated:
             graph.accept_items([item])
         rebuilt = graph_of(
-            make_corpus(items + generated, THREE_CATEGORIES), graph.table.vocab)
+            make_corpus(items + generated, THREE_CATEGORIES), graph.table.index.vocab)
         assert graph.edges[("food", "tech")] == rebuilt.edges[("food", "tech")]
         assert list(graph.edges.items()) == list(rebuilt.edges.items())
 
@@ -411,7 +410,7 @@ class TestArrayEdgeCases:
         assert correlation(food, arts) != correlation(arts, food)
         assert built.edges[("arts", "food")] == correlation(arts, food)
         assert_equals_the_oracle(built, items)
-        folded = graph_of(make_corpus(items[:1], taxonomy), built.table.vocab)
+        folded = graph_of(make_corpus(items[:1], taxonomy), built.table.index.vocab)
         for item in items[1:]:
             folded.accept_items([item])
         assert_same_graph(folded, built)
@@ -429,9 +428,9 @@ class TestArrayEdgeCases:
                    if "sport" in (a, b))
         assert built.members["arts"] == ["i3", "e1"]
         assert node_vectors(built)["arts"].entries == {
-            tid: w / 2 for tid, w in featurize(items[2], built.table.vocab).entries.items()}
+            tid: w / 2 for tid, w in featurize(items[2], built.table.index.vocab).entries.items()}
         assert_equals_the_oracle(built, items)
-        folded = graph_of(make_corpus(items[:4], FOUR_CATEGORIES), built.table.vocab)
+        folded = graph_of(make_corpus(items[:4], FOUR_CATEGORIES), built.table.index.vocab)
         folded.accept_items(items[4:])
         assert_same_graph(folded, built)
         assert_equals_the_oracle(folded, items)
@@ -545,7 +544,7 @@ class TestGraphUpdateBuffer:
         assert graph.members == before
         assert buffer.flush() == 3
         corpus.items.update((item.id, item) for item in items)
-        assert_same_graph(graph, graph_of(corpus, graph.table.vocab))
+        assert_same_graph(graph, graph_of(corpus, graph.table.index.vocab))
         assert buffer.flush() == 0
 
 
@@ -565,7 +564,7 @@ class TestItemTable:
         vocab = build_vocabulary(tokens)
         index = CandidateIndex.build(corpus, vocab, tokens)
         before = [array.copy() for array in index.entries]
-        table, seen = ItemTable(vocab, index), []
+        table, seen = ItemTable(index), []
         for n, batch in enumerate(batches):
             items = [make_item(f"gi:u:{n}.{m}", "food", "food/generated",
                                " ".join(words)) for m, words in enumerate(batch)]

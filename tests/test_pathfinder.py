@@ -108,16 +108,24 @@ class TestRejectionLedger:
         path = path_of("a", "b")
         record_rejection(ledger, path)
         record_rejection(ledger, path)
-        assert hop_scores(ledger, "a")["b"] == 0.9 + 1.0   # at theta, not past
+        # at theta, not past: b scores 0.9 + 1 and beats c's 0.2 + 1
+        assert ledger.penalized_at == {}
+        assert hop(ledger, "a") == "b"
         record_rejection(ledger, path)
-        assert hop_scores(ledger, "a")["b"] == 0.9 - 1.0
-        assert hop_scores(ledger, "b")["a"] == 0.9 - 1.0   # undirected
+        # b now scores 0.9 - 1, under c's 0.2 + 1, and the same from b (a
+        # at 0.9 - 1 under c's 0.5 + 1): the edge is undirected
+        assert ledger.penalized_at == {"a": {"b"}, "b": {"a"}}
+        assert hop(ledger, "a") == "c"
+        assert hop(ledger, "b") == "c"
 
     def test_every_edge_of_the_path_penalized(self):
         ledger = RejectionLedger(theta=0)
         record_rejection(ledger, path_of("a", "b", "c"))
         assert penalized_edges(ledger) == {("a", "b"), ("b", "c")}
-        assert hop_scores(ledger, "a")["c"] == 0.2 + 1.0
+        assert "c" not in ledger.penalized_at["a"]
+        # a-c is not an edge of the path: c keeps 0.2 + 1 and beats d's
+        # 0.1 + 1, where a penalty would leave it at 0.2 - 1
+        assert hop(ledger, "a") == "c"
 
     @given(prompts=st.lists(st.permutations("abcde").flatmap(
         lambda nodes: st.integers(2, 5).map(lambda n: path_of(*nodes[:n]))),
@@ -173,13 +181,11 @@ GRAPH = FakeGraph(
      ("b", "c"): 0.5, ("b", "d"): 0.3, ("c", "d"): 0.8})
 
 
-def hop_scores(ledger, current):
-    """next_hop's traced score of every other node of GRAPH, every belief 1:
-    rho plus the edge's rejection weight."""
-    trace = []
+def hop(ledger, current):
+    """next_hop from `current` over GRAPH with every belief 1, so each
+    candidate scores rho plus its edge's rejection weight, +1 or -1."""
     network = FakeNetwork(dict.fromkeys(GRAPH.categories, 1.0))
-    next_hop(GRAPH, current, network, ledger, {current}, trace=trace)
-    return {row["candidate"]: row["score"] for row in trace[0]["candidates"]}
+    return next_hop(GRAPH, current, network, ledger, {current})
 
 
 class TestNextHop:
@@ -210,14 +216,6 @@ class TestNextHop:
         network = FakeNetwork({"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0})
         with pytest.raises(ValueError, match="no unvisited"):
             next_hop(GRAPH, "a", network, RejectionLedger(), {"a", "b", "c", "d"})
-
-    def test_trace_records_candidates_and_choice(self):
-        network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.0})
-        trace = []
-        next_hop(GRAPH, "a", network, RejectionLedger(), {"a"}, trace=trace)
-        (row,) = trace
-        assert row["chosen"] == "c"
-        assert {r["candidate"] for r in row["candidates"]} == {"b", "c", "d"}
 
 
 def brute_force_next_hop(graph, current, network, ledger, visited):

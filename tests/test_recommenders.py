@@ -88,8 +88,7 @@ def small_corpus():
 
 def context_and_graph(corpus, baseline="cb"):
     """A scoring context and the category graph, over one item table."""
-    assets = build_assets(corpus)
-    table = ItemTable(assets.vocab, assets.index)
+    table = ItemTable(build_assets(corpus))
     graph = CategoryGraph.build(corpus, table)
     ctx = FeedContext(corpus=corpus, networks=build_all(corpus), table=table,
                       baseline=baseline, generator=TemplateGenerator({}))
@@ -105,7 +104,7 @@ def vectors_of(ctx, *extra):
     """featurize of every corpus item and of the `extra` items, by id: the
     oracle vectors cb_score takes."""
     items = [*ctx.corpus.items.values(), *extra]
-    return {item.id: featurize(item, ctx.table.vocab) for item in items}
+    return {item.id: featurize(item, ctx.table.index.vocab) for item in items}
 
 
 def share(item, network):
@@ -117,7 +116,7 @@ class TestCandidateIndex:
         # CB's context holds the index items' term rows and norms
         corpus = small_corpus()
         ctx = context_for(corpus, "cb")
-        vocab, index = ctx.table.vocab, ctx.table.index
+        vocab, index = ctx.table.index.vocab, ctx.table.index
         for item_id, item in corpus.items.items():
             row = ctx.item_matrix.getrow(index.pos[item_id]).toarray().ravel()
             vec = featurize(item, vocab)
@@ -128,7 +127,7 @@ class TestCandidateIndex:
 
     def test_categories_aligned(self):
         corpus = small_corpus()
-        index = build_assets(corpus).index
+        index = build_assets(corpus)
         cats = corpus.categories()
         for item_id, item in corpus.items.items():
             assert cats[index.cat_index[index.pos[item_id]]] == item.category
@@ -150,7 +149,7 @@ class TestCbTermMatrix:
         matrix = sparse.csr_matrix(
             (entries.weights[order], entries.terms[order],
              np.append(entries.starts, len(entries.terms))),
-            shape=(n, len(ctx.table.vocab.term_ids)))
+            shape=(n, len(ctx.table.index.vocab.term_ids)))
         assert np.array_equal(ctx.item_matrix.indices, matrix.indices)
         assert np.array_equal(ctx.item_matrix.data, matrix.data)
         norms = entry_norms(entries)
@@ -650,10 +649,10 @@ def uc_state(mass, accept, beliefs, item_cats):
     index = recommenders.CandidateIndex(
         ids=ids, pos={i: r for r, i in enumerate(ids)},
         cat_index=np.asarray(item_cats, dtype=np.intp), id_rank=id_rank,
-        entries=None)
+        entries=None, vocab=None)
     networks = {u: SimpleNamespace(belief=dict(zip(cats, map(float, row))))
                 for u, row in zip(users, beliefs)}
-    ctx = FeedContext(corpus=None, networks=networks, table=ItemTable(None, index),
+    ctx = FeedContext(corpus=None, networks=networks, table=ItemTable(index),
                       baseline="uc", user_ids=users,
                       user_pos={u: r for r, u in enumerate(users)}, cats=cats,
                       accept_matrix=np.asarray(accept, dtype=float),

@@ -131,6 +131,20 @@ class TestPrepare:
         ("generator_timeout_ms", 0, "generator_timeout_ms must be positive"),
         ("generator_retries", -1, "generator_retries must be non-negative"),
         ("parallel", True, "parallel is not supported: runs are serial"),
+        # each of these used to pass validate() and then fail mid-run, or
+        # run on a value other than the one recorded
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("k", True, "k must be an integer, got True"),
+        ("feeds", 2.5, "feeds must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("max_path_len", 2.0, "max_path_len must be an integer"),
+        ("generator_timeout_ms", 100.0, "generator_timeout_ms must be an integer"),
+        ("generator_retries", "2", "generator_retries must be an integer"),
+        ("w", True, "w must be a number, got True"),
+        ("theta", "2", "theta must be a number"),
+        ("users", "u0001", "users must be a list of user ids"),
+        ("users", ("u0001", 2), "users must be a list of user ids"),
+        ("dataset_format", "xml", "unknown dataset format 'xml'"),
     ])
     def test_bad_values_rejected(self, field, value, message):
         # the config names no corpus, so the value must be caught before any
@@ -142,6 +156,15 @@ class TestPrepare:
         SimConfig(queue_discipline="replace", max_path_len=1, generator_retries=0,
                   generator_timeout_ms=1, generator_kind="external",
                   generator_url="http://localhost:1", parallel=False).validate()
+        # any integral value is an integer and any real value a number
+        SimConfig(k=np.int64(3), seed=np.uint8(1), w=1, theta=np.float32(0.5),
+                  users=["u0000"], dataset_format="mind_tsv").validate()
+
+    def test_fed_users_decided_once(self, fb_corpus, fb_assets):
+        config = SimConfig(model="rd", users=["u0009", "u0002"])
+        assert prepare(config, fb_corpus, fb_assets).users == ("u0009", "u0002")
+        state = prepare(SimConfig(model="rd"), fb_corpus, fb_assets)
+        assert state.users == fb_corpus.users
 
     def test_sessions_only_for_fb_users_in_scope(self, fb_corpus, fb_assets):
         config = SimConfig(model="cb_w", users=("u0000", "u0009"))
@@ -186,10 +209,10 @@ class TestRunLoop:
         # accepts append generated rows to the run's item table, and a rerun
         # on the same assets equals a run on fresh ones
         assets = build_assets(fb_corpus)
-        before = [array.copy() for array in assets.index.entries]
+        before = [array.copy() for array in assets.entries]
         a = run_loop(self.config(), fb_corpus, assets)
         assert all(np.array_equal(was, now) and was.dtype == now.dtype
-                   for was, now in zip(before, assets.index.entries))
+                   for was, now in zip(before, assets.entries))
         b = run_loop(self.config(), fb_corpus, assets)
         fresh = run_loop(self.config(), fb_corpus, build_assets(fb_corpus))
         for run in (b, fresh):
@@ -212,7 +235,7 @@ class TestRunLoop:
         run_loop(self.config(users=None, model=model, feeds=6), fb_corpus,
                  fb_assets)
         (state,) = states
-        table, n = state.ctx.table, len(fb_assets.index.ids)
+        table, n = state.ctx.table, len(fb_assets.ids)
         assert generated and all(it.id.startswith("gi:") for it in generated)
         assert not any(it.id in table.index.pos for it in generated)
         assert (table.rows(generated) >= n).all()
@@ -408,6 +431,17 @@ class TestRunLoop:
     def test_unknown_user_rejected(self, fb_corpus, fb_assets):
         with pytest.raises(ValueError, match="unknown user"):
             run_loop(self.config(users=("ghost",)), fb_corpus, fb_assets)
+
+    def test_unknown_user_rejected_before_any_state_is_built(
+            self, fb_corpus, monkeypatch):
+        built = []
+        monkeypatch.setattr(simulate.CategoryGraph, "build",
+                            lambda *args: built.append("graph"))
+        monkeypatch.setattr(simulate.belief_mod, "build_all",
+                            lambda *args: built.append("networks"))
+        with pytest.raises(ValueError, match="unknown user 'nobody'"):
+            run_loop(SimConfig(users=("u0000", "nobody")), fb_corpus)
+        assert built == []
 
     def test_duplicate_user_rejected(self, fb_corpus, fb_assets):
         # a repeated id would run two user-steps per step but log only one
