@@ -88,11 +88,13 @@ class BeliefNetwork:
         return len(self._positive)
 
     def add_click_mass(self, subcategory: str, category: str, mass: float) -> None:
-        if subcategory not in self.subcat_to_cat:
-            self.subcat_to_cat[subcategory] = category
-        elif self.subcat_to_cat[subcategory] != category:
+        # the map is shared by every network, so none of them may bind a label
+        bound = self.subcat_to_cat.get(subcategory)
+        if bound is None:
+            raise ValueError(f"unknown subcategory {subcategory!r}")
+        if bound != category:
             raise ValueError(f"subcategory {subcategory!r} already bound to "
-                             f"{self.subcat_to_cat[subcategory]!r}")
+                             f"{bound!r}")
         self.click_counts[subcategory] = self.click_counts.get(subcategory, 0.0) + mass
         if self._positive is not None:
             if mass > 0.0:

@@ -181,7 +181,7 @@ def cmd_recommend(args) -> int:
     user = args.user or config.target_user or state.corpus.users[0]
     if user not in state.networks:
         raise ValueError(f"unknown user {user!r}")
-    feed = assemble_feed(state.baseline, state.with_bheisr, state.w_eff,
+    feed = assemble_feed(state.ctx.baseline, state.with_bheisr, state.w_eff,
                          config.k, state.sessions.get(user), state.ctx,
                          user, 1, config.seed)
     for item in feed.items:

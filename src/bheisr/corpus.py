@@ -10,8 +10,9 @@ pair) plus a canonical JSON round-trip format.
 import csv
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -477,6 +478,11 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     longer two-sigma outliers, and nothing reports it. The histories are
     biased at every shape.
     """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        # a bool is an int, and seed=1.5 would build seed 1's corpus
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"synth {f.name} must be an integer, got {value!r}")
     if spec.n_users < 1 or spec.n_categories < 1 or spec.subcats_per_category < 1:
         raise ValueError("synth spec counts must be positive")
     if spec.n_items < spec.n_categories * spec.subcats_per_category:
@@ -607,18 +613,29 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
-JSON_KEYS = {   # list in the document -> the keys each of its records needs
-    "items": ("id", "category", "subcategory", "title", "abstract",
-              "category_weights"),
-    "taxonomy": ("category", "subcategories"),
-    "interactions": ("user_id", "item_id", "timestamp", "signal"),
+STRING = (lambda v: isinstance(v, str), "a string")
+# bool is an int: a JSON true would otherwise load as 1
+INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+          "a number")
+STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+           "a list of strings")
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+
+JSON_KEYS = {   # list in the document -> {key each of its records needs: kind}
+    "items": {"id": STRING, "category": STRING, "subcategory": STRING,
+              "title": STRING, "abstract": STRING, "category_weights": OBJECT},
+    "taxonomy": {"category": STRING, "subcategories": STRINGS},
+    "interactions": {"user_id": STRING, "item_id": STRING, "timestamp": INTEGER,
+                     "signal": NUMBER},
 }
+OPTIONAL_KEYS = {"items": {"origin": STRING}}   # kinds checked where present
 
 
 def _check_records(doc) -> None:
     """A ParseError naming the first record, in document order, that is not
-    an object or lacks one of its list's JSON_KEYS (or the document itself,
-    or one of its lists)."""
+    an object, lacks one of its list's JSON_KEYS or holds a value of another
+    kind (or the document itself, or one of its lists, or a user id)."""
     if not isinstance(doc, dict):
         raise ParseError(f"corpus: the document is a {type(doc).__name__}, "
                          f"not an object")
@@ -627,40 +644,43 @@ def _check_records(doc) -> None:
             raise ParseError(f"corpus: missing key {name!r}")
         if not isinstance(doc[name], list):
             raise ParseError(f"corpus: {name!r} is not a list")
-    for name, keys in JSON_KEYS.items():
+    for name, needed in JSON_KEYS.items():
+        kinds = {**needed, **OPTIONAL_KEYS.get(name, {})}
         for n, record in enumerate(doc[name]):
             if not isinstance(record, dict):
                 raise ParseError(f"{name}[{n}]: not an object")
-            for key in keys:
+            for key in needed:
                 if key not in record:
                     raise ParseError(f"{name}[{n}]: missing key {key!r}")
+            for key, (test, noun) in kinds.items():
+                if key in record and not test(record[key]):
+                    raise ParseError(f"{name}[{n}]: {key!r} holds a value of the "
+                                     f"wrong type: {record[key]!r} is not {noun}")
+    for n, user in enumerate(doc["users"]):
+        if not isinstance(user, str):
+            raise ParseError(f"users[{n}]: a value of the wrong type: {user!r} "
+                             f"is not a string")
 
 
 def corpus_from_json(text: str) -> Corpus:
     doc = json.loads(text)
-    try:
-        # a later record would silently replace an earlier one of the same id
-        reject_duplicates([d["id"] for d in doc["items"]], "item")
-        reject_duplicates([d["category"] for d in doc["taxonomy"]], "category")
-        items = {
-            d["id"]: Item(id=d["id"], category=d["category"],
-                          subcategory=d["subcategory"], title=d["title"],
-                          abstract=d["abstract"],
-                          category_weights=dict(d["category_weights"]),
-                          origin=d.get("origin", ORIGIN_DATASET))
-            for d in doc["items"]
-        }
-        rows = doc["interactions"]
-        users = tuple(doc["users"])
-        taxonomy = {d["category"]: tuple(d["subcategories"]) for d in doc["taxonomy"]}
-        columns = ([d["user_id"] for d in rows], [d["item_id"] for d in rows],
-                   [int(d["timestamp"]) for d in rows],
-                   [float(d["signal"]) for d in rows])
-    except (KeyError, TypeError) as exc:
-        # only a malformed document gets here, so only a bad one is walked
-        _check_records(doc)
-        raise ParseError(f"corpus: a record holds a value of the wrong "
-                         f"type ({exc})") from exc
+    _check_records(doc)
+    # a later record would silently replace an earlier one of the same id
+    reject_duplicates([d["id"] for d in doc["items"]], "item")
+    reject_duplicates([d["category"] for d in doc["taxonomy"]], "category")
+    items = {
+        d["id"]: Item(id=d["id"], category=d["category"],
+                      subcategory=d["subcategory"], title=d["title"],
+                      abstract=d["abstract"],
+                      category_weights=dict(d["category_weights"]),
+                      origin=d.get("origin", ORIGIN_DATASET))
+        for d in doc["items"]
+    }
+    rows = doc["interactions"]
+    users = tuple(doc["users"])
+    taxonomy = {d["category"]: tuple(d["subcategories"]) for d in doc["taxonomy"]}
+    columns = ([d["user_id"] for d in rows], [d["item_id"] for d in rows],
+               [d["timestamp"] for d in rows], [d["signal"] for d in rows])
     corpus = Corpus(items=items, taxonomy=taxonomy, users=users,
                     signal_scheme=doc.get("signal_scheme", "click"),
                     **_log_columns(items, users, *columns))

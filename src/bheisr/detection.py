@@ -21,15 +21,9 @@ from .folds import fold_sum
 MIN_POPULATION = 8
 
 
-def item_categories(item) -> set:
-    """Categories an item touches: every positively weighted one."""
-    cats = {c for c, w in item.category_weights.items() if w > 0.0}
-    return cats or {item.category}
-
-
 def diversity_coverage(categories: set, taxonomy) -> float:
     """The distinct categories a feed touches, the union of its items'
-    item_categories, over total categories."""
+    categories, over total categories."""
     if not categories:
         raise ValueError("empty feed")
     if not taxonomy:

@@ -92,19 +92,15 @@ def featurize_corpus(tokens: list, vocab: Vocabulary) -> FlatEntries:
 
 
 def entry_norms(entries: FlatEntries) -> np.ndarray:
-    """Each vector's norm. Its squares add to 0.0 in entry order, one entry
-    rank at a time across every vector that has an entry at that rank: a
-    left fold per vector."""
-    counts, starts = entries.counts, entries.starts
-    squares, norms = entries.weights * entries.weights, np.zeros(len(counts))
-    longest_first = np.argsort(-counts, kind="stable")
-    # how many vectors have more than j entries, for each rank j
-    longer = np.searchsorted(-counts[longest_first],
-                             -np.arange(counts.max(initial=0)))
-    for rank, m in enumerate(longer.tolist()):
-        live = longest_first[:m]
-        norms[live] += squares[starts[live] + rank]
-    return np.sqrt(norms)
+    """Each vector's norm. A CSR matrix-vector product adds each row's
+    entries to 0.0 in stored order, so against ones it folds every vector's
+    squares left to right in entry order."""
+    from scipy import sparse    # CB alone scores through scipy
+    terms, weights = entries.terms, entries.weights
+    squares = sparse.csr_matrix(
+        (weights * weights, terms, np.append(entries.starts, len(terms))),
+        shape=(len(entries.counts), int(terms.max(initial=0)) + 1))
+    return np.sqrt(squares @ np.ones(squares.shape[1]))
 
 
 class ItemTable:
@@ -178,10 +174,12 @@ class CategoryGraph:
 
     Node state is kept as categories x (terms + 1) arrays; the last column
     is always zero and pads each category's term order. `term_sums` holds
-    each category's running per-term sums over its members, `node_values`
-    the sums over the member count, `touch_order` each category's term ids
-    in first-touch order (the order the mean's entries take) with
-    `n_touched` of them in use, and `norms` each node vector's norm.
+    each category's running per-term sums over its `member_counts` members,
+    `node_values` the sums over the member count, `touch_order` each
+    category's term ids in first-touch order (the order the mean's entries
+    take) with `n_touched` of them in use, and `norms` each node vector's
+    norm. Entry weights are positive, so a sum is 0.0 exactly until its term
+    is first touched.
     `rho_rows` holds every rho(a, c) as one list per category row, in
     `categories` order, with rho(a, a) on the diagonal: the one store of
     the edges. `edges` is a read-only view built from it on each read.
@@ -189,12 +187,11 @@ class CategoryGraph:
     """
     table: ItemTable
     categories: tuple
-    members: dict                       # category -> list of item ids
+    member_counts: np.ndarray           # per category row, its member count
     edge_rows: tuple                    # the edges' (a rows, b rows), a < b
     rows: dict                          # category -> array row
     term_sums: np.ndarray
     node_values: np.ndarray
-    touched: np.ndarray                 # bool, categories x terms
     touch_order: np.ndarray             # term ids, padded with the zero column
     n_touched: np.ndarray
     norms: np.ndarray
@@ -218,10 +215,9 @@ class CategoryGraph:
         gather[a, b] = gather[b, a] = np.arange(len(a))
         gather[np.diag_indices(n)] = len(a) + np.arange(n)
         graph = cls(table=table, categories=categories,
-                    members={c: [] for c in categories}, edge_rows=(a, b),
+                    member_counts=np.zeros(n, dtype=np.intp), edge_rows=(a, b),
                     rows={c: r for r, c in enumerate(categories)},
                     term_sums=np.zeros(shape), node_values=np.zeros(shape),
-                    touched=np.zeros(shape, dtype=bool),
                     touch_order=np.full(shape, shape[1] - 1, dtype=np.intp),
                     n_touched=np.zeros(n, dtype=np.intp),
                     norms=np.zeros(n), rho_rows=np.zeros((n, n)).tolist(),
@@ -250,10 +246,10 @@ class CategoryGraph:
         """Fold a batch of accepted items into the node vectors and edges.
 
         Every item is checked before any is folded, so a bad item leaves the
-        graph as it was. Items fold into members and running sums in the
-        order given: np.add.at adds to each sum one item at a time, a left
-        fold over the members. A term first touched by the batch joins the
-        end of its category's term order. Each touched node is then divided
+        graph as it was. Items fold into the running sums in the order
+        given: np.add.at adds to each sum one item at a time, a left fold
+        over the members. A term first touched by the batch joins the end of
+        its category's term order. Each touched node is then divided
         by its member count, and every norm and edge is a np.cumsum, which
         adds strictly left to right: a norm over the node's own term order,
         and an edge's dot product over the order of the endpoint with fewer
@@ -275,16 +271,16 @@ class CategoryGraph:
             item_rows = self.table.rows(items)
         if not len(rows):
             return
-        for i, r in zip(pair_item.tolist(), rows.tolist()):
-            self.members[self.categories[r]].append(items[i].id)
         # each (category, item) pair takes its item's entries
         counts, terms, weights = self.table.take(item_rows[pair_item])
         cat_rows = np.repeat(rows, counts)
-        np.add.at(self.term_sums, (cat_rows, terms), weights)
         self._extend_touch_order(cat_rows, terms)
-        changed = np.flatnonzero(np.bincount(rows, minlength=len(self.categories)))
-        members = [len(self.members[self.categories[r]]) for r in changed.tolist()]
-        self.node_values[changed] = self.term_sums[changed] / np.array(members)[:, None]
+        np.add.at(self.term_sums, (cat_rows, terms), weights)
+        added = np.bincount(rows, minlength=len(self.categories))
+        self.member_counts += added
+        changed = np.flatnonzero(added)
+        self.node_values[changed] = (self.term_sums[changed]
+                                     / self.member_counts[changed, None])
         order = self.touch_order[:, :max(1, int(self.n_touched.max()))]
         node = self.node_values[changed[:, None], order[changed]]
         self.norms[changed] = np.sqrt(np.cumsum(node * node, axis=1)[:, -1])
@@ -307,13 +303,13 @@ class CategoryGraph:
 
     def _extend_touch_order(self, cat_rows: np.ndarray, terms: np.ndarray) -> None:
         """Append each (category, term) the batch touches first, in the order
-        of its first touch."""
-        fresh = np.flatnonzero(~self.touched[cat_rows, terms])
+        of its first touch; called before the batch adds to the sums."""
+        fresh = np.flatnonzero(self.term_sums[cat_rows, terms] == 0.0)
         if not len(fresh):
             return
-        width = self.touched.shape[1]
+        width = self.term_sums.shape[1]
         keys = cat_rows[fresh] * width + terms[fresh]
-        first = np.full(self.touched.size, len(keys))
+        first = np.full(self.term_sums.size, len(keys))
         np.minimum.at(first, keys, np.arange(len(keys)))
         new = np.flatnonzero(first < len(keys))
         cat_rows, terms = np.divmod(new[np.argsort(first[new])], width)
@@ -322,7 +318,6 @@ class CategoryGraph:
         added = np.bincount(cat_rows, minlength=len(self.categories))
         rank = np.arange(len(cat_rows)) - (np.cumsum(added) - added)[cat_rows]
         self.touch_order[cat_rows, self.n_touched[cat_rows] + rank] = terms
-        self.touched[cat_rows, terms] = True
         self.n_touched += added
 
     def _recompute_edges(self, order: np.ndarray) -> None:
@@ -350,7 +345,7 @@ class CategoryGraph:
             tids = np.sort(self.touch_order[row, :self.n_touched[row]])
             nodes.append({
                 "category": cat,
-                "members": len(self.members[cat]),
+                "members": int(self.member_counts[row]),
                 "vector": dict(zip(map(terms.__getitem__, tids.tolist()),
                                    self.node_values[row, tids].tolist())),
             })

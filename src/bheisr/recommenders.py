@@ -103,11 +103,11 @@ class FeedContext:
     item rows, norms and profile sums for CB, and the history masses for UC.
     enable_acceleration builds that state from the corpus log, which seeded
     the networks' histories, and note_accept folds each step's new accepts
-    into it, both through _fold_accepts; refresh_mass re-snapshots the
-    history masses of the users who accepted something, once per step
-    barrier. For UC, batch_neighbor_mass computes the neighbour mass of a
-    block of the step's users in one product, which ranking reads where it
-    can certify the result.
+    into it, both through _fold_accepts. For UC, note_accept then
+    re-snapshots the history masses of the users who accepted something
+    through refresh_mass, and batch_neighbor_mass computes the neighbour
+    mass of a block of the step's users in one product, which ranking reads
+    where it can certify the result, until note_accept drops it.
     """
     corpus: object
     networks: dict
@@ -153,7 +153,9 @@ class FeedContext:
             self.profile_sums = np.zeros((n_users, n_terms))
         self._fold_accepts(row_of[user], cols)
         if self.baseline == "uc":
-            self.refresh_mass()
+            self.mass_matrix = np.zeros((n_users, len(self.cats)))
+            self.mass_norms = np.zeros(n_users)
+            self.refresh_mass(self.user_ids)
 
     def _fold_accepts(self, user_rows: np.ndarray, item_rows: np.ndarray) -> None:
         """Fold accepts, the user row and table row of each, in order: an
@@ -179,17 +181,13 @@ class FeedContext:
             np.add.at(flat, np.repeat(user_rows[part] * n_terms, counts) + terms,
                       weights)
 
-    def refresh_mass(self, user_ids=None) -> None:
+    def refresh_mass(self, user_ids: list) -> None:
         """Re-snapshot the per-category history mass and its norm for the
-        given users, or for every user. UC alone reads them.
+        given users. UC alone reads them.
 
-        Only an accept changes a user's mass, so the step barrier passes just
-        the users who accepted something.
+        Only an accept changes a user's mass, so note_accept passes just the
+        users who accepted something.
         """
-        if user_ids is None:
-            user_ids = self.user_ids
-            self.mass_matrix = np.zeros((len(user_ids), len(self.cats)))
-            self.mass_norms = np.zeros(len(user_ids))
         rows = np.array([self.user_pos[u] for u in user_ids], dtype=np.intp)
         for u, r in zip(user_ids, rows):
             mass = self.networks[u].mass_by_category()
@@ -204,7 +202,7 @@ class FeedContext:
         The rows differ from _baseline_scores' per-user products in the last
         bits, so ranking reads a row only where it can certify that the
         exact scores rank the same. They derive from the scoring state, so
-        they hold until the next barrier. Nothing is batched for another
+        they hold until note_accept changes it. Nothing is batched for another
         baseline, for a lone user (its product would cost what the exact one
         does), or for masses outside MASS_RANGE.
         """
@@ -225,11 +223,15 @@ class FeedContext:
 
     def note_accept(self, accepts: dict) -> None:
         """Fold each user's newly accepted items (user id -> items, in
-        accept order) into the scoring state."""
+        accept order) into the scoring state, drop the batched rows that
+        derive from the old state and, for UC, refresh those users' masses."""
         users = [self.user_pos[u] for u, items in accepts.items() for _ in items]
         self._fold_accepts(np.array(users, dtype=np.intp),
                            self.table.rows([it for items in accepts.values()
                                             for it in items]))
+        self.neighbor_mass = {}
+        if self.baseline == "uc":
+            self.refresh_mass(list(accepts))
 
 
 def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:

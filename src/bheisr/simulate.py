@@ -40,9 +40,17 @@ BATCH_USERS = 256        # fed users per batched UC neighbour-mass product
 GENERATOR_KINDS = ("template", "external")
 DATASET_FORMATS = {"json": load_corpus, "mind_tsv": load_behaviors,   # -> loader
                    "imdb_csv": load_ratings}
-# a numeric field's annotation -> the type its value must have, never a bool
-NUMBER_KINDS = {int: (numbers.Integral, "an integer"),
-                float: (numbers.Real, "a number")}
+# a field's annotation -> (the test its value must pass, what it must be);
+# only a bool field takes a bool
+FIELD_KINDS = {
+    int: (lambda v: isinstance(v, numbers.Integral), "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real), "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, (tuple, list))
+            and all(isinstance(u, str) for u in v), "a list of user ids"),
+    SynthSpec: (lambda v: isinstance(v, SynthSpec), "a SynthSpec"),
+}
 
 
 @dataclass
@@ -72,15 +80,12 @@ class SimConfig:
         """Reject values no run can use, before any work starts."""
         for f in fields(self):
             value = getattr(self, f.name)
-            # None is a value only where it is the default (max_path_len)
-            if f.type in NUMBER_KINDS and (value is not None or f.default is not None):
-                kind, noun = NUMBER_KINDS[f.type]
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-        users = () if self.users is None else self.users
-        if not isinstance(users, (tuple, list)) or \
-                not all(isinstance(u, str) for u in users):
-            raise ValueError(f"users must be a list of user ids, got {users!r}")
+            # None is a value only where it is the default
+            if value is None and f.default is None:
+                continue
+            test, noun = FIELD_KINDS[f.type]
+            if isinstance(value, bool) != (f.type is bool) or not test(value):
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         if self.dataset_format not in DATASET_FORMATS:
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
         if self.model not in MODELS:
@@ -110,7 +115,7 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if self.users is not None and not self.users:
             raise ValueError("users is empty; leave it unset to feed everyone")
-        reject_duplicates(users, "user")
+        reject_duplicates(self.users or (), "user")
         if self.parallel:
             raise ValueError("parallel is not supported: runs are serial")
 
@@ -211,7 +216,6 @@ class SimState:
     networks: dict
     ctx: FeedContext
     sessions: dict
-    baseline: str
     with_bheisr: bool
     w_eff: float
     classification: object = None
@@ -275,14 +279,14 @@ def prepare(config: SimConfig, corpus: Corpus = None,
                     max_path_len=config.max_path_len)
     return SimState(config=config, corpus=corpus, users=users, graph=graph,
                     networks=networks, ctx=ctx, sessions=sessions,
-                    baseline=baseline, with_bheisr=with_bheisr, w_eff=w_eff,
+                    with_bheisr=with_bheisr, w_eff=w_eff,
                     classification=classification)
 
 
 def _feed(state: SimState, step: int, user_id: str):
-    config = state.config
-    return assemble_feed(state.baseline, state.with_bheisr, state.w_eff, config.k,
-                         state.sessions.get(user_id), state.ctx, user_id, step,
+    config, ctx = state.config, state.ctx
+    return assemble_feed(ctx.baseline, state.with_bheisr, state.w_eff, config.k,
+                         state.sessions.get(user_id), ctx, user_id, step,
                          config.seed)
 
 
@@ -330,10 +334,10 @@ def _feedback(state: SimState, user_id: str, feed, decisions: tuple) -> list:
 def _record(state: SimState, step: int, user_id: str, feed,
             decisions: tuple) -> StepUserRecord:
     taxonomy = state.corpus.taxonomy
-    # a generated item touches its prompt's categories
+    # a dataset item touches its own category, a generated item its prompt's
     categories = set().union(*[
         item.prompt.node_set if item.origin == ORIGIN_GENERATED
-        else detection.item_categories(item) for item in feed.items])
+        else (item.category,) for item in feed.items])
     return StepUserRecord(
         step=step,
         user_id=user_id,
@@ -394,7 +398,6 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
             block = state.users[start:start + BATCH_USERS]
             state.ctx.batch_neighbor_mass(block)
             results.update(_step_block(state, block, step))
-        state.ctx.neighbor_mass = {}
 
         accepts = {user: results[user][1] for user in state.users if results[user][1]}
         buffer = GraphUpdateBuffer(state.graph)
@@ -402,8 +405,6 @@ def run_loop(config: SimConfig, corpus: Corpus = None,
             buffer.accept_items(items)
         buffer.flush()
         state.ctx.note_accept(accepts)
-        if state.baseline == "uc":
-            state.ctx.refresh_mass(list(accepts))
         record.steps.append([results[user][0] for user in state.users])
 
         if step in checkpoints:

@@ -190,10 +190,10 @@ def row_lists(table, row: int) -> tuple:
 def assert_equals_the_oracle(graph, items):
     """The graph's table holds the candidate index's rows unchanged, then
     one row per distinct text of the accepted `items` outside the index,
-    each equal to featurize. Nodes equal _mean_vector of the members'
-    featurize vectors and edges equal correlation of those, a < b, with
-    ==."""
-    by_id = {item.id: item for item in items}
+    each equal to featurize. A category's members are the `items` with a
+    positive weight on it, in order: the graph counts them, nodes equal
+    _mean_vector of their featurize vectors and edges equal correlation of
+    those, a < b, with ==."""
     table, vocab = graph.table, graph.table.index.vocab
     index, n = table.index.entries, len(table.index.ids)
     for name in ("counts", "starts"):
@@ -210,8 +210,13 @@ def assert_equals_the_oracle(graph, items):
         terms, weights = row_lists(table, table.text_rows[item.text()])
         assert list(zip(terms, weights)) == \
             list(featurize(item, vocab).entries.items())
-    oracle = {c: _mean_vector([featurize(by_id[i], vocab)
-                               for i in graph.members[c]])
+    members = {c: [] for c in graph.categories}
+    for item in items:
+        for cat, w in item.category_weights.items():
+            if w > 0.0:
+                members[cat].append(item)
+    assert graph.member_counts.tolist() == [len(members[c]) for c in graph.categories]
+    oracle = {c: _mean_vector([featurize(item, vocab) for item in members[c]])
               for c in graph.categories}
     vectors = node_vectors(graph)
     for cat in graph.categories:

@@ -13,7 +13,8 @@ import pytest
 import scipy.stats
 
 from bheisr.belief import BeliefNetwork
-from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, synth_corpus
+from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, generated_subcategory, \
+    synth_corpus
 from bheisr.detection import classify_users, ks_normality
 from bheisr.nudge import (
     NudgeSession,
@@ -84,6 +85,8 @@ def test_criterion_01_entropy_and_incremental_updates(capsys):
     incrementally maintained beliefs equal a scratch recomputation."""
     t0 = time.perf_counter()
     cats, subs, mapping = taxonomy_networks()
+    # every network's map binds each generated label, as build_all's does
+    labels = {**mapping, **{generated_subcategory(c): c for c in cats}}
 
     worst = 0.0
     ok = abs(entropy_bits([1.0]) - 0.0) <= 1e-9
@@ -96,7 +99,7 @@ def test_criterion_01_entropy_and_incremental_updates(capsys):
             ({"a/s0": 2.0, "a/s1": 2.0}, "a", 1.0),
             ({"a/s0": 1.0, "a/s1": 1.0, "a/s2": 1.0, "a/generated": 1.0}, "a", 2.0)):
         network = BeliefNetwork(user_id="u", categories=cats,
-                                subcat_to_cat=dict(mapping))
+                                subcat_to_cat=dict(labels))
         for sub, m in masses.items():
             network.add_click_mass(sub, sub.split("/")[0], m)
         network.recompute()
@@ -120,7 +123,7 @@ def test_criterion_01_entropy_and_incremental_updates(capsys):
     sequences = 10_000
     for n in range(sequences):
         network = BeliefNetwork(user_id="u", categories=cats,
-                                subcat_to_cat=dict(mapping))
+                                subcat_to_cat=dict(labels))
         network.recompute()
         for _ in range(int(rng.integers(3, 9))):
             if rng.random() < 0.7:

@@ -152,6 +152,17 @@ class TestFeedback:
         with pytest.raises(ValueError, match="already bound"):
             network.add_click_mass("a/s1", "b", 1.0)
 
+    def test_unknown_subcategory_is_not_bound(self):
+        # build_all shares one map across every network, so a bind here
+        # would rebind the label for all of them
+        networks = build_all(tiny_corpus())
+        network = networks["u"]
+        before = dict(network.subcat_to_cat)
+        with pytest.raises(ValueError, match="unknown subcategory 'a/new'"):
+            network.add_click_mass("a/new", "a", 1.0)
+        assert network.subcat_to_cat == before
+        assert "a/new" not in network.click_counts
+
 
 class TestIncrementalConsistency:
     def test_feedback_stream_matches_scratch_recompute(self):

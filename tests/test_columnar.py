@@ -43,7 +43,7 @@ def per_row_build_all(corpus) -> dict:
 
 def fold_state(ctx) -> FeedContext:
     """The scoring state as a per-user note_accept fold of each network's
-    history, plus a full refresh_mass() for UC."""
+    history, which for UC also refreshes that user's masses."""
     folded = FeedContext(corpus=ctx.corpus, networks=ctx.networks,
                          table=ctx.table, baseline=ctx.baseline)
     folded.enable_acceleration()
@@ -53,8 +53,6 @@ def fold_state(ctx) -> FeedContext:
     for user in folded.user_ids:
         folded.note_accept({user: [ctx.corpus.items[i]
                                    for i in ctx.networks[user].accepted]})
-    if ctx.baseline == "uc":
-        folded.refresh_mass()
     return folded
 
 

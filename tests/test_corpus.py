@@ -344,6 +344,39 @@ class TestValidate:
          "a value of the wrong type"),
         (lambda doc: doc["interactions"][0].update(timestamp=None),
          "a value of the wrong type"),
+        # each of these used to load, and some failed mid-run or loaded as
+        # another value
+        (lambda doc: doc["users"].__setitem__(0, 7),
+         "users[0]: a value of the wrong type: 7 is not a string"),
+        (lambda doc: doc["interactions"][0].update(user_id=7),
+         "interactions[0]: 'user_id' holds a value of the wrong type: 7"),
+        (lambda doc: doc["interactions"][0].update(item_id=3),
+         "interactions[0]: 'item_id' holds a value of the wrong type: 3"),
+        (lambda doc: doc["items"][0].update(id=3),
+         "items[0]: 'id' holds a value of the wrong type: 3 is not a string"),
+        (lambda doc: doc["items"][0].update(category=1), "items[0]: 'category'"),
+        (lambda doc: doc["items"][0].update(subcategory=None),
+         "items[0]: 'subcategory'"),
+        (lambda doc: doc["items"][0].update(title=5), "items[0]: 'title'"),
+        (lambda doc: doc["items"][0].update(abstract=[]), "items[0]: 'abstract'"),
+        (lambda doc: doc["items"][0].update(origin=0), "items[0]: 'origin'"),
+        (lambda doc: doc["taxonomy"][0].update(category=2),
+         "taxonomy[0]: 'category' holds a value of the wrong type"),
+        (lambda doc: doc["taxonomy"][0].update(subcategories="c/s"),
+         "taxonomy[0]: 'subcategories' holds a value of the wrong type: 'c/s' "
+         "is not a list of strings"),
+        (lambda doc: doc["taxonomy"][0].update(subcategories=["c/s", 1]),
+         "is not a list of strings"),
+        (lambda doc: doc["interactions"][0].update(timestamp=1.7),
+         "interactions[0]: 'timestamp' holds a value of the wrong type: 1.7 is "
+         "not an integer"),
+        (lambda doc: doc["interactions"][0].update(timestamp=True),
+         "'timestamp' holds a value of the wrong type: True"),
+        (lambda doc: doc["interactions"][0].update(signal="1"),
+         "interactions[0]: 'signal' holds a value of the wrong type: '1' is not "
+         "a number"),
+        (lambda doc: doc["interactions"][0].update(signal=True),
+         "'signal' holds a value of the wrong type: True"),
     ])
     def test_malformed_document_is_a_parse_error(self, change, message):
         doc = json.loads(corpus_to_json(self.base()))
@@ -436,6 +469,14 @@ class TestSynthCorpus:
         # it used to fail inside the random stream's derivation
         with pytest.raises(ValueError, match="seed must be non-negative"):
             synth_corpus(SynthSpec(seed=-1))
+        # 2.5 users failed mid-build, and seed 1.5 built seed 1's corpus
+        for field, value in (("n_users", 2.5), ("seed", 1.5), ("n_items", "90"),
+                             ("bias_profile", True), ("n_categories", None)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"synth {field} must be an integer, got {value!r}")):
+                synth_corpus(SynthSpec(**{field: value}))
+        # any integral value is an integer
+        assert len(synth_corpus(SynthSpec(n_users=np.int64(3))).users) == 3
 
 
 CATEGORIES = ("a", "b", "c")

@@ -1,6 +1,7 @@
 """Diversity coverage, normality statistics, and the two-sigma classifier."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from bheisr.detection import (
     MIN_POPULATION,
     classify_users,
     diversity_coverage,
-    item_categories,
     kolmogorov_p,
     ks_normality,
     normal_cdf,
     skewness,
 )
+from bheisr.nudge import GeneratedItem
+from bheisr.simulate import _record
+from oracle import path_of
 
 TAXONOMY = {"a": ("a/s",), "b": ("b/s",), "c": ("c/s",), "d": ("d/s",)}
 
@@ -29,9 +32,11 @@ def make_item(cat, sub=None, weights=None):
 
 
 def feed_coverage(feed):
-    """diversity_coverage of the feed's categories, built as the loop
-    builds them."""
-    return diversity_coverage(set().union(*map(item_categories, feed)), TAXONOMY)
+    """The coverage the loop records for a feed."""
+    network = SimpleNamespace(positive_category_count=lambda: 0)
+    state = SimpleNamespace(corpus=SimpleNamespace(taxonomy=TAXONOMY),
+                            networks={"u": network})
+    return _record(state, 1, "u", SimpleNamespace(items=feed), ()).coverage
 
 
 class TestDiversityCoverage:
@@ -39,9 +44,11 @@ class TestDiversityCoverage:
         feed = [make_item("a"), make_item("a"), make_item("b")]
         assert feed_coverage(feed) == pytest.approx(2 / 4)
 
-    def test_weighted_items_count_every_positive_category(self):
-        feed = [make_item("a", weights={"a": 0.5, "b": 0.5})]
+    def test_generated_item_counts_every_prompt_category(self):
+        feed = [GeneratedItem("gi:u:0", path_of("a", "b"), 0, None)]
         assert feed_coverage(feed) == pytest.approx(2 / 4)
+        assert feed_coverage(feed + [make_item("c"), make_item("a")]) == \
+            pytest.approx(3 / 4)
 
     def test_single_category_feed(self):
         feed = [make_item("a")] * 10
@@ -49,12 +56,9 @@ class TestDiversityCoverage:
 
     def test_empty_feed_rejected(self):
         with pytest.raises(ValueError):
-            feed_coverage([])
-
-    def test_item_categories_falls_back_to_primary(self):
-        item = make_item("a", weights={"a": 0.0})
-        item.category_weights = {}
-        assert item_categories(item) == {"a"}
+            diversity_coverage(set(), TAXONOMY)
+        # the loop records an exhausted catalog's empty feed as covering none
+        assert feed_coverage([]) == 0.0
 
 
 class TestNormalCdf:

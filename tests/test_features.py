@@ -55,6 +55,11 @@ def graph_of(corpus, vocab=None):
         corpus, ItemTable(CandidateIndex.build(corpus, vocab, tokens)))
 
 
+def member_counts(graph) -> dict:
+    """category -> the graph's count of its members."""
+    return dict(zip(graph.categories, graph.member_counts.tolist()))
+
+
 def appended_rows(graph):
     """text -> (term ids, weights) of every row the graph's table appended
     after the index rows, as lists."""
@@ -224,15 +229,16 @@ class TestCategoryGraph:
         corpus.items["i5"] = make_item("i5", "food", "food/s", "fusion",
                                        weights={"food": 0.5, "tech": 0.5})
         graph = graph_of(corpus)
-        assert "i5" in graph.members["food"]
-        assert "i5" in graph.members["tech"]
+        assert member_counts(graph) == {"food": 3, "tech": 3}
+        assert_equals_the_oracle(graph, list(corpus.items.values()))
 
     def test_zero_weight_category_excluded(self):
         corpus = two_category_corpus()
         corpus.items["i5"] = make_item("i5", "food", "food/s", "pure food",
                                        weights={"food": 1.0, "tech": 0.0})
         graph = graph_of(corpus)
-        assert "i5" not in graph.members["tech"]
+        assert member_counts(graph) == {"food": 3, "tech": 2}
+        assert_equals_the_oracle(graph, list(corpus.items.values()))
 
     def test_only_items_outside_the_index_are_featurized(self):
         corpus = two_category_corpus()
@@ -246,7 +252,8 @@ class TestCategoryGraph:
         graph.accept_items([corpus.items["i3"], new])
         assert list(graph.table.text_rows) == [new.text()]
         assert len(graph.table.entries.counts) == len(corpus.items) + 1
-        assert_equals_the_oracle(graph, [*corpus.items.values(), new])
+        assert_equals_the_oracle(
+            graph, [*corpus.items.values(), new, corpus.items["i3"], new])
 
 
     def test_build_folds_corpus_item_r_as_index_row_r(self, monkeypatch):
@@ -325,7 +332,7 @@ class TestIncrementalUpdate:
         for batch in ([bad], [good, bad]):
             with pytest.raises(ValueError, match="unknown category 'nope'"):
                 graph.accept_items(batch)
-            assert graph.members == before.members
+            assert np.array_equal(graph.member_counts, before.member_counts)
             assert node_entries(graph, graph.term_sums) == \
                 node_entries(before, before.term_sums)
             assert appended_rows(graph) == appended_rows(before)
@@ -387,7 +394,7 @@ class TestIncrementalGraphMatchesOracle:
             for cat, w in item.category_weights.items():
                 if w > 0.0:
                     members[cat].append(item.id)
-        assert graph.members == members
+        assert member_counts(graph) == {c: len(ids) for c, ids in members.items()}
         assert_equals_the_oracle(graph, accepted)
 
 
@@ -426,7 +433,8 @@ class TestArrayEdgeCases:
         assert node_vectors(built)["sport"].is_zero()
         assert all(rho == 0.0 for (a, b), rho in built.edges.items()
                    if "sport" in (a, b))
-        assert built.members["arts"] == ["i3", "e1"]
+        assert member_counts(built)["arts"] == 2
+        assert member_counts(built)["sport"] == 1
         assert node_vectors(built)["arts"].entries == {
             tid: w / 2 for tid, w in featurize(items[2], built.table.index.vocab).entries.items()}
         assert_equals_the_oracle(built, items)
@@ -447,9 +455,9 @@ batch_accepts = st.one_of(
 
 
 def assert_same_graph(graph, other):
-    """Equal members, sums, nodes and edges, in the same orders; the graphs
-    may hold different item vectors, as their indexes may differ."""
-    assert graph.members == other.members
+    """Equal member counts, sums, nodes and edges, in the same orders; the
+    graphs may hold different item vectors, as their indexes may differ."""
+    assert np.array_equal(graph.member_counts, other.member_counts)
     vectors, twins = node_vectors(graph), node_vectors(other)
     sums, twin_sums = node_entries(graph, graph.term_sums), \
         node_entries(other, other.term_sums)
@@ -533,7 +541,7 @@ class TestGraphUpdateBuffer:
     def test_multi_item_flush_folds_all_and_returns_count(self):
         corpus = two_category_corpus()
         graph = graph_of(corpus)
-        before = copy.deepcopy(graph.members)
+        before = graph.member_counts.copy()
         items = [make_item("z1", "food", "food/s", "chip design"),
                  make_item("z2", "tech", "tech/s", "soup panel"),
                  make_item("z3", "food", "food/s", "bread chip",
@@ -541,11 +549,35 @@ class TestGraphUpdateBuffer:
         buffer = GraphUpdateBuffer(graph)
         buffer.accept_items(items[:2])
         buffer.accept_items(items[2:])
-        assert graph.members == before
+        assert np.array_equal(graph.member_counts, before)
         assert buffer.flush() == 3
         corpus.items.update((item.id, item) for item in items)
         assert_same_graph(graph, graph_of(corpus, graph.table.index.vocab))
         assert buffer.flush() == 0
+
+
+    def test_member_counts_count_every_positive_weight(self):
+        # after build and after each flush, a category counts every item
+        # folded in with a positive weight on it, repeats included
+        corpus = two_category_corpus()
+        graph = graph_of(corpus)
+        folded = list(corpus.items.values())
+        buffer = GraphUpdateBuffer(graph)
+        batches = [[make_item("z1", "food", "food/s", "chip design",
+                              weights={"food": 0.5, "tech": 0.5})],
+                   [make_item("z2", "tech", "tech/s", "soup",
+                              weights={"food": 0.0, "tech": 1.0}),
+                    corpus.items["i1"]],
+                   [],
+                   [make_item("z3", "food", "food/s", "", weights={"food": 1.0})] * 2]
+        for batch in [[], *batches]:
+            buffer.accept_items(batch)
+            buffer.flush()
+            folded.extend(batch)
+            assert member_counts(graph) == {
+                c: sum(item.category_weights.get(c, 0.0) > 0.0 for item in folded)
+                for c in graph.categories}
+        assert member_counts(graph) == {"food": 6, "tech": 4}
 
 
 class TestItemTable:

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bheisr.belief import BeliefNetwork
-from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, synth_corpus
+from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, generated_subcategory, \
+    synth_corpus
 from bheisr.nudge import (
     QUEUE_DRAIN,
     QUEUE_REPLACE,
@@ -371,7 +372,8 @@ class TestGenerateItem:
         assert item.prompt.key == "food->tech"
         # an accept credits each spanned category's synthetic subcategory
         network = BeliefNetwork(user_id="u", categories=("food", "tech"),
-                                subcat_to_cat={})
+                                subcat_to_cat={"food/generated": "food",
+                                               "tech/generated": "tech"})
         network.recompute()
         network.update_on_feedback(item)
         assert network.click_counts == {"food/generated": 0.5,
@@ -418,8 +420,9 @@ class FakeGraph:
 def session_fixture(theta=2, queue_discipline=QUEUE_DRAIN, max_path_len=None):
     cats = ("a", "b", "c", "d")
     graph = FakeGraph(cats)
-    network = BeliefNetwork(user_id="u", categories=cats,
-                            subcat_to_cat={f"{c}/s": c for c in cats})
+    labels = {f"{c}/s": c for c in cats}
+    labels.update((generated_subcategory(c), c) for c in cats)
+    network = BeliefNetwork(user_id="u", categories=cats, subcat_to_cat=labels)
     network.add_click_mass("a/s", "a", 6.0)
     network.add_click_mass("b/s", "b", 2.0)
     network.add_click_mass("c/s", "c", 1.0)

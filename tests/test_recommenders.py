@@ -442,10 +442,9 @@ def oracle_scores(kind, ctx, user):
 
 
 def rebuilt_by_fold(ctx, *extra):
-    """A context for the same networks whose accept rows and profile sums
-    are the per-user note_accept fold of each whole history, and whose mass
-    rows are a full refresh_mass(). `extra` are the accepted items outside
-    the corpus."""
+    """A context for the same networks whose accept rows, profile sums and
+    mass rows are the per-user note_accept fold of each whole history.
+    `extra` are the accepted items outside the corpus."""
     rebuilt = FeedContext(corpus=ctx.corpus, networks=ctx.networks,
                           table=ctx.table, baseline=ctx.baseline,
                           generator=ctx.generator)
@@ -456,8 +455,6 @@ def rebuilt_by_fold(ctx, *extra):
     by_id = {**ctx.corpus.items, **{item.id: item for item in extra}}
     for user in rebuilt.user_ids:
         rebuilt.note_accept({user: [by_id[i] for i in ctx.networks[user].accepted]})
-    if ctx.baseline == "uc":
-        rebuilt.refresh_mass()
     return rebuilt
 
 
@@ -491,11 +488,32 @@ class TestAccelerationAgreesWithReference:
                      if i not in ctx.networks[user].accepted)
         ctx.networks[user].update_on_feedback(corpus.items[fresh])
         ctx.note_accept({user: [corpus.items[fresh]]})
-        if kind == "uc":
-            ctx.refresh_mass()
         np.testing.assert_allclose(_baseline_scores(kind, ctx, user),
                                    oracle_scores(kind, ctx, user),
                                    rtol=0, atol=1e-9)
+
+    def test_note_accept_refreshes_uc_masses_and_drops_batched_rows(self):
+        ctx, graph, corpus = self.context("uc")
+        ctx.batch_neighbor_mass(ctx.user_ids)
+        assert ctx.neighbor_mass
+        gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
+                  "bridging piece", {"cat00": 0.5, "cat01": 0.5},
+                  origin=ORIGIN_GENERATED)
+        accepts = {}
+        for user in corpus.users[:2]:
+            fresh = next(corpus.items[i] for i in corpus.items
+                         if i not in ctx.networks[user].accepted)
+            accepts[user] = [fresh, gi]
+            for item in accepts[user]:
+                ctx.networks[user].update_on_feedback(item)
+        graph.accept_items([it for items in accepts.values() for it in items])
+        ctx.note_accept(accepts)
+        assert ctx.neighbor_mass == {}
+        rebuilt = FeedContext(corpus=corpus, networks=ctx.networks,
+                              table=ctx.table, baseline="uc")
+        rebuilt.enable_acceleration()
+        assert np.array_equal(ctx.mass_matrix, rebuilt.mass_matrix)
+        assert np.array_equal(ctx.mass_norms, rebuilt.mass_norms)
 
     def test_note_accept_matches_rebuild(self):
         for kind in ("rd", "cb", "uc"):
@@ -515,8 +533,6 @@ class TestAccelerationAgreesWithReference:
         graph.accept_items([gi])
         acc.networks[user].update_on_feedback(gi)
         acc.note_accept({user: [gi]})
-        if kind == "uc":
-            acc.refresh_mass([user])
 
         rebuilt = rebuilt_by_fold(acc, gi)
         assert np.array_equal(acc.accept_matrix, rebuilt.accept_matrix)

@@ -15,7 +15,7 @@ from bheisr import detection, nudge, recommenders, simulate
 from bheisr.belief import build_all
 from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, corpus_from_json, \
     corpus_to_json, save_corpus, synth_corpus
-from bheisr.features import GraphUpdateBuffer, tokenize
+from bheisr.features import CategoryGraph, GraphUpdateBuffer, ItemTable, tokenize
 from bheisr.rng import substream
 from bheisr.simulate import (
     MODELS,
@@ -145,6 +145,15 @@ class TestPrepare:
         ("users", "u0001", "users must be a list of user ids"),
         ("users", ("u0001", 2), "users must be a list of user ids"),
         ("dataset_format", "xml", "unknown dataset format 'xml'"),
+        # each of these used to pass validate(), or fail with a TypeError
+        ("track_fb", "no", "track_fb must be true or false, got 'no'"),
+        ("parallel", 0, "parallel must be true or false"),
+        ("target_user", 5, "target_user must be a string, got 5"),
+        ("synth", 5, "synth must be a SynthSpec, got 5"),
+        ("dataset", 5, "dataset must be a string, got 5"),
+        ("model", ["cb"], r"model must be a string, got \['cb'\]"),
+        ("model", None, "model must be a string, got None"),
+        ("generator_url", True, "generator_url must be a string, got True"),
     ])
     def test_bad_values_rejected(self, field, value, message):
         # the config names no corpus, so the value must be caught before any
@@ -180,7 +189,7 @@ class TestPrepare:
     def test_bheisr_model_forces_full_weight(self, fb_corpus, fb_assets):
         state = prepare(SimConfig(model="bheisr", w=0.3), fb_corpus, fb_assets)
         assert state.w_eff == 1.0
-        assert state.baseline == "rd"
+        assert state.ctx.baseline == "rd"
 
     def test_set_up_builds_no_feature_vector(self, fb_corpus, monkeypatch):
         # corpus item vectors live only as candidate index rows: the set-up
@@ -560,6 +569,7 @@ class TestStateMatchesLog:
         assert table.item_rows == {i: table.text_rows[item.text()]
                                    for i, item in outside.items()}
         seeded = build_all(fb_corpus)
+        members = CategoryGraph.build(fb_corpus, ItemTable(fb_assets)).member_counts
         generated_accepts = 0
         for user in run.users:
             network = state.networks[user]
@@ -578,15 +588,19 @@ class TestStateMatchesLog:
                                     and flushed[i].text() in table.text_rows)
                        for i in network.accepted)
             # an accepted generated item is credited once, at unit weight, to
-            # the synthetic subcategories and to its categories' graph members
+            # the synthetic subcategories
             gen = [d.item_id for d in logged if d.origin == ORIGIN_GENERATED]
             generated_accepts += len(gen)
             gen_mass = sum(c for s, c in network.click_counts.items()
                            if s.endswith("/generated"))
             assert gen_mass == pytest.approx(len(gen))
-            for item_id in gen:
-                assert any(item_id in m for m in state.graph.members.values())
+            # and every accept joins each of its categories' graph members
+            for d in logged:
+                for cat, w in flushed[d.item_id].category_weights.items():
+                    if w > 0.0:
+                        members[state.graph.rows[cat]] += 1
         assert generated_accepts > 0
+        assert np.array_equal(state.graph.member_counts, members)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), feeds=st.integers(1, 6),
@@ -608,7 +622,7 @@ class TestStateMatchesLog:
                      fb_corpus, fb_assets)
         ctx = states[0].ctx
         mass, norms = ctx.mass_matrix.copy(), ctx.mass_norms.copy()
-        ctx.refresh_mass()
+        ctx.refresh_mass(ctx.user_ids)
         assert np.array_equal(mass, ctx.mass_matrix)
         assert np.array_equal(norms, ctx.mass_norms)
 
