@@ -12,7 +12,6 @@ from .corpus import SynthSpec, save_corpus
 from .features import CategoryGraph, ItemTable
 from .folds import fold_sum
 from .nudge import QUEUE_DISCIPLINES
-from .recommenders import assemble_feed
 from .simulate import SimConfig
 
 # config-file keys that differ from SimConfig field names
@@ -181,9 +180,7 @@ def cmd_recommend(args) -> int:
     user = args.user or config.target_user or state.corpus.users[0]
     if user not in state.networks:
         raise ValueError(f"unknown user {user!r}")
-    feed = assemble_feed(state.ctx.baseline, state.with_bheisr, state.w_eff,
-                         config.k, state.sessions.get(user), state.ctx,
-                         user, 1, config.seed)
+    feed = simulate.feed_for(state, 1, user)
     for item in feed.items:
         print(f"{item.id}\t{item.origin}\t{item.category}\t{item.title}")
     return 0

@@ -217,6 +217,7 @@ class Corpus:
                 if cat not in taxonomy:
                     raise ValueError(f"item {item.id}: weight on unknown category {cat!r}")
                 # bool is an int: a JSON true would otherwise count as 1
+                # not numbers.Real: corpus_to_json cannot write a numpy scalar
                 if isinstance(w, bool) or not isinstance(w, (int, float)):
                     raise ValueError(f"item {item.id}: weight {w!r} on {cat!r} is not "
                                      f"a number")
@@ -248,6 +249,17 @@ class Corpus:
             if len(bad):
                 raise ValueError(f"interaction references unknown {name} "
                                  f"position {int(column[bad[0]])}")
+        # the loaders take no other signal, and JSON cannot write a NaN
+        signal = self.log_signal
+        if self.signal_scheme == "rating":
+            outside = ~((signal >= 0.0) & (signal <= 5.0))     # NaN too
+            domain = "a rating in [0, 5]"
+        else:
+            outside, domain = (signal != 0.0) & (signal != 1.0), "a click of 0 or 1"
+        bad = np.flatnonzero(outside)
+        if len(bad):
+            raise ValueError(f"interaction row {int(bad[0])}: signal "
+                             f"{float(signal[bad[0]])!r} is not {domain}")
 
 
 def _timestamp_key(raw: str):
@@ -270,6 +282,21 @@ def _ordinalize(raw_stamps: list) -> list:
     return ordinals
 
 
+def _tabular_corpus(items: dict, taxonomy: dict, rows: list, scheme: str,
+                    rejects: list) -> Corpus:
+    """The validated corpus of a tabular dataset, whose `taxonomy` maps each
+    category to a set of subcategories and whose `rows` are (user id, item
+    id, raw timestamp, signal) in file order."""
+    users = tuple(sorted({row[0] for row in rows}))
+    user_ids, item_ids, stamps, signals = list(zip(*rows)) or [()] * 4
+    corpus = Corpus(items=items, users=users, signal_scheme=scheme, rejects=rejects,
+                    taxonomy={c: tuple(sorted(s)) for c, s in sorted(taxonomy.items())},
+                    **_log_columns(items, users, user_ids, item_ids,
+                                   _ordinalize(stamps), signals))
+    corpus.validate()
+    return corpus
+
+
 def load_behaviors(path: str) -> Corpus:
     """Load a click-behavior TSV.
 
@@ -280,8 +307,8 @@ def load_behaviors(path: str) -> Corpus:
     """
     items: dict = {}
     item_key_to_id: dict = {}
-    rows = []
-    rejects = []
+    taxonomy: dict = {}
+    rows, rejects = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -307,32 +334,16 @@ def load_behaviors(path: str) -> Corpus:
             if not user:
                 rejects.append((lineno, "empty user id"))
                 continue
-            rows.append((user, raw_ts, cat, subcat, title, abstract, float(click)))
-
-    for user, raw_ts, cat, subcat, title, abstract, click in rows:
-        key = (cat, subcat, title, abstract)
-        if key not in item_key_to_id:
-            item_id = f"n{len(item_key_to_id):06d}"
-            item_key_to_id[key] = item_id
-            items[item_id] = Item(id=item_id, category=cat, subcategory=subcat,
-                                  title=title, abstract=abstract,
-                                  category_weights={cat: 1.0})
-    taxonomy: dict = {}
-    for item in items.values():
-        taxonomy.setdefault(item.category, set()).add(item.subcategory)
-    users = tuple(sorted({r[0] for r in rows}))
-    corpus = Corpus(
-        items=items,
-        taxonomy={c: tuple(sorted(s)) for c, s in sorted(taxonomy.items())},
-        users=users,
-        signal_scheme="click",
-        rejects=rejects,
-        **_log_columns(items, users, [r[0] for r in rows],
-                       [item_key_to_id[r[2:6]] for r in rows],
-                       _ordinalize([r[1] for r in rows]), [r[6] for r in rows]),
-    )
-    corpus.validate()
-    return corpus
+            key = (cat, subcat, title, abstract)
+            item_id = item_key_to_id.get(key)
+            if item_id is None:
+                item_id = item_key_to_id[key] = f"n{len(item_key_to_id):06d}"
+                items[item_id] = Item(id=item_id, category=cat, subcategory=subcat,
+                                      title=title, abstract=abstract,
+                                      category_weights={cat: 1.0})
+                taxonomy.setdefault(cat, set()).add(subcat)
+            rows.append((user, item_id, raw_ts, float(click)))
+    return _tabular_corpus(items, taxonomy, rows, "click", rejects)
 
 
 def _csv_rows(path: str, required: tuple):
@@ -412,20 +423,9 @@ def load_ratings(path: str) -> Corpus:
             latest[key] = entry
 
     kept = sorted(latest.items(), key=lambda kv: kv[1][1])   # file order of the kept row
-    users = tuple(sorted({key[0] for key, _ in kept}))
-    corpus = Corpus(
-        items=items,
-        taxonomy={c: tuple(sorted(s)) for c, s in sorted(taxonomy.items())},
-        users=users,
-        signal_scheme="rating",
-        rejects=rejects,
-        **_log_columns(items, users, [key[0] for key, _ in kept],
-                       [key[1] for key, _ in kept],
-                       _ordinalize([entry[3] for _, entry in kept]),
-                       [entry[2] for _, entry in kept]),
-    )
-    corpus.validate()
-    return corpus
+    return _tabular_corpus(items, taxonomy, [
+        (user, movie, entry[3], entry[2]) for (user, movie), entry in kept],
+        "rating", rejects)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +440,38 @@ class SynthSpec:
     n_items: int = 4080
     bias_profile: int = 0   # number of biased users; the rest are balanced
     seed: int = 0
+
+
+def _strings(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
+
+
+# an annotation -> (the test its values pass, what they must be). A bool is
+# an int, so only bool takes one; JSON's int and float skip the slow ABC test
+KINDS = {
+    int: (lambda v: not isinstance(v, bool)
+          and isinstance(v, (int, numbers.Integral)), "an integer"),
+    float: (lambda v: not isinstance(v, bool)
+            and isinstance(v, (float, int, numbers.Real)), "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (_strings, "a list of strings"),
+    tuple: (_strings, "a list of user ids"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    SynthSpec: (lambda v: isinstance(v, SynthSpec), "a SynthSpec"),
+}
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """A ValueError naming the first field of dataclass `obj` whose value is
+    not of its annotation's kind; None passes only where it is the default."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        test, noun = KINDS[f.type]
+        if not test(value):
+            raise ValueError(f"{prefix}{f.name} must be {noun}, got {value!r}")
 
 
 # click quotas per subcategory; see the margin analysis in the test suite.
@@ -478,11 +510,8 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     longer two-sigma outliers, and nothing reports it. The histories are
     biased at every shape.
     """
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        # a bool is an int, and seed=1.5 would build seed 1's corpus
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"synth {f.name} must be an integer, got {value!r}")
+    # seed=1.5 would build seed 1's corpus
+    check_fields(spec, "synth ")
     if spec.n_users < 1 or spec.n_categories < 1 or spec.subcats_per_category < 1:
         raise ValueError("synth spec counts must be positive")
     if spec.n_items < spec.n_categories * spec.subcats_per_category:
@@ -613,23 +642,14 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
-STRING = (lambda v: isinstance(v, str), "a string")
-# bool is an int: a JSON true would otherwise load as 1
-INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-          "a number")
-STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-           "a list of strings")
-OBJECT = (lambda v: isinstance(v, dict), "an object")
-
 JSON_KEYS = {   # list in the document -> {key each of its records needs: kind}
-    "items": {"id": STRING, "category": STRING, "subcategory": STRING,
-              "title": STRING, "abstract": STRING, "category_weights": OBJECT},
-    "taxonomy": {"category": STRING, "subcategories": STRINGS},
-    "interactions": {"user_id": STRING, "item_id": STRING, "timestamp": INTEGER,
-                     "signal": NUMBER},
+    "items": {"id": str, "category": str, "subcategory": str, "title": str,
+              "abstract": str, "category_weights": dict},
+    "taxonomy": {"category": str, "subcategories": list},
+    "interactions": {"user_id": str, "item_id": str, "timestamp": int,
+                     "signal": float},
 }
-OPTIONAL_KEYS = {"items": {"origin": STRING}}   # kinds checked where present
+OPTIONAL_KEYS = {"items": {"origin": str}}   # kinds checked where present
 
 
 def _check_records(doc) -> None:
@@ -645,7 +665,8 @@ def _check_records(doc) -> None:
         if not isinstance(doc[name], list):
             raise ParseError(f"corpus: {name!r} is not a list")
     for name, needed in JSON_KEYS.items():
-        kinds = {**needed, **OPTIONAL_KEYS.get(name, {})}
+        kinds = {key: KINDS[kind] for key, kind in
+                 {**needed, **OPTIONAL_KEYS.get(name, {})}.items()}
         for n, record in enumerate(doc[name]):
             if not isinstance(record, dict):
                 raise ParseError(f"{name}[{n}]: not an object")

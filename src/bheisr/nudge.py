@@ -183,12 +183,11 @@ class GeneratedItem:
 class NudgeSession:
     user_id: str
     path: PromptPath
-    queue: list
+    queue: list                      # empty once the session is terminal
     ledger: RejectionLedger
     extremes: tuple                  # (highs, lows) at session start
     queue_discipline: str = QUEUE_DRAIN
     max_path_len: int = None         # exploration cap; None = category count
-    active: bool = True
     gen_counter: int = 0
     history: list = field(default_factory=list)
 
@@ -215,8 +214,8 @@ def _generate_for(session: NudgeSession, prompt: PromptPath,
 
 
 def pending_prompts(session: NudgeSession, count: int) -> list:
-    """The next `count` prompts, cycling over the queue when it is shorter."""
-    if not session.active or not session.queue:
+    """The next `count` prompts, cycling over the queue; none once it is empty."""
+    if not session.queue:
         return []
     return [session.queue[i % len(session.queue)] for i in range(count)]
 
@@ -226,7 +225,6 @@ def _do_reschedule(session: NudgeSession, graph, network) -> str:
                                   session.extremes,
                                   max_len=session.max_path_len)
     if fresh is None:
-        session.active = False
         session.queue = []
         return "terminal"
     session.path = fresh

@@ -354,13 +354,12 @@ def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,
     """Mix baseline items with generated items from the nudge session.
 
     Generated slots cycle over the session's pending prompts (one item per
-    slot, fresh ids); if the session is inactive or absent the deficit is
-    filled from the baseline. Baseline items come first in score order, then
-    the generated items.
+    slot, fresh ids); if the session is absent or terminal (its queue is
+    empty) the deficit is filled from the baseline. Baseline items come
+    first in score order, then the generated items.
     """
     gen_items = []
     if with_bheisr and session is not None:
-        # an active session always has a non-empty queue
         for prompt in nudge.pending_prompts(session, n_generated(w, k)):
             gen_items.append(nudge._generate_for(session, prompt, ctx.generator))
     n_base = k - len(gen_items)

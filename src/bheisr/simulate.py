@@ -9,15 +9,14 @@ which a step visits its users changes no result.
 
 import csv
 import json
-import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import belief as belief_mod
 from . import detection, nudge, pathfinder
-from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, load_behaviors, \
-    load_corpus, load_ratings, reject_duplicates, synth_corpus
+from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, check_fields, \
+    load_behaviors, load_corpus, load_ratings, reject_duplicates, synth_corpus
 from .features import CategoryGraph, GraphUpdateBuffer, ItemTable, \
     build_vocabulary, tokenize
 from .folds import fold_sum
@@ -40,18 +39,6 @@ BATCH_USERS = 256        # fed users per batched UC neighbour-mass product
 GENERATOR_KINDS = ("template", "external")
 DATASET_FORMATS = {"json": load_corpus, "mind_tsv": load_behaviors,   # -> loader
                    "imdb_csv": load_ratings}
-# a field's annotation -> (the test its value must pass, what it must be);
-# only a bool field takes a bool
-FIELD_KINDS = {
-    int: (lambda v: isinstance(v, numbers.Integral), "an integer"),
-    float: (lambda v: isinstance(v, numbers.Real), "a number"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, (tuple, list))
-            and all(isinstance(u, str) for u in v), "a list of user ids"),
-    SynthSpec: (lambda v: isinstance(v, SynthSpec), "a SynthSpec"),
-}
-
 
 @dataclass
 class SimConfig:
@@ -78,14 +65,7 @@ class SimConfig:
 
     def validate(self) -> None:
         """Reject values no run can use, before any work starts."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # None is a value only where it is the default
-            if value is None and f.default is None:
-                continue
-            test, noun = FIELD_KINDS[f.type]
-            if isinstance(value, bool) != (f.type is bool) or not test(value):
-                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        check_fields(self)
         if self.dataset_format not in DATASET_FORMATS:
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
         if self.model not in MODELS:
@@ -283,7 +263,8 @@ def prepare(config: SimConfig, corpus: Corpus = None,
                     classification=classification)
 
 
-def _feed(state: SimState, step: int, user_id: str):
+def feed_for(state: SimState, step: int, user_id: str):
+    """The user's feed at `step`: the one assemble_feed call of a run."""
     config, ctx = state.config, state.ctx
     return assemble_feed(ctx.baseline, state.with_bheisr, state.w_eff, config.k,
                          state.sessions.get(user_id), ctx, user_id, step,
@@ -363,7 +344,7 @@ def _step_block(state: SimState, users: tuple, step: int) -> dict:
     kept for speed: one function per whole user step ran both benchmark
     workloads at 0.89-0.98x in paired runs (2-vCPU Xeon, Python 3.11).
     """
-    feeds = list(map(partial(_feed, state, step), users))
+    feeds = list(map(partial(feed_for, state, step), users))
     decisions = list(map(partial(_decisions, state, step), users, feeds))
     accepts = list(map(partial(_feedback, state), users, feeds, decisions))
     records = list(map(partial(_record, state, step), users, feeds, decisions))

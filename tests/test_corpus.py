@@ -93,6 +93,29 @@ class TestLoadBehaviors:
         assert corpus.rejects == [(1, "empty category")]
         assert len(corpus.log_user) == 4
 
+    def test_rejected_row_between_kept_rows_equals_the_oracle(self, tmp_path):
+        # the rejected row's user, item, category and stamp go nowhere
+        text = ("u2\t5\tnews\tnews/world\tSummit opens\t\t1\n"
+                "u3\t3\tarts\t\tGallery\tNew wing\t1\n"
+                "u1\t4\tsports\tsports/soccer\tCup final\tRecap\t0\n")
+        corpus = load_behaviors(write(tmp_path / "b.tsv", text))
+        items = {"n000000": Item("n000000", "news", "news/world", "Summit opens",
+                                 "", {"news": 1.0}),
+                 "n000001": Item("n000001", "sports", "sports/soccer",
+                                 "Cup final", "Recap", {"sports": 1.0})}
+        oracle = corpus_of(items, [("u2", "n000000", 1, 1.0),
+                                   ("u1", "n000001", 0, 0.0)],
+                           {"news": ("news/world",), "sports": ("sports/soccer",)},
+                           ("u1", "u2"))
+        assert list(corpus.items) == list(oracle.items)
+        assert corpus.items == oracle.items
+        assert list(corpus.taxonomy.items()) == list(oracle.taxonomy.items())
+        assert corpus.users == oracle.users
+        for column in ("log_user", "log_item", "log_ts", "log_signal"):
+            assert getattr(corpus, column).dtype == getattr(oracle, column).dtype
+            assert np.array_equal(getattr(corpus, column), getattr(oracle, column))
+        assert corpus.rejects == [(2, "empty subcategory")]
+
 
 RATINGS_MOVIES = """\
 id,genres,title,overview
@@ -112,9 +135,9 @@ c,m2,9.0,7
 
 
 class TestLoadRatings:
-    def build(self, tmp_path):
+    def build(self, tmp_path, rows=RATINGS_ROWS):
         write(tmp_path / "movies.csv", RATINGS_MOVIES)
-        write(tmp_path / "ratings.csv", RATINGS_ROWS)
+        write(tmp_path / "ratings.csv", rows)
         return load_ratings(str(tmp_path))
 
     def test_genres_split_into_taxonomy(self, tmp_path):
@@ -136,10 +159,16 @@ class TestLoadRatings:
         assert a_rows[0].signal == 1.0
 
     def test_rating_interest_threshold(self, tmp_path):
-        corpus = self.build(tmp_path)
+        corpus = self.build(tmp_path, RATINGS_ROWS + "d,m2,2.5,8\ne,m1,2.6,9\n")
         by_user = {x.user_id: x for x in corpus.interactions}
         assert not corpus.interested(by_user["a"])   # kept rating 1.0
         assert not corpus.interested(by_user["b"])   # rating 2.0
+        # interested means a rating above 2.5, not at it
+        assert by_user["d"].signal == 2.5
+        assert not corpus.interested(by_user["d"])
+        assert corpus.interested(by_user["e"])
+        history_users = {corpus.users[u] for u in corpus.history[0].tolist()}
+        assert history_users == {"e"}
         assert corpus.signal_scheme == "rating"
 
     def test_missing_file_raises(self, tmp_path):
@@ -269,6 +298,64 @@ class TestValidate:
             corpus.validate()
         with pytest.raises(ValueError, match=message):
             corpus_from_json(corpus_to_json(corpus))
+
+    def document(self, scheme, signals):
+        """The base corpus's JSON, with one row per signal under `scheme`."""
+        doc = json.loads(corpus_to_json(self.base()))
+        doc["signal_scheme"] = scheme
+        doc["interactions"] = [{"user_id": "u", "item_id": "i1", "timestamp": t,
+                                "signal": signal} for t, signal in enumerate(signals)]
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("scheme, signal, message", [
+        # each of these used to load, and corpus_to_json then wrote a bare
+        # NaN, which is not JSON, or a signal no loader takes
+        ("click", math.nan, "signal nan is not a click of 0 or 1"),
+        ("click", -3.0, "signal -3.0 is not a click of 0 or 1"),
+        ("click", 7.5, "signal 7.5 is not a click of 0 or 1"),
+        ("click", 0.5, "signal 0.5 is not a click of 0 or 1"),
+        ("click", math.inf, "signal inf is not a click of 0 or 1"),
+        ("rating", -3.0, r"signal -3.0 is not a rating in \[0, 5\]"),
+        ("rating", 7.5, r"signal 7.5 is not a rating in \[0, 5\]"),
+        ("rating", math.nan, r"signal nan is not a rating in \[0, 5\]"),
+        ("rating", -math.inf, r"signal -inf is not a rating in \[0, 5\]"),
+    ])
+    def test_signal_outside_its_scheme_rejected(self, scheme, signal, message):
+        # the first bad row is named
+        with pytest.raises(ValueError, match=f"interaction row 1: {message}"):
+            corpus_from_json(self.document(scheme, [1.0, signal, signal]))
+
+    @pytest.mark.parametrize("scheme, signals", [
+        ("click", [0.0, 1.0, -0.0, 0, 1]),
+        ("rating", [0.0, 2.5, 5.0, -0.0, 0, 5, 1e-300]),
+    ])
+    def test_signal_at_the_edges_of_its_scheme_accepted(self, scheme, signals):
+        corpus = corpus_from_json(self.document(scheme, signals))
+        assert corpus.log_signal.tolist() == signals
+
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=st.sampled_from(["click", "rating"]), signals=st.lists(
+        st.sampled_from([math.nan, math.inf, -math.inf, -3.0, -0.0, 0.0, 0.5,
+                         1.0, 2.5, 5.0, 7.5])
+        | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4))
+    def test_an_accepted_document_writes_json(self, scheme, signals):
+        text = self.document(scheme, signals)
+        if scheme == "click":
+            valid = all(s in (0.0, 1.0) for s in signals)
+        else:
+            valid = all(0.0 <= s <= 5.0 for s in signals)
+        if not valid:
+            with pytest.raises(ValueError, match="interaction row"):
+                corpus_from_json(text)
+            return
+        corpus = corpus_from_json(text)
+
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        written = corpus_to_json(corpus)
+        json.loads(written, parse_constant=no_constant)
+        assert corpus_from_json(written) == corpus
 
     def test_subcategory_under_two_categories_rejected(self):
         corpus = self.base()

@@ -439,7 +439,7 @@ class TestNewSession:
         session, _, _ = session_fixture()
         assert session.path.nodes[0] == "a"
         assert session.path.nodes[-1] == "d"
-        assert session.active
+        assert session.queue
 
     def test_queue_seeded_with_split(self):
         session, _, _ = session_fixture()
@@ -478,7 +478,7 @@ class TestRunStepAndPending:
 
     def test_inactive_session_yields_nothing(self):
         session, _, _ = session_fixture()
-        session.active = False
+        session.queue = []
         assert pending_prompts(session, 3) == []
 
 
@@ -541,12 +541,13 @@ class TestApplyFeedback:
 
     def test_exhaustion_deactivates_session(self):
         session, graph, network = session_fixture(theta=0)
+        events = []
         for _ in range(40):
-            if not session.active:
+            if not session.queue:
                 break
-            make_feedback(session, graph, network, accepted=False)
-        assert not session.active
+            events.append(make_feedback(session, graph, network, accepted=False))
         assert session.queue == []
+        assert events[-1] == "rejected+terminal"
 
     def test_history_records_every_event(self):
         session, graph, network = session_fixture()
@@ -563,7 +564,7 @@ class TestAcceptanceRescheduleLoop:
         session, graph, network = session_fixture()
         events = []
         for _ in range(60):
-            if not session.active:
+            if not session.queue:
                 break
             events.append(make_feedback(session, graph, network, accepted=True))
         # acceptance never penalizes edges, so the session only goes terminal
@@ -574,8 +575,9 @@ class TestAcceptanceRescheduleLoop:
 
 
 class TestActiveSessionHasQueue:
-    """new_session, apply_feedback and rescheduling each leave an active
-    session a non-empty queue, so feed assembly never has to reschedule."""
+    """new_session, apply_feedback and rescheduling each leave a session a
+    non-empty queue until it goes terminal, so a session is active exactly
+    while its queue holds a prompt and feed assembly never reschedules."""
 
     @settings(max_examples=200, deadline=None)
     @given(discipline=st.sampled_from((QUEUE_DRAIN, QUEUE_REPLACE)),
@@ -592,20 +594,23 @@ class TestActiveSessionHasQueue:
             theta=theta, queue_discipline=discipline,
             max_path_len=max_path_len)
         generator = TemplateGenerator({})
-        assert session.active and session.queue
+        assert session.queue
+        terminal = False
         for decisions in feeds:
             # one feed's generated slots cycle over the queue, so a later
             # item may carry a prompt an earlier decision already retired
             items = [_generate_for(session, prompt, generator)
                      for prompt in pending_prompts(session, len(decisions))]
             if not items:
-                assert not session.active
+                assert terminal
                 break
             for item, accepted in zip(items, decisions):
                 if accepted:
                     network.update_on_feedback(item)
-                apply_feedback(session, item, accepted, graph, network)
-                assert session.queue or not session.active
+                event = apply_feedback(session, item, accepted, graph, network)
+                # the queue empties at a terminal reschedule, and only there
+                terminal = terminal or event.endswith("+terminal")
+                assert bool(session.queue) != terminal
 
 
 def reparsed_apply_feedback(session, item, accepted, graph, network):
@@ -671,6 +676,6 @@ class TestStaleFeedbackUsesTheItemsPrompt:
             (real, _, _), (oracle, _, _) = sessions
             assert real.ledger.counts == oracle.ledger.counts
             assert penalized_edges(real.ledger) == penalized_edges(oracle.ledger)
+            # equal queues: the two sessions go terminal together
             assert [p.key for p in real.queue] == [p.key for p in oracle.queue]
             assert real.history == oracle.history
-            assert real.active == oracle.active

@@ -833,7 +833,6 @@ class TestAssembleFeed:
     def test_inactive_session_falls_back_to_baseline(self):
         ctx = context_for(small_corpus())
         session = session_for(ctx, "u1")
-        session.active = False
         session.queue = []
         feed = assemble_feed("cb", True, 0.6, 3, session, ctx, "u1", step=1, seed=0)
         assert feed.generated_count == 0
