@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import detection, simulate
-from .corpus import SynthSpec, save_corpus
+from .corpus import KINDS, SynthSpec, save_corpus
 from .features import CategoryGraph, ItemTable
 from .folds import fold_sum
 from .nudge import QUEUE_DISCIPLINES
@@ -19,7 +19,6 @@ CONFIG_ALIASES = {
     "nudge.theta": "theta",
     "nudge.queue_discipline": "queue_discipline",
     "nudge.max_path_len": "max_path_len",
-    "generator.kind": "generator_kind",
     "generator.url": "generator_url",
     "generator.timeout_ms": "generator_timeout_ms",
     "generator.retries": "generator_retries",
@@ -32,15 +31,18 @@ BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_kv_list(text: str) -> dict:
+def parse_kv_list(text: str, sep: str = ",", path: str = None) -> dict:
+    """The key=value parts of `text`, split at `sep`; blank parts and `#`
+    comments are skipped, and a bad part's error names `path`:line."""
     out = {}
-    for part in text.split(","):
+    for lineno, part in enumerate(text.split(sep), start=1):
         part = part.strip()
-        if not part:
+        if not part or part.startswith("#"):
             continue
-        if "=" not in part:
-            raise ValueError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
+        key, eq, value = part.partition("=")
+        if not eq:
+            where = f"{path}:{lineno}: " if path else ""
+            raise ValueError(f"{where}expected key=value, got {part!r}")
         out[key.strip()] = value.strip()
     return out
 
@@ -50,39 +52,34 @@ def parse_synth(text: str) -> SynthSpec:
     for key, value in parse_kv_list(text).items():
         if key not in SYNTH_FIELDS:
             raise ValueError(f"unknown synth field {key!r}")
-        setattr(spec, key, SYNTH_FIELDS[key](value))
+        setattr(spec, key, _coerce(SYNTH_FIELDS[key], value, f"synth {key}"))
     return spec
 
 
 def load_config_file(path: str) -> dict:
-    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
+        return parse_kv_list(fh.read(), "\n", path)
 
 
-def _coerce(field: str, value):
-    if not isinstance(value, str):
-        return value
-    kind = SIM_FIELDS[field]
+def _coerce(kind, text, name: str):
+    """The value of annotation `kind` that `text` spells, for the setting
+    `name`; a value that is not text (a switch flag's True) passes as is."""
+    if not isinstance(text, str):
+        return text
     if kind is bool:
-        text = value.lower()
-        if text in BOOL_TEXT:
-            return BOOL_TEXT[text]
-        raise ValueError(f"{field}: expected one of {sorted(BOOL_TEXT)}, "
-                         f"got {value!r}")
+        if text.lower() in BOOL_TEXT:
+            return BOOL_TEXT[text.lower()]
+        raise ValueError(f"{name}: expected one of {sorted(BOOL_TEXT)}, "
+                         f"got {text!r}")
     if kind is tuple:
-        return tuple(u.strip() for u in value.split(",") if u.strip())
+        return tuple(u.strip() for u in text.split(",") if u.strip())
     if kind is SynthSpec:
-        return parse_synth(value)
-    return kind(value)
+        return parse_synth(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {KINDS[kind][1]}, got {text!r}") \
+            from None
 
 
 def build_config(args) -> SimConfig:
@@ -95,12 +92,12 @@ def build_config(args) -> SimConfig:
             raw[CONFIG_ALIASES.get(key, key)] = value
     for field in SIM_FIELDS:
         value = getattr(args, field, None)
-        if value is not None and value is not False:
+        if value is not None:
             raw[field] = value
     for field, value in raw.items():
         if field not in SIM_FIELDS:
             raise ValueError(f"unknown config key {field!r}")
-        setattr(config, field, _coerce(field, value))
+        setattr(config, field, _coerce(SIM_FIELDS[field], value, field))
     config.validate()
     return config
 
@@ -175,11 +172,11 @@ def cmd_graph(args) -> int:
 def cmd_recommend(args) -> int:
     config = build_config(args)
     state = simulate.prepare(config)
-    if not state.corpus.users:
+    if not state.users:
         raise ValueError("the corpus has no users to recommend to")
-    user = args.user or config.target_user or state.corpus.users[0]
-    if user not in state.networks:
-        raise ValueError(f"unknown user {user!r}")
+    user = args.user or config.target_user or state.users[0]
+    if user not in state.users:
+        raise ValueError(f"unknown user {user!r}: not among the fed users")
     feed = simulate.feed_for(state, 1, user)
     for item in feed.items:
         print(f"{item.id}\t{item.origin}\t{item.category}\t{item.title}")
@@ -238,38 +235,33 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", help="dataset path (file or directory)")
-    parser.add_argument("--dataset-format", dest="dataset_format",
-                        choices=simulate.DATASET_FORMATS)
-    parser.add_argument("--synth", type=parse_synth,
-                        help="synthetic corpus, e.g. n_users=20,bias_profile=10")
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--out", help="output file or directory")
-
-
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--model", choices=sorted(simulate.MODELS))
-    parser.add_argument("--w", type=float)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--feeds", type=int)
-    parser.add_argument("--users", type=lambda s: tuple(
-        u.strip() for u in s.split(",") if u.strip()))
-    parser.add_argument("--target-user", dest="target_user")
-    parser.add_argument("--queue-discipline", dest="queue_discipline",
-                        choices=QUEUE_DISCIPLINES)
-    parser.add_argument("--max-path-len", dest="max_path_len", type=int)
-    parser.add_argument("--generator-kind", dest="generator_kind",
-                        choices=simulate.GENERATOR_KINDS)
-    parser.add_argument("--generator-url", dest="generator_url")
-    parser.add_argument("--generator-timeout-ms", dest="generator_timeout_ms",
-                        type=int)
-    parser.add_argument("--track-fb", dest="track_fb", action="store_true",
-                        default=None)
-    parser.add_argument("--trace-paths", dest="trace_paths",
-                        action="store_true", default=None)
+# argparse keywords of a flag beyond its name; a flag named after a SimConfig
+# field sets that field, --a-b setting a_b, and a bool field is a switch
+FLAG_OPTIONS = {
+    "dataset": {"help": "dataset path (file or directory)"},
+    "dataset_format": {"choices": simulate.DATASET_FORMATS},
+    "synth": {"help": "synthetic corpus, e.g. n_users=20,bias_profile=10"},
+    "config": {"help": "key=value config file"},
+    "out": {"help": "output file or directory"},
+    "model": {"choices": sorted(simulate.MODELS)},
+    "queue_discipline": {"choices": QUEUE_DISCIPLINES},
+}
+CORPUS_FLAGS = ("dataset", "dataset_format", "synth", "config", "out")
+RUN_FLAGS = CORPUS_FLAGS + (
+    "seed", "model", "w", "k", "theta", "feeds", "users", "target_user",
+    "queue_discipline", "max_path_len", "generator_url",
+    "generator_timeout_ms", "track_fb", "trace_paths")
+# subcommand -> (help, handler, flags)
+COMMANDS = {
+    "ingest": ("load a dataset and write canonical JSON", cmd_ingest,
+               CORPUS_FLAGS),
+    "detect": ("classify users and report extremes", cmd_detect, CORPUS_FLAGS),
+    "graph": ("build the category correlation graph", cmd_graph, CORPUS_FLAGS),
+    "recommend": ("assemble one feed for a user", cmd_recommend,
+                  RUN_FLAGS + ("user",)),
+    "simulate": ("run the interaction loop", cmd_simulate, RUN_FLAGS),
+    "experiment": ("run a standard experiment", cmd_experiment, RUN_FLAGS),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -277,35 +269,16 @@ def make_parser() -> argparse.ArgumentParser:
         prog="bheisr",
         description="nudge-based recommendation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="load a dataset and write canonical JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("detect", help="classify users and report extremes")
-    _add_common(p)
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("graph", help="build the category correlation graph")
-    _add_common(p)
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("recommend", help="assemble one feed for a user")
-    _add_common(p)
-    _add_sim_flags(p)
-    p.add_argument("--user")
-    p.set_defaults(func=cmd_recommend)
-
-    p = sub.add_parser("simulate", help="run the interaction loop")
-    _add_common(p)
-    _add_sim_flags(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("experiment", help="run a standard experiment")
-    p.add_argument("number", type=int, choices=(1, 2, 3, 4))
-    _add_common(p)
-    _add_sim_flags(p)
-    p.set_defaults(func=cmd_experiment)
+    for command, (text, handler, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "experiment":
+            p.add_argument("number", type=int, choices=(1, 2, 3, 4))
+        for name in flags:
+            options = FLAG_OPTIONS.get(name, {})
+            if SIM_FIELDS.get(name) is bool:
+                options = {"action": "store_true", "default": None}
+            p.add_argument("--" + name.replace("_", "-"), **options)
+        p.set_defaults(func=handler)
     return parser
 
 

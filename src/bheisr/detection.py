@@ -157,14 +157,11 @@ def classify_users(beliefs: dict, taxonomy) -> UserClassification:
                                    high_threshold=high, values=tuple(values))
         if sigma != 0.0:
             # low <= high, so no value is on both sides
-            if max(values) > high:
-                for u, v in zip(users, values):
-                    if v > high:
-                        highs.setdefault(u, []).append(cat)
-            if min(values) < low:
-                for u, v in zip(users, values):
-                    if v < low:
-                        lows.setdefault(u, []).append(cat)
+            for u, v in zip(users, values):
+                if v > high:
+                    highs.setdefault(u, []).append(cat)
+                elif v < low:
+                    lows.setdefault(u, []).append(cat)
     extremes = {u: (tuple(highs.get(u, ())), tuple(lows.get(u, ())))
                 for u in users}
     fb = tuple([u for u in users if u in highs and u in lows])

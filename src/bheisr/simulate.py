@@ -36,7 +36,6 @@ MODELS = {
 
 EXEMPLARS_PER_CATEGORY = 3
 BATCH_USERS = 256        # fed users per batched UC neighbour-mass product
-GENERATOR_KINDS = ("template", "external")
 DATASET_FORMATS = {"json": load_corpus, "mind_tsv": load_behaviors,   # -> loader
                    "imdb_csv": load_ratings}
 
@@ -55,8 +54,7 @@ class SimConfig:
     target_user: str = None
     queue_discipline: str = nudge.QUEUE_DRAIN
     max_path_len: int = None
-    generator_kind: str = "template"     # template | external
-    generator_url: str = None
+    generator_url: str = None            # set: the HTTP generator
     generator_timeout_ms: int = 2000
     generator_retries: int = 2
     parallel: bool = False               # runs are serial; True is rejected
@@ -83,10 +81,9 @@ class SimConfig:
             raise ValueError(f"unknown queue discipline {self.queue_discipline!r}")
         if self.max_path_len is not None and self.max_path_len < 1:
             raise ValueError("max_path_len must be positive")
-        if self.generator_kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.generator_kind!r}")
-        if self.generator_kind == "external" and not self.generator_url:
-            raise ValueError("external generator needs generator_url")
+        if self.generator_url == "":
+            raise ValueError("generator_url is empty; leave it unset to use "
+                             "the template generator")
         if self.generator_timeout_ms <= 0:
             raise ValueError("generator_timeout_ms must be positive")
         if self.generator_retries < 0:
@@ -179,7 +176,7 @@ def _collect_exemplars(corpus: Corpus) -> dict:
 
 def _build_generator(config: SimConfig, exemplars: dict):
     template = nudge.TemplateGenerator(exemplars)
-    if config.generator_kind == "external":
+    if config.generator_url is not None:
         return nudge.ExternalGenerator(config.generator_url, template,
                                        timeout_ms=config.generator_timeout_ms,
                                        retries=config.generator_retries)

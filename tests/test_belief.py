@@ -142,6 +142,15 @@ class TestFeedback:
         network.update_on_feedback(generated_item("g1", {"b": 1.0}))
         assert network.belief_degree("b") > before
 
+    def test_zero_weight_on_another_category_credits_nothing_there(self):
+        # a zero weight credits no mass, so it binds no subcategory: the
+        # item's own subcategory is not rebound to the other category
+        network = build_all(tiny_corpus())["u"]
+        item = Item("i4", "a", "a/s2", "t4", "", {"a": 1.0, "b": 0.0})
+        network.update_on_feedback(item)
+        assert network.click_counts["a/s2"] == 2.0
+        assert network.subcat_to_cat["a/s2"] == "a"
+
     def test_unknown_category_weight_rejected(self):
         network = build_all(tiny_corpus())["u"]
         with pytest.raises(ValueError, match="unknown category"):

@@ -77,7 +77,7 @@ class TestBuildConfig:
         path = tmp_path / "run.conf"
         path.write_text("model=cb_w\nw=0.2\nnudge.theta=5\n"
                         "nudge.queue_discipline=replace\nnudge.max_path_len=4\n"
-                        "generator.kind=template\nusers=u0000,u0001\n"
+                        "generator.url=http://gen\nusers=u0000,u0001\n"
                         "track_fb=yes\nsynth=" + SYNTH + "\n")
         args = self.parse(["simulate", "--config", str(path)])
         config = build_config(args)
@@ -85,6 +85,7 @@ class TestBuildConfig:
         assert config.theta == 5.0
         assert config.queue_discipline == "replace"
         assert config.max_path_len == 4
+        assert config.generator_url == "http://gen"
         assert config.users == ("u0000", "u0001")
         assert config.track_fb is True
         assert config.synth.bias_profile == 5
@@ -123,6 +124,32 @@ class TestBuildConfig:
                      "--feeds", "2", "--out", str(out)])
         assert code == 2
         assert "track_fb: expected one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_text, flags, message", [
+        ("k=abc", ["--synth", SYNTH], "k must be an integer, got 'abc'"),
+        ("", ["--synth", SYNTH, "--k", "abc"], "k must be an integer, got 'abc'"),
+        ("", ["--synth", SYNTH, "--w", "abc"], "w must be a number, got 'abc'"),
+        ("", ["--synth", "n_users=abc"],
+         "synth n_users must be an integer, got 'abc'"),
+        ("synth=n_users=abc", [], "synth n_users must be an integer, got 'abc'"),
+        # an empty URL used to mean the template generator
+        ("generator_url=", ["--synth", SYNTH], "generator_url is empty"),
+    ])
+    def test_bad_value_exits_2_naming_its_setting(self, tmp_path, capsys,
+                                                  monkeypatch, config_text,
+                                                  flags, message):
+        # flags, config-file values and --synth parts are coerced by one
+        # function, so each error names the setting, before any corpus
+        path = tmp_path / "run.conf"
+        path.write_text(config_text + "\n")
+        monkeypatch.setattr(simulate, "build_corpus",
+                            lambda config: pytest.fail("a corpus was built"))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(path), *flags,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -335,6 +362,23 @@ class TestRecommend:
         assert code == 2
         assert "error: unknown user 'nobody'" in capsys.readouterr().err
 
+    def test_default_user_is_the_first_fed_user(self, capsys):
+        # only fed users get a nudge session, so --users u0005 used to print
+        # u0000's feed, un-nudged
+        base = ["recommend", "--synth", "n_users=20,bias_profile=10",
+                "--model", "bheisr"]
+        assert main(base + ["--user", "u0005"]) == 0
+        alone = capsys.readouterr().out
+        assert alone.startswith("gi:u0005:1\t")
+        assert main(base + ["--users", "u0005"]) == 0
+        assert capsys.readouterr().out == alone
+
+    @pytest.mark.parametrize("flag", ["--user", "--target-user"])
+    def test_user_outside_the_fed_users_exits_2(self, capsys, flag):
+        code = main(["recommend", "--synth", "n_users=20,bias_profile=10",
+                     "--model", "bheisr", "--users", "u0005", flag, "u0000"])
+        assert code == 2
+        assert "error: unknown user 'u0000'" in capsys.readouterr().err
 
     def test_corpus_without_users_exits_2(self, tmp_path, capsys):
         # simulate, detect and graph run on it; recommend has no user to pick

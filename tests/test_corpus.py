@@ -251,6 +251,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="is not a number"):
             corpus_from_json(corpus_to_json(corpus))
 
+    def test_zero_weight_on_another_category_accepted(self):
+        # [0, 1] is closed: only a positive weight must sit on the item's
+        # own category
+        corpus = self.base()
+        corpus.taxonomy["d"] = ("d/s",)
+        corpus.items["i1"].category_weights = {"c": 1.0, "d": 0.0}
+        assert corpus_from_json(corpus_to_json(corpus)) == corpus
+
     def test_integer_weight_accepted(self):
         corpus = self.base()
         corpus.items["i1"].category_weights = {"c": 1}
@@ -509,6 +517,21 @@ class TestSynthCorpus:
         assert len(corpus.taxonomy) == spec.n_categories
         assert all(len(s) == spec.subcats_per_category
                    for s in corpus.taxonomy.values())
+        assert len(corpus.users) == spec.n_users
+
+    @pytest.mark.parametrize("spec", [
+        # every count at its least positive value
+        SynthSpec(n_users=1, n_categories=1, subcats_per_category=1, n_items=1),
+        # exactly one item per subcategory
+        SynthSpec(n_users=10, n_categories=3, subcats_per_category=2, n_items=6),
+        # every user biased
+        SynthSpec(n_users=4, n_categories=5, n_items=40, bias_profile=4),
+        # the fewest categories a bias profile needs
+        SynthSpec(n_users=10, n_categories=3, n_items=30, bias_profile=2),
+    ])
+    def test_bounds_are_inclusive(self, spec):
+        corpus = synth_corpus(spec)
+        assert len(corpus.items) == spec.n_items
         assert len(corpus.users) == spec.n_users
 
     def test_pool_size_formula(self):

@@ -164,11 +164,15 @@ class TestClassifyUsers:
         assert result.extremes["u7"] == (("a", "b"), ())
 
     def test_strict_inequality_at_threshold(self):
-        # values engineered so one user sits exactly on mu + 2 sigma
-        vals = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
-        beliefs = {f"u{i}": {"a": v} for i, v in enumerate(vals)}
-        result = classify_users(beliefs, ("a",))
-        # mu = 0.5, sigma = 0.5, high = 1.5: nobody crosses strictly
+        # a value exactly on mu + 2 sigma or mu - 2 sigma is not extreme:
+        # on a, 8 users at 0.0 and 2 at 5.0 give mu 1, sigma 2 and a high
+        # threshold of exactly 5.0; on b, 2 users at 0.0 and 8 at 5.0 give
+        # mu 4, sigma 2 and a low threshold of exactly 0.0
+        vals = [0.0] * 8 + [5.0] * 2
+        beliefs = {f"u{i}": {"a": v, "b": 5.0 - v} for i, v in enumerate(vals)}
+        result = classify_users(beliefs, ("a", "b"))
+        assert result.stats["a"].high_threshold == 5.0
+        assert result.stats["b"].low_threshold == 0.0
         assert all(result.extremes[u] == ((), ()) for u in beliefs)
 
     def test_zero_sigma_category_all_normal(self):

@@ -216,6 +216,17 @@ class TestCbScore:
         assert cb_score(ctx.corpus.items["i4"], network, vectors) == \
             pytest.approx(expect, abs=1e-12)
 
+    def test_item_without_text_scores_zero_and_ranks_by_id(self):
+        # an item with no terms has norm 0: its cosine is 0.0, not 0 / 0,
+        # and it ranks among the other zero scores by ascending id
+        corpus = small_corpus()
+        corpus.items["i0"] = Item("i0", "c", "c/s", "", "", {"c": 1.0})
+        ctx = context_for(corpus)
+        scores = _baseline_scores("cb", ctx, "u1")
+        assert scores[ctx.table.index.pos["i0"]] == 0.0
+        assert baseline_ranking("cb", ctx, "u1", 4, step=1, seed=0) == \
+            ["i4", "i0", "i3", "i5"]
+
     def test_prefers_same_topic_items(self):
         ctx = context_for(small_corpus())
         network = ctx.networks["u1"]
@@ -269,6 +280,13 @@ class TestUcScore:
         belief_share = share(ctx.corpus.items["i1"], networks["u1"])
         assert uc_score(ctx.corpus.items["i1"], "u1", networks) == \
             pytest.approx(cos * belief_share, abs=1e-12)
+
+    def test_single_subcategory_user_scores_zero(self):
+        # u3 clicked only c/s: its belief total, an entropy, is 0, so UC
+        # has no share to weight by and scores every item 0
+        ctx = context_for(small_corpus(), "uc")
+        assert sum(ctx.networks["u3"].belief.values()) == 0.0
+        assert (_baseline_scores("uc", ctx, "u3") == 0.0).all()
 
     def test_self_acceptance_not_counted(self):
         ctx = context_for(small_corpus())

@@ -126,8 +126,8 @@ class TestPrepare:
         ("queue_discipline", "bogus", "unknown queue discipline"),
         ("max_path_len", 0, "max_path_len must be positive"),
         ("max_path_len", -1, "max_path_len must be positive"),
-        ("generator_kind", "bogus", "unknown generator kind"),
-        ("generator_kind", "external", "external generator needs generator_url"),
+        # a config file's `generator.url=` used to mean the template
+        ("generator_url", "", "generator_url is empty"),
         ("generator_timeout_ms", 0, "generator_timeout_ms must be positive"),
         ("generator_retries", -1, "generator_retries must be non-negative"),
         ("parallel", True, "parallel is not supported: runs are serial"),
@@ -163,8 +163,8 @@ class TestPrepare:
 
     def test_boundary_values_accepted(self):
         SimConfig(queue_discipline="replace", max_path_len=1, generator_retries=0,
-                  generator_timeout_ms=1, generator_kind="external",
-                  generator_url="http://localhost:1", parallel=False).validate()
+                  generator_timeout_ms=1, generator_url="http://localhost:1",
+                  theta=0.0, parallel=False).validate()
         # any integral value is an integer and any real value a number
         SimConfig(k=np.int64(3), seed=np.uint8(1), w=1, theta=np.float32(0.5),
                   users=["u0000"], dataset_format="mind_tsv").validate()
@@ -180,6 +180,16 @@ class TestPrepare:
         state = prepare(config, fb_corpus, fb_assets)
         assert set(state.sessions) == {"u0000"}   # u0009 is not bubble-affected
         assert state.classification.fb_users == tuple(f"u{i:04d}" for i in range(5))
+
+    def test_population_of_exactly_min_population_is_classified(self):
+        # two-sigma classification needs MIN_POPULATION users with history:
+        # that many are classified, one fewer are not
+        for n, classified in ((detection.MIN_POPULATION, True),
+                              (detection.MIN_POPULATION - 1, False)):
+            corpus = synth_corpus(replace(PLAIN_SPEC, n_users=n))
+            _, result = simulate.build_population(corpus)
+            assert (result is not None) is classified
+            assert classified is False or set(result.extremes) == set(corpus.users)
 
     def test_pure_baselines_get_no_sessions(self, fb_corpus, fb_assets):
         state = prepare(SimConfig(model="uc"), fb_corpus, fb_assets)
@@ -278,8 +288,8 @@ class TestRunLoop:
             return result, prompts, generated
 
         config = self.config(users=None, model="bheisr", feeds=8, seed=3)
-        external = replace(config, generator_kind="external",
-                           generator_url="http://gen", generator_retries=1)
+        external = replace(config, generator_url="http://gen",
+                           generator_retries=1)
         forward, prompts, generated = run(False)
         accepted = [generated[d.item_id].prompt.nodes for recs in forward.steps
                     for r in recs for d in r.decisions
