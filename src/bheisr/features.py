@@ -233,11 +233,6 @@ class CategoryGraph:
         return {(cats[i], cats[j]): table[i][j]
                 for i, j in zip(*(rows.tolist() for rows in self.edge_rows))}
 
-    def rho(self, a: str, b: str) -> float:
-        """The edge between a and b; for a == b, 1.0 when the node's vector
-        is nonzero and 0.0 otherwise."""
-        return self.rho_rows[self.rows[a]][self.rows[b]]
-
     def rho_row(self, a: str) -> list:
         """[rho(a, c) for c in categories]; the caller must not change it."""
         return self.rho_rows[self.rows[a]]

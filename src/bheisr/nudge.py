@@ -109,9 +109,10 @@ class ExternalGenerator:
     POSTs {"prompt_categories": [...], "exemplar_snippets": [...],
     "max_tokens": n} and expects non-empty {"title": ..., "abstract": ...}
     strings back. An OSError or a malformed reply is a failed attempt; once
-    the retries are spent the template fills in and the event is counted.
-    Any other exception is a bug and propagates. A run calls it once per
-    generated item whose text is read, in barrier order.
+    the retries are spent the template fills in for this and, unposted, for
+    every later call of the run, and `fallback_count` counts each. Any other
+    exception is a bug and propagates. A run calls it once per generated
+    item whose text is read, in barrier order.
     """
 
     def __init__(self, url: str, fallback: TemplateGenerator, timeout_ms: int = 2000,
@@ -125,28 +126,30 @@ class ExternalGenerator:
         self._post = post
 
     def generate(self, prompt_categories, seed: int = 0) -> tuple:
-        payload = {
-            "prompt_categories": list(prompt_categories),
-            "exemplar_snippets": [
-                " ".join(self.fallback.top_terms(c)) or c for c in prompt_categories
-            ],
-            "max_tokens": self.max_tokens,
-        }
-        last_error = None
-        for _ in range(self.retries + 1):
-            try:
-                doc = self._post(self.url, json=payload,
-                                 timeout=self.timeout_ms / 1000.0)
-                title, abstract = doc["title"], doc["abstract"]
-                for value in (title, abstract):
-                    if not isinstance(value, str) or not value:
-                        raise ValueError(f"expected a non-empty string, "
-                                         f"got {value!r}")
-                return title, abstract
-            except (OSError, KeyError, TypeError, ValueError) as exc:
-                last_error = exc
+        if not self.fallback_count:     # the endpoint has not failed this run
+            payload = {
+                "prompt_categories": list(prompt_categories),
+                "exemplar_snippets": [
+                    " ".join(self.fallback.top_terms(c)) or c for c in prompt_categories
+                ],
+                "max_tokens": self.max_tokens,
+            }
+            last_error = None
+            for _ in range(self.retries + 1):
+                try:
+                    doc = self._post(self.url, json=payload,
+                                     timeout=self.timeout_ms / 1000.0)
+                    title, abstract = doc["title"], doc["abstract"]
+                    for value in (title, abstract):
+                        if not isinstance(value, str) or not value:
+                            raise ValueError(f"expected a non-empty string, "
+                                             f"got {value!r}")
+                    return title, abstract
+                except (OSError, KeyError, TypeError, ValueError) as exc:
+                    last_error = exc
+            log.warning("external generator failed (%s); using the template "
+                        "for the rest of the run", last_error)
         self.fallback_count += 1
-        log.warning("external generator failed (%s); using template", last_error)
         return self.fallback.generate(prompt_categories, seed)
 
 

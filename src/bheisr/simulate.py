@@ -160,8 +160,6 @@ def build_corpus(config: SimConfig) -> Corpus:
         return synth_corpus(config.synth)
     if config.dataset is None:
         raise ValueError("config needs either a dataset path or a synth spec")
-    if config.dataset_format not in DATASET_FORMATS:
-        raise ValueError(f"unknown dataset format {config.dataset_format!r}")
     return DATASET_FORMATS[config.dataset_format](config.dataset)
 
 
@@ -223,13 +221,14 @@ def build_population(corpus: Corpus) -> tuple:
 
 def prepare(config: SimConfig, corpus: Corpus = None,
             assets: CandidateIndex = None) -> SimState:
-    """The run's state; the fed users, config.users or all, are checked first."""
+    """The run's state; the fed users, config.users or all, and the target
+    user are checked first."""
     config.validate()
     if corpus is None:
         corpus = build_corpus(config)
     users = tuple(config.users) if config.users else corpus.users
     known = set(corpus.users)
-    for user in users:
+    for user in users + ((config.target_user,) if config.target_user else ()):
         if user not in known:
             raise ValueError(f"unknown user {user!r}")
     if assets is None:

@@ -222,7 +222,8 @@ def assert_equals_the_oracle(graph, items):
     for cat in graph.categories:
         assert list(vectors[cat].entries.items()) == list(oracle[cat].entries.items())
         assert vectors[cat].norm == oracle[cat].norm
-        assert graph.rho(cat, cat) == (0.0 if oracle[cat].is_zero() else 1.0)
+        assert graph.rho_row(cat)[graph.rows[cat]] == \
+            (0.0 if oracle[cat].is_zero() else 1.0)
     for (a, b), rho in graph.edges.items():
         assert rho == correlation(oracle[a], oracle[b])
 

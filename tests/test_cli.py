@@ -467,6 +467,36 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "simulate"])
+    @pytest.mark.parametrize("old, new, count, message", [
+        ('"u0000"', "7", -1, "interactions[0]: 'user_id' holds a value of the "
+                             "wrong type: 7 is not a string"),
+        # JSON cannot hold a NaN, and no loader takes one
+        ('"signal": 1.0', '"signal": NaN', 1,
+         "interaction row 0: signal nan is not a click of 0 or 1"),
+    ], ids=["numeric-user", "nan-signal"])
+    def test_corpus_the_loader_rejects_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, command, old, new, count, message):
+        path = tmp_path / "c.json"
+        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, count))
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(path), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["experiment", "3"]])
+    def test_unknown_target_user_exits_2_and_writes_nothing(self, tmp_path,
+                                                            capsys, command):
+        # both used to run on, ignoring a target the corpus lacks
+        out = tmp_path / "run"
+        assert main([*command, "--synth", SYNTH, "--feeds", "2", "--target-user",
+                     "nobody", "--out", str(out)]) == 2
+        assert "error: unknown user 'nobody'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_item_id_exits_2_and_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         save_corpus(synth_corpus(parse_synth("n_users=12,bias_profile=5")), str(path))

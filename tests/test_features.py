@@ -216,13 +216,24 @@ class TestCategoryGraph:
 
     def test_rho_symmetric_and_bounded(self):
         graph = graph_of(two_category_corpus())
-        r = graph.rho("food", "tech")
-        assert r == graph.rho("tech", "food")
+        r = graph.rho_row("food")[graph.rows["tech"]]
+        assert r == graph.rho_row("tech")[graph.rows["food"]]
         assert 0.0 < r <= 1.0   # shared "recipe" token links them
 
     def test_rho_self_is_one(self):
         graph = graph_of(two_category_corpus())
-        assert graph.rho("food", "food") == 1.0
+        assert graph.rho_row("food")[graph.rows["food"]] == 1.0
+
+    def test_index_of_another_item_order_rejected(self):
+        # corpus item r must be index row r: a reordered corpus shares every
+        # item with the index but not the order
+        corpus = two_category_corpus()
+        table = graph_of(corpus).table
+        reordered = make_corpus(reversed(corpus.items.values()),
+                                corpus.taxonomy)
+        with pytest.raises(ValueError, match="candidate index was built from "
+                                             "another corpus"):
+            CategoryGraph.build(reordered, table)
 
     def test_multi_category_item_joins_both(self):
         corpus = two_category_corpus()
@@ -520,7 +531,8 @@ class TestBatchingDoesNotChangeTheGraph:
         # every row of the hop table holds the correlation oracle, and on
         # the diagonal whether the node's vector is nonzero
         for a in split.categories:
-            assert split.rho_row(a) == [split.rho(a, c) for c in split.categories]
+            assert split.rho_row(a) == [split.rho_row(a)[split.rows[c]]
+                                        for c in split.categories]
             assert split.rho_row(a) == [
                 (0.0 if vectors[a].is_zero() else 1.0) if a == c
                 else correlation(vectors[min(a, c)], vectors[max(a, c)])
@@ -530,12 +542,12 @@ class TestBatchingDoesNotChangeTheGraph:
 class TestGraphUpdateBuffer:
     def test_reads_see_frozen_graph_until_flush(self):
         graph = graph_of(two_category_corpus())
-        before = graph.rho("food", "tech")
+        before = graph.rho_row("food")[graph.rows["tech"]]
         buffer = GraphUpdateBuffer(graph)
         buffer.accept_items([make_item("z", "food", "food/s", "chip design")])
-        assert graph.rho("food", "tech") == before
+        assert graph.rho_row("food")[graph.rows["tech"]] == before
         assert buffer.flush() == 1
-        assert graph.rho("food", "tech") != before
+        assert graph.rho_row("food")[graph.rows["tech"]] != before
         assert buffer.flush() == 0
 
     def test_multi_item_flush_folds_all_and_returns_count(self):

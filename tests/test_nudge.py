@@ -317,6 +317,23 @@ class TestExternalGenerator:
         assert gen.fallback_count == 1
         assert title == "food"   # template title for a single category
 
+    def test_gives_up_for_the_rest_of_the_run_after_a_fallback(self, caplog):
+        # an unreachable endpoint used to be retried afresh for every item
+        attempts = []
+
+        def post(url, json, timeout):
+            attempts.append(1)
+            raise ConnectionError("down")
+
+        gen = ExternalGenerator("http://gen", self.fallback(), retries=2, post=post)
+        prompts = [(("food",), 0), (("tech",), 1), (("food", "tech"), 2)]
+        with caplog.at_level("WARNING", logger="bheisr.nudge"):
+            texts = [gen.generate(cats, seed) for cats, seed in prompts]
+        assert texts == [self.fallback().generate(*p) for p in prompts]
+        assert len(attempts) == 3          # retries + 1, for the first text only
+        assert gen.fallback_count == 3
+        assert len(caplog.records) == 1
+
     def test_recovers_after_transient_failure(self):
         state = {"n": 0}
 

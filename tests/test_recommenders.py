@@ -44,7 +44,6 @@ from oracle import (
     cb_score,
     corpus_of,
     featurize,
-    log_rows,
     path_of,
     spy_featurize_corpus,
     uc_score,
@@ -562,15 +561,6 @@ class TestAccelerationAgreesWithReference:
         if kind != "rd":
             assert np.allclose(_baseline_scores(kind, acc, user),
                                _baseline_scores(kind, rebuilt, user), atol=1e-12)
-
-    def test_index_of_another_item_order_rejected(self):
-        ctx, _, corpus = self.context()
-        reordered = corpus_of(dict(reversed(corpus.items.items())),
-                              log_rows(corpus), corpus.taxonomy, corpus.users)
-        other = FeedContext(corpus=reordered, networks=ctx.networks,
-                            table=ctx.table, baseline="rd")
-        with pytest.raises(ValueError, match="another corpus"):
-            other.enable_acceleration()
 
     def test_scoring_state_only_for_the_baseline(self):
         for kind in ("rd", "cb", "uc"):

@@ -103,10 +103,6 @@ class TestBuildCorpus:
         with pytest.raises(ValueError, match="dataset path or a synth spec"):
             build_corpus(SimConfig())
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="unknown dataset format"):
-            build_corpus(SimConfig(dataset="x", dataset_format="parquet"))
-
 
 class TestPrepare:
     def test_unknown_model_rejected(self):
@@ -174,6 +170,18 @@ class TestPrepare:
         assert prepare(config, fb_corpus, fb_assets).users == ("u0009", "u0002")
         state = prepare(SimConfig(model="rd"), fb_corpus, fb_assets)
         assert state.users == fb_corpus.users
+
+    def test_unknown_target_user_rejected(self, fb_corpus, fb_assets):
+        # simulate and experiment 3 used to run on, ignoring the target
+        with pytest.raises(ValueError, match="unknown user 'nobody'"):
+            prepare(SimConfig(target_user="nobody"), fb_corpus, fb_assets)
+        config = SimConfig(target_user="u0003")
+        assert prepare(config, fb_corpus, fb_assets).users == fb_corpus.users
+
+    def test_index_of_another_corpus_rejected(self, fb_corpus, fb_assets):
+        with pytest.raises(ValueError, match="candidate index was built from "
+                                             "another corpus"):
+            prepare(SimConfig(model="cb_w"), synth_corpus(PLAIN_SPEC), fb_assets)
 
     def test_sessions_only_for_fb_users_in_scope(self, fb_corpus, fb_assets):
         config = SimConfig(model="cb_w", users=("u0000", "u0009"))
@@ -263,14 +271,21 @@ class TestRunLoop:
             self, fb_corpus, fb_assets, monkeypatch):
         # a generated item's text is generated when the barrier reads it,
         # which it does for accepted items only; an endpoint that always
-        # fails leaves the template's text, so the record is the template's
+        # fails leaves the template's text, so the record is the template's,
+        # and after the first item's retries the run posts no more
         generate = nudge._generate_for
 
         def run(reverse):
-            prompts, generated = [], {}
+            prompts, posts, generated, generators = [], [], {}, []
+
+            class Recording(nudge.ExternalGenerator):
+                def generate(self, prompt_categories, seed=0):
+                    generators.append(self)
+                    prompts.append(tuple(prompt_categories))
+                    return super().generate(prompt_categories, seed)
 
             def post(url, json, timeout):
-                prompts.append(tuple(json["prompt_categories"]))
+                posts.append(tuple(json["prompt_categories"]))
                 raise OSError("endpoint down")
 
             def record(session, prompt, generator):
@@ -279,12 +294,14 @@ class TestRunLoop:
                 return item
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(nudge, "ExternalGenerator",
-                           partial(nudge.ExternalGenerator, post=post))
+                mp.setattr(nudge, "ExternalGenerator", partial(Recording, post=post))
                 mp.setattr(nudge, "_generate_for", record)
                 if reverse:
                     reverse_user_order(mp)
                 result = run_loop(external, fb_corpus, fb_assets)
+            assert posts == prompts[:1] * 2                  # retries + 1, once
+            assert all(g is generators[0] for g in generators)
+            assert generators[0].fallback_count == len(prompts)
             return result, prompts, generated
 
         config = self.config(users=None, model="bheisr", feeds=8, seed=3)
@@ -295,7 +312,7 @@ class TestRunLoop:
                     for r in recs for d in r.decisions
                     if d.accepted and d.origin == ORIGIN_GENERATED]
         assert len(accepted) > 1 and len(generated) > len(accepted)
-        assert sorted(prompts) == sorted(accepted * 2)   # retries + 1 each
+        assert sorted(prompts) == sorted(accepted)       # once each
         assert repr(forward) == repr(run_loop(config, fb_corpus, fb_assets))
         # the barrier reads text in user order, whatever order a step
         # visited its users in
