@@ -4,7 +4,6 @@ experiment."""
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import detection, simulate
@@ -187,16 +186,7 @@ def cmd_simulate(args) -> int:
     config = build_config(args)
     record = simulate.run_loop(config)
     out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
-    simulate.write_run_log(record, os.path.join(out, "runlog.jsonl"))
-    simulate.write_belief_snapshots(record, os.path.join(out, "networks"))
-    if record.fb_counts is not None:
-        with open(os.path.join(out, "fb_counts.json"), "w", encoding="utf-8") as fh:
-            json.dump(record.fb_counts, fh)
-    if record.path_traces:
-        with open(os.path.join(out, "paths.jsonl"), "w", encoding="utf-8") as fh:
-            for trace in record.path_traces:
-                fh.write(json.dumps(trace, sort_keys=True, default=str) + "\n")
+    simulate.write_run(record, out)
     mean_cov = fold_sum(r.coverage for step in record.steps for r in step) / max(
         1, sum(len(step) for step in record.steps))
     print(f"model={record.model} feeds={config.feeds} users={len(record.users)} "
@@ -211,7 +201,7 @@ def cmd_experiment(args) -> int:
     if args.number == 1:
         table = simulate.experiment_coverage(config, out_dir=out)
         for model in table.models:
-            label = simulate.MODEL_LABELS[model]
+            label = simulate.MODELS[model][2]
             extra = (f" improvement={table.improvements[model]:+.2f}%"
                      if model in table.improvements else "")
             print(f"{label}: sum={table.sums[model]:.6f}{extra}")
@@ -224,7 +214,7 @@ def cmd_experiment(args) -> int:
     elif args.number == 3:
         counts = simulate.experiment_fb_count(config, out_dir=out)
         for model, series in counts.items():
-            print(f"{simulate.MODEL_LABELS[model]}: start={series[0][1]} "
+            print(f"{simulate.MODELS[model][2]}: start={series[0][1]} "
                   f"end={series[-1][1]}")
         print(f"wrote {out}/fb_count.csv")
     else:                           # 4: argparse admits only 1-4

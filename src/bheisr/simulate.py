@@ -23,15 +23,16 @@ from .folds import fold_sum
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
 from .rng import substream
 
-# model name -> (baseline kind, mixes generated items)
+# model name -> (baseline kind, mixes generated items, label), in the order
+# the experiments run and report them
 MODELS = {
-    "rd": ("rd", False),
-    "rd_w": ("rd", True),
-    "cb": ("cb", False),
-    "cb_w": ("cb", True),
-    "uc": ("uc", False),
-    "uc_w": ("uc", True),
-    "bheisr": ("rd", True),
+    "rd": ("rd", False, "RD"),
+    "rd_w": ("rd", True, "RD_wC"),
+    "cb": ("cb", False, "CB"),
+    "cb_w": ("cb", True, "CB_wC"),
+    "uc": ("uc", False, "UC"),
+    "uc_w": ("uc", True, "UC_wC"),
+    "bheisr": ("rd", True, "BHEISR"),
 }
 
 EXEMPLARS_PER_CATEGORY = 3
@@ -226,6 +227,9 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     config.validate()
     if corpus is None:
         corpus = build_corpus(config)
+    if not corpus.taxonomy:
+        # coverage and belief coverage are shares of the categories
+        raise ValueError("the corpus has no categories")
     users = tuple(config.users) if config.users else corpus.users
     known = set(corpus.users)
     for user in users + ((config.target_user,) if config.target_user else ()):
@@ -238,7 +242,7 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     networks, classification = build_population(corpus)
     exemplars = _collect_exemplars(corpus)
     generator = _build_generator(config, exemplars)
-    baseline, with_bheisr = MODELS[config.model]
+    baseline, with_bheisr, _ = MODELS[config.model]
     ctx = FeedContext(corpus=corpus, networks=networks, table=table,
                       baseline=baseline, generator=generator)
     ctx.enable_acceleration()
@@ -424,7 +428,6 @@ def _first_fb_user(classification) -> str:
 # experiments
 # ---------------------------------------------------------------------------
 
-COVERAGE_MODELS = ("rd", "rd_w", "cb", "cb_w", "uc", "uc_w", "bheisr")
 IMPROVEMENT_PAIRS = (("rd", "rd_w"), ("cb", "cb_w"), ("uc", "uc_w"))
 
 
@@ -455,7 +458,7 @@ class CoverageTable:
 
 
 def experiment_coverage(config: SimConfig, corpus: Corpus = None,
-                        models: tuple = COVERAGE_MODELS,
+                        models: tuple = tuple(MODELS),
                         out_dir: str = None) -> CoverageTable:
     """Per-feed diversity coverage of one user's feeds under each model."""
     corpus = _corpus(config, corpus)
@@ -470,7 +473,7 @@ def experiment_coverage(config: SimConfig, corpus: Corpus = None,
         if base in sums and mixed in sums and sums[base] > 0.0:
             improvements[mixed] = 100.0 * (sums[mixed] - sums[base]) / sums[base]
     _write_csv(out_dir, "coverage.csv", [
-        ["Times"] + [MODEL_LABELS[m] for m in models],
+        ["Times"] + [MODELS[m][2] for m in models],
         *[[f"feed_{i}"] + [_fmt(row[m]) for m in models]
           for i, row in enumerate(rows, start=1)],
         ["Sum"] + [_fmt(sums[m]) for m in models],
@@ -523,7 +526,7 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
 
 
 def experiment_fb_count(config: SimConfig, corpus: Corpus = None,
-                        models: tuple = COVERAGE_MODELS,
+                        models: tuple = tuple(MODELS),
                         out_dir: str = None) -> dict:
     """Population bubble-affected count after every feed, per model."""
     corpus = _corpus(config, corpus)
@@ -565,12 +568,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-MODEL_LABELS = {
-    "rd": "RD", "rd_w": "RD_wC", "cb": "CB", "cb_w": "CB_wC",
-    "uc": "UC", "uc_w": "UC_wC", "bheisr": "BHEISR",
-}
-
-
 def _write_csv(out_dir: str, name: str, rows: list) -> None:
     """Write `rows` to out_dir/name, making out_dir; nothing if it is unset."""
     if out_dir:
@@ -580,31 +577,35 @@ def _write_csv(out_dir: str, name: str, rows: list) -> None:
             csv.writer(fh).writerows(rows)
 
 
-def write_run_log(record: RunRecord, path: str) -> None:
-    """JSON-lines log: one row per (step, user) with decisions and draws."""
+def _write_jsonl(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for step_records in record.steps:
-            for rec in step_records:
-                fh.write(json.dumps({
-                    "step": rec.step,
-                    "user": rec.user_id,
-                    "items": [
-                        {"id": i, "origin": o}
-                        for i, o in zip(rec.item_ids, rec.origins)
-                    ],
-                    "decisions": [
-                        {"item": d.item_id, "ap": d.ap, "draw": d.draw,
-                         "accepted": d.accepted}
-                        for d in rec.decisions
-                    ],
-                    "coverage": rec.coverage,
-                }, sort_keys=True) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def write_belief_snapshots(record: RunRecord, networks_dir: str) -> None:
-    os.makedirs(networks_dir, exist_ok=True)
+def write_run(record: RunRecord, out: str) -> None:
+    """Write a run's directory `out`: runlog.jsonl, one row per (step, user)
+    with decisions and draws; networks/<user>.json, each fed user's belief
+    checkpoints; fb_counts.json when the run tracked bubble counts; and
+    paths.jsonl when it kept path traces."""
+    os.makedirs(os.path.join(out, "networks"), exist_ok=True)
+    _write_jsonl(os.path.join(out, "runlog.jsonl"), (
+        {"step": rec.step,
+         "user": rec.user_id,
+         "items": [{"id": i, "origin": o}
+                   for i, o in zip(rec.item_ids, rec.origins)],
+         "decisions": [{"item": d.item_id, "ap": d.ap, "draw": d.draw,
+                        "accepted": d.accepted} for d in rec.decisions],
+         "coverage": rec.coverage}
+        for step_records in record.steps for rec in step_records))
     for user, points in record.checkpoints.items():
-        doc = [{"step": s, "belief": b} for s, b in points]
-        path = os.path.join(networks_dir, f"{user}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        with open(os.path.join(out, "networks", f"{user}.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump([{"step": s, "belief": b} for s, b in points], fh,
+                      indent=2, sort_keys=True)
+    if record.fb_counts is not None:
+        with open(os.path.join(out, "fb_counts.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(record.fb_counts, fh)
+    if record.path_traces:
+        _write_jsonl(os.path.join(out, "paths.jsonl"), record.path_traces)

@@ -34,6 +34,10 @@ COMMANDS = {
     **{f"simulate {model}": ("simulate", *SYNTH, "--model", model, *RUN,
                              "--out", "{out}")
        for model in ("rd", "rd_w", "cb", "cb_w", "bheisr")},
+    # a second nudge discipline, whose paths.jsonl differs from the drain run's
+    "simulate bheisr replace": ("simulate", *SYNTH, "--model", "bheisr", *RUN,
+                                "--queue-discipline", "replace",
+                                "--max-path-len", "4", "--out", "{out}"),
     **{f"experiment {n}": ("experiment", str(n), *SYNTH, "--feeds", "3",
                            "--out", "{out}")
        for n in (2, 4)},

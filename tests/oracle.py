@@ -5,10 +5,14 @@ and beliefs in array passes or one fused loop; these are the plain-loop
 definitions of the same values (entropy_bits is the belief's). A
 vector is a dict of term id -> weight in first-occurrence order plus its
 norm, and every sum is a left fold, so the array paths can be checked against
-them with ==. A spy on the package's one featurizer counts what it is asked
-to featurize, and a patch reverses the order a step visits its users in. The
-last helpers build test inputs: a corpus from log rows, a prompt path from
-its nodes, and the ledger's penalized edges as pairs.
+them with ==. Brute-force references enumerate the greedy next hop and the
+two-sigma classification, and rebuilt_by_fold rebuilds the scoring state by
+one note_accept per user. A spy on the package's one featurizer counts what
+it is asked to featurize, and a patch reverses the order a step visits its
+users in. TableGraph and TableNetwork stand in for the category graph and a
+belief network over hand-written tables. The last helpers build test inputs:
+a scoring context over a fresh item table, a corpus from log rows, a prompt
+path from its nodes, and the ledger's penalized edges as pairs.
 """
 
 import math
@@ -17,11 +21,12 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from bheisr import features, nudge, recommenders, simulate
+from bheisr.belief import build_all
 from bheisr.corpus import Corpus, _log_columns
-from bheisr.features import Vocabulary, tokenize
+from bheisr.features import ItemTable, Vocabulary, tokenize
 from bheisr.folds import fold_sum
 from bheisr.pathfinder import PromptPath
-from bheisr.recommenders import acceptance_share
+from bheisr.recommenders import FeedContext, acceptance_share
 
 
 @dataclass
@@ -142,6 +147,59 @@ def uc_score(item, user_id: str, networks: dict) -> float:
     return total * share
 
 
+def rebuilt_by_fold(ctx, *extra) -> FeedContext:
+    """A context for the same networks whose accept rows, profile sums and
+    mass rows (note_accept refreshes a UC user's) fold each whole history by
+    one note_accept per user; `extra` are accepted items outside the corpus."""
+    rebuilt = FeedContext(corpus=ctx.corpus, networks=ctx.networks,
+                          table=ctx.table, baseline=ctx.baseline,
+                          generator=ctx.generator)
+    rebuilt.enable_acceleration()
+    rebuilt.accept_matrix[:] = 0.0
+    if rebuilt.profile_sums is not None:
+        rebuilt.profile_sums[:] = 0.0
+    by_id = {**ctx.corpus.items, **{item.id: item for item in extra}}
+    for user in rebuilt.user_ids:
+        rebuilt.note_accept({user: [by_id[i] for i in ctx.networks[user].accepted]})
+    return rebuilt
+
+
+def brute_force_next_hop(graph, current, network, ledger, visited):
+    """Every unvisited candidate scored rho + belief * (-1 on a penalized
+    edge, else 1); the highest, the smallest name on ties, or None."""
+    scored = []
+    penalized = penalized_edges(ledger)
+    for cand in graph.categories:
+        if cand == current or cand in visited:
+            continue
+        weight = -1.0 if tuple(sorted((current, cand))) in penalized else 1.0
+        scored.append((-(graph.rho(current, cand)
+                         + network.belief_degree(cand) * weight), cand))
+    if not scored:
+        return None
+    return min(scored)[1]
+
+
+def brute_force_classify(beliefs, categories) -> tuple:
+    """Two-sigma classification in loops, with statistics from numpy: every
+    user's (highs, lows) in category order, and the users with both."""
+    users = sorted(beliefs)
+    labels = {u: ([], []) for u in users}
+    for cat in categories:
+        values = np.array([beliefs[u].get(cat, 0.0) for u in users])
+        mu, sigma = values.mean(), values.std(ddof=0)
+        for u, v in zip(users, values):
+            if sigma == 0.0:
+                continue                # everyone is normal here
+            if v > mu + 2 * sigma:
+                labels[u][0].append(cat)
+            elif v < mu - 2 * sigma:
+                labels[u][1].append(cat)
+    extremes = {u: (tuple(h), tuple(lo)) for u, (h, lo) in labels.items()}
+    fb = tuple(u for u in users if extremes[u][0] and extremes[u][1])
+    return extremes, fb
+
+
 def node_entries(graph, table) -> dict:
     """category -> {term id: value in the graph's `table` row}, term ids in
     the node's first-touch order."""
@@ -249,6 +307,51 @@ def reverse_user_order(monkeypatch) -> None:
     step_block = simulate._step_block
     monkeypatch.setattr(simulate, "_step_block", lambda state, users, step:
                         step_block(state, users[::-1], step))
+
+
+class TableGraph:
+    """Category graph stub: rho(a, b) is 1.0 on the diagonal, else the
+    table's value for the pair in either order, else `default`; accept_items
+    records the ids it is given in `accepted`."""
+
+    def __init__(self, categories, table=(), default=0.0):
+        self.categories = tuple(categories)
+        self.table = {}
+        for (a, b), rho in dict(table).items():
+            self.table[(a, b)] = self.table[(b, a)] = rho
+        self.default = default
+        self.accepted = []
+
+    def rho(self, a, b):
+        return 1.0 if a == b else self.table.get((a, b), self.default)
+
+    def rho_row(self, a):
+        return [self.rho(a, c) for c in self.categories]
+
+    def accept_items(self, items):
+        self.accepted.extend(item.id for item in items)
+
+
+class TableNetwork:
+    """Belief network stub over a category -> belief table."""
+
+    def __init__(self, belief, user_id="u"):
+        self.belief = belief
+        self.user_id = user_id
+
+    def belief_degree(self, cat):
+        return self.belief[cat]
+
+
+def context_for(corpus, baseline="cb") -> FeedContext:
+    """An accelerated scoring context over a fresh item table, with the
+    template generator; CategoryGraph.build(corpus, ctx.table) is the graph
+    over the same table."""
+    ctx = FeedContext(corpus=corpus, networks=build_all(corpus),
+                      table=ItemTable(simulate.build_assets(corpus)),
+                      baseline=baseline, generator=nudge.TemplateGenerator({}))
+    ctx.enable_acceleration()
+    return ctx
 
 
 def corpus_of(items: dict, log, taxonomy: dict, users: tuple,

@@ -37,7 +37,15 @@ from bheisr.simulate import (
     prepare,
     run_loop,
 )
-from oracle import entropy_bits, path_of, penalized_edges, reverse_user_order
+from oracle import (
+    TableGraph,
+    TableNetwork,
+    brute_force_classify,
+    brute_force_next_hop,
+    entropy_bits,
+    path_of,
+    reverse_user_order,
+)
 
 SPEC20 = SynthSpec(bias_profile=10)                 # 20 users, 10 biased
 SPEC30 = SynthSpec(n_users=30, bias_profile=10)     # 30 users, 10 biased
@@ -248,29 +256,6 @@ def test_criterion_05_nudging_clears_bubbles_no_slower_than_baselines(
            + " seeds (need >= 18 each)", elapsed, 180.0)
 
 
-class TableGraph:
-    def __init__(self, categories, table):
-        self.categories = tuple(categories)
-        self.table = table
-
-    def rho(self, a, b):
-        if a == b:
-            return 1.0
-        return self.table[(a, b) if a < b else (b, a)]
-
-    def rho_row(self, a):
-        return [self.rho(a, c) for c in self.categories]
-
-
-class TableNetwork:
-    def __init__(self, belief):
-        self.belief = belief
-        self.user_id = "u"
-
-    def belief_degree(self, cat):
-        return self.belief[cat]
-
-
 def test_criterion_06_next_hop_matches_brute_force(capsys):
     """Greedy hop choice equals exhaustive argmax (with lexicographic tie
     break) on 1000 random graphs of up to 8 nodes."""
@@ -295,19 +280,10 @@ def test_criterion_06_next_hop_matches_brute_force(capsys):
         visited = {c for c in others[1:] if rng.random() < 0.3}
         visited.add(current)
 
-        best = None
-        for cand in cats:
-            if cand in visited:
-                continue
-            weight = -1.0 if tuple(sorted((current, cand))) in \
-                penalized_edges(ledger) else 1.0
-            score = graph.rho(current, cand) + network.belief_degree(cand) * weight
-            if best is None or score > best[0] or \
-                    (score == best[0] and cand < best[1]):
-                best = (score, cand)
+        expect = brute_force_next_hop(graph, current, network, ledger, visited)
         got = next_hop(graph, current, network, ledger, visited)
         checked += 1
-        if got != best[1]:
+        if got != expect:
             ok = False
             break
     elapsed = time.perf_counter() - t0
@@ -342,7 +318,6 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
     cats = tuple(f"n{i}" for i in range(8))
     table = {pair: 0.5 for pair in itertools.combinations(cats, 2)}
     graph = TableGraph(cats, table)
-    network = TableNetwork({c: float(i) / 10.0 for i, c in enumerate(cats)})
     path = path_of(*cats)
     # n7 extreme-high, n0 extreme-low, the rest normal
     session = NudgeSession(user_id="u", path=path, queue=initial_queue(path),
@@ -356,17 +331,12 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
         belief_net.add_click_mass(f"{c}/s", c, float(i + 1))
     belief_net.recompute()
 
-    class NullGraph(TableGraph):
-        def accept_items(self, items):
-            pass
-
-    null_graph = NullGraph(cats, table)
     steps = 0
     status = ""
     while steps < 15:
         item = _generate_for(session, pending_prompts(session, 1)[0], generator)
         steps += 1
-        status = apply_feedback(session, item, False, null_graph, belief_net)
+        status = apply_feedback(session, item, False, graph, belief_net)
         if status.endswith(("rescheduled", "terminal")):
             break
     ok &= status.endswith("rescheduled")   # infinite theta never exhausts
@@ -448,27 +418,9 @@ def test_criterion_10_classifier_matches_brute_force(capsys):
             for i in range(n_users)
         }
         ours = classify_users(beliefs, cats)
-        users = sorted(beliefs)
-        fb_ref = []
-        # each user's brute-force (highs, lows), in category order
-        extremes_ref = {u: ([], []) for u in users}
-        for cat in cats:
-            values = np.array([beliefs[u].get(cat, 0.0) for u in users])
-            mu, sigma = values.mean(), values.std(ddof=0)
-            for u, v in zip(users, values):
-                if sigma == 0.0:
-                    continue            # everyone is normal here
-                if v > mu + 2 * sigma:
-                    extremes_ref[u][0].append(cat)
-                elif v < mu - 2 * sigma:
-                    extremes_ref[u][1].append(cat)
+        extremes_ref, fb_ref = brute_force_classify(beliefs, cats)
         # every user's labels: the categories absent from both are normal
-        if ours.extremes != {u: (tuple(h), tuple(lo))
-                             for u, (h, lo) in extremes_ref.items()}:
-            ok = False
-        fb_ref = tuple(u for u in users
-                       if extremes_ref[u][0] and extremes_ref[u][1])
-        if ours.fb_users != fb_ref:
+        if ours.extremes != extremes_ref or ours.fb_users != fb_ref:
             ok = False
 
     # half the users at 0.55 and half at 1.45: mu = 1.0, sigma = 0.45

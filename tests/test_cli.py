@@ -21,6 +21,14 @@ from bheisr.detection import ks_normality, skewness
 SYNTH = "n_users=16,n_categories=10,subcats_per_category=2,n_items=400,bias_profile=5,seed=0"
 
 
+def corpus_file(tmp_path, synth=SYNTH):
+    """tmp_path/c.json, the synthetic corpus `synth` names saved as JSON,
+    and its document."""
+    path = tmp_path / "c.json"
+    save_corpus(synth_corpus(parse_synth(synth)), str(path))
+    return path, json.loads(path.read_text())
+
+
 class TestParsing:
     def test_parse_kv_list(self):
         assert parse_kv_list("a=1, b = two,") == {"a": "1", "b": "two"}
@@ -178,18 +186,14 @@ class TestIngest:
         assert "users=3" in capsys.readouterr().out
 
     def test_item_missing_a_key_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path)
         del doc["items"][3]["abstract"]
         path.write_text(json.dumps(doc))
         assert main(["ingest", "--dataset", str(path)]) == 2
         assert "items[3]: missing key 'abstract'" in capsys.readouterr().err
 
     def test_repeated_category_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path)
         doc["taxonomy"].append(dict(doc["taxonomy"][0], subcategories=["x/y"]))
         path.write_text(json.dumps(doc))
         assert main(["ingest", "--dataset", str(path)]) == 2
@@ -202,9 +206,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("weight", ["x", True])
     def test_weight_that_is_not_a_number_exits_2(self, tmp_path, capsys, weight):
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path)
         item = doc["items"][0]
         item["category_weights"] = {item["category"]: weight}
         path.write_text(json.dumps(doc))
@@ -214,9 +216,7 @@ class TestIngest:
     @pytest.mark.parametrize("origin", ["generated", "bogus"])
     def test_origin_other_than_dataset_exits_2_and_writes_nothing(
             self, tmp_path, capsys, origin):
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path)
         item = doc["items"][0]
         item["origin"] = origin
         path.write_text(json.dumps(doc))
@@ -382,22 +382,38 @@ class TestRecommend:
 
     def test_corpus_without_users_exits_2(self, tmp_path, capsys):
         # simulate, detect and graph run on it; recommend has no user to pick
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path)
         doc["users"], doc["interactions"] = [], []
         path.write_text(json.dumps(doc))
         assert main(["recommend", "--dataset", str(path)]) == 2
         assert "error: the corpus has no users" in capsys.readouterr().err
 
 
+class TestCorpusWithoutCategories:
+    @pytest.mark.parametrize("command", [["simulate"], ["experiment", "3"],
+                                         ["recommend"]])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        # coverage is a share of the categories: simulate and experiment 3
+        # used to stop mid-run on a ZeroDivisionError, and recommend printed
+        # an empty feed
+        path, doc = corpus_file(tmp_path)
+        doc["taxonomy"], doc["items"], doc["interactions"] = [], [], []
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main([*command, "--dataset", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: the corpus has no categories" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        # the corpus itself loads
+        assert main(["ingest", "--dataset", str(path)]) == 0
+
+
 class TestSimulate:
     def test_reserved_generated_label_exits_2_before_the_run(self, tmp_path, capsys):
         # each category's last subcategory takes the next category's
         # generated label; the network would file generated mass under it
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path, "n_users=20,bias_profile=10")
         cats = [entry["category"] for entry in doc["taxonomy"]]
         renamed = {}
         for entry, after in zip(doc["taxonomy"], cats[1:]):
@@ -419,11 +435,9 @@ class TestSimulate:
             self, tmp_path, capsys):
         # a bubble user's prompt keys join categories with "->"; a category
         # holding it would be split apart again at a rejection, mid-run
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
-        text = path.read_text()
-        cat = json.loads(text)["taxonomy"][0]["category"]
-        path.write_text(text.replace(f'"{cat}"', f'"{cat}->x"'))
+        path, doc = corpus_file(tmp_path, "n_users=20,bias_profile=10")
+        cat = doc["taxonomy"][0]["category"]
+        path.write_text(path.read_text().replace(f'"{cat}"', f'"{cat}->x"'))
         out = tmp_path / "run"
         assert main(["simulate", "--dataset", str(path), "--model", "bheisr",
                      "--feeds", "10", "--out", str(out)]) == 2
@@ -434,8 +448,7 @@ class TestSimulate:
             self, tmp_path, capsys):
         # networks/team/u19.json has no directory: the run would fail after
         # writing runlog.jsonl and part of networks/
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
+        path, _ = corpus_file(tmp_path, "n_users=20,bias_profile=10")
         path.write_text(path.read_text().replace('"u0019"', '"team/u19"'))
         out = tmp_path / "run"
         assert main(["simulate", "--dataset", str(path), "--model", "bheisr",
@@ -445,9 +458,7 @@ class TestSimulate:
 
     def test_repeated_user_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # a user listed twice would be fed twice a step from one network
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth("n_users=12,bias_profile=5")), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path, "n_users=12,bias_profile=5")
         doc["users"].append("u0000")
         path.write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -477,8 +488,7 @@ class TestSimulate:
     ], ids=["numeric-user", "nan-signal"])
     def test_corpus_the_loader_rejects_exits_2_and_writes_nothing(
             self, tmp_path, capsys, command, old, new, count, message):
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth(SYNTH)), str(path))
+        path, _ = corpus_file(tmp_path)
         text = path.read_text()
         assert old in text
         path.write_text(text.replace(old, new, count))
@@ -498,9 +508,7 @@ class TestSimulate:
         assert not out.exists()
 
     def test_repeated_item_id_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth("n_users=12,bias_profile=5")), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path, "n_users=12,bias_profile=5")
         doc["items"].append(dict(doc["items"][1], id=doc["items"][0]["id"]))
         path.write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -599,9 +607,7 @@ class TestExperiments:
                      "--target-user", "nobody", "--out", str(out)]) == 2
         assert "unknown user 'nobody'" in capsys.readouterr().err
         # a corpus user without history has no class to pick endpoints from
-        path = tmp_path / "c.json"
-        save_corpus(synth_corpus(parse_synth("n_users=20,bias_profile=10")), str(path))
-        doc = json.loads(path.read_text())
+        path, doc = corpus_file(tmp_path, "n_users=20,bias_profile=10")
         doc["users"].append("idle")
         path.write_text(json.dumps(doc))
         assert main(["experiment", "2", "--dataset", str(path), "--target-user",

@@ -13,10 +13,8 @@ from bheisr import corpus as corpus_module
 from bheisr import recommenders, simulate
 from bheisr.belief import BeliefNetwork, build_all
 from bheisr.corpus import Interaction, Item, SynthSpec, synth_corpus
-from bheisr.features import ItemTable
-from bheisr.recommenders import FeedContext
 from bheisr.simulate import SimConfig
-from oracle import click_probs, corpus_of, log_rows
+from oracle import click_probs, context_for, corpus_of, log_rows, rebuilt_by_fold
 
 
 def per_row_build_all(corpus) -> dict:
@@ -39,21 +37,6 @@ def per_row_build_all(corpus) -> dict:
         network.recompute()
         networks[user] = network
     return networks
-
-
-def fold_state(ctx) -> FeedContext:
-    """The scoring state as a per-user note_accept fold of each network's
-    history, which for UC also refreshes that user's masses."""
-    folded = FeedContext(corpus=ctx.corpus, networks=ctx.networks,
-                         table=ctx.table, baseline=ctx.baseline)
-    folded.enable_acceleration()
-    folded.accept_matrix[:] = 0.0
-    if folded.profile_sums is not None:
-        folded.profile_sums[:] = 0.0
-    for user in folded.user_ids:
-        folded.note_accept({user: [ctx.corpus.items[i]
-                                   for i in ctx.networks[user].accepted]})
-    return folded
 
 
 WORDS = ("apple", "chip", "opera", "soup", "news", "notes")
@@ -97,14 +80,6 @@ def assert_networks_equal(got, want):
         assert network.belief == expect.belief, user
 
 
-def context(corpus, baseline):
-    ctx = FeedContext(corpus=corpus, networks=build_all(corpus),
-                      table=ItemTable(simulate.build_assets(corpus)),
-                      baseline=baseline)
-    ctx.enable_acceleration()
-    return ctx
-
-
 TIED = [("u1", "i1", 0, 1.0), ("u0", "i2", 0, 1.0), ("u1", "i0", 0, 1.0),
         ("u1", "i1", 0, 0.0), ("u1", "i2", 0, 1.0)]
 
@@ -121,15 +96,15 @@ class TestColumnsEqualThePerRowBuild:
     def test_networks_and_scoring_state(self, corpus):
         assert_networks_equal(build_all(corpus), per_row_build_all(corpus))
         for baseline in ("rd", "cb", "uc"):
-            ctx = context(corpus, baseline)
-            folded = fold_state(ctx)
+            ctx = context_for(corpus, baseline)
+            folded = rebuilt_by_fold(ctx)
             assert np.array_equal(ctx.accept_matrix, folded.accept_matrix)
             if baseline == "cb":
                 assert np.array_equal(ctx.profile_sums, folded.profile_sums)
                 # folding in slices of a few accepts continues the same folds
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(recommenders, "FOLD_CHUNK_ROWS", 3)
-                    sliced = context(corpus, baseline)
+                    sliced = context_for(corpus, baseline)
                 assert np.array_equal(sliced.profile_sums, folded.profile_sums)
             if baseline == "uc":
                 assert np.array_equal(ctx.mass_matrix, folded.mass_matrix)
@@ -140,8 +115,8 @@ class TestColumnsEqualThePerRowBuild:
                                         subcats_per_category=3, n_items=90,
                                         bias_profile=3, seed=4))
         assert_networks_equal(build_all(corpus), per_row_build_all(corpus))
-        ctx = context(corpus, "cb")
-        assert np.array_equal(ctx.profile_sums, fold_state(ctx).profile_sums)
+        ctx = context_for(corpus, "cb")
+        assert np.array_equal(ctx.profile_sums, rebuilt_by_fold(ctx).profile_sums)
 
 
 class TestNoRowObjects:

@@ -21,7 +21,7 @@ from bheisr.detection import (
 )
 from bheisr.nudge import GeneratedItem
 from bheisr.simulate import _record
-from oracle import path_of
+from oracle import brute_force_classify, path_of
 
 TAXONOMY = {"a": ("a/s",), "b": ("b/s",), "c": ("c/s",), "d": ("d/s",)}
 
@@ -119,27 +119,6 @@ class TestSkewness:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             skewness([2.0, 2.0, 2.0])
-
-
-def brute_force_classify(beliefs, categories):
-    """Independent reimplementation: loops and statistics from numpy.
-    Every user's (highs, lows) in category order, and the users with both."""
-    users = sorted(beliefs)
-    labels = {u: ([], []) for u in users}
-    for cat in categories:
-        values = np.array([beliefs[u].get(cat, 0.0) for u in users])
-        mu = values.mean()
-        sigma = values.std(ddof=0)
-        for u, v in zip(users, values):
-            if sigma == 0.0:
-                continue                # everyone is normal here
-            if v > mu + 2 * sigma:
-                labels[u][0].append(cat)
-            elif v < mu - 2 * sigma:
-                labels[u][1].append(cat)
-    extremes = {u: (tuple(h), tuple(lo)) for u, (h, lo) in labels.items()}
-    fb = tuple(u for u in users if extremes[u][0] and extremes[u][1])
-    return extremes, fb
 
 
 class TestClassifyUsers:

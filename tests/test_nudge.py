@@ -28,6 +28,7 @@ from bheisr.nudge import (
 from bheisr.pathfinder import PromptPath, RejectionLedger, record_rejection
 from bheisr.simulate import _collect_exemplars
 from oracle import (
+    TableGraph,
     featurize,
     item_vocabulary,
     path_of,
@@ -418,25 +419,9 @@ class TestGenerateItem:
         assert text == f"{item.title} {item.abstract}"
 
 
-class FakeGraph:
-    def __init__(self, categories, default_rho=0.5):
-        self.categories = tuple(categories)
-        self.default_rho = default_rho
-        self.accepted = []
-
-    def rho(self, a, b):
-        return 1.0 if a == b else self.default_rho
-
-    def rho_row(self, a):
-        return [self.rho(a, c) for c in self.categories]
-
-    def accept_items(self, items):
-        self.accepted.extend(item.id for item in items)
-
-
 def session_fixture(theta=2, queue_discipline=QUEUE_DRAIN, max_path_len=None):
     cats = ("a", "b", "c", "d")
-    graph = FakeGraph(cats)
+    graph = TableGraph(cats, default=0.5)
     labels = {f"{c}/s": c for c in cats}
     labels.update((generated_subcategory(c), c) for c in cats)
     network = BeliefNetwork(user_id="u", categories=cats, subcat_to_cat=labels)

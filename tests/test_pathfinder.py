@@ -17,35 +17,13 @@ from bheisr.pathfinder import (
     reschedule,
     select_endpoints,
 )
-from oracle import path_of, penalized_edges
-
-
-class FakeGraph:
-    """Category graph stub with an explicit correlation table."""
-
-    def __init__(self, categories, rho_table):
-        self.categories = tuple(categories)
-        self.table = {}
-        for (a, b), r in rho_table.items():
-            self.table[(a, b)] = r
-            self.table[(b, a)] = r
-
-    def rho(self, a, b):
-        if a == b:
-            return 1.0
-        return self.table.get((a, b), 0.0)
-
-    def rho_row(self, a):
-        return [self.rho(a, c) for c in self.categories]
-
-
-class FakeNetwork:
-    def __init__(self, belief, user_id="u"):
-        self.belief = belief
-        self.user_id = user_id
-
-    def belief_degree(self, cat):
-        return self.belief[cat]
+from oracle import (
+    TableGraph,
+    TableNetwork,
+    brute_force_next_hop,
+    path_of,
+    penalized_edges,
+)
 
 
 class TestPromptPath:
@@ -94,7 +72,7 @@ class TestCachedPromptFacts:
         assert path.halves is path.halves
 
     def test_explore_returns_the_ledgers_path_for_the_same_nodes(self):
-        network = FakeNetwork(dict.fromkeys(GRAPH.categories, 0.0))
+        network = TableNetwork(dict.fromkeys(GRAPH.categories, 0.0))
         ledger = RejectionLedger()
         first = explore(GRAPH, "a", "d", network, ledger)
         assert explore(GRAPH, "a", "d", network, ledger) is first
@@ -175,7 +153,7 @@ class TestRejectionLedger:
         assert ledger.counts == {"a->b": 1, "a->c": 1}
 
 
-GRAPH = FakeGraph(
+GRAPH = TableGraph(
     ["a", "b", "c", "d"],
     {("a", "b"): 0.9, ("a", "c"): 0.2, ("a", "d"): 0.1,
      ("b", "c"): 0.5, ("b", "d"): 0.3, ("c", "d"): 0.8})
@@ -184,53 +162,38 @@ GRAPH = FakeGraph(
 def hop(ledger, current):
     """next_hop from `current` over GRAPH with every belief 1, so each
     candidate scores rho plus its edge's rejection weight, +1 or -1."""
-    network = FakeNetwork(dict.fromkeys(GRAPH.categories, 1.0))
+    network = TableNetwork(dict.fromkeys(GRAPH.categories, 1.0))
     return next_hop(GRAPH, current, network, ledger, {current})
 
 
 class TestNextHop:
     def test_argmax_of_rho_plus_belief(self):
-        network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.0})
+        network = TableNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.0})
         ledger = RejectionLedger()
         # from a: b -> 0.9 + 0.1 = 1.0; c -> 0.2 + 0.9 = 1.1; d -> 0.1
         assert next_hop(GRAPH, "a", network, ledger, {"a"}) == "c"
 
     def test_penalty_flips_belief_sign(self):
-        network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.0})
+        network = TableNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.0})
         ledger = RejectionLedger(theta=0)
         record_rejection(ledger, path_of("a", "c"))
         # c now scores 0.2 - 0.9 = -0.7, b wins with 1.0
         assert next_hop(GRAPH, "a", network, ledger, {"a"}) == "b"
 
     def test_tie_breaks_lexicographically(self):
-        graph = FakeGraph(["a", "b", "c"], {("a", "b"): 0.5, ("a", "c"): 0.5})
-        network = FakeNetwork({"a": 0.0, "b": 0.3, "c": 0.3})
+        graph = TableGraph(["a", "b", "c"], {("a", "b"): 0.5, ("a", "c"): 0.5})
+        network = TableNetwork({"a": 0.0, "b": 0.3, "c": 0.3})
         assert next_hop(graph, "a", network, RejectionLedger(), {"a"}) == "b"
 
     def test_visited_nodes_skipped(self):
-        network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.0})
+        network = TableNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.0})
         chosen = next_hop(GRAPH, "a", network, RejectionLedger(), {"a", "c"})
         assert chosen == "b"
 
     def test_no_candidates_raises(self):
-        network = FakeNetwork({"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0})
+        network = TableNetwork({"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0})
         with pytest.raises(ValueError, match="no unvisited"):
             next_hop(GRAPH, "a", network, RejectionLedger(), {"a", "b", "c", "d"})
-
-
-def brute_force_next_hop(graph, current, network, ledger, visited):
-    """Enumerate candidates and pick max score, smallest name on ties."""
-    scored = []
-    penalized = penalized_edges(ledger)
-    for cand in graph.categories:
-        if cand == current or cand in visited:
-            continue
-        weight = -1.0 if tuple(sorted((current, cand))) in penalized else 1.0
-        scored.append((-(graph.rho(current, cand)
-                         + network.belief_degree(cand) * weight), cand))
-    if not scored:
-        return None
-    return min(scored)[1]
 
 
 class TestNextHopAgainstBruteForce:
@@ -241,8 +204,8 @@ class TestNextHopAgainstBruteForce:
             cats = [f"c{k}" for k in range(n)]
             table = {pair: float(np.round(rng.random(), 2))
                      for pair in itertools.combinations(cats, 2)}
-            graph = FakeGraph(cats, table)
-            network = FakeNetwork({c: float(np.round(rng.random() * 2, 2))
+            graph = TableGraph(cats, table)
+            network = TableNetwork({c: float(np.round(rng.random() * 2, 2))
                                    for c in cats})
             ledger = RejectionLedger(theta=0)
             for pair in itertools.combinations(cats, 2):
@@ -261,19 +224,19 @@ class TestNextHopAgainstBruteForce:
 
 class TestExplore:
     def test_stops_when_target_wins_a_hop(self):
-        network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
+        network = TableNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
         path = explore(GRAPH, "a", "d", network, RejectionLedger())
         # a -> c (1.1 beats b 1.0); from c: d -> 0.8+0.4 beats b 0.5+0.1
         assert path.nodes == ("a", "c", "d")
 
     def test_target_forced_when_length_runs_out(self):
-        network = FakeNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.0})
+        network = TableNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.0})
         path = explore(GRAPH, "a", "d", network, RejectionLedger(), max_len=2)
         assert path.nodes == ("a", "b", "d")   # b won the only hop, d appended
         assert path.nodes[-1] == "d"
 
     def test_max_len_two_gives_direct_prompt(self):
-        network = FakeNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.0})
+        network = TableNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.0})
         for target in ("b", "c", "d"):
             path = explore(GRAPH, "a", target, network, RejectionLedger(),
                            max_len=1)
@@ -281,7 +244,7 @@ class TestExplore:
 
     def test_default_cap_is_category_count(self):
         # beliefs steer away from the target, so the walk visits everything
-        network = FakeNetwork({"a": 0.0, "b": 3.0, "c": 2.0, "d": 0.0})
+        network = TableNetwork({"a": 0.0, "b": 3.0, "c": 2.0, "d": 0.0})
         path = explore(GRAPH, "a", "d", network, RejectionLedger())
         assert len(path.nodes) <= len(GRAPH.categories)
         assert path.nodes[-1] == "d"
@@ -289,7 +252,7 @@ class TestExplore:
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            explore(GRAPH, "a", "a", FakeNetwork({}), RejectionLedger())
+            explore(GRAPH, "a", "a", TableNetwork({}), RejectionLedger())
 
 
 class TestSelectEndpoints:
@@ -297,15 +260,15 @@ class TestSelectEndpoints:
     EXTREMES = (("a", "c"), ("d", "e"))
 
     def test_strongest_high_and_weakest_low(self):
-        network = FakeNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
+        network = TableNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
         assert select_endpoints(network, self.EXTREMES) == ("c", "e")
 
     def test_belief_ties_break_lexicographically(self):
-        network = FakeNetwork({"a": 3.0, "b": 1.0, "c": 3.0, "d": 0.1, "e": 0.1})
+        network = TableNetwork({"a": 3.0, "b": 1.0, "c": 3.0, "d": 0.1, "e": 0.1})
         assert select_endpoints(network, self.EXTREMES) == ("a", "d")
 
     def test_kept_extremes_select_the_same_endpoints(self):
-        network = FakeNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
+        network = TableNetwork({"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.2, "e": 0.1})
         # the classifier records x's extremes in category order: nine users
         # at 1.0 everywhere put x's 5.0 above, and its 0.0 below, two sigma
         beliefs = {f"u{i}": dict.fromkeys("abcde", 1.0) for i in range(9)}
@@ -315,19 +278,19 @@ class TestSelectEndpoints:
         assert select_endpoints(network, extremes) == ("c", "e")
 
     def test_not_bubble_affected_raises(self):
-        network = FakeNetwork({"a": 1.0}, user_id="plain")
+        network = TableNetwork({"a": 1.0}, user_id="plain")
         with pytest.raises(ValueError, match="not bubble-affected"):
             select_endpoints(network, (("a",), ()))
 
 
 class TestReschedule:
     def test_returns_fresh_path(self):
-        network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
+        network = TableNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
         path = reschedule(GRAPH, network, RejectionLedger(), (("a",), ("d",)))
         assert path.nodes == ("a", "c", "d")
 
     def test_none_when_replacement_already_exhausted(self):
-        network = FakeNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
+        network = TableNetwork({"a": 2.0, "b": 0.1, "c": 0.9, "d": 0.4})
         extremes = (("a",), ("d",))
         ledger = RejectionLedger(theta=2)
         for _ in range(3):
@@ -344,7 +307,7 @@ class TestReschedule:
             assert ledger.counts.get(again.key, 0) <= ledger.theta
 
     def test_max_len_respected(self):
-        network = FakeNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.4})
+        network = TableNetwork({"a": 2.0, "b": 5.0, "c": 0.9, "d": 0.4})
         path = reschedule(GRAPH, network, RejectionLedger(), (("a",), ("d",)),
                           max_len=2)
         assert len(path.nodes) <= 3   # two walked nodes plus forced target

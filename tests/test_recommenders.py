@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bheisr import recommenders
-from bheisr.belief import build_all
 from bheisr.corpus import (
     ORIGIN_GENERATED,
     Item,
@@ -27,7 +26,7 @@ from bheisr.features import (
     entry_norms,
     tokenize,
 )
-from bheisr.nudge import NudgeSession, TemplateGenerator
+from bheisr.nudge import NudgeSession
 from bheisr.pathfinder import RejectionLedger
 from bheisr.recommenders import (
     FeedContext,
@@ -42,9 +41,11 @@ from bheisr.simulate import SimConfig, build_assets
 from oracle import (
     assert_equals_the_oracle,
     cb_score,
+    context_for,
     corpus_of,
     featurize,
     path_of,
+    rebuilt_by_fold,
     spy_featurize_corpus,
     uc_score,
 )
@@ -83,20 +84,6 @@ def small_corpus():
     return corpus_of(items, log,
                      taxonomy={"a": ("a/s",), "b": ("b/s",), "c": ("c/s",)},
                      users=("u1", "u2", "u3"))
-
-
-def context_and_graph(corpus, baseline="cb"):
-    """A scoring context and the category graph, over one item table."""
-    table = ItemTable(build_assets(corpus))
-    graph = CategoryGraph.build(corpus, table)
-    ctx = FeedContext(corpus=corpus, networks=build_all(corpus), table=table,
-                      baseline=baseline, generator=TemplateGenerator({}))
-    ctx.enable_acceleration()
-    return ctx, graph
-
-
-def context_for(corpus, baseline="cb"):
-    return context_and_graph(corpus, baseline)[0]
 
 
 def vectors_of(ctx, *extra):
@@ -458,32 +445,16 @@ def oracle_scores(kind, ctx, user):
     return [uc_score(it, user, ctx.networks) for it in items]
 
 
-def rebuilt_by_fold(ctx, *extra):
-    """A context for the same networks whose accept rows, profile sums and
-    mass rows are the per-user note_accept fold of each whole history.
-    `extra` are the accepted items outside the corpus."""
-    rebuilt = FeedContext(corpus=ctx.corpus, networks=ctx.networks,
-                          table=ctx.table, baseline=ctx.baseline,
-                          generator=ctx.generator)
-    rebuilt.enable_acceleration()
-    rebuilt.accept_matrix[:] = 0.0
-    if rebuilt.profile_sums is not None:
-        rebuilt.profile_sums[:] = 0.0
-    by_id = {**ctx.corpus.items, **{item.id: item for item in extra}}
-    for user in rebuilt.user_ids:
-        rebuilt.note_accept({user: [by_id[i] for i in ctx.networks[user].accepted]})
-    return rebuilt
-
-
 class TestAccelerationAgreesWithReference:
     """The matrix scoring state must agree with the scalar oracles."""
 
     def context(self, baseline="cb"):
-        """(context, corpus, graph)"""
+        """(context, graph, corpus)"""
         corpus = synth_corpus(SynthSpec(n_users=10, n_categories=6,
                                         subcats_per_category=2, n_items=120,
                                         bias_profile=3, seed=2))
-        return (*context_and_graph(corpus, baseline), corpus)
+        ctx = context_for(corpus, baseline)
+        return ctx, CategoryGraph.build(corpus, ctx.table), corpus
 
     def test_cb_and_uc_scores_match(self):
         for kind in ("cb", "uc"):
@@ -619,7 +590,8 @@ class TestOneEntriesPath:
     @given(steps=st.lists(st.lists(entries_accepts, max_size=8), max_size=5))
     def test_graph_and_profile_sums_equal_the_oracle(self, steps):
         corpus = synth_corpus(ONE_ENTRIES_SPEC)
-        ctx, graph = context_and_graph(corpus, "cb")
+        ctx = context_for(corpus, "cb")
+        graph = CategoryGraph.build(corpus, ctx.table)
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_featurize_corpus(mp)
             accepted, generated = list(corpus.items.values()), []

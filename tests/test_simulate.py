@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from bheisr import detection, nudge, recommenders, simulate
 from bheisr.belief import build_all
-from bheisr.corpus import ORIGIN_GENERATED, SynthSpec, corpus_from_json, \
+from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, corpus_from_json, \
     corpus_to_json, save_corpus, synth_corpus
 from bheisr.features import CategoryGraph, GraphUpdateBuffer, ItemTable, tokenize
 from bheisr.rng import substream
@@ -31,10 +32,9 @@ from bheisr.simulate import (
     prepare,
     resolve_target_user,
     run_loop,
-    write_belief_snapshots,
-    write_run_log,
+    write_run,
 )
-from oracle import reverse_user_order, spy_featurize_corpus
+from oracle import corpus_of, reverse_user_order, spy_featurize_corpus
 
 # no bubble-affected users: enough for loop mechanics
 PLAIN_SPEC = SynthSpec(n_users=12, n_categories=6, subcats_per_category=2,
@@ -218,9 +218,16 @@ class TestPrepare:
             prepare(SimConfig(model=model, track_fb=True), fb_corpus, assets)
         assert calls == [[tokenize(it.text()) for it in fb_corpus.items.values()]]
 
+    def test_corpus_without_categories_rejected(self):
+        # coverage is a share of the categories: a run used to stop at its
+        # first record on a ZeroDivisionError
+        corpus = corpus_of({}, [], {}, ("u0",))
+        with pytest.raises(ValueError, match="the corpus has no categories"):
+            prepare(SimConfig(model="rd"), corpus)
+
     def test_model_table(self):
         assert set(MODELS) == {"rd", "rd_w", "cb", "cb_w", "uc", "uc_w", "bheisr"}
-        assert all(base in ("rd", "cb", "uc") for base, _ in MODELS.values())
+        assert all(base in ("rd", "cb", "uc") for base, _, _ in MODELS.values())
 
 
 class TestRunLoop:
@@ -567,6 +574,59 @@ class TestCatalogExhaustion:
             assert rec.coverage == 0.0
 
 
+@st.composite
+def valid_corpora(draw):
+    """Corpora of 0-3 categories, each with 0-2 subcategories, 0-6 items,
+    0-10 users and 0-40 log rows of either signal scheme."""
+    taxonomy = {f"c{c}": tuple(f"c{c}/s{s}" for s in range(draw(st.integers(0, 2))))
+                for c in range(draw(st.integers(0, 3)))}
+    pairs = [(c, sub) for c, subs in taxonomy.items() for sub in subs]
+    items = {}
+    for j in range(draw(st.integers(0, 6)) if pairs else 0):
+        cat, sub = draw(st.sampled_from(pairs))
+        words = draw(st.lists(st.sampled_from(("apple", "chip", "opera")), max_size=3))
+        items[f"i{j}"] = Item(f"i{j}", cat, sub, " ".join(words), "", {cat: 1.0})
+    users = tuple(f"u{k}" for k in range(draw(st.integers(0, 10))))
+    scheme = draw(st.sampled_from(["click", "rating"]))
+    signals = [0.0, 1.0] if scheme == "click" else [0.0, 2.5, 3.0, 5.0]
+    rows = st.tuples(st.sampled_from(users), st.sampled_from(sorted(items)),
+                     st.integers(0, 3), st.sampled_from(signals))
+    log = draw(st.lists(rows, max_size=40)) if users and items else []
+    return corpus_of(items, log, taxonomy, users, signal_scheme=scheme)
+
+
+def one_bubble_user_corpus():
+    """u0-u8 accept i0 and i1, and u9 accepts i0 and i2, which leaves u9
+    extreme-high on c0 and extreme-low on c1."""
+    items = {i: Item(i, sub[:2], sub, i, "", {sub[:2]: 1.0})
+             for i, sub in (("i0", "c0/s0"), ("i1", "c1/s0"), ("i2", "c0/s1"))}
+    users = tuple(f"u{k}" for k in range(10))
+    log = [(u, i, 0, 1.0) for u in users[:9] for i in ("i0", "i1")]
+    log += [("u9", "i0", 0, 1.0), ("u9", "i2", 0, 1.0)]
+    return corpus_of(items, log, {"c0": ("c0/s0", "c0/s1"), "c1": ("c1/s0",)}, users)
+
+
+class TestEveryValidCorpusRuns:
+    @settings(max_examples=40, deadline=None)
+    @given(corpus=valid_corpora())
+    # no categories, so no items: coverage used to divide by zero mid-run
+    @example(corpus=corpus_of({}, [], {}, ("u0",)))
+    # a session for u9: few drawn corpora reach a classified population
+    @example(corpus=one_bubble_user_corpus())
+    def test_runs_every_model_or_prepare_refuses(self, corpus):
+        corpus.validate()
+        assets = build_assets(corpus)
+        for model in MODELS:
+            config = SimConfig(model=model, feeds=2, track_fb=True,
+                               trace_paths=True)
+            try:
+                run_loop(config, corpus, assets)
+            except ValueError as exc:
+                # refused before any step: prepare alone raises it
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    prepare(config, corpus, assets)
+
+
 class TestStateMatchesLog:
     def test_accepts_in_state_equal_accepts_in_log(self, fb_corpus, fb_assets,
                                                    monkeypatch):
@@ -859,8 +919,8 @@ class TestWriters:
         config = SimConfig(synth=FB_SPEC, model="cb_w", k=4, feeds=2,
                            users=("u0000",))
         record = run_loop(config, fb_corpus, fb_assets)
+        write_run(record, str(tmp_path))
         path = tmp_path / "runlog.jsonl"
-        write_run_log(record, str(path))
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 2
         assert rows[0]["step"] == 1
@@ -873,7 +933,7 @@ class TestWriters:
         config = SimConfig(synth=FB_SPEC, model="cb", k=4, feeds=2,
                            users=("u0000", "u0001"))
         record = run_loop(config, fb_corpus, fb_assets)
-        write_belief_snapshots(record, str(tmp_path / "networks"))
+        write_run(record, str(tmp_path))
         for user in ("u0000", "u0001"):
             doc = json.loads((tmp_path / "networks" / f"{user}.json").read_text())
             assert [d["step"] for d in doc] == [1, 2]
