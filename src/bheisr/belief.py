@@ -62,16 +62,9 @@ class BeliefNetwork:
             subcat_to_cat, log2 = self.subcat_to_cat, math.log2
             for sub, count in self.click_counts.items():
                 p = count / total
-                if p < 0.0:
-                    raise ValueError(f"negative probability {p}")
                 if p > 0.0:
                     belief[subcat_to_cat[sub]] -= p * log2(p)
         self._belief, self._stale = belief, False
-
-    def belief_degree(self, category: str) -> float:
-        if category not in self.belief:
-            raise ValueError(f"unknown category {category!r}")
-        return self.belief[category]
 
     def mass_by_category(self) -> dict:
         mass = {c: 0.0 for c in self.categories}
@@ -88,13 +81,6 @@ class BeliefNetwork:
         return len(self._positive)
 
     def add_click_mass(self, subcategory: str, category: str, mass: float) -> None:
-        # the map is shared by every network, so none of them may bind a label
-        bound = self.subcat_to_cat.get(subcategory)
-        if bound is None:
-            raise ValueError(f"unknown subcategory {subcategory!r}")
-        if bound != category:
-            raise ValueError(f"subcategory {subcategory!r} already bound to "
-                             f"{bound!r}")
         self.click_counts[subcategory] = self.click_counts.get(subcategory, 0.0) + mass
         if self._positive is not None:
             if mass > 0.0:
@@ -115,9 +101,6 @@ class BeliefNetwork:
         for cat, w in item.category_weights.items():
             if w <= 0.0:
                 continue
-            # a stale belief keeps its keys, so this reads no fold
-            if cat not in self._belief:
-                raise ValueError(f"item {item.id}: unknown category {cat!r}")
             if item.origin == ORIGIN_GENERATED:
                 sub = generated_subcategory(cat)
             else:

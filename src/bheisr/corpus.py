@@ -8,6 +8,7 @@ pair) plus a canonical JSON round-trip format.
 """
 
 import csv
+import errno
 import json
 import math
 import numbers
@@ -376,7 +377,7 @@ def load_ratings(path: str) -> Corpus:
     ratings_path = os.path.join(path, "ratings.csv")
     for p in (movies_path, ratings_path):
         if not os.path.exists(p):
-            raise FileNotFoundError(p)
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), p)
 
     items: dict = {}
     taxonomy: dict = {}
@@ -496,7 +497,8 @@ def _pool_size(n_users: int, n_biased: int, n_categories: int) -> int:
 
 
 def synth_corpus(spec: SynthSpec) -> Corpus:
-    """Deterministic synthetic corpus with optionally biased users.
+    """Deterministic synthetic corpus with optionally biased users, valid
+    by construction: it is not run through Corpus.validate.
 
     Biased users concentrate >=90% of their clicks in one extreme-interest
     category and have zero clicks in one extreme-disinterest category, with
@@ -599,7 +601,7 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     n_rows = int(counts.sum())
     step = np.arange(n_rows) - np.repeat(np.cumsum(counts) - counts, counts)
     slot = (np.repeat(group_offset, counts) + step) % np.repeat(group_head, counts)
-    corpus = Corpus(
+    return Corpus(
         items=items,
         taxonomy={c: subcats[c] for c in cats},
         users=tuple(users),
@@ -610,8 +612,6 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
         log_signal=np.ones(n_rows),
         signal_scheme="click",
     )
-    corpus.validate()
-    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -716,4 +716,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 def load_corpus(path: str) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
-        return corpus_from_json(fh.read())
+        try:
+            return corpus_from_json(fh.read())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not a JSON document: {exc}") from None

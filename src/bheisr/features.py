@@ -240,20 +240,18 @@ class CategoryGraph:
     def accept_items(self, items, item_rows: np.ndarray = None) -> None:
         """Fold a batch of accepted items into the node vectors and edges.
 
-        Every item is checked before any is folded, so a bad item leaves the
-        graph as it was. Items fold into the running sums in the order
-        given: np.add.at adds to each sum one item at a time, a left fold
-        over the members. A term first touched by the batch joins the end of
-        its category's term order. Each touched node is then divided
-        by its member count, and every norm and edge is a np.cumsum, which
-        adds strictly left to right: a norm over the node's own term order,
-        and an edge's dot product over the order of the endpoint with fewer
-        terms, the smaller category on a tie. Padding and terms absent from
-        the other endpoint add 0.0, which leaves the non-negative sums
-        unchanged. So every node and edge equals its scalar oracle, the
-        mean of the members' vectors and the cosine of a < b in
-        tests/oracle.py, and the graph equals a rebuild bit for bit however
-        the accepts are split into batches.
+        Items fold into the running sums in the order given: np.add.at adds
+        to each sum one item at a time, a left fold over the members. A term
+        first touched by the batch joins the end of its category's term
+        order. Each touched node is then divided by its member count, and
+        every norm and edge is a np.cumsum, which adds strictly left to
+        right: a norm over the node's own term order, and an edge's dot
+        product over the order of the endpoint with fewer terms, the smaller
+        category on a tie. Padding and terms absent from the other endpoint
+        add 0.0, which leaves the non-negative sums unchanged. So every node
+        and edge equals its scalar oracle, the mean of the members' vectors
+        and the cosine of a < b in tests/oracle.py, and the graph equals a
+        rebuild bit for bit however the accepts are split into batches.
 
         `item_rows`, when the caller knows them, are the items' table rows;
         otherwise table.rows finds them.
@@ -283,17 +281,13 @@ class CategoryGraph:
 
     def _pairs(self, items: list) -> tuple:
         """(item position, category row) of every positive weight, in item
-        and then weight order. An unknown category is a ValueError naming
-        the first such item."""
+        and then weight order."""
         positions, rows = [], []
         for n, item in enumerate(items):
             for cat, w in item.category_weights.items():
                 if w > 0.0:
-                    row = self.rows.get(cat)
-                    if row is None:
-                        raise ValueError(f"item {item.id}: unknown category {cat!r}")
                     positions.append(n)
-                    rows.append(row)
+                    rows.append(self.rows[cat])
         return np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp)
 
     def _extend_touch_order(self, cat_rows: np.ndarray, terms: np.ndarray) -> None:

@@ -17,8 +17,8 @@ DEFAULT_THETA = 2
 
 @dataclass(frozen=True)
 class PromptPath:
-    """A walk over distinct categories, and the facts every item generated
-    for it shares, computed once when the path is built.
+    """A walk over two or more distinct categories, and the facts every
+    item generated for it shares, computed once when the path is built.
 
     `weights` is the generated item's {category: 1/len(nodes)} (one dict,
     shared by every such item and read-only), `node_set` the categories it
@@ -33,10 +33,6 @@ class PromptPath:
 
     def __post_init__(self):
         nodes = self.nodes
-        if len(nodes) < 2:
-            raise ValueError("a prompt path needs at least two nodes")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"path nodes must be distinct: {nodes}")
         # frozen: the computed fields go straight into the instance dict
         facts = vars(self)
         facts["key"] = PROMPT_KEY_SEPARATOR.join(nodes)
@@ -95,11 +91,11 @@ def record_rejection(ledger: RejectionLedger, prompt: PromptPath) -> RejectionLe
 
 
 def next_hop(graph, current: str, network, ledger: RejectionLedger,
-             visited: set) -> str:
+             visited: set):
     """Best next node from `current`: argmax of rho + belief * rejection
     weight, the weight -1 on an edge the ledger penalizes and 1 otherwise.
 
-    Ties break to the lexicographically smallest candidate. Raises if every
+    Ties break to the lexicographically smallest candidate; None if every
     other node has been visited. The correlations come from one
     `graph.rho_row(current)`, in `graph.categories` order.
     """
@@ -114,8 +110,6 @@ def next_hop(graph, current: str, network, ledger: RejectionLedger,
         if best_score is None or score > best_score or \
                 (score == best_score and cand < best):
             best, best_score = cand, score
-    if best is None:
-        raise ValueError(f"no unvisited candidates from {current!r}")
     return best
 
 
@@ -123,12 +117,11 @@ def explore(graph, source: str, target: str, network, ledger: RejectionLedger,
             max_len: int = None) -> PromptPath:
     """Greedy walk from source until the target wins a hop or length runs out.
 
-    max_len defaults to the number of categories; on truncation the target is
-    force-appended so the path always ends at the target. A walk the ledger
+    The walk takes at most max_len nodes (default: every category), and
+    the target is appended if it did not win a hop, so a path has at most
+    max_len + 1 nodes and always ends at the target. A walk the ledger
     has seen before returns the PromptPath it returned then.
     """
-    if source == target:
-        raise ValueError("source and target must differ")
     if max_len is None:
         max_len = len(graph.categories)
     nodes = [source]
@@ -158,8 +151,8 @@ def select_endpoints(network, extremes: tuple) -> tuple:
     highs, lows = extremes
     if not highs or not lows:
         raise ValueError(f"user {network.user_id!r} is not bubble-affected")
-    source = min(highs, key=lambda c: (-network.belief_degree(c), c))
-    target = min(lows, key=lambda c: (network.belief_degree(c), c))
+    source = min(highs, key=lambda c: (-network.belief[c], c))
+    target = min(lows, key=lambda c: (network.belief[c], c))
     return source, target
 
 

@@ -54,12 +54,9 @@ def acceptance_share(item, network, total: float) -> float:
         return 0.0
     belief = network.belief
     share = 0.0
-    try:
-        for cat, w in item.category_weights.items():
-            if w > 0.0:
-                share += w * belief[cat] / total
-    except KeyError as exc:
-        raise ValueError(f"unknown category {exc.args[0]!r}") from None
+    for cat, w in item.category_weights.items():
+        if w > 0.0:
+            share += w * belief[cat] / total
     return share
 
 
@@ -233,8 +230,8 @@ class FeedContext:
 
 
 def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
-    """Candidate scores from the matrix state, equal per item to the scalar
-    CB and UC oracles in tests/oracle.py."""
+    """CB or UC candidate scores (RD ranks without them) from the matrix
+    state, equal per item to the scalar oracles in tests/oracle.py."""
     index = ctx.table.index
     n = len(index.ids)
     row = ctx.user_pos[user_id]
@@ -248,19 +245,17 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = np.where(denom > 0.0, dots / denom, 0.0)
         return np.clip(scores, -1.0, 1.0)
-    if kind == "uc":
-        shares = _category_shares(ctx, user_id)
-        if shares is None:
-            return np.zeros(n)
-        mine = ctx.mass_matrix[row]
-        dots = ctx.mass_matrix @ mine
-        denom = ctx.mass_norms * float(np.linalg.norm(mine))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = np.where(denom > 0.0, dots / denom, 0.0)
-        sims[row] = 0.0
-        neighbor_mass = sims @ ctx.accept_matrix
-        return neighbor_mass * shares[index.cat_index]
-    raise ValueError(f"unknown baseline {kind!r}")
+    shares = _category_shares(ctx, user_id)
+    if shares is None:
+        return np.zeros(n)
+    mine = ctx.mass_matrix[row]
+    dots = ctx.mass_matrix @ mine
+    denom = ctx.mass_norms * float(np.linalg.norm(mine))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where(denom > 0.0, dots / denom, 0.0)
+    sims[row] = 0.0
+    neighbor_mass = sims @ ctx.accept_matrix
+    return neighbor_mass * shares[index.cat_index]
 
 
 def _category_shares(ctx: FeedContext, user_id: str):

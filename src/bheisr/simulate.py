@@ -54,7 +54,7 @@ class SimConfig:
     users: tuple = None                  # simulate only these users
     target_user: str = None
     queue_discipline: str = nudge.QUEUE_DRAIN
-    max_path_len: int = None
+    max_path_len: int = None             # walk cap; paths have <= max_path_len + 1
     generator_url: str = None            # set: the HTTP generator
     generator_timeout_ms: int = 2000
     generator_retries: int = 2
@@ -65,6 +65,8 @@ class SimConfig:
     def validate(self) -> None:
         """Reject values no run can use, before any work starts."""
         check_fields(self)
+        if self.dataset is not None and self.synth is not None:
+            raise ValueError("set either dataset or synth, not both")
         if self.dataset_format not in DATASET_FORMATS:
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
         if self.model not in MODELS:
@@ -544,20 +546,22 @@ def experiment_w_sweep(config: SimConfig, corpus: Corpus = None,
                        out_dir: str = None) -> dict:
     """Belief-network category coverage of the target user per feed, per w."""
     corpus = _corpus(config, corpus)
-    if config.model == "bheisr":
-        # prepare fixes bheisr's w at 1.0, so every w would give one series
-        raise ValueError("model 'bheisr' fills every slot with generated "
-                         "items whatever w is, so it has no w to sweep")
+    # a pure model mixes no generated items, and prepare fixes bheisr's w at
+    # 1.0, so either would give one series for every w
+    mixed = [m for m, (_, with_bheisr, _) in MODELS.items()
+             if with_bheisr and m != "bheisr"]
+    if config.model not in mixed:
+        raise ValueError(f"model {config.model!r} has no w to sweep; pick "
+                         f"from the mixed models {mixed}")
     target = resolve_target_user(config, corpus)
-    model = config.model if MODELS[config.model][1] else "uc_w"
-    runs = _runs(corpus, [replace(config, model=model, w=w, users=(target,),
+    runs = _runs(corpus, [replace(config, w=w, users=(target,),
                                   track_fb=False) for w in w_values])
     series = {w: run.belief_coverage_series(target)
               for w, run in zip(w_values, runs)}
     _write_csv(out_dir, "w_sweep.csv", [["step", "w", "belief_coverage"], *[
         [t, _fmt(w), _fmt(value)] for w in w_values
         for t, value in enumerate(series[w], start=1)]])
-    return {"user": target, "model": model, "series": series}
+    return {"user": target, "model": config.model, "series": series}
 
 
 # ---------------------------------------------------------------------------

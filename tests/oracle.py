@@ -174,7 +174,7 @@ def brute_force_next_hop(graph, current, network, ledger, visited):
             continue
         weight = -1.0 if tuple(sorted((current, cand))) in penalized else 1.0
         scored.append((-(graph.rho(current, cand)
-                         + network.belief_degree(cand) * weight), cand))
+                         + network.belief[cand] * weight), cand))
     if not scored:
         return None
     return min(scored)[1]
@@ -338,9 +338,6 @@ class TableNetwork:
     def __init__(self, belief, user_id="u"):
         self.belief = belief
         self.user_id = user_id
-
-    def belief_degree(self, cat):
-        return self.belief[cat]
 
 
 def context_for(corpus, baseline="cb") -> FeedContext:

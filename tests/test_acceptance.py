@@ -111,7 +111,7 @@ def test_criterion_01_entropy_and_incremental_updates(capsys):
         for sub, m in masses.items():
             network.add_click_mass(sub, sub.split("/")[0], m)
         network.recompute()
-        err = abs(network.belief_degree(cat) - expect)
+        err = abs(network.belief[cat] - expect)
         worst = max(worst, err)
         ok &= err <= 1e-9
 
@@ -145,7 +145,7 @@ def test_criterion_01_entropy_and_incremental_updates(capsys):
                                 click_counts=dict(network.click_counts))
         scratch.recompute()
         for cat in cats:
-            err = abs(network.belief_degree(cat) - scratch.belief_degree(cat))
+            err = abs(network.belief[cat] - scratch.belief[cat])
             worst = max(worst, err)
             if err > 1e-9:
                 ok = False

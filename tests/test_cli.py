@@ -204,6 +204,23 @@ class TestIngest:
         assert main(["ingest"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_file_that_is_not_json_exits_2_naming_it(self, tmp_path, capsys):
+        # the error used to be json's alone, naming neither file nor format
+        tsv = tmp_path / "behaviors.tsv"
+        tsv.write_text("u0\t1\tnews\tnews/main\tStory\t\t1\n")
+        assert main(["ingest", "--dataset", str(tsv)]) == 2
+        assert f"error: {tsv}: not a JSON document: Expecting value" in \
+            capsys.readouterr().err
+
+    def test_ratings_directory_without_movies_exits_2_naming_it(self, tmp_path,
+                                                                capsys):
+        # the error used to be the bare path
+        (tmp_path / "ratings.csv").write_text("user_id,movie_id,rating,timestamp\n")
+        assert main(["ingest", "--dataset", str(tmp_path), "--dataset-format",
+                     "imdb_csv"]) == 2
+        assert (f"error: [Errno 2] No such file or directory: "
+                f"'{tmp_path / 'movies.csv'}'") in capsys.readouterr().err
+
     @pytest.mark.parametrize("weight", ["x", True])
     def test_weight_that_is_not_a_number_exits_2(self, tmp_path, capsys, weight):
         path, doc = corpus_file(tmp_path)
@@ -270,13 +287,19 @@ class TestDetect:
             checked += 1
         assert checked > 0
 
-    def test_corpus_validated_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("source, validations", [("dataset", 1), ("synth", 0)])
+    def test_loaded_corpus_validated_once_and_synthetic_never(
+            self, tmp_path, monkeypatch, capsys, source, validations):
+        # the loader checks a read corpus; a synthetic one is valid by
+        # construction
+        path, _ = corpus_file(tmp_path, "n_users=20,bias_profile=10")
+        value = {"dataset": str(path), "synth": "n_users=20,bias_profile=10"}
         calls = []
         validate = Corpus.validate
         monkeypatch.setattr(Corpus, "validate",
                             lambda corpus: calls.append(1) or validate(corpus))
-        assert main(["detect", "--synth", "n_users=20,bias_profile=10"]) == 0
-        assert len(calls) == 1
+        assert main(["detect", "--" + source, value[source]]) == 0
+        assert len(calls) == validations
 
     def test_small_population_exits_1(self, capsys):
         code = main(["detect", "--synth",
@@ -407,6 +430,28 @@ class TestCorpusWithoutCategories:
         assert not out.exists()
         # the corpus itself loads
         assert main(["ingest", "--dataset", str(path)]) == 0
+
+
+class TestDatasetWithSynth:
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.parametrize("in_file", ["dataset", "synth", None])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                        in_file):
+        # the synthetic corpus used to run, whether a flag or the config
+        # file set either source
+        sources = {"dataset": str(tmp_path / "missing.json"), "synth": SYNTH}
+        argv = [command, "--out", str(tmp_path / "out")]
+        for key, value in sources.items():
+            if key == in_file:
+                (tmp_path / "run.conf").write_text(f"{key}={value}\n")
+                argv += ["--config", str(tmp_path / "run.conf")]
+            else:
+                argv += ["--" + key, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: set either dataset or synth, not both" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -645,7 +690,8 @@ class TestExperiments:
         assert not (out / "w_sweep.csv").exists()
 
     @pytest.mark.parametrize("number, flags", [
-        ("4", ["--model", "bheisr"]), ("1", ["--w", "2"])])
+        ("4", ["--model", "bheisr"]), ("4", ["--model", "cb"]),
+        ("1", ["--w", "2"])])
     def test_rejected_experiment_leaves_no_directory(self, tmp_path, capsys,
                                                      number, flags):
         out = tmp_path / "X"

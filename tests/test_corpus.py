@@ -1,6 +1,7 @@
 """Dataset loaders, synthetic corpus, and the JSON round trip."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -276,9 +277,6 @@ class TestValidate:
         network.update_on_feedback(spanning)
         assert network.click_counts["c/generated"] == 0.5
         assert network.click_counts["d/generated"] == 0.5
-        with pytest.raises(ValueError, match="unknown category 'e'"):
-            network.update_on_feedback(dataclasses.replace(
-                spanning, category_weights={"c": 0.5, "e": 0.5}))
         corpus.items["i1"] = dataclasses.replace(spanning, id="i1")
         with pytest.raises(ValueError, match="origin 'generated' is not 'dataset'"):
             corpus.validate()
@@ -587,6 +585,20 @@ class TestSynthCorpus:
                 synth_corpus(SynthSpec(**{field: value}))
         # any integral value is an integer
         assert len(synth_corpus(SynthSpec(n_users=np.int64(3))).users) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_valid_by_construction_over_a_grid_of_shapes(self, seed):
+        # synth_corpus does not call Corpus.validate. Each shape has one item
+        # per subcategory, or seven and six left over, which makes the pools
+        # uneven.
+        for n_users, bias, n_cats, n_subs, per_sub in itertools.product(
+                (1, 2, 8, 30, 100), (0, 1, 10), (3, 4, 17), (1, 2, 4), (1, 7)):
+            if bias <= n_users:
+                synth_corpus(SynthSpec(
+                    n_users=n_users, bias_profile=bias, n_categories=n_cats,
+                    subcats_per_category=n_subs,
+                    n_items=n_cats * n_subs * per_sub + per_sub - 1,
+                    seed=seed)).validate()
 
 
 CATEGORIES = ("a", "b", "c")

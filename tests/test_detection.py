@@ -13,7 +13,6 @@ from bheisr.belief import build_all
 from bheisr.detection import (
     MIN_POPULATION,
     classify_users,
-    diversity_coverage,
     kolmogorov_p,
     ks_normality,
     normal_cdf,
@@ -53,12 +52,6 @@ class TestDiversityCoverage:
     def test_single_category_feed(self):
         feed = [make_item("a")] * 10
         assert feed_coverage(feed) == pytest.approx(1 / 4)
-
-    def test_empty_feed_rejected(self):
-        with pytest.raises(ValueError):
-            diversity_coverage(set(), TAXONOMY)
-        # the loop records an exhausted catalog's empty feed as covering none
-        assert feed_coverage([]) == 0.0
 
 
 class TestNormalCdf:

@@ -1,6 +1,5 @@
 """Tokenizing, tf-idf vectors, and the category correlation graph."""
 
-import copy
 import math
 import re
 
@@ -327,28 +326,6 @@ class TestIncrementalUpdate:
             make_corpus(items + generated, THREE_CATEGORIES), graph.table.index.vocab)
         assert graph.edges[("food", "tech")] == rebuilt.edges[("food", "tech")]
         assert list(graph.edges.items()) == list(rebuilt.edges.items())
-
-    def test_unknown_category_rejected(self):
-        graph = graph_of(two_category_corpus())
-        bad = make_item("b", "food", "food/s", "t", weights={"nope": 1.0})
-        with pytest.raises(ValueError, match="unknown"):
-            graph.accept_items([bad])
-
-    def test_rejected_batch_leaves_graph_unchanged(self):
-        graph = graph_of(two_category_corpus())
-        before = copy.deepcopy(graph)
-        good = make_item("g", "tech", "tech/s", "chip panel")
-        bad = make_item("b", "food", "food/s", "pie recipe",
-                        weights={"food": 1.0, "nope": 1.0})
-        for batch in ([bad], [good, bad]):
-            with pytest.raises(ValueError, match="unknown category 'nope'"):
-                graph.accept_items(batch)
-            assert np.array_equal(graph.member_counts, before.member_counts)
-            assert node_entries(graph, graph.term_sums) == \
-                node_entries(before, before.term_sums)
-            assert appended_rows(graph) == appended_rows(before)
-            assert node_vectors(graph) == node_vectors(before)
-            assert graph.edges == before.edges
 
     def test_to_json_dict_shape(self):
         doc = graph_of(two_category_corpus()).to_json_dict()

@@ -157,6 +157,11 @@ class TestPrepare:
         with pytest.raises(ValueError, match=message):
             prepare(SimConfig(**{field: value}))
 
+    def test_dataset_and_synth_together_rejected(self):
+        # the synth spec used to win silently
+        with pytest.raises(ValueError, match="either dataset or synth, not both"):
+            prepare(SimConfig(dataset="corpus.json", synth=PLAIN_SPEC))
+
     def test_boundary_values_accepted(self):
         SimConfig(queue_discipline="replace", max_path_len=1, generator_retries=0,
                   generator_timeout_ms=1, generator_url="http://localhost:1",
@@ -848,10 +853,14 @@ class TestExperimentWSweep:
             experiment_w_sweep(SimConfig(model="bheisr", k=4, feeds=2),
                                fb_corpus)
 
-    def test_pure_model_falls_back_to_mixed(self, fb_corpus):
-        result = experiment_w_sweep(SimConfig(model="cb", k=4, feeds=2),
-                                    fb_corpus, w_values=(0.5,))
-        assert result["model"] == "uc_w"
+    @pytest.mark.parametrize("model", ["rd", "cb", "uc"])
+    def test_pure_model_has_no_w_to_sweep(self, fb_corpus, monkeypatch, model):
+        # a pure model used to sweep uc_w's w, and no output said so
+        monkeypatch.setattr(simulate, "run_loop", None)
+        with pytest.raises(ValueError, match=re.escape(
+                f"model {model!r} has no w to sweep; pick from the mixed "
+                f"models ['rd_w', 'cb_w', 'uc_w']")):
+            experiment_w_sweep(SimConfig(model=model, k=4, feeds=2), fb_corpus)
 
 
 class TestExperimentBoundary:
