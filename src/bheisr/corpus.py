@@ -298,6 +298,14 @@ def _tabular_corpus(items: dict, taxonomy: dict, rows: list, scheme: str,
     return corpus
 
 
+def _utf8_lines(path: str, fh):
+    """The lines of `fh`; a byte that is not UTF-8 is a ParseError naming `path`."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_behaviors(path: str) -> Corpus:
     """Load a click-behavior TSV.
 
@@ -311,7 +319,7 @@ def load_behaviors(path: str) -> Corpus:
     taxonomy: dict = {}
     rows, rejects = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(path, fh), start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -352,7 +360,7 @@ def _csv_rows(path: str, required: tuple):
     the required columns. A row too short to fill them, or one the csv
     module cannot read, is a ParseError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_utf8_lines(path, fh))
         try:
             if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
                 raise ParseError(f"{path}: header must contain {sorted(required)}")
@@ -539,7 +547,6 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     # items, round-robin over (category, subcategory) pairs
     pairs = [(c, s) for c in cats for s in subcats[c]]
     items: dict = {}
-    pool_sizes = [0] * len(pairs)
     for i in range(spec.n_items):
         cat, sub = pairs[i % len(pairs)]
         item_id = f"it{i:05d}"
@@ -553,45 +560,35 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
         items[item_id] = Item(id=item_id, category=cat, subcategory=sub,
                               title=title, abstract=abstract,
                               category_weights={cat: 1.0})
-        pool_sizes[i % len(pairs)] += 1
 
-    users = [f"u{j:04d}" for j in range(spec.n_users)]
-    biased = users[:spec.bias_profile]
-    quotas: dict = {}
-    for idx, user in enumerate(users):
-        per_cat: dict = {}
-        if user in biased:
-            interest = interest_cats[idx % len(interest_cats)]
-            own_pool = pool[idx % len(pool)]
-            covered = [p for p in pool if p != own_pool]
-            residual_total = round(0.108 * _BIASED_INTEREST * spec.subcats_per_category
-                                   / max(1, len(covered)))
-            for c in cats:
-                if c == interest:
-                    per_cat[c] = [_BIASED_INTEREST] * spec.subcats_per_category
-                elif c in covered:
-                    base, extra = divmod(residual_total, spec.subcats_per_category)
-                    per_cat[c] = [base] * spec.subcats_per_category
-                    for k in range(extra):
-                        per_cat[c][-(k + 1)] += 1
-                else:
-                    per_cat[c] = [0] * spec.subcats_per_category
-        else:
-            for c in cats:
-                count = _BALANCED_POOL if c in pool else _BALANCED_BASE
-                per_cat[c] = [count] * spec.subcats_per_category
-        quotas[user] = per_cat
+    # a biased user's residual, shared over the pool minus its own category;
+    # the last `extra` subcategories of each take one click more
+    spc = spec.subcats_per_category
+    residual, extra = divmod(round(0.108 * _BIASED_INTEREST * spc
+                                   / max(1, len(pool) - 1)), spc)
+
+    def clicks(idx: int, cat: str, j: int) -> int:
+        """User idx's clicks on subcategory j of category cat."""
+        if idx >= spec.bias_profile:
+            return _BALANCED_POOL if cat in pool else _BALANCED_BASE
+        if cat == interest_cats[idx % len(interest_cats)]:
+            return _BIASED_INTEREST
+        if cat in pool and cat != pool[idx % len(pool)]:
+            return residual + (j >= spc - extra)
+        return 0
 
     # one group of rows per (user, subcategory) with clicks, in user, then
     # subcategory order; row t of a group clicks the pool item at
     # (offset + t) % head, and every row has its own timestamp
+    users = [f"u{j:04d}" for j in range(spec.n_users)]
     group_user, group_pair, group_offset, group_head, group_count = [], [], [], [], []
     for u_pos, user in enumerate(users):
         for pair, (cat, sub) in enumerate(pairs):
-            count = quotas[user][cat][pair % spec.subcats_per_category]
+            count = clicks(u_pos, cat, pair % spc)
             if count == 0:
                 continue
-            head = max(1, math.ceil(_HISTORY_FRACTION * pool_sizes[pair]))
+            pair_items = -(-(spec.n_items - pair) // len(pairs))   # ceil
+            head = max(1, math.ceil(_HISTORY_FRACTION * pair_items))
             group_user.append(u_pos)
             group_pair.append(pair)
             group_offset.append(stable_hash(f"{user}|{sub}") % head)
@@ -717,6 +714,6 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 def load_corpus(path: str) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return corpus_from_json(fh.read())
+            return corpus_from_json("".join(_utf8_lines(path, fh)))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not a JSON document: {exc}") from None

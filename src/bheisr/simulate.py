@@ -49,7 +49,7 @@ class SimConfig:
     feeds: int = 10
     seed: int = 0
     dataset: str = None
-    dataset_format: str = "json"         # a key of DATASET_FORMATS
+    dataset_format: str = None           # a key of DATASET_FORMATS; None: json
     synth: SynthSpec = None
     users: tuple = None                  # simulate only these users
     target_user: str = None
@@ -67,8 +67,10 @@ class SimConfig:
         check_fields(self)
         if self.dataset is not None and self.synth is not None:
             raise ValueError("set either dataset or synth, not both")
-        if self.dataset_format not in DATASET_FORMATS:
+        if self.dataset_format not in (None, *DATASET_FORMATS):
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
+        if self.dataset_format is not None and self.synth is not None:
+            raise ValueError("dataset_format applies only to dataset, not synth")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; pick from "
                              f"{sorted(MODELS)}")
@@ -163,7 +165,7 @@ def build_corpus(config: SimConfig) -> Corpus:
         return synth_corpus(config.synth)
     if config.dataset is None:
         raise ValueError("config needs either a dataset path or a synth spec")
-    return DATASET_FORMATS[config.dataset_format](config.dataset)
+    return DATASET_FORMATS[config.dataset_format or "json"](config.dataset)
 
 
 def _collect_exemplars(corpus: Corpus) -> dict:
@@ -486,31 +488,23 @@ def experiment_coverage(config: SimConfig, corpus: Corpus = None,
 
 
 def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
-                          interest: str = None, disinterest: str = None,
                           out_dir: str = None) -> dict:
-    """Belief of the interest and disinterest categories at checkpoints."""
+    """Belief of the target's strongest extreme-high (interest) and weakest
+    extreme-low (disinterest) category at checkpoints."""
     corpus = _corpus(config, corpus)
-    for category in (interest, disinterest):
-        if category is not None and category not in corpus.taxonomy:
-            raise ValueError(f"unknown category {category!r}")
-    if interest is None or disinterest is None:
-        # one build serves both the target and the endpoints
-        networks, classification = build_population(corpus)
-        target = config.target_user or _first_fb_user(classification)
-        if target not in networks:
-            raise ValueError(f"unknown user {target!r}")
-        if classification is None:
-            raise ValueError("cannot infer endpoint categories without "
-                             "a classified population")
-        if target not in classification.extremes:
-            raise ValueError(f"cannot infer endpoint categories for user "
-                             f"{target!r}, who has no history")
-        src, dst = pathfinder.select_endpoints(
-            networks[target], classification.extremes[target])
-        interest = interest or src
-        disinterest = disinterest or dst
-    else:
-        target = resolve_target_user(config, corpus)
+    # one build serves both the target and the endpoints
+    networks, classification = build_population(corpus)
+    target = config.target_user or _first_fb_user(classification)
+    if target not in networks:
+        raise ValueError(f"unknown user {target!r}")
+    if classification is None:
+        raise ValueError("cannot infer endpoint categories without "
+                         "a classified population")
+    if target not in classification.extremes:
+        raise ValueError(f"cannot infer endpoint categories for user "
+                         f"{target!r}, who has no history")
+    interest, disinterest = pathfinder.select_endpoints(
+        networks[target], classification.extremes[target])
     (run,) = _runs(corpus, [replace(config, users=(target,), track_fb=False)])
     points = run.checkpoints[target]
     _write_csv(out_dir, "trajectory.csv", [["step", "series", "value"], *[

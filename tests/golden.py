@@ -1,6 +1,9 @@
 """Golden outputs: the sha256 of every file and of stdout that a fixed set of
-in-process `bheisr` commands write on the 20-user, 10-biased synthetic
-corpus, pinned in golden.json beside this file.
+in-process `bheisr` commands write, pinned in golden.json beside this file.
+Every command runs on the 20-user, 10-biased synthetic corpus, except six
+`ingest`s, which pin the synthetic corpus itself at edge shapes (one of
+everything, every user biased, three categories, one subcategory, uneven
+item pools, a residual that does not divide by the subcategories).
 
 Every pinned output is equal under the SkylakeX, Haswell and Sandybridge
 OpenBLAS kernels. UC runs and experiments 1 and 3 (which run UC) are left
@@ -43,6 +46,18 @@ COMMANDS = {
        for n in (2, 4)},
     **{f"recommend {model}": ("recommend", *SYNTH, "--model", model)
        for model in ("cb_w", "bheisr")},
+    **{f"ingest {shape}": ("ingest", "--synth", shape, "--out", "{out}/corpus.json")
+       for shape in (
+           "n_users=1,n_categories=1,subcats_per_category=1,n_items=1",
+           "n_users=4,n_categories=5,n_items=40,bias_profile=4",
+           "n_users=10,n_categories=3,subcats_per_category=2,n_items=30,"
+           "bias_profile=2",
+           "n_users=8,n_categories=4,subcats_per_category=1,n_items=11,"
+           "bias_profile=1,seed=1",
+           "n_users=30,n_categories=17,subcats_per_category=3,n_items=160,"
+           "bias_profile=10,seed=2",
+           "n_users=6,n_categories=5,subcats_per_category=2,n_items=60,"
+           "bias_profile=2,seed=3")},
 }
 
 

@@ -221,6 +221,24 @@ class TestIngest:
         assert (f"error: [Errno 2] No such file or directory: "
                 f"'{tmp_path / 'movies.csv'}'") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt,name", [
+        ("json", "c.json"), ("mind_tsv", "behaviors.tsv"),
+        ("imdb_csv", "movies.csv"), ("imdb_csv", "ratings.csv")])
+    def test_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys,
+                                                      fmt, name):
+        # the error used to be the codec's alone, naming no file
+        texts = {"c.json": "{}", "behaviors.tsv": "u0\t1\tnews\tnews/main\tS\t\t1\n",
+                 "movies.csv": "id,genres,title,overview\nm1,Drama,T,O\n",
+                 "ratings.csv": "user_id,movie_id,rating,timestamp\nu1,m1,4,1\n"}
+        for file, text in texts.items():
+            (tmp_path / file).write_bytes(
+                text.encode() + (b"\xff\n" if file == name else b""))
+        dataset = tmp_path if fmt == "imdb_csv" else tmp_path / name
+        assert main(["ingest", "--dataset", str(dataset), "--dataset-format",
+                     fmt]) == 2
+        assert (f"error: {tmp_path / name}: not UTF-8 text: 'utf-8' codec "
+                f"can't decode byte 0xff") in capsys.readouterr().err
+
     @pytest.mark.parametrize("weight", ["x", True])
     def test_weight_that_is_not_a_number_exits_2(self, tmp_path, capsys, weight):
         path, doc = corpus_file(tmp_path)
@@ -450,6 +468,27 @@ class TestDatasetWithSynth:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "error: set either dataset or synth, not both" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+class TestDatasetFormatWithSynth:
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                        in_file):
+        # the format used to be ignored, whether a flag or the config file
+        # set it
+        argv = [command, "--synth", SYNTH, "--out", str(tmp_path / "out")]
+        if in_file:
+            (tmp_path / "run.conf").write_text("dataset_format=imdb_csv\n")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        else:
+            argv += ["--dataset-format", "imdb_csv"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: dataset_format applies only to dataset, not synth" \
+            in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -1,5 +1,6 @@
 """Dataset loaders, synthetic corpus, and the JSON round trip."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -497,6 +498,27 @@ class TestValidate:
             ghost.validate()
 
 
+def category_clicks(corpus) -> list:
+    """Per user, in corpus.users order, a Counter of clicks per category,
+    read from the log columns."""
+    cats = [item.category for item in corpus.items.values()]
+    clicks = [collections.Counter() for _ in corpus.users]
+    for u, i in zip(corpus.log_user.tolist(), corpus.log_item.tolist()):
+        clicks[u][cats[i]] += 1
+    return clicks
+
+
+# the shapes of test_valid_by_construction_over_a_grid_of_shapes that leave
+# a balanced user, by (n_users, bias_profile), and the default 20/10 shape
+CLICK_SHAPES = {
+    f"{n}-users-{b}-biased": [
+        SynthSpec(n_users=n, bias_profile=b, n_categories=c,
+                  subcats_per_category=s, n_items=c * s * per + per - 1)
+        for c, s, per in itertools.product((3, 4, 17), (1, 2, 4), (1, 7))]
+    for n, b in itertools.product((2, 8, 30, 100), (0, 1, 10)) if b < n}
+CLICK_SHAPES["default-20-users-10-biased"] = [SynthSpec(bias_profile=10)]
+
+
 class TestSynthCorpus:
     def test_deterministic_for_same_spec(self):
         spec = SynthSpec(n_users=6, n_categories=5, subcats_per_category=2,
@@ -537,24 +559,26 @@ class TestSynthCorpus:
         assert _pool_size(20, 10, 17) == math.ceil(5 * 10 / 20) + 1
         assert _pool_size(4, 4, 3) == 2   # capped at n_categories - 1
 
-    def test_biased_user_click_shape(self):
-        corpus = synth_corpus(SynthSpec(bias_profile=10))
-        per_cat: dict = {}
-        for x in corpus.interactions:
-            if x.user_id != "u0000":
-                continue
-            cat = corpus.items[x.item_id].category
-            per_cat[cat] = per_cat.get(cat, 0) + 1
-        total = sum(per_cat.values())
-        top = max(per_cat.values())
-        assert top / total >= 0.9
-        assert len([c for c in corpus.taxonomy if c not in per_cat]) >= 1
+    @pytest.mark.parametrize("shapes", CLICK_SHAPES.values(), ids=list(CLICK_SHAPES))
+    def test_biased_user_click_shape(self, shapes):
+        for shape in shapes:
+            clicks = category_clicks(synth_corpus(shape))
+            # the pool is where balanced users click less than elsewhere
+            balanced = clicks[shape.bias_profile]
+            pool = {c for c, n in balanced.items() if n < max(balanced.values())}
+            for user in clicks[:shape.bias_profile]:
+                top = max(user, key=user.get)
+                assert user[top] / sum(user.values()) >= 0.9
+                assert top not in pool
+                # none on its own pool category, some on each of the others
+                assert len(pool - set(user)) == 1
 
-    def test_balanced_users_touch_every_category(self):
-        corpus = synth_corpus(SynthSpec(bias_profile=10))
-        seen = {corpus.items[x.item_id].category
-                for x in corpus.interactions if x.user_id == "u0015"}
-        assert seen == set(corpus.taxonomy)
+    @pytest.mark.parametrize("shapes", CLICK_SHAPES.values(), ids=list(CLICK_SHAPES))
+    def test_balanced_users_touch_every_category(self, shapes):
+        for shape in shapes:
+            corpus = synth_corpus(shape)
+            for user in category_clicks(corpus)[shape.bias_profile:]:
+                assert set(user) == set(corpus.taxonomy)
 
     def test_histories_leave_fresh_items_per_subcategory(self):
         corpus = synth_corpus(SynthSpec())

@@ -162,6 +162,13 @@ class TestPrepare:
         with pytest.raises(ValueError, match="either dataset or synth, not both"):
             prepare(SimConfig(dataset="corpus.json", synth=PLAIN_SPEC))
 
+    @pytest.mark.parametrize("fmt", ["json", "imdb_csv"])
+    def test_dataset_format_with_synth_rejected(self, fmt):
+        # the format used to be ignored silently, the default json included
+        with pytest.raises(ValueError, match="dataset_format applies only to "
+                                             "dataset, not synth"):
+            prepare(SimConfig(dataset_format=fmt, synth=PLAIN_SPEC))
+
     def test_boundary_values_accepted(self):
         SimConfig(queue_discipline="replace", max_path_len=1, generator_retries=0,
                   generator_timeout_ms=1, generator_url="http://localhost:1",
@@ -806,13 +813,6 @@ class TestExperimentTrajectory:
         assert result["user"] == "u0001"
         assert result["interest"] != result["disinterest"]
 
-    def test_explicit_endpoints_respected(self, fb_corpus):
-        config = SimConfig(model="cb_w", feeds=2, k=5, seed=0)
-        result = experiment_trajectory(config, fb_corpus, interest="cat03",
-                                       disinterest="cat04")
-        assert result["interest"] == "cat03"
-        assert result["disinterest"] == "cat04"
-
 
 class TestExperimentFbCount:
     def test_counts_per_model(self, fb_corpus, tmp_path):
@@ -905,13 +905,6 @@ class TestExperimentBoundary:
         with pytest.raises(ValueError, match=r"duplicate .*\('uc_w', 0.2\)"):
             experiment_w_sweep(replace(self.CONFIG, model="uc_w"), fb_corpus,
                                w_values=(0.2, 0.8, 0.2))
-        assert started == []
-
-    @pytest.mark.parametrize("endpoint", ["interest", "disinterest"])
-    def test_unknown_endpoint_category(self, fb_corpus, started, endpoint):
-        # it used to raise a KeyError once the whole run had finished
-        with pytest.raises(ValueError, match="unknown category 'nope'"):
-            experiment_trajectory(self.CONFIG, fb_corpus, **{endpoint: "nope"})
         assert started == []
 
     def test_no_models(self, fb_corpus, started, tmp_path):
