@@ -13,16 +13,6 @@ from .folds import fold_sum
 from .nudge import QUEUE_DISCIPLINES
 from .simulate import SimConfig
 
-# config-file keys that differ from SimConfig field names
-CONFIG_ALIASES = {
-    "nudge.theta": "theta",
-    "nudge.queue_discipline": "queue_discipline",
-    "nudge.max_path_len": "max_path_len",
-    "generator.url": "generator_url",
-    "generator.timeout_ms": "generator_timeout_ms",
-    "generator.retries": "generator_retries",
-}
-
 # field name -> annotated type, which drives the coercion of text values
 SIM_FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 SYNTH_FIELDS = {f.name: f.type for f in dataclasses.fields(SynthSpec)}
@@ -85,10 +75,7 @@ def build_config(args) -> SimConfig:
     """Config file first, then CLI flags override key by key; validated
     whole, so every subcommand rejects a bad key before building a corpus."""
     config = SimConfig()
-    raw = {}
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            raw[CONFIG_ALIASES.get(key, key)] = value
+    raw = load_config_file(args.config) if args.config else {}
     for field in SIM_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
@@ -173,7 +160,7 @@ def cmd_recommend(args) -> int:
     state = simulate.prepare(config)
     if not state.users:
         raise ValueError("the corpus has no users to recommend to")
-    user = args.user or config.target_user or state.users[0]
+    user = config.target_user or state.users[0]
     if user not in state.users:
         raise ValueError(f"unknown user {user!r}: not among the fed users")
     feed = simulate.feed_for(state, 1, user)
@@ -198,7 +185,7 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     config = build_config(args)
     out = args.out or "out"
-    if args.number == 1:
+    if args.number == "1":
         table = simulate.experiment_coverage(config, out_dir=out)
         for model in table.models:
             label = simulate.MODELS[model][2]
@@ -206,12 +193,12 @@ def cmd_experiment(args) -> int:
                      if model in table.improvements else "")
             print(f"{label}: sum={table.sums[model]:.6f}{extra}")
         print(f"wrote {out}/coverage.csv")
-    elif args.number == 2:
+    elif args.number == "2":
         result = simulate.experiment_trajectory(config, out_dir=out)
         print(f"user={result['user']} interest={result['interest']} "
               f"disinterest={result['disinterest']}")
         print(f"wrote {out}/trajectory.csv")
-    elif args.number == 3:
+    elif args.number == "3":
         counts = simulate.experiment_fb_count(config, out_dir=out)
         for model, series in counts.items():
             print(f"{simulate.MODELS[model][2]}: start={series[0][1]} "
@@ -236,38 +223,52 @@ FLAG_OPTIONS = {
     "model": {"choices": sorted(simulate.MODELS)},
     "queue_discipline": {"choices": QUEUE_DISCIPLINES},
 }
-CORPUS_FLAGS = ("dataset", "dataset_format", "synth", "config", "out")
-RUN_FLAGS = CORPUS_FLAGS + (
-    "seed", "model", "w", "k", "theta", "feeds", "users", "target_user",
-    "queue_discipline", "max_path_len", "generator_url",
-    "generator_timeout_ms", "track_fb", "trace_paths")
-# subcommand -> (help, handler, flags)
+SOURCE_FLAGS = ("dataset", "dataset_format", "synth", "config")
+RUN_FLAGS = ("seed", "k", "theta", "queue_discipline", "max_path_len",
+             "generator_url", "generator_timeout_ms")
+LOOP_FLAGS = RUN_FLAGS + ("out", "feeds")   # a run of many feeds, written out
+# command -> (help, handler, flags besides SOURCE_FLAGS): only flags it reads,
+# so one it would ignore is a parse error. An experiment takes none of the
+# models, users, w or bubble tracking it sets itself
 COMMANDS = {
-    "ingest": ("load a dataset and write canonical JSON", cmd_ingest,
-               CORPUS_FLAGS),
-    "detect": ("classify users and report extremes", cmd_detect, CORPUS_FLAGS),
-    "graph": ("build the category correlation graph", cmd_graph, CORPUS_FLAGS),
+    "ingest": ("load a dataset and write canonical JSON", cmd_ingest, ("out",)),
+    "detect": ("classify users and report extremes", cmd_detect, ("out",)),
+    "graph": ("build the category correlation graph", cmd_graph, ("out",)),
     "recommend": ("assemble one feed for a user", cmd_recommend,
-                  RUN_FLAGS + ("user",)),
-    "simulate": ("run the interaction loop", cmd_simulate, RUN_FLAGS),
-    "experiment": ("run a standard experiment", cmd_experiment, RUN_FLAGS),
+                  RUN_FLAGS + ("model", "w", "users", "target_user")),
+    "simulate": ("run the interaction loop", cmd_simulate, LOOP_FLAGS + (
+        "model", "w", "users", "track_fb", "trace_paths")),
+    "experiment 1": ("one user's coverage under every model", cmd_experiment,
+                     LOOP_FLAGS + ("w", "target_user")),
+    "experiment 2": ("one user's extreme-category beliefs", cmd_experiment,
+                     LOOP_FLAGS + ("model", "w", "target_user")),
+    "experiment 3": ("bubble-affected users under every model", cmd_experiment,
+                     LOOP_FLAGS + ("w", "users")),
+    "experiment 4": ("one user's belief coverage at each w", cmd_experiment,
+                     LOOP_FLAGS + ("model", "target_user")),
 }
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """A sub-parser per command and experiment number; none reads prefixes."""
     parser = argparse.ArgumentParser(
-        prog="bheisr",
+        prog="bheisr", allow_abbrev=False,
         description="nudge-based recommendation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, handler, flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        if command == "experiment":
-            p.add_argument("number", type=int, choices=(1, 2, 3, 4))
-        for name in flags:
-            options = FLAG_OPTIONS.get(name, {})
-            if SIM_FIELDS.get(name) is bool:
+    numbered = {}
+    for name, (text, handler, flags) in COMMANDS.items():
+        command, _, number = name.partition(" ")
+        if number and command not in numbered:
+            numbered[command] = sub.add_parser(
+                command, help="run a standard experiment", allow_abbrev=False,
+            ).add_subparsers(dest="number", required=True)
+        p = (numbered[command] if number else sub).add_parser(
+            number or command, help=text, allow_abbrev=False)
+        for flag in SOURCE_FLAGS + flags:
+            options = FLAG_OPTIONS.get(flag, {})
+            if SIM_FIELDS.get(flag) is bool:
                 options = {"action": "store_true", "default": None}
-            p.add_argument("--" + name.replace("_", "-"), **options)
+            p.add_argument("--" + flag.replace("_", "-"), **options)
         p.set_defaults(func=handler)
     return parser
 

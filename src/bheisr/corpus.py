@@ -159,22 +159,6 @@ class Corpus:
     def categories(self) -> tuple:
         return tuple(sorted(self.taxonomy))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        if not (self.items == other.items and self.taxonomy == other.taxonomy
-                and self.users == other.users
-                and self.signal_scheme == other.signal_scheme):
-            return False
-        # equal users share positions, but equal items may be in another
-        # order: other's item positions are mapped to this corpus's
-        pos = {item_id: p for p, item_id in enumerate(self.items)}
-        to_mine = np.array([pos[i] for i in other.items], dtype=np.int64)
-        return all(np.array_equal(a, b) for a, b in (
-            (self.log_user, other.log_user),
-            (self.log_item, to_mine[other.log_item]),
-            (self.log_ts, other.log_ts), (self.log_signal, other.log_signal)))
-
     def validate(self) -> None:
         taxonomy, items = self.taxonomy, self.items
         # _is_interested reads any scheme but "rating" as clicks

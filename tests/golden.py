@@ -46,6 +46,9 @@ COMMANDS = {
        for n in (2, 4)},
     **{f"recommend {model}": ("recommend", *SYNTH, "--model", model)
        for model in ("cb_w", "bheisr")},
+    "recommend bheisr u0005": ("recommend", *SYNTH, "--model", "bheisr",
+                               "--users", "u0003,u0005",
+                               "--target-user", "u0005"),
     **{f"ingest {shape}": ("ingest", "--synth", shape, "--out", "{out}/corpus.json")
        for shape in (
            "n_users=1,n_categories=1,subcats_per_category=1,n_items=1",

@@ -81,11 +81,11 @@ class TestBuildConfig:
         assert config.parallel is False   # untouched default
         assert config.synth.n_users == 16
 
-    def test_config_file_with_aliases(self, tmp_path):
+    def test_config_file_keys_are_field_names(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("model=cb_w\nw=0.2\nnudge.theta=5\n"
-                        "nudge.queue_discipline=replace\nnudge.max_path_len=4\n"
-                        "generator.url=http://gen\nusers=u0000,u0001\n"
+        path.write_text("model=cb_w\nw=0.2\ntheta=5\n"
+                        "queue_discipline=replace\nmax_path_len=4\n"
+                        "generator_url=http://gen\nusers=u0000,u0001\n"
                         "track_fb=yes\nsynth=" + SYNTH + "\n")
         args = self.parse(["simulate", "--config", str(path)])
         config = build_config(args)
@@ -160,6 +160,46 @@ class TestBuildConfig:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+
+
+# (command, flag) pairs the command does not read, each flag with its value
+UNREAD_FLAGS = [
+    ("recommend", "--out x"), ("recommend", "--feeds 2"),
+    ("recommend", "--track-fb"), ("recommend", "--trace-paths"),
+    ("recommend", "--user u0000"), ("simulate", "--target-user u0000"),
+    *[(f"experiment {number}", flag) for number, flags in (
+        (1, ("--model rd", "--users u0000")), (2, ("--users u0000",)),
+        (3, ("--model rd", "--target-user u0000")),
+        (4, ("--w 0.3", "--users u0000")))
+      for flag in flags + ("--track-fb", "--trace-paths")],
+    # prefixes of --feeds and --model, which argparse would read as them
+    ("simulate", "--feed 1"), ("simulate", "--mod rd"),
+]
+UNREAD_SETTINGS = [
+    *[(f"{command} {flag}", f"unrecognized arguments: {flag}")
+      for command, flag in UNREAD_FLAGS],
+    # a config-file key is a field name, as a flag is
+    ("simulate --config nudge.conf", "unknown config key 'nudge.theta'"),
+]
+
+
+class TestUnreadSettings:
+    @pytest.mark.parametrize("argv, message", UNREAD_SETTINGS,
+                             ids=[argv for argv, _ in UNREAD_SETTINGS])
+    def test_exits_2_naming_it_and_writes_nothing(self, tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+        # each used to run as if it were not given, or as another setting
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nudge.conf").write_text("nudge.theta=3\n")
+        monkeypatch.setattr(simulate, "build_corpus",
+                            lambda config: pytest.fail("a corpus was built"))
+        try:
+            code = main([*argv.split(), "--synth", SYNTH])
+        except SystemExit as exc:       # argparse's exit on a bad flag
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["nudge.conf"]
 
 
 class TestIngest:
@@ -383,7 +423,7 @@ class TestCorpusCommandConfig:
 class TestRecommend:
     def test_prints_one_line_per_item(self, capsys):
         code = main(["recommend", "--synth", SYNTH, "--model", "cb_w",
-                     "--k", "5", "--user", "u0000"])
+                     "--k", "5", "--target-user", "u0000"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5
@@ -393,7 +433,7 @@ class TestRecommend:
 
     def test_unknown_user_exits_2(self, capsys):
         # the exit code and message simulate and experiment give
-        code = main(["recommend", "--synth", SYNTH, "--user", "nobody"])
+        code = main(["recommend", "--synth", SYNTH, "--target-user", "nobody"])
         assert code == 2
         assert "error: unknown user 'nobody'" in capsys.readouterr().err
 
@@ -408,16 +448,16 @@ class TestRecommend:
         # u0000's feed, un-nudged
         base = ["recommend", "--synth", "n_users=20,bias_profile=10",
                 "--model", "bheisr"]
-        assert main(base + ["--user", "u0005"]) == 0
+        assert main(base + ["--target-user", "u0005"]) == 0
         alone = capsys.readouterr().out
         assert alone.startswith("gi:u0005:1\t")
         assert main(base + ["--users", "u0005"]) == 0
         assert capsys.readouterr().out == alone
 
-    @pytest.mark.parametrize("flag", ["--user", "--target-user"])
-    def test_user_outside_the_fed_users_exits_2(self, capsys, flag):
+    def test_user_outside_the_fed_users_exits_2(self, capsys):
         code = main(["recommend", "--synth", "n_users=20,bias_profile=10",
-                     "--model", "bheisr", "--users", "u0005", flag, "u0000"])
+                     "--model", "bheisr", "--users", "u0005", "--target-user",
+                     "u0000"])
         assert code == 2
         assert "error: unknown user 'u0000'" in capsys.readouterr().err
 
@@ -441,7 +481,9 @@ class TestCorpusWithoutCategories:
         doc["taxonomy"], doc["items"], doc["interactions"] = [], [], []
         path.write_text(json.dumps(doc))
         out = tmp_path / "run"
-        assert main([*command, "--dataset", str(path), "--out", str(out)]) == 2
+        if command != ["recommend"]:     # which writes nothing at all
+            command = [*command, "--out", str(out)]
+        assert main([*command, "--dataset", str(path)]) == 2
         captured = capsys.readouterr()
         assert "error: the corpus has no categories" in captured.err
         assert captured.out == ""
@@ -584,10 +626,13 @@ class TestSimulate:
     @pytest.mark.parametrize("command", [["simulate"], ["experiment", "3"]])
     def test_unknown_target_user_exits_2_and_writes_nothing(self, tmp_path,
                                                             capsys, command):
-        # both used to run on, ignoring a target the corpus lacks
+        # both used to run on, ignoring a target the corpus lacks; neither
+        # reads the target, but a config file may set it for other commands
+        path = tmp_path / "run.conf"
+        path.write_text("target_user=nobody\n")
         out = tmp_path / "run"
-        assert main([*command, "--synth", SYNTH, "--feeds", "2", "--target-user",
-                     "nobody", "--out", str(out)]) == 2
+        assert main([*command, "--synth", SYNTH, "--feeds", "2", "--config",
+                     str(path), "--out", str(out)]) == 2
         assert "error: unknown user 'nobody'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -652,7 +697,7 @@ class TestSimulate:
     def test_config_file_value_outside_flag_choices_exits_2(self, tmp_path, capsys):
         # a config file bypasses argparse choices; validate() must catch it
         path = tmp_path / "run.conf"
-        path.write_text("nudge.queue_discipline=bogus\n")
+        path.write_text("queue_discipline=bogus\n")
         out = tmp_path / "run"
         code = main(["simulate", "--config", str(path), "--synth", SYNTH,
                      "--feeds", "2", "--out", str(out)])

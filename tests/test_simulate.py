@@ -806,6 +806,14 @@ class TestExperimentTrajectory:
         with pytest.raises(ValueError, match=message):
             experiment_trajectory(config, corpus)
 
+    def test_target_in_an_unclassified_population_rejected(self):
+        corpus = synth_corpus(replace(PLAIN_SPEC,
+                                      n_users=detection.MIN_POPULATION - 1))
+        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0,
+                           target_user="u0000")
+        with pytest.raises(ValueError, match="without a classified population"):
+            experiment_trajectory(config, corpus)
+
     def test_explicit_target_infers_its_endpoints(self, fb_corpus):
         config = SimConfig(model="cb_w", k=5, feeds=2, seed=0,
                            target_user="u0001")
