@@ -82,12 +82,9 @@ class BeliefNetwork:
 
     def add_click_mass(self, subcategory: str, category: str, mass: float) -> None:
         self.click_counts[subcategory] = self.click_counts.get(subcategory, 0.0) + mass
-        if self._positive is not None:
-            if mass > 0.0:
-                self._positive.add(category)
-            else:
-                # only a positive mass surely keeps the set: count again
-                self._positive = None
+        # a zero mass changes nothing, and no mass is negative
+        if self._positive is not None and mass > 0.0:
+            self._positive.add(category)
 
     def update_on_feedback(self, item) -> "BeliefNetwork":
         """Fold one accepted item into the network.

@@ -4,10 +4,11 @@ experiment."""
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import detection, simulate
-from .corpus import KINDS, SynthSpec, save_corpus
+from .corpus import KINDS, SynthSpec, _utf8_lines, save_corpus
 from .features import CategoryGraph, ItemTable
 from .folds import fold_sum
 from .nudge import QUEUE_DISCIPLINES
@@ -22,17 +23,20 @@ BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
 
 def parse_kv_list(text: str, sep: str = ",", path: str = None) -> dict:
     """The key=value parts of `text`, split at `sep`; blank parts and `#`
-    comments are skipped, and a bad part's error names `path`:line."""
+    comments are skipped; the error of a bad part or repeated key names
+    `path`:line."""
     out = {}
     for lineno, part in enumerate(text.split(sep), start=1):
         part = part.strip()
         if not part or part.startswith("#"):
             continue
         key, eq, value = part.partition("=")
+        key, where = key.strip(), f"{path}:{lineno}: " if path else ""
         if not eq:
-            where = f"{path}:{lineno}: " if path else ""
             raise ValueError(f"{where}expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
+        if key in out:
+            raise ValueError(f"{where}repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -47,7 +51,7 @@ def parse_synth(text: str) -> SynthSpec:
 
 def load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv_list(fh.read(), "\n", path)
+        return parse_kv_list("".join(_utf8_lines(path, fh)), "\n", path)
 
 
 def _coerce(kind, text, name: str):
@@ -171,8 +175,11 @@ def cmd_recommend(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = build_config(args)
-    record = simulate.run_loop(config)
     out = args.out or "out"
+    # a run directory holds one run: files of an earlier one would stay
+    if os.path.exists(out) and (not os.path.isdir(out) or os.listdir(out)):
+        raise ValueError(f"--out {out!r} exists and is not an empty directory")
+    record = simulate.run_loop(config)
     simulate.write_run(record, out)
     mean_cov = fold_sum(r.coverage for step in record.steps for r in step) / max(
         1, sum(len(step) for step in record.steps))
@@ -187,8 +194,7 @@ def cmd_experiment(args) -> int:
     out = args.out or "out"
     if args.number == "1":
         table = simulate.experiment_coverage(config, out_dir=out)
-        for model in table.models:
-            label = simulate.MODELS[model][2]
+        for model, (_, _, label) in simulate.MODELS.items():
             extra = (f" improvement={table.improvements[model]:+.2f}%"
                      if model in table.improvements else "")
             print(f"{label}: sum={table.sums[model]:.6f}{extra}")

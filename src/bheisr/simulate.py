@@ -89,6 +89,9 @@ class SimConfig:
         if self.generator_url == "":
             raise ValueError("generator_url is empty; leave it unset to use "
                              "the template generator")
+        if self.target_user == "":
+            raise ValueError("target_user is empty; leave it unset for the "
+                             "default user")
         if self.generator_timeout_ms <= 0:
             raise ValueError("generator_timeout_ms must be positive")
         if self.generator_retries < 0:
@@ -415,88 +418,75 @@ def _fb_count(classification) -> int:
     return 0 if classification is None else len(classification.fb_users)
 
 
-def resolve_target_user(config: SimConfig, corpus: Corpus = None) -> str:
-    """The configured target, or the first bubble-affected user."""
-    if config.target_user:
-        return config.target_user
-    return _first_fb_user(build_population(_corpus(config, corpus))[1])
-
-
-def _first_fb_user(classification) -> str:
-    if classification is None or not classification.fb_users:
-        raise ValueError("no bubble-affected users to target")
-    return classification.fb_users[0]
-
-
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each runs MODELS in order, or sweeps W_VALUES, on one corpus
 # ---------------------------------------------------------------------------
 
 IMPROVEMENT_PAIRS = (("rd", "rd_w"), ("cb", "cb_w"), ("uc", "uc_w"))
+W_VALUES = (0.2, 0.4, 0.6, 0.8)     # experiment 4's sweep
 
 
-def _corpus(config: SimConfig, corpus: Corpus = None) -> Corpus:
+def _corpus(config: SimConfig) -> Corpus:
     """An experiment's corpus, built only after its config is checked."""
     config.validate()
-    return build_corpus(config) if corpus is None else corpus
+    return build_corpus(config)
+
+
+def _target(config: SimConfig, corpus: Corpus) -> tuple:
+    """(the configured target or else the first bubble-affected user, every
+    user's belief network, their classification or None)."""
+    networks, classification = build_population(corpus)
+    target = config.target_user
+    if target is None:
+        if classification is None or not classification.fb_users:
+            raise ValueError("no bubble-affected users to target")
+        target = classification.fb_users[0]
+    if target not in networks:
+        raise ValueError(f"unknown user {target!r}")
+    return target, networks, classification
 
 
 def _runs(corpus: Corpus, configs: list) -> list:
-    """One RunRecord per config, in order, on one set of shared assets.
-    Every config is checked before the first run starts."""
-    if not configs:
-        raise ValueError("an experiment needs at least one run")
-    for config in configs:
-        config.validate()
-    reject_duplicates([(c.model, c.w) for c in configs], "(model, w) run")
+    """One RunRecord per config, in order, on one set of shared assets."""
     assets = build_assets(corpus)
     return [run_loop(config, corpus, assets) for config in configs]
 
 
 @dataclass
 class CoverageTable:
-    models: tuple
-    rows: list                  # per feed: {model: coverage}
+    rows: list                  # per feed: {model: coverage}, in MODELS order
     sums: dict
     improvements: dict          # mixed model -> percent over its baseline
 
 
-def experiment_coverage(config: SimConfig, corpus: Corpus = None,
-                        models: tuple = tuple(MODELS),
-                        out_dir: str = None) -> CoverageTable:
+def experiment_coverage(config: SimConfig, out_dir: str) -> CoverageTable:
     """Per-feed diversity coverage of one user's feeds under each model."""
-    corpus = _corpus(config, corpus)
-    target = resolve_target_user(config, corpus)
+    corpus = _corpus(config)
+    target = _target(config, corpus)[0]
     runs = _runs(corpus, [replace(config, model=m, users=(target,),
-                                  track_fb=False) for m in models])
-    series = {m: run.coverage_series(target) for m, run in zip(models, runs)}
-    rows = [{m: series[m][t] for m in models} for t in range(config.feeds)]
-    sums = {m: fold_sum(series[m]) for m in models}
-    improvements = {}
-    for base, mixed in IMPROVEMENT_PAIRS:
-        if base in sums and mixed in sums and sums[base] > 0.0:
-            improvements[mixed] = 100.0 * (sums[mixed] - sums[base]) / sums[base]
+                                  track_fb=False) for m in MODELS])
+    series = {m: run.coverage_series(target) for m, run in zip(MODELS, runs)}
+    rows = [{m: series[m][t] for m in MODELS} for t in range(config.feeds)]
+    sums = {m: fold_sum(series[m]) for m in MODELS}
+    improvements = {
+        mixed: 100.0 * (sums[mixed] - sums[base]) / sums[base]
+        for base, mixed in IMPROVEMENT_PAIRS if sums[base] > 0.0}
     _write_csv(out_dir, "coverage.csv", [
-        ["Times"] + [MODELS[m][2] for m in models],
-        *[[f"feed_{i}"] + [_fmt(row[m]) for m in models]
+        ["Times"] + [label for _, _, label in MODELS.values()],
+        *[[f"feed_{i}"] + [_fmt(row[m]) for m in MODELS]
           for i, row in enumerate(rows, start=1)],
-        ["Sum"] + [_fmt(sums[m]) for m in models],
+        ["Sum"] + [_fmt(sums[m]) for m in MODELS],
         ["Improv"] + [_fmt(improvements[m]) + "%" if m in improvements else ""
-                      for m in models]])
-    return CoverageTable(models=tuple(models), rows=rows, sums=sums,
-                         improvements=improvements)
+                      for m in MODELS]])
+    return CoverageTable(rows=rows, sums=sums, improvements=improvements)
 
 
-def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
-                          out_dir: str = None) -> dict:
+def experiment_trajectory(config: SimConfig, out_dir: str) -> dict:
     """Belief of the target's strongest extreme-high (interest) and weakest
     extreme-low (disinterest) category at checkpoints."""
-    corpus = _corpus(config, corpus)
+    corpus = _corpus(config)
     # one build serves both the target and the endpoints
-    networks, classification = build_population(corpus)
-    target = config.target_user or _first_fb_user(classification)
-    if target not in networks:
-        raise ValueError(f"unknown user {target!r}")
+    target, networks, classification = _target(config, corpus)
     if classification is None:
         raise ValueError("cannot infer endpoint categories without "
                          "a classified population")
@@ -521,25 +511,21 @@ def experiment_trajectory(config: SimConfig, corpus: Corpus = None,
     }
 
 
-def experiment_fb_count(config: SimConfig, corpus: Corpus = None,
-                        models: tuple = tuple(MODELS),
-                        out_dir: str = None) -> dict:
+def experiment_fb_count(config: SimConfig, out_dir: str) -> dict:
     """Population bubble-affected count after every feed, per model."""
-    corpus = _corpus(config, corpus)
+    corpus = _corpus(config)
     runs = _runs(corpus, [replace(config, model=m, track_fb=True)
-                          for m in models])
-    counts = {m: run.fb_counts for m, run in zip(models, runs)}
-    _write_csv(out_dir, "fb_count.csv", [["step", *models], *[
-        [s] + [counts[m][i][1] for m in models]
+                          for m in MODELS])
+    counts = {m: run.fb_counts for m, run in zip(MODELS, runs)}
+    _write_csv(out_dir, "fb_count.csv", [["step", *MODELS], *[
+        [s] + [counts[m][i][1] for m in MODELS]
         for i, (s, _) in enumerate(runs[0].fb_counts)]])
     return counts
 
 
-def experiment_w_sweep(config: SimConfig, corpus: Corpus = None,
-                       w_values: tuple = (0.2, 0.4, 0.6, 0.8),
-                       out_dir: str = None) -> dict:
+def experiment_w_sweep(config: SimConfig, out_dir: str) -> dict:
     """Belief-network category coverage of the target user per feed, per w."""
-    corpus = _corpus(config, corpus)
+    corpus = _corpus(config)
     # a pure model mixes no generated items, and prepare fixes bheisr's w at
     # 1.0, so either would give one series for every w
     mixed = [m for m, (_, with_bheisr, _) in MODELS.items()
@@ -547,13 +533,13 @@ def experiment_w_sweep(config: SimConfig, corpus: Corpus = None,
     if config.model not in mixed:
         raise ValueError(f"model {config.model!r} has no w to sweep; pick "
                          f"from the mixed models {mixed}")
-    target = resolve_target_user(config, corpus)
+    target = _target(config, corpus)[0]
     runs = _runs(corpus, [replace(config, w=w, users=(target,),
-                                  track_fb=False) for w in w_values])
+                                  track_fb=False) for w in W_VALUES])
     series = {w: run.belief_coverage_series(target)
-              for w, run in zip(w_values, runs)}
+              for w, run in zip(W_VALUES, runs)}
     _write_csv(out_dir, "w_sweep.csv", [["step", "w", "belief_coverage"], *[
-        [t, _fmt(w), _fmt(value)] for w in w_values
+        [t, _fmt(w), _fmt(value)] for w in W_VALUES
         for t, value in enumerate(series[w], start=1)]])
     return {"user": target, "model": config.model, "series": series}
 
@@ -567,12 +553,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(out_dir: str, name: str, rows: list) -> None:
-    """Write `rows` to out_dir/name, making out_dir; nothing if it is unset."""
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                  newline="") as fh:
-            csv.writer(fh).writerows(rows)
+    """Write `rows` to out_dir/name, making out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _write_jsonl(path: str, rows) -> None:

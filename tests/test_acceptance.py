@@ -374,13 +374,13 @@ def test_criterion_09_reproducibility(capsys, corpus20, assets20, tmp_path):
     and steps that visit their users in reverse order reproduce the
     forward-order results exactly."""
     t0 = time.perf_counter()
-    config = SimConfig(w=0.6, k=10, feeds=10, seed=0)
+    config = SimConfig(w=0.6, k=10, feeds=10, seed=0, synth=SPEC20)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     out_a.mkdir()
     out_b.mkdir()
-    experiment_coverage(config, corpus20, out_dir=str(out_a))
-    experiment_coverage(config, corpus20, out_dir=str(out_b))
+    experiment_coverage(config, str(out_a))
+    experiment_coverage(config, str(out_b))
     identical = (out_a / "coverage.csv").read_bytes() == \
         (out_b / "coverage.csv").read_bytes()
 

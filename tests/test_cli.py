@@ -59,6 +59,13 @@ class TestParsing:
         with pytest.raises(ValueError, match="run.conf:1"):
             load_config_file(str(path))
 
+    def test_load_config_file_not_utf8(self, tmp_path):
+        # the codec's message used to be the whole error, without the file
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed=1\n\xff\xfe\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg: not UTF-8 text: "):
+            load_config_file(str(path))
+
 
 class TestBuildConfig:
     def parse(self, argv):
@@ -143,6 +150,9 @@ class TestBuildConfig:
         ("synth=n_users=abc", [], "synth n_users must be an integer, got 'abc'"),
         # an empty URL used to mean the template generator
         ("generator_url=", ["--synth", SYNTH], "generator_url is empty"),
+        # a repeated key used to win over the first
+        ("", ["--synth", "n_users=8,bias_profile=2,n_users=20"],
+         "repeated key 'n_users'"),
     ])
     def test_bad_value_exits_2_naming_its_setting(self, tmp_path, capsys,
                                                   monkeypatch, config_text,
@@ -158,6 +168,20 @@ class TestBuildConfig:
                      "--out", str(out)])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_key_exits_2_and_writes_nothing(self, tmp_path,
+                                                            capsys, monkeypatch):
+        # the last one used to win
+        path = tmp_path / "run.conf"
+        path.write_text("seed=1\nseed=2\n")
+        monkeypatch.setattr(simulate, "build_corpus",
+                            lambda config: pytest.fail("a corpus was built"))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(path), "--synth", SYNTH,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"error: {path}:2: repeated key 'seed'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -673,6 +697,25 @@ class TestSimulate:
         assert (out / "networks" / "u0000.json").exists()
         assert json.loads((out / "fb_counts.json").read_text())[0] == [0, 5]
         assert (out / "paths.jsonl").exists()
+
+    def test_rerun_into_a_used_out_exits_2_and_changes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # the second run used to replace runlog.jsonl and leave the first
+        # run's fb_counts.json, paths.jsonl and other networks beside it
+        out = tmp_path / "run"
+        assert main(["simulate", "--synth", SYNTH, "--model", "bheisr",
+                     "--feeds", "2", "--track-fb", "--trace-paths",
+                     "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        monkeypatch.setattr(simulate, "build_corpus",
+                            lambda config: pytest.fail("a corpus was built"))
+        assert main(["simulate", "--synth", SYNTH, "--model", "rd", "--feeds",
+                     "1", "--users", "u0001", "--out", str(out)]) == 2
+        assert f"error: --out '{out}' exists and is not an empty directory" \
+            in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+            == before
 
     def test_parallel_flag_is_gone(self, tmp_path):
         out = tmp_path / "run"

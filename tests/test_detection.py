@@ -113,6 +113,11 @@ class TestSkewness:
         with pytest.raises(ValueError):
             skewness([2.0, 2.0, 2.0])
 
+    def test_one_sample_rejected(self):
+        # one sample also has zero variance; the count is checked first
+        with pytest.raises(ValueError, match="needs at least two samples"):
+            skewness([1.0])
+
 
 class TestClassifyUsers:
     def test_hand_thresholds(self):

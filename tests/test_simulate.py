@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from bheisr import detection, nudge, recommenders, simulate
 from bheisr.belief import build_all
-from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, corpus_from_json, \
-    corpus_to_json, save_corpus, synth_corpus
+from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, corpus_to_json, \
+    save_corpus, synth_corpus
 from bheisr.features import CategoryGraph, GraphUpdateBuffer, ItemTable, tokenize
 from bheisr.rng import substream
 from bheisr.simulate import (
@@ -29,8 +29,8 @@ from bheisr.simulate import (
     experiment_fb_count,
     experiment_trajectory,
     experiment_w_sweep,
+    W_VALUES,
     prepare,
-    resolve_target_user,
     run_loop,
     write_run,
 )
@@ -150,6 +150,8 @@ class TestPrepare:
         ("model", ["cb"], r"model must be a string, got \['cb'\]"),
         ("model", None, "model must be a string, got None"),
         ("generator_url", True, "generator_url must be a string, got True"),
+        # `--target-user ""` used to mean the default user
+        ("target_user", "", "target_user is empty"),
     ])
     def test_bad_values_rejected(self, field, value, message):
         # the config names no corpus, so the value must be caught before any
@@ -729,22 +731,22 @@ class TestStateMatchesLog:
 class TestResolveTargetUser:
     def test_explicit_target_wins(self, fb_corpus):
         config = SimConfig(target_user="u0003")
-        assert resolve_target_user(config, fb_corpus) == "u0003"
+        assert simulate._target(config, fb_corpus)[0] == "u0003"
 
     def test_defaults_to_first_fb_user(self, fb_corpus):
-        assert resolve_target_user(SimConfig(), fb_corpus) == "u0000"
+        assert simulate._target(SimConfig(), fb_corpus)[0] == "u0000"
 
     def test_no_fb_population_raises(self):
         corpus = synth_corpus(PLAIN_SPEC)
         with pytest.raises(ValueError, match="no bubble-affected"):
-            resolve_target_user(SimConfig(), corpus)
+            simulate._target(SimConfig(), corpus)
 
 
 class TestExperimentCoverage:
-    def test_table_shape_and_csv(self, fb_corpus, tmp_path):
-        config = SimConfig(w=0.6, k=5, feeds=3, seed=0)
-        table = experiment_coverage(config, fb_corpus, out_dir=str(tmp_path))
-        assert table.models == ("rd", "rd_w", "cb", "cb_w", "uc", "uc_w", "bheisr")
+    def test_table_shape_and_csv(self, tmp_path):
+        config = SimConfig(w=0.6, k=5, feeds=3, seed=0, synth=FB_SPEC)
+        table = experiment_coverage(config, str(tmp_path))
+        assert tuple(table.sums) == tuple(MODELS)
         assert len(table.rows) == 3
         assert set(table.improvements) == {"rd_w", "cb_w", "uc_w"}
         for model, total in table.sums.items():
@@ -759,16 +761,17 @@ class TestExperimentCoverage:
         assert rows[-1][2].endswith("%")
         assert rows[-1][1] == ""   # pure baselines carry no improvement entry
 
-    def test_mixed_models_beat_their_baselines_here(self, fb_corpus):
-        table = experiment_coverage(SimConfig(w=0.6, k=5, feeds=3, seed=0),
-                                    fb_corpus, models=("cb", "cb_w"))
+    def test_mixed_models_beat_their_baselines_here(self, tmp_path):
+        table = experiment_coverage(
+            SimConfig(w=0.6, k=5, feeds=3, seed=0, synth=FB_SPEC), str(tmp_path))
         assert table.sums["cb_w"] > table.sums["cb"]
 
 
 class TestExperimentTrajectory:
-    def test_series_at_checkpoints(self, fb_corpus, tmp_path):
-        config = SimConfig(model="cb_w", w=0.6, k=5, feeds=4, seed=0)
-        result = experiment_trajectory(config, fb_corpus, out_dir=str(tmp_path))
+    def test_series_at_checkpoints(self, tmp_path):
+        config = SimConfig(model="cb_w", w=0.6, k=5, feeds=4, seed=0,
+                           synth=FB_SPEC)
+        result = experiment_trajectory(config, str(tmp_path))
         assert result["user"] == "u0000"
         assert result["steps"] == [1, 2, 3, 4]
         assert len(result["interest_series"]) == 4
@@ -779,7 +782,7 @@ class TestExperimentTrajectory:
         assert len(rows) == 1 + 2 * 4
 
     def test_networks_built_once_for_target_and_endpoints(self, fb_corpus,
-                                                          monkeypatch):
+                                                          monkeypatch, tmp_path):
         calls = []
 
         def spy(corpus):
@@ -787,94 +790,95 @@ class TestExperimentTrajectory:
             return build_all(corpus)
 
         monkeypatch.setattr(simulate.belief_mod, "build_all", spy)
-        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0)
-        result = experiment_trajectory(config, fb_corpus)
+        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0, synth=FB_SPEC)
+        result = experiment_trajectory(config, str(tmp_path))
         # one for the target and the endpoints, one in run_loop's prepare
         assert len(calls) == 2
-        assert result["user"] == resolve_target_user(config, fb_corpus)
+        assert result["user"] == simulate._target(config, fb_corpus)[0]
 
     @pytest.mark.parametrize("target,message", [
         ("nobody", "unknown user 'nobody'"),
         ("idle", "user 'idle', who has no history")])
-    def test_unknown_or_unclassified_target_rejected(self, fb_corpus, target,
-                                                     message):
+    def test_unknown_or_unclassified_target_rejected(self, fb_corpus, tmp_path,
+                                                     target, message):
         # "idle" is a corpus user without history, so it has no class
         doc = json.loads(corpus_to_json(fb_corpus))
         doc["users"].append("idle")
-        corpus = corpus_from_json(json.dumps(doc))
-        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0, target_user=target)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        config = SimConfig(model="cb_w", k=5, feeds=2, seed=0, target_user=target,
+                           dataset=str(path))
         with pytest.raises(ValueError, match=message):
-            experiment_trajectory(config, corpus)
+            experiment_trajectory(config, str(tmp_path / "out"))
 
-    def test_target_in_an_unclassified_population_rejected(self):
-        corpus = synth_corpus(replace(PLAIN_SPEC,
-                                      n_users=detection.MIN_POPULATION - 1))
+    def test_target_in_an_unclassified_population_rejected(self, tmp_path):
+        spec = replace(PLAIN_SPEC, n_users=detection.MIN_POPULATION - 1)
         config = SimConfig(model="cb_w", k=5, feeds=2, seed=0,
-                           target_user="u0000")
+                           target_user="u0000", synth=spec)
         with pytest.raises(ValueError, match="without a classified population"):
-            experiment_trajectory(config, corpus)
+            experiment_trajectory(config, str(tmp_path))
 
-    def test_explicit_target_infers_its_endpoints(self, fb_corpus):
+    def test_explicit_target_infers_its_endpoints(self, tmp_path):
         config = SimConfig(model="cb_w", k=5, feeds=2, seed=0,
-                           target_user="u0001")
-        result = experiment_trajectory(config, fb_corpus)
+                           target_user="u0001", synth=FB_SPEC)
+        result = experiment_trajectory(config, str(tmp_path))
         assert result["user"] == "u0001"
         assert result["interest"] != result["disinterest"]
 
 
 class TestExperimentFbCount:
-    def test_counts_per_model(self, fb_corpus, tmp_path):
-        config = SimConfig(w=0.6, k=4, feeds=2, seed=0,
+    def test_counts_per_model(self, tmp_path):
+        config = SimConfig(w=0.6, k=4, feeds=2, seed=0, synth=FB_SPEC,
                            users=tuple(f"u{i:04d}" for i in range(5)))
-        counts = experiment_fb_count(config, fb_corpus, models=("uc", "uc_w"),
-                                     out_dir=str(tmp_path))
-        assert set(counts) == {"uc", "uc_w"}
+        counts = experiment_fb_count(config, str(tmp_path))
+        assert tuple(counts) == tuple(MODELS)
         for series in counts.values():
             assert series[0] == (0, 5)
             assert len(series) == 3
         with open(tmp_path / "fb_count.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "uc", "uc_w"]
+        assert rows[0] == ["step", *MODELS]
         assert rows[1][0] == "0"
 
 
 class TestExperimentWSweep:
-    def test_series_per_w(self, fb_corpus, tmp_path):
-        config = SimConfig(model="uc_w", k=5, feeds=3, seed=0)
-        result = experiment_w_sweep(config, fb_corpus, w_values=(0.2, 0.8),
-                                    out_dir=str(tmp_path))
-        assert set(result["series"]) == {0.2, 0.8}
+    def test_series_per_w(self, tmp_path):
+        config = SimConfig(model="uc_w", k=5, feeds=3, seed=0, synth=FB_SPEC)
+        result = experiment_w_sweep(config, str(tmp_path))
+        assert tuple(result["series"]) == W_VALUES == (0.2, 0.4, 0.6, 0.8)
         assert all(len(s) == 3 for s in result["series"].values())
         with open(tmp_path / "w_sweep.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "w", "belief_coverage"]
-        assert len(rows) == 1 + 2 * 3
+        assert len(rows) == 1 + 4 * 3
 
-    def test_unknown_model_rejected(self, fb_corpus):
+    def test_unknown_model_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown model"):
-            experiment_w_sweep(SimConfig(model="zz"), fb_corpus)
+            experiment_w_sweep(SimConfig(model="zz", synth=FB_SPEC),
+                               str(tmp_path))
 
-    def test_bheisr_has_no_w_to_sweep(self, fb_corpus, monkeypatch):
+    def test_bheisr_has_no_w_to_sweep(self, monkeypatch, tmp_path):
         # prepare fixes bheisr's w at 1.0: the sweep fails before any run
         monkeypatch.setattr(simulate, "run_loop", None)
         with pytest.raises(ValueError, match="'bheisr' .* no w to sweep"):
-            experiment_w_sweep(SimConfig(model="bheisr", k=4, feeds=2),
-                               fb_corpus)
+            experiment_w_sweep(SimConfig(model="bheisr", k=4, feeds=2,
+                                         synth=FB_SPEC), str(tmp_path))
 
     @pytest.mark.parametrize("model", ["rd", "cb", "uc"])
-    def test_pure_model_has_no_w_to_sweep(self, fb_corpus, monkeypatch, model):
+    def test_pure_model_has_no_w_to_sweep(self, monkeypatch, tmp_path, model):
         # a pure model used to sweep uc_w's w, and no output said so
         monkeypatch.setattr(simulate, "run_loop", None)
         with pytest.raises(ValueError, match=re.escape(
                 f"model {model!r} has no w to sweep; pick from the mixed "
                 f"models ['rd_w', 'cb_w', 'uc_w']")):
-            experiment_w_sweep(SimConfig(model=model, k=4, feeds=2), fb_corpus)
+            experiment_w_sweep(SimConfig(model=model, k=4, feeds=2,
+                                         synth=FB_SPEC), str(tmp_path))
 
 
 class TestExperimentBoundary:
-    """A bad experiment argument fails before the first run starts."""
+    """A bad config fails before a corpus is built or the first run starts."""
 
-    CONFIG = SimConfig(w=0.6, k=4, feeds=2, seed=0)
+    CONFIG = SimConfig(w=0.6, k=4, feeds=2, seed=0, synth=FB_SPEC)
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -885,41 +889,24 @@ class TestExperimentBoundary:
             return run_loop(config, *args)
 
         monkeypatch.setattr(simulate, "run_loop", spy)
+        monkeypatch.setattr(simulate, "build_corpus",
+                            lambda config: pytest.fail("a corpus was built"))
         return started
 
     @pytest.mark.parametrize("experiment", [experiment_coverage,
                                             experiment_fb_count])
-    def test_unknown_model(self, fb_corpus, started, experiment):
+    def test_unknown_model(self, started, tmp_path, experiment):
+        # these experiments run every model, but the config is still checked
         with pytest.raises(ValueError, match="unknown model 'zz'"):
-            experiment(self.CONFIG, fb_corpus, models=("rd", "zz"))
+            experiment(replace(self.CONFIG, model="zz"), str(tmp_path))
         assert started == []
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("experiment", [experiment_coverage,
-                                            experiment_fb_count])
-    def test_repeated_model(self, fb_corpus, started, experiment):
-        # a repeated model used to write its CSV column twice
-        with pytest.raises(ValueError, match=r"duplicate .*\('cb', 0.6\)"):
-            experiment(self.CONFIG, fb_corpus, models=("cb", "rd", "cb"))
-        assert started == []
-
-    def test_w_outside_the_unit_interval(self, fb_corpus, started):
+    def test_w_outside_the_unit_interval(self, started, tmp_path):
+        # the sweep replaces w, but the config's own w is still checked
         with pytest.raises(ValueError, match=r"w must be in \[0, 1\]"):
-            experiment_w_sweep(replace(self.CONFIG, model="uc_w"), fb_corpus,
-                               w_values=(0.2, 1.5))
-        assert started == []
-
-    def test_repeated_w(self, fb_corpus, started):
-        # a repeated w used to fold two runs into one series
-        with pytest.raises(ValueError, match=r"duplicate .*\('uc_w', 0.2\)"):
-            experiment_w_sweep(replace(self.CONFIG, model="uc_w"), fb_corpus,
-                               w_values=(0.2, 0.8, 0.2))
-        assert started == []
-
-    def test_no_models(self, fb_corpus, started, tmp_path):
-        # writing the CSV used to raise an IndexError
-        with pytest.raises(ValueError, match="at least one run"):
-            experiment_fb_count(self.CONFIG, fb_corpus, models=(),
-                                out_dir=str(tmp_path))
+            experiment_w_sweep(replace(self.CONFIG, model="uc_w", w=1.5),
+                               str(tmp_path))
         assert started == []
         assert list(tmp_path.iterdir()) == []
 
@@ -949,15 +936,13 @@ class TestWriters:
             assert [d["step"] for d in doc] == [1, 2]
             assert set(doc[0]["belief"]) == set(fb_corpus.taxonomy)
 
-    def test_coverage_csv_byte_identical_across_runs(self, fb_corpus, tmp_path):
-        config = SimConfig(w=0.6, k=5, feeds=3, seed=0)
+    def test_coverage_csv_byte_identical_across_runs(self, tmp_path):
+        config = SimConfig(w=0.6, k=5, feeds=3, seed=0, synth=FB_SPEC)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         out_a.mkdir()
         out_b.mkdir()
-        experiment_coverage(config, fb_corpus, models=("cb", "cb_w"),
-                            out_dir=str(out_a))
-        experiment_coverage(config, fb_corpus, models=("cb", "cb_w"),
-                            out_dir=str(out_b))
+        experiment_coverage(config, str(out_a))
+        experiment_coverage(config, str(out_b))
         assert (out_a / "coverage.csv").read_bytes() == \
             (out_b / "coverage.csv").read_bytes()
