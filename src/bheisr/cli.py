@@ -92,8 +92,7 @@ def build_config(args) -> SimConfig:
     return config
 
 
-def cmd_ingest(args) -> int:
-    config = build_config(args)
+def cmd_ingest(args, config) -> int:
     corpus = simulate.build_corpus(config)
     if args.out:
         save_corpus(corpus, args.out)
@@ -105,14 +104,12 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
-    config = build_config(args)
+def cmd_detect(args, config) -> int:
     corpus = simulate.build_corpus(config)
     _, result = simulate.build_population(corpus)
     if result is None:
-        print(f"need at least {detection.MIN_POPULATION} users with history "
-              f"to classify", file=sys.stderr)
-        return 1
+        raise ValueError(f"need at least {detection.MIN_POPULATION} users "
+                         f"with history to classify")
     doc = {
         "population": len(corpus.users),
         "classified": len(result.extremes),
@@ -145,8 +142,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    config = build_config(args)
+def cmd_graph(args, config) -> int:
     corpus = simulate.build_corpus(config)
     index = simulate.build_assets(corpus)
     graph = CategoryGraph.build(corpus, ItemTable(index))
@@ -159,45 +155,37 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_recommend(args) -> int:
-    config = build_config(args)
-    state = simulate.prepare(config)
-    if not state.users:
+def cmd_recommend(args, config) -> int:
+    corpus = simulate.build_corpus(config)
+    if not corpus.users:
         raise ValueError("the corpus has no users to recommend to")
-    user = config.target_user or state.users[0]
-    if user not in state.users:
-        raise ValueError(f"unknown user {user!r}: not among the fed users")
+    user = config.target_user or corpus.users[0]
+    state = simulate.prepare(dataclasses.replace(config, users=(user,)), corpus)
     feed = simulate.feed_for(state, 1, user)
     for item in feed.items:
         print(f"{item.id}\t{item.origin}\t{item.category}\t{item.title}")
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = build_config(args)
-    out = args.out or "out"
-    # a run directory holds one run: files of an earlier one would stay
-    if os.path.exists(out) and (not os.path.isdir(out) or os.listdir(out)):
-        raise ValueError(f"--out {out!r} exists and is not an empty directory")
+def cmd_simulate(args, config) -> int:
     record = simulate.run_loop(config)
-    simulate.write_run(record, out)
+    simulate.write_run(record, args.out)
     mean_cov = fold_sum(r.coverage for step in record.steps for r in step) / max(
         1, sum(len(step) for step in record.steps))
     print(f"model={record.model} feeds={config.feeds} users={len(record.users)} "
           f"mean_coverage={mean_cov:.6f}")
-    print(f"wrote {out}/runlog.jsonl")
+    print(f"wrote {args.out}/runlog.jsonl")
     return 0
 
 
-def cmd_experiment(args) -> int:
-    config = build_config(args)
-    out = args.out or "out"
+def cmd_experiment(args, config) -> int:
+    out = args.out
     if args.number == "1":
         table = simulate.experiment_coverage(config, out_dir=out)
         for model, (_, _, label) in simulate.MODELS.items():
-            extra = (f" improvement={table.improvements[model]:+.2f}%"
-                     if model in table.improvements else "")
-            print(f"{label}: sum={table.sums[model]:.6f}{extra}")
+            extra = (f" improvement={table['improvements'][model]:+.2f}%"
+                     if model in table["improvements"] else "")
+            print(f"{label}: sum={table['sums'][model]:.6f}{extra}")
         print(f"wrote {out}/coverage.csv")
     elif args.number == "2":
         result = simulate.experiment_trajectory(config, out_dir=out)
@@ -232,7 +220,7 @@ FLAG_OPTIONS = {
 SOURCE_FLAGS = ("dataset", "dataset_format", "synth", "config")
 RUN_FLAGS = ("seed", "k", "theta", "queue_discipline", "max_path_len",
              "generator_url", "generator_timeout_ms")
-LOOP_FLAGS = RUN_FLAGS + ("out", "feeds")   # a run of many feeds, written out
+LOOP_FLAGS = RUN_FLAGS + ("out", "feeds")   # many feeds, into a directory
 # command -> (help, handler, flags besides SOURCE_FLAGS): only flags it reads,
 # so one it would ignore is a parse error. An experiment takes none of the
 # models, users, w or bubble tracking it sets itself
@@ -241,7 +229,7 @@ COMMANDS = {
     "detect": ("classify users and report extremes", cmd_detect, ("out",)),
     "graph": ("build the category correlation graph", cmd_graph, ("out",)),
     "recommend": ("assemble one feed for a user", cmd_recommend,
-                  RUN_FLAGS + ("model", "w", "users", "target_user")),
+                  RUN_FLAGS + ("model", "w", "target_user")),
     "simulate": ("run the interaction loop", cmd_simulate, LOOP_FLAGS + (
         "model", "w", "users", "track_fb", "trace_paths")),
     "experiment 1": ("one user's coverage under every model", cmd_experiment,
@@ -275,14 +263,35 @@ def make_parser() -> argparse.ArgumentParser:
             if SIM_FIELDS.get(flag) is bool:
                 options = {"action": "store_true", "default": None}
             p.add_argument("--" + flag.replace("_", "-"), **options)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, out="out" if "feeds" in flags else None)
     return parser
+
+
+def check_out(args) -> None:
+    """Reject an --out the command could not write, before any work. A run's
+    or an experiment's directory must be new or empty, so that it never
+    mixes the files of two runs; a file must not be a directory, and its
+    directory must exist."""
+    out = args.out
+    if out is None:
+        return
+    if not out:
+        raise ValueError("--out is empty")
+    if "feeds" in vars(args):           # a run or an experiment
+        if os.path.exists(out) and (not os.path.isdir(out) or os.listdir(out)):
+            raise ValueError(f"--out {out!r} exists and is not an empty directory")
+    elif os.path.isdir(out):
+        raise ValueError(f"--out {out!r} is a directory, not a file")
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"--out {out!r} is in a directory that does not exist")
 
 
 def main(argv: list = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = build_config(args)
+        check_out(args)
+        return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

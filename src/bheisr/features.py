@@ -29,9 +29,6 @@ class Vocabulary:
     term_ids: dict          # term -> int id, in id order
     idf: np.ndarray         # per term id, its idf weight
 
-    def terms(self) -> list:
-        return list(self.term_ids)
-
 
 def build_vocabulary(tokens: list) -> Vocabulary:
     """Vocabulary over documents' token lists (an item's is
@@ -257,8 +254,6 @@ class CategoryGraph:
         otherwise table.rows finds them.
         """
         items = list(items)
-        if not items:
-            return
         pair_item, rows = self._pairs(items)
         if item_rows is None:
             item_rows = self.table.rows(items)
@@ -328,7 +323,7 @@ class CategoryGraph:
             self.rho_gather].tolist()
 
     def to_json_dict(self) -> dict:
-        terms = self.table.index.vocab.terms()
+        terms = list(self.table.index.vocab.term_ids)
         nodes = []
         for cat, row in self.rows.items():
             tids = np.sort(self.touch_order[row, :self.n_touched[row]])

@@ -57,7 +57,7 @@ class TemplateGenerator:
             # a category's items are consecutive rows, so their entries are
             # one run of the flat arrays
             bounds = [*entries.starts.tolist(), len(entries.terms)]
-            terms, n, self._top_terms = vocab.terms(), 0, {}
+            terms, n, self._top_terms = list(vocab.term_ids), 0, {}
             for cat, items in self.exemplars.items():
                 span = slice(bounds[n], bounds[n + len(items)])
                 n += len(items)

@@ -332,9 +332,7 @@ def _record(state: SimState, step: int, user_id: str, feed,
         item_ids=tuple([it.id for it in feed.items]),
         origins=tuple([it.origin for it in feed.items]),
         categories=tuple(sorted(categories)),
-        # an exhausted catalog gives an empty feed, which covers nothing
-        coverage=(detection.diversity_coverage(categories, taxonomy)
-                  if feed.items else 0.0),
+        coverage=detection.diversity_coverage(categories, taxonomy),
         belief_coverage=(state.networks[user_id].positive_category_count()
                          / len(taxonomy)),
         decisions=decisions,
@@ -452,15 +450,10 @@ def _runs(corpus: Corpus, configs: list) -> list:
     return [run_loop(config, corpus, assets) for config in configs]
 
 
-@dataclass
-class CoverageTable:
-    rows: list                  # per feed: {model: coverage}, in MODELS order
-    sums: dict
-    improvements: dict          # mixed model -> percent over its baseline
-
-
-def experiment_coverage(config: SimConfig, out_dir: str) -> CoverageTable:
-    """Per-feed diversity coverage of one user's feeds under each model."""
+def experiment_coverage(config: SimConfig, out_dir: str) -> dict:
+    """Per-feed diversity coverage of one user's feeds under each model:
+    {"rows": per feed, {model: coverage} in MODELS order; "sums";
+    "improvements": mixed model -> percent over its baseline}."""
     corpus = _corpus(config)
     target = _target(config, corpus)[0]
     runs = _runs(corpus, [replace(config, model=m, users=(target,),
@@ -478,7 +471,7 @@ def experiment_coverage(config: SimConfig, out_dir: str) -> CoverageTable:
         ["Sum"] + [_fmt(sums[m]) for m in MODELS],
         ["Improv"] + [_fmt(improvements[m]) + "%" if m in improvements else ""
                       for m in MODELS]])
-    return CoverageTable(rows=rows, sums=sums, improvements=improvements)
+    return {"rows": rows, "sums": sums, "improvements": improvements}
 
 
 def experiment_trajectory(config: SimConfig, out_dir: str) -> dict:

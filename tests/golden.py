@@ -47,7 +47,6 @@ COMMANDS = {
     **{f"recommend {model}": ("recommend", *SYNTH, "--model", model)
        for model in ("cb_w", "bheisr")},
     "recommend bheisr u0005": ("recommend", *SYNTH, "--model", "bheisr",
-                               "--users", "u0003,u0005",
                                "--target-user", "u0005"),
     **{f"ingest {shape}": ("ingest", "--synth", shape, "--out", "{out}/corpus.json")
        for shape in (

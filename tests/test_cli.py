@@ -1,13 +1,21 @@
 """Command line interface: argument plumbing and subcommand output."""
 
 import csv
+import io
 import json
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bheisr import simulate
 from bheisr.belief import build_all
 from bheisr.cli import (
+    COMMANDS,
     build_config,
     load_config_file,
     main,
@@ -190,7 +198,8 @@ class TestBuildConfig:
 UNREAD_FLAGS = [
     ("recommend", "--out x"), ("recommend", "--feeds 2"),
     ("recommend", "--track-fb"), ("recommend", "--trace-paths"),
-    ("recommend", "--user u0000"), ("simulate", "--target-user u0000"),
+    ("recommend", "--user u0000"), ("recommend", "--users u0000"),
+    ("simulate", "--target-user u0000"),
     *[(f"experiment {number}", flag) for number, flags in (
         (1, ("--model rd", "--users u0000")), (2, ("--users u0000",)),
         (3, ("--model rd", "--target-user u0000")),
@@ -383,10 +392,11 @@ class TestDetect:
         assert main(["detect", "--" + source, value[source]]) == 0
         assert len(calls) == validations
 
-    def test_small_population_exits_1(self, capsys):
+    def test_small_population_exits_2(self, capsys):
+        # it used to print its own error and exit 1, unlike every other failure
         code = main(["detect", "--synth",
                      "n_users=4,n_categories=5,subcats_per_category=2,n_items=40"])
-        assert code == 1
+        assert code == 2
         assert "need at least" in capsys.readouterr().err
 
     def test_seed_flag_rejected(self, capsys):
@@ -432,6 +442,23 @@ class TestCorpusCommandConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "detect", "graph"])
+    @pytest.mark.parametrize("out, message", [
+        (".", "--out '.' is a directory, not a file"),
+        ("nodir/x.json",
+         "--out 'nodir/x.json' is in a directory that does not exist"),
+        ("", "--out is empty")])
+    def test_out_it_cannot_write_exits_2_before_any_corpus(
+            self, tmp_path, capsys, monkeypatch, command, out, message):
+        # each used to build (and classify) the whole corpus, then fail to
+        # open its file; an empty --out used to mean no file
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(simulate, "build_corpus",
+                            lambda config: pytest.fail("a corpus was built"))
+        assert main([command, "--synth", SYNTH, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ingest", "detect", "graph"])
     def test_valid_run_keys_accepted(self, tmp_path, capsys, command):
         path = tmp_path / "c.cfg"
         path.write_text("seed=3\nk=5\nmodel=uc_w\n")
@@ -461,29 +488,16 @@ class TestRecommend:
         assert code == 2
         assert "error: unknown user 'nobody'" in capsys.readouterr().err
 
-    def test_unknown_fed_user_exits_2(self, capsys):
-        # --users used to be ignored here; prepare checks it as for simulate
-        code = main(["recommend", "--synth", SYNTH, "--users", "nobody"])
-        assert code == 2
-        assert "error: unknown user 'nobody'" in capsys.readouterr().err
-
-    def test_default_user_is_the_first_fed_user(self, capsys):
-        # only fed users get a nudge session, so --users u0005 used to print
-        # u0000's feed, un-nudged
+    def test_default_user_is_the_corpus_first_user(self, capsys):
         base = ["recommend", "--synth", "n_users=20,bias_profile=10",
                 "--model", "bheisr"]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert main(base + ["--target-user", "u0000"]) == 0
+        assert capsys.readouterr().out == default
+        # the target is nudged: its feed opens with its own generated item
         assert main(base + ["--target-user", "u0005"]) == 0
-        alone = capsys.readouterr().out
-        assert alone.startswith("gi:u0005:1\t")
-        assert main(base + ["--users", "u0005"]) == 0
-        assert capsys.readouterr().out == alone
-
-    def test_user_outside_the_fed_users_exits_2(self, capsys):
-        code = main(["recommend", "--synth", "n_users=20,bias_profile=10",
-                     "--model", "bheisr", "--users", "u0005", "--target-user",
-                     "u0000"])
-        assert code == 2
-        assert "error: unknown user 'u0000'" in capsys.readouterr().err
+        assert capsys.readouterr().out.startswith("gi:u0005:1\t")
 
     def test_corpus_without_users_exits_2(self, tmp_path, capsys):
         # simulate, detect and graph run on it; recommend has no user to pick
@@ -698,10 +712,15 @@ class TestSimulate:
         assert json.loads((out / "fb_counts.json").read_text())[0] == [0, 5]
         assert (out / "paths.jsonl").exists()
 
+    @pytest.mark.parametrize("second", [
+        ["simulate", "--model", "rd", "--users", "u0001"],
+        *[["experiment", number] for number in "1234"]],
+        ids=["simulate", *[f"experiment {number}" for number in "1234"]])
     def test_rerun_into_a_used_out_exits_2_and_changes_nothing(
-            self, tmp_path, capsys, monkeypatch):
-        # the second run used to replace runlog.jsonl and leave the first
-        # run's fb_counts.json, paths.jsonl and other networks beside it
+            self, tmp_path, capsys, monkeypatch, second):
+        # a second run used to replace runlog.jsonl and leave the first run's
+        # fb_counts.json, paths.jsonl and other networks beside it, and an
+        # experiment wrote its CSV beside them all
         out = tmp_path / "run"
         assert main(["simulate", "--synth", SYNTH, "--model", "bheisr",
                      "--feeds", "2", "--track-fb", "--trace-paths",
@@ -710,8 +729,8 @@ class TestSimulate:
         capsys.readouterr()
         monkeypatch.setattr(simulate, "build_corpus",
                             lambda config: pytest.fail("a corpus was built"))
-        assert main(["simulate", "--synth", SYNTH, "--model", "rd", "--feeds",
-                     "1", "--users", "u0001", "--out", str(out)]) == 2
+        assert main([*second, "--synth", SYNTH, "--feeds", "1",
+                     "--out", str(out)]) == 2
         assert f"error: --out '{out}' exists and is not an empty directory" \
             in capsys.readouterr().err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
@@ -836,3 +855,116 @@ class TestExperiments:
     def test_unknown_experiment_number_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "9", "--synth", SYNTH])
+
+
+# the CLI grammar, at most 12 users, 60 items, 3 feeds and k 5 per call.
+# Each part is (good, bad) choices; a call breaks the parts its faults name
+SMALL = "n_users=12,n_categories=3,subcats_per_category=2,n_items=60,bias_profile=2"
+SOURCES = (
+    [["--synth", SMALL], ["--dataset", "corpus.json"],
+     ["--synth", "n_users=6,n_categories=3,subcats_per_category=1,n_items=18"]],
+    [["--synth", "n_users=abc"], ["--synth", "n_users=4,n_users=5"],
+     ["--dataset", "missing.json"], ["--dataset", "corpus.json", "--synth", SMALL],
+     ["--dataset", "corpus.json", "--dataset-format", "imdb_csv"], []])
+# --generator-url is left out: a run with one asks an HTTP endpoint for items
+FLAG_VALUES = {
+    "--seed": (["0", "3"], ["-1", "x"]), "--k": (["1", "5"], ["0", "k"]),
+    "--feeds": (["1", "3"], ["0", "x"]), "--w": (["0.0", "0.6"], ["1.5"]),
+    "--theta": (["0.5"], ["-1"]),
+    "--model": (sorted(simulate.MODELS), ["nope"]),
+    "--target-user": (["u0000", "u0003"], ["nobody", ""]),
+    "--users": (["u0000", "u0001,u0002"], [",", "nobody", "u0001,u0001"]),
+    "--queue-discipline": (["drain", "replace"], ["bogus"]),
+    "--max-path-len": (["4"], ["0"]),
+    "--generator-timeout-ms": (["50"], ["0"]),
+    "--track-fb": ([None], [None]), "--trace-paths": ([None], [None]),
+}
+CONFIG_LINES = (["seed=2", "w=0.4", "model=rd_w", "feeds=2", "k=3",
+                 "users=u0001", "target_user=u0002", "trace_paths=yes"],
+                ["k=0", "nudge.theta=3", "bogus", "track_fb=maybe",
+                 "dataset_format=xml", "seed=2\nseed=3"])
+# --out: a run's directory must be new or empty, a file command's file must
+# not be a directory and must be in one that exists
+RUN_OUTS = (["new", "empty", "nodir/x"], ["used", "afile", ""])
+FILE_OUTS = (["new", "afile"], ["empty", "used", "nodir/x", ""])
+FAULTS = ("source", "value", "unread", "config", "out")
+
+
+@st.composite
+def argvs(draw):
+    """(argv, config lines or None) drawn from the grammar, with paths
+    relative to the directory a call runs in."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    reads = {"--" + flag.replace("_", "-") for flag in COMMANDS[command][2]}
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
+
+    def pick(fault, choices):
+        return draw(st.sampled_from(choices[fault in faults]))
+
+    argv = [*command.split(), *pick("source", SOURCES)]
+    # feeds and k always bounded; other flags drawn
+    flags = [flag for flag in ("--feeds", "--k") if flag in reads]
+    others = sorted(reads & FLAG_VALUES.keys() - set(flags))
+    if others:
+        flags += draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    if "unread" in faults:
+        flags.append(draw(st.sampled_from(sorted(FLAG_VALUES.keys() - reads))))
+    for flag in flags:
+        value = pick("value", FLAG_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    lines = None
+    if "config" in faults or draw(st.booleans()):
+        lines = draw(st.lists(st.sampled_from(CONFIG_LINES[0]), max_size=2,
+                              unique=True))
+        if "config" in faults:
+            lines.append(pick("config", CONFIG_LINES))
+        argv += ["--config", "run.cfg"]
+    if "out" in faults or (reads & {"--out"} and draw(st.booleans())):
+        argv += ["--out", pick("out", RUN_OUTS if "--feeds" in reads
+                               else FILE_OUTS)]
+    return argv, lines
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+class TestCliProperty:
+    """Every argv the grammar draws either runs (exit 0), or is rejected
+    (exit 2) with a message and leaves every file as it was; no call ends in
+    a traceback."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli") / "corpus.json"
+        save_corpus(synth_corpus(parse_synth(SMALL)), str(path))
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=argvs())
+    def test_exits_0_or_2_and_a_rejected_call_writes_nothing(self, corpus,
+                                                             drawn):
+        argv, lines = drawn
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            mp.chdir(root)      # a run without --out writes ./out
+            shutil.copy(corpus, root / "corpus.json")
+            (root / "empty").mkdir()
+            (root / "used").mkdir()
+            (root / "used" / "runlog.jsonl").write_text("{}\n")
+            (root / "afile").write_text("kept\n")
+            if lines is not None:
+                (root / "run.cfg").write_text("\n".join(lines) + "\n")
+            before = _files(root)
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:   # argparse's exit on a bad flag
+                    code = exc.code
+            assert code in (0, 2), (argv, lines)
+            if code == 2:
+                assert "error:" in err.getvalue(), (argv, lines)
+                assert _files(root) == before, (argv, lines)

@@ -104,7 +104,7 @@ class TestVocabulary:
 
     def test_terms_ordered_by_id(self):
         vocab = item_vocabulary([make_item("1", "c", "c/s", "zz aa mm")])
-        assert vocab.terms() == ["aa", "mm", "zz"]
+        assert list(vocab.term_ids) == ["aa", "mm", "zz"]
 
 
 class TestFeaturize:

@@ -147,7 +147,7 @@ def oracle_top_terms(exemplars: dict) -> dict:
     """Each category's terms ranked by the sum of its exemplars' featurize
     weights, added item by item, ties by term."""
     vocab = item_vocabulary([it for its in exemplars.values() for it in its])
-    terms, ranked = vocab.terms(), {}
+    terms, ranked = list(vocab.term_ids), {}
     for cat, items in exemplars.items():
         acc = {}
         for item in items:

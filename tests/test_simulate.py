@@ -746,11 +746,11 @@ class TestExperimentCoverage:
     def test_table_shape_and_csv(self, tmp_path):
         config = SimConfig(w=0.6, k=5, feeds=3, seed=0, synth=FB_SPEC)
         table = experiment_coverage(config, str(tmp_path))
-        assert tuple(table.sums) == tuple(MODELS)
-        assert len(table.rows) == 3
-        assert set(table.improvements) == {"rd_w", "cb_w", "uc_w"}
-        for model, total in table.sums.items():
-            assert total == pytest.approx(sum(r[model] for r in table.rows))
+        assert tuple(table["sums"]) == tuple(MODELS)
+        assert len(table["rows"]) == 3
+        assert set(table["improvements"]) == {"rd_w", "cb_w", "uc_w"}
+        for model, total in table["sums"].items():
+            assert total == pytest.approx(sum(r[model] for r in table["rows"]))
 
         with open(tmp_path / "coverage.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -764,7 +764,7 @@ class TestExperimentCoverage:
     def test_mixed_models_beat_their_baselines_here(self, tmp_path):
         table = experiment_coverage(
             SimConfig(w=0.6, k=5, feeds=3, seed=0, synth=FB_SPEC), str(tmp_path))
-        assert table.sums["cb_w"] > table.sums["cb"]
+        assert table["sums"]["cb_w"] > table["sums"]["cb"]
 
 
 class TestExperimentTrajectory:
