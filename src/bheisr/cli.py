@@ -182,7 +182,7 @@ def cmd_experiment(args, config) -> int:
     out = args.out
     if args.number == "1":
         table = simulate.experiment_coverage(config, out_dir=out)
-        for model, (_, _, label) in simulate.MODELS.items():
+        for model, (_, _, label, _) in simulate.MODELS.items():
             extra = (f" improvement={table['improvements'][model]:+.2f}%"
                      if model in table["improvements"] else "")
             print(f"{label}: sum={table['sums'][model]:.6f}{extra}")

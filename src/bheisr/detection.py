@@ -35,14 +35,15 @@ def normal_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
     return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
 
 
-def kolmogorov_p(lam: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov tail probability, clamped to [0, 1]."""
+def kolmogorov_p(lam: float) -> float:
+    """Asymptotic Kolmogorov tail probability from the series' first 100
+    terms, clamped to [0, 1]."""
     if lam < 0.05:
-        # the series needs far more than `terms` terms here, while the true
-        # tail is 1.0 to double precision
+        # the series needs far more than 100 terms here, while the true tail
+        # is 1.0 to double precision
         return 1.0
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 101):
         total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
     return min(1.0, max(0.0, 2.0 * total))
 

@@ -106,31 +106,27 @@ class ItemTable:
     Rows 0..n-1 are the candidate index's rows, never written. An item
     outside the index takes the row of its text: the texts a call brings for
     the first time in the run are featurized in one featurize_corpus call
-    and appended, and the item's id keeps its row. The table grows only at
-    the step barrier, which is the only place that passes it new items.
+    and appended. The table grows only at the step barrier, which is the
+    only place that passes it new items.
     """
 
     def __init__(self, index):
         self.index = index                  # the CandidateIndex of the corpus
         self.entries = index.entries        # FlatEntries of every row
         self.text_rows = {}                 # text -> row, items outside the index
-        self.item_rows = {}                 # id -> row, items outside the index
         self._store = None                  # FlatEntries with room behind entries
 
     def rows(self, items: list) -> np.ndarray:
         """Each item's row, in order, appending the rows of new texts."""
-        text_rows, item_rows = self.text_rows, self.item_rows
-        ids = [item.id for item in items]
-        rows = np.fromiter(map(self.index.pos.get, ids,
-                               map(item_rows.get, ids, repeat(-1))),
-                           np.intp, len(ids))
+        text_rows = self.text_rows
+        rows = np.fromiter(map(self.index.pos.get, (item.id for item in items),
+                               repeat(-1)), np.intp, len(items))
         new = np.flatnonzero(rows < 0).tolist()
         if new:
             texts = [items[n].text() for n in new]
             self._append([text for text in dict.fromkeys(texts)
                           if text not in text_rows])
-            for n, text in zip(new, texts):
-                rows[n] = item_rows[ids[n]] = text_rows[text]
+            rows[new] = [text_rows[text] for text in texts]
         return rows
 
     def _append(self, texts: list) -> None:
@@ -193,7 +189,6 @@ class CategoryGraph:
     n_touched: np.ndarray
     norms: np.ndarray
     rho_rows: list                      # row of a -> [rho(a, c) for c in categories]
-    rho_gather: np.ndarray              # rows (a, c) -> index in edges + diagonal
 
     @classmethod
     def build(cls, corpus, table: ItemTable) -> "CategoryGraph":
@@ -207,18 +202,14 @@ class CategoryGraph:
         categories = corpus.categories()
         n = len(categories)
         shape = (n, len(table.index.vocab.term_ids) + 1)
-        a, b = np.triu_indices(n, 1)
-        gather = np.empty((n, n), dtype=np.intp)
-        gather[a, b] = gather[b, a] = np.arange(len(a))
-        gather[np.diag_indices(n)] = len(a) + np.arange(n)
         graph = cls(table=table, categories=categories,
-                    member_counts=np.zeros(n, dtype=np.intp), edge_rows=(a, b),
+                    member_counts=np.zeros(n, dtype=np.intp),
+                    edge_rows=np.triu_indices(n, 1),
                     rows={c: r for r, c in enumerate(categories)},
                     term_sums=np.zeros(shape), node_values=np.zeros(shape),
                     touch_order=np.full(shape, shape[1] - 1, dtype=np.intp),
                     n_touched=np.zeros(n, dtype=np.intp),
-                    norms=np.zeros(n), rho_rows=np.zeros((n, n)).tolist(),
-                    rho_gather=gather)
+                    norms=np.zeros(n), rho_rows=np.zeros((n, n)).tolist())
         graph.accept_items(corpus.items.values(),
                            np.arange(len(table.index.ids), dtype=np.intp))
         return graph
@@ -319,8 +310,9 @@ class CategoryGraph:
         rho = np.clip(dots / np.where(zero, 1.0, norm_a * norm_b), -1.0, 1.0)
         rho[zero] = 0.0
         # rho(a, a) is 1.0 for a node with a nonzero vector and 0.0 otherwise
-        self.rho_rows = np.concatenate((rho, self.norms != 0.0))[
-            self.rho_gather].tolist()
+        table = np.diag((self.norms != 0.0).astype(float))
+        table[a, b] = table[b, a] = rho
+        self.rho_rows = table.tolist()
 
     def to_json_dict(self) -> dict:
         terms = list(self.table.index.vocab.term_ids)

@@ -107,7 +107,7 @@ class ExternalGenerator:
     """HTTP generation endpoint with retries and template fallback.
 
     POSTs {"prompt_categories": [...], "exemplar_snippets": [...],
-    "max_tokens": n} and expects non-empty {"title": ..., "abstract": ...}
+    "max_tokens": 120} and expects non-empty {"title": ..., "abstract": ...}
     strings back. An OSError or a malformed reply is a failed attempt; once
     the retries are spent the template fills in for this and, unposted, for
     every later call of the run, and `fallback_count` counts each. Any other
@@ -116,12 +116,11 @@ class ExternalGenerator:
     """
 
     def __init__(self, url: str, fallback: TemplateGenerator, timeout_ms: int = 2000,
-                 retries: int = 2, max_tokens: int = 120, post=_post_json):
+                 retries: int = 2, post=_post_json):
         self.url = url
         self.fallback = fallback
         self.timeout_ms = timeout_ms
         self.retries = retries
-        self.max_tokens = max_tokens
         self.fallback_count = 0
         self._post = post
 
@@ -132,7 +131,7 @@ class ExternalGenerator:
                 "exemplar_snippets": [
                     " ".join(self.fallback.top_terms(c)) or c for c in prompt_categories
                 ],
-                "max_tokens": self.max_tokens,
+                "max_tokens": 120,
             }
             last_error = None
             for _ in range(self.retries + 1):

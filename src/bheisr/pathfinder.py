@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .corpus import PROMPT_KEY_SEPARATOR
 
-DEFAULT_THETA = 2
+DEFAULT_THETA = 2.0
 
 
 @dataclass(frozen=True)

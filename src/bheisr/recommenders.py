@@ -113,7 +113,6 @@ class FeedContext:
     generator: object = None
     user_ids: list = None
     user_pos: dict = None
-    cats: list = None
     accept_matrix: np.ndarray = None     # users x items, 0/1
     mass_matrix: np.ndarray = None       # UC: users x categories, history masses
     mass_norms: np.ndarray = None        # UC: per user, norm of the mass row
@@ -130,7 +129,6 @@ class FeedContext:
         index, corpus = self.table.index, self.corpus
         self.user_ids = sorted(self.networks)
         self.user_pos = {u: r for r, u in enumerate(self.user_ids)}
-        self.cats = list(corpus.categories())
         n_users = len(self.user_ids)
         # corpus users need not be sorted; index rows are corpus positions
         row_of = np.array([self.user_pos[u] for u in corpus.users], dtype=np.intp)
@@ -148,7 +146,7 @@ class FeedContext:
             self.profile_sums = np.zeros((n_users, n_terms))
         self._fold_accepts(row_of[user], cols)
         if self.baseline == "uc":
-            self.mass_matrix = np.zeros((n_users, len(self.cats)))
+            self.mass_matrix = np.zeros((n_users, len(corpus.taxonomy)))
             self.mass_norms = np.zeros(n_users)
             self.refresh_mass(self.user_ids)
 
@@ -177,16 +175,15 @@ class FeedContext:
                       weights)
 
     def refresh_mass(self, user_ids: list) -> None:
-        """Re-snapshot the per-category history mass and its norm for the
-        given users. UC alone reads them.
+        """Re-snapshot the per-category history mass, in belief order, and
+        its norm for the given users. UC alone reads them.
 
         Only an accept changes a user's mass, so note_accept passes just the
         users who accepted something.
         """
         rows = np.array([self.user_pos[u] for u in user_ids], dtype=np.intp)
         for u, r in zip(user_ids, rows):
-            mass = self.networks[u].mass_by_category()
-            self.mass_matrix[r] = [mass[c] for c in self.cats]
+            self.mass_matrix[r] = list(self.networks[u].mass_by_category().values())
         # row-wise sums, as a full rebuild takes them (a 1-D norm calls BLAS dot)
         self.mass_norms[rows] = np.linalg.norm(self.mass_matrix[rows], axis=1)
 
@@ -259,13 +256,13 @@ def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
 
 
 def _category_shares(ctx: FeedContext, user_id: str):
-    """The user's belief share B(C) / sum B of each category, in ctx.cats
+    """The user's belief share B(C) / sum B of each category, in belief
     order, or None when sum B is not positive (UC then scores 0)."""
     belief = ctx.networks[user_id].belief
     total = fold_sum(belief.values())
     if total <= 0.0:
         return None
-    return np.array([belief[c] for c in ctx.cats]) / total
+    return np.array(list(belief.values())) / total
 
 
 def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,

@@ -23,16 +23,16 @@ from .folds import fold_sum
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
 from .rng import substream
 
-# model name -> (baseline kind, mixes generated items, label), in the order
-# the experiments run and report them
+# model name -> (baseline kind, mixes generated items, label, the w it runs
+# at or None for the config's), in the order the experiments run and report them
 MODELS = {
-    "rd": ("rd", False, "RD"),
-    "rd_w": ("rd", True, "RD_wC"),
-    "cb": ("cb", False, "CB"),
-    "cb_w": ("cb", True, "CB_wC"),
-    "uc": ("uc", False, "UC"),
-    "uc_w": ("uc", True, "UC_wC"),
-    "bheisr": ("rd", True, "BHEISR"),
+    "rd": ("rd", False, "RD", None),
+    "rd_w": ("rd", True, "RD_wC", None),
+    "cb": ("cb", False, "CB", None),
+    "cb_w": ("cb", True, "CB_wC", None),
+    "uc": ("uc", False, "UC", None),
+    "uc_w": ("uc", True, "UC_wC", None),
+    "bheisr": ("rd", True, "BHEISR", 1.0),
 }
 
 EXEMPLARS_PER_CATEGORY = 3
@@ -45,7 +45,7 @@ class SimConfig:
     model: str = "cb_w"
     w: float = 0.6
     k: int = 10
-    theta: float = 2.0
+    theta: float = pathfinder.DEFAULT_THETA
     feeds: int = 10
     seed: int = 0
     dataset: str = None
@@ -249,12 +249,12 @@ def prepare(config: SimConfig, corpus: Corpus = None,
     networks, classification = build_population(corpus)
     exemplars = _collect_exemplars(corpus)
     generator = _build_generator(config, exemplars)
-    baseline, with_bheisr, _ = MODELS[config.model]
+    baseline, with_bheisr, _, fixed_w = MODELS[config.model]
     ctx = FeedContext(corpus=corpus, networks=networks, table=table,
                       baseline=baseline, generator=generator)
     ctx.enable_acceleration()
 
-    w_eff = 1.0 if config.model == "bheisr" else config.w
+    w_eff = config.w if fixed_w is None else fixed_w
     sessions = {}
     if with_bheisr and classification is not None:
         fed = set(users)
@@ -465,7 +465,7 @@ def experiment_coverage(config: SimConfig, out_dir: str) -> dict:
         mixed: 100.0 * (sums[mixed] - sums[base]) / sums[base]
         for base, mixed in IMPROVEMENT_PAIRS if sums[base] > 0.0}
     _write_csv(out_dir, "coverage.csv", [
-        ["Times"] + [label for _, _, label in MODELS.values()],
+        ["Times"] + [label for _, _, label, _ in MODELS.values()],
         *[[f"feed_{i}"] + [_fmt(row[m]) for m in MODELS]
           for i, row in enumerate(rows, start=1)],
         ["Sum"] + [_fmt(sums[m]) for m in MODELS],
@@ -519,10 +519,10 @@ def experiment_fb_count(config: SimConfig, out_dir: str) -> dict:
 def experiment_w_sweep(config: SimConfig, out_dir: str) -> dict:
     """Belief-network category coverage of the target user per feed, per w."""
     corpus = _corpus(config)
-    # a pure model mixes no generated items, and prepare fixes bheisr's w at
-    # 1.0, so either would give one series for every w
-    mixed = [m for m, (_, with_bheisr, _) in MODELS.items()
-             if with_bheisr and m != "bheisr"]
+    # a pure model mixes no generated items, and a model with its own w
+    # ignores the config's, so either would give one series for every w
+    mixed = [m for m, (_, with_bheisr, _, w) in MODELS.items()
+             if with_bheisr and w is None]
     if config.model not in mixed:
         raise ValueError(f"model {config.model!r} has no w to sweep; pick "
                          f"from the mixed models {mixed}")

@@ -50,16 +50,15 @@ TINY_ROWS = [
 ]
 
 
-def tiny_corpus(rows=TINY_ROWS):
+def tiny_corpus(rows=TINY_ROWS,
+                taxonomy=(("a", ("a/s1", "a/s2")), ("b", ("b/s1",)))):
     """Two categories; user u clicks a/s1 twice, a/s2 once, b/s1 once."""
     items = {
         "i1": Item("i1", "a", "a/s1", "t1", "", {"a": 1.0}),
         "i2": Item("i2", "a", "a/s2", "t2", "", {"a": 1.0}),
         "i3": Item("i3", "b", "b/s1", "t3", "", {"b": 1.0}),
     }
-    return corpus_of(items, rows,
-                     taxonomy={"a": ("a/s1", "a/s2"), "b": ("b/s1",)},
-                     users=("u", "v"))
+    return corpus_of(items, rows, taxonomy=dict(taxonomy), users=("u", "v"))
 
 
 class TestGlobalNormalization:
@@ -231,6 +230,41 @@ class TestLazyBelief:
         network.belief["a"]
         network.belief["b"]
         assert folds == [1]
+
+
+def b_first_corpus():
+    """tiny_corpus with its taxonomy listed b first and u's history
+    touching b first, so neither is in corpus.categories() order."""
+    return tiny_corpus([("u", "i3", 0, 1.0), ("u", "i1", 1, 1.0)],
+                       (("b", ("b/s1",)), ("a", ("a/s1", "a/s2"))))
+
+
+class TestCategoryOrder:
+    """The UC scoring state reads a network's beliefs and masses as rows in
+    corpus.categories() order, the order of the candidate index's
+    cat_index, with no map from category to column."""
+
+    def test_build_all_networks_take_the_corpus_order(self):
+        corpus = b_first_corpus()
+        networks = build_all(corpus)
+        assert list(corpus.taxonomy) == ["b", "a"]
+        assert list(networks["u"].click_counts) == ["b/s1", "a/s1"]
+        for network in networks.values():
+            assert network.categories == corpus.categories() == ("a", "b")
+
+    @settings(max_examples=200, deadline=None)
+    @given(user=st.sampled_from(["u", "v"]), ops=feedback_ops)
+    def test_accepts_keep_beliefs_and_masses_in_category_order(self, user,
+                                                               ops):
+        corpus = b_first_corpus()
+        network = build_all(corpus)[user]
+        for n, (op, arg) in enumerate(ops):
+            if op == "corpus":
+                network.update_on_feedback(corpus.items[arg])
+            elif op == "generated":
+                network.update_on_feedback(generated_item(f"g{n}", arg))
+            assert list(network.belief) == list(network.mass_by_category()) \
+                == list(network.categories) == ["a", "b"]
 
 
 # click masses as the loop credits them: whole clicks, a generated item's

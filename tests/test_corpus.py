@@ -94,6 +94,11 @@ class TestLoadBehaviors:
         corpus = load_behaviors(write(tmp_path / "b.tsv", text))
         assert corpus.rejects == [(1, "empty category")]
         assert len(corpus.log_user) == 4
+        # an empty user id is a reject too, not a user
+        text = "\t1\tnews\tnews/world\tT\tA\t1\n" + BEHAVIORS
+        corpus = load_behaviors(write(tmp_path / "b.tsv", text))
+        assert corpus.rejects == [(1, "empty user id")]
+        assert "" not in corpus.users
 
     def test_rejected_row_between_kept_rows_equals_the_oracle(self, tmp_path):
         # the rejected row's user, item, category and stamp go nowhere
@@ -176,6 +181,10 @@ class TestLoadRatings:
     def test_missing_file_raises(self, tmp_path):
         write(tmp_path / "movies.csv", RATINGS_MOVIES)
         with pytest.raises(FileNotFoundError):
+            load_ratings(str(tmp_path))
+        # both files are checked before movies.csv is parsed
+        write(tmp_path / "movies.csv", "no,header\n")
+        with pytest.raises(FileNotFoundError, match="ratings.csv"):
             load_ratings(str(tmp_path))
 
     def test_unreadable_csv_raises_parse_error(self, tmp_path):

@@ -645,7 +645,7 @@ def uc_state(mass, accept, beliefs, item_cats):
                 for u, row in zip(users, beliefs)}
     ctx = FeedContext(corpus=None, networks=networks, table=ItemTable(index),
                       baseline="uc", user_ids=users,
-                      user_pos={u: r for r, u in enumerate(users)}, cats=cats,
+                      user_pos={u: r for r, u in enumerate(users)},
                       accept_matrix=np.asarray(accept, dtype=float),
                       mass_matrix=np.asarray(mass, dtype=float))
     # row-wise, as refresh_mass takes them

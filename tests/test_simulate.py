@@ -241,7 +241,7 @@ class TestPrepare:
 
     def test_model_table(self):
         assert set(MODELS) == {"rd", "rd_w", "cb", "cb_w", "uc", "uc_w", "bheisr"}
-        assert all(base in ("rd", "cb", "uc") for base, _, _ in MODELS.values())
+        assert all(base in ("rd", "cb", "uc") for base, _, _, _ in MODELS.values())
 
 
 class TestRunLoop:
@@ -660,15 +660,12 @@ class TestStateMatchesLog:
                        fb_corpus, fb_assets)
         (state,) = states
         # the graph and the scoring state share one table, whose appended
-        # rows are exactly the texts of the accepted items outside the index,
-        # and which keeps the rows of just those items' ids
+        # rows are exactly the texts of the accepted items outside the index
         table = state.ctx.table
         assert state.graph.table is table
         outside = {i: item for i, item in flushed.items()
                    if i not in table.index.pos}
         assert set(table.text_rows) == {item.text() for item in outside.values()}
-        assert table.item_rows == {i: table.text_rows[item.text()]
-                                   for i, item in outside.items()}
         seeded = build_all(fb_corpus)
         members = CategoryGraph.build(fb_corpus, ItemTable(fb_assets)).member_counts
         generated_accepts = 0
