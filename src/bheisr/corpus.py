@@ -15,6 +15,7 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import cycle
 
 import numpy as np
 
@@ -249,10 +250,12 @@ class Corpus:
 
 def _timestamp_key(raw: str):
     # numeric timestamps order numerically, everything else as a string
+    # after them; NaN, which compares false both ways, counts as a string
     try:
-        return (0, float(raw), "")
+        value = float(raw)
     except ValueError:
-        return (1, 0.0, raw)
+        value = math.nan
+    return (1, 0.0, raw) if math.isnan(value) else (0, value, "")
 
 
 def _ordinalize(raw_stamps: list) -> list:
@@ -479,6 +482,8 @@ _BIASED_INTEREST = 180
 _HISTORY_FRACTION = 0.6   # share of each subcat's item pool that histories touch
 
 _SHARED_TOKENS = ("daily", "report", "update", "notes", "brief")
+_PIECES = tuple(f"piece{n}" for n in range(5))
+_TOPICS = tuple(f"topic{n}" for n in range(11))
 
 
 def _pool_size(n_users: int, n_biased: int, n_categories: int) -> int:
@@ -528,22 +533,20 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     pool = sorted(shuffled[:pool_size])
     interest_cats = [c for c in shuffled if c not in pool]
 
-    # items, round-robin over (category, subcategory) pairs
+    # items, round-robin over (category, subcategory) pairs; each pair's
+    # "catNN sJ" fragment and the topic and piece tokens are built once,
+    # so the loop only formats strings
     pairs = [(c, s) for c in cats for s in subcats[c]]
+    frags = [f"{c} {s.split('/')[1]}" for c, s in pairs]
     items: dict = {}
-    for i in range(spec.n_items):
-        cat, sub = pairs[i % len(pairs)]
+    for i, (cat, sub), frag, shared, piece, topic in zip(
+            range(spec.n_items), cycle(pairs), cycle(frags), cycle(_SHARED_TOKENS),
+            cycle(_PIECES), cycle(_TOPICS)):
         item_id = f"it{i:05d}"
-        shared = _SHARED_TOKENS[i % len(_SHARED_TOKENS)]
-        sub_token = sub.split("/")[1]
-        title = f"{cat} {sub_token} {shared} topic{i % 11}"
-        if i % 7 == 0:
-            abstract = ""
-        else:
-            abstract = f"{cat} {sub_token} piece{i % 5} on topic{i % 11} {shared}"
-        items[item_id] = Item(id=item_id, category=cat, subcategory=sub,
-                              title=title, abstract=abstract,
-                              category_weights={cat: 1.0})
+        # id, category, subcategory, title, abstract, category weights
+        items[item_id] = Item(
+            item_id, cat, sub, f"{frag} {shared} {topic}",
+            "" if i % 7 == 0 else f"{frag} {piece} on {topic} {shared}", {cat: 1.0})
 
     # a biased user's residual, shared over the pool minus its own category;
     # the last `extra` subcategories of each take one click more
@@ -561,32 +564,32 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
             return residual + (j >= spc - extra)
         return 0
 
+    # one click row per kind of user, each biased user and then every
+    # balanced one, since the rule gives balanced users equal rows
+    kinds = [[clicks(idx, cat, pair % spc) for pair, (cat, _) in enumerate(pairs)]
+             for idx in range(spec.bias_profile + 1)]
+    table = np.array(kinds, dtype=np.int64)[
+        np.minimum(np.arange(spec.n_users), spec.bias_profile)]
     # one group of rows per (user, subcategory) with clicks, in user, then
-    # subcategory order; row t of a group clicks the pool item at
-    # (offset + t) % head, and every row has its own timestamp
+    # subcategory order; row t of a group clicks slot (offset + t) % head of
+    # its subcategory's pool head, and every row has its own timestamp
     users = [f"u{j:04d}" for j in range(spec.n_users)]
-    group_user, group_pair, group_offset, group_head, group_count = [], [], [], [], []
-    for u_pos, user in enumerate(users):
-        for pair, (cat, sub) in enumerate(pairs):
-            count = clicks(u_pos, cat, pair % spc)
-            if count == 0:
-                continue
-            pair_items = -(-(spec.n_items - pair) // len(pairs))   # ceil
-            head = max(1, math.ceil(_HISTORY_FRACTION * pair_items))
-            group_user.append(u_pos)
-            group_pair.append(pair)
-            group_offset.append(stable_hash(f"{user}|{sub}") % head)
-            group_head.append(head)
-            group_count.append(count)
-    counts = np.array(group_count, dtype=np.int64)
+    group_user, group_pair = np.nonzero(table)
+    counts = table[group_user, group_pair]
+    pool_head = [max(1, math.ceil(_HISTORY_FRACTION * -(-(spec.n_items - pair)
+                                                        // len(pairs))))
+                 for pair in range(len(pairs))]
+    offsets = [stable_hash(f"{users[u]}|{pairs[q][1]}") % pool_head[q]
+               for u, q in zip(group_user.tolist(), group_pair.tolist())]
     n_rows = int(counts.sum())
     step = np.arange(n_rows) - np.repeat(np.cumsum(counts) - counts, counts)
-    slot = (np.repeat(group_offset, counts) + step) % np.repeat(group_head, counts)
+    slot = (np.repeat(offsets, counts) + step) \
+        % np.repeat(np.array(pool_head)[group_pair], counts)
     return Corpus(
         items=items,
         taxonomy={c: subcats[c] for c in cats},
         users=tuple(users),
-        log_user=np.repeat(np.array(group_user, dtype=np.int32), counts),
+        log_user=np.repeat(group_user.astype(np.int32), counts),
         # slot j of pair q's pool is the item at position q + j * len(pairs)
         log_item=(np.repeat(group_pair, counts) + slot * len(pairs)).astype(np.int32),
         log_ts=np.arange(n_rows, dtype=np.int64),

@@ -15,7 +15,7 @@ from functools import partial
 
 from . import belief as belief_mod
 from . import detection, nudge, pathfinder
-from .corpus import ORIGIN_GENERATED, Corpus, SynthSpec, check_fields, \
+from .corpus import ORIGIN_GENERATED, Corpus, Item, SynthSpec, check_fields, \
     load_behaviors, load_corpus, load_ratings, reject_duplicates, synth_corpus
 from .features import CategoryGraph, GraphUpdateBuffer, ItemTable, \
     build_vocabulary, tokenize
@@ -207,7 +207,7 @@ class SimState:
 def build_assets(corpus: Corpus) -> CandidateIndex:
     """The candidate index over the corpus vocabulary, from one tokenizing
     pass: immutable, and reusable across runs with any seed."""
-    tokens = [tokenize(item.text()) for item in corpus.items.values()]
+    tokens = list(map(tokenize, map(Item.text, corpus.items.values())))
     return CandidateIndex.build(corpus, build_vocabulary(tokens), tokens)
 
 

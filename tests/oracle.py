@@ -10,7 +10,9 @@ two-sigma classification, and rebuilt_by_fold rebuilds the scoring state by
 one note_accept per user. A spy on the package's one featurizer counts what
 it is asked to featurize, and a patch reverses the order a step visits its
 users in. TableGraph and TableNetwork stand in for the category graph and a
-belief network over hand-written tables. The last helpers build test inputs:
+belief network over hand-written tables. synth_corpus_reference builds the
+synthetic corpus one (user, subcategory) group and one log row at a time.
+The last helpers build test inputs:
 a scoring context over a fresh item table, a corpus from log rows, a prompt
 path from its nodes, and the ledger's penalized edges as pairs.
 """
@@ -22,11 +24,13 @@ import numpy as np
 
 from bheisr import features, nudge, recommenders, simulate
 from bheisr.belief import build_all
-from bheisr.corpus import Corpus, _log_columns
+from bheisr import corpus as corpus_mod
+from bheisr.corpus import Corpus, Item, _log_columns, _pool_size
 from bheisr.features import ItemTable, Vocabulary, tokenize
 from bheisr.folds import fold_sum
 from bheisr.pathfinder import PromptPath
 from bheisr.recommenders import FeedContext, acceptance_share
+from bheisr.rng import stable_hash, substream
 
 
 @dataclass
@@ -359,6 +363,69 @@ def corpus_of(items: dict, log, taxonomy: dict, users: tuple,
     return Corpus(items=items, taxonomy=taxonomy, users=users,
                   signal_scheme=signal_scheme,
                   **_log_columns(items, users, *columns))
+
+
+def synth_corpus_reference(spec) -> Corpus:
+    """synth_corpus's corpus of a checked spec, one item, one (user,
+    subcategory) pair and one click-rule call at a time."""
+    rng = substream(spec.seed, "synth")
+    cats = [f"cat{i:02d}" for i in range(spec.n_categories)]
+    subcats = {c: tuple(f"{c}/s{j}" for j in range(spec.subcats_per_category))
+               for c in cats}
+    shuffled = list(cats)
+    rng.shuffle(shuffled)
+    pool = sorted(shuffled[:_pool_size(spec.n_users, spec.bias_profile,
+                                       spec.n_categories)])
+    interest_cats = [c for c in shuffled if c not in pool]
+
+    pairs = [(c, s) for c in cats for s in subcats[c]]
+    items: dict = {}
+    for i in range(spec.n_items):
+        cat, sub = pairs[i % len(pairs)]
+        shared = corpus_mod._SHARED_TOKENS[i % len(corpus_mod._SHARED_TOKENS)]
+        sub_token = sub.split("/")[1]
+        title = f"{cat} {sub_token} {shared} topic{i % 11}"
+        abstract = "" if i % 7 == 0 else \
+            f"{cat} {sub_token} piece{i % 5} on topic{i % 11} {shared}"
+        items[f"it{i:05d}"] = Item(id=f"it{i:05d}", category=cat, subcategory=sub,
+                                   title=title, abstract=abstract,
+                                   category_weights={cat: 1.0})
+
+    spc = spec.subcats_per_category
+    residual, extra = divmod(round(0.108 * corpus_mod._BIASED_INTEREST * spc
+                                   / max(1, len(pool) - 1)), spc)
+
+    def clicks(idx: int, cat: str, j: int) -> int:
+        if idx >= spec.bias_profile:
+            return corpus_mod._BALANCED_POOL if cat in pool \
+                else corpus_mod._BALANCED_BASE
+        if cat == interest_cats[idx % len(interest_cats)]:
+            return corpus_mod._BIASED_INTEREST
+        if cat in pool and cat != pool[idx % len(pool)]:
+            return residual + (j >= spc - extra)
+        return 0
+
+    users = [f"u{j:04d}" for j in range(spec.n_users)]
+    log_user, log_item = [], []
+    for u_pos, user in enumerate(users):
+        for pair, (cat, sub) in enumerate(pairs):
+            count = clicks(u_pos, cat, pair % spc)
+            if count == 0:
+                continue
+            pair_items = -(-(spec.n_items - pair) // len(pairs))   # ceil
+            head = max(1, math.ceil(corpus_mod._HISTORY_FRACTION * pair_items))
+            offset = stable_hash(f"{user}|{sub}") % head
+            for t in range(count):
+                log_user.append(u_pos)
+                # slot j of the pair's pool is the item at pair + j * len(pairs)
+                log_item.append(pair + (offset + t) % head * len(pairs))
+    n_rows = len(log_user)
+    return Corpus(items=items, taxonomy={c: subcats[c] for c in cats},
+                  users=tuple(users),
+                  log_user=np.array(log_user, dtype=np.int32),
+                  log_item=np.array(log_item, dtype=np.int32),
+                  log_ts=np.arange(n_rows, dtype=np.int64),
+                  log_signal=np.ones(n_rows), signal_scheme="click")
 
 
 def log_rows(corpus) -> list:

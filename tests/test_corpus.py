@@ -31,7 +31,7 @@ from bheisr.corpus import (
     synth_corpus,
 )
 from bheisr.recommenders import acceptance_share
-from oracle import corpus_of, log_rows
+from oracle import corpus_of, log_rows, synth_corpus_reference
 
 BEHAVIORS = """\
 u1\t100\tsports\tsports/soccer\tCup final recap\tA long match report\t1
@@ -165,6 +165,14 @@ class TestLoadRatings:
         assert len(a_rows) == 1
         assert a_rows[0].signal == 1.0
 
+    @pytest.mark.parametrize("rows", [("4.0,nan", "1.0,5"), ("1.0,5", "4.0,nan")])
+    def test_duplicate_pair_with_a_nan_stamp_keeps_the_nan_row(self, tmp_path, rows):
+        # a NaN stamp orders as text, after every numeric stamp, in either
+        # file order; it used to keep whichever row came first
+        corpus = self.build(tmp_path, "user_id,movie_id,rating,timestamp\n"
+                            + "".join(f"a,m1,{row}\n" for row in rows))
+        assert [(x.signal, x.timestamp) for x in corpus.interactions] == [(4.0, 0)]
+
     def test_rating_interest_threshold(self, tmp_path):
         corpus = self.build(tmp_path, RATINGS_ROWS + "d,m2,2.5,8\ne,m1,2.6,9\n")
         by_user = {x.user_id: x for x in corpus.interactions}
@@ -214,6 +222,10 @@ class TestLoadRatings:
 class TestOrdinalize:
     def test_numeric_before_text_and_stable(self):
         assert _ordinalize(["10", "2", "b", "2", "a"]) == [2, 0, 4, 1, 3]
+
+    def test_nan_orders_as_text_after_every_number(self):
+        # NaN compares false both ways, so it used to scramble the numbers
+        assert _ordinalize(["3", "nan", "1", "2"]) == [2, 3, 0, 1]
 
     def test_empty(self):
         assert _ordinalize([]) == []
@@ -651,15 +663,38 @@ class TestSynthCorpus:
     def test_valid_by_construction_over_a_grid_of_shapes(self, seed):
         # synth_corpus does not call Corpus.validate. Each shape has one item
         # per subcategory, or seven and six left over, which makes the pools
-        # uneven.
+        # uneven. The array build equals the one-group-at-a-time reference.
         for n_users, bias, n_cats, n_subs, per_sub in itertools.product(
                 (1, 2, 8, 30, 100), (0, 1, 10), (3, 4, 17), (1, 2, 4), (1, 7)):
             if bias <= n_users:
-                synth_corpus(SynthSpec(
+                spec = SynthSpec(
                     n_users=n_users, bias_profile=bias, n_categories=n_cats,
                     subcats_per_category=n_subs,
-                    n_items=n_cats * n_subs * per_sub + per_sub - 1,
-                    seed=seed)).validate()
+                    n_items=n_cats * n_subs * per_sub + per_sub - 1, seed=seed)
+                corpus = synth_corpus(spec)
+                corpus.validate()
+                assert_same_corpus(corpus, synth_corpus_reference(spec))
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_users=100, bias_profile=10),    # the population workload
+        SynthSpec(n_users=30, bias_profile=10),     # the nudge workload
+        SynthSpec(n_users=2000, bias_profile=200),  # paper shape
+    ], ids=["100-10", "30-10", "paper"])
+    def test_equals_the_reference_at_benchmark_and_paper_shape(self, spec):
+        assert_same_corpus(synth_corpus(spec), synth_corpus_reference(spec))
+
+
+def assert_same_corpus(corpus, reference):
+    """Every field equal, the log columns with their dtypes."""
+    assert corpus.items == reference.items
+    assert list(corpus.items) == list(reference.items)
+    assert corpus.taxonomy == reference.taxonomy
+    assert corpus.users == reference.users
+    assert corpus.signal_scheme == reference.signal_scheme
+    for name in ("log_user", "log_item", "log_ts", "log_signal"):
+        column, expected = getattr(corpus, name), getattr(reference, name)
+        assert column.dtype == expected.dtype, name
+        assert np.array_equal(column, expected), name
 
 
 CATEGORIES = ("a", "b", "c")
