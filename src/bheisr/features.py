@@ -8,41 +8,26 @@ accept items.
 """
 
 import math
-import re
-from collections import Counter
+import string
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-TOKEN_RE = re.compile(r"[a-z0-9]{2,}")   # maximal runs of two or more
-
-
-def tokenize(text: str) -> list:
-    """Lowercase, split on non-alphanumerics, drop tokens shorter than 2."""
-    return TOKEN_RE.findall(text.lower())
+SEPARATOR = "\0"       # joins the texts; a NUL inside a text becomes a space
+# per byte of the lowercased, ASCII-encoded texts: [a-z0-9] and the
+# separator stay, every other byte becomes a space
+_TOKEN_BYTES = bytes(
+    b if chr(b) in SEPARATOR + string.digits + string.ascii_lowercase else 32
+    for b in range(256))
 
 
 @dataclass
 class Vocabulary:
     term_ids: dict          # term -> int id, in id order
     idf: np.ndarray         # per term id, its idf weight
-
-
-def build_vocabulary(tokens: list) -> Vocabulary:
-    """Vocabulary over documents' token lists (an item's is
-    tokenize(item.text())) with smoothed idf.
-
-    idf(t) = ln((1 + N) / (1 + df(t))) + 1, always positive.
-    """
-    df = Counter(chain.from_iterable(map(set, tokens)))
-    n = len(tokens)
-    terms = sorted(df)
-    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms],
-                   dtype=float)
-    return Vocabulary(term_ids={term: i for i, term in enumerate(terms)},
-                      idf=idf)
 
 
 class FlatEntries(NamedTuple):
@@ -60,32 +45,69 @@ def segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         starts - (np.cumsum(counts) - counts), counts)
 
 
-def featurize_corpus(tokens: list, vocab: Vocabulary) -> FlatEntries:
-    """TF-IDF vectors of the token lists, in array passes: their
-    FlatEntries. The package's one featurizer; entry_norms gives the norms.
+def tokenize_texts(texts: list) -> list:
+    """Every run of [a-z0-9] in the lowercased texts, in order, with one
+    SEPARATOR between two texts. The texts are joined by " \\0 " (a NUL
+    inside a text becomes a space) and lowercased first, so a character
+    whose lowercase is ASCII joins its run (the Kelvin sign as "k"); the
+    ASCII encoder makes every other non-ASCII character a "?", and every
+    byte but [a-z0-9] and NUL becomes a space before one split."""
+    joined = " \0 ".join(texts)
+    if joined.count(SEPARATOR) >= len(texts):     # a text holds a NUL
+        joined = " \0 ".join([text.replace(SEPARATOR, " ") for text in texts])
+    return joined.lower().encode("ascii", "replace").translate(
+        _TOKEN_BYTES).decode("ascii").split()
 
-    A list's entries are its distinct vocabulary terms in first-occurrence
-    order (np.unique over (list, term) keys, groups ordered by first index),
-    each weighing (count / length) * idf. Tokens outside the vocabulary are
-    ignored but count in the length, so an empty or fully unknown list has
-    no entries. Weights are never 0.0 (a count is at least 1 and idf at
-    least 1). The scalar oracle in tests/oracle.py gives every entry and
-    weight, and entry_norms every norm, with ==.
+
+def featurize_texts(texts, vocab: Vocabulary = None) -> tuple:
+    """(vocab, FlatEntries): the texts' TF-IDF vectors over vocab, from one
+    tokenize_texts pass. The package's one featurizer; entry_norms gives
+    the norms. A text's tokens are its runs of two or more characters (the
+    scalar oracle is tests/oracle.py's tokenize); one dict interns them.
+
+    With vocab None the vocabulary is the texts' own terms, sorted, with
+    smoothed idf(t) = ln((1 + N) / (1 + df(t))) + 1, always positive. One
+    np.unique over (text, term) keys gives df and the entries: a text's
+    distinct vocabulary terms in first-occurrence order, each weighing
+    (count / length) * idf. Tokens outside the vocabulary are ignored but
+    count in the length, so an empty or fully unknown text has no entries.
+    Weights are never 0.0 (a count is at least 1 and idf at least 1). The
+    scalar oracle in tests/oracle.py gives every entry and weight, and
+    entry_norms every norm, with ==.
     """
-    n = len(tokens)
-    lengths = np.fromiter(map(len, tokens), np.intp, n)
-    tids = np.fromiter(map(vocab.term_ids.get, chain.from_iterable(tokens),
-                           repeat(-1)), np.intp, int(lengths.sum()))
-    width = max(1, len(vocab.term_ids))
-    keys = (np.repeat(np.arange(n) * width, lengths) + tids)[tids >= 0]
-    pairs, first, occurrences = np.unique(keys, return_index=True,
-                                          return_counts=True)
-    order = np.argsort(first)
-    rows, terms = np.divmod(pairs[order], width)
+    texts = list(texts)
+    n = len(texts)
+    runs = tokenize_texts(texts)
+    del texts
+    ids = defaultdict(None, {SEPARATOR: 0})     # run -> id, in first
+    ids.default_factory = ids.__len__           # occurrence order
+    run_ids = np.fromiter(map(ids.__getitem__, runs), np.intp, len(runs))
+    del runs
+    if vocab is None:
+        term_ids = dict(zip(sorted(run for run in ids if len(run) > 1), count()))
+    else:
+        term_ids = vocab.term_ids
+    # per run, its term id: -1 outside the vocabulary, -2 when too short
+    term_of = np.array([term_ids.get(run, -1) if len(run) > 1 else -2
+                        for run in ids], np.intp)[run_ids]
+    text_of = np.cumsum(run_ids == 0)       # a separator opens the next text
+    lengths = np.bincount(text_of[term_of >= -1], minlength=n)
+    known = term_of >= 0
+    text_of, term_of = text_of[known], term_of[known]
+    _, first, occurrences = np.unique(text_of * max(1, len(term_ids)) + term_of,
+                                      return_index=True, return_counts=True)
+    if vocab is None:
+        df = np.bincount(term_of[first], minlength=len(term_ids))
+        vocab = Vocabulary(term_ids=term_ids, idf=np.array(
+            [math.log((1 + n) / (1 + d)) + 1.0 for d in df.tolist()], dtype=float))
+    # distinct and nearly sorted: the stable sort is the faster one here
+    order = np.argsort(first, kind="stable")
+    first = first[order]
+    rows, terms = text_of[first], term_of[first]
     weights = (occurrences[order] / lengths[rows]) * vocab.idf[terms]
     counts = np.bincount(rows, minlength=n)
-    return FlatEntries(counts=counts, starts=np.cumsum(counts) - counts,
-                       terms=terms, weights=weights)
+    return vocab, FlatEntries(counts=counts, starts=np.cumsum(counts) - counts,
+                              terms=terms, weights=weights)
 
 
 def entry_norms(entries: FlatEntries) -> np.ndarray:
@@ -105,7 +127,7 @@ class ItemTable:
 
     Rows 0..n-1 are the candidate index's rows, never written. An item
     outside the index takes the row of its text: the texts a call brings for
-    the first time in the run are featurized in one featurize_corpus call
+    the first time in the run are featurized in one featurize_texts call
     and appended. The table grows only at the step barrier, which is the
     only place that passes it new items.
     """
@@ -138,7 +160,7 @@ class ItemTable:
         old = self.entries
         n_rows, n_entries = len(old.counts), len(old.terms)
         self.text_rows.update(zip(texts, range(n_rows, n_rows + len(texts))))
-        new = featurize_corpus(list(map(tokenize, texts)), self.index.vocab)
+        _, new = featurize_texts(texts, self.index.vocab)
         row_end, entry_end = n_rows + len(new.counts), n_entries + len(new.terms)
         store = self._store
         if store is None or row_end > len(store.counts) or entry_end > len(store.terms):

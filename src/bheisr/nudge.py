@@ -14,7 +14,7 @@ from json import dumps, loads
 
 from . import pathfinder
 from .corpus import GENERATED_ID_PREFIX, ORIGIN_GENERATED, Item
-from .features import build_vocabulary, featurize_corpus, tokenize
+from .features import featurize_texts
 from .pathfinder import PromptPath, RejectionLedger
 
 log = logging.getLogger(__name__)
@@ -48,12 +48,10 @@ class TemplateGenerator:
     def top_terms(self, category: str, limit: int = 4) -> list:
         """The category's exemplar terms by descending summed weight, ties
         by term. The first call featurizes every category's exemplars in
-        one featurize_corpus call, over their own vocabulary."""
+        one featurize_texts call, over their own vocabulary."""
         if self._top_terms is None:
-            docs = [it for its in self.exemplars.values() for it in its]
-            tokens = [tokenize(it.text()) for it in docs]
-            vocab = build_vocabulary(tokens)
-            entries = featurize_corpus(tokens, vocab)
+            vocab, entries = featurize_texts(
+                it.text() for its in self.exemplars.values() for it in its)
             # a category's items are consecutive rows, so their entries are
             # one run of the flat arrays
             bounds = [*entries.starts.tolist(), len(entries.terms)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nudge
-from .features import FlatEntries, ItemTable, Vocabulary, entry_norms, featurize_corpus
+from .features import FlatEntries, ItemTable, Vocabulary, entry_norms
 from .folds import fold_sum
 from .rng import substream
 
@@ -30,8 +30,8 @@ class CandidateIndex:
     vocab: Vocabulary
 
     @classmethod
-    def build(cls, corpus, vocab, tokens: list) -> "CandidateIndex":
-        """`tokens` is each item's tokenize(item.text()), in corpus order."""
+    def build(cls, corpus, vocab, entries: FlatEntries) -> "CandidateIndex":
+        """`entries` are the items' entries over vocab, in corpus order."""
         ids = list(corpus.items)
         cat_pos = {c: j for j, c in enumerate(corpus.categories())}
         cat_index = np.fromiter((cat_pos[item.category]
@@ -41,7 +41,7 @@ class CandidateIndex:
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         return cls(ids=ids, pos={i: r for r, i in enumerate(ids)},
                    cat_index=cat_index, id_rank=id_rank,
-                   entries=featurize_corpus(tokens, vocab), vocab=vocab)
+                   entries=entries, vocab=vocab)
 
 
 def acceptance_share(item, network, total: float) -> float:

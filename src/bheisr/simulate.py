@@ -17,8 +17,8 @@ from . import belief as belief_mod
 from . import detection, nudge, pathfinder
 from .corpus import ORIGIN_GENERATED, Corpus, Item, SynthSpec, check_fields, \
     load_behaviors, load_corpus, load_ratings, reject_duplicates, synth_corpus
-from .features import CategoryGraph, GraphUpdateBuffer, ItemTable, \
-    build_vocabulary, tokenize
+from .features import CategoryGraph, GraphUpdateBuffer, ItemTable
+from .features import featurize_texts as build_vocabulary  # perfbench's span name
 from .folds import fold_sum
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
 from .rng import substream
@@ -207,8 +207,8 @@ class SimState:
 def build_assets(corpus: Corpus) -> CandidateIndex:
     """The candidate index over the corpus vocabulary, from one tokenizing
     pass: immutable, and reusable across runs with any seed."""
-    tokens = list(map(tokenize, map(Item.text, corpus.items.values())))
-    return CandidateIndex.build(corpus, build_vocabulary(tokens), tokens)
+    vocab, entries = build_vocabulary(map(Item.text, corpus.items.values()))
+    return CandidateIndex.build(corpus, vocab, entries)
 
 
 def _classify(corpus, networks):

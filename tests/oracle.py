@@ -12,21 +12,26 @@ it is asked to featurize, and a patch reverses the order a step visits its
 users in. TableGraph and TableNetwork stand in for the category graph and a
 belief network over hand-written tables. synth_corpus_reference builds the
 synthetic corpus one (user, subcategory) group and one log row at a time.
+tokenize gives one text's tokens with a regex, and featurize_reference the
+vocabulary and entries of a list of texts one tokenize at a time.
 The last helpers build test inputs:
 a scoring context over a fresh item table, a corpus from log rows, a prompt
 path from its nodes, and the ledger's penalized edges as pairs.
 """
 
 import math
+import re
+from collections import Counter
 from dataclasses import astuple, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
-from bheisr import features, nudge, recommenders, simulate
+from bheisr import features, nudge, simulate
 from bheisr.belief import build_all
 from bheisr import corpus as corpus_mod
 from bheisr.corpus import Corpus, Item, _log_columns, _pool_size
-from bheisr.features import ItemTable, Vocabulary, tokenize
+from bheisr.features import FlatEntries, ItemTable, Vocabulary
 from bheisr.folds import fold_sum
 from bheisr.pathfinder import PromptPath
 from bheisr.recommenders import FeedContext, acceptance_share
@@ -65,9 +70,45 @@ class FeatureVector:
         return self.norm == 0.0
 
 
+TOKEN_RE = re.compile(r"[a-z0-9]{2,}")   # maximal runs of two or more
+
+
+def tokenize(text: str) -> list:
+    """Lowercase, split on everything but [a-z0-9], drop tokens shorter
+    than 2: the tokens featurize_texts finds in one text."""
+    return TOKEN_RE.findall(text.lower())
+
+
+def featurize_reference(texts: list) -> tuple:
+    """(vocab, FlatEntries) of featurize_texts over the texts, text by
+    text: one tokenize per text, a Counter over each text's set of tokens
+    for df, and one term id lookup per token."""
+    tokens = [tokenize(text) for text in texts]
+    df = Counter(chain.from_iterable(map(set, tokens)))
+    n, terms = len(tokens), sorted(df)
+    vocab = Vocabulary(
+        term_ids={term: i for i, term in enumerate(terms)},
+        idf=np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms],
+                     dtype=float))
+    lengths = np.fromiter(map(len, tokens), np.intp, n)
+    tids = np.fromiter(map(vocab.term_ids.get, chain.from_iterable(tokens),
+                           repeat(-1)), np.intp, int(lengths.sum()))
+    width = max(1, len(vocab.term_ids))
+    keys = (np.repeat(np.arange(n) * width, lengths) + tids)[tids >= 0]
+    pairs, first, occurrences = np.unique(keys, return_index=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rows, terms = np.divmod(pairs[order], width)
+    weights = (occurrences[order] / lengths[rows]) * vocab.idf[terms]
+    counts = np.bincount(rows, minlength=n)
+    return vocab, FlatEntries(counts=counts, starts=np.cumsum(counts) - counts,
+                              terms=terms, weights=weights)
+
+
 def item_vocabulary(items) -> Vocabulary:
-    """build_vocabulary over the items' tokenize(item.text()), in order."""
-    return features.build_vocabulary([tokenize(item.text()) for item in items])
+    """The vocabulary featurize_texts builds over the items' texts, in
+    order, by featurize_reference."""
+    return featurize_reference([item.text() for item in items])[0]
 
 
 def featurize(item, vocab: Vocabulary) -> FeatureVector:
@@ -290,18 +331,21 @@ def assert_equals_the_oracle(graph, items):
         assert rho == correlation(oracle[a], oracle[b])
 
 
-def spy_featurize_corpus(monkeypatch) -> list:
-    """Record the token lists of every featurize_corpus call the package
-    makes, one list per call, for the rest of the test."""
+def spy_featurize_texts(monkeypatch) -> list:
+    """Record the token lists (tokenize of each text) of every
+    featurize_texts call the package makes, one list per call, for the rest
+    of the test."""
     calls = []
-    real = features.featurize_corpus
+    real = features.featurize_texts
 
-    def spy(tokens, vocab):
-        calls.append([list(t) for t in tokens])
-        return real(tokens, vocab)
+    def spy(texts, vocab=None):
+        texts = list(texts)
+        calls.append([tokenize(text) for text in texts])
+        return real(texts, vocab)
 
-    for module in (features, nudge, recommenders):
-        monkeypatch.setattr(module, "featurize_corpus", spy)
+    for module, name in ((features, "featurize_texts"), (nudge, "featurize_texts"),
+                         (simulate, "build_vocabulary")):
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 

@@ -8,28 +8,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bheisr.corpus import Item
+from bheisr.corpus import Item, SynthSpec, load_corpus, save_corpus, synth_corpus
 from bheisr.features import (
+    SEPARATOR,
     CategoryGraph,
     GraphUpdateBuffer,
     ItemTable,
-    build_vocabulary,
     entry_norms,
-    featurize_corpus,
-    tokenize,
+    featurize_texts,
+    tokenize_texts,
 )
 from bheisr.recommenders import CandidateIndex
+from bheisr.simulate import build_assets
 from oracle import (
     FeatureVector,
     assert_equals_the_oracle,
     corpus_of,
     correlation,
     featurize,
+    featurize_reference,
     featurize_tokens,
     item_vocabulary,
     node_entries,
     node_vectors,
     row_lists,
+    tokenize,
 )
 
 
@@ -47,11 +50,10 @@ def make_corpus(items, taxonomy):
 def graph_of(corpus, vocab=None):
     """CategoryGraph.build over the corpus's candidate index; the vocabulary
     is the corpus's own unless given."""
-    tokens = [tokenize(item.text()) for item in corpus.items.values()]
-    if vocab is None:
-        vocab = build_vocabulary(tokens)
+    vocab, entries = featurize_texts(
+        [item.text() for item in corpus.items.values()], vocab)
     return CategoryGraph.build(
-        corpus, ItemTable(CandidateIndex.build(corpus, vocab, tokens)))
+        corpus, ItemTable(CandidateIndex.build(corpus, vocab, entries)))
 
 
 def member_counts(graph) -> dict:
@@ -66,22 +68,48 @@ def appended_rows(graph):
             for text, row in graph.table.text_rows.items()}
 
 
+def batch_tokens(texts: list) -> list:
+    """Each text's tokens as tokenize_texts finds them: its runs between
+    separators, less the runs shorter than 2."""
+    docs = [[]]
+    for run in tokenize_texts(texts):
+        if run == SEPARATOR:
+            docs.append([])
+        elif len(run) > 1:
+            docs[-1].append(run)
+    return docs if texts else []
+
+
+# characters whose lowercase is ASCII (the Kelvin sign, dotted capital I),
+# str.split whitespace the regex splits on too, NUL, a combining mark, a
+# ligature and fullwidth letters
+TOKEN_ALPHABET = "aZ09 -x.\u212a\u0130\0\x1c\x1d\x1e\x1f\x85\xa0\u0301\ufb01\uff21\uff41"
+token_texts = st.lists(st.text(alphabet=st.sampled_from(TOKEN_ALPHABET)) | st.text(),
+                       max_size=8)
+
+
 class TestTokenize:
     def test_lowercases_and_splits(self):
-        assert tokenize("Hello, WORLD-news 2024!") == ["hello", "world", "news", "2024"]
+        assert batch_tokens(["Hello, WORLD-news 2024!"]) == \
+            [["hello", "world", "news", "2024"]]
 
     def test_single_char_tokens_dropped(self):
-        assert tokenize("a b cd e9 x") == ["cd", "e9"]
+        assert batch_tokens(["a b cd e9 x"]) == [["cd", "e9"]]
 
     def test_empty(self):
-        assert tokenize("") == []
-        assert tokenize("!?.") == []
+        assert batch_tokens([]) == []
+        assert batch_tokens(["", "!?.", ""]) == [[], [], []]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet=st.sampled_from("aZ09 -x\u212a\u0130.")) | st.text())
-    def test_equals_splitting_then_dropping_short_runs(self, text):
-        runs = re.findall(r"[a-z0-9]+", text.lower())
-        assert tokenize(text) == [t for t in runs if len(t) >= 2]
+    @given(texts=token_texts)
+    @example(texts=["ab", "cd"])                 # runs touch the separator
+    @example(texts=["ab\0cd", "\0", "e\0f", "gh\0"])   # NUL inside texts
+    @example(texts=["", "", "x", ""])            # empty texts
+    @example(texts=["\u212a\u212a", "i\u0130", "\ufb01x \uff21\uff21"])
+    def test_batch_tokens_equal_the_oracle_text_by_text(self, texts):
+        assert batch_tokens(texts) == [tokenize(text) for text in texts]
+        runs = [re.findall(r"[a-z0-9]+", text.lower()) for text in texts]
+        assert batch_tokens(texts) == [[t for t in r if len(t) >= 2] for r in runs]
 
 
 class TestVocabulary:
@@ -141,7 +169,7 @@ documents = st.lists(st.lists(st.sampled_from(CORPUS_WORDS), max_size=30),
                      max_size=12)
 
 
-class TestFeaturizeCorpus:
+class TestFeaturizeTexts:
     @settings(max_examples=300, deadline=None)
     @given(docs=documents, known=st.integers(0, 12))
     @example(docs=[], known=0)                       # no items
@@ -151,8 +179,10 @@ class TestFeaturizeCorpus:
         """Entries in order, weights and norms equal featurize_tokens with ==;
         the vocabulary comes from the first `known` documents, so the others
         may hold tokens outside it."""
-        vocab = build_vocabulary(docs[:known])
-        entries = featurize_corpus(docs, vocab)
+        texts = [" ".join(tokens) for tokens in docs]
+        vocab, _ = featurize_texts(texts[:known])
+        vocab_again, entries = featurize_texts(texts, vocab)
+        assert vocab_again is vocab
         norms = entry_norms(entries)
         assert len(entries.counts) == len(norms) == len(docs)
         starts = entries.starts
@@ -163,6 +193,63 @@ class TestFeaturizeCorpus:
                            entries.weights[span].tolist()))
             assert got == list(vec.entries.items()), r
             assert norms[r] == vec.norm, r
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=token_texts, known=st.integers(0, 8))
+    def test_equals_the_per_text_pipeline(self, texts, known):
+        """The vocabulary, idf bits and entry arrays equal featurize_reference's,
+        over the texts' own vocabulary and over one from the first `known`."""
+        assert_same_features(featurize_texts(texts), featurize_reference(texts))
+        vocab = featurize_texts(texts[:known])[0]
+        entries = featurize_texts(texts, vocab)[1]
+        for r, text in enumerate(texts):
+            vec = featurize_tokens(tokenize(text), vocab)
+            span = slice(entries.starts[r], entries.starts[r] + entries.counts[r])
+            assert list(zip(entries.terms[span].tolist(),
+                            entries.weights[span].tolist())) == \
+                list(vec.entries.items()), r
+
+
+def assert_same_features(got, expected):
+    """Equal term ids in order, idf bits, and entry arrays with their dtypes."""
+    (vocab, entries), (ref_vocab, ref_entries) = got, expected
+    assert list(vocab.term_ids.items()) == list(ref_vocab.term_ids.items())
+    assert vocab.idf.dtype == ref_vocab.idf.dtype
+    assert vocab.idf.tobytes() == ref_vocab.idf.tobytes()
+    for name, array, ref in zip(entries._fields, entries, ref_entries):
+        assert array.dtype == ref.dtype, name
+        assert array.shape == ref.shape, name
+        assert array.tobytes() == ref.tobytes(), name
+
+
+class TestBuildAssets:
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_users=20, bias_profile=10),
+        SynthSpec(n_users=30, bias_profile=10),     # the nudge workload
+        SynthSpec(n_users=100, bias_profile=10),    # the population workload
+        SynthSpec(n_users=2000, bias_profile=200),  # paper shape
+    ], ids=["20-10", "30-10", "100-10", "paper"])
+    def test_equals_the_per_text_pipeline(self, spec):
+        corpus = synth_corpus(spec)
+        index = build_assets(corpus)
+        assert_same_features((index.vocab, index.entries), featurize_reference(
+            [item.text() for item in corpus.items.values()]))
+
+    def test_equals_the_per_text_pipeline_on_a_loaded_corpus(self, tmp_path):
+        # titles with NUL, characters whose lowercase is ASCII, a combining
+        # mark, a ligature, fullwidth letters and separators str.split knows
+        corpus = synth_corpus(SynthSpec(n_users=20, bias_profile=10))
+        marks = ["na\u00efve caf\u00e9", "ab\0cd", "\u212aelvin \u0130stanbul",
+                 "e\u0301t\u00e9 \ufb01le", "\uff21\uff22 ab\x1ccd\x85ef\xa0gh",
+                 "\0", "X\0"]
+        for n, item in enumerate(corpus.items.values()):
+            item.title = f"{marks[n % len(marks)]}{item.title}"
+        save_corpus(corpus, tmp_path / "marked.json")
+        loaded = load_corpus(tmp_path / "marked.json")
+        texts = [item.text() for item in loaded.items.values()]
+        assert any("\0" in text for text in texts)
+        index = build_assets(loaded)
+        assert_same_features((index.vocab, index.entries), featurize_reference(texts))
 
 
 class TestCorrelation:
@@ -581,9 +668,9 @@ class TestItemTable:
         # and again; every row still equals featurize of its text, a text
         # keeps one row, and the candidate index is never written
         corpus = two_category_corpus()
-        tokens = [tokenize(item.text()) for item in corpus.items.values()]
-        vocab = build_vocabulary(tokens)
-        index = CandidateIndex.build(corpus, vocab, tokens)
+        vocab, entries = featurize_texts(
+            [item.text() for item in corpus.items.values()])
+        index = CandidateIndex.build(corpus, vocab, entries)
         before = [array.copy() for array in index.entries]
         table, seen = ItemTable(index), []
         for n, batch in enumerate(batches):

@@ -33,7 +33,7 @@ from oracle import (
     item_vocabulary,
     path_of,
     penalized_edges,
-    spy_featurize_corpus,
+    spy_featurize_texts,
 )
 
 
@@ -169,7 +169,7 @@ class TestTopTerms:
          "solo": [Item("s1", "solo", "solo/s", "opera", "", {"solo": 1.0})]}])
     def test_one_featurization_ranks_as_the_per_item_oracle(self, exemplars,
                                                             monkeypatch):
-        calls = spy_featurize_corpus(monkeypatch)
+        calls = spy_featurize_texts(monkeypatch)
         gen = TemplateGenerator(exemplars)
         expected = oracle_top_terms(exemplars)
         for cat in [*exemplars, "unknown"]:

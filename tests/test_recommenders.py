@@ -24,7 +24,6 @@ from bheisr.features import (
     GraphUpdateBuffer,
     ItemTable,
     entry_norms,
-    tokenize,
 )
 from bheisr.nudge import NudgeSession
 from bheisr.pathfinder import RejectionLedger
@@ -46,7 +45,8 @@ from oracle import (
     featurize,
     path_of,
     rebuilt_by_fold,
-    spy_featurize_corpus,
+    spy_featurize_texts,
+    tokenize,
     uc_score,
 )
 
@@ -588,7 +588,7 @@ class TestOneEntriesPath:
         ctx = context_for(corpus, "cb")
         graph = CategoryGraph.build(corpus, ctx.table)
         with pytest.MonkeyPatch.context() as mp:
-            calls = spy_featurize_corpus(mp)
+            calls = spy_featurize_texts(mp)
             accepted, generated = list(corpus.items.values()), []
             for n, batch in enumerate(steps):
                 # the step barrier: credit every accept, flush, then fold each

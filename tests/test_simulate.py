@@ -16,7 +16,7 @@ from bheisr import detection, nudge, recommenders, simulate
 from bheisr.belief import build_all
 from bheisr.corpus import ORIGIN_GENERATED, Item, SynthSpec, corpus_to_json, \
     save_corpus, synth_corpus
-from bheisr.features import CategoryGraph, GraphUpdateBuffer, ItemTable, tokenize
+from bheisr.features import CategoryGraph, GraphUpdateBuffer, ItemTable
 from bheisr.rng import substream
 from bheisr.simulate import (
     MODELS,
@@ -34,7 +34,7 @@ from bheisr.simulate import (
     run_loop,
     write_run,
 )
-from oracle import corpus_of, reverse_user_order, spy_featurize_corpus
+from oracle import corpus_of, reverse_user_order, spy_featurize_texts, tokenize
 
 # no bubble-affected users: enough for loop mechanics
 PLAIN_SPEC = SynthSpec(n_users=12, n_categories=6, subcats_per_category=2,
@@ -226,7 +226,7 @@ class TestPrepare:
     def test_set_up_builds_no_feature_vector(self, fb_corpus, monkeypatch):
         # corpus item vectors live only as candidate index rows: the set-up
         # featurizes the catalog once, and prepare featurizes nothing
-        calls = spy_featurize_corpus(monkeypatch)
+        calls = spy_featurize_texts(monkeypatch)
         assets = build_assets(fb_corpus)
         for model in ("bheisr", "cb_w", "uc_w"):
             prepare(SimConfig(model=model, track_fb=True), fb_corpus, assets)
@@ -408,7 +408,7 @@ class TestRunLoop:
             return item
 
         monkeypatch.setattr(nudge, "_generate_for", record)
-        calls = spy_featurize_corpus(monkeypatch)
+        calls = spy_featurize_texts(monkeypatch)
         run = run_loop(self.config(users=None, model=model, feeds=6), fb_corpus,
                        fb_assets)
         accepted = {generated[d.item_id].text() for recs in run.steps
