@@ -80,11 +80,11 @@ class BeliefNetwork:
                               for s, c in self.click_counts.items() if c > 0.0}
         return len(self._positive)
 
-    def add_click_mass(self, subcategory: str, category: str, mass: float) -> None:
+    def add_click_mass(self, subcategory: str, mass: float) -> None:
         self.click_counts[subcategory] = self.click_counts.get(subcategory, 0.0) + mass
         # a zero mass changes nothing, and no mass is negative
         if self._positive is not None and mass > 0.0:
-            self._positive.add(category)
+            self._positive.add(self.subcat_to_cat[subcategory])
 
     def update_on_feedback(self, item) -> "BeliefNetwork":
         """Fold one accepted item into the network.
@@ -102,7 +102,7 @@ class BeliefNetwork:
                 sub = generated_subcategory(cat)
             else:
                 sub = item.subcategory
-            self.add_click_mass(sub, cat, w)
+            self.add_click_mass(sub, w)
         self._stale = True
         return self
 

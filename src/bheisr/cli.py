@@ -269,20 +269,26 @@ def make_parser() -> argparse.ArgumentParser:
 
 def check_out(args) -> None:
     """Reject an --out the command could not write, before any work. A run's
-    or an experiment's directory must be new or empty, so that it never
-    mixes the files of two runs; a file must not be a directory, and its
-    directory must exist."""
+    or an experiment's directory must be new (not even a dangling symlink) or
+    empty, so that it never mixes the files of two runs, and sit under a
+    directory; a file, where its symlinks lead, must not be a directory, and
+    its directory must exist."""
     out = args.out
     if out is None:
         return
     if not out:
         raise ValueError("--out is empty")
     if "feeds" in vars(args):           # a run or an experiment
-        if os.path.exists(out) and (not os.path.isdir(out) or os.listdir(out)):
+        above = out
+        while not os.path.lexists(above):
+            above = os.path.dirname(above) or "."
+        if above == out and (not os.path.isdir(out) or os.listdir(out)):
             raise ValueError(f"--out {out!r} exists and is not an empty directory")
+        if not os.path.isdir(above):
+            raise ValueError(f"--out {out!r} is under {above!r}, not a directory")
     elif os.path.isdir(out):
         raise ValueError(f"--out {out!r} is a directory, not a file")
-    elif not os.path.isdir(os.path.dirname(out) or "."):
+    elif not os.path.isdir(os.path.dirname(os.path.realpath(out))):
         raise ValueError(f"--out {out!r} is in a directory that does not exist")
 
 

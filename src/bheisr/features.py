@@ -232,8 +232,7 @@ class CategoryGraph:
                     touch_order=np.full(shape, shape[1] - 1, dtype=np.intp),
                     n_touched=np.zeros(n, dtype=np.intp),
                     norms=np.zeros(n), rho_rows=np.zeros((n, n)).tolist())
-        graph.accept_items(corpus.items.values(),
-                           np.arange(len(table.index.ids), dtype=np.intp))
+        graph.accept_items(corpus.items.values())
         return graph
 
     @property
@@ -247,7 +246,7 @@ class CategoryGraph:
         """[rho(a, c) for c in categories]; the caller must not change it."""
         return self.rho_rows[self.rows[a]]
 
-    def accept_items(self, items, item_rows: np.ndarray = None) -> None:
+    def accept_items(self, items) -> None:
         """Fold a batch of accepted items into the node vectors and edges.
 
         Items fold into the running sums in the order given: np.add.at adds
@@ -262,14 +261,10 @@ class CategoryGraph:
         and edge equals its scalar oracle, the mean of the members' vectors
         and the cosine of a < b in tests/oracle.py, and the graph equals a
         rebuild bit for bit however the accepts are split into batches.
-
-        `item_rows`, when the caller knows them, are the items' table rows;
-        otherwise table.rows finds them.
         """
         items = list(items)
         pair_item, rows = self._pairs(items)
-        if item_rows is None:
-            item_rows = self.table.rows(items)
+        item_rows = self.table.rows(items)
         if not len(rows):
             return
         # each (category, item) pair takes its item's entries

@@ -192,7 +192,7 @@ class NudgeSession:
     history: list = field(default_factory=list)
 
 
-def new_session(user_id: str, graph, network, extremes: tuple,
+def new_session(graph, network, extremes: tuple,
                 theta: float = pathfinder.DEFAULT_THETA,
                 queue_discipline: str = QUEUE_DRAIN,
                 max_path_len: int = None) -> NudgeSession:
@@ -200,8 +200,8 @@ def new_session(user_id: str, graph, network, extremes: tuple,
     source, target = pathfinder.select_endpoints(network, extremes)
     path = pathfinder.explore(graph, source, target, network, ledger,
                               max_len=max_path_len)
-    return NudgeSession(user_id=user_id, path=path, queue=initial_queue(path),
-                        ledger=ledger, extremes=extremes,
+    return NudgeSession(user_id=network.user_id, path=path,
+                        queue=initial_queue(path), ledger=ledger, extremes=extremes,
                         queue_discipline=queue_discipline,
                         max_path_len=max_path_len)
 

@@ -92,7 +92,8 @@ def uc_tolerance(n_users: int, n_cats: int) -> float:
 
 @dataclass
 class FeedContext:
-    """Everything assemble_feed needs to score candidates for one user.
+    """Everything assemble_feed needs to score candidates for one user,
+    for the one baseline it is built for: every scoring call reads it here.
 
     The networks' accepted lists are the one record of each user's history;
     the scoring state holds only what derives from it, and only what the
@@ -111,8 +112,7 @@ class FeedContext:
     table: ItemTable                     # the run's item vectors
     baseline: str                        # "rd", "cb" or "uc"
     generator: object = None
-    user_ids: list = None
-    user_pos: dict = None
+    user_pos: dict = None                # user id -> row, in sorted id order
     accept_matrix: np.ndarray = None     # users x items, 0/1
     mass_matrix: np.ndarray = None       # UC: users x categories, history masses
     mass_norms: np.ndarray = None        # UC: per user, norm of the mass row
@@ -127,9 +127,8 @@ class FeedContext:
         over the history.
         """
         index, corpus = self.table.index, self.corpus
-        self.user_ids = sorted(self.networks)
-        self.user_pos = {u: r for r, u in enumerate(self.user_ids)}
-        n_users = len(self.user_ids)
+        self.user_pos = {u: r for r, u in enumerate(sorted(self.networks))}
+        n_users = len(self.user_pos)
         # corpus users need not be sorted; index rows are corpus positions
         row_of = np.array([self.user_pos[u] for u in corpus.users], dtype=np.intp)
         user, cols = corpus.history
@@ -148,7 +147,7 @@ class FeedContext:
         if self.baseline == "uc":
             self.mass_matrix = np.zeros((n_users, len(corpus.taxonomy)))
             self.mass_norms = np.zeros(n_users)
-            self.refresh_mass(self.user_ids)
+            self.refresh_mass(list(self.user_pos))
 
     def _fold_accepts(self, user_rows: np.ndarray, item_rows: np.ndarray) -> None:
         """Fold accepts, the user row and table row of each, in order: an
@@ -226,13 +225,13 @@ class FeedContext:
             self.refresh_mass(list(accepts))
 
 
-def _baseline_scores(kind: str, ctx: FeedContext, user_id: str) -> np.ndarray:
-    """CB or UC candidate scores (RD ranks without them) from the matrix
-    state, equal per item to the scalar oracles in tests/oracle.py."""
+def _baseline_scores(ctx: FeedContext, user_id: str) -> np.ndarray:
+    """The context's CB or UC candidate scores (RD ranks without them) from
+    the matrix state, equal per item to the scalar oracles in tests/oracle.py."""
     index = ctx.table.index
     n = len(index.ids)
     row = ctx.user_pos[user_id]
-    if kind == "cb":
+    if ctx.baseline == "cb":
         count = len(ctx.networks[user_id].accepted)
         if count == 0:
             return np.zeros(n)
@@ -265,9 +264,9 @@ def _category_shares(ctx: FeedContext, user_id: str):
     return np.array(list(belief.values())) / total
 
 
-def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
-                     step: int, seed: int) -> list:
-    """Top-k candidate items for a baseline, deterministic under ties.
+def baseline_ranking(ctx: FeedContext, user_id: str, k: int, step: int,
+                     seed: int) -> list:
+    """Top-k candidates of the context's baseline, deterministic under ties.
 
     Items in the user's accept row are never ranked. Scored baselines rank
     by descending score, ties broken by ascending id. RD draws a seeded
@@ -279,15 +278,15 @@ def baseline_ranking(kind: str, ctx: FeedContext, user_id: str, k: int,
         return []
     index = ctx.table.index
     cand = np.flatnonzero(ctx.accept_matrix[ctx.user_pos[user_id]] == 0.0)
-    if kind == "rd":
+    if ctx.baseline == "rd":
         rng = substream(seed, "rd", user_id, step)
         order = rng.permutation(len(cand))
         return [index.ids[cand[i]] for i in order[:k]]
-    if kind == "uc" and user_id in ctx.neighbor_mass:
+    if ctx.baseline == "uc" and user_id in ctx.neighbor_mass:
         best = _certified_uc_best(ctx, user_id, cand, k)
         if best is not None:
             return [index.ids[p] for p in best]
-    best, _ = _best(cand, -_baseline_scores(kind, ctx, user_id)[cand],
+    best, _ = _best(cand, -_baseline_scores(ctx, user_id)[cand],
                     index.id_rank, k)
     return [index.ids[p] for p in best]
 
@@ -336,10 +335,9 @@ def _certified_uc_best(ctx: FeedContext, user_id: str, cand: np.ndarray,
     return None
 
 
-def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,
-                  session, ctx: FeedContext, user_id: str, step: int,
-                  seed: int) -> Feed:
-    """Mix baseline items with generated items from the nudge session.
+def assemble_feed(ctx: FeedContext, with_bheisr: bool, w: float, k: int,
+                  session, user_id: str, step: int, seed: int) -> Feed:
+    """Mix the context's baseline items with the session's generated items.
 
     Generated slots cycle over the session's pending prompts (one item per
     slot, fresh ids); if the session is absent or terminal (its queue is
@@ -351,6 +349,6 @@ def assemble_feed(baseline: str, with_bheisr: bool, w: float, k: int,
         for prompt in nudge.pending_prompts(session, n_generated(w, k)):
             gen_items.append(nudge._generate_for(session, prompt, ctx.generator))
     n_base = k - len(gen_items)
-    base_ids = baseline_ranking(baseline, ctx, user_id, n_base, step, seed)
+    base_ids = baseline_ranking(ctx, user_id, n_base, step, seed)
     items = [ctx.corpus.items[i] for i in base_ids] + gen_items
     return Feed(items=items, generated_count=len(gen_items))

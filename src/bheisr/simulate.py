@@ -261,7 +261,7 @@ def prepare(config: SimConfig, corpus: Corpus = None,
         for user in classification.fb_users:
             if user in fed:
                 sessions[user] = nudge.new_session(
-                    user, graph, networks[user], classification.extremes[user],
+                    graph, networks[user], classification.extremes[user],
                     theta=config.theta, queue_discipline=config.queue_discipline,
                     max_path_len=config.max_path_len)
     return SimState(config=config, corpus=corpus, users=users, graph=graph,
@@ -273,9 +273,8 @@ def prepare(config: SimConfig, corpus: Corpus = None,
 def feed_for(state: SimState, step: int, user_id: str):
     """The user's feed at `step`: the one assemble_feed call of a run."""
     config, ctx = state.config, state.ctx
-    return assemble_feed(ctx.baseline, state.with_bheisr, state.w_eff, config.k,
-                         state.sessions.get(user_id), ctx, user_id, step,
-                         config.seed)
+    return assemble_feed(ctx, state.with_bheisr, state.w_eff, config.k,
+                         state.sessions.get(user_id), user_id, step, config.seed)
 
 
 def _decisions(state: SimState, step: int, user_id: str, feed) -> tuple:

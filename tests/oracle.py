@@ -22,7 +22,7 @@ path from its nodes, and the ledger's penalized edges as pairs.
 import math
 import re
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -204,7 +204,7 @@ def rebuilt_by_fold(ctx, *extra) -> FeedContext:
     if rebuilt.profile_sums is not None:
         rebuilt.profile_sums[:] = 0.0
     by_id = {**ctx.corpus.items, **{item.id: item for item in extra}}
-    for user in rebuilt.user_ids:
+    for user in rebuilt.user_pos:
         rebuilt.note_accept({user: [by_id[i] for i in ctx.networks[user].accepted]})
     return rebuilt
 
@@ -473,8 +473,12 @@ def synth_corpus_reference(spec) -> Corpus:
 
 
 def log_rows(corpus) -> list:
-    """The corpus's log as (user id, item id, timestamp, signal) rows."""
-    return [astuple(row) for row in corpus.interactions]
+    """The corpus's log as (user id, item id, timestamp, signal) rows, read
+    from its columns."""
+    users, ids = corpus.users, list(corpus.items)
+    return [(users[u], ids[i], t, s) for u, i, t, s in zip(
+        corpus.log_user.tolist(), corpus.log_item.tolist(),
+        corpus.log_ts.tolist(), corpus.log_signal.tolist())]
 
 
 def path_of(*nodes) -> PromptPath:

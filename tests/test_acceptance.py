@@ -109,7 +109,7 @@ def test_criterion_01_entropy_and_incremental_updates(capsys):
         network = BeliefNetwork(user_id="u", categories=cats,
                                 subcat_to_cat=dict(labels))
         for sub, m in masses.items():
-            network.add_click_mass(sub, sub.split("/")[0], m)
+            network.add_click_mass(sub, m)
         network.recompute()
         err = abs(network.belief[cat] - expect)
         worst = max(worst, err)
@@ -328,7 +328,7 @@ def test_criterion_07_binary_split_and_rejection_exhaustion(capsys):
         user_id="u", categories=cats,
         subcat_to_cat={f"{c}/s": c for c in cats})
     for i, c in enumerate(cats):
-        belief_net.add_click_mass(f"{c}/s", c, float(i + 1))
+        belief_net.add_click_mass(f"{c}/s", float(i + 1))
     belief_net.recompute()
 
     steps = 0

@@ -168,6 +168,19 @@ class TestIncrementalConsistency:
         assert network.positive_category_count() == sum(
             1 for m in network.mass_by_category().values() if m > 0.0)
 
+    def test_click_mass_counts_under_its_labels_category(self):
+        # the shared map names each label's category, generated labels too
+        labels = {"a/s1": "a", "b/s1": "b"}
+        labels.update((generated_subcategory(c), c) for c in ("a", "b", "c"))
+        network = BeliefNetwork(user_id="u", categories=("a", "b", "c"),
+                                subcat_to_cat=labels)
+        network.add_click_mass("a/s1", 1.0)
+        assert network.positive_category_count() == 1
+        network.add_click_mass(generated_subcategory("c"), 0.5)
+        network.add_click_mass("b/s1", 0.0)
+        assert network.positive_category_count() == 2
+        assert_positive_count_matches_its_definition(network)
+
 
 
 # an accept of a corpus item or of a generated item with these weights, or

@@ -446,17 +446,22 @@ class TestCorpusCommandConfig:
         (".", "--out '.' is a directory, not a file"),
         ("nodir/x.json",
          "--out 'nodir/x.json' is in a directory that does not exist"),
+        ("dangling", "--out 'dangling' is in a directory that does not exist"),
+        ("afile/x", "--out 'afile/x' is in a directory that does not exist"),
         ("", "--out is empty")])
     def test_out_it_cannot_write_exits_2_before_any_corpus(
             self, tmp_path, capsys, monkeypatch, command, out, message):
         # each used to build (and classify) the whole corpus, then fail to
         # open its file; an empty --out used to mean no file
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "dangling").symlink_to("nowhere/x")
         monkeypatch.setattr(simulate, "build_corpus",
                             lambda config: pytest.fail("a corpus was built"))
         assert main([command, "--synth", SYNTH, "--out", out]) == 2
         assert f"error: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dangling"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["ingest", "detect", "graph"])
     def test_valid_run_keys_accepted(self, tmp_path, capsys, command):
@@ -720,21 +725,29 @@ class TestSimulate:
             self, tmp_path, capsys, monkeypatch, second):
         # a second run used to replace runlog.jsonl and leave the first run's
         # fb_counts.json, paths.jsonl and other networks beside it, and an
-        # experiment wrote its CSV beside them all
-        out = tmp_path / "run"
+        # experiment wrote its CSV beside them all; an out that the writes
+        # would follow through a dangling symlink or a file used to fail
+        # only after the whole run
         assert main(["simulate", "--synth", SYNTH, "--model", "bheisr",
                      "--feeds", "2", "--track-fb", "--trace-paths",
-                     "--out", str(out)]) == 0
-        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+                     "--out", str(tmp_path / "run")]) == 0
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "dangling").symlink_to("nowhere/x")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         capsys.readouterr()
         monkeypatch.setattr(simulate, "build_corpus",
                             lambda config: pytest.fail("a corpus was built"))
-        assert main([*second, "--synth", SYNTH, "--feeds", "1",
-                     "--out", str(out)]) == 2
-        assert f"error: --out '{out}' exists and is not an empty directory" \
-            in capsys.readouterr().err
-        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
-            == before
+        for target, message in [
+                ("run", "exists and is not an empty directory"),
+                ("dangling", "exists and is not an empty directory"),
+                ("afile/x", f"is under '{tmp_path / 'afile'}', not a directory")]:
+            out = tmp_path / target
+            assert main([*second, "--synth", SYNTH, "--feeds", "1",
+                         "--out", str(out)]) == 2
+            assert f"error: --out '{out}' {message}" in capsys.readouterr().err
+            assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                    if p.is_file()} == before
+            assert not (tmp_path / "nowhere").exists()
 
     def test_parallel_flag_is_gone(self, tmp_path):
         out = tmp_path / "run"
@@ -883,10 +896,13 @@ CONFIG_LINES = (["seed=2", "w=0.4", "model=rd_w", "feeds=2", "k=3",
                  "users=u0001", "target_user=u0002", "trace_paths=yes"],
                 ["k=0", "nudge.theta=3", "bogus", "track_fb=maybe",
                  "dataset_format=xml", "seed=2\nseed=3"])
-# --out: a run's directory must be new or empty, a file command's file must
-# not be a directory and must be in one that exists
-RUN_OUTS = (["new", "empty", "nodir/x"], ["used", "afile", ""])
-FILE_OUTS = (["new", "afile"], ["empty", "used", "nodir/x", ""])
+# --out: a run's directory must be new or empty and under a directory, a
+# file command's file, where its symlinks lead, must not be a directory and
+# must be in one that exists
+RUN_OUTS = (["new", "empty", "nodir/x"],
+            ["used", "afile", "", "dangling", "afile/x"])
+FILE_OUTS = (["new", "afile"], ["empty", "used", "nodir/x", "", "dangling",
+                                "afile/x"])
 FAULTS = ("source", "value", "unread", "config", "out")
 
 
@@ -955,6 +971,7 @@ class TestCliProperty:
             (root / "used").mkdir()
             (root / "used" / "runlog.jsonl").write_text("{}\n")
             (root / "afile").write_text("kept\n")
+            (root / "dangling").symlink_to("nowhere/x")
             if lines is not None:
                 (root / "run.cfg").write_text("\n".join(lines) + "\n")
             before = _files(root)

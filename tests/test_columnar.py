@@ -3,6 +3,7 @@ columns equal the per-row builds they replace, and a walk of the rows
 decodes the columns a chunk at a time."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from bheisr import recommenders, simulate
 from bheisr.belief import BeliefNetwork, build_all
 from bheisr.corpus import Interaction, Item, SynthSpec, synth_corpus
 from bheisr.simulate import SimConfig
-from oracle import click_probs, context_for, corpus_of, log_rows, rebuilt_by_fold
+from oracle import click_probs, context_for, corpus_of, rebuilt_by_fold
 
 
 def per_row_build_all(corpus) -> dict:
@@ -33,7 +34,7 @@ def per_row_build_all(corpus) -> dict:
         for inter in sorted(histories[user], key=lambda x: x.timestamp):
             item = corpus.items[inter.item_id]
             network.accepted.append(item.id)
-            network.add_click_mass(item.subcategory, item.category, 1.0)
+            network.add_click_mass(item.subcategory, 1.0)
         network.recompute()
         networks[user] = network
     return networks
@@ -158,7 +159,7 @@ class TestRowWalk:
                                         subcats_per_category=2, n_items=30))
         monkeypatch.setattr(corpus_module, "ROW_CHUNK", 7)
         ids = list(corpus.items)
-        assert log_rows(corpus) == [
+        assert [astuple(row) for row in corpus.interactions] == [
             (corpus.users[u], ids[i], t, s) for u, i, t, s in zip(
                 corpus.log_user.tolist(), corpus.log_item.tolist(),
                 corpus.log_ts.tolist(), corpus.log_signal.tolist())]

@@ -353,15 +353,10 @@ class TestCategoryGraph:
             graph, [*corpus.items.values(), new, corpus.items["i3"], new])
 
 
-    def test_build_folds_corpus_item_r_as_index_row_r(self, monkeypatch):
-        # build maps no id to its row: corpus item r is index row r
-        def no_lookup(table, items):
-            raise AssertionError("build looked up item rows")
-
+    def test_build_folds_corpus_item_r_as_index_row_r(self):
+        # the table finds corpus item r at index row r
         corpus = two_category_corpus()
-        with monkeypatch.context() as patch:
-            patch.setattr(ItemTable, "rows", no_lookup)
-            graph = graph_of(corpus)
+        graph = graph_of(corpus)
         assert_equals_the_oracle(graph, list(corpus.items.values()))
 
 

@@ -425,12 +425,12 @@ def session_fixture(theta=2, queue_discipline=QUEUE_DRAIN, max_path_len=None):
     labels = {f"{c}/s": c for c in cats}
     labels.update((generated_subcategory(c), c) for c in cats)
     network = BeliefNetwork(user_id="u", categories=cats, subcat_to_cat=labels)
-    network.add_click_mass("a/s", "a", 6.0)
-    network.add_click_mass("b/s", "b", 2.0)
-    network.add_click_mass("c/s", "c", 1.0)
+    network.add_click_mass("a/s", 6.0)
+    network.add_click_mass("b/s", 2.0)
+    network.add_click_mass("c/s", 1.0)
     network.recompute()
     # a extreme-high, d extreme-low, b and c normal
-    session = new_session("u", graph, network, (("a",), ("d",)), theta=theta,
+    session = new_session(graph, network, (("a",), ("d",)), theta=theta,
                           queue_discipline=queue_discipline,
                           max_path_len=max_path_len)
     return session, graph, network
@@ -452,6 +452,14 @@ class TestNewSession:
         session, _, _ = session_fixture(max_path_len=2)
         assert len(session.path.nodes) <= 3
         assert session.path.nodes[-1] == "d"
+
+    def test_takes_its_user_from_the_network(self):
+        _, graph, network = session_fixture()
+        network.user_id = "v"
+        session = new_session(graph, network, (("a",), ("d",)))
+        assert session.user_id == "v"
+        item = _generate_for(session, session.queue[0], TemplateGenerator({}))
+        assert item.id == "gi:v:1"
 
 
 class TestRunStepAndPending:

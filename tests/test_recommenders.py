@@ -149,7 +149,7 @@ class TestCbTermMatrix:
             with np.errstate(divide="ignore", invalid="ignore"):
                 expected = np.clip(np.where(denom > 0.0, (matrix @ dense) / denom,
                                             0.0), -1.0, 1.0)
-            assert np.array_equal(_baseline_scores("cb", ctx, user), expected)
+            assert np.array_equal(_baseline_scores(ctx, user), expected)
             scored += 1
         assert scored > 0
 
@@ -208,9 +208,9 @@ class TestCbScore:
         corpus = small_corpus()
         corpus.items["i0"] = Item("i0", "c", "c/s", "", "", {"c": 1.0})
         ctx = context_for(corpus)
-        scores = _baseline_scores("cb", ctx, "u1")
+        scores = _baseline_scores(ctx, "u1")
         assert scores[ctx.table.index.pos["i0"]] == 0.0
-        assert baseline_ranking("cb", ctx, "u1", 4, step=1, seed=0) == \
+        assert baseline_ranking(ctx, "u1", 4, step=1, seed=0) == \
             ["i4", "i0", "i3", "i5"]
 
     def test_prefers_same_topic_items(self):
@@ -272,7 +272,7 @@ class TestUcScore:
         # has no share to weight by and scores every item 0
         ctx = context_for(small_corpus(), "uc")
         assert sum(ctx.networks["u3"].belief.values()) == 0.0
-        assert (_baseline_scores("uc", ctx, "u3") == 0.0).all()
+        assert (_baseline_scores(ctx, "u3") == 0.0).all()
 
     def test_self_acceptance_not_counted(self):
         ctx = context_for(small_corpus())
@@ -289,55 +289,55 @@ class TestRdCandidates:
     """The RD branch of baseline_ranking: a seeded uniform sample."""
 
     def test_deterministic_and_excluding(self):
-        ctx = context_for(small_corpus())
-        excluded = baseline_ranking("rd", ctx, "u1", 5, step=1, seed=5)
+        ctx = context_for(small_corpus(), "rd")
+        excluded = baseline_ranking(ctx, "u1", 5, step=1, seed=5)
         assert set(excluded) == {"i3", "i4", "i5"}   # u1 accepted i1 and i2
         every_item_eligible(ctx)
-        first = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5)
-        second = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=5)
+        first = baseline_ranking(ctx, "u1", 3, step=1, seed=5)
+        second = baseline_ranking(ctx, "u1", 3, step=1, seed=5)
         assert first == second
         assert len(set(first)) == 3
 
     def test_seed_and_user_vary_the_sample(self):
-        ctx = context_for(small_corpus())
+        ctx = context_for(small_corpus(), "rd")
         every_item_eligible(ctx)
-        pools = {tuple(baseline_ranking("rd", ctx, u, 5, step=1, seed=s))
+        pools = {tuple(baseline_ranking(ctx, u, 5, step=1, seed=s))
                  for u in ("u1", "u2") for s in (0, 1)}
         assert len(pools) > 1
 
 
 class TestBaselineRanking:
     def test_rd_varies_by_step_and_stays_seeded(self):
-        ctx = context_for(small_corpus())
+        ctx = context_for(small_corpus(), "rd")
         every_item_eligible(ctx)
-        a = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=7)
-        b = baseline_ranking("rd", ctx, "u1", 3, step=1, seed=7)
-        c = baseline_ranking("rd", ctx, "u1", 3, step=2, seed=7)
+        a = baseline_ranking(ctx, "u1", 3, step=1, seed=7)
+        b = baseline_ranking(ctx, "u1", 3, step=1, seed=7)
+        c = baseline_ranking(ctx, "u1", 3, step=2, seed=7)
         assert a == b
         assert a != c or len(ctx.table.index.ids) <= 3
 
     def test_cb_orders_by_score_then_id(self):
         ctx = context_for(small_corpus())
         every_item_eligible(ctx)
-        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
-        scores = _baseline_scores("cb", ctx, "u1")
+        ranked = baseline_ranking(ctx, "u1", 5, step=1, seed=0)
+        scores = _baseline_scores(ctx, "u1")
         keys = [(-scores[ctx.table.index.pos[i]], i) for i in ranked]
         assert keys == sorted(keys)
 
     def test_exclusion_respected(self):
         ctx = context_for(small_corpus())
-        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
+        ranked = baseline_ranking(ctx, "u1", 5, step=1, seed=0)
         assert "i1" not in ranked and "i2" not in ranked   # u1's history
         ctx.note_accept({"u1": [ctx.corpus.items["i4"]]})
-        ranked = baseline_ranking("cb", ctx, "u1", 5, step=1, seed=0)
+        ranked = baseline_ranking(ctx, "u1", 5, step=1, seed=0)
         assert sorted(ranked) == ["i3", "i5"]
 
     def test_no_baseline_slot_ranks_nothing(self, monkeypatch):
-        ctx = context_for(small_corpus())
+        contexts = [context_for(small_corpus(), kind) for kind in ("rd", "cb", "uc")]
         monkeypatch.setattr(recommenders, "substream", None)
         monkeypatch.setattr(recommenders, "_baseline_scores", None)
-        for kind in ("rd", "cb", "uc"):
-            assert baseline_ranking(kind, ctx, "u1", 0, step=1, seed=0) == []
+        for ctx in contexts:
+            assert baseline_ranking(ctx, "u1", 0, step=1, seed=0) == []
 
 
 def sorted_ranking(ctx, scores, k, exclude):
@@ -402,10 +402,11 @@ class TestRankingMatchesSortedOracle:
         ctx.note_accept({"u1": [ctx.corpus.items[i] for i in sorted(exclude)]})
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recommenders, "_baseline_scores",
-                       lambda kind, ctx, user_id: scores)
-            ranked = baseline_ranking("cb", ctx, "u1", k, step, 3)
+                       lambda ctx, user_id: scores)
+            ranked = baseline_ranking(ctx, "u1", k, step, 3)
         assert ranked == sorted_ranking(ctx, scores, k, exclude)
-        assert (baseline_ranking("rd", ctx, "u1", k, step, 3)
+        ctx.baseline = "rd"
+        assert (baseline_ranking(ctx, "u1", k, step, 3)
                 == rd_ranking(ctx, "u1", k, step, 3, exclude))
 
     @settings(max_examples=200, deadline=None)
@@ -455,7 +456,7 @@ class TestAccelerationAgreesWithReference:
         for kind in ("cb", "uc"):
             ctx, _, corpus = self.context(kind)
             for user in corpus.users:
-                np.testing.assert_allclose(_baseline_scores(kind, ctx, user),
+                np.testing.assert_allclose(_baseline_scores(ctx, user),
                                            oracle_scores(kind, ctx, user), rtol=0,
                                            atol=1e-9, err_msg=f"{kind} {user}")
 
@@ -471,13 +472,13 @@ class TestAccelerationAgreesWithReference:
                      if i not in ctx.networks[user].accepted)
         ctx.networks[user].update_on_feedback(corpus.items[fresh])
         ctx.note_accept({user: [corpus.items[fresh]]})
-        np.testing.assert_allclose(_baseline_scores(kind, ctx, user),
+        np.testing.assert_allclose(_baseline_scores(ctx, user),
                                    oracle_scores(kind, ctx, user),
                                    rtol=0, atol=1e-9)
 
     def test_note_accept_refreshes_uc_masses_and_drops_batched_rows(self):
         ctx, graph, corpus = self.context("uc")
-        ctx.batch_neighbor_mass(ctx.user_ids)
+        ctx.batch_neighbor_mass(list(ctx.user_pos))
         assert ctx.neighbor_mass
         gi = Item("gi:x:1", "cat00", "cat00/generated", "cat00 meets cat01",
                   "bridging piece", {"cat00": 0.5, "cat01": 0.5},
@@ -525,8 +526,8 @@ class TestAccelerationAgreesWithReference:
             assert np.array_equal(acc.mass_matrix, rebuilt.mass_matrix)
             assert np.array_equal(acc.mass_norms, rebuilt.mass_norms)
         if kind != "rd":
-            assert np.allclose(_baseline_scores(kind, acc, user),
-                               _baseline_scores(kind, rebuilt, user), atol=1e-12)
+            assert np.allclose(_baseline_scores(acc, user),
+                               _baseline_scores(rebuilt, user), atol=1e-12)
 
     def test_scoring_state_only_for_the_baseline(self):
         for kind in ("rd", "cb", "uc"):
@@ -644,8 +645,7 @@ def uc_state(mass, accept, beliefs, item_cats):
     networks = {u: SimpleNamespace(belief=dict(zip(cats, map(float, row))))
                 for u, row in zip(users, beliefs)}
     ctx = FeedContext(corpus=None, networks=networks, table=ItemTable(index),
-                      baseline="uc", user_ids=users,
-                      user_pos={u: r for r, u in enumerate(users)},
+                      baseline="uc", user_pos={u: r for r, u in enumerate(users)},
                       accept_matrix=np.asarray(accept, dtype=float),
                       mass_matrix=np.asarray(mass, dtype=float))
     # row-wise, as refresh_mass takes them
@@ -656,7 +656,7 @@ def uc_state(mass, accept, beliefs, item_cats):
 def exact_rankings(ctx, k):
     """Every user's UC ranking from the exact per-user scores alone."""
     saved, ctx.neighbor_mass = ctx.neighbor_mass, {}
-    ranked = {u: baseline_ranking("uc", ctx, u, k, 1, 0) for u in ctx.user_ids}
+    ranked = {u: baseline_ranking(ctx, u, k, 1, 0) for u in ctx.user_pos}
     ctx.neighbor_mass = saved
     return ranked
 
@@ -693,16 +693,16 @@ class TestCertifiedUcRanking:
     def test_every_fed_user_gets_the_exact_ranking(self, case):
         ctx, k, rng = case
         exact = exact_rankings(ctx, k)
-        ctx.batch_neighbor_mass(ctx.user_ids)
-        assert set(ctx.neighbor_mass) == set(ctx.user_ids)
-        for user in ctx.user_ids:
-            assert baseline_ranking("uc", ctx, user, k, 1, 0) == exact[user]
+        ctx.batch_neighbor_mass(list(ctx.user_pos))
+        assert set(ctx.neighbor_mass) == set(ctx.user_pos)
+        for user in ctx.user_pos:
+            assert baseline_ranking(ctx, user, k, 1, 0) == exact[user]
         # another kernel's fold: each entry a few units in the last place off
         for user, row in ctx.neighbor_mass.items():
             ulps = rng.integers(-4, 5, len(row))
             ctx.neighbor_mass[user] = row * (1.0 + ulps * 2.0 ** -52)
-        for user in ctx.user_ids:
-            assert baseline_ranking("uc", ctx, user, k, 1, 0) == exact[user]
+        for user in ctx.user_pos:
+            assert baseline_ranking(ctx, user, k, 1, 0) == exact[user]
 
     @pytest.mark.parametrize("nudge", [math.inf, -math.inf])
     def test_a_last_bit_difference_falls_back_to_the_exact_ranking(self, nudge):
@@ -718,14 +718,14 @@ class TestCertifiedUcRanking:
         ctx = uc_state(mass, accept, beliefs, item_cats=[0, 0, 0, 0])
         exact = exact_rankings(ctx, 2)
         assert exact["u00"] == ["i0", "i1"]
-        scores = _baseline_scores("uc", ctx, "u00")
+        scores = _baseline_scores(ctx, "u00")
         tied = scores[ctx.table.index.pos["i0"]]
         assert tied > 0.0 and scores[ctx.table.index.pos["i1"]] == tied
         row = scores.copy()            # every share is 1.0: scores are masses
         moved = ctx.table.index.pos["i1" if nudge > 0 else "i0"]
         row[moved] = np.nextafter(tied, nudge)
         ctx.neighbor_mass = {"u00": row}
-        assert baseline_ranking("uc", ctx, "u00", 2, 1, 0) == exact["u00"]
+        assert baseline_ranking(ctx, "u00", 2, 1, 0) == exact["u00"]
 
     def test_a_clear_gap_and_zero_ties_are_certified(self, monkeypatch):
         mass = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -737,17 +737,17 @@ class TestCertifiedUcRanking:
         exact = exact_rankings(ctx, 4)
         # i1 (two neighbours) over i0 (one), then zeros in id order
         assert exact["u00"] == ["i1", "i0", "i2", "i3"]
-        ctx.batch_neighbor_mass(ctx.user_ids)
+        ctx.batch_neighbor_mass(list(ctx.user_pos))
         monkeypatch.setattr(recommenders, "_baseline_scores", None)
-        assert baseline_ranking("uc", ctx, "u00", 4, 1, 0) == exact["u00"]
+        assert baseline_ranking(ctx, "u00", 4, 1, 0) == exact["u00"]
 
     def test_masses_outside_the_covered_range_are_not_batched(self):
         mass = np.array([[1.0, 2.0 ** -70], [1.0, 1.0]])
         ctx = uc_state(mass, np.eye(2, 5), np.ones((2, 2)), item_cats=[0] * 5)
-        ctx.batch_neighbor_mass(ctx.user_ids)
+        ctx.batch_neighbor_mass(list(ctx.user_pos))
         assert ctx.neighbor_mass == {}
         assert exact_rankings(ctx, 3)["u00"] == \
-            baseline_ranking("uc", ctx, "u00", 3, 1, 0)
+            baseline_ranking(ctx, "u00", 3, 1, 0)
 
     def test_only_uc_and_more_than_one_user_are_batched(self):
         ctx = context_for(small_corpus(), "uc")
@@ -777,7 +777,7 @@ class TestAssembleFeed:
     def test_mix_counts(self):
         ctx = context_for(small_corpus())
         session = session_for(ctx, "u1")
-        feed = assemble_feed("cb", True, 0.4, 5, session, ctx, "u1", step=1, seed=0)
+        feed = assemble_feed(ctx, True, 0.4, 5, session, "u1", step=1, seed=0)
         assert feed.generated_count == 2
         assert sum(it.origin == "dataset" for it in feed.items) == 3
         assert len(feed.items) == 5
@@ -787,7 +787,7 @@ class TestAssembleFeed:
     def test_generated_items_cycle_prompts_with_fresh_ids(self):
         ctx = context_for(small_corpus())
         session = session_for(ctx, "u1")
-        feed = assemble_feed("cb", True, 1.0, 5, session, ctx, "u1", step=1, seed=0)
+        feed = assemble_feed(ctx, True, 1.0, 5, session, "u1", step=1, seed=0)
         gen = feed.items
         assert [g.prompt.key for g in gen] == \
             ["a->b", "b->c", "a->b", "b->c", "a->b"]
@@ -795,13 +795,13 @@ class TestAssembleFeed:
 
     def test_accepted_items_never_reappear(self):
         ctx = context_for(small_corpus())
-        feed = assemble_feed("cb", False, 0.0, 5, None, ctx, "u1", step=1, seed=0)
+        feed = assemble_feed(ctx, False, 0.0, 5, None, "u1", step=1, seed=0)
         assert {it.id for it in feed.items}.isdisjoint(ctx.networks["u1"].accepted)
         assert len(feed.items) == 3   # only three unaccepted items exist
 
     def test_without_nudging_all_slots_are_baseline(self):
         ctx = context_for(small_corpus(), "uc")
-        feed = assemble_feed("uc", False, 0.6, 3, None, ctx, "u2", step=1, seed=0)
+        feed = assemble_feed(ctx, False, 0.6, 3, None, "u2", step=1, seed=0)
         assert feed.generated_count == 0
         assert sum(it.origin == "dataset" for it in feed.items) == len(feed.items)
 
@@ -809,7 +809,7 @@ class TestAssembleFeed:
         ctx = context_for(small_corpus())
         session = session_for(ctx, "u1")
         session.queue = []
-        feed = assemble_feed("cb", True, 0.6, 3, session, ctx, "u1", step=1, seed=0)
+        feed = assemble_feed(ctx, True, 0.6, 3, session, "u1", step=1, seed=0)
         assert feed.generated_count == 0
         assert sum(it.origin == "dataset" for it in feed.items) == 3
 

@@ -720,7 +720,7 @@ class TestStateMatchesLog:
                      fb_corpus, fb_assets)
         ctx = states[0].ctx
         mass, norms = ctx.mass_matrix.copy(), ctx.mass_norms.copy()
-        ctx.refresh_mass(ctx.user_ids)
+        ctx.refresh_mass(list(ctx.user_pos))
         assert np.array_equal(mass, ctx.mass_matrix)
         assert np.array_equal(norms, ctx.mass_norms)
 
