@@ -215,7 +215,11 @@ class FeedContext:
     def note_accept(self, accepts: dict) -> None:
         """Fold each user's newly accepted items (user id -> items, in
         accept order) into the scoring state, drop the batched rows that
-        derive from the old state and, for UC, refresh those users' masses."""
+        derive from the old state and, for UC, refresh those users' masses.
+        RD and UC skip generated items, which have no accept-matrix column."""
+        if self.baseline != "cb":
+            accepts = {u: [it for it in items if it.id in self.table.index.pos]
+                       for u, items in accepts.items()}
         users = [self.user_pos[u] for u, items in accepts.items() for _ in items]
         self._fold_accepts(np.array(users, dtype=np.intp),
                            self.table.rows([it for items in accepts.values()

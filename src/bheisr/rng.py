@@ -40,3 +40,9 @@ def substream(*parts) -> np.random.Generator:
     """
     words = [w for part in parts for w in _words(part)]
     return np.random.default_rng(np.random.SeedSequence(np.array(words, np.uint32)))
+
+
+def uniforms(bit_generator, n: int) -> list:
+    """n doubles in [0, 1) from the bit generator's raw 64-bit words: the
+    top 53 bits of each times 2**-53, as Generator.random(n) makes them."""
+    return ((bit_generator.random_raw(n) >> 11) * 2.0 ** -53).tolist()

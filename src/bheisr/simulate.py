@@ -12,6 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 
 from . import belief as belief_mod
 from . import detection, nudge, pathfinder
@@ -21,7 +22,7 @@ from .features import CategoryGraph, GraphUpdateBuffer, ItemTable
 from .features import featurize_texts as build_vocabulary  # perfbench's span name
 from .folds import fold_sum
 from .recommenders import CandidateIndex, FeedContext, acceptance_share, assemble_feed
-from .rng import substream
+from .rng import substream, uniforms
 
 # model name -> (baseline kind, mixes generated items, label, the w it runs
 # at or None for the config's), in the order the experiments run and report them
@@ -120,7 +121,7 @@ def checkpoint_steps(feeds: int) -> tuple:
     return tuple(steps)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecisionRecord:
     item_id: str
     origin: str
@@ -129,7 +130,7 @@ class DecisionRecord:
     accepted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepUserRecord:
     step: int
     user_id: str
@@ -279,10 +280,10 @@ def feed_for(state: SimState, step: int, user_id: str):
 
 def _decisions(state: SimState, step: int, user_id: str, feed) -> tuple:
     network = state.networks[user_id]
-    # one uniform per item from the user-step's stream, in one call:
-    # rng.random(n) gives the doubles of n scalar calls
-    draws = substream(state.config.seed, "decide", user_id, step).random(
-        len(feed.items)).tolist()
+    # one uniform per item from the user-step's raw stream, which NEP 19
+    # keeps fixed across numpy versions (README, Simulation)
+    draws = uniforms(substream(state.config.seed, "decide", user_id, step)
+                     .bit_generator, len(feed.items))
     # every decision comes before any update, so the belief total holds, and
     # so does the share of each category_weights object, which every item
     # generated for one prompt shares
@@ -294,8 +295,6 @@ def _decisions(state: SimState, step: int, user_id: str, feed) -> tuple:
         if ap is None:
             ap = shares[weights] = acceptance_share(item, network, belief_total)
         ok, ap, draw = decide(ap, draw)
-        # (item_id, origin, ap, draw, accepted), by position: keywords
-        # make each frozen record about 1 us dearer
         decisions.append(DecisionRecord(item.id, item.origin, ap, draw, ok))
     return tuple(decisions)
 
@@ -443,10 +442,11 @@ def _target(config: SimConfig, corpus: Corpus) -> tuple:
     return target, networks, classification
 
 
-def _runs(corpus: Corpus, configs: list) -> list:
-    """One RunRecord per config, in order, on one set of shared assets."""
+def _runs(corpus: Corpus, configs: list, keep) -> list:
+    """keep(record) of each config's RunRecord, in order, on one set of
+    shared assets; no record outlives its keep call."""
     assets = build_assets(corpus)
-    return [run_loop(config, corpus, assets) for config in configs]
+    return [keep(run_loop(config, corpus, assets)) for config in configs]
 
 
 def experiment_coverage(config: SimConfig, out_dir: str) -> dict:
@@ -455,9 +455,9 @@ def experiment_coverage(config: SimConfig, out_dir: str) -> dict:
     "improvements": mixed model -> percent over its baseline}."""
     corpus = _corpus(config)
     target = _target(config, corpus)[0]
-    runs = _runs(corpus, [replace(config, model=m, users=(target,),
-                                  track_fb=False) for m in MODELS])
-    series = {m: run.coverage_series(target) for m, run in zip(MODELS, runs)}
+    series = dict(zip(MODELS, _runs(corpus, [
+        replace(config, model=m, users=(target,), track_fb=False)
+        for m in MODELS], lambda run: run.coverage_series(target))))
     rows = [{m: series[m][t] for m in MODELS} for t in range(config.feeds)]
     sums = {m: fold_sum(series[m]) for m in MODELS}
     improvements = {
@@ -487,8 +487,8 @@ def experiment_trajectory(config: SimConfig, out_dir: str) -> dict:
                          f"{target!r}, who has no history")
     interest, disinterest = pathfinder.select_endpoints(
         networks[target], classification.extremes[target])
-    (run,) = _runs(corpus, [replace(config, users=(target,), track_fb=False)])
-    points = run.checkpoints[target]
+    (points,) = _runs(corpus, [replace(config, users=(target,), track_fb=False)],
+                      lambda run: run.checkpoints[target])
     _write_csv(out_dir, "trajectory.csv", [["step", "series", "value"], *[
         [s, series, _fmt(b[category])] for s, b in points
         for series, category in (("interest", interest),
@@ -506,12 +506,11 @@ def experiment_trajectory(config: SimConfig, out_dir: str) -> dict:
 def experiment_fb_count(config: SimConfig, out_dir: str) -> dict:
     """Population bubble-affected count after every feed, per model."""
     corpus = _corpus(config)
-    runs = _runs(corpus, [replace(config, model=m, track_fb=True)
-                          for m in MODELS])
-    counts = {m: run.fb_counts for m, run in zip(MODELS, runs)}
+    counts = dict(zip(MODELS, _runs(corpus, [
+        replace(config, model=m, track_fb=True) for m in MODELS],
+        attrgetter("fb_counts"))))
     _write_csv(out_dir, "fb_count.csv", [["step", *MODELS], *[
-        [s] + [counts[m][i][1] for m in MODELS]
-        for i, (s, _) in enumerate(runs[0].fb_counts)]])
+        [step[0][0]] + [n for _, n in step] for step in zip(*counts.values())]])
     return counts
 
 
@@ -526,10 +525,9 @@ def experiment_w_sweep(config: SimConfig, out_dir: str) -> dict:
         raise ValueError(f"model {config.model!r} has no w to sweep; pick "
                          f"from the mixed models {mixed}")
     target = _target(config, corpus)[0]
-    runs = _runs(corpus, [replace(config, w=w, users=(target,),
-                                  track_fb=False) for w in W_VALUES])
-    series = {w: run.belief_coverage_series(target)
-              for w, run in zip(W_VALUES, runs)}
+    series = dict(zip(W_VALUES, _runs(corpus, [
+        replace(config, w=w, users=(target,), track_fb=False)
+        for w in W_VALUES], lambda run: run.belief_coverage_series(target))))
     _write_csv(out_dir, "w_sweep.csv", [["step", "w", "belief_coverage"], *[
         [t, _fmt(w), _fmt(value)] for w in W_VALUES
         for t, value in enumerate(series[w], start=1)]])

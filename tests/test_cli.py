@@ -904,12 +904,14 @@ RUN_OUTS = (["new", "empty", "nodir/x"],
 FILE_OUTS = (["new", "afile"], ["empty", "used", "nodir/x", "", "dangling",
                                 "afile/x"])
 FAULTS = ("source", "value", "unread", "config", "out")
+# a source or value fault may still fail once the corpus is built
+BOUNDARY_FAULTS = {"unread", "config", "out"}
 
 
 @st.composite
 def argvs(draw):
-    """(argv, config lines or None) drawn from the grammar, with paths
-    relative to the directory a call runs in."""
+    """(argv, config lines or None, faults) drawn from the grammar, with
+    paths relative to the directory a call runs in."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     reads = {"--" + flag.replace("_", "-") for flag in COMMANDS[command][2]}
     faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
@@ -928,17 +930,19 @@ def argvs(draw):
     for flag in flags:
         value = pick("value", FLAG_VALUES[flag])
         argv += [flag] if value is None else [flag, value]
-    lines = None
+    lines, overridden = None, set()
     if "config" in faults or draw(st.booleans()):
         lines = draw(st.lists(st.sampled_from(CONFIG_LINES[0]), max_size=2,
                               unique=True))
         if "config" in faults:
             lines.append(pick("config", CONFIG_LINES))
+            if "--" + lines[-1].partition("=")[0].replace("_", "-") in argv:
+                overridden = {"config"}     # a flag replaces the bad value
         argv += ["--config", "run.cfg"]
     if "out" in faults or (reads & {"--out"} and draw(st.booleans())):
         argv += ["--out", pick("out", RUN_OUTS if "--feeds" in reads
                                else FILE_OUTS)]
-    return argv, lines
+    return argv, lines, faults - overridden
 
 
 def _files(root: Path) -> dict:
@@ -949,7 +953,8 @@ def _files(root: Path) -> dict:
 class TestCliProperty:
     """Every argv the grammar draws either runs (exit 0), or is rejected
     (exit 2) with a message and leaves every file as it was; no call ends in
-    a traceback."""
+    a traceback. A bad --out, config file or unread flag is rejected before
+    any corpus is built."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -961,11 +966,14 @@ class TestCliProperty:
     @given(drawn=argvs())
     def test_exits_0_or_2_and_a_rejected_call_writes_nothing(self, corpus,
                                                              drawn):
-        argv, lines = drawn
+        argv, lines, faults = drawn
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as mp:
             root = Path(tmp)
             mp.chdir(root)      # a run without --out writes ./out
+            built, build = [], simulate.build_corpus
+            mp.setattr(simulate, "build_corpus",
+                       lambda config: built.append(config) or build(config))
             shutil.copy(corpus, root / "corpus.json")
             (root / "empty").mkdir()
             (root / "used").mkdir()
@@ -982,6 +990,9 @@ class TestCliProperty:
                 except SystemExit as exc:   # argparse's exit on a bad flag
                     code = exc.code
             assert code in (0, 2), (argv, lines)
+            if faults & BOUNDARY_FAULTS:
+                # argparse, build_config or check_out decides these first
+                assert (code, built) == (2, []), (argv, lines)
             if code == 2:
                 assert "error:" in err.getvalue(), (argv, lines)
                 assert _files(root) == before, (argv, lines)

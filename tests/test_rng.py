@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bheisr.rng import stable_hash, substream
+from bheisr.rng import stable_hash, substream, uniforms
 
 
 def seed_sequence_of_ints(*parts) -> np.random.Generator:
@@ -43,3 +43,19 @@ class TestSubstream:
         assert a == substream(0, "decide", "u", 1).random()
         assert a != substream(0, "u", "decide", 1).random()
         assert a != substream(0, "decide", "u", "1").random()
+
+
+class TestUniforms:
+    def test_equal_generator_random_on_2000_substreams(self):
+        # the decision draws' keys, feed sizes 0-16 included
+        for n in range(2000):
+            key, size = (n % 3, "decide", f"u{n % 50:04d}", n // 50 + 1), n % 17
+            assert uniforms(substream(*key).bit_generator, size) == \
+                substream(*key).random(size).tolist(), key
+
+    def test_raw_words_of_one_substream_are_pinned(self):
+        # decisions rest on PCG64's raw stream, which NEP 19 keeps fixed: a
+        # numpy that changed it would change every draw, so it fails here
+        raw = substream(0, "decide", "u0000", 1).bit_generator.random_raw(4)
+        assert raw.tolist() == [15642918454680764438, 5429001641256645948,
+                                8427297500153581884, 2273584072019501556]

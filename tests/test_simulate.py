@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -737,6 +738,31 @@ class TestResolveTargetUser:
         corpus = synth_corpus(PLAIN_SPEC)
         with pytest.raises(ValueError, match="no bubble-affected"):
             simulate._target(SimConfig(), corpus)
+
+
+class TestRuns:
+    def test_no_record_outlives_its_keep(self, fb_corpus, monkeypatch):
+        # an experiment's records never pile up: each is freed before the
+        # next run starts, and the last one before _runs returns
+        refs = []
+
+        def gone():
+            return all(ref() is None for ref in refs)
+
+        def spy(config, *args):
+            assert gone()
+            return run_loop(config, *args)
+
+        def keep(run):
+            assert gone()
+            refs.append(weakref.ref(run))
+            return run.model
+
+        monkeypatch.setattr(simulate, "run_loop", spy)
+        configs = [SimConfig(model=m, k=4, feeds=2, users=FB_USERS[:2])
+                   for m in MODELS]
+        assert simulate._runs(fb_corpus, configs, keep) == list(MODELS)
+        assert len(refs) == len(MODELS) and gone()
 
 
 class TestExperimentCoverage:
